@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .classes import (
     Tree,
@@ -34,24 +34,8 @@ from .complexity import (
     omega_approx,
     randomness_class_tree,
 )
-from .constructions import (
-    RegretSlot,
-    StageTrace,
-    TailValue,
-    beta_max,
-    friedberg_merge,
-    hat_m_construction,
-    odd_ones_real_enumeration,
-    regret_construction,
-    splice_random,
-)
-from .coverings import (
-    covering_antichains,
-    good_stage,
-    odd_covering_family,
-    parse_listing,
-    star_construction,
-)
+from .constructions import beta_max, friedberg_merge, odd_ones_real_enumeration
+from .coverings import covering_antichains, star_construction
 from .dyadic import (
     ONE,
     ZERO,
@@ -70,26 +54,16 @@ from .dyadic import (
 )
 from .errors import InputError
 from .oracles import (
-    brute_lower_cut,
     brute_optimal_covering,
     expansion_at_depth,
     greedy_expansion,
-    longest_even_prefix,
     padding_holds,
     rightmost_path,
     sibling_merge_closure,
 )
+from .runs import Replay, replay, verify_hatm, verify_regret, verify_splice
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
-from .streams import (
-    EnumerationScript,
-    LeftCEApprox,
-    approx_string,
-    lower_cut,
-    parity_projection,
-    real_from_ce_set,
-    stage_set,
-    truncate_pad,
-)
+from .streams import EnumerationScript, real_from_ce_set, stage_set
 
 __all__ = [
     "CheckReport",
@@ -272,7 +246,7 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
 
 
 # ---------------------------------------------------------------------------
-# scenario building and safety verifiers
+# scenario building and the merge verifier
 
 
 def fixture_machine(name: str) -> PrefixMachine:
@@ -283,158 +257,10 @@ def fixture_script(name: str, horizon: int | None = None) -> EnumerationScript:
     return EnumerationScript.parse(FIXTURE_FILES[name], horizon=horizon, source=name)
 
 
-def build_scenario(sc: Scenario):
-    """Reconstruct a scenario's library-level result from the fixture texts."""
-    p = sc.params
-    horizon = int(p["horizon"])  # type: ignore[arg-type]
-    if sc.kind == "splice":
-        r = real_from_ce_set(fixture_script(str(p["script"]), horizon), 0)
-        return splice_random(r, fixture_machine(str(p["machine"])), int(p["c"]), horizon)
-    if sc.kind == "hatm":
-        m = real_from_ce_set(fixture_script(str(p["script"]), horizon), 0)
-        return hat_m_construction(
-            m, fixture_machine(str(p["machine"])), int(p["k"]), horizon, mirror=bool(p["mirror"])
-        )
-    if sc.kind == "regret":
-        family = fixture_script(str(p["script"]), horizon)
-        return regret_construction(family, fixture_machine(str(p["machine"])), int(p["c"]), horizon)
-    if sc.kind == "beta":
-        script = fixture_script(str(p["script"]), horizon)
-        family = [real_from_ce_set(script, e) for e in script.indices()]
-        return beta_max(family, horizon)
-    if sc.kind == "star":
-        listing = parse_listing(FIXTURE_FILES[str(p["listing"])], source=str(p["listing"]))
-        return star_construction(listing, horizon)
-    if sc.kind == "capped":
-        script = fixture_script(str(p["script"]), horizon)
-        return measure_capped_enumeration(script, int(p["n"]), horizon)
-    raise InputError(f"unknown scenario kind {sc.kind}")
-
-
-def _spliced_runs(trace: StageTrace, state: str) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for rec in trace.records:
-        if rec.state == state and start is None:
-            start = rec.stage
-        elif rec.state != state and start is not None:
-            runs.append((start, rec.stage - 1))
-            start = None
-    if start is not None:
-        runs.append((start, trace.horizon))
-    return runs
-
-
-def verify_splice(
-    trace: StageTrace, r: LeftCEApprox, machine: PrefixMachine, c: int
-) -> list[str]:
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
-    for rec in trace.records:
-        t = rec.stage
-        if rec.state == "empty":
-            if not r.empty_at(t) or rec.value.real() != ZERO:
-                errs.append(f"stage {t}: bad empty record")
-        elif rec.state == "tracking":
-            if rec.value.real() != r.value(t):
-                errs.append(f"stage {t}: tracking value differs from the input")
-        elif rec.state == "spliced":
-            v = rec.value
-            if not isinstance(v, TailValue) or v.omega != omega_approx(machine, t):
-                errs.append(f"stage {t}: spliced tail is not the stage mass")
-        else:
-            errs.append(f"stage {t}: unknown state {rec.state}")
-    for start, end in _spliced_runs(trace, "spliced"):
-        if start == 0:
-            errs.append("trace starts spliced with no switch stage")
-            continue
-        witness = trace.records[start].value.prefix  # type: ignore[union-attr]
-        switch = start - 1
-        if k_approx(machine, witness, switch) >= len(witness) - c:
-            errs.append(f"witness {witness} did not fail the constant at stage {switch}")
-        for s in range(start, end + 1):
-            if trace.records[s].value.prefix != witness:  # type: ignore[union-attr]
-                errs.append(f"stage {s}: witness changed mid-run")
-    return errs
-
-
-def verify_hatm(
-    trace: StageTrace,
-    m: LeftCEApprox,
-    machine: PrefixMachine,
-    k: int,
-    mirror: bool,
-) -> list[str]:
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
-    degenerate = ("1" if mirror else "0") * k
-    want = Order.GT if mirror else Order.LT
-    for rec in trace.records:
-        t = rec.stage
-        boundary = approx_string(omega_approx(machine, t), k)
-        if rec.state == "parked":
-            if boundary.bits != degenerate:
-                errs.append(f"stage {t}: parked although the boundary prefix moved")
-            v = rec.value
-            if not isinstance(v, TailValue) or v.prefix.bits != ("1" if mirror else "0"):
-                errs.append(f"stage {t}: parked value malformed")
-        elif rec.state == "tracking":
-            cur = approx_string(m.value(t), k)
-            if lex_compare_padded(cur, boundary) is not want:
-                errs.append(f"stage {t}: tracking on the wrong side of the boundary")
-            if rec.value.real() != m.value(t):
-                errs.append(f"stage {t}: tracking value differs from the input")
-        elif rec.state == "undesirable":
-            v = rec.value
-            if not isinstance(v, TailValue) or len(v.prefix) != k:
-                errs.append(f"stage {t}: fix prefix has wrong length")
-            elif not mirror and lex_compare_padded(v.prefix, boundary) is not Order.LT:
-                errs.append(f"stage {t}: fix prefix not strictly below the boundary")
-        else:
-            errs.append(f"stage {t}: unknown state {rec.state}")
-    return errs
-
-
-def verify_regret(
-    slots: Sequence[RegretSlot],
-    family: EnumerationScript,
-    machine: PrefixMachine,
-    c: int,
-) -> list[str]:
-    errs = []
-    approxes = {e: real_from_ce_set(family, e) for e in family.indices()}
-    for i, slot in enumerate(slots):
-        m = approxes[slot.source_index]
-        if not slot.trace.is_monotone():
-            errs.append(f"slot {i}: trace not monotone")
-        for rec in slot.trace.records:
-            t = rec.stage
-            if rec.state == "unbound":
-                if rec.value.real() != ZERO:
-                    errs.append(f"slot {i} stage {t}: unbound value not 0")
-            elif rec.state == "tracking":
-                if rec.value.real() != m.value(t):
-                    errs.append(f"slot {i} stage {t}: tracking value differs from the member")
-            elif rec.state == "regretted":
-                assert slot.padding is not None
-                v = rec.value
-                expected = approx_string(m.value(t), slot.witness_length).bits + "0" * slot.padding
-                if not isinstance(v, TailValue) or v.prefix.bits != expected:
-                    errs.append(f"slot {i} stage {t}: regretted prefix malformed")
-            else:
-                errs.append(f"slot {i} stage {t}: unknown state {rec.state}")
-        if slot.regret_stage is not None:
-            p = slot.padding or 0
-            target = slot.witness_length + c + machine.c_tilde
-            if not padding_holds(p, target):
-                errs.append(f"slot {i}: padding {p} misses the target {target}")
-            if any(padding_holds(q, target) for q in range(1, p)):
-                errs.append(f"slot {i}: padding {p} not minimal for target {target}")
-            if p != compute_padding(slot.witness_length, c + machine.c_tilde):
-                errs.append(f"slot {i}: padding differs from the computed value")
-    return errs
+def build_scenario(sc: Scenario) -> Replay:
+    """Replay a scenario's command line over the fixture texts, through the
+    same builders the CLI runs."""
+    return replay(sc.argv, FIXTURE_FILES.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -730,29 +556,15 @@ def check_constructions(
     rep = CheckReport("constructions")
     for sc in SCENARIOS:
         rep.cases += 1
-        result = build_scenario(sc)
-        p = sc.params
-        horizon = int(p["horizon"])  # type: ignore[arg-type]
-        errs: list[str] = []
-        if sc.kind == "splice":
-            r = real_from_ce_set(fixture_script(str(p["script"]), horizon), 0)
-            errs = verify_splice(result, r, fixture_machine(str(p["machine"])), int(p["c"]))
-        elif sc.kind == "hatm":
-            m = real_from_ce_set(fixture_script(str(p["script"]), horizon), 0)
-            errs = verify_hatm(
-                result, m, fixture_machine(str(p["machine"])), int(p["k"]), bool(p["mirror"])
-            )
-        elif sc.kind == "regret":
-            family = fixture_script(str(p["script"]), horizon)
-            errs = verify_regret(result, family, fixture_machine(str(p["machine"])), int(p["c"]))
-        elif sc.kind == "beta":
-            if not result.is_monotone():
-                errs = ["beta trace not monotone"]
-            if "tree" in p:
-                tree = Tree.parse(FIXTURE_FILES[str(p["tree"])], depth=int(p["tree_depth"]))
-                path = rightmost_path(tree, tree.depth)
-                if path is None or result.value_at(horizon) != rational_of_string(path):
-                    errs.append("beta horizon value differs from the rightmost path")
+        run = build_scenario(sc)
+        errs = run.check()
+        if sc.tree is not None:
+            name, depth = sc.tree
+            tree = Tree.parse(FIXTURE_FILES[name], depth=depth)
+            path = rightmost_path(tree, tree.depth)
+            trace = run.result
+            if path is None or trace.value_at(trace.horizon) != rational_of_string(path):
+                errs.append("beta horizon value differs from the rightmost path")
         for e in errs:
             rep.fail(f"{sc.name}: {e}")
     rng = random.Random(seed)

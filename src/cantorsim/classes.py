@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import BitString, prefix_set_measure, strings_up_to
-from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError
+from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError, records
 from .streams import EnumerationScript
 
 __all__ = [
@@ -56,7 +56,7 @@ class Tree:
         """Prefix closure of the given strings, truncated at the depth bound."""
         bits: set[str] = set()
         for s in strings:
-            b = s.bits[: depth + 0] if len(s.bits) <= depth else s.bits[:depth]
+            b = s.bits[:depth]
             for i in range(len(b) + 1):
                 bits.add(b[:i])
         return cls(frozenset(BitString(b) for b in bits), depth)
@@ -67,10 +67,7 @@ class Tree:
         when any node is listed.  Rejects non-prefix-closed input naming the
         offending node."""
         bits: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, (line,) in records(text, sep=None):
             try:
                 bits.add(BitString.parse(line).bits)
             except DomainError as exc:

@@ -10,6 +10,15 @@ gets a header, `# slot d: e=… n=… bound@…` with ` regret@… p=…` append
 the slot is regretted, followed by its trace, one record per stage from 0 to
 the horizon.
 
+`run capped` always starts with `# indices: N`, the number of indices
+replayed, so a script with no events prints `# indices: 0`.  Each index then
+gets one `stage<TAB>index<TAB>admit|refuse<TAB>item` record per processed
+event and a footer `# index e: measure … frozen …`, where frozen is the stage
+of the first refusal or `never`.
+
+The `run` constructions, their flags and their builders are declared in
+`runs`.
+
 Exit codes: 0 success, 1 check failure, 2 input error, 3 precondition or
 capacity error.
 """
@@ -21,18 +30,6 @@ import sys
 from typing import Sequence
 
 from .checks import run_suite
-from .classes import Tree, diagonalize, graft_points, measure_capped_enumeration
-from .complexity import PrefixMachine, omega_approx
-from .constructions import (
-    beta_max,
-    friedberg_merge,
-    hat_m_construction,
-    odd_ones_real_enumeration,
-    regret_construction,
-    splice_random,
-)
-from .coverings import even_covering_family, load_listing, odd_covering_family, star_construction
-from .dyadic import BitString
 from .errors import (
     CapacityError,
     CantorsimError,
@@ -43,91 +40,13 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .recipes import merge_boundary_reals, merge_covering_classes
-from .streams import EnumerationScript, real_from_ce_set, stage_set
+from .runs import add_run_command, build
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cantorsim")
     top = parser.add_subparsers(dest="command", required=True)
-
-    run = top.add_parser("run", help="replay one construction over input files")
-    runs = run.add_subparsers(dest="construction", required=True)
-
-    def add(name: str, **flags) -> argparse.ArgumentParser:
-        sub = runs.add_parser(name)
-        sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        return sub
-
-    p = add("splice")
-    p.add_argument("--script", required=True)
-    p.add_argument("--machine", required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--index", type=int, default=0)
-
-    p = add("hatm")
-    p.add_argument("--script", required=True)
-    p.add_argument("--machine", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--mirror", action="store_true")
-
-    p = add("regret")
-    p.add_argument("--script", required=True)
-    p.add_argument("--machine", required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--c-tilde", type=int, default=0)
-    p.add_argument("--max-slots", type=int, default=None)
-
-    p = add("beta")
-    p.add_argument("--script", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = add("star")
-    p.add_argument("--listing", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = add("capped")
-    p.add_argument("--script", required=True)
-    p.add_argument("--cap-n", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = add("diagonalize")
-    p.add_argument("--tree", action="append", required=True, help="repeat per tree")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("merge")
-    p.add_argument("--l2", required=True)
-    p.add_argument("--l1-sets", required=True, help="file with one string set per line")
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = add("friedberg-reals")
-    p.add_argument("--script", required=True)
-    p.add_argument("--machine", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--len", type=int, required=True, dest="length")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--mirror", action="store_true")
-
-    p = add("friedberg-classes")
-    p.add_argument("--listing", action="append", required=True)
-    p.add_argument("--len", type=int, required=True, dest="length")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--no-acceptable-stream", action="store_true")
-
-    p = add("omega")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = add("oddones")
-    p.add_argument("--count", type=int, required=True)
-
-    p = add("coverfamily")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--parity", choices=("odd", "even"), default="odd")
+    add_run_command(top)
 
     check = top.add_parser("check", help="run a brute-force oracle suite")
     check.add_argument("suite")
@@ -139,132 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_l1_sets(path: str):
-    """One set per line: whitespace-separated strings; returns a generator
-    over the listed sets plus a picker scanning the same file for unused
-    extensions."""
-    sets: list[frozenset[BitString]] = []
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                sets.append(frozenset(BitString.parse(tok) for tok in line.split()))
-            except DomainError as exc:
-                raise ParseError(str(exc), source=path, line=lineno)
-
-    def generator(i: int):
-        if i >= len(sets):
-            raise IndexError(i)
-        return sets[i]
-
-    def picker(content, attempt: int):
-        extensions = [v for v in sets if content <= v]
-        if attempt >= len(extensions):
-            raise ContractViolationError(f"{path}: no unused extension available")
-        return extensions[attempt]
-
-    return generator, picker
-
-
-def _script_lines(script: EnumerationScript) -> list[str]:
-    return script.render().splitlines()
-
-
-def _dispatch_run(args: argparse.Namespace) -> list[str]:
-    name = args.construction
-    if name == "splice":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        machine = PrefixMachine.load(args.machine)
-        trace = splice_random(real_from_ce_set(script, args.index), machine, args.c, args.horizon)
-        return trace.render_lines()
-    if name == "hatm":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        machine = PrefixMachine.load(args.machine)
-        trace = hat_m_construction(
-            real_from_ce_set(script, args.index), machine, args.k, args.horizon, mirror=args.mirror
-        )
-        return trace.render_lines()
-    if name == "regret":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        machine = PrefixMachine.load(args.machine, c_tilde=args.c_tilde)
-        slots = regret_construction(script, machine, args.c, args.horizon, max_slots=args.max_slots)
-        lines = [f"# slots: {len(slots)}"]
-        for d, slot in enumerate(slots):
-            lines.append(
-                f"# slot {d}: e={slot.source_index} n={slot.witness_length}"
-                f" bound@{slot.bound_stage}"
-                + (f" regret@{slot.regret_stage} p={slot.padding}" if slot.regret_stage is not None else "")
-            )
-            lines.extend(slot.trace.render_lines())
-        return lines
-    if name == "beta":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        family = [real_from_ce_set(script, e) for e in script.indices()]
-        return beta_max(family, args.horizon).render_lines()
-    if name == "star":
-        listing = load_listing(args.listing)
-        snaps = star_construction(listing, args.horizon)
-        return [
-            f"{s.stage}\t{'yes' if s.good else 'no'}\t{s.case}\t{s.family.render()}"
-            for s in snaps
-        ]
-    if name == "capped":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        replays = measure_capped_enumeration(script, args.cap_n, args.horizon)
-        lines = []
-        for e in sorted(replays):
-            replay = replays[e]
-            for stage, item, admitted in replay.log:
-                verdict = "admit" if admitted else "refuse"
-                lines.append(f"{stage}\t{e}\t{verdict}\t{item.display()}")
-            frozen = "never" if replay.frozen_at is None else str(replay.frozen_at)
-            from .dyadic import prefix_set_measure
-
-            lines.append(
-                f"# index {e}: measure {prefix_set_measure(replay.final()).render()}"
-                f" frozen {frozen}"
-            )
-        return lines
-    if name == "diagonalize":
-        trees = [Tree.load(path, depth=args.depth) for path in args.tree]
-        taus = graft_points(trees, args.depth)
-        combined = diagonalize(trees, args.depth)
-        lines = [f"# tau_{n} = {tau.display()}" for n, tau in enumerate(taus)]
-        lines.extend(combined.render().splitlines())
-        return lines
-    if name == "merge":
-        l2 = EnumerationScript.load(args.l2, horizon=args.horizon)
-        generator, picker = _load_l1_sets(args.l1_sets)
-        return _script_lines(friedberg_merge(generator, l2, picker, args.horizon))
-    if name == "friedberg-reals":
-        script = EnumerationScript.load(args.script, horizon=args.horizon)
-        machine = PrefixMachine.load(args.machine)
-        out = merge_boundary_reals(
-            script, machine, args.k, args.length, args.horizon, mirror=args.mirror
-        )
-        return _script_lines(out)
-    if name == "friedberg-classes":
-        listings = [load_listing(path) for path in args.listing]
-        out = merge_covering_classes(
-            listings,
-            args.length,
-            args.horizon,
-            with_acceptable_stream=not args.no_acceptable_stream,
-        )
-        return _script_lines(out)
-    if name == "omega":
-        machine = PrefixMachine.load(args.machine)
-        return [
-            f"{s}\t{omega_approx(machine, s).render()}" for s in range(args.horizon + 1)
-        ]
-    if name == "oddones":
-        return [f"{i}\t{odd_ones_real_enumeration(i)}" for i in range(args.count)]
-    if name == "coverfamily":
-        fam = odd_covering_family if args.parity == "odd" else even_covering_family
-        return [f"{i}\t{fam(i).render()}" for i in range(args.count)]
-    raise InputError(f"unknown construction {name!r}")
+        return fh.read()
 
 
 _CHECK_PARAM_MAP = {
@@ -301,8 +97,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            lines = _dispatch_run(args)
-            _emit(lines, args.out)
+            _emit(build(args, _read).lines, args.out)
             return 0
         code, lines = _dispatch_check(args)
         _emit(lines, args.out)

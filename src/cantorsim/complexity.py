@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .classes import Tree
 from .dyadic import ZERO, BitString, Dyadic
-from .errors import DomainError, KraftViolation, ParseError, PrefixFreeViolation
+from .errors import DomainError, KraftViolation, ParseError, PrefixFreeViolation, records
 
 INFINITE: float = math.inf
 
@@ -39,15 +39,14 @@ class Program:
 
 @dataclass(frozen=True)
 class PrefixMachine:
-    """A finite prefix-free program table with two configuration constants
-    used by padding computations (both default to 0)."""
+    """A finite prefix-free program table with one configuration constant,
+    c_tilde, used by padding computations (default 0)."""
 
     programs: tuple[Program, ...] = ()
-    c_hat: int = 0
     c_tilde: int = 0
 
     def __post_init__(self) -> None:
-        if self.c_hat < 0 or self.c_tilde < 0:
+        if self.c_tilde < 0:
             raise DomainError("machine constants must be ≥ 0")
         codes = [p.code.bits for p in self.programs]
         seen: set[str] = set()
@@ -83,26 +82,18 @@ class PrefixMachine:
 
     @classmethod
     def parse(
-        cls,
-        text: str,
-        c_hat: int = 0,
-        c_tilde: int = 0,
-        source: str = "<machine>",
+        cls, text: str, c_tilde: int = 0, source: str = "<machine>"
     ) -> "PrefixMachine":
         """One program per line: code<TAB>output<TAB>halt_stage; '#' comments."""
         programs: list[Program] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 3:
+        for lineno, fields in records(text):
+            if len(fields) != 3:
                 raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
+                    f"expected 3 tab-separated fields, got {len(fields)}",
                     source=source,
                     line=lineno,
                 )
-            code_s, out_s, halt_s = (p.strip() for p in parts)
+            code_s, out_s, halt_s = fields
             try:
                 code = BitString.parse(code_s)
                 output = BitString.parse(out_s)
@@ -110,12 +101,12 @@ class PrefixMachine:
             except (DomainError, ValueError) as exc:
                 raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
             programs.append(Program(code, output, halt))
-        return cls(tuple(programs), c_hat=c_hat, c_tilde=c_tilde)
+        return cls(tuple(programs), c_tilde=c_tilde)
 
     @classmethod
-    def load(cls, path: str, c_hat: int = 0, c_tilde: int = 0) -> "PrefixMachine":
+    def load(cls, path: str, c_tilde: int = 0) -> "PrefixMachine":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read(), c_hat=c_hat, c_tilde=c_tilde, source=path)
+            return cls.parse(fh.read(), c_tilde=c_tilde, source=path)
 
     def render(self) -> str:
         return "\n".join(

@@ -21,7 +21,7 @@ from .dyadic import (
     optimal_covering,
     strings_up_to,
 )
-from .errors import DomainError, RangeError
+from .errors import DomainError, ParseError, RangeError, records
 
 __all__ = [
     "StarSnapshot",
@@ -38,13 +38,8 @@ __all__ = [
 
 def parse_listing(text: str, source: str = "<listing>") -> tuple[BitString, ...]:
     """One string per line, in enumeration order; '#' starts a comment."""
-    from .errors import ParseError
-
     out: list[BitString] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, (line,) in records(text, sep=None):
         try:
             out.append(BitString.parse(line))
         except DomainError as exc:

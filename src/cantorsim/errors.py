@@ -1,6 +1,9 @@
-"""Exception types shared across the package; the CLI maps them to exit codes."""
+"""Exception types shared across the package, which the CLI maps to exit
+codes, and the line reader behind every text input format."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 
 class CantorsimError(Exception):
@@ -15,6 +18,18 @@ class ParseError(CantorsimError):
         self.line = line
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+def records(text: str, sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for every line that is neither blank nor
+    a '#' comment.  Fields are split on sep before stripping, so a line that
+    opens with a tab keeps its empty first field; with sep=None the stripped
+    line is the one field."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, [line] if sep is None else [field.strip() for field in raw.split(sep)]
 
 
 class PrefixFreeViolation(ParseError):

@@ -23,9 +23,10 @@ from .coverings import (
     covered_up_to,
     covering_antichains,
     even_covering_family,
+    odd_covering_family,
     star_construction,
 )
-from .dyadic import BitString, rational_of_string
+from .dyadic import Antichain, BitString, all_strings, optimal_covering, rational_of_string
 from .errors import ContractViolationError
 from .streams import EnumerationScript, lower_cut, real_from_ce_set
 
@@ -133,8 +134,6 @@ def odd_covering_picker(length: int) -> Callable[[SetValue, int], SetValue]:
     a bare chain genuinely exhaust the truncated family, and the picker
     reports that honestly.
     """
-    from .coverings import odd_covering_family
-    from .dyadic import Antichain, optimal_covering
 
     def picker(content: SetValue, attempt: int) -> SetValue:
         if not content:
@@ -180,8 +179,6 @@ def odd_covering_picker(length: int) -> Callable[[SetValue, int], SetValue]:
 
 
 def _nodes_at(depth: int):
-    from .dyadic import all_strings
-
     return list(all_strings(depth))
 
 

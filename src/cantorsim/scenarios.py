@@ -49,113 +49,84 @@ FIXTURE_FILES: Mapping[str, str] = {
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    kind: str
     argv: tuple[str, ...]  # file names resolved against the fixture directory
-    params: Mapping[str, object]
+    # (fixture, depth) of a tree whose rightmost path the beta trace must reach
+    tree: tuple[str, int] | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.argv[1]
 
 
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         "splice-passthrough",
-        "splice",
         ("run", "splice", "--script", "s_flat.tsv", "--machine", "m_silent.tsv", "--c", "0", "--horizon", "8"),
-        {"script": "s_flat.tsv", "machine": "m_silent.tsv", "c": 0, "horizon": 8},
     ),
     Scenario(
         "splice-permanent",
-        "splice",
         ("run", "splice", "--script", "s_low.tsv", "--machine", "m_splice.tsv", "--c", "1", "--horizon", "12"),
-        {"script": "s_low.tsv", "machine": "m_splice.tsv", "c": 1, "horizon": 12},
     ),
     Scenario(
         "splice-recover",
-        "splice",
         ("run", "splice", "--script", "s_recover.tsv", "--machine", "m_splice.tsv", "--c", "1", "--horizon", "12"),
-        {"script": "s_recover.tsv", "machine": "m_splice.tsv", "c": 1, "horizon": 12},
     ),
     Scenario(
         "hatm-degenerate-boundary",
-        "hatm",
         ("run", "hatm", "--script", "s_flat.tsv", "--machine", "m_zero.tsv", "--k", "2", "--horizon", "6"),
-        {"script": "s_flat.tsv", "machine": "m_zero.tsv", "k": 2, "horizon": 6, "mirror": False},
     ),
     Scenario(
         "hatm-tracking",
-        "hatm",
         ("run", "hatm", "--script", "s_empty.tsv", "--machine", "m_hatm.tsv", "--k", "2", "--horizon", "6"),
-        {"script": "s_empty.tsv", "machine": "m_hatm.tsv", "k": 2, "horizon": 6, "mirror": False},
     ),
     Scenario(
         "hatm-violation",
-        "hatm",
         ("run", "hatm", "--script", "s_jump.tsv", "--machine", "m_hatm.tsv", "--k", "2", "--horizon", "10"),
-        {"script": "s_jump.tsv", "machine": "m_hatm.tsv", "k": 2, "horizon": 10, "mirror": False},
     ),
     Scenario(
         "hatm-recover",
-        "hatm",
         ("run", "hatm", "--script", "s_jump.tsv", "--machine", "m_hatm_recover.tsv", "--k", "2", "--horizon", "10"),
-        {"script": "s_jump.tsv", "machine": "m_hatm_recover.tsv", "k": 2, "horizon": 10, "mirror": False},
     ),
     Scenario(
         "hatm-mirror-tracking",
-        "hatm",
         ("run", "hatm", "--script", "s_half.tsv", "--machine", "m_hatm.tsv", "--k", "2", "--horizon", "8", "--mirror"),
-        {"script": "s_half.tsv", "machine": "m_hatm.tsv", "k": 2, "horizon": 8, "mirror": True},
     ),
     Scenario(
         "hatm-mirror-parked",
-        "hatm",
         ("run", "hatm", "--script", "s_half.tsv", "--machine", "m_mirror.tsv", "--k", "2", "--horizon", "8", "--mirror"),
-        {"script": "s_half.tsv", "machine": "m_mirror.tsv", "k": 2, "horizon": 8, "mirror": True},
     ),
     Scenario(
         "regret-quiet",
-        "regret",
         ("run", "regret", "--script", "s_flat.tsv", "--machine", "m_silent.tsv", "--c", "0", "--horizon", "8"),
-        {"script": "s_flat.tsv", "machine": "m_silent.tsv", "c": 0, "horizon": 8},
     ),
     Scenario(
         "regret-permanent",
-        "regret",
         ("run", "regret", "--script", "s_regret_dup.tsv", "--machine", "m_splice.tsv", "--c", "1", "--horizon", "12"),
-        {"script": "s_regret_dup.tsv", "machine": "m_splice.tsv", "c": 1, "horizon": 12},
     ),
     Scenario(
         "regret-recover-padding",
-        "regret",
         ("run", "regret", "--script", "s_regret_recover.tsv", "--machine", "m_splice.tsv", "--c", "1", "--horizon", "12"),
-        {"script": "s_regret_recover.tsv", "machine": "m_splice.tsv", "c": 1, "horizon": 12},
     ),
     Scenario(
         "beta-pair",
-        "beta",
         ("run", "beta", "--script", "s_beta2.tsv", "--horizon", "6"),
-        {"script": "s_beta2.tsv", "horizon": 6},
     ),
     Scenario(
         "beta-tree",
-        "beta",
         ("run", "beta", "--script", "s_beta_tree.tsv", "--horizon", "8"),
-        {"script": "s_beta_tree.tsv", "horizon": 8, "tree": "t_beta.txt", "tree_depth": 3},
+        tree=("t_beta.txt", 3),
     ),
     Scenario(
         "star-cases",
-        "star",
         ("run", "star", "--listing", "l_star.txt", "--horizon", "10"),
-        {"listing": "l_star.txt", "horizon": 10},
     ),
     Scenario(
         "star-skip",
-        "star",
         ("run", "star", "--listing", "l_star_skip.txt", "--horizon", "10"),
-        {"listing": "l_star_skip.txt", "horizon": 10},
     ),
     Scenario(
         "capped-pair",
-        "capped",
         ("run", "capped", "--script", "s_capped.tsv", "--cap-n", "2", "--horizon", "5"),
-        {"script": "s_capped.tsv", "n": 2, "horizon": 5},
     ),
 )
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .dyadic import (
-    EMPTY,
     ONE,
     ZERO,
     BitString,
@@ -23,7 +22,7 @@ from .dyadic import (
     string_of_rational,
     strings_up_to,
 )
-from .errors import InputError, ParseError, RangeError
+from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[BitString, Dyadic]
 
@@ -86,18 +85,14 @@ class EnumerationScript:
         """One event per line: stage<TAB>index<TAB>kind<TAB>payload with kind
         in {str, dyadic}; '#' starts a comment line."""
         events: list[tuple[int, int, Item]] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 4:
+        for lineno, fields in records(text):
+            if len(fields) != 4:
                 raise ParseError(
-                    f"expected 4 tab-separated fields, got {len(parts)}",
+                    f"expected 4 tab-separated fields, got {len(fields)}",
                     source=source,
                     line=lineno,
                 )
-            stage_s, index_s, kind, payload = (p.strip() for p in parts)
+            stage_s, index_s, kind, payload = fields
             try:
                 stage, index = int(stage_s), int(index_s)
             except ValueError:

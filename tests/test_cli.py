@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cantorsim.checks import check_coverings
+from cantorsim.checks import build_scenario, check_coverings
 from cantorsim.cli import main
 from cantorsim.dyadic import Antichain, BitString
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
@@ -31,6 +31,12 @@ class TestScenarios:
         assert code1 == 0 and code2 == 0
         assert out1 == out2
         assert out1  # every scenario prints something
+
+    @pytest.mark.parametrize("sc", SCENARIOS, ids=lambda s: s.name)
+    def test_library_lines_are_the_cli_stdout(self, run, sc):
+        code, out, _ = run(sc.argv)
+        assert code == 0
+        assert "".join(line + "\n" for line in build_scenario(sc).lines) == out
 
 
 class TestErrors:
@@ -105,6 +111,22 @@ class TestRunExtras:
         assert [line for line in lines if line.startswith("# slot ")] == [
             "# slot 0: e=0 n=4 bound@4",
             "# slot 1: e=1 n=4 bound@4",
+        ]
+
+    def test_capped_without_events_reports_zero_indices(self, run):
+        code, out, _ = run(
+            ["run", "capped", "--script", "s_empty.tsv", "--cap-n", "2", "--horizon", "4"]
+        )
+        assert code == 0
+        assert out == "# indices: 0\n"
+
+    def test_capped_index_count_leads_the_output(self, run):
+        code, out, _ = run(next(s for s in SCENARIOS if s.name == "capped-pair").argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# indices: 1"
+        assert [line for line in lines if line.startswith("# index ")] == [
+            "# index 0: measure 1/2^1 frozen 3"
         ]
 
     def test_oddones(self, run):

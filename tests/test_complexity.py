@@ -47,6 +47,16 @@ class TestMachineValidation:
             PrefixMachine.parse("01\t1\n", source="m.tsv")
         assert "m.tsv:1" in str(info.value)
 
+    def test_parse_error_text(self):
+        with pytest.raises(ParseError) as info:
+            PrefixMachine.parse("# header\n0\t1\n", source="m")
+        assert str(info.value) == "m:2: expected 3 tab-separated fields, got 2"
+
+    def test_leading_tab_is_an_empty_code(self):
+        # fields are split before stripping, so the empty first field survives
+        machine = PrefixMachine.parse("\t0000\t3\n")
+        assert machine.programs == (prog("", "0000", 3),)
+
     def test_full_mass_allowed_but_not_strict(self):
         machine = PrefixMachine((prog("0", "0", 1), prog("1", "1", 1)))
         assert machine.kraft_sum == ONE and not machine.strict_kraft

@@ -12,10 +12,7 @@ from cantorsim.checks import (
     fixture_machine,
     fixture_script,
     make_merge_case,
-    verify_hatm,
     verify_merge,
-    verify_regret,
-    verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program
 from cantorsim.constructions import (
@@ -53,49 +50,22 @@ class TestScenarioLibrary:
         "sc", [s for s in SCENARIOS if s.kind == "splice"], ids=lambda s: s.name
     )
     def test_splice_scenarios_are_safe(self, sc):
-        horizon = int(sc.params["horizon"])
-        trace = build_scenario(sc)
-        r = fixture_script(str(sc.params["script"]), horizon)
-        assert (
-            verify_splice(
-                trace,
-                real_from_ce_set(r, 0),
-                fixture_machine(str(sc.params["machine"])),
-                int(sc.params["c"]),
-            )
-            == []
-        )
+        assert build_scenario(sc).check() == []
 
     @pytest.mark.parametrize(
         "sc", [s for s in SCENARIOS if s.kind == "hatm"], ids=lambda s: s.name
     )
     def test_hatm_scenarios_are_safe(self, sc):
-        horizon = int(sc.params["horizon"])
-        trace = build_scenario(sc)
-        m = real_from_ce_set(fixture_script(str(sc.params["script"]), horizon), 0)
-        assert (
-            verify_hatm(
-                trace,
-                m,
-                fixture_machine(str(sc.params["machine"])),
-                int(sc.params["k"]),
-                bool(sc.params["mirror"]),
-            )
-            == []
-        )
+        assert build_scenario(sc).check() == []
 
     @pytest.mark.parametrize(
         "sc", [s for s in SCENARIOS if s.kind == "regret"], ids=lambda s: s.name
     )
     def test_regret_scenarios_are_safe(self, sc):
-        horizon = int(sc.params["horizon"])
-        slots = build_scenario(sc)
-        family = fixture_script(str(sc.params["script"]), horizon)
-        machine = fixture_machine(str(sc.params["machine"]))
-        assert verify_regret(slots, family, machine, int(sc.params["c"])) == []
+        assert build_scenario(sc).check() == []
 
     def test_permanent_splice_shape(self):
-        trace = build_scenario(scenario("splice-permanent"))
+        trace = build_scenario(scenario("splice-permanent")).result
         states = [r.state for r in trace.records]
         assert states[:2] == ["empty", "tracking"]
         assert states[5:] == ["spliced"] * 8
@@ -103,30 +73,30 @@ class TestScenarioLibrary:
         assert trace.records[5].value.prefix == BitString("0000")
 
     def test_recovering_splice_returns_to_the_input(self):
-        trace = build_scenario(scenario("splice-recover"))
+        trace = build_scenario(scenario("splice-recover")).result
         assert trace.records[7].state == "tracking"
         assert trace.records[7].note == "recover"
         assert trace.records[7].value.real() == dy("1/2^3")
 
     def test_degenerate_boundary_parks_forever(self):
-        trace = build_scenario(scenario("hatm-degenerate-boundary"))
+        trace = build_scenario(scenario("hatm-degenerate-boundary")).result
         assert all(r.state == "parked" for r in trace.records)
         assert all(r.value.prefix == BitString("0") for r in trace.records)
 
     def test_regret_binds_duplicates_separately(self):
-        slots = build_scenario(scenario("regret-permanent"))
+        slots = build_scenario(scenario("regret-permanent")).result
         assert [s.source_index for s in slots] == [0, 1]
         assert all(s.witness_length == 4 and s.regret_stage is None for s in slots)
 
     def test_regret_padding_matches_the_footnote_bound(self):
-        slots = build_scenario(scenario("regret-recover-padding"))
+        slots = build_scenario(scenario("regret-recover-padding")).result
         (slot,) = slots
         assert slot.regret_stage == 6 and slot.padding == 11
         regretted = slot.trace.records[6].value
         assert regretted.prefix.bits == "0010" + "0" * 11
 
     def test_no_failures_no_slots(self):
-        assert build_scenario(scenario("regret-quiet")) == []
+        assert build_scenario(scenario("regret-quiet")).result == []
 
 
 class TestSpliceEdges:
@@ -159,9 +129,9 @@ class TestHatmEdges:
 
 class TestRegretEdges:
     def test_capacity_error(self):
-        sc = scenario("regret-permanent")
-        family = fixture_script(str(sc.params["script"]), 12)
-        machine = fixture_machine(str(sc.params["machine"]))
+        argv = scenario("regret-permanent").argv
+        family = fixture_script(argv[argv.index("--script") + 1], 12)
+        machine = fixture_machine(argv[argv.index("--machine") + 1])
         with pytest.raises(CapacityError):
             regret_construction(family, machine, 1, 12, max_slots=1)
 
@@ -209,7 +179,7 @@ class TestBeta:
         from cantorsim.scenarios import FIXTURE_FILES
 
         tree = Tree.parse(FIXTURE_FILES["t_beta.txt"], depth=3)
-        trace = build_scenario(scenario("beta-tree"))
+        trace = build_scenario(scenario("beta-tree")).result
         path = rightmost_path(tree, 3)
         assert trace.value_at(8) == rational_of_string(path)
 

@@ -47,13 +47,13 @@ class TestGoodStage:
 
 class TestStarConstruction:
     def test_case_a_then_case_b(self):
-        snaps = build_scenario(scenario("star-cases"))
+        snaps = build_scenario(scenario("star-cases")).result
         assert [s.case for s in snaps] == ["a", "b"]
         assert snaps[0].family.members == ()
         assert snaps[1].family.members == tuple(bs("00", "010"))
 
     def test_not_good_stage_changes_nothing(self):
-        snaps = build_scenario(scenario("star-skip"))
+        snaps = build_scenario(scenario("star-skip")).result
         assert snaps[1].good is False and snaps[1].case == "-"
         assert snaps[1].family == snaps[0].family
 

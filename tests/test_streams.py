@@ -50,6 +50,11 @@ class TestScriptParsing:
             EnumerationScript.parse("1\t0\tdyadic\n", source="s.tsv")
         assert "s.tsv:1" in str(info.value)
 
+    def test_bad_field_count_text(self):
+        with pytest.raises(ParseError) as info:
+            EnumerationScript.parse("\n1\t0\tdyadic\n", source="s")
+        assert str(info.value) == "s:2: expected 4 tab-separated fields, got 3"
+
     def test_bad_kind_names_line(self):
         with pytest.raises(ParseError) as info:
             EnumerationScript.parse("ok\n1\t0\tfloat\t0.5\n")
