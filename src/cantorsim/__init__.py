@@ -21,6 +21,7 @@ from .complexity import (
     Program,
     compute_padding,
     k_approx,
+    least_failing_length,
     omega_approx,
     randomness_class_tree,
     satisfies_constant,

@@ -31,6 +31,7 @@ from .complexity import (
     Program,
     compute_padding,
     k_approx,
+    least_failing_length,
     omega_approx,
     randomness_class_tree,
 )
@@ -54,6 +55,10 @@ from .dyadic import (
 )
 from .errors import InputError
 from .oracles import (
+    brute_halted_complexities,
+    brute_k_approx,
+    brute_least_failing_length,
+    brute_omega_approx,
     brute_optimal_covering,
     expansion_at_depth,
     greedy_expansion,
@@ -63,7 +68,7 @@ from .oracles import (
 )
 from .runs import Replay, replay, verify_hatm, verify_regret, verify_splice
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
-from .streams import EnumerationScript, real_from_ce_set, stage_set
+from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_set
 
 __all__ = [
     "CheckReport",
@@ -514,6 +519,22 @@ def check_complexity(
             if machine.strict_kraft and not om < ONE:
                 rep.fail(f"machine {mi}: mass reached 1 under a strict budget")
             prev_omega = om
+        never = BitString("0" * 13)  # longer than every random output
+        for t in range(machine.max_halt_stage() + 3):
+            rep.cases += 1
+            if machine.halted_complexities(t) != brute_halted_complexities(machine, t):
+                rep.fail(f"machine {mi}: halted complexities differ from the scan at stage {t}")
+            if omega_approx(machine, t) != brute_omega_approx(machine, t):
+                rep.fail(f"machine {mi}: mass differs from the scan at stage {t}")
+            for o in (*outputs, never):
+                if k_approx(machine, o, t) != brute_k_approx(machine, o, t):
+                    rep.fail(f"machine {mi}: K of {o} differs from the scan at stage {t}")
+            # one output's real per stage keeps the scan oracle cheap
+            o, c = outputs[t % len(outputs)], t % 3
+            x = rational_of_string(o)
+            fast = least_failing_length(machine, approx_string(x, t), c, t)
+            if fast != brute_least_failing_length(machine, x, c, t):
+                rep.fail(f"machine {mi}: least failing length of {o} differs at c={c}, t={t}")
         for c in range(5):
             for t in stages:
                 rep.cases += 1

@@ -17,7 +17,9 @@ event and a footer `# index e: measure … frozen …`, where frozen is the stag
 of the first refusal or `never`.
 
 The `run` constructions, their flags and their builders are declared in
-`runs`.
+`runs`.  `check` passes `--cases`, `--depth` and `--len` on to the suite
+parameters that `_CHECK_PARAM_MAP` names; a given flag the suite does not
+take is an input error.
 
 Exit codes: 0 success, 1 check failure, 2 input error, 3 precondition or
 capacity error.
@@ -74,11 +76,14 @@ _CHECK_PARAM_MAP = {
 
 def _dispatch_check(args: argparse.Namespace) -> tuple[int, list[str]]:
     kwargs: dict[str, int] = {"seed": args.seed}
-    mapping = _CHECK_PARAM_MAP.get(args.suite, {})
-    for flag in ("cases", "depth", "length"):
-        value = getattr(args, flag, None)
-        if value is not None and flag in mapping:
-            kwargs[mapping[flag]] = value
+    mapping = _CHECK_PARAM_MAP.get(args.suite)
+    for flag, option in (("cases", "--cases"), ("depth", "--depth"), ("length", "--len")):
+        value = getattr(args, flag)
+        if value is None or mapping is None:
+            continue
+        if flag not in mapping:
+            raise InputError(f"suite {args.suite} takes no {option}")
+        kwargs[mapping[flag]] = value
     report = run_suite(args.suite, **kwargs)
     return (0 if report.ok else 1), report.lines()
 
@@ -105,7 +110,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InputError, RangeError, TypeError, OSError) as exc:
+    except (DomainError, InputError, RangeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, CapacityError, ContractViolationError) as exc:

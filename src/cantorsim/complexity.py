@@ -5,12 +5,24 @@ codes are prefix-free and respect the unit mass budget.  It induces the
 nonincreasing complexity approximation K_t, the nondecreasing halting-mass
 approximation Ω_s, the randomness-constant predicate, and the depth-bounded
 class of strings all of whose prefixes satisfy a constant.
+
+Every stage query reads a per-machine index, built on first use and cached on
+the machine, so parsing a machine does no extra work.  The index holds the
+sorted distinct halt stages with Ω at each of them as exact prefix sums, and,
+per output string, the stages at which its shortest halted code length drops
+with the running minimum.  Ω_s and K_t(σ) are then one bisect each, and
+`least_failing_length` walks the prefixes of one expansion against it.  The
+linear scans `brute_k_approx`, `brute_omega_approx`,
+`brute_halted_complexities` and `brute_least_failing_length` in `oracles` are
+the reference these are checked against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classes import Tree
 from .dyadic import ZERO, BitString, Dyadic
@@ -24,6 +36,7 @@ __all__ = [
     "Program",
     "compute_padding",
     "k_approx",
+    "least_failing_length",
     "omega_approx",
     "randomness_class_tree",
     "satisfies_constant",
@@ -113,40 +126,80 @@ class PrefixMachine:
             f"{p.code.display()}\t{p.output.display()}\t{p.halt_stage}" for p in self.programs
         )
 
+    @cached_property
+    def _omega_steps(self) -> tuple[list[int], list[Dyadic]]:
+        """The sorted distinct halt stages, and Ω at each of them."""
+        mass: dict[int, Dyadic] = {}
+        for p in self.programs:
+            mass[p.halt_stage] = mass.get(p.halt_stage, ZERO) + Dyadic.pow2(len(p.code))
+        stages = sorted(mass)
+        omegas: list[Dyadic] = []
+        total = ZERO
+        for s in stages:
+            total = total + mass[s]
+            omegas.append(total)
+        return stages, omegas
+
+    @cached_property
+    def _k_steps(self) -> dict[str, tuple[list[int], list[int]]]:
+        """Per output bits: the stages at which its shortest halted code
+        length drops, strictly increasing, and that length from each on."""
+        steps: dict[str, tuple[list[int], list[int]]] = {}
+        for p in sorted(self.programs, key=lambda p: (p.halt_stage, len(p.code))):
+            at, lengths = steps.setdefault(p.output.bits, ([], []))
+            if not lengths or len(p.code) < lengths[-1]:
+                at.append(p.halt_stage)
+                lengths.append(len(p.code))
+        return steps
+
     def halted_complexities(self, t: int) -> dict[str, int]:
         """Stage-t complexity of every output that has a halted program."""
         table: dict[str, int] = {}
-        for p in self.programs:
-            if p.halt_stage <= t:
-                prev = table.get(p.output.bits)
-                if prev is None or len(p.code) < prev:
-                    table[p.output.bits] = len(p.code)
+        for bits, (at, lengths) in self._k_steps.items():
+            i = bisect_right(at, t)
+            if i:
+                table[bits] = lengths[i - 1]
         return table
+
+
+def _k_at(steps: tuple[list[int], list[int]] | None, t: int) -> float:
+    if steps is None:
+        return INFINITE
+    at, lengths = steps
+    i = bisect_right(at, t)
+    return lengths[i - 1] if i else INFINITE
 
 
 def k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
     """Shortest halted code for sigma at stage t; +inf when none has halted.
     Nonincreasing in t."""
-    best = INFINITE
-    for p in machine.programs:
-        if p.halt_stage <= t and p.output == sigma and len(p.code) < best:
-            best = len(p.code)
-    return best
+    return _k_at(machine._k_steps.get(sigma.bits), t)
 
 
 def omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
     """Halting mass accumulated by stage s; nondecreasing, below 1 under a
     strict mass budget."""
-    total = ZERO
-    for p in machine.programs:
-        if p.halt_stage <= s:
-            total = total + Dyadic.pow2(len(p.code))
-    return total
+    stages, omegas = machine._omega_steps
+    i = bisect_right(stages, s)
+    return omegas[i - 1] if i else ZERO
 
 
 def satisfies_constant(machine: PrefixMachine, sigma: BitString, c: int, t: int) -> bool:
     """K_t(sigma) ≥ |sigma| − c; the +inf sentinel satisfies every bound."""
     return k_approx(machine, sigma, t) >= len(sigma) - c
+
+
+def least_failing_length(machine: PrefixMachine, w: BitString, c: int, t: int) -> int | None:
+    """The least n ≤ |w| whose length-n prefix of w fails the constant at
+    stage t (K_t < n − c), or None when every prefix satisfies it.  Passing
+    the length-t expansion of a real scans every n ≤ t."""
+    steps = machine._k_steps
+    bits = w.bits
+    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
+    for n in range(max(c + 1, 0), len(bits) + 1):
+        if _k_at(steps.get(bits[:n]), t) < n - c:
+            return n
+    return None
 
 
 def randomness_class_tree(machine: PrefixMachine, c: int, t: int, depth: int) -> Tree:

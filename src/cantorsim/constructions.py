@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .complexity import PrefixMachine, compute_padding, omega_approx, satisfies_constant
+from .complexity import (
+    PrefixMachine,
+    compute_padding,
+    least_failing_length,
+    omega_approx,
+    satisfies_constant,
+)
 from .dyadic import ZERO, BitString, Dyadic, Order, lex_compare_padded
 from .errors import (
     CapacityError,
@@ -143,16 +149,12 @@ def splice_random(
             if r.empty_at(t):
                 records.append(TraceRecord(t, "empty", PlainValue(ZERO), note))
                 continue
-            trigger: tuple[int, BitString] | None = None
-            for n in range(t + 1):
-                w = approx_string(r.value(t), n)
-                if not satisfies_constant(machine, w, c, t):
-                    trigger = (n, w)
-                    break
-            if trigger is not None:
-                note = f"{note} trigger n={trigger[0]}".strip()
+            w = approx_string(r.value(t), t)
+            n = least_failing_length(machine, w, c, t)
+            if n is not None:
+                spliced = (n, w.take(n))
+                note = f"{note} trigger n={n}".strip()
             records.append(TraceRecord(t, "tracking", PlainValue(r.value(t)), note))
-            spliced = trigger if trigger is not None else spliced
         else:
             n, witness = spliced
             records.append(
@@ -278,16 +280,14 @@ def regret_construction(
             m = approxes[e]
             if m.empty_at(t):
                 continue
-            for n in range(t + 1):
-                w = approx_string(m.value(t), n)
-                if not satisfies_constant(machine, w, c, t):
-                    if max_slots is not None and len(slots) >= max_slots:
-                        raise CapacityError(
-                            f"all {max_slots} slots in use at stage {t} (horizon too small)"
-                        )
-                    slots.append(_Slot(e, n, t))
-                    bound[e] = len(slots) - 1
-                    break
+            n = least_failing_length(machine, approx_string(m.value(t), t), c, t)
+            if n is not None:
+                if max_slots is not None and len(slots) >= max_slots:
+                    raise CapacityError(
+                        f"all {max_slots} slots in use at stage {t} (horizon too small)"
+                    )
+                slots.append(_Slot(e, n, t))
+                bound[e] = len(slots) - 1
         for slot in slots:
             if t < slot.bound_at:
                 continue

@@ -8,9 +8,11 @@ these.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .classes import Tree
+from .complexity import PrefixMachine
 from .dyadic import (
     ZERO,
     Antichain,
@@ -20,9 +22,14 @@ from .dyadic import (
     strings_up_to,
 )
 from .errors import DomainError
+from .streams import approx_string
 
 __all__ = [
+    "brute_halted_complexities",
+    "brute_k_approx",
+    "brute_least_failing_length",
     "brute_lower_cut",
+    "brute_omega_approx",
     "brute_optimal_covering",
     "expansion_at_depth",
     "greedy_expansion",
@@ -96,6 +103,45 @@ def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset
 def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """The cut computed on the rational side: value comparison only."""
     return frozenset(t for t in strings_up_to(max_len) if rational_of_string(t) < x)
+
+
+def brute_k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
+    """K_t(sigma) by a scan of every program: the shortest code that outputs
+    sigma and has halted by stage t, or +inf."""
+    best = math.inf
+    for p in machine.programs:
+        if p.halt_stage <= t and p.output == sigma and len(p.code) < best:
+            best = len(p.code)
+    return best
+
+
+def brute_omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
+    """Ω_s by a scan of every program: the mass of the codes halted by stage s."""
+    total = ZERO
+    for p in machine.programs:
+        if p.halt_stage <= s:
+            total = total + Dyadic.pow2(len(p.code))
+    return total
+
+
+def brute_halted_complexities(machine: PrefixMachine, t: int) -> dict[str, int]:
+    """K_t of every output with a halted program, by a scan of every program."""
+    table: dict[str, int] = {}
+    for p in machine.programs:
+        if p.halt_stage <= t:
+            prev = table.get(p.output.bits)
+            if prev is None or len(p.code) < prev:
+                table[p.output.bits] = len(p.code)
+    return table
+
+
+def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
+    """The least n ≤ t whose length-n expansion of x has K_t < n − c, or None;
+    each length is expanded afresh and scanned over every program."""
+    for n in range(t + 1):
+        if brute_k_approx(machine, approx_string(x, n), t) < n - c:
+            return n
+    return None
 
 
 def greedy_expansion(q: Dyadic) -> BitString:

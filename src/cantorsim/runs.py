@@ -7,6 +7,8 @@ lines, and the construction's safety check.  The CLI reads from disk; the
 scenario library reads the fixture texts, so both run the same code.
 
 The safety verifiers live next to their builders; `checks` exports them.
+They read K_t and Ω_s from the linear scans in `oracles`, never from the
+machine's stage index that the constructions use.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .classes import Tree, diagonalize, graft_points, measure_capped_enumeration
-from .complexity import PrefixMachine, compute_padding, k_approx, omega_approx
+from .complexity import PrefixMachine, compute_padding, omega_approx
 from .constructions import (
     RegretSlot,
     StageTrace,
@@ -32,7 +34,7 @@ from .constructions import (
 from .coverings import even_covering_family, odd_covering_family, parse_listing, star_construction
 from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
 from .errors import ContractViolationError, DomainError, ParseError, records
-from .oracles import padding_holds
+from .oracles import brute_k_approx, brute_omega_approx, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
@@ -128,7 +130,8 @@ def _splice(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(trace, trace.render_lines(), lambda: verify_splice(trace, r, machine, a.c))
 
 
-def _spliced_runs(trace: StageTrace, state: str) -> list[tuple[int, int]]:
+def _runs_of(trace: StageTrace, state: str) -> list[tuple[int, int]]:
+    """(first, last) stage of every maximal run of records in the state."""
     runs = []
     start = None
     for rec in trace.records:
@@ -158,17 +161,17 @@ def verify_splice(
                 errs.append(f"stage {t}: tracking value differs from the input")
         elif rec.state == "spliced":
             v = rec.value
-            if not isinstance(v, TailValue) or v.omega != omega_approx(machine, t):
+            if not isinstance(v, TailValue) or v.omega != brute_omega_approx(machine, t):
                 errs.append(f"stage {t}: spliced tail is not the stage mass")
         else:
             errs.append(f"stage {t}: unknown state {rec.state}")
-    for start, end in _spliced_runs(trace, "spliced"):
+    for start, end in _runs_of(trace, "spliced"):
         if start == 0:
             errs.append("trace starts spliced with no switch stage")
             continue
         witness = trace.records[start].value.prefix  # type: ignore[union-attr]
         switch = start - 1
-        if k_approx(machine, witness, switch) >= len(witness) - c:
+        if brute_k_approx(machine, witness, switch) >= len(witness) - c:
             errs.append(f"witness {witness} did not fail the constant at stage {switch}")
         for s in range(start, end + 1):
             if trace.records[s].value.prefix != witness:  # type: ignore[union-attr]
@@ -201,7 +204,7 @@ def verify_hatm(
     want = Order.GT if mirror else Order.LT
     for rec in trace.records:
         t = rec.stage
-        boundary = approx_string(omega_approx(machine, t), k)
+        boundary = approx_string(brute_omega_approx(machine, t), k)
         if rec.state == "parked":
             if boundary.bits != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
@@ -222,6 +225,19 @@ def verify_hatm(
                 errs.append(f"stage {t}: fix prefix not strictly below the boundary")
         else:
             errs.append(f"stage {t}: unknown state {rec.state}")
+    if mirror:
+        # The fix prefix cannot be required to lie strictly above the boundary:
+        # Ω_s only rises, and so does its k-prefix, so a prefix above the
+        # boundary can fall below it later, and the violation that starts an
+        # undesirable run is often exactly that.  What holds is that the fix is
+        # the input's k-prefix at the stage before the run; when that stage was
+        # tracking, the check above placed it strictly above that boundary.
+        for start, _ in _runs_of(trace, "undesirable"):
+            if start == 0 or trace.records[start - 1].state != "tracking":
+                continue
+            v = trace.records[start].value
+            if not isinstance(v, TailValue) or v.prefix != approx_string(m.value(start - 1), k):
+                errs.append(f"stage {start}: fix prefix is not the previous input prefix")
     return errs
 
 

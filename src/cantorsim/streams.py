@@ -97,6 +97,12 @@ class EnumerationScript:
                 stage, index = int(stage_s), int(index_s)
             except ValueError:
                 raise ParseError("stage and index must be integers", source=source, line=lineno)
+            if horizon is not None and stage > horizon:
+                raise ParseError(
+                    f"event stage {stage} beyond requested horizon {horizon}",
+                    source=source,
+                    line=lineno,
+                )
             try:
                 if kind == "str":
                     item: Item = BitString.parse(payload)
@@ -109,14 +115,7 @@ class EnumerationScript:
             except Exception as exc:
                 raise ParseError(f"bad payload {payload!r}: {exc}", source=source, line=lineno)
             events.append((stage, index, item))
-        script = cls.from_events(events, horizon)
-        if horizon is not None and events:
-            top = max(s for (s, _, _) in events)
-            if top > horizon:
-                raise ParseError(
-                    f"event stage {top} beyond requested horizon {horizon}", source=source
-                )
-        return script
+        return cls.from_events(events, horizon)
 
     @classmethod
     def load(cls, path: str, horizon: int | None = None) -> "EnumerationScript":
@@ -213,7 +212,7 @@ def real_from_ce_set(script: EnumerationScript, index: int) -> LeftCEApprox:
     pairs: list[tuple[int, Dyadic]] = []
     for ev in script.events_for(index):
         if not isinstance(ev.item, Dyadic):
-            raise TypeError(f"index {index} carries a non-dyadic item at stage {ev.stage}")
+            raise InputError(f"index {index} carries a non-dyadic item at stage {ev.stage}")
         pairs.append((ev.stage, ev.item))
     return LeftCEApprox.from_pairs(pairs, script.horizon)
 

@@ -53,6 +53,37 @@ class TestErrors:
         code, out, err = run(["check", "nosuch"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "constructions", "--depth", "3", "--len", "2"], "--depth"),
+            (["check", "dyadic", "--depth", "9"], "--depth"),
+            (["check", "coverings", "--len", "4"], "--len"),
+        ],
+    )
+    def test_check_rejects_a_flag_the_suite_ignores(self, run, argv, flag):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == f"input error: suite {argv[1]} takes no {flag}\n"
+
+    def test_internal_type_error_is_not_an_input_error(self, monkeypatch):
+        def broken(args, read):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr("cantorsim.cli.build", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            main(["run", "oddones", "--count", "1"])
+
+    def test_string_item_in_a_real_script_is_an_input_error(self, run, fixture_dir):
+        bad = fixture_dir / "str_item.tsv"
+        bad.write_text("1\t0\tstr\t01\n")
+        code, out, err = run(
+            ["run", "splice", "--script", str(bad), "--machine", "m_splice.tsv",
+             "--c", "0", "--horizon", "3"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "input error: index 0 carries a non-dyadic item at stage 1\n"
+
     def test_precondition_exit_code(self, run, fixture_dir):
         full = fixture_dir / "full_mass.tsv"
         full.write_text("0\t0\t0\n1\t1\t0\n")

@@ -14,13 +14,29 @@ from cantorsim.complexity import (
     Program,
     compute_padding,
     k_approx,
+    least_failing_length,
     omega_approx,
     randomness_class_tree,
     satisfies_constant,
 )
-from cantorsim.dyadic import ONE, ZERO, BitString, Dyadic, prefix_set_measure
+from cantorsim.dyadic import (
+    ONE,
+    ZERO,
+    BitString,
+    Dyadic,
+    prefix_set_measure,
+    rational_of_string,
+    strings_up_to,
+)
 from cantorsim.errors import KraftViolation, ParseError, PrefixFreeViolation
-from cantorsim.oracles import padding_holds
+from cantorsim.oracles import (
+    brute_halted_complexities,
+    brute_k_approx,
+    brute_least_failing_length,
+    brute_omega_approx,
+    padding_holds,
+)
+from cantorsim.streams import approx_string
 
 
 def prog(code: str, out: str, halt: int) -> Program:
@@ -166,6 +182,75 @@ class TestRandomnessClassTree:
                 ]
                 via_paths = Dyadic(len(paths_at_depth(tree, 9)), 9)
                 assert via_paths == ONE - prefix_set_measure(failing)
+
+
+def _differential_machines() -> list[PrefixMachine]:
+    """The empty machine, two hand-built duplicate-output cases, and seeded
+    random machines whose outputs come from a small pool, so most outputs
+    have several programs halting at different stages."""
+    machines = [
+        PrefixMachine(()),
+        # the longer code for 01 halts first, the shorter one later
+        PrefixMachine((prog("0", "01", 6), prog("110", "01", 2), prog("10", "1", 4))),
+        # the shorter code halts first, so the longer one never lowers K
+        PrefixMachine((prog("0", "01", 2), prog("110", "01", 6), prog("111", "0", 3))),
+    ]
+    rng = random.Random(17)
+    for _ in range(40):
+        machines.append(random_machine(rng, max_code_len=6, max_out_len=rng.choice((2, 5, 9))))
+    return machines
+
+
+def _longer_code_halts_first(machine: PrefixMachine) -> bool:
+    return any(
+        p.output == q.output and len(p.code) > len(q.code) and p.halt_stage < q.halt_stage
+        for p in machine.programs
+        for q in machine.programs
+    )
+
+
+class TestIndexMatchesTheScans:
+    """The stage index against the linear scans in oracles, at every stage
+    from 0 to two past the last halt, between halt stages included."""
+
+    MACHINES = _differential_machines()
+
+    def test_the_machines_cover_the_hard_cases(self):
+        assert not self.MACHINES[0].programs
+        random_ones = self.MACHINES[3:]
+        assert sum(_longer_code_halts_first(m) for m in random_ones) >= 10
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=[f"m{i}" for i in range(len(MACHINES))])
+    def test_k_omega_and_halted_complexities(self, machine):
+        outputs = {p.output for p in machine.programs}
+        probes = outputs | set(strings_up_to(3)) | {BitString("0" * 10)}  # mostly never output
+        for t in range(machine.max_halt_stage() + 3):
+            assert omega_approx(machine, t) == brute_omega_approx(machine, t)
+            assert machine.halted_complexities(t) == brute_halted_complexities(machine, t)
+            for sigma in probes:
+                k = k_approx(machine, sigma, t)
+                assert k == brute_k_approx(machine, sigma, t)
+                assert k == INFINITE or type(k) is int
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=[f"m{i}" for i in range(len(MACHINES))])
+    def test_least_failing_length(self, machine):
+        reals = {rational_of_string(p.output) for p in machine.programs}
+        reals |= {ZERO, ONE, Dyadic(5, 4), Dyadic(1, 1)}
+        for t in range(machine.max_halt_stage() + 3):
+            for c in range(4):
+                for x in reals:
+                    fast = least_failing_length(machine, approx_string(x, t), c, t)
+                    assert fast == brute_least_failing_length(machine, x, c, t)
+
+    def test_least_failing_length_examples(self):
+        m = PrefixMachine((prog("0", "0000", 3), prog("10", "000", 1)))
+        w = BitString("00001")
+        assert least_failing_length(m, w, 0, 0) is None  # nothing halted yet
+        assert least_failing_length(m, w, 0, 1) == 3  # K(000) = 2 < 3
+        assert least_failing_length(m, w, 1, 1) is None  # 2 < 3 - 1 fails
+        assert least_failing_length(m, w, 1, 3) == 4  # K(0000) = 1 < 4 - 1
+        assert least_failing_length(m, w, 3, 5) is None
+        assert least_failing_length(m, BitString("001"), 0, 5) is None  # no output is a prefix
 
 
 class TestPadding:

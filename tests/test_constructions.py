@@ -12,12 +12,15 @@ from cantorsim.checks import (
     fixture_machine,
     fixture_script,
     make_merge_case,
+    verify_hatm,
     verify_merge,
+    verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program
 from cantorsim.constructions import (
     PlainValue,
     StageTrace,
+    TailValue,
     TraceRecord,
     beta_max,
     friedberg_merge,
@@ -125,6 +128,45 @@ class TestHatmEdges:
         m = LeftCEApprox.constant(dy("1/2^1"), 4)
         trace = hat_m_construction(m, machine, 0, 4)
         assert all(r.state == "parked" for r in trace.records)
+
+    def test_mirror_fix_is_the_last_desirable_prefix(self):
+        # Ω jumps to 3/4 at stage 1, so the boundary 11 overtakes the input's
+        # prefix: the fix 10 lies below the new boundary, above the old one 00
+        machine = PrefixMachine(
+            (Program(BitString("0"), BitString("0"), 1), Program(BitString("10"), BitString("1"), 1))
+        )
+        m = LeftCEApprox((dy("1/2^1"), dy("3/2^2"), dy("3/2^2")))
+        trace = hat_m_construction(m, machine, 2, 2, mirror=True)
+        assert [r.state for r in trace.records] == ["tracking", "undesirable", "undesirable"]
+        assert trace.records[1].value.prefix == BitString("10")
+        assert verify_hatm(trace, m, machine, 2, mirror=True) == []
+        # the current prefix 11 instead of the last desirable one
+        tampered = StageTrace(
+            trace.records[:1]
+            + tuple(
+                TraceRecord(r.stage, r.state, TailValue(BitString("11"), r.stage, r.value.omega))
+                for r in trace.records[1:]
+            )
+        )
+        assert verify_hatm(tampered, m, machine, 2, mirror=True) == [
+            "stage 1: fix prefix is not the previous input prefix"
+        ]
+
+
+class TestVerifiersReadTheScans:
+    def test_a_corrupt_stage_index_is_caught(self):
+        sc = scenario("splice-permanent")
+        argv = sc.argv
+        machine = fixture_machine(argv[argv.index("--machine") + 1])
+        script = fixture_script(argv[argv.index("--script") + 1], 12)
+        r = real_from_ce_set(script, 0)
+        c = int(argv[argv.index("--c") + 1])
+        assert verify_splice(splice_random(r, machine, c, 12), r, machine, c) == []
+        # the constructions read the cached index; the verifier must not
+        stages, omegas = machine._omega_steps
+        machine.__dict__["_omega_steps"] = (stages, [ZERO] * len(omegas))
+        errs = verify_splice(splice_random(r, machine, c, 12), r, machine, c)
+        assert "stage 5: spliced tail is not the stage mass" in errs
 
 
 class TestRegretEdges:

@@ -68,6 +68,11 @@ class TestScriptParsing:
         with pytest.raises((ParseError, InputError)):
             EnumerationScript.parse("5\t0\tstr\t0\n", horizon=3)
 
+    def test_event_beyond_horizon_names_the_line(self):
+        with pytest.raises(ParseError) as info:
+            EnumerationScript.parse("1\t0\tdyadic\t1/2^2\n2\t1\tdyadic\t1/2^1\n", 1, "s.tsv")
+        assert str(info.value) == "s.tsv:2: event stage 2 beyond requested horizon 1"
+
     def test_render_roundtrip(self):
         text = "1\t0\tdyadic\t1/2^2\n2\t1\tstr\t01"
         script = EnumerationScript.parse(text)
@@ -114,9 +119,9 @@ class TestRealFromCeSet:
         r = real_from_ce_set(script, 7)
         assert r.empty_at(2) and r.value(2) == ZERO
 
-    def test_string_item_is_a_type_error(self):
+    def test_string_item_is_an_input_error(self):
         script = EnumerationScript.from_events([(1, 0, BitString("01"))])
-        with pytest.raises(TypeError):
+        with pytest.raises(InputError, match="index 0 carries a non-dyadic item at stage 1"):
             real_from_ce_set(script, 0)
 
     def test_monotone_over_random_scripts(self):
