@@ -9,7 +9,6 @@ from .classes import (
     dead_ends,
     diagonalize,
     graft_points,
-    intersect_randomness,
     measure_capped_enumeration,
     paths_at_depth,
     tree_from_halting_oracle,
@@ -20,6 +19,7 @@ from .complexity import (
     PrefixMachine,
     Program,
     compute_padding,
+    intersect_randomness,
     k_approx,
     least_failing_length,
     omega_approx,
@@ -56,7 +56,6 @@ from .dyadic import (
     BitString,
     Dyadic,
     Order,
-    filter_closure,
     is_acceptable,
     lex_compare_padded,
     optimal_covering,

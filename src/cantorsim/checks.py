@@ -47,7 +47,6 @@ from .dyadic import (
     is_acceptable,
     lex_compare_padded,
     optimal_covering,
-    filter_closure,
     prefix_set_measure,
     rational_of_string,
     string_of_rational,
@@ -55,9 +54,11 @@ from .dyadic import (
 )
 from .errors import InputError
 from .oracles import (
+    brute_covering_families,
     brute_halted_complexities,
     brute_k_approx,
     brute_least_failing_length,
+    brute_odd_ones,
     brute_omega_approx,
     brute_optimal_covering,
     expansion_at_depth,
@@ -437,7 +438,7 @@ def check_coverings(
         rep.cases += 1
         y = random_string_set(rng, 4, 6)
         closure = sibling_merge_closure(y, filter_depth)
-        anti = filter_closure(y)
+        anti = optimal_covering(y)
         for t in strings_up_to(filter_depth):
             if anti.covers(t) != (t in closure):
                 rep.fail(f"filter closure of {sorted(s.bits for s in y)} differs at {t}")
@@ -487,6 +488,12 @@ def check_coverings(
         if a in seen:
             rep.fail(f"family repeats {a.render()}")
         seen.add(a)
+    exhaustive = [a for total in range(7) for a in brute_covering_families(total)]
+    for odd in (False, True):
+        rep.cases += 1
+        listed = itertools.takewhile(lambda a: a.total_bits() <= 6, covering_antichains(odd))
+        if list(listed) != [a for a in exhaustive if len(a) % 2 == odd]:
+            rep.fail(f"{'odd' if odd else 'even'} family up to 6 bits differs from the search")
     return rep
 
 
@@ -608,6 +615,10 @@ def check_constructions(
         if s.lenlex_key <= prev_key:
             rep.fail(f"odd-ones listing out of order at {s}")
         prev_key = s.lenlex_key
+    for i, want in enumerate(brute_odd_ones(10)):
+        rep.cases += 1
+        if odd_ones_real_enumeration(i) != want:
+            rep.fail(f"odd-ones listing gives {odd_ones_real_enumeration(i)} at {i}, not {want}")
     for _ in range(beta_cases):
         rep.cases += 1
         script = random_dyadic_script(rng)

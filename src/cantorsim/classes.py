@@ -22,7 +22,6 @@ __all__ = [
     "dead_ends",
     "diagonalize",
     "graft_points",
-    "intersect_randomness",
     "measure_capped_enumeration",
     "paths_at_depth",
     "tree_from_halting_oracle",
@@ -239,15 +238,6 @@ def tree_of_complement(strings: Iterable[BitString], depth: int) -> Tree:
             frontier.append(b + "0")
             frontier.append(b + "1")
     return Tree(frozenset(keep), depth)
-
-
-def intersect_randomness(tree: Tree, machine, c: int, t: int) -> Tree:
-    """Node-wise intersection with the stage-t complexity-constrained tree
-    at the same depth; prefix closure is preserved by intersection."""
-    from .complexity import randomness_class_tree
-
-    constrained = randomness_class_tree(machine, c, t, tree.depth)
-    return Tree(tree.nodes & constrained.nodes, tree.depth)
 
 
 def tree_from_halting_oracle(

@@ -35,6 +35,7 @@ __all__ = [
     "PrefixMachine",
     "Program",
     "compute_padding",
+    "intersect_randomness",
     "k_approx",
     "least_failing_length",
     "omega_approx",
@@ -224,6 +225,13 @@ def randomness_class_tree(machine: PrefixMachine, c: int, t: int, depth: int) ->
             frontier.append(b + "0")
             frontier.append(b + "1")
     return Tree(frozenset(BitString(b) for b in keep), depth)
+
+
+def intersect_randomness(tree: Tree, machine: PrefixMachine, c: int, t: int) -> Tree:
+    """Node-wise intersection with the stage-t complexity-constrained tree
+    at the same depth; prefix closure is preserved by intersection."""
+    constrained = randomness_class_tree(machine, c, t, tree.depth)
+    return Tree(tree.nodes & constrained.nodes, tree.depth)
 
 
 def compute_padding(n: int, k: int) -> int:

@@ -318,19 +318,21 @@ def regret_construction(
 
 def odd_ones_real_enumeration(i: int) -> BitString:
     """The i-th string, in length-lexicographic order, ending in 1 with an
-    odd number of 1s; its zero-padded extension has odd finitely many 1s."""
+    odd number of 1s; its zero-padded extension has odd finitely many 1s.
+
+    Index 0 is 1.  The length-n strings (n ≥ 2) are the (n−1)-bit words with
+    an even number of 1s followed by 1; there are 2^(n−2) of them, at the
+    indices i with n = bitlen(i) + 1.  For j = i − 2^(n−2), exactly one of
+    the words 2j and 2j + 1 has an even number of 1s, namely
+    2j + popcount(j) mod 2, and it is the j-th such word.
+    """
     if i < 0:
         raise DomainError("index must be ≥ 0")
-    seen = 0
-    length = 1
-    while True:
-        for prefix in range(1 << (length - 1)):
-            bits = format(prefix, "b").zfill(length - 1) + "1" if length > 1 else "1"
-            if bits.count("1") % 2 == 1:
-                if seen == i:
-                    return BitString(bits)
-                seen += 1
-        length += 1
+    if i == 0:
+        return BitString("1")
+    n = i.bit_length() + 1
+    j = i - (1 << (n - 2))
+    return BitString(format(2 * j + j.bit_count() % 2, "b").zfill(n - 1) + "1")
 
 
 SetValue = frozenset[BitString]

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .dyadic import (
-    Antichain,
-    BitString,
-    filter_closure,
-    is_acceptable,
-    optimal_covering,
-    strings_up_to,
-)
+from .dyadic import Antichain, BitString, all_strings, is_acceptable, optimal_covering
 from .errors import DomainError, ParseError, RangeError, records
 
 __all__ = [
@@ -101,10 +94,10 @@ def star_construction(
             goods.append(n)
             if is_acceptable(consumed):
                 case = "a"
-                family = filter_closure(cov.members)
+                family = optimal_covering(cov.members)
             else:
                 case = "b"
-                family = filter_closure(tuple(cov.members) + (sigma,))
+                family = optimal_covering(tuple(cov.members) + (sigma,))
         snaps.append(
             StarSnapshot(
                 stage=n,
@@ -122,58 +115,49 @@ def star_construction(
 
 
 def covered_up_to(antichain: Antichain, depth: int) -> frozenset[BitString]:
-    """Members of the represented filter-closed set up to the given length."""
-    member_bits = {m.bits for m in antichain.members}
-    return frozenset(
-        t
-        for t in strings_up_to(depth)
-        if any(t.bits[:i] in member_bits for i in range(len(t.bits) + 1))
-    )
+    """Members of the represented filter-closed set up to the given length.
 
-
-def _antichain_cost(members: tuple[str, ...], depth: int) -> int:
-    return sum(depth + len(x) for x in members)
+    A member m with binary value v covers, at each length n from |m| to the
+    depth, exactly the n-bit values in [v·2^(n−|m|), (v+1)·2^(n−|m|)).
+    """
+    out: set[BitString] = set()
+    for m in antichain.members:
+        v = int("0" + m.bits, 2)
+        for n in range(len(m), depth + 1):
+            shift = n - len(m)
+            out.update(all_strings(n, v << shift, (v + 1) << shift))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
-def _cone_antichains(depth: int, budget: int) -> tuple[tuple[str, ...], ...]:
+def _cone_antichains(depth: int, total: int) -> tuple[tuple[str, ...], ...]:
     """Reduced antichains of suffixes below a node at the given depth whose
-    total absolute bit-length stays within the budget."""
-    out: list[tuple[str, ...]] = [()]
-    if depth <= budget:
+    members' absolute bit-lengths sum to exactly the total.
+
+    The empty antichain has total 0 and the node itself (suffix ε) has total
+    depth; at depth 0 and total 0 both are kept.  A total above the depth
+    is split t0 + t1 between the two children, which sit one level deeper;
+    the pair ε, ε is left out because siblings would merge into the node.
+    Members come out unsorted.
+    """
+    out: list[tuple[str, ...]] = []
+    if total == 0:
+        out.append(())
+    if total == depth:
         out.append(("",))
-    if depth < budget:
-        kids = _cone_antichains(depth + 1, budget)
-        for a0 in kids:
-            c0 = _antichain_cost(a0, depth + 1)
-            if c0 > budget:
-                continue
-            for a1 in kids:
-                if not a0 and not a1:
-                    continue
-                if a0 == ("",) and a1 == ("",):
-                    continue  # sibling pair would merge into the parent
-                if c0 + _antichain_cost(a1, depth + 1) > budget:
-                    continue
-                members = tuple(
-                    sorted(
-                        ["0" + x for x in a0] + ["1" + x for x in a1],
-                        key=lambda b: (len(b), b),
-                    )
-                )
-                out.append(members)
+    if total > depth:
+        for t0 in range(total + 1):
+            for a0 in _cone_antichains(depth + 1, t0):
+                for a1 in _cone_antichains(depth + 1, total - t0):
+                    if not a0 == a1 == ("",):
+                        out.append(tuple("0" + x for x in a0) + tuple("1" + x for x in a1))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _families_with_total_bits(total: int) -> tuple[Antichain, ...]:
-    found = [
-        a
-        for a in _cone_antichains(0, total)
-        if _antichain_cost(a, 0) == total
-    ]
-    found.sort(key=lambda a: tuple((len(b), b) for b in a))
-    return tuple(Antichain(tuple(BitString(b) for b in a)) for a in found)
+    keys = sorted(tuple(sorted((len(b), b) for b in a)) for a in _cone_antichains(0, total))
+    return tuple(Antichain(tuple(BitString(b) for _, b in key)) for key in keys)
 
 
 def covering_antichains(odd: bool) -> Iterator[Antichain]:

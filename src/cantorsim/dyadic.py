@@ -11,7 +11,6 @@ for strict order, where rounding is fatal.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -27,7 +26,6 @@ __all__ = [
     "Order",
     "ZERO",
     "all_strings",
-    "filter_closure",
     "is_acceptable",
     "lex_compare_padded",
     "optimal_covering",
@@ -130,10 +128,14 @@ class BitString:
 EMPTY = BitString("")
 
 
-def all_strings(length: int) -> Iterator[BitString]:
-    """All words of exactly the given length, in lexicographic order."""
-    for tup in itertools.product("01", repeat=length):
-        yield BitString("".join(tup))
+def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[BitString]:
+    """The words of the given length whose binary value v satisfies
+    lo ≤ v < hi (every word when hi is None), in lexicographic order: each
+    is v written in binary and zero-filled to the length, ε for length 0."""
+    if hi is None:
+        hi = 1 << length
+    for v in range(lo, hi):
+        yield BitString(format(v, "b").zfill(length) if length else "")
 
 
 def strings_up_to(length: int) -> Iterator[BitString]:
@@ -303,20 +305,10 @@ class Antichain:
         return any(bits[:i] in member_bits for i in range(len(bits) + 1))
 
     def covers_cone(self, s: BitString) -> bool:
-        """Whether the whole cone [s] lies under the member cones."""
-        member_bits = self._member_bits  # type: ignore[attr-defined]
-        if not member_bits:
-            return False
-        deepest = max(len(b) for b in member_bits)
-
-        def rec(b: str) -> bool:
-            if any(b[:i] in member_bits for i in range(len(b) + 1)):
-                return True
-            if len(b) >= deepest:
-                return False
-            return rec(b + "0") and rec(b + "1")
-
-        return rec(s.bits)
+        """Whether the whole cone [s] lies under the member cones.  The members
+        of a reduced antichain are the minimal strings whose cones lie inside
+        the union, so [s] does exactly when s extends a member."""
+        return self.covers(s)
 
     def total_bits(self) -> int:
         return sum(len(m) for m in self.members)
@@ -345,44 +337,23 @@ def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
 def optimal_covering(strings: Iterable[BitString]) -> Antichain:
     """The minimal strings whose cones are contained in the union of cones.
 
-    Computed bottom-up over the binary trie cut at the deepest member: a
-    node is covered when it extends a member or both children are covered;
-    the minimal covered nodes form a reduced antichain.
+    Members that extend another member add nothing and are dropped; the rest
+    form an antichain of disjoint cones.  Two sibling cones make up their
+    parent's cone, so sibling pairs are merged into their parent from a
+    worklist until no pair is left; what remains is the reduced antichain.
     """
-    member_bits = {s.bits for s in strings}
-    if not member_bits:
-        return Antichain(())
-    depth = max(len(b) for b in member_bits)
-
-    levels: list[list[str]] = [[""]]
-    for _ in range(depth):
-        levels.append([b + c for b in levels[-1] for c in "01"])
-
-    covered: dict[str, bool] = {}
-    for d in range(depth, -1, -1):
-        for b in levels[d]:
-            hit = any(b[:i] in member_bits for i in range(len(b) + 1))
-            if not hit and d < depth:
-                hit = covered[b + "0"] and covered[b + "1"]
-            covered[b] = hit
-
-    out: list[BitString] = []
-    stack = [""]
-    while stack:
-        b = stack.pop()
-        if covered[b]:
-            out.append(BitString(b))
-        elif len(b) < depth:
-            stack.append(b + "0")
-            stack.append(b + "1")
-    return Antichain(tuple(out))
-
-
-def filter_closure(strings: Iterable[BitString]) -> Antichain:
-    """Minimal antichain representing the closure of the set under
-    extensions and sibling merges; a string belongs to the closure exactly
-    when it extends a member of the result."""
-    return optimal_covering(strings)
+    bits = {s.bits for s in strings}
+    nodes = {b for b in bits if not any(b[:i] in bits for i in range(len(b)))}
+    work = list(nodes)
+    while work:
+        b = work.pop()
+        if b and b in nodes:
+            sibling = b[:-1] + ("1" if b[-1] == "0" else "0")
+            if sibling in nodes:
+                nodes -= {b, sibling}
+                nodes.add(b[:-1])
+                work.append(b[:-1])
+    return Antichain(tuple(BitString(b) for b in nodes))
 
 
 def is_acceptable(strings: Iterable[BitString]) -> bool:

@@ -25,10 +25,12 @@ from .errors import DomainError
 from .streams import approx_string
 
 __all__ = [
+    "brute_covering_families",
     "brute_halted_complexities",
     "brute_k_approx",
     "brute_least_failing_length",
     "brute_lower_cut",
+    "brute_odd_ones",
     "brute_omega_approx",
     "brute_optimal_covering",
     "expansion_at_depth",
@@ -98,6 +100,35 @@ def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset
                     bits.add(b[:-1])
                     changed = True
     return frozenset(BitString(b) for b in bits)
+
+
+def brute_covering_families(total: int) -> tuple[Antichain, ...]:
+    """Every reduced antichain whose member lengths sum to the total: each
+    prefix-free set of distinct strings with that length sum is tried, and
+    the sets that brute_optimal_covering maps to themselves are kept.
+    Ordered by the members' sorted (length, bits) keys; ε is a candidate, so
+    total 0 gives () and (ε)."""
+    pool = list(strings_up_to(total))
+    found: list[tuple[BitString, ...]] = []
+
+    def extend(start: int, chosen: tuple[BitString, ...], left: int) -> None:
+        if left == 0 and brute_optimal_covering(chosen).members == chosen:
+            found.append(chosen)
+        for k in range(start, len(pool)):
+            if len(pool[k]) > left:
+                break
+            if not any(c.is_prefix_of(pool[k]) for c in chosen):
+                extend(k + 1, chosen + (pool[k],), left - len(pool[k]))
+
+    extend(0, (), total)
+    found.sort(key=lambda a: tuple(s.lenlex_key for s in a))
+    return tuple(Antichain(a) for a in found)
+
+
+def brute_odd_ones(max_len: int) -> list[BitString]:
+    """The strings of length ≤ max_len that end in 1 and carry an odd number
+    of 1s, in length-lexicographic order."""
+    return [t for t in strings_up_to(max_len) if t.bits.endswith("1") and t.ones() % 2 == 1]
 
 
 def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:

@@ -154,10 +154,8 @@ def odd_covering_picker(length: int) -> Callable[[SetValue, int], SetValue]:
             fresh = [
                 t
                 for d in range(floor + 1, length + 1)
-                for t in sorted(
-                    (u for u in _nodes_at(d) if not base.covers(u)),
-                    key=lambda s: s.lenlex_key,
-                )
+                for t in all_strings(d)
+                if not base.covers(t)
             ]
             if len(base) % 2 == 1:
                 variants.append(base)
@@ -176,10 +174,6 @@ def odd_covering_picker(length: int) -> Callable[[SetValue, int], SetValue]:
         return covered_up_to(variants[attempt], length)
 
     return picker
-
-
-def _nodes_at(depth: int):
-    return list(all_strings(depth))
 
 
 def merge_covering_classes(

@@ -12,16 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .dyadic import (
-    ONE,
-    ZERO,
-    BitString,
-    Dyadic,
-    Order,
-    lex_compare_padded,
-    string_of_rational,
-    strings_up_to,
-)
+from .dyadic import ONE, ZERO, BitString, Dyadic, all_strings, string_of_rational
 from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[BitString, Dyadic]
@@ -61,7 +52,9 @@ class EnumerationScript:
         last = 0
         for ev in self.events:
             if ev.stage < 0 or ev.index < 0:
-                raise InputError(f"negative stage or index in event {ev}")
+                raise InputError(
+                    f"event at stage {ev.stage} for index {ev.index}: stage and index must be ≥ 0"
+                )
             if ev.stage < last:
                 raise InputError("events must be sorted by stage")
             if ev.stage > self.horizon:
@@ -97,6 +90,8 @@ class EnumerationScript:
                 stage, index = int(stage_s), int(index_s)
             except ValueError:
                 raise ParseError("stage and index must be integers", source=source, line=lineno)
+            if stage < 0 or index < 0:
+                raise ParseError("stage and index must be ≥ 0", source=source, line=lineno)
             if horizon is not None and stage > horizon:
                 raise ParseError(
                     f"event stage {stage} beyond requested horizon {horizon}",
@@ -219,12 +214,13 @@ def real_from_ce_set(script: EnumerationScript, index: int) -> LeftCEApprox:
 
 def lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """All τ with |τ| ≤ max_len whose zero-padded extension lies strictly
-    below x; computed by padded string comparison against x's expansion."""
-    if x == ONE:
-        return frozenset(strings_up_to(max_len))
-    sx = string_of_rational(x)
+    below x.  A length-n word with value v/2ⁿ lies below x exactly when
+    v < ⌈x·2ⁿ⌉, so the length-n members are the n-bit values below that
+    ceiling; x = 1 takes every word."""
     return frozenset(
-        t for t in strings_up_to(max_len) if lex_compare_padded(t, sx) is Order.LT
+        t
+        for n in range(max_len + 1)
+        for t in all_strings(n, 0, -(-(x.num << n) >> x.exp))
     )
 
 

@@ -11,13 +11,12 @@ from cantorsim.classes import (
     dead_ends,
     diagonalize,
     graft_points,
-    intersect_randomness,
     measure_capped_enumeration,
     paths_at_depth,
     tree_from_halting_oracle,
     tree_of_complement,
 )
-from cantorsim.complexity import PrefixMachine, Program
+from cantorsim.complexity import PrefixMachine, Program, intersect_randomness
 from cantorsim.dyadic import EMPTY, BitString, prefix_set_measure
 from cantorsim.errors import (
     DomainError,

@@ -49,6 +49,13 @@ class TestErrors:
         assert code == 2
         assert ":2" in err
 
+    def test_negative_stage_names_the_line(self, run, fixture_dir):
+        bad = fixture_dir / "neg.tsv"
+        bad.write_text("-1\t0\tdyadic\t1/2^1\n")
+        code, out, err = run(["run", "beta", "--script", str(bad), "--horizon", "3"])
+        assert code == 2
+        assert err == f"input error: {bad}:1: stage and index must be ≥ 0\n"
+
     def test_unknown_suite(self, run):
         code, out, err = run(["check", "nosuch"])
         assert code == 2

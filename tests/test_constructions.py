@@ -36,7 +36,7 @@ from cantorsim.errors import (
     InputError,
     PreconditionError,
 )
-from cantorsim.oracles import rightmost_path
+from cantorsim.oracles import brute_odd_ones, rightmost_path
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 
@@ -240,6 +240,11 @@ class TestOddOnes:
     def test_injective(self, i, j):
         if i != j:
             assert odd_ones_real_enumeration(i) != odd_ones_real_enumeration(j)
+
+    def test_matches_the_filtered_listing(self):
+        want = brute_odd_ones(12)
+        assert len(want) == 1 << 11
+        assert [odd_ones_real_enumeration(i) for i in range(1 << 11)] == want
 
     def test_properties_over_a_window(self):
         prev = (-1, "")

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from cantorsim.checks import build_scenario, random_listing
+from cantorsim.checks import build_scenario, random_listing, random_string_set
 from cantorsim.coverings import (
+    _families_with_total_bits,
     covered_up_to,
     covering_antichains,
     even_covering_family,
@@ -21,7 +22,11 @@ from cantorsim.dyadic import (
     optimal_covering,
 )
 from cantorsim.errors import ParseError
-from cantorsim.oracles import brute_optimal_covering
+from cantorsim.oracles import (
+    brute_covering_families,
+    brute_optimal_covering,
+    sibling_merge_closure,
+)
 from cantorsim.recipes import merge_covering_classes
 from cantorsim.scenarios import SCENARIOS
 from cantorsim.streams import stage_set
@@ -120,6 +125,17 @@ class TestCoveringFamilies:
             a = odd_covering_family(i)
             assert a not in seen
             seen.add(a)
+
+    def test_families_match_the_exhaustive_search(self):
+        for total in range(8):
+            assert _families_with_total_bits(total) == brute_covering_families(total)
+
+    def test_covered_up_to_matches_the_sibling_merge_fixpoint(self):
+        rng = random.Random(37)
+        for _ in range(150):
+            antichain = brute_optimal_covering(random_string_set(rng, 5, 6))
+            depth = rng.randint(5, 7)
+            assert covered_up_to(antichain, depth) == sibling_merge_closure(antichain, depth)
 
     def test_covered_up_to(self):
         a = Antichain(tuple(bs("0")))

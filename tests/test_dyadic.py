@@ -12,7 +12,6 @@ from cantorsim.dyadic import (
     BitString,
     Dyadic,
     Order,
-    filter_closure,
     is_acceptable,
     lex_compare_padded,
     optimal_covering,
@@ -177,14 +176,14 @@ class TestOptimalCovering:
 
 class TestFilterClosure:
     def test_examples(self):
-        assert filter_closure(bs("0")).members == tuple(bs("0"))
-        assert filter_closure(bs("00", "01")).members == tuple(bs("0"))
-        assert filter_closure(bs("00", "01", "10", "11")).members == (EMPTY,)
+        assert optimal_covering(bs("0")).members == tuple(bs("0"))
+        assert optimal_covering(bs("00", "01")).members == tuple(bs("0"))
+        assert optimal_covering(bs("00", "01", "10", "11")).members == (EMPTY,)
 
     @given(small_sets)
     def test_membership_matches_sibling_merge_fixpoint(self, y):
         closure = sibling_merge_closure(y, 8)
-        anti = filter_closure(y)
+        anti = optimal_covering(y)
         for t in strings_up_to(8):
             assert anti.covers(t) == (t in closure)
 
@@ -214,3 +213,10 @@ class TestAntichain:
         assert a.covers_cone(BitString("01"))
         assert not a.covers_cone(BitString("1"))
         assert a.covers_cone(BitString("110"))
+
+    @given(small_sets)
+    def test_cone_containment_matches_the_expansion(self, y):
+        a = brute_optimal_covering(y)
+        covered = expansion_at_depth(a.members, 6)
+        for s in strings_up_to(5):
+            assert a.covers_cone(s) == (expansion_at_depth([s], 6) <= covered)

@@ -2,7 +2,8 @@
 
 Every module-level import must be used by the module's code or named in its
 ``__all__``, and imports sit at module level only.  ``__init__`` is exempt
-from the first rule: its imports are the package's re-exports.
+from the first rule: its imports are the package's re-exports.  The
+package's modules import one another without a cycle.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cantorsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # (module, function) -> why the import cannot move to module level
-LOCAL_IMPORTS_ALLOWED = {
-    ("classes", "intersect_randomness"): "breaks the classes <-> complexity import cycle",
-}
+LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -67,6 +66,53 @@ def local_imports(path: pathlib.Path) -> list[tuple[str, str, int]]:
     return out
 
 
+def import_graph() -> dict[str, set[str]]:
+    """Module -> the package modules it imports, at module level or nested."""
+    graph: dict[str, set[str]] = {}
+    for path in MODULES:
+        deps: set[str] = set()
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module.partition(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] == PACKAGE.name:
+                    deps.update(parts[1:2] or [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == PACKAGE.name and len(parts) > 1:
+                        deps.add(parts[1])
+        graph[path.stem] = deps
+    return graph
+
+
+def import_cycles(graph: dict[str, set[str]]) -> list[str]:
+    """Each back edge a depth-first search meets, written as its cycle
+    a -> b -> a; the graph is acyclic exactly when there is none."""
+    cycles: list[str] = []
+    done: set[str] = set()
+    stack: list[str] = []
+
+    def visit(module: str) -> None:
+        stack.append(module)
+        for dep in sorted(graph.get(module, ())):
+            if dep in stack:
+                cycles.append(" -> ".join(stack[stack.index(dep):] + [dep]))
+            elif dep not in done:
+                visit(dep)
+        stack.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        if module not in done:
+            visit(module)
+    return cycles
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path) == []
@@ -81,3 +127,7 @@ def test_imports_sit_at_module_level(path):
 def test_allowed_local_imports_still_exist():
     found = {f[:2] for path in MODULES for f in local_imports(path)}
     assert set(LOCAL_IMPORTS_ALLOWED) <= found
+
+
+def test_package_imports_are_acyclic():
+    assert import_cycles(import_graph()) == []

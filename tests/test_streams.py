@@ -73,6 +73,16 @@ class TestScriptParsing:
             EnumerationScript.parse("1\t0\tdyadic\t1/2^2\n2\t1\tdyadic\t1/2^1\n", 1, "s.tsv")
         assert str(info.value) == "s.tsv:2: event stage 2 beyond requested horizon 1"
 
+    def test_negative_stage_names_the_line(self):
+        with pytest.raises(ParseError) as info:
+            EnumerationScript.parse("0\t0\tstr\t0\n-1\t0\tdyadic\t1/2^1\n", 3, "s.tsv")
+        assert str(info.value) == "s.tsv:2: stage and index must be ≥ 0"
+
+    def test_negative_index_event_names_stage_and_index(self):
+        with pytest.raises(InputError) as info:
+            EnumerationScript.from_events([(2, -1, dy("1/2^1"))], horizon=3)
+        assert str(info.value) == "event at stage 2 for index -1: stage and index must be ≥ 0"
+
     def test_render_roundtrip(self):
         text = "1\t0\tdyadic\t1/2^2\n2\t1\tstr\t01"
         script = EnumerationScript.parse(text)
@@ -162,6 +172,10 @@ class TestLowerCut:
     def test_faithful_to_the_rational_side(self, num):
         x = Dyadic(num, 8)
         assert lower_cut(x, 6) == brute_lower_cut(x, 6)
+
+    def test_faithful_at_one_and_just_below(self):
+        for x in [ONE] + [Dyadic((1 << k) - 1, k) for k in range(1, 13)]:
+            assert lower_cut(x, 10) == brute_lower_cut(x, 10)
 
     def test_faithful_exhaustively_at_length_8(self):
         for num in range(0, 257, 3):
