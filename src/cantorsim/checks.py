@@ -36,7 +36,12 @@ from .complexity import (
     randomness_class_tree,
 )
 from .constructions import beta_max, friedberg_merge, odd_ones_real_enumeration
-from .coverings import covering_antichains, star_construction
+from .coverings import (
+    covering_antichains,
+    even_covering_family,
+    odd_covering_family,
+    star_construction,
+)
 from .dyadic import (
     ONE,
     ZERO,
@@ -52,7 +57,7 @@ from .dyadic import (
     string_of_rational,
     strings_up_to,
 )
-from .errors import InputError
+from .errors import ContractViolationError, InputError
 from .oracles import (
     brute_covering_families,
     brute_halted_complexities,
@@ -63,10 +68,14 @@ from .oracles import (
     brute_optimal_covering,
     expansion_at_depth,
     greedy_expansion,
+    inclusion_odd_ones_picker,
+    islice_covering_family,
     padding_holds,
     rightmost_path,
+    set_difference_deltas,
     sibling_merge_closure,
 )
+from .recipes import cut_deltas, odd_ones_picker
 from .runs import Replay, replay, verify_hatm, verify_regret, verify_splice
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
 from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_set
@@ -201,6 +210,20 @@ def random_dyadic_script(
             )
         )
     return EnumerationScript.from_events(events, horizon)
+
+
+def random_dyadic_trace(
+    rng: random.Random, max_stages: int = 8, max_exp: int = 6
+) -> list[Dyadic]:
+    """Stage values in [0, 1] that rise, repeat or drop at random."""
+    out: list[Dyadic] = []
+    for _ in range(rng.randint(1, max_stages)):
+        if out and rng.random() < 0.3:
+            out.append(out[-1])
+        else:
+            exp = rng.randint(0, max_exp)
+            out.append(Dyadic(rng.randint(0, 1 << exp), exp))
+    return out
 
 
 def random_listing(rng: random.Random, kind: str | None = None) -> tuple[BitString, ...]:
@@ -494,6 +517,13 @@ def check_coverings(
         listed = itertools.takewhile(lambda a: a.total_bits() <= 6, covering_antichains(odd))
         if list(listed) != [a for a in exhaustive if len(a) % 2 == odd]:
             rep.fail(f"{'odd' if odd else 'even'} family up to 6 bits differs from the search")
+    lookups = [(i, odd) for i in range(family_count) for odd in (False, True)]
+    rng.shuffle(lookups)
+    for i, odd in lookups:
+        rep.cases += 1
+        got = (odd_covering_family if odd else even_covering_family)(i)
+        if got != islice_covering_family(i, odd):
+            rep.fail(f"{'odd' if odd else 'even'} covering family {i} is {got.render()}")
     return rep
 
 
@@ -574,11 +604,25 @@ def check_complexity(
     return rep
 
 
+def _pick(
+    picker: Callable[[frozenset[BitString], int], frozenset[BitString]],
+    content: frozenset[BitString],
+    attempt: int,
+) -> frozenset[BitString] | str:
+    """The picker's value, or the message of the contract violation it raises."""
+    try:
+        return picker(content, attempt)
+    except ContractViolationError as exc:
+        return str(exc)
+
+
 def check_constructions(
     merge_cases: int = 25,
     merge_horizon: int = 100,
     odd_count: int = 300,
     beta_cases: int = 30,
+    delta_cases: int = 40,
+    picker_cases: int = 60,
     seed: int = 0,
 ) -> CheckReport:
     rep = CheckReport("constructions")
@@ -634,6 +678,23 @@ def check_constructions(
                 best = member.value(script.horizon)
         if trace.value_at(script.horizon) != best:
             rep.fail("beta horizon value is not the family maximum")
+    for _ in range(delta_cases):
+        rep.cases += 1
+        values = random_dyadic_trace(rng)
+        length = rng.randint(0, 6)
+        if list(cut_deltas(values, length)) != set_difference_deltas(values, length):
+            shown = " ".join(v.render() for v in values)
+            rep.fail(f"cut deltas of {shown} at length {length} differ from the set differences")
+    pickers = {n: (odd_ones_picker(n), inclusion_odd_ones_picker(n)) for n in range(7)}
+    for _ in range(picker_cases):
+        rep.cases += 1
+        length = rng.randint(0, 6)
+        content = random_string_set(rng, length + 1, 4)
+        attempt = rng.randint(0, 3)
+        fast, reference = pickers[length]
+        if _pick(fast, content, attempt) != _pick(reference, content, attempt):
+            shown = " ".join(sorted(t.display() for t in content))
+            rep.fail(f"odd-ones pick {attempt} for {{{shown}}} at length {length} differs")
     return rep
 
 

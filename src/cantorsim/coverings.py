@@ -171,16 +171,38 @@ def covering_antichains(odd: bool) -> Iterator[Antichain]:
                 yield a
 
 
-def odd_covering_family(i: int) -> Antichain:
-    """The i-th odd-cardinality covering in canonical order; injective."""
+@lru_cache(maxsize=None)
+def _parity_families(total: int, odd: bool) -> tuple[Antichain, ...]:
+    """The families with the given total bit-length and cardinality parity,
+    in canonical order."""
+    return tuple(a for a in _families_with_total_bits(total) if len(a) % 2 == odd)
+
+
+def _covering_family(i: int, odd: bool) -> Antichain:
+    """The i-th entry of covering_antichains(odd), read from the cached
+    per-total listings: subtract each total's count until i falls inside one.
+    Every total up to the answer's is listed once per process, and a call
+    then walks at most that many counts."""
     if i < 0:
         raise DomainError("index must be ≥ 0")
-    return next(itertools.islice(covering_antichains(odd=True), i, None))
+    total = 0
+    while i >= len(families := _parity_families(total, odd)):
+        i -= len(families)
+        total += 1
+    return families[i]
+
+
+def odd_covering_family(i: int) -> Antichain:
+    """The i-th odd-cardinality covering in canonical order; injective.
+
+    The coverings of one total bit-length t are finitely many, so index i
+    lies in the listing of the least t whose running count of odd coverings
+    exceeds i; no enumeration restarts at index 0."""
+    return _covering_family(i, odd=True)
 
 
 def even_covering_family(i: int) -> Antichain:
     """The i-th even-cardinality covering in canonical order (index 0 is the
-    empty antichain); injective."""
-    if i < 0:
-        raise DomainError("index must be ≥ 0")
-    return next(itertools.islice(covering_antichains(odd=False), i, None))
+    empty antichain); injective.  Indexed like odd_covering_family, through
+    the running count of even coverings per total bit-length."""
+    return _covering_family(i, odd=False)

@@ -8,11 +8,13 @@ these.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .classes import Tree
 from .complexity import PrefixMachine
+from .coverings import covering_antichains
 from .dyadic import (
     ZERO,
     Antichain,
@@ -21,7 +23,7 @@ from .dyadic import (
     rational_of_string,
     strings_up_to,
 )
-from .errors import DomainError
+from .errors import ContractViolationError, DomainError
 from .streams import approx_string
 
 __all__ = [
@@ -35,9 +37,12 @@ __all__ = [
     "brute_optimal_covering",
     "expansion_at_depth",
     "greedy_expansion",
+    "inclusion_odd_ones_picker",
+    "islice_covering_family",
     "longest_even_prefix",
     "padding_holds",
     "rightmost_path",
+    "set_difference_deltas",
     "sibling_merge_closure",
 ]
 
@@ -134,6 +139,46 @@ def brute_odd_ones(max_len: int) -> list[BitString]:
 def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """The cut computed on the rational side: value comparison only."""
     return frozenset(t for t in strings_up_to(max_len) if rational_of_string(t) < x)
+
+
+def set_difference_deltas(values: Iterable[Dyadic], length: int) -> list[tuple[int, BitString]]:
+    """(stage, string) for every string the truncated lower cut gains at each
+    stage: the whole cut of each stage value, minus the cut of the stage
+    before, sorted length-lexicographically."""
+    out: list[tuple[int, BitString]] = []
+    seen: frozenset[BitString] = frozenset()
+    for s, x in enumerate(values):
+        cut = brute_lower_cut(x, length)
+        out.extend((s, t) for t in sorted(cut - seen, key=lambda b: b.lenlex_key))
+        seen = cut
+    return out
+
+
+def inclusion_odd_ones_picker(
+    length: int,
+) -> Callable[[frozenset[BitString], int], frozenset[BitString]]:
+    """The odd-ones picker by set inclusion: every odd-ones cut is built as a
+    set, and the attempt-th one in listing order that contains the content
+    is returned."""
+    cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
+
+    def picker(content: frozenset[BitString], attempt: int) -> frozenset[BitString]:
+        extensions = [c for c in cuts if content <= c]
+        if attempt >= len(extensions):
+            raise ContractViolationError(
+                f"no odd-ones extension of a {len(content)}-string set within length {length}"
+            )
+        return extensions[attempt]
+
+    return picker
+
+
+def islice_covering_family(i: int, odd: bool) -> Antichain:
+    """The i-th covering of the parity, found by running the canonical
+    enumeration from index 0."""
+    if i < 0:
+        raise DomainError("index must be ≥ 0")
+    return next(itertools.islice(covering_antichains(odd), i, None))
 
 
 def brute_k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:

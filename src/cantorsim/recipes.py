@@ -6,11 +6,27 @@ injective side.  Sets are truncated at a length bound so everything is a
 finite object under exact comparison; callers pick the bound large enough
 that truncation never identifies two distinct family members (mirroring
 the disjointness hypothesis of the merge combinator).
+
+The recipes compute with the arithmetic that fixes each set, and build a
+set of strings only where the merge consumes it:
+
+- The lower cut of x truncated at length L is fixed by one integer,
+  c = ⌈x·2^L⌉ (`streams.words_below`).  Its length-n members are the n-bit
+  values below ⌈c/2^(L−n)⌉, so two cuts at the same L nest exactly when
+  their integers are ordered, and what a cut gains over a smaller one is,
+  per length, the values between the two bounds.
+- A string t of value v lies in the cut c exactly when |t| ≤ L and
+  v·2^(L−|t|) < c.  So a set lies in every cut whose integer reaches one
+  threshold, and the odd-ones picker compares one integer per cut.
+- A covered set is fixed by its reduced antichain, so a star snapshot whose
+  family did not change adds nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import itertools
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexity import PrefixMachine
 from .constructions import (
@@ -26,11 +42,12 @@ from .coverings import (
     odd_covering_family,
     star_construction,
 )
-from .dyadic import Antichain, BitString, all_strings, optimal_covering, rational_of_string
+from .dyadic import Antichain, BitString, Dyadic, all_strings, optimal_covering, rational_of_string
 from .errors import ContractViolationError
-from .streams import EnumerationScript, lower_cut, real_from_ce_set
+from .streams import EnumerationScript, lower_cut, real_from_ce_set, words_below
 
 __all__ = [
+    "cut_deltas",
     "merge_boundary_reals",
     "merge_covering_classes",
     "odd_ones_listing",
@@ -40,40 +57,86 @@ __all__ = [
 ]
 
 
-def _odd_ones_cuts(length: int) -> list[SetValue]:
-    """Truncated lower cuts of the odd-ones reals whose strings fit the bound."""
-    out: list[SetValue] = []
-    i = 0
-    while True:
+def cut_deltas(values: Iterable[Dyadic], length: int) -> Iterator[tuple[int, BitString]]:
+    """(stage, string) for every string that the truncated lower cut of the
+    stage-s value gains over the cut of the stage before (stage −1 has the
+    empty cut), in length-lexicographic order within a stage.
+
+    With c' and c the cut integers of the two stages, the gain at length n
+    is the n-bit values in [⌈c'/2^(L−n)⌉, ⌈c/2^(L−n)⌉).  When the value drops
+    the intervals are empty, and the next stage is measured against the
+    smaller cut.
+    """
+    prev = 0
+    for s, x in enumerate(values):
+        c = words_below(x.num, x.exp, length)
+        if c > prev:
+            for n in range(length + 1):
+                for t in all_strings(n, words_below(prev, length, n), words_below(c, length, n)):
+                    yield s, t
+        prev = c
+
+
+@lru_cache(maxsize=None)
+def _odd_ones_table(length: int) -> tuple[tuple[int, Dyadic], ...]:
+    """(c, x) of each odd-ones real x whose string fits the bound, in listing
+    order, with c = ⌈x·2^L⌉ its cut integer."""
+    out = []
+    for i in itertools.count():
         s = odd_ones_real_enumeration(i)
         if len(s) > length:
-            break
-        out.append(lower_cut(rational_of_string(s), length))
-        i += 1
-    return out
+            return tuple(out)
+        x = rational_of_string(s)
+        out.append((words_below(x.num, x.exp, length), x))
+
+
+@lru_cache(maxsize=None)
+def _odd_ones_cut(length: int, i: int) -> SetValue:
+    """The i-th odd-ones cut as a set of strings, built on first use."""
+    return lower_cut(_odd_ones_table(length)[i][1], length)
 
 
 def odd_ones_listing(length: int) -> Callable[[int], SetValue]:
-    cuts = _odd_ones_cuts(length)
+    """The truncated lower cuts of the odd-ones reals whose strings fit the
+    bound, in listing order."""
+    table = _odd_ones_table(length)
 
     def generator(i: int) -> SetValue:
-        if i >= len(cuts):
+        if i >= len(table):
             raise IndexError(i)
-        return cuts[i]
+        return _odd_ones_cut(length, i)
 
     return generator
 
 
+def _least_cut_containing(content: SetValue, length: int) -> int:
+    """The least cut integer whose truncated cut contains the content: the
+    largest v·2^(L−|t|) + 1 over its members t of value v.  No cut contains
+    a member longer than L, so that asks for more than the largest cut
+    integer, 2^L."""
+    least = 0
+    for t in content:
+        if len(t) > length:
+            return (1 << length) + 1
+        least = max(least, (int("0" + t.bits, 2) << (length - len(t))) + 1)
+    return least
+
+
 def odd_ones_picker(length: int) -> Callable[[SetValue, int], SetValue]:
-    cuts = _odd_ones_cuts(length)
+    """The attempt-th odd-ones cut, in listing order, that contains the
+    content: the attempt-th cut whose integer reaches the content's
+    threshold."""
+    table = _odd_ones_table(length)
 
     def picker(content: SetValue, attempt: int) -> SetValue:
-        extensions = [c for c in cuts if content <= c]
-        if attempt >= len(extensions):
+        least = _least_cut_containing(content, length)
+        found = (i for i, (c, _) in enumerate(table) if c >= least)
+        i = next(itertools.islice(found, attempt, None), None)
+        if i is None:
             raise ContractViolationError(
                 f"no odd-ones extension of a {len(content)}-string set within length {length}"
             )
-        return extensions[attempt]
+        return _odd_ones_cut(length, i)
 
     return picker
 
@@ -93,12 +156,8 @@ def merge_boundary_reals(
     for j, e in enumerate(script.indices()):
         m = real_from_ce_set(script, e)
         trace = hat_m_construction(m, machine, k, horizon, mirror=mirror)
-        seen: frozenset[BitString] = frozenset()
-        for s in range(horizon + 1):
-            cut = lower_cut(trace.value_at(s), length)
-            for item in sorted(cut - seen, key=lambda b: b.lenlex_key):
-                events.append((s, j, item))
-            seen = cut
+        values = (trace.value_at(s) for s in range(horizon + 1))
+        events.extend((s, j, t) for s, t in cut_deltas(values, length))
     l2 = EnumerationScript.from_events(events, horizon)
     return friedberg_merge(odd_ones_listing(length), l2, odd_ones_picker(length), horizon)
 
@@ -114,12 +173,14 @@ def _odd_coverings_within(length: int) -> list:
 
 
 def odd_covering_listing(length: int) -> Callable[[int], SetValue]:
-    values = [covered_up_to(a, length) for a in _odd_coverings_within(length)]
+    """The covered sets of the odd coverings within the bound, each built
+    when the merge asks for it."""
+    families = _odd_coverings_within(length)
 
     def generator(i: int) -> SetValue:
-        if i >= len(values):
+        if i >= len(families):
             raise IndexError(i)
-        return values[i]
+        return covered_up_to(families[i], length)
 
     return generator
 
@@ -187,10 +248,13 @@ def merge_covering_classes(
     stage, and merge with the odd-covering listing."""
     events: list[tuple[int, int, BitString]] = []
     for j, listing in enumerate(listings):
-        snaps = star_construction(listing, horizon)
+        family = Antichain(())
         seen: frozenset[BitString] = frozenset()
-        for snap in snaps:
-            cur = covered_up_to(snap.family, length)
+        for snap in star_construction(listing, horizon):
+            if snap.family == family:
+                continue
+            family = snap.family
+            cur = covered_up_to(family, length)
             for item in sorted(cur - seen, key=lambda b: b.lenlex_key):
                 events.append((snap.stage, j, item))
             seen = cur

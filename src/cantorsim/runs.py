@@ -72,9 +72,22 @@ def _run(name: str, **flags: dict):
     return register
 
 
+def _natural(text: str) -> int:
+    """argparse type of a count or length: an integer ≥ 0.  A non-integer
+    gets argparse's own `invalid int value` message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be ≥ 0, got {value}")
+    return value
+
+
 _PATH = {"required": True}
 _INT = {"type": int, "required": True}
-_LEN = {"type": int, "required": True, "dest": "length"}
+_COUNT = {"type": _natural, "required": True}
+_LEN = {"type": _natural, "required": True, "dest": "length"}
 _INDEX = {"type": int, "default": 0}
 _SWITCH = {"action": "store_true"}
 
@@ -425,13 +438,13 @@ def _omega(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(values, [f"{s}\t{v.render()}" for s, v in enumerate(values)])
 
 
-@_run("oddones", count=_INT)
+@_run("oddones", count=_COUNT)
 def _oddones(a: argparse.Namespace, read: Read) -> Replay:
     strings = [odd_ones_real_enumeration(i) for i in range(a.count)]
     return Replay(strings, [f"{i}\t{s}" for i, s in enumerate(strings)])
 
 
-@_run("coverfamily", count=_INT, parity={"choices": ("odd", "even"), "default": "odd"})
+@_run("coverfamily", count=_COUNT, parity={"choices": ("odd", "even"), "default": "odd"})
 def _coverfamily(a: argparse.Namespace, read: Read) -> Replay:
     fam = odd_covering_family if a.parity == "odd" else even_covering_family
     families = [fam(i) for i in range(a.count)]

@@ -28,6 +28,7 @@ __all__ = [
     "real_from_ce_set",
     "stage_set",
     "truncate_pad",
+    "words_below",
 ]
 
 
@@ -212,15 +213,29 @@ def real_from_ce_set(script: EnumerationScript, index: int) -> LeftCEApprox:
     return LeftCEApprox.from_pairs(pairs, script.horizon)
 
 
+def words_below(num: int, exp: int, n: int) -> int:
+    """⌈num·2ⁿ / 2^exp⌉: how many n-bit words v/2ⁿ lie strictly below
+    num/2^exp, since v/2ⁿ < num/2^exp exactly when v < num·2ⁿ/2^exp.
+
+    With (num, exp) a dyadic x = num/2^exp and n = L this is the integer
+    c = ⌈x·2^L⌉ that fixes the lower cut of x truncated at length L.  With
+    (num, exp) = (c, L) it is that cut's count of length-n members,
+    ⌈c/2^(L−n)⌉ = ⌈x·2ⁿ⌉, because nested ceilings of divisions by integers
+    collapse: ⌈⌈a⌉/m⌉ = ⌈a/m⌉.
+    """
+    return -(-(num << n) >> exp)
+
+
 def lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """All τ with |τ| ≤ max_len whose zero-padded extension lies strictly
-    below x.  A length-n word with value v/2ⁿ lies below x exactly when
-    v < ⌈x·2ⁿ⌉, so the length-n members are the n-bit values below that
-    ceiling; x = 1 takes every word."""
+    below x.  The cut is fixed by the one integer c = ⌈x·2^max_len⌉ of
+    words_below: its length-n members are the n-bit values below
+    ⌈c/2^(max_len−n)⌉, so x = 1 takes every word and x = 0 none."""
+    c = words_below(x.num, x.exp, max_len)
     return frozenset(
         t
         for n in range(max_len + 1)
-        for t in all_strings(n, 0, -(-(x.num << n) >> x.exp))
+        for t in all_strings(n, 0, words_below(c, max_len, n))
     )
 
 

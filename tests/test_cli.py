@@ -73,6 +73,30 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"input error: suite {argv[1]} takes no {flag}\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["run", "oddones", "--count", "-3"], "--count", -3),
+            (["run", "coverfamily", "--count", "-3"], "--count", -3),
+            (["run", "friedberg-reals", "--script", "s_flat.tsv", "--machine", "m_hatm.tsv",
+              "--k", "2", "--len", "-1", "--horizon", "3"], "--len", -1),
+            (["run", "friedberg-classes", "--listing", "l_star.txt", "--len", "-1",
+              "--horizon", "3"], "--len", -1),
+        ],
+        ids=["oddones", "coverfamily", "friedberg-reals", "friedberg-classes"],
+    )
+    def test_negative_count_or_length_is_rejected(self, fixture_dir, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(resolve_argv(argv, fixture_dir))
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {flag}: must be ≥ 0, got {value}\n")
+
+    def test_non_integer_count_keeps_the_int_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "oddones", "--count", "abc"])
+        assert capsys.readouterr().err.endswith("argument --count: invalid int value: 'abc'\n")
+
     def test_internal_type_error_is_not_an_input_error(self, monkeypatch):
         def broken(args, read):
             raise TypeError("internal bug")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cantorsim.checks import build_scenario, random_listing, random_string_set
 from cantorsim.coverings import (
     _families_with_total_bits,
+    _parity_families,
     covered_up_to,
     covering_antichains,
     even_covering_family,
@@ -21,10 +23,11 @@ from cantorsim.dyadic import (
     is_acceptable,
     optimal_covering,
 )
-from cantorsim.errors import ParseError
+from cantorsim.errors import DomainError, ParseError
 from cantorsim.oracles import (
     brute_covering_families,
     brute_optimal_covering,
+    islice_covering_family,
     sibling_merge_closure,
 )
 from cantorsim.recipes import merge_covering_classes
@@ -125,6 +128,25 @@ class TestCoveringFamilies:
             a = odd_covering_family(i)
             assert a not in seen
             seen.add(a)
+
+    def test_indexed_families_match_the_enumeration_in_any_order(self):
+        reference = {odd: list(itertools.islice(covering_antichains(odd), 2000)) for odd in (0, 1)}
+        lookups = [(i, odd) for i in range(2000) for odd in (0, 1)]
+        random.Random(47).shuffle(lookups)
+        _parity_families.cache_clear()
+        for i, odd in lookups:
+            family = odd_covering_family if odd else even_covering_family
+            assert family(i) == reference[odd][i], (i, odd)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 16, 17, 300, 719, 720])
+    def test_indexed_families_match_the_islice_lookup(self, i):
+        assert odd_covering_family(i) == islice_covering_family(i, odd=True)
+        assert even_covering_family(i) == islice_covering_family(i, odd=False)
+
+    def test_negative_index_is_a_domain_error(self):
+        for family in (odd_covering_family, even_covering_family):
+            with pytest.raises(DomainError):
+                family(-1)
 
     def test_families_match_the_exhaustive_search(self):
         for total in range(8):

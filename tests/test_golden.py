@@ -1,0 +1,86 @@
+"""Golden stdout of the listing and Friedberg-recipe commands.
+
+Each file under fixtures/golden/ is the stdout of one command below; the
+test replays the command and compares bytes.  The inputs are written into
+the test's own directory.  To rewrite the goldens after a deliberate output
+change, run this file as a script from the repository root.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from cantorsim.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
+
+
+def _off_path(path: str, bound: int) -> str:
+    """A star-construction listing: every string up to the bound, in
+    length-lexicographic order, except the prefixes of the path."""
+    words = (format(v, "b").zfill(n) if n else "" for n in range(bound + 1)
+             for v in range(1 << n))
+    return "".join((w or "-") + "\n" for w in words if not path.startswith(w))
+
+
+INPUTS = {
+    "script.tsv": "".join(
+        f"{s}\t{e}\tdyadic\t{num}/2^3\n"
+        for s, e, num in [(2, 0, 3), (5, 1, 5), (8, 2, 6), (11, 3, 3), (14, 4, 5), (21, 3, 5),
+                          (24, 4, 6)]
+    ),
+    "machine.tsv": "00\t-\t0\n010\t01\t0\n10\t01\t10\n",
+    "listing_a.txt": _off_path("1011100", 5),
+    "listing_b.txt": _off_path("0101101", 6),
+}
+
+_REALS = ["run", "friedberg-reals", "--script", "script.tsv", "--machine", "machine.tsv",
+          "--k", "3", "--len", "8", "--horizon", "30"]
+_CLASSES = ["run", "friedberg-classes", "--listing", "listing_a.txt", "--listing", "listing_b.txt",
+            "--len", "7", "--horizon", "30"]
+
+COMMANDS = {
+    "coverfamily-odd-2000": ["run", "coverfamily", "--count", "2000"],
+    "coverfamily-even-1500": ["run", "coverfamily", "--count", "1500", "--parity", "even"],
+    "oddones-800": ["run", "oddones", "--count", "800"],
+    "friedberg-reals": _REALS,
+    "friedberg-reals-mirror": _REALS + ["--mirror"],
+    "friedberg-classes": _CLASSES,
+    "friedberg-classes-no-acceptable-stream": _CLASSES + ["--no-acceptable-stream"],
+}
+
+
+def replay(name: str, directory: Path) -> tuple[int, str, str]:
+    """Run one golden command with its inputs written into the directory."""
+    for file, text in INPUTS.items():
+        (directory / file).write_text(text, encoding="utf-8")
+    argv = [str(directory / a) if a in INPUTS else a for a in COMMANDS[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_the_golden(name, tmp_path):
+    code, out, err = replay(name, tmp_path)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            code, out, err = replay(name, Path(tmp))
+            if code != 0 or err:
+                sys.exit(f"{name}: exit {code}: {err}")
+            (GOLDEN_DIR / f"{name}.out").write_text(out, encoding="utf-8")
+            print(f"{name}: {len(out.splitlines())} lines")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from cantorsim.streams import (
     real_from_ce_set,
     stage_set,
     truncate_pad,
+    words_below,
 )
 
 
@@ -153,6 +155,23 @@ class TestLeftCEApprox:
     def test_constant(self):
         r = LeftCEApprox.constant(dy("1/2^3"), 4)
         assert r.horizon == 4 and not r.empty_at(0)
+
+
+class TestWordsBelow:
+    def test_counts_the_words_strictly_below(self):
+        for exp in range(6):
+            for num in range((1 << exp) + 1):
+                x = Fraction(num, 1 << exp)
+                for n in range(8):
+                    below = sum(1 for v in range(1 << n) if Fraction(v, 1 << n) < x)
+                    assert words_below(num, exp, n) == below, (num, exp, n)
+
+    @given(st.integers(0, 1 << 10), st.integers(0, 12))
+    def test_the_cut_integer_fixes_every_shorter_count(self, num, length):
+        x = Dyadic(num, 10)
+        c = words_below(x.num, x.exp, length)
+        for n in range(length + 1):
+            assert words_below(c, length, n) == words_below(x.num, x.exp, n)
 
 
 class TestLowerCut:
