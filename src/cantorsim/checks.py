@@ -212,16 +212,15 @@ def random_dyadic_script(
     return EnumerationScript.from_events(events, horizon)
 
 
-def random_dyadic_trace(
-    rng: random.Random, max_stages: int = 8, max_exp: int = 6
-) -> list[Dyadic]:
-    """Stage values in [0, 1] that rise, repeat or drop at random."""
+def random_dyadic_trace(rng: random.Random) -> list[Dyadic]:
+    """Up to ten stage values in [0, 1], of denominator at most 2^7, that
+    rise, repeat or drop at random."""
     out: list[Dyadic] = []
-    for _ in range(rng.randint(1, max_stages)):
+    for _ in range(rng.randint(1, 10)):
         if out and rng.random() < 0.3:
             out.append(out[-1])
         else:
-            exp = rng.randint(0, max_exp)
+            exp = rng.randint(0, 7)
             out.append(Dyadic(rng.randint(0, 1 << exp), exp))
     return out
 
@@ -621,8 +620,6 @@ def check_constructions(
     merge_horizon: int = 100,
     odd_count: int = 300,
     beta_cases: int = 30,
-    delta_cases: int = 40,
-    picker_cases: int = 60,
     seed: int = 0,
 ) -> CheckReport:
     rep = CheckReport("constructions")
@@ -678,15 +675,15 @@ def check_constructions(
                 best = member.value(script.horizon)
         if trace.value_at(script.horizon) != best:
             rep.fail("beta horizon value is not the family maximum")
-    for _ in range(delta_cases):
+    for _ in range(40):
         rep.cases += 1
         values = random_dyadic_trace(rng)
-        length = rng.randint(0, 6)
+        length = rng.randint(0, 7)
         if list(cut_deltas(values, length)) != set_difference_deltas(values, length):
             shown = " ".join(v.render() for v in values)
             rep.fail(f"cut deltas of {shown} at length {length} differ from the set differences")
     pickers = {n: (odd_ones_picker(n), inclusion_odd_ones_picker(n)) for n in range(7)}
-    for _ in range(picker_cases):
+    for _ in range(60):
         rep.cases += 1
         length = rng.randint(0, 6)
         content = random_string_set(rng, length + 1, 4)

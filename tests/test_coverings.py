@@ -27,7 +27,6 @@ from cantorsim.errors import DomainError, ParseError
 from cantorsim.oracles import (
     brute_covering_families,
     brute_optimal_covering,
-    islice_covering_family,
     sibling_merge_closure,
 )
 from cantorsim.recipes import merge_covering_classes
@@ -137,11 +136,6 @@ class TestCoveringFamilies:
         for i, odd in lookups:
             family = odd_covering_family if odd else even_covering_family
             assert family(i) == reference[odd][i], (i, odd)
-
-    @pytest.mark.parametrize("i", [0, 1, 2, 16, 17, 300, 719, 720])
-    def test_indexed_families_match_the_islice_lookup(self, i):
-        assert odd_covering_family(i) == islice_covering_family(i, odd=True)
-        assert even_covering_family(i) == islice_covering_family(i, odd=False)
 
     def test_negative_index_is_a_domain_error(self):
         for family in (odd_covering_family, even_covering_family):

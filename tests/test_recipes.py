@@ -40,6 +40,7 @@ from cantorsim.recipes import (
     odd_ones_picker,
 )
 from cantorsim.streams import EnumerationScript, real_from_ce_set
+from test_golden import INPUTS
 
 
 class TestCutDeltas:
@@ -47,7 +48,7 @@ class TestCutDeltas:
         rng = random.Random(41)
         drops = 0
         for _ in range(300):
-            values = random_dyadic_trace(rng, max_stages=10, max_exp=7)
+            values = random_dyadic_trace(rng)
             length = rng.randint(0, 7)
             drops += any(b < a for a, b in zip(values, values[1:]))
             assert list(cut_deltas(values, length)) == set_difference_deltas(values, length)
@@ -127,16 +128,10 @@ class TestOddOnesPicker:
 
 class TestRecipes:
     def test_boundary_merge_matches_the_set_pipeline(self):
-        script = EnumerationScript.parse(
-            "".join(
-                f"{s}\t{e}\tdyadic\t{num}/2^3\n"
-                for s, e, num in [(2, 0, 3), (5, 1, 5), (8, 2, 6), (11, 3, 3), (14, 4, 5),
-                                  (21, 3, 5), (24, 4, 6)]
-            ),
-            horizon=30,
-        )
-        machine = PrefixMachine.parse("00\t-\t0\n010\t01\t0\n10\t01\t10\n")
+        # The golden recipe inputs, at a shorter length than the golden's.
         length, horizon = 6, 30
+        script = EnumerationScript.parse(INPUTS["script.tsv"], horizon=horizon)
+        machine = PrefixMachine.parse(INPUTS["machine.tsv"])
         for mirror in (False, True):
             events = []
             for j, e in enumerate(script.indices()):
