@@ -213,14 +213,14 @@ def random_dyadic_script(
 
 
 def random_dyadic_trace(rng: random.Random) -> list[Dyadic]:
-    """Up to ten stage values in [0, 1], of denominator at most 2^7, that
+    """Up to eight stage values in [0, 1], of denominator at most 2^6, that
     rise, repeat or drop at random."""
     out: list[Dyadic] = []
-    for _ in range(rng.randint(1, 10)):
+    for _ in range(rng.randint(1, 8)):
         if out and rng.random() < 0.3:
             out.append(out[-1])
         else:
-            exp = rng.randint(0, 7)
+            exp = rng.randint(0, 6)
             out.append(Dyadic(rng.randint(0, 1 << exp), exp))
     return out
 
@@ -678,7 +678,7 @@ def check_constructions(
     for _ in range(40):
         rep.cases += 1
         values = random_dyadic_trace(rng)
-        length = rng.randint(0, 7)
+        length = rng.randint(0, 6)
         if list(cut_deltas(values, length)) != set_difference_deltas(values, length):
             shown = " ".join(v.render() for v in values)
             rep.fail(f"cut deltas of {shown} at length {length} differ from the set differences")
