@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .classes import (
     Tree,
@@ -83,6 +83,7 @@ from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_s
 __all__ = [
     "CheckReport",
     "SUITES",
+    "Suite",
     "build_scenario",
     "check_classes",
     "check_complexity",
@@ -373,13 +374,7 @@ def _group_classes(seq, key):
     return [members for _, members in out]
 
 
-def check_dyadic(
-    max_len: int = 10,
-    order_len: int = 9,
-    sets: int = 200,
-    max_set_len: int = 6,
-    seed: int = 0,
-) -> CheckReport:
+def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckReport:
     rep = CheckReport("dyadic")
     for s in strings_up_to(max_len):
         if len(s) and s.bits[-1] != "1":
@@ -394,17 +389,15 @@ def check_dyadic(
             q = Dyadic(num, exp)
             if string_of_rational(q) != greedy_expansion(q):
                 rep.fail(f"expansion of {q} disagrees with the greedy oracle")
-    strs = list(strings_up_to(order_len))
-    by_lex = _group_classes(
-        sorted(strs, key=lambda s: s.padded(order_len)), key=lambda s: s.padded(order_len)
-    )
+    strs = list(strings_up_to(9))
+    by_lex = _group_classes(sorted(strs, key=lambda s: s.padded(9)), key=lambda s: s.padded(9))
     by_val = _group_classes(
         sorted(strs, key=lambda s: rational_of_string(s).as_fraction()),
         key=lambda s: rational_of_string(s).as_fraction(),
     )
     rep.cases += 1
     if by_lex != by_val:
-        rep.fail(f"order transport broken at length {order_len}")
+        rep.fail("order transport broken at length 9")
     for a in strings_up_to(5):
         for b in strings_up_to(5):
             rep.cases += 1
@@ -415,7 +408,7 @@ def check_dyadic(
     rng = random.Random(seed)
     for _ in range(sets):
         rep.cases += 1
-        sset = random_string_set(rng, max_set_len, 8)
+        sset = random_string_set(rng, 6, 8)
         mu = prefix_set_measure(sset)
         total = ZERO
         for member in optimal_covering(sset):
@@ -433,12 +426,9 @@ def check_coverings(
     depth: int = 3,
     max_size: int = 3,
     random_sets: int = 300,
-    random_depth: int = 5,
     filter_sets: int = 100,
-    filter_depth: int = 8,
     listings: int = 40,
     family_count: int = 100,
-    family_bits: int = 10,
     seed: int = 0,
     covering_impl: Callable[[Iterable[BitString]], Antichain] | None = None,
 ) -> CheckReport:
@@ -453,15 +443,15 @@ def check_coverings(
     rng = random.Random(seed)
     for _ in range(random_sets):
         rep.cases += 1
-        sset = random_string_set(rng, random_depth, 6)
+        sset = random_string_set(rng, 5, 6)
         if impl(sset) != brute_optimal_covering(sset):
             rep.fail(f"covering of {sorted(s.bits for s in sset)}")
     for _ in range(filter_sets):
         rep.cases += 1
         y = random_string_set(rng, 4, 6)
-        closure = sibling_merge_closure(y, filter_depth)
+        closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
-        for t in strings_up_to(filter_depth):
+        for t in strings_up_to(8):
             if anti.covers(t) != (t in closure):
                 rep.fail(f"filter closure of {sorted(s.bits for s in y)} differs at {t}")
                 break
@@ -499,7 +489,7 @@ def check_coverings(
     count = 0
     seen: set[Antichain] = set()
     for a in covering_antichains(odd=True):
-        if a.total_bits() > family_bits or count >= family_count:
+        if a.total_bits() > 10 or count >= family_count:
             break
         count += 1
         rep.cases += 1
@@ -526,14 +516,7 @@ def check_coverings(
     return rep
 
 
-def check_complexity(
-    machines: int = 20,
-    tree_checks: int = 3,
-    depth: int = 12,
-    tree_depth: int = 9,
-    padding_targets: int = 30,
-    seed: int = 0,
-) -> CheckReport:
+def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> CheckReport:
     rep = CheckReport("complexity")
     rng = random.Random(seed)
     for mi in range(machines):
@@ -576,11 +559,11 @@ def check_complexity(
                 rep.cases += 1
                 table = machine.halted_complexities(t)
                 failing = [
-                    BitString(b) for b, k in table.items() if k < len(b) - c and len(b) <= depth
+                    BitString(b) for b, k in table.items() if k < len(b) - c and len(b) <= 12
                 ]
                 if not prefix_set_measure(failing) <= omega_approx(machine, t).scaled(c):
                     rep.fail(f"machine {mi}: measure bound broken at c={c}, t={t}")
-        if mi < tree_checks:
+        if mi < 3:
             c = rng.randrange(3)
             t = stages[-1]
             tree = randomness_class_tree(machine, c, t, tree_depth)
@@ -593,7 +576,7 @@ def check_complexity(
             via_paths = Dyadic(len(paths_at_depth(tree, tree_depth)), tree_depth)
             if direct != via_paths:
                 rep.fail(f"machine {mi}: tree paths disagree with the complement measure")
-    for target in range(padding_targets + 1):
+    for target in range(31):
         rep.cases += 1
         p = compute_padding(target, 0)
         if not padding_holds(p, target):
@@ -615,13 +598,7 @@ def _pick(
         return str(exc)
 
 
-def check_constructions(
-    merge_cases: int = 25,
-    merge_horizon: int = 100,
-    odd_count: int = 300,
-    beta_cases: int = 30,
-    seed: int = 0,
-) -> CheckReport:
+def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
     rep = CheckReport("constructions")
     for sc in SCENARIOS:
         rep.cases += 1
@@ -639,13 +616,13 @@ def check_constructions(
     rng = random.Random(seed)
     for ci in range(merge_cases):
         rep.cases += 1
-        case = make_merge_case(rng, horizon=merge_horizon)
+        case = make_merge_case(rng, horizon=100)
         out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
         for e in verify_merge(out, case):
             rep.fail(f"merge case {ci}: {e}")
     seen_odd: set[BitString] = set()
     prev_key = (-1, "")
-    for i in range(odd_count):
+    for i in range(300):
         rep.cases += 1
         s = odd_ones_real_enumeration(i)
         if s in seen_odd:
@@ -660,7 +637,7 @@ def check_constructions(
         rep.cases += 1
         if odd_ones_real_enumeration(i) != want:
             rep.fail(f"odd-ones listing gives {odd_ones_real_enumeration(i)} at {i}, not {want}")
-    for _ in range(beta_cases):
+    for _ in range(30):
         rep.cases += 1
         script = random_dyadic_script(rng)
         family = [real_from_ce_set(script, e) for e in script.indices()]
@@ -695,17 +672,10 @@ def check_constructions(
     return rep
 
 
-def check_classes(
-    diag_suites: int = 15,
-    diag_depth: int = 10,
-    capped_scripts: int = 50,
-    cap_depth: int = 6,
-    oracle_cases: int = 20,
-    seed: int = 0,
-) -> CheckReport:
+def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0) -> CheckReport:
     rep = CheckReport("classes")
     rng = random.Random(seed)
-    for si in range(diag_suites):
+    for si in range(15):
         rep.cases += 1
         trees = diagonal_suite(rng, rng.randint(1, min(8, diag_depth - 1)), diag_depth)
         taus = graft_points(trees, diag_depth)
@@ -716,8 +686,9 @@ def check_classes(
                 rep.fail(f"suite {si}: no combined path through graft {n}")
             if any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], diag_depth)):
                 rep.fail(f"suite {si}: tree {n} still meets its graft cone")
+    all_paths = {p.bits for p in paths_at_depth(Tree.full(6), 6)}
     for ci in range(capped_scripts):
-        script = random_string_script(rng, max_len=cap_depth)
+        script = random_string_script(rng, max_len=6)
         for n in range(1, 9):
             rep.cases += 1
             cap = Fraction(n - 1, n)
@@ -737,14 +708,11 @@ def check_classes(
                 if n == 1 and replay.final():
                     rep.fail(f"script {ci}: cap 1 admitted a string for index {e}")
                 final = replay.final()
-                complement = tree_of_complement(final, cap_depth)
-                open_side = expansion_at_depth(final, cap_depth)
-                leftover = {
-                    p.bits for p in paths_at_depth(Tree.full(cap_depth), cap_depth)
-                } - set(open_side)
-                if leftover != {p.bits for p in paths_at_depth(complement, cap_depth)}:
+                complement = tree_of_complement(final, 6)
+                leftover = all_paths - set(expansion_at_depth(final, 6))
+                if leftover != {p.bits for p in paths_at_depth(complement, 6)}:
                     rep.fail(f"script {ci}: complement view broken for index {e}")
-    for oi in range(oracle_cases):
+    for oi in range(20):
         rep.cases += 1
         halted = optimal_covering(random_string_set(rng, 5, 4, 1))
         budgets = {m.bits: len(m) + rng.randint(0, 2) for m in halted}
@@ -765,16 +733,35 @@ def check_classes(
     return rep
 
 
-SUITES: dict[str, Callable[..., CheckReport]] = {
-    "dyadic": check_dyadic,
-    "coverings": check_coverings,
-    "complexity": check_complexity,
-    "constructions": check_constructions,
-    "classes": check_classes,
+class Suite(NamedTuple):
+    """A `check` suite: its function, and the parameter of that function
+    that each `check` flag it takes sets, by flag name."""
+
+    run: Callable[..., CheckReport]
+    params: dict[str, str]
+
+
+SUITES: dict[str, Suite] = {
+    "dyadic": Suite(check_dyadic, {"cases": "sets", "len": "max_len"}),
+    "coverings": Suite(check_coverings, {"cases": "random_sets", "depth": "depth"}),
+    "complexity": Suite(check_complexity, {"cases": "machines", "depth": "tree_depth"}),
+    "constructions": Suite(check_constructions, {"cases": "merge_cases"}),
+    "classes": Suite(check_classes, {"cases": "capped_scripts", "depth": "diag_depth"}),
 }
 
 
-def run_suite(name: str, **kwargs) -> CheckReport:
+def run_suite(name: str, seed: int = 0, **flags: int | None) -> CheckReport:
+    """Run the named suite with the seed.  Each flag given (`cases`, `depth`
+    or `len`; None is not given) sets the suite parameter SUITES names for
+    it; a flag the suite does not take is an input error."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    suite = SUITES[name]
+    kwargs = {}
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        if flag not in suite.params:
+            raise InputError(f"suite {name} takes no --{flag}")
+        kwargs[suite.params[flag]] = value
+    return suite.run(seed=seed, **kwargs)

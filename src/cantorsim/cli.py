@@ -17,12 +17,14 @@ event and a footer `# index e: measure … frozen …`, where frozen is the stag
 of the first refusal or `never`.
 
 The `run` constructions, their flags and their builders are declared in
-`runs`.  `check` passes `--cases`, `--depth` and `--len` on to the suite
-parameters that `_CHECK_PARAM_MAP` names; a given flag the suite does not
-take is an input error.
+`runs`.  The `check` suites are declared in `checks.SUITES`, each with the
+suite parameter that `--cases`, `--depth` and `--len` set; a given flag the
+suite does not take is an input error.  Every count, length, depth, horizon,
+constant and index flag takes an integer ≥ 0; only `--seed` may be negative.
 
-Exit codes: 0 success, 1 check failure, 2 input error, 3 precondition or
-capacity error.
+Exit codes: 0 success, 1 check failure; each package error class declares
+its own code and label in `errors` (2 input error, 3 precondition error), and
+an unreadable or unwritable file is an input error.
 """
 
 from __future__ import annotations
@@ -32,17 +34,8 @@ import sys
 from typing import Sequence
 
 from .checks import run_suite
-from .errors import (
-    CapacityError,
-    CantorsimError,
-    ContractViolationError,
-    DomainError,
-    InputError,
-    ParseError,
-    PreconditionError,
-    RangeError,
-)
-from .runs import add_run_command, build
+from .errors import CantorsimError
+from .runs import add_run_command, build, natural
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check = top.add_parser("check", help="run a brute-force oracle suite")
     check.add_argument("suite")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--cases", type=int, default=None)
-    check.add_argument("--depth", type=int, default=None)
-    check.add_argument("--len", type=int, default=None, dest="length")
+    check.add_argument("--cases", type=natural, default=None)
+    check.add_argument("--depth", type=natural, default=None)
+    check.add_argument("--len", type=natural, default=None, dest="length")
     check.add_argument("--out", default=None)
     return parser
 
@@ -63,29 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-_CHECK_PARAM_MAP = {
-    "dyadic": {"cases": "sets", "length": "max_len"},
-    "coverings": {"cases": "random_sets", "depth": "depth"},
-    "complexity": {"cases": "machines", "depth": "tree_depth"},
-    "constructions": {"cases": "merge_cases"},
-    "classes": {"cases": "capped_scripts", "depth": "diag_depth"},
-}
-
-
-def _dispatch_check(args: argparse.Namespace) -> tuple[int, list[str]]:
-    kwargs: dict[str, int] = {"seed": args.seed}
-    mapping = _CHECK_PARAM_MAP.get(args.suite)
-    for flag, option in (("cases", "--cases"), ("depth", "--depth"), ("length", "--len")):
-        value = getattr(args, flag)
-        if value is None or mapping is None:
-            continue
-        if flag not in mapping:
-            raise InputError(f"suite {args.suite} takes no {option}")
-        kwargs[mapping[flag]] = value
-    report = run_suite(args.suite, **kwargs)
-    return (0 if report.ok else 1), report.lines()
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -104,20 +74,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             _emit(build(args, _read).lines, args.out)
             return 0
-        code, lines = _dispatch_check(args)
-        _emit(lines, args.out)
-        return code
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, InputError, RangeError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, CapacityError, ContractViolationError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 3
+        report = run_suite(
+            args.suite, seed=args.seed, cases=args.cases, depth=args.depth, len=args.length
+        )
+        _emit(report.lines(), args.out)
+        return 0 if report.ok else 1
     except CantorsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.code
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

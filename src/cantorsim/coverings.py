@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .dyadic import Antichain, BitString, all_strings, is_acceptable, optimal_covering
+from .dyadic import Antichain, BitString, all_strings, optimal_covering
 from .errors import DomainError, ParseError, RangeError, records
 
 __all__ = [
@@ -92,9 +92,9 @@ def star_construction(
         case = "-"
         if ok:
             goods.append(n)
-            if is_acceptable(consumed):
+            if len(cov) % 2 == 0:  # the consumed prefix is acceptable
                 case = "a"
-                family = optimal_covering(cov.members)
+                family = cov  # a reduced antichain is its own covering
             else:
                 case = "b"
                 family = optimal_covering(tuple(cov.members) + (sigma,))

@@ -1,5 +1,13 @@
-"""Exception types shared across the package, which the CLI maps to exit
-codes, and the line reader behind every text input format."""
+"""Exception types shared across the package, and the line reader behind
+every text input format.
+
+Each error class declares the label and exit code the CLI reports it with:
+
+- 2, "input error": ParseError (with PrefixFreeViolation and KraftViolation),
+  DomainError, RangeError and InputError;
+- 3, "precondition error": PreconditionError, CapacityError and
+  ContractViolationError.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,11 @@ from typing import Iterator
 
 
 class CantorsimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  The CLI prints `label: message`
+    to stderr and exits with code."""
+
+    code = 2
+    label = "input error"
 
 
 class ParseError(CantorsimError):
@@ -55,10 +67,19 @@ class InputError(CantorsimError):
 class PreconditionError(CantorsimError):
     """A construction's hypotheses do not hold for the given inputs."""
 
+    code = 3
+    label = "precondition error"
+
 
 class CapacityError(CantorsimError):
     """A construction ran out of output slots before the horizon."""
 
+    code = 3
+    label = "precondition error"
+
 
 class ContractViolationError(CantorsimError):
     """A caller-supplied generator or picker failed to honour its contract."""
+
+    code = 3
+    label = "precondition error"

@@ -38,7 +38,7 @@ from .oracles import brute_k_approx, brute_omega_approx, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
-__all__ = ["RUNS", "Replay", "Run", "add_run_command", "build", "replay"]
+__all__ = ["RUNS", "Replay", "Run", "add_run_command", "build", "natural", "replay"]
 
 Read = Callable[[str], str]
 
@@ -72,9 +72,10 @@ def _run(name: str, **flags: dict):
     return register
 
 
-def _natural(text: str) -> int:
-    """argparse type of a count or length: an integer ≥ 0.  A non-integer
-    gets argparse's own `invalid int value` message."""
+def natural(text: str) -> int:
+    """argparse type of every integer flag but the seed (counts, lengths,
+    horizons, constants, indices): an integer ≥ 0.  A non-integer gets
+    argparse's own `invalid int value` message."""
     try:
         value = int(text)
     except ValueError:
@@ -85,10 +86,9 @@ def _natural(text: str) -> int:
 
 
 _PATH = {"required": True}
-_INT = {"type": int, "required": True}
-_COUNT = {"type": _natural, "required": True}
-_LEN = {"type": _natural, "required": True, "dest": "length"}
-_INDEX = {"type": int, "default": 0}
+_NATURAL = {"type": natural, "required": True}
+_NATURAL_0 = {"type": natural, "default": 0}
+_LEN = {"type": natural, "required": True, "dest": "length"}
 _SWITCH = {"action": "store_true"}
 
 
@@ -134,7 +134,7 @@ def _script_lines(script: EnumerationScript) -> list[str]:
     return script.render().splitlines()
 
 
-@_run("splice", script=_PATH, machine=_PATH, c=_INT, horizon=_INT, index=_INDEX)
+@_run("splice", script=_PATH, machine=_PATH, c=_NATURAL, horizon=_NATURAL, index=_NATURAL_0)
 def _splice(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     machine = _machine(read, a.machine)
@@ -192,7 +192,8 @@ def verify_splice(
     return errs
 
 
-@_run("hatm", script=_PATH, machine=_PATH, k=_INT, horizon=_INT, index=_INDEX, mirror=_SWITCH)
+@_run("hatm", script=_PATH, machine=_PATH, k=_NATURAL, horizon=_NATURAL, index=_NATURAL_0,
+      mirror=_SWITCH)
 def _hatm(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     machine = _machine(read, a.machine)
@@ -258,10 +259,10 @@ def verify_hatm(
     "regret",
     script=_PATH,
     machine=_PATH,
-    c=_INT,
-    horizon=_INT,
-    c_tilde={"type": int, "default": 0},
-    max_slots={"type": int, "default": None},
+    c=_NATURAL,
+    horizon=_NATURAL,
+    c_tilde=_NATURAL_0,
+    max_slots={"type": natural, "default": None},
 )
 def _regret(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
@@ -318,7 +319,7 @@ def verify_regret(
     return errs
 
 
-@_run("beta", script=_PATH, horizon=_INT)
+@_run("beta", script=_PATH, horizon=_NATURAL)
 def _beta(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     family = [real_from_ce_set(script, e) for e in script.indices()]
@@ -330,7 +331,7 @@ def _beta(a: argparse.Namespace, read: Read) -> Replay:
     )
 
 
-@_run("star", listing=_PATH, horizon=_INT)
+@_run("star", listing=_PATH, horizon=_NATURAL)
 def _star(a: argparse.Namespace, read: Read) -> Replay:
     snaps = star_construction(parse_listing(read(a.listing), source=a.listing), a.horizon)
     return Replay(
@@ -339,7 +340,7 @@ def _star(a: argparse.Namespace, read: Read) -> Replay:
     )
 
 
-@_run("capped", script=_PATH, cap_n=_INT, horizon=_INT)
+@_run("capped", script=_PATH, cap_n=_NATURAL, horizon=_NATURAL)
 def _capped(a: argparse.Namespace, read: Read) -> Replay:
     replays = measure_capped_enumeration(_script(read, a.script, a.horizon), a.cap_n, a.horizon)
     lines = [f"# indices: {len(replays)}"]
@@ -359,7 +360,7 @@ def _capped(a: argparse.Namespace, read: Read) -> Replay:
 @_run(
     "diagonalize",
     tree={"action": "append", "required": True, "help": "repeat per tree"},
-    depth=_INT,
+    depth=_NATURAL,
 )
 def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     trees = [Tree.parse(read(path), depth=a.depth, source=path) for path in a.tree]
@@ -374,7 +375,7 @@ def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     "merge",
     l2=_PATH,
     l1_sets={"required": True, "help": "file with one string set per line"},
-    horizon=_INT,
+    horizon=_NATURAL,
 )
 def _merge(a: argparse.Namespace, read: Read) -> Replay:
     """--l1-sets holds one set per line as whitespace-separated strings; the
@@ -404,7 +405,8 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
 
 
 @_run(
-    "friedberg-reals", script=_PATH, machine=_PATH, k=_INT, len=_LEN, horizon=_INT, mirror=_SWITCH
+    "friedberg-reals", script=_PATH, machine=_PATH, k=_NATURAL, len=_LEN, horizon=_NATURAL,
+    mirror=_SWITCH,
 )
 def _friedberg_reals(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
@@ -417,7 +419,7 @@ def _friedberg_reals(a: argparse.Namespace, read: Read) -> Replay:
     "friedberg-classes",
     listing={"action": "append", "required": True},
     len=_LEN,
-    horizon=_INT,
+    horizon=_NATURAL,
     no_acceptable_stream=_SWITCH,
 )
 def _friedberg_classes(a: argparse.Namespace, read: Read) -> Replay:
@@ -431,20 +433,20 @@ def _friedberg_classes(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(out, _script_lines(out))
 
 
-@_run("omega", machine=_PATH, horizon=_INT)
+@_run("omega", machine=_PATH, horizon=_NATURAL)
 def _omega(a: argparse.Namespace, read: Read) -> Replay:
     machine = _machine(read, a.machine)
     values = [omega_approx(machine, s) for s in range(a.horizon + 1)]
     return Replay(values, [f"{s}\t{v.render()}" for s, v in enumerate(values)])
 
 
-@_run("oddones", count=_COUNT)
+@_run("oddones", count=_NATURAL)
 def _oddones(a: argparse.Namespace, read: Read) -> Replay:
     strings = [odd_ones_real_enumeration(i) for i in range(a.count)]
     return Replay(strings, [f"{i}\t{s}" for i, s in enumerate(strings)])
 
 
-@_run("coverfamily", count=_COUNT, parity={"choices": ("odd", "even"), "default": "odd"})
+@_run("coverfamily", count=_NATURAL, parity={"choices": ("odd", "even"), "default": "odd"})
 def _coverfamily(a: argparse.Namespace, read: Read) -> Replay:
     fam = odd_covering_family if a.parity == "odd" else even_covering_family
     families = [fam(i) for i in range(a.count)]

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
 
 import pytest
 
-from cantorsim.checks import build_scenario, check_coverings
+from cantorsim.checks import SUITES, build_scenario, check_coverings
 from cantorsim.cli import main
 from cantorsim.dyadic import Antichain, BitString
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
@@ -82,8 +83,27 @@ class TestErrors:
               "--k", "2", "--len", "-1", "--horizon", "3"], "--len", -1),
             (["run", "friedberg-classes", "--listing", "l_star.txt", "--len", "-1",
               "--horizon", "3"], "--len", -1),
+            (["run", "omega", "--machine", "m_splice.tsv", "--horizon", "-1"], "--horizon", -1),
+            (["run", "splice", "--script", "s_flat.tsv", "--machine", "m_splice.tsv",
+              "--c", "-1", "--horizon", "4"], "--c", -1),
+            (["run", "splice", "--script", "s_flat.tsv", "--machine", "m_splice.tsv",
+              "--c", "0", "--horizon", "4", "--index", "-1"], "--index", -1),
+            (["run", "hatm", "--script", "s_flat.tsv", "--machine", "m_hatm.tsv",
+              "--k", "-1", "--horizon", "4"], "--k", -1),
+            (["run", "regret", "--script", "s_regret_dup.tsv", "--machine", "m_splice.tsv",
+              "--c", "1", "--horizon", "12", "--max-slots", "-1"], "--max-slots", -1),
+            (["run", "regret", "--script", "s_flat.tsv", "--machine", "m_splice.tsv",
+              "--c", "1", "--horizon", "4", "--c-tilde", "-2"], "--c-tilde", -2),
+            (["run", "capped", "--script", "s_capped.tsv", "--cap-n", "-1", "--horizon", "5"],
+             "--cap-n", -1),
+            (["run", "diagonalize", "--tree", "t_beta.txt", "--depth", "-1"], "--depth", -1),
+            (["check", "dyadic", "--len", "-1"], "--len", -1),
+            (["check", "classes", "--cases", "-2"], "--cases", -2),
+            (["check", "coverings", "--depth", "-1"], "--depth", -1),
         ],
-        ids=["oddones", "coverfamily", "friedberg-reals", "friedberg-classes"],
+        ids=["oddones", "coverfamily", "friedberg-reals", "friedberg-classes", "omega-horizon",
+             "splice-c", "splice-index", "hatm-k", "regret-max-slots", "regret-c-tilde",
+             "capped-cap-n", "diagonalize-depth", "check-len", "check-cases", "check-depth"],
     )
     def test_negative_count_or_length_is_rejected(self, fixture_dir, capsys, argv, flag, value):
         with pytest.raises(SystemExit) as info:
@@ -285,6 +305,13 @@ class TestCheckCommand:
         )
         assert not report.ok
         assert any("covering" in line for line in report.lines())
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_flag_sets_a_parameter_of_its_suite(self, name):
+        suite = SUITES[name]
+        params = inspect.signature(suite.run).parameters
+        assert set(suite.params) <= {"cases", "depth", "len"}
+        assert all(param in params for param in suite.params.values())
 
     def test_check_reports_are_deterministic(self, run):
         code1, out1, _ = run(["check", "coverings", "--depth", "2", "--cases", "30"])

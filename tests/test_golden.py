@@ -1,9 +1,11 @@
-"""Golden stdout of the listing and Friedberg-recipe commands.
+"""Golden stdout of the listing and Friedberg-recipe commands, of every
+`check` suite at its default bounds and of every scenario.
 
 Each file under fixtures/golden/ is the stdout of one command below; the
-test replays the command and compares bytes.  The inputs are written into
-the test's own directory.  To rewrite the goldens after a deliberate output
-change, run this file as a script from the repository root.
+test replays the command and compares bytes.  The inputs and the scenario
+fixtures are written into the test's own directory.  To rewrite the goldens
+after a deliberate output change, run this file as a script from the
+repository root.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from cantorsim.checks import SUITES
 from cantorsim.cli import main
+from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS, write_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
 
@@ -52,14 +56,18 @@ COMMANDS = {
     "friedberg-reals-mirror": _REALS + ["--mirror"],
     "friedberg-classes": _CLASSES,
     "friedberg-classes-no-acceptable-stream": _CLASSES + ["--no-acceptable-stream"],
+    **{f"check-{suite}": ["check", suite] for suite in SUITES},
+    **{f"scenario-{sc.name}": list(sc.argv) for sc in SCENARIOS},
 }
 
 
 def replay(name: str, directory: Path) -> tuple[int, str, str]:
     """Run one golden command with its inputs written into the directory."""
+    write_fixtures(str(directory))
     for file, text in INPUTS.items():
         (directory / file).write_text(text, encoding="utf-8")
-    argv = [str(directory / a) if a in INPUTS else a for a in COMMANDS[name]]
+    files = INPUTS.keys() | FIXTURE_FILES.keys()
+    argv = [str(directory / a) if a in files else a for a in COMMANDS[name]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
