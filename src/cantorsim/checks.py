@@ -251,13 +251,10 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
     corresponding base dead ends."""
     if depth < n_trees + 1:
         raise InputError("depth too small for the requested suite")
-    spine = "".join(rng.choice("01") for _ in range(depth))
-    nodes = {spine[:i] for i in range(depth + 1)}
+    spine = BitString("".join(rng.choice("01") for _ in range(depth)))
     extra = rng.randint(0, min(2, depth - 1 - n_trees))
-    for i in rng.sample(range(1, depth), n_trees + extra):
-        sib = spine[: i - 1] + ("1" if spine[i - 1] == "0" else "0")
-        nodes.add(sib)
-    base = Tree(frozenset(BitString(b) for b in nodes), depth)
+    sibs = [spine.take(i).sibling() for i in rng.sample(range(1, depth), n_trees + extra)]
+    base = Tree.closure_of([spine, *sibs], depth)
     ends = dead_ends(base)
     trees = [base]
     for n in range(1, n_trees):

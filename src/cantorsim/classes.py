@@ -1,18 +1,27 @@
-"""Depth-bounded prefix-closed trees and class-level operations on them.
+"""Depth-bounded trees and class-level operations on them.
 
-A tree approximates a closed subset of Cantor space by its nodes up to a
-uniform depth bound; its depth-D "paths" are the length-D nodes.  Dead ends
-are judged strictly below the bound so truncation is never mistaken for a
-genuine leaf.
+A tree approximates a Π⁰₁ class, the complement of an effectively open set,
+up to a uniform depth bound.  It is stored as that bound and its exits: the
+minimal strings of length ≤ depth that are not nodes, so the open set's
+cones as far as the bound sees them.  A node is a string of length ≤ depth
+with no exit as a prefix; the full tree has no exits and the empty tree has
+the one exit ε.  Its depth-D "paths" are the length-D nodes.
+
+A dead end is a node strictly below the bound with neither child a node.
+Its children are not nodes, yet every proper prefix of either is, so both
+are exits: the dead ends are exactly the parents of two sibling exits.
+Judging them strictly below the bound means truncation is never mistaken
+for a genuine leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .dyadic import BitString, prefix_set_measure, strings_up_to
+from .dyadic import EMPTY, BitString, all_strings, minimal_strings, prefix_set_measure, strings_up_to
 from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError, records
 from .streams import EnumerationScript
 
@@ -31,40 +40,50 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tree:
-    """A finite prefix-closed set of nodes, all of length ≤ depth."""
+    """A tree stored as its depth bound and its exits, the minimal strings of
+    length ≤ depth that are not nodes; its nodes are the strings of length
+    ≤ depth that extend no exit.  The exits form an antichain; `Tree(depth)`
+    is the full tree and `Tree(depth, frozenset([EMPTY]))` the empty one.  A
+    dead end's children have only nodes as proper prefixes, so they are
+    exits: the dead ends are the parents of two sibling exits."""
 
-    nodes: frozenset[BitString]
     depth: int
+    exits: frozenset[BitString] = frozenset()
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise DomainError("depth must be ≥ 0")
-        bits = {n.bits for n in self.nodes}
-        for b in bits:
+        bits = {e.bits for e in self.exits}
+        for b in sorted(bits, key=lambda b: (len(b), b)):
             if len(b) > self.depth:
-                raise DomainError(f"node {b} longer than depth bound {self.depth}")
-            if b and b[:-1] not in bits:
-                raise DomainError(f"not prefix-closed: {b} present without {b[:-1] or 'ε'}")
+                raise DomainError(f"exit {b or 'ε'} longer than depth bound {self.depth}")
+            for i in range(len(b)):
+                if b[:i] in bits:
+                    raise DomainError(f"exit {b} extends exit {b[:i] or 'ε'}")
 
     @classmethod
     def full(cls, depth: int) -> "Tree":
-        return cls(frozenset(strings_up_to(depth)), depth)
+        return cls(depth)
 
     @classmethod
     def closure_of(cls, strings: Iterable[BitString], depth: int) -> "Tree":
-        """Prefix closure of the given strings, truncated at the depth bound."""
+        """Prefix closure of the given strings, truncated at the depth bound:
+        its exits are the children of its nodes that are not nodes, or ε
+        when there is no node."""
         bits: set[str] = set()
         for s in strings:
             b = s.bits[:depth]
-            for i in range(len(b) + 1):
-                bits.add(b[:i])
-        return cls(frozenset(BitString(b) for b in bits), depth)
+            bits.update(b[:i] for i in range(len(b) + 1))
+        if not bits:
+            return cls(depth, frozenset([EMPTY]))
+        exits = {b + c for b in bits if len(b) < depth for c in "01"} - bits
+        return cls(depth, frozenset(BitString(b) for b in exits))
 
     @classmethod
     def parse(cls, text: str, depth: int | None = None, source: str = "<tree>") -> "Tree":
         """One node per line (0/1 word); the ε line for the root is optional
         when any node is listed.  Rejects non-prefix-closed input naming the
-        offending node."""
+        length-lexicographically least offending node."""
         bits: set[str] = set()
         for lineno, (line,) in records(text, sep=None):
             try:
@@ -75,20 +94,21 @@ class Tree:
             bits.add("")
         if depth is None:
             depth = max((len(b) for b in bits), default=0)
-        for b in sorted(bits, key=len):
+        for b in sorted(bits, key=lambda b: (len(b), b)):
             if b and b[:-1] not in bits:
                 raise ParseError(f"not prefix-closed: node {b} lacks {b[:-1] or 'ε'}", source=source)
             if len(b) > depth:
                 raise ParseError(f"node {b} longer than depth bound {depth}", source=source)
-        return cls(frozenset(BitString(b) for b in bits), depth)
+        return cls.closure_of((BitString(b) for b in bits), depth)
 
     @classmethod
     def load(cls, path: str, depth: int | None = None) -> "Tree":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read(), depth=depth, source=path)
 
-    def has(self, s: BitString) -> bool:
-        return s in self.nodes
+    @cached_property
+    def nodes(self) -> frozenset[BitString]:
+        return frozenset(n for d in range(self.depth + 1) for n in paths_at_depth(self, d))
 
     def render(self) -> str:
         ordered = sorted(self.nodes, key=lambda n: n.lenlex_key)
@@ -96,21 +116,28 @@ class Tree:
 
 
 def paths_at_depth(tree: Tree, d: int) -> tuple[BitString, ...]:
-    """All length-d nodes (prefix closure guarantees their ancestry)."""
+    """All length-d nodes: the d-bit values outside every interval
+    [v·2^(d−|e|), (v+1)·2^(d−|e|)) of an exit e of value v and length ≤ d.
+    The exits are an antichain, so these intervals are disjoint."""
     if d < 0 or d > tree.depth:
         raise RangeError(f"depth {d} outside [0, {tree.depth}]")
-    return tuple(sorted((n for n in tree.nodes if len(n) == d), key=lambda n: n.lenlex_key))
+    spans = sorted(
+        (int(e.bits or "0", 2) << (d - len(e)), 1 << (d - len(e))) for e in tree.exits if len(e) <= d
+    )
+    out: list[BitString] = []
+    lo = 0
+    for start, width in spans:
+        out.extend(all_strings(d, lo, start))
+        lo = start + width
+    out.extend(all_strings(d, lo))
+    return tuple(out)
 
 
 def dead_ends(tree: Tree) -> tuple[BitString, ...]:
-    """Nodes strictly below the depth bound with no child in the tree,
-    listed length-lexicographically."""
-    out = [
-        n
-        for n in tree.nodes
-        if len(n) < tree.depth and not any(c in tree.nodes for c in n.children())
-    ]
-    return tuple(sorted(out, key=lambda n: n.lenlex_key))
+    """Nodes strictly below the depth bound with no child in the tree, the
+    parents of two sibling exits, listed length-lexicographically."""
+    ends = [e.parent() for e in tree.exits if e.bits.endswith("0") and e.sibling() in tree.exits]
+    return tuple(sorted(ends, key=lambda n: n.lenlex_key))
 
 
 def graft_points(trees: Sequence[Tree], depth: int) -> tuple[BitString, ...]:
@@ -154,15 +181,9 @@ def diagonalize(trees: Sequence[Tree], depth: int) -> Tree:
     misses it (the target extends one of its dead ends).
     """
     taus = graft_points(trees, depth)
-    base = trees[0]
-    bits = {n.bits for n in base.nodes}
-    for tau in taus:
-        for i in range(len(tau) + 1):
-            bits.add(tau.bits[:i])
-        for node in base.nodes:
-            if len(tau) + len(node) <= depth:
-                bits.add(tau.bits + node.bits)
-    return Tree(frozenset(BitString(b) for b in bits), depth)
+    base = trees[0].nodes
+    copies = [tau.cat(node) for tau in taus for node in base]
+    return Tree.closure_of([*base, *copies], depth)
 
 
 @dataclass(frozen=True)
@@ -225,19 +246,9 @@ def measure_capped_enumeration(
 
 def tree_of_complement(strings: Iterable[BitString], depth: int) -> Tree:
     """Nodes with no prefix among the given strings: the class left after
-    removing the covered cones."""
-    bits = {s.bits for s in strings}
-    keep: set[BitString] = set()
-    frontier = [""]
-    while frontier:
-        b = frontier.pop()
-        if b in bits:
-            continue
-        keep.add(BitString(b))
-        if len(b) < depth:
-            frontier.append(b + "0")
-            frontier.append(b + "1")
-    return Tree(frozenset(keep), depth)
+    removing the covered cones.  Its exits are the minimal given strings of
+    length ≤ depth."""
+    return Tree(depth, minimal_strings(s for s in strings if len(s) <= depth))
 
 
 def tree_from_halting_oracle(
@@ -245,13 +256,14 @@ def tree_from_halting_oracle(
 ) -> Tree:
     """Nodes on which the oracle has not yet halted within the length budget.
 
-    Sweeps length-lexicographically; a node kept under a dropped parent
-    witnesses a monotonicity violation and is reported as an input error.
+    Sweeps length-lexicographically; a string the oracle has not halted on
+    under a halted parent witnesses a monotonicity violation and is reported
+    as an input error.
     """
-    kept: set[str] = set()
+    halted: set[BitString] = set()
     for s in strings_up_to(depth):
-        if not oracle(s, e):
-            if s.bits and s.bits[:-1] not in kept:
-                raise InputError(f"oracle not monotone at {s}")
-            kept.add(s.bits)
-    return Tree(frozenset(BitString(b) for b in kept), depth)
+        if oracle(s, e):
+            halted.add(s)
+        elif s.bits and s.parent() in halted:
+            raise InputError(f"oracle not monotone at {s}")
+    return tree_of_complement(halted, depth)

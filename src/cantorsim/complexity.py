@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .classes import Tree
+from .classes import Tree, tree_of_complement
 from .dyadic import ZERO, BitString, Dyadic
 from .errors import DomainError, KraftViolation, ParseError, PrefixFreeViolation, records
 
@@ -205,33 +205,18 @@ def least_failing_length(machine: PrefixMachine, w: BitString, c: int, t: int) -
 
 def randomness_class_tree(machine: PrefixMachine, c: int, t: int, depth: int) -> Tree:
     """The depth-bounded tree of strings all of whose prefixes satisfy the
-    constant at stage t; shrinks as complexities drop."""
-    if depth < 0:
-        raise DomainError("depth must be ≥ 0")
+    constant at stage t; shrinks as complexities drop.  Its exits are the
+    minimal halted outputs of length ≤ depth that fail the constant,
+    K_t(σ) < |σ| − c."""
     table = machine.halted_complexities(t)
-
-    def ok(b: str) -> bool:
-        k = table.get(b)
-        return k is None or k >= len(b) - c
-
-    keep: set[str] = set()
-    frontier = [""]
-    while frontier:
-        b = frontier.pop()
-        if not ok(b):
-            continue
-        keep.add(b)
-        if len(b) < depth:
-            frontier.append(b + "0")
-            frontier.append(b + "1")
-    return Tree(frozenset(BitString(b) for b in keep), depth)
+    return tree_of_complement((BitString(b) for b, k in table.items() if k < len(b) - c), depth)
 
 
 def intersect_randomness(tree: Tree, machine: PrefixMachine, c: int, t: int) -> Tree:
-    """Node-wise intersection with the stage-t complexity-constrained tree
-    at the same depth; prefix closure is preserved by intersection."""
+    """Intersection with the stage-t complexity-constrained tree at the same
+    depth: a node of both extends no exit of either."""
     constrained = randomness_class_tree(machine, c, t, tree.depth)
-    return Tree(tree.nodes & constrained.nodes, tree.depth)
+    return tree_of_complement(tree.exits | constrained.exits, tree.depth)
 
 
 def compute_padding(n: int, k: int) -> int:

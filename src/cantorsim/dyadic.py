@@ -28,6 +28,7 @@ __all__ = [
     "all_strings",
     "is_acceptable",
     "lex_compare_padded",
+    "minimal_strings",
     "optimal_covering",
     "prefix_set_measure",
     "rational_of_string",
@@ -85,9 +86,6 @@ class BitString:
     def cat(self, other: "BitString") -> "BitString":
         return BitString(self.bits + other.bits)
 
-    def append(self, bit: int) -> "BitString":
-        return BitString(self.bits + ("1" if bit else "0"))
-
     def take(self, n: int) -> "BitString":
         return BitString(self.bits[:n])
 
@@ -95,9 +93,6 @@ class BitString:
         if not self.bits:
             raise DomainError("ε has no parent")
         return BitString(self.bits[:-1])
-
-    def children(self) -> tuple["BitString", "BitString"]:
-        return (BitString(self.bits + "0"), BitString(self.bits + "1"))
 
     def sibling(self) -> "BitString":
         if not self.bits:
@@ -107,9 +102,6 @@ class BitString:
 
     def is_prefix_of(self, other: "BitString") -> bool:
         return other.bits.startswith(self.bits)
-
-    def is_proper_prefix_of(self, other: "BitString") -> bool:
-        return len(self.bits) < len(other.bits) and other.bits.startswith(self.bits)
 
     def extends(self, other: "BitString") -> bool:
         return other.is_prefix_of(self)
@@ -332,6 +324,14 @@ def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
     exp = max(len(b) for b in minimal)
     num = sum(1 << (exp - len(b)) for b in minimal)
     return Dyadic(num, exp)
+
+
+def minimal_strings(strings: Iterable[BitString]) -> frozenset[BitString]:
+    """The members with no proper prefix among the members."""
+    bits = {s.bits for s in strings}
+    return frozenset(
+        BitString(b) for b in bits if not any(b[:i] in bits for i in range(len(b)))
+    )
 
 
 def optimal_covering(strings: Iterable[BitString]) -> Antichain:

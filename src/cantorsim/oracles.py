@@ -32,6 +32,7 @@ __all__ = [
     "brute_k_approx",
     "brute_least_failing_length",
     "brute_lower_cut",
+    "brute_nodes",
     "brute_odd_ones",
     "brute_omega_approx",
     "brute_optimal_covering",
@@ -40,6 +41,8 @@ __all__ = [
     "inclusion_odd_ones_picker",
     "islice_covering_family",
     "longest_even_prefix",
+    "node_set_dead_ends",
+    "node_set_paths",
     "padding_holds",
     "rightmost_path",
     "set_difference_deltas",
@@ -255,12 +258,38 @@ def padding_holds(p: int, target: int) -> bool:
     return p - 2 * (p.bit_length() - 1) >= target
 
 
+def brute_nodes(tree: Tree) -> frozenset[BitString]:
+    """Every string of length ≤ depth with no exit as a prefix."""
+    return frozenset(
+        s for s in strings_up_to(tree.depth) if not any(e.is_prefix_of(s) for e in tree.exits)
+    )
+
+
+def node_set_paths(nodes: frozenset[BitString], d: int) -> tuple[BitString, ...]:
+    """The length-d members of a prefix-closed node set, length-lexicographically."""
+    return tuple(sorted((n for n in nodes if len(n) == d), key=lambda n: n.lenlex_key))
+
+
+def node_set_dead_ends(nodes: frozenset[BitString], depth: int) -> tuple[BitString, ...]:
+    """Members strictly below the depth bound with neither child a member,
+    length-lexicographically."""
+    out = [
+        n
+        for n in nodes
+        if len(n) < depth
+        and BitString(n.bits + "0") not in nodes
+        and BitString(n.bits + "1") not in nodes
+    ]
+    return tuple(sorted(out, key=lambda n: n.lenlex_key))
+
+
 def rightmost_path(tree: Tree, depth: int) -> BitString | None:
     """Depth-first search preferring the 1-child: the lexicographically
     greatest length-depth node, or None when the tree dies out early."""
-    reach: set[str] = {n.bits for n in tree.nodes if len(n.bits) == depth}
+    nodes = brute_nodes(tree)
+    reach: set[str] = {n.bits for n in nodes if len(n.bits) == depth}
     for d in range(depth - 1, -1, -1):
-        for n in tree.nodes:
+        for n in nodes:
             if len(n.bits) == d and (n.bits + "0" in reach or n.bits + "1" in reach):
                 reach.add(n.bits)
 

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cantorsim.checks import random_string_script
+from cantorsim.checks import (
+    diagonal_suite,
+    random_bitstring,
+    random_machine,
+    random_string_script,
+    random_string_set,
+)
 from cantorsim.classes import (
     Tree,
     dead_ends,
@@ -16,8 +22,14 @@ from cantorsim.classes import (
     tree_from_halting_oracle,
     tree_of_complement,
 )
-from cantorsim.complexity import PrefixMachine, Program, intersect_randomness
-from cantorsim.dyadic import EMPTY, BitString, prefix_set_measure
+from cantorsim.complexity import (
+    PrefixMachine,
+    Program,
+    intersect_randomness,
+    randomness_class_tree,
+    satisfies_constant,
+)
+from cantorsim.dyadic import EMPTY, BitString, prefix_set_measure, strings_up_to
 from cantorsim.errors import (
     DomainError,
     InputError,
@@ -25,7 +37,12 @@ from cantorsim.errors import (
     PreconditionError,
     RangeError,
 )
-from cantorsim.oracles import expansion_at_depth
+from cantorsim.oracles import (
+    brute_nodes,
+    expansion_at_depth,
+    node_set_dead_ends,
+    node_set_paths,
+)
 from cantorsim.streams import EnumerationScript, stage_set
 
 
@@ -49,10 +66,61 @@ class TestTree:
 
     def test_constructor_rejects_over_depth(self):
         with pytest.raises(DomainError):
-            Tree(frozenset(bs("", "0", "00")), 1)
+            Tree(1, frozenset(bs("00")))
+
+    def test_constructor_rejects_nested_exits(self):
+        with pytest.raises(DomainError) as info:
+            Tree(3, frozenset(bs("01", "0", "011")))
+        assert str(info.value) == "exit 01 extends exit 0"
 
     def test_full(self):
         assert len(Tree.full(3).nodes) == 15
+        assert Tree.full(40) == Tree(40)  # no exits; no node is built
+
+
+def seeded_node_sets():
+    """Prefix-closed node sets with their depth bounds: the nodes of
+    `diagonal_suite` trees and the prefix closures of random strings."""
+    rng = random.Random(8)
+    out = []
+    for _ in range(8):
+        depth = rng.randint(3, 10)
+        for tree in diagonal_suite(rng, rng.randint(1, min(4, depth - 1)), depth):
+            out.append((brute_nodes(tree), depth))
+    for _ in range(30):
+        depth = rng.randint(0, 10)
+        words = [random_bitstring(rng, depth + 2) for _ in range(rng.randint(0, 6))]
+        bits = {w.bits[:i] for w in words for i in range(min(len(w), depth) + 1)}
+        out.append((frozenset(BitString(b) for b in bits), depth))
+    return out
+
+
+class TestExitsMatchTheNodeSets:
+    @pytest.mark.parametrize("nodes, depth", seeded_node_sets())
+    def test_round_trip_paths_and_dead_ends(self, nodes, depth):
+        tree = Tree.closure_of(nodes, depth)
+        assert tree.nodes == nodes == brute_nodes(tree)
+        assert Tree.closure_of(tree.nodes, depth) == tree
+        for d in range(depth + 1):
+            assert paths_at_depth(tree, d) == node_set_paths(nodes, d)
+        assert dead_ends(tree) == node_set_dead_ends(nodes, depth)
+
+    @pytest.mark.parametrize("nodes, depth", seeded_node_sets())
+    def test_complement_and_randomness_trees(self, nodes, depth):
+        rng = random.Random(f"{depth}/{len(nodes)}")
+        strings = random_string_set(rng, depth + 2, 6)
+        assert tree_of_complement(strings, depth).nodes == {
+            n for n in strings_up_to(depth) if not any(s.is_prefix_of(n) for s in strings)
+        }
+        machine = random_machine(rng, max_out_len=depth + 1)
+        c, t = rng.randint(0, 2), rng.randint(0, 12)
+        constrained = set()
+        for n in strings_up_to(depth):
+            if (not n.bits or n.parent() in constrained) and satisfies_constant(machine, n, c, t):
+                constrained.add(n)
+        tree = Tree.closure_of(nodes, depth)
+        assert randomness_class_tree(machine, c, t, depth).nodes == constrained
+        assert intersect_randomness(tree, machine, c, t).nodes == nodes & constrained
 
 
 class TestPathsAndDeadEnds:
@@ -61,7 +129,7 @@ class TestPathsAndDeadEnds:
         assert [p.bits for p in paths_at_depth(full, 2)] == ["00", "01", "10", "11"]
         single = Tree.closure_of(bs("00"), 2)
         assert [p.bits for p in paths_at_depth(single, 2)] == ["00"]
-        empty = Tree(frozenset(), 2)
+        empty = Tree(2, frozenset([EMPTY]))
         assert paths_at_depth(empty, 2) == ()
 
     def test_paths_range_error(self):
@@ -70,9 +138,9 @@ class TestPathsAndDeadEnds:
 
     def test_dead_ends_examples(self):
         assert dead_ends(Tree.full(2)) == ()
-        t = Tree(frozenset(bs("", "0", "1", "00")), 2)
+        t = Tree(2, frozenset(bs("01", "10", "11")))  # nodes ε, 0, 1, 00
         assert [d.bits for d in dead_ends(t)] == ["1"]
-        root_only = Tree(frozenset([EMPTY]), 1)
+        root_only = Tree(1, frozenset(bs("0", "1")))
         assert dead_ends(root_only) == (EMPTY,)
 
 

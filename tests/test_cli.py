@@ -14,6 +14,19 @@ from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from conftest import resolve_argv
 
 
+def run_module(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """`python -m cantorsim` with the argv in a fresh interpreter, run in
+    the directory with the extra environment variables."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cantorsim", *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
 @pytest.fixture()
 def run(fixture_dir, capsys):
     def invoke(argv):
@@ -161,6 +174,11 @@ class TestErrors:
             ]
         )
         assert code == 3
+
+    def test_over_depth_tree_names_the_least_node_under_every_hash_seed(self, fixture_dir):
+        argv = ["run", "diagonalize", "--tree", "t_beta.txt", "--depth", "0"]
+        errs = {run_module(argv, fixture_dir, PYTHONHASHSEED=seed).stderr for seed in ("1", "2")}
+        assert errs == {"input error: t_beta.txt: node 0 longer than depth bound 0\n"}
 
     def test_tree_gap_is_an_input_error(self, run, fixture_dir):
         bad = fixture_dir / "gap.txt"
@@ -321,17 +339,7 @@ class TestCheckCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, fixture_dir):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "cantorsim", "run", "oddones", "--count", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module(["run", "oddones", "--count", "2"], fixture_dir)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0\t1", "1\t01"]
 

@@ -1,8 +1,10 @@
-"""Golden stdout of the listing and Friedberg-recipe commands, of every
-`check` suite at its default bounds and of every scenario.
+"""Golden output of the listing, recipe, diagonalization and small `run`
+commands, of every `check` suite at its default bounds and at a few explicit
+ones, and of every scenario.
 
-Each file under fixtures/golden/ is the stdout of one command below; the
-test replays the command and compares bytes.  The inputs and the scenario
+Each `<name>.out` under fixtures/golden/ is the stdout of one command below,
+and `<name>.err` its stderr when that is not empty; the test replays the
+command and compares bytes and the exit code.  The inputs and the scenario
 fixtures are written into the test's own directory.  To rewrite the goldens
 after a deliberate output change, run this file as a script from the
 repository root.
@@ -41,6 +43,13 @@ INPUTS = {
     "machine.tsv": "00\t-\t0\n010\t01\t0\n10\t01\t10\n",
     "listing_a.txt": _off_path("1011100", 5),
     "listing_b.txt": _off_path("0101101", 6),
+    "t0.txt": "000\n00\n0\n1\n",
+    # the prefix closures of {000, 1, 01} and of {0, 10}
+    "t_base.txt": "-\n0\n1\n00\n01\n000\n",
+    "t_other.txt": "-\n0\n1\n10\n",
+    "l1.txt": "1\n11\n00 01 1\n",
+    "l2.tsv": "0\t0\tstr\t00\n1\t0\tstr\t01\n",
+    "fam.tsv": "0\t0\tdyadic\t0/2^0\n0\t1\tdyadic\t3/2^2\n",
 }
 
 _REALS = ["run", "friedberg-reals", "--script", "script.tsv", "--machine", "machine.tsv",
@@ -56,9 +65,25 @@ COMMANDS = {
     "friedberg-reals-mirror": _REALS + ["--mirror"],
     "friedberg-classes": _CLASSES,
     "friedberg-classes-no-acceptable-stream": _CLASSES + ["--no-acceptable-stream"],
+    "friedberg-reals-small": ["run", "friedberg-reals", "--script", "fam.tsv", "--machine",
+                              "m_hatm.tsv", "--k", "2", "--len", "6", "--horizon", "10"],
+    "friedberg-classes-small": ["run", "friedberg-classes", "--listing", "l_star.txt",
+                                "--listing", "l_star_skip.txt", "--len", "3", "--horizon", "6"],
+    "diagonalize-beta": ["run", "diagonalize", "--tree", "t_beta.txt", "--depth", "3"],
+    "diagonalize-t0": ["run", "diagonalize", "--tree", "t0.txt", "--depth", "3"],
+    "diagonalize-pair": ["run", "diagonalize", "--tree", "t_base.txt", "--tree", "t_other.txt",
+                         "--depth", "3"],
+    "omega-splice": ["run", "omega", "--machine", "m_splice.tsv", "--horizon", "9"],
+    "capped-empty": ["run", "capped", "--script", "s_empty.tsv", "--cap-n", "2", "--horizon", "4"],
+    "merge-listed-sets": ["run", "merge", "--l2", "l2.tsv", "--l1-sets", "l1.txt", "--horizon", "3"],
     **{f"check-{suite}": ["check", suite] for suite in SUITES},
+    "check-classes-small": ["check", "classes", "--cases", "3", "--depth", "8", "--seed", "1"],
+    "check-complexity-small": ["check", "complexity", "--cases", "5", "--depth", "6", "--seed", "2"],
     **{f"scenario-{sc.name}": list(sc.argv) for sc in SCENARIOS},
 }
+
+# the commands whose golden is an error, with its exit code
+EXIT_CODES = {"diagonalize-beta": 3}
 
 
 def replay(name: str, directory: Path) -> tuple[int, str, str]:
@@ -77,7 +102,9 @@ def replay(name: str, directory: Path) -> tuple[int, str, str]:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_the_golden(name, tmp_path):
     code, out, err = replay(name, tmp_path)
-    assert (code, err) == (0, "")
+    err_file = GOLDEN_DIR / f"{name}.err"
+    assert code == EXIT_CODES.get(name, 0)
+    assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
 
 
@@ -88,7 +115,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in COMMANDS:
             code, out, err = replay(name, Path(tmp))
-            if code != 0 or err:
+            if code != EXIT_CODES.get(name, 0):
                 sys.exit(f"{name}: exit {code}: {err}")
             (GOLDEN_DIR / f"{name}.out").write_text(out, encoding="utf-8")
+            if err:
+                (GOLDEN_DIR / f"{name}.err").write_text(err, encoding="utf-8")
+            else:
+                (GOLDEN_DIR / f"{name}.err").unlink(missing_ok=True)
             print(f"{name}: {len(out.splitlines())} lines")
