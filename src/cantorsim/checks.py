@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classes import (
     Tree,
@@ -57,7 +57,7 @@ from .dyadic import (
     string_of_rational,
     strings_up_to,
 )
-from .errors import ContractViolationError, InputError
+from .errors import InputError
 from .oracles import (
     brute_covering_families,
     brute_halted_complexities,
@@ -68,14 +68,14 @@ from .oracles import (
     brute_optimal_covering,
     expansion_at_depth,
     greedy_expansion,
-    inclusion_odd_ones_picker,
+    inclusion_odd_ones_extensions,
     islice_covering_family,
     padding_holds,
     rightmost_path,
     set_difference_deltas,
     sibling_merge_closure,
 )
-from .recipes import cut_deltas, odd_ones_picker
+from .recipes import cut_deltas, odd_ones_extensions
 from .runs import Replay, replay, verify_hatm, verify_regret, verify_splice
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
 from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_set
@@ -291,9 +291,13 @@ def build_scenario(sc: Scenario) -> Replay:
 
 @dataclass(frozen=True)
 class MergeCase:
+    """A merge input: the scripted side, the listing ``l1``, the extensions
+    of a content (``picker``), the tags that mark the injective side's sets,
+    and the horizon."""
+
     script: EnumerationScript
-    l1: Callable[[int], frozenset[BitString]]
-    picker: Callable[[frozenset[BitString], int], frozenset[BitString]]
+    l1: Sequence[frozenset[BitString]]
+    picker: Callable[[frozenset[BitString]], Iterable[frozenset[BitString]]]
     tags: frozenset[BitString]
     horizon: int
 
@@ -327,15 +331,12 @@ def make_merge_case(
     script = EnumerationScript.from_events(events, horizon)
     tags = frozenset(_merge_tag(i) for i in range(1024))
 
-    def l1(i: int) -> frozenset[BitString]:
-        if i >= 400:
-            raise IndexError(i)
-        return frozenset((_merge_tag(i),))
+    l1 = [frozenset((_merge_tag(i),)) for i in range(400)]
 
-    def picker(content: frozenset[BitString], attempt: int) -> frozenset[BitString]:
-        return content | {_merge_tag(500 + attempt)}
+    def extensions(content: frozenset[BitString]) -> Iterator[frozenset[BitString]]:
+        return (content | {_merge_tag(i)} for i in itertools.count(500))
 
-    return MergeCase(script, l1, picker, tags, horizon)
+    return MergeCase(script, l1, extensions, tags, horizon)
 
 
 def verify_merge(out: EnumerationScript, case: MergeCase) -> list[str]:
@@ -583,18 +584,6 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
     return rep
 
 
-def _pick(
-    picker: Callable[[frozenset[BitString], int], frozenset[BitString]],
-    content: frozenset[BitString],
-    attempt: int,
-) -> frozenset[BitString] | str:
-    """The picker's value, or the message of the contract violation it raises."""
-    try:
-        return picker(content, attempt)
-    except ContractViolationError as exc:
-        return str(exc)
-
-
 def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
     rep = CheckReport("constructions")
     for sc in SCENARIOS:
@@ -656,16 +645,16 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
         if list(cut_deltas(values, length)) != set_difference_deltas(values, length):
             shown = " ".join(v.render() for v in values)
             rep.fail(f"cut deltas of {shown} at length {length} differ from the set differences")
-    pickers = {n: (odd_ones_picker(n), inclusion_odd_ones_picker(n)) for n in range(7)}
+    extensions = {n: (odd_ones_extensions(n), inclusion_odd_ones_extensions(n)) for n in range(7)}
     for _ in range(60):
         rep.cases += 1
         length = rng.randint(0, 6)
         content = random_string_set(rng, length + 1, 4)
-        attempt = rng.randint(0, 3)
-        fast, reference = pickers[length]
-        if _pick(fast, content, attempt) != _pick(reference, content, attempt):
+        count = rng.randint(1, 4)
+        fast, reference = (list(itertools.islice(f(content), count)) for f in extensions[length])
+        if fast != reference:
             shown = " ".join(sorted(t.display() for t in content))
-            rep.fail(f"odd-ones pick {attempt} for {{{shown}}} at length {length} differs")
+            rep.fail(f"first {count} odd-ones extensions of {{{shown}}} at length {length} differ")
     return rep
 
 
@@ -684,6 +673,7 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
             if any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], diag_depth)):
                 rep.fail(f"suite {si}: tree {n} still meets its graft cone")
     all_paths = {p.bits for p in paths_at_depth(Tree.full(6), 6)}
+    leftovers: dict[frozenset[BitString], set[str]] = {}  # the oracle's, per final set
     for ci in range(capped_scripts):
         script = random_string_script(rng, max_len=6)
         for n in range(1, 9):
@@ -705,9 +695,10 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
                 if n == 1 and replay.final():
                     rep.fail(f"script {ci}: cap 1 admitted a string for index {e}")
                 final = replay.final()
+                if final not in leftovers:
+                    leftovers[final] = all_paths - expansion_at_depth(final, 6)
                 complement = tree_of_complement(final, 6)
-                leftover = all_paths - set(expansion_at_depth(final, 6))
-                if leftover != {p.bits for p in paths_at_depth(complement, 6)}:
+                if leftovers[final] != {p.bits for p in paths_at_depth(complement, 6)}:
                     rep.fail(f"script {ci}: complement view broken for index {e}")
     for oi in range(20):
         rep.cases += 1

@@ -8,8 +8,9 @@ rendered as ``prefix*Ω@stage``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .complexity import (
     PrefixMachine,
@@ -339,60 +340,66 @@ SetValue = frozenset[BitString]
 
 
 def friedberg_merge(
-    l1: Callable[[int], SetValue],
+    listing: Iterable[SetValue],
     l2: EnumerationScript,
-    extension_picker: Callable[[SetValue, int], SetValue],
+    extensions: Callable[[SetValue], Iterable[SetValue]],
     horizon: int,
 ) -> EnumerationScript:
     """Merge an injective set listing with a scripted family, repeats removed.
 
-    Each script index is followed by a slot.  A follower only exists while
-    no other active follower shows the same content: converging followers
-    lose the larger index, whose slot is permanently diverted to a fresh
-    listing member extending its content (via the picker), and the index
-    respawns on a new slot once its content again matches no active
-    follower.  One listing member not yet consumed is emitted per stage.
-    On inputs whose tracked sets settle by the horizon, the settled output
-    sets are exactly the used listing members plus the scripted sets, with
-    no repeats.
+    The listing is any iterable of distinct sets, read on demand: each stage
+    emits, on a new slot, the next member not yet used.  ``extensions(content)``
+    yields candidate sets in order, each containing the content; a diversion
+    takes the first one not yet used, and at most len(used) + horizon + 2
+    candidates are read before the merge gives up.
+
+    Each script index j is followed by a slot, and an active follower's slot
+    always holds exactly current[j], the set j shows so far: the slot is
+    copied from it at spawn, and each delivery adds the item to both.  So a
+    follower exists only while no other active follower shows the same set.
+    Converging followers lose the larger index, whose slot is permanently
+    diverted to an unused extension of its set, and the index respawns on a
+    new slot once its set again matches no active follower.  On inputs whose
+    tracked sets settle by the horizon, the settled output sets are exactly
+    the used listing members plus the scripted sets, with no repeats.
     """
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
     indices = l2.indices()
     current: dict[int, set[BitString]] = {j: set() for j in indices}
     active: dict[int, int] = {}  # index -> slot id
-    slot_content: list[set[BitString]] = []
+    slots = 0
     out_events: list[tuple[int, int, BitString]] = []
     used: set[SetValue] = set()
-    generator_seen: set[SetValue] = set()
-    l1_next = 0
-    l1_done = False
+    listed: set[SetValue] = set()
+    listing = iter(listing)
 
-    def emit(slot: int, stage: int, items: Sequence[BitString]) -> None:
+    def emit(slot: int, stage: int, items: Iterable[BitString]) -> None:
         for item in sorted(items, key=lambda b: b.lenlex_key):
             out_events.append((stage, slot, item))
 
-    def new_slot(stage: int, content: set[BitString]) -> int:
-        slot_content.append(set(content))
-        emit(len(slot_content) - 1, stage, tuple(content))
-        return len(slot_content) - 1
+    def new_slot(stage: int, content: Iterable[BitString]) -> int:
+        nonlocal slots
+        emit(slots, stage, content)
+        slots += 1
+        return slots - 1
 
     def pick_fresh(content: SetValue, stage: int) -> SetValue:
-        attempts = len(used) + horizon + 2
-        for a in range(attempts):
-            value = extension_picker(content, a)
+        for value in itertools.islice(extensions(content), len(used) + horizon + 2):
             if not content <= value:
                 raise ContractViolationError(
-                    f"picker value at stage {stage} does not extend the slot content"
+                    f"extension at stage {stage} does not contain the slot content"
                 )
             if value not in used:
                 return value
-        raise ContractViolationError(f"picker found no fresh extension at stage {stage}")
+        raise ContractViolationError(
+            f"no unused extension of a {len(content)}-string set at stage {stage}"
+        )
 
     pos = 0
     events = l2.events
     for s in range(horizon + 1):
-        # 1. deliver this stage's items
+        # 1. deliver this stage's items, to the follower's slot too
         while pos < len(events) and events[pos].stage == s:
             ev = events[pos]
             pos += 1
@@ -401,47 +408,27 @@ def friedberg_merge(
             if ev.item not in current[ev.index]:
                 current[ev.index].add(ev.item)
                 if ev.index in active:
-                    sid = active[ev.index]
-                    slot_content[sid].add(ev.item)
-                    emit(sid, s, (ev.item,))
-        # 2. spawn followers for indices whose content matches no active follower
+                    emit(active[ev.index], s, (ev.item,))
+        # 2. spawn followers for indices whose set matches no active follower
         for j in indices:
-            if j in active:
-                continue
-            if any(slot_content[sid] == current[j] for sid in active.values()):
-                continue
-            active[j] = new_slot(s, current[j])
+            if j not in active and all(current[j] != current[j2] for j2 in active):
+                active[j] = new_slot(s, current[j])
         # 3. divert the larger index of any converging follower pair
         for j in indices:
-            if j not in active:
-                continue
-            for j2 in indices:
-                if j2 >= j or j2 not in active:
-                    continue
-                if slot_content[active[j]] == slot_content[active[j2]]:
-                    sid = active.pop(j)
-                    content = frozenset(slot_content[sid])
-                    value = pick_fresh(content, s)
-                    used.add(value)
-                    slot_content[sid] = set(value)
-                    emit(sid, s, tuple(value - content))
-                    break
-        # 4. emit the next unused listing member
-        if not l1_done:
-            while True:
-                try:
-                    value = l1(l1_next)
-                except IndexError:
-                    l1_done = True
-                    break
-                l1_next += 1
-                if value in generator_seen:
-                    raise ContractViolationError("listing generator repeated a member")
-                generator_seen.add(value)
-                if value in used:
-                    continue
+            if j in active and any(j2 < j and current[j2] == current[j] for j2 in active):
+                sid = active.pop(j)
+                content = frozenset(current[j])
+                value = pick_fresh(content, s)
                 used.add(value)
-                new_slot(s, set(value))
+                emit(sid, s, value - content)
+        # 4. emit the next unused listing member
+        for value in listing:
+            if value in listed:
+                raise ContractViolationError("listing generator repeated a member")
+            listed.add(value)
+            if value not in used:
+                used.add(value)
+                new_slot(s, value)
                 break
     return EnumerationScript.from_events(out_events, horizon)
 

@@ -53,8 +53,7 @@ class StarSnapshot:
     sigma: BitString
     good: bool
     case: str  # 'a', 'b', or '-' when the stage is skipped
-    consumed: tuple[BitString, ...]
-    covering: Antichain
+    covering: Antichain  # of the listing before sigma
     family: Antichain
     good_stages: tuple[int, ...]
 
@@ -81,13 +80,12 @@ def star_construction(
     if horizon < 0:
         raise RangeError("horizon must be ≥ 0")
     snaps: list[StarSnapshot] = []
-    consumed: list[BitString] = []
-    family = Antichain(())
+    cov = family = Antichain(())
     goods: list[int] = []
     for n, sigma in enumerate(listing):
         if n > horizon:
             break
-        cov = optimal_covering(consumed)
+        grown = optimal_covering(cov.members + (sigma,))
         ok = _good(cov, sigma)
         case = "-"
         if ok:
@@ -97,20 +95,19 @@ def star_construction(
                 family = cov  # a reduced antichain is its own covering
             else:
                 case = "b"
-                family = optimal_covering(tuple(cov.members) + (sigma,))
+                family = grown
         snaps.append(
             StarSnapshot(
                 stage=n,
                 sigma=sigma,
                 good=ok,
                 case=case,
-                consumed=tuple(consumed),
                 covering=cov,
                 family=family,
                 good_stages=tuple(goods),
             )
         )
-        consumed.append(sigma)
+        cov = grown
     return snaps
 
 

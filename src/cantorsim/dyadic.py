@@ -311,14 +311,19 @@ class Antichain:
         return ",".join(str(m) for m in self.members)
 
 
+def _minimal_bits(strings: Iterable[BitString]) -> set[str]:
+    """The bits of the members with no proper prefix among the members."""
+    bits = {s.bits for s in strings}
+    return {b for b in bits if not any(b[:i] in bits for i in range(len(b)))}
+
+
 def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
     """Exact fair-coin measure of the union of cones [σ], σ in the set.
 
     Strings extending another member are dropped first so the remaining
     cones are disjoint and the measures add.
     """
-    bits = {s.bits for s in strings}
-    minimal = [b for b in bits if not any(b[:i] in bits for i in range(len(b)))]
+    minimal = _minimal_bits(strings)
     if not minimal:
         return ZERO
     exp = max(len(b) for b in minimal)
@@ -328,10 +333,7 @@ def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
 
 def minimal_strings(strings: Iterable[BitString]) -> frozenset[BitString]:
     """The members with no proper prefix among the members."""
-    bits = {s.bits for s in strings}
-    return frozenset(
-        BitString(b) for b in bits if not any(b[:i] in bits for i in range(len(b)))
-    )
+    return frozenset(BitString(b) for b in _minimal_bits(strings))
 
 
 def optimal_covering(strings: Iterable[BitString]) -> Antichain:
@@ -342,8 +344,7 @@ def optimal_covering(strings: Iterable[BitString]) -> Antichain:
     parent's cone, so sibling pairs are merged into their parent from a
     worklist until no pair is left; what remains is the reduced antichain.
     """
-    bits = {s.bits for s in strings}
-    nodes = {b for b in bits if not any(b[:i] in bits for i in range(len(b)))}
+    nodes = _minimal_bits(strings)
     work = list(nodes)
     while work:
         b = work.pop()

@@ -79,7 +79,7 @@ class CapacityError(CantorsimError):
 
 
 class ContractViolationError(CantorsimError):
-    """A caller-supplied generator or picker failed to honour its contract."""
+    """A caller-supplied listing or extensions iterator failed to honour its contract."""
 
     code = 3
     label = "precondition error"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .classes import Tree
 from .complexity import PrefixMachine
@@ -23,7 +23,7 @@ from .dyadic import (
     rational_of_string,
     strings_up_to,
 )
-from .errors import ContractViolationError, DomainError
+from .errors import DomainError
 from .streams import approx_string
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "brute_optimal_covering",
     "expansion_at_depth",
     "greedy_expansion",
-    "inclusion_odd_ones_picker",
+    "inclusion_odd_ones_extensions",
     "islice_covering_family",
     "longest_even_prefix",
     "node_set_dead_ends",
@@ -157,23 +157,14 @@ def set_difference_deltas(values: Iterable[Dyadic], length: int) -> list[tuple[i
     return out
 
 
-def inclusion_odd_ones_picker(
+def inclusion_odd_ones_extensions(
     length: int,
-) -> Callable[[frozenset[BitString], int], frozenset[BitString]]:
-    """The odd-ones picker by set inclusion: every odd-ones cut is built as a
-    set, and the attempt-th one in listing order that contains the content
-    is returned."""
+) -> Callable[[frozenset[BitString]], Iterator[frozenset[BitString]]]:
+    """The odd-ones extensions by set inclusion: every odd-ones cut is built
+    as a set, and the ones that contain the content are taken in listing
+    order."""
     cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
-
-    def picker(content: frozenset[BitString], attempt: int) -> frozenset[BitString]:
-        extensions = [c for c in cuts if content <= c]
-        if attempt >= len(extensions):
-            raise ContractViolationError(
-                f"no odd-ones extension of a {len(content)}-string set within length {length}"
-            )
-        return extensions[attempt]
-
-    return picker
+    return lambda content: (c for c in cuts if content <= c)
 
 
 def islice_covering_family(i: int, odd: bool) -> Antichain:

@@ -7,6 +7,12 @@ finite object under exact comparison; callers pick the bound large enough
 that truncation never identifies two distinct family members (mirroring
 the disjointness hypothesis of the merge combinator).
 
+The injective side reaches the merge as two iterators: a listing of its
+members in canonical order (`odd_ones_listing`, `odd_covering_listing`),
+and, for a diverted follower's content, the members that contain it, in
+order (`odd_ones_extensions`, `odd_covering_extensions`).  The merge reads
+each only as far as it needs.
+
 The recipes compute with the arithmetic that fixes each set, and build a
 set of strings only where the merge consumes it:
 
@@ -17,7 +23,7 @@ set of strings only where the merge consumes it:
   per length, the values between the two bounds.
 - A string t of value v lies in the cut c exactly when |t| ≤ L and
   v·2^(L−|t|) < c.  So a set lies in every cut whose integer reaches one
-  threshold, and the odd-ones picker compares one integer per cut.
+  threshold, and the odd-ones extensions compare one integer per cut.
 - A covered set is fixed by its reduced antichain, so a star snapshot whose
   family did not change adds nothing.
 """
@@ -43,17 +49,16 @@ from .coverings import (
     star_construction,
 )
 from .dyadic import Antichain, BitString, Dyadic, all_strings, optimal_covering, rational_of_string
-from .errors import ContractViolationError
 from .streams import EnumerationScript, lower_cut, real_from_ce_set, words_below
 
 __all__ = [
     "cut_deltas",
     "merge_boundary_reals",
     "merge_covering_classes",
-    "odd_ones_listing",
-    "odd_ones_picker",
+    "odd_covering_extensions",
     "odd_covering_listing",
-    "odd_covering_picker",
+    "odd_ones_extensions",
+    "odd_ones_listing",
 ]
 
 
@@ -96,17 +101,11 @@ def _odd_ones_cut(length: int, i: int) -> SetValue:
     return lower_cut(_odd_ones_table(length)[i][1], length)
 
 
-def odd_ones_listing(length: int) -> Callable[[int], SetValue]:
+def odd_ones_listing(length: int) -> Iterator[SetValue]:
     """The truncated lower cuts of the odd-ones reals whose strings fit the
     bound, in listing order."""
-    table = _odd_ones_table(length)
-
-    def generator(i: int) -> SetValue:
-        if i >= len(table):
-            raise IndexError(i)
-        return _odd_ones_cut(length, i)
-
-    return generator
+    for i in range(len(_odd_ones_table(length))):
+        yield _odd_ones_cut(length, i)
 
 
 def _least_cut_containing(content: SetValue, length: int) -> int:
@@ -122,23 +121,18 @@ def _least_cut_containing(content: SetValue, length: int) -> int:
     return least
 
 
-def odd_ones_picker(length: int) -> Callable[[SetValue, int], SetValue]:
-    """The attempt-th odd-ones cut, in listing order, that contains the
-    content: the attempt-th cut whose integer reaches the content's
-    threshold."""
+def odd_ones_extensions(length: int) -> Callable[[SetValue], Iterator[SetValue]]:
+    """The odd-ones cuts, in listing order, that contain the content: the
+    cuts whose integer reaches the content's threshold."""
     table = _odd_ones_table(length)
 
-    def picker(content: SetValue, attempt: int) -> SetValue:
+    def extensions(content: SetValue) -> Iterator[SetValue]:
         least = _least_cut_containing(content, length)
-        found = (i for i, (c, _) in enumerate(table) if c >= least)
-        i = next(itertools.islice(found, attempt, None), None)
-        if i is None:
-            raise ContractViolationError(
-                f"no odd-ones extension of a {len(content)}-string set within length {length}"
-            )
-        return _odd_ones_cut(length, i)
+        for i, (c, _) in enumerate(table):
+            if c >= least:
+                yield _odd_ones_cut(length, i)
 
-    return picker
+    return extensions
 
 
 def merge_boundary_reals(
@@ -159,82 +153,62 @@ def merge_boundary_reals(
         values = (trace.value_at(s) for s in range(horizon + 1))
         events.extend((s, j, t) for s, t in cut_deltas(values, length))
     l2 = EnumerationScript.from_events(events, horizon)
-    return friedberg_merge(odd_ones_listing(length), l2, odd_ones_picker(length), horizon)
+    return friedberg_merge(odd_ones_listing(length), l2, odd_ones_extensions(length), horizon)
 
 
-def _odd_coverings_within(length: int) -> list:
-    """Odd coverings in canonical order while the total bit-length fits."""
-    out = []
-    for a in covering_antichains(odd=True):
-        if a.total_bits() > length:
-            break
-        out.append(a)
-    return out
+def odd_covering_listing(length: int) -> Iterator[SetValue]:
+    """The covered sets of the odd coverings within the bound, in canonical
+    order, each built when the merge reads it."""
+    within = itertools.takewhile(
+        lambda a: a.total_bits() <= length, covering_antichains(odd=True)
+    )
+    return (covered_up_to(a, length) for a in within)
 
 
-def odd_covering_listing(length: int) -> Callable[[int], SetValue]:
-    """The covered sets of the odd coverings within the bound, each built
-    when the merge asks for it."""
-    families = _odd_coverings_within(length)
-
-    def generator(i: int) -> SetValue:
-        if i >= len(families):
-            raise IndexError(i)
-        return covered_up_to(families[i], length)
-
-    return generator
-
-
-def odd_covering_picker(length: int) -> Callable[[SetValue, int], SetValue]:
+def odd_covering_extensions(length: int) -> Callable[[SetValue], Iterator[SetValue]]:
     """Construct odd coverings extending the content directly.
 
-    The content's own covering is refined by adjoining fresh uncovered
-    nodes below the member depths (one node to fix parity, pairs to keep
-    it), so extensions exist whenever the content leaves an uncovered
-    subtree within the length bound.  Contents that cover everything up to
-    a bare chain genuinely exhaust the truncated family, and the picker
-    reports that honestly.
+    The empty content takes the odd coverings in canonical order while their
+    members fit the bound.  Otherwise the content's own covering is refined
+    by adjoining fresh uncovered nodes below the member depths: one node to
+    fix an even parity, or a pair of incomparable non-sibling nodes to keep
+    an odd one (siblings would merge into their parent and flip it).  So
+    extensions exist whenever the content leaves an uncovered subtree within
+    the length bound; contents that cover everything up to a bare chain
+    genuinely exhaust the truncated family.
     """
 
-    def picker(content: SetValue, attempt: int) -> SetValue:
+    def extensions(content: SetValue) -> Iterator[SetValue]:
         if not content:
-            a = odd_covering_family(attempt)
-            if any(len(m) > length for m in a.members):
-                raise ContractViolationError(
-                    f"odd coverings within length {length} exhausted"
-                )
-            return covered_up_to(a, length)
+            for i in itertools.count():
+                a = odd_covering_family(i)
+                if any(len(m) > length for m in a.members):
+                    return
+                yield covered_up_to(a, length)
+        if any(len(t) > length for t in content):
+            return
         base = optimal_covering(content)
-        if any(len(m) > length for m in base.members):
-            raise ContractViolationError("content deeper than the length bound")
-        variants: list[Antichain] = []
         if base.members == (BitString(""),):
-            variants.append(base)
-        else:
-            floor = max(len(m) for m in base.members)
-            fresh = [
-                t
-                for d in range(floor + 1, length + 1)
-                for t in all_strings(d)
-                if not base.covers(t)
-            ]
-            if len(base) % 2 == 1:
-                variants.append(base)
-                for i, a in enumerate(fresh):
-                    for b in fresh[i + 1 :]:
-                        if not a.comparable(b):
-                            variants.append(Antichain(base.members + (a, b)))
-            else:
-                for delta in fresh:
-                    variants.append(Antichain(base.members + (delta,)))
-        if attempt >= len(variants):
-            raise ContractViolationError(
-                f"no fresh odd-covering extension of a {len(content)}-string set"
-                f" within length {length}"
-            )
-        return covered_up_to(variants[attempt], length)
+            yield covered_up_to(base, length)
+            return
+        floor = max(len(m) for m in base.members)
+        fresh = [
+            t
+            for d in range(floor + 1, length + 1)
+            for t in all_strings(d)
+            if not base.covers(t)
+        ]
+        if len(base) % 2 == 0:
+            for delta in fresh:
+                yield covered_up_to(Antichain(base.members + (delta,)), length)
+            return
+        yield covered_up_to(base, length)
+        for i, a in enumerate(fresh):
+            for b in fresh[i + 1 :]:
+                if not a.comparable(b) and a.bits[:-1] != b.bits[:-1]:
+                    yield covered_up_to(Antichain(base.members + (a, b)), length)
 
-    return picker
+    return extensions
 
 
 def merge_covering_classes(
@@ -273,5 +247,5 @@ def merge_covering_classes(
             stage += 1
     l2 = EnumerationScript.from_events(events, horizon)
     return friedberg_merge(
-        odd_covering_listing(length), l2, odd_covering_picker(length), horizon
+        odd_covering_listing(length), l2, odd_covering_extensions(length), horizon
     )

@@ -33,7 +33,7 @@ from .constructions import (
 )
 from .coverings import even_covering_family, odd_covering_family, parse_listing, star_construction
 from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
-from .errors import ContractViolationError, DomainError, ParseError, records
+from .errors import DomainError, ParseError, records
 from .oracles import brute_k_approx, brute_omega_approx, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
@@ -378,9 +378,9 @@ def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     horizon=_NATURAL,
 )
 def _merge(a: argparse.Namespace, read: Read) -> Replay:
-    """--l1-sets holds one set per line as whitespace-separated strings; the
-    listed sets are the generator, and the picker scans them for unused
-    extensions."""
+    """--l1-sets holds one set per line as whitespace-separated strings.  The
+    listed sets, in file order, are both the merge's listing and, filtered to
+    those that contain a diverted follower's content, its extensions."""
     l2 = _script(read, a.l2, a.horizon)
     sets: list[frozenset[BitString]] = []
     for lineno, (line,) in records(read(a.l1_sets), sep=None):
@@ -388,19 +388,7 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
             sets.append(frozenset(BitString.parse(tok) for tok in line.split()))
         except DomainError as exc:
             raise ParseError(str(exc), source=a.l1_sets, line=lineno)
-
-    def generator(i: int):
-        if i >= len(sets):
-            raise IndexError(i)
-        return sets[i]
-
-    def picker(content, attempt: int):
-        extensions = [v for v in sets if content <= v]
-        if attempt >= len(extensions):
-            raise ContractViolationError(f"{a.l1_sets}: no unused extension available")
-        return extensions[attempt]
-
-    out = friedberg_merge(generator, l2, picker, a.horizon)
+    out = friedberg_merge(sets, l2, lambda content: (v for v in sets if content <= v), a.horizon)
     return Replay(out, _script_lines(out))
 
 

@@ -255,6 +255,18 @@ class TestRunExtras:
         assert code == 0
         assert "00" in out and "11" in out
 
+    def test_merge_without_an_unused_extension_is_a_precondition_error(self, run, fixture_dir):
+        # index 1 reaches index 0's set {00} at stage 1, and no listed set contains it
+        l1 = fixture_dir / "l1.txt"
+        l1.write_text("1\n01\n")
+        l2 = fixture_dir / "l2.tsv"
+        l2.write_text("0\t0\tstr\t00\n1\t1\tstr\t00\n")
+        code, out, err = run(
+            ["run", "merge", "--l2", str(l2), "--l1-sets", str(l1), "--horizon", "3"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "precondition error: no unused extension of a 1-string set at stage 1\n"
+
     def test_friedberg_reals_recipe(self, run, fixture_dir):
         fam = fixture_dir / "fam.tsv"
         fam.write_text("0\t0\tdyadic\t0/2^0\n0\t1\tdyadic\t3/2^2\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -258,19 +259,7 @@ class TestOddOnes:
 
 def listed_l1(values):
     frozen = [frozenset(BitString.parse(w) for w in v) for v in values]
-
-    def generator(i):
-        if i >= len(frozen):
-            raise IndexError(i)
-        return frozen[i]
-
-    def picker(content, attempt):
-        extensions = [v for v in frozen if content <= v]
-        if attempt >= len(extensions):
-            raise ContractViolationError("listing exhausted")
-        return extensions[attempt]
-
-    return generator, picker
+    return frozen, lambda content: (v for v in frozen if content <= v)
 
 
 def settled(script: EnumerationScript):
@@ -358,11 +347,8 @@ class TestFriedbergMerge:
         assert len(set(sets)) == len(sets)
 
     def test_picker_must_extend(self):
-        def bad_picker(content, attempt):
-            return frozenset({BitString("1")})  # never extends nonempty content
-
-        def gen(i):
-            raise IndexError(i)
+        def bad_extensions(content):
+            yield frozenset({BitString("1")})  # never extends nonempty content
 
         l2 = EnumerationScript.from_events(
             [
@@ -373,19 +359,39 @@ class TestFriedbergMerge:
             ],
             horizon=3,
         )
-        with pytest.raises(ContractViolationError):
-            friedberg_merge(gen, l2, bad_picker, 3)
+        with pytest.raises(ContractViolationError, match="does not contain the slot content"):
+            friedberg_merge([], l2, bad_extensions, 3)
 
     def test_repeating_generator_rejected(self):
-        def gen(i):
-            return frozenset({BitString("1")})
-
-        def picker(content, attempt):
-            raise ContractViolationError("unused")
-
         l2 = EnumerationScript.from_events([], horizon=3)
-        with pytest.raises(ContractViolationError):
-            friedberg_merge(gen, l2, picker, 3)
+        listing = itertools.repeat(frozenset({BitString("1")}))
+        with pytest.raises(ContractViolationError, match="repeated a member"):
+            friedberg_merge(listing, l2, lambda content: iter(()), 3)
+
+    def test_no_unused_extension_is_a_contract_violation(self):
+        gen, extensions = listed_l1([["1"], ["01"]])
+        l2 = EnumerationScript.from_events(
+            [(0, 0, BitString("00")), (1, 1, BitString("00"))], horizon=2
+        )
+        message = "^no unused extension of a 1-string set at stage 1$"
+        with pytest.raises(ContractViolationError, match=message):
+            friedberg_merge(gen, l2, extensions, 2)
+
+    def test_extensions_are_read_at_most_used_plus_horizon_plus_two(self):
+        listed = frozenset({BitString("00"), BitString("1")})
+        read = []
+
+        def extensions(content):
+            while True:
+                read.append(content)
+                yield listed  # used since stage 0
+
+        l2 = EnumerationScript.from_events(
+            [(0, 0, BitString("00")), (1, 1, BitString("00"))], horizon=3
+        )
+        with pytest.raises(ContractViolationError, match="at stage 1$"):
+            friedberg_merge([listed], l2, extensions, 3)
+        assert len(read) == 1 + 3 + 2
 
     def test_random_contract_cases(self):
         rng = random.Random(17)

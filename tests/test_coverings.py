@@ -90,6 +90,13 @@ class TestStarConstruction:
                 for i in range(last_good):
                     assert final.covers(listing[i])
 
+    def test_covering_is_that_of_the_listing_before_sigma(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            listing = random_listing(rng)
+            for snap in star_construction(listing, len(listing)):
+                assert snap.covering == optimal_covering(listing[: snap.stage])
+
     def test_non_clopen_listings_have_many_good_stages(self):
         rng = random.Random(29)
         seen = 0

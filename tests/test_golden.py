@@ -49,6 +49,10 @@ INPUTS = {
     "t_other.txt": "-\n0\n1\n10\n",
     "l1.txt": "1\n11\n00 01 1\n",
     "l2.tsv": "0\t0\tstr\t00\n1\t0\tstr\t01\n",
+    # index 1 reaches index 0's set at stage 1, is diverted to "00 1", and
+    # respawns at stage 2 when its set grows
+    "l1_converge.txt": "1\n00 1\n11\n",
+    "l2_converge.tsv": "0\t0\tstr\t00\n1\t1\tstr\t00\n2\t1\tstr\t01\n",
     "fam.tsv": "0\t0\tdyadic\t0/2^0\n0\t1\tdyadic\t3/2^2\n",
 }
 
@@ -76,6 +80,8 @@ COMMANDS = {
     "omega-splice": ["run", "omega", "--machine", "m_splice.tsv", "--horizon", "9"],
     "capped-empty": ["run", "capped", "--script", "s_empty.tsv", "--cap-n", "2", "--horizon", "4"],
     "merge-listed-sets": ["run", "merge", "--l2", "l2.tsv", "--l1-sets", "l1.txt", "--horizon", "3"],
+    "merge-converging-pair": ["run", "merge", "--l2", "l2_converge.tsv", "--l1-sets",
+                              "l1_converge.txt", "--horizon", "4"],
     **{f"check-{suite}": ["check", suite] for suite in SUITES},
     "check-classes-small": ["check", "classes", "--cases", "3", "--depth", "8", "--seed", "1"],
     "check-complexity-small": ["check", "complexity", "--cases", "5", "--depth", "6", "--seed", "2"],

@@ -1,18 +1,19 @@
 """The recipes' arithmetic against the set-based references in oracles.
 
 The recipes carry one integer per truncated lower cut, emit each stage's
-new strings from intervals, and pick odd-ones extensions by comparing
+new strings from intervals, and find odd-ones extensions by comparing
 integers.  The references build every cut as a set of strings on the
 rational side and take set differences and set inclusions.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from cantorsim.checks import _pick, random_dyadic_trace, random_string_set
+from cantorsim.checks import random_dyadic_trace, random_string_set
 from cantorsim.complexity import PrefixMachine
 from cantorsim.constructions import friedberg_merge, hat_m_construction
 from cantorsim.coverings import (
@@ -21,12 +22,19 @@ from cantorsim.coverings import (
     parse_listing,
     star_construction,
 )
-from cantorsim.dyadic import ONE, ZERO, BitString, Dyadic, rational_of_string
-from cantorsim.errors import ContractViolationError
+from cantorsim.dyadic import (
+    ONE,
+    ZERO,
+    Antichain,
+    BitString,
+    Dyadic,
+    optimal_covering,
+    rational_of_string,
+)
 from cantorsim.oracles import (
     brute_lower_cut,
     brute_odd_ones,
-    inclusion_odd_ones_picker,
+    inclusion_odd_ones_extensions,
     set_difference_deltas,
 )
 from cantorsim import recipes
@@ -34,10 +42,10 @@ from cantorsim.recipes import (
     cut_deltas,
     merge_boundary_reals,
     merge_covering_classes,
+    odd_covering_extensions,
     odd_covering_listing,
-    odd_covering_picker,
+    odd_ones_extensions,
     odd_ones_listing,
-    odd_ones_picker,
 )
 from cantorsim.streams import EnumerationScript, real_from_ce_set
 from test_golden import INPUTS
@@ -81,11 +89,15 @@ class TestCutDeltas:
         )
 
 
+def first(extensions, content, count=5):
+    return list(itertools.islice(extensions(content), count))
+
+
 class TestOddOnesPicker:
     @pytest.mark.parametrize("length", range(8))
     def test_matches_the_inclusion_picker(self, length):
         rng = random.Random(43 + length)
-        fast, reference = odd_ones_picker(length), inclusion_odd_ones_picker(length)
+        fast, reference = odd_ones_extensions(length), inclusion_odd_ones_extensions(length)
         contents = [
             frozenset(),
             frozenset({BitString("")}),
@@ -93,21 +105,15 @@ class TestOddOnesPicker:
             frozenset({BitString("0"), BitString("0" * (length + 2))}),
         ] + [random_string_set(rng, length + 1, 5) for _ in range(60)]
         for content in contents:
-            for attempt in range(5):
-                assert _pick(fast, content, attempt) == _pick(reference, content, attempt)
+            assert first(fast, content) == first(reference, content)
 
     def test_a_member_longer_than_the_bound_has_no_extension(self):
         content = frozenset({BitString("0"), BitString("0000")})
-        with pytest.raises(ContractViolationError, match="of a 2-string set within length 3$"):
-            odd_ones_picker(3)(content, 0)
+        assert first(odd_ones_extensions(3), content) == []
 
     def test_listing_is_the_cuts_of_the_odd_ones_reals(self):
-        generator = odd_ones_listing(5)
-        strings = brute_odd_ones(5)
-        for i, s in enumerate(strings):
-            assert generator(i) == brute_lower_cut(rational_of_string(s), 5)
-        with pytest.raises(IndexError):
-            generator(len(strings))
+        want = [brute_lower_cut(rational_of_string(s), 5) for s in brute_odd_ones(5)]
+        assert list(odd_ones_listing(5)) == want
 
     def test_a_cut_is_built_only_when_asked(self, monkeypatch):
         built = []
@@ -118,12 +124,61 @@ class TestOddOnesPicker:
 
         monkeypatch.setattr(recipes, "lower_cut", counting_cut)
         recipes._odd_ones_cut.cache_clear()
-        generator, picker = odd_ones_listing(9), odd_ones_picker(9)
+        listing = odd_ones_listing(9)
+        extensions = odd_ones_extensions(9)(frozenset({BitString("1")}))
         assert built == []
-        generator(3)
-        picker(frozenset({BitString("1")}), 2)
-        assert len(built) == 2
+        next(listing)
+        assert len(built) == 1
+        next(extensions)
+        next(extensions)
+        assert len(built) == 3
         recipes._odd_ones_cut.cache_clear()
+
+
+def antichain(members: str) -> Antichain:
+    return Antichain(tuple(BitString.parse(m) for m in members.split(",")))
+
+
+class TestOddCoveringExtensions:
+    @pytest.mark.parametrize("length", range(7))
+    def test_values_are_distinct_odd_coverings_extending_the_content(self, length):
+        rng = random.Random(47 + length)
+        contents = [frozenset(), frozenset({BitString("")})]
+        contents += [random_string_set(rng, length, 4, 1) for _ in range(30)]
+        for content in contents:
+            values = first(odd_covering_extensions(length), content, 40)
+            assert len(set(values)) == len(values)
+            for value in values:
+                assert content <= value
+                covering = optimal_covering(value)
+                assert len(covering) % 2 == 1
+                assert all(len(m) <= length for m in covering)
+                assert covered_up_to(covering, length) == value
+
+    @pytest.mark.parametrize(
+        "length, content, want",
+        [
+            (4, "", "-|0|1|00|01|10"),
+            (4, "0 10", "0,10,110|0,10,111|0,10,1100|0,10,1101|0,10,1110|0,10,1111"),
+            (5, "00 11", "00,11,010|00,11,011|00,11,100|00,11,101|00,11,0100|00,11,0101"),
+            (3, "1 01", "1,01,000|1,01,001"),
+            (2, "-", "-"),
+            (3, "0 1", "-"),
+        ],
+    )
+    def test_first_values(self, length, content, want):
+        content = frozenset(BitString.parse(t) for t in content.split())
+        got = first(odd_covering_extensions(length), content, 6)
+        assert got == [covered_up_to(antichain(a), length) for a in want.split("|")]
+
+    def test_siblings_are_not_adjoined_to_an_odd_covering(self):
+        # {00, 01} would merge into 0 and leave the even covering {0, 1}
+        values = first(odd_covering_extensions(2), frozenset({BitString("1")}), 10)
+        assert values == [covered_up_to(antichain("1"), 2)]
+
+    def test_a_member_longer_than_the_bound_has_no_extension(self):
+        content = frozenset({BitString("0000"), BitString("0001")})
+        assert first(odd_covering_extensions(3), content) == []
 
 
 class TestRecipes:
@@ -140,14 +195,8 @@ class TestRecipes:
                 values = [trace.value_at(s) for s in range(horizon + 1)]
                 events.extend((s, j, t) for s, t in set_difference_deltas(values, length))
             cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
-
-            def generator(i):
-                if i >= len(cuts):
-                    raise IndexError(i)
-                return cuts[i]
-
-            want = friedberg_merge(generator, EnumerationScript.from_events(events, horizon),
-                                   inclusion_odd_ones_picker(length), horizon)
+            want = friedberg_merge(cuts, EnumerationScript.from_events(events, horizon),
+                                   inclusion_odd_ones_extensions(length), horizon)
             got = merge_boundary_reals(script, machine, 3, length, horizon, mirror=mirror)
             assert got == want
 
@@ -166,15 +215,15 @@ class TestRecipes:
                 events.extend((snap.stage, j, t) for t in gained)
                 seen = cur
         l2 = EnumerationScript.from_events(events, horizon)
-        want = friedberg_merge(odd_covering_listing(length), l2, odd_covering_picker(length), horizon)
+        want = friedberg_merge(odd_covering_listing(length), l2, odd_covering_extensions(length),
+                               horizon)
         got = merge_covering_classes(listings, length, horizon, with_acceptable_stream=False)
         assert got == want
 
     def test_covering_listing_is_the_covered_sets_within_the_bound(self):
-        generator = odd_covering_listing(4)
+        want = []
         i = 0
         while odd_covering_family(i).total_bits() <= 4:
-            assert generator(i) == covered_up_to(odd_covering_family(i), 4)
+            want.append(covered_up_to(odd_covering_family(i), 4))
             i += 1
-        with pytest.raises(IndexError):
-            generator(i)
+        assert list(odd_covering_listing(4)) == want
