@@ -475,7 +475,7 @@ def check_coverings(
                 if not is_acceptable(generating):
                     rep.fail(f"stage {snap.stage}: generating family not acceptable")
             for member in prev:
-                if not snap.family.covers_cone(member):
+                if not snap.family.covers(member):
                     rep.fail(f"stage {snap.stage}: covered set shrank at {member}")
             prev = snap.family
         if snaps and snaps[-1].good_stages:
@@ -672,7 +672,7 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
                 rep.fail(f"suite {si}: no combined path through graft {n}")
             if any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], diag_depth)):
                 rep.fail(f"suite {si}: tree {n} still meets its graft cone")
-    all_paths = {p.bits for p in paths_at_depth(Tree.full(6), 6)}
+    all_paths = {p.bits for p in paths_at_depth(Tree(6), 6)}
     leftovers: dict[frozenset[BitString], set[str]] = {}  # the oracle's, per final set
     for ci in range(capped_scripts):
         script = random_string_script(rng, max_len=6)

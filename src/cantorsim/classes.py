@@ -62,10 +62,6 @@ class Tree:
                     raise DomainError(f"exit {b} extends exit {b[:i] or 'ε'}")
 
     @classmethod
-    def full(cls, depth: int) -> "Tree":
-        return cls(depth)
-
-    @classmethod
     def closure_of(cls, strings: Iterable[BitString], depth: int) -> "Tree":
         """Prefix closure of the given strings, truncated at the depth bound:
         its exits are the children of its nodes that are not nodes, or ε

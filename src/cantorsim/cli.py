@@ -16,11 +16,14 @@ gets one `stage<TAB>index<TAB>admit|refuse<TAB>item` record per processed
 event and a footer `# index e: measure … frozen …`, where frozen is the stage
 of the first refusal or `never`.
 
-The `run` constructions, their flags and their builders are declared in
-`runs`.  The `check` suites are declared in `checks.SUITES`, each with the
-suite parameter that `--cases`, `--depth` and `--len` set; a given flag the
-suite does not take is an input error.  Every count, length, depth, horizon,
-constant and index flag takes an integer ≥ 0; only `--seed` may be negative.
+The grammar, `run` and `check` with every flag, is declared once, in
+`runs.parser()`, which builds it on the first parse and reuses it for the
+rest of the process.  The `run` constructions, their flags and their
+builders are declared in `runs.RUNS`.  The `check` suites are declared in
+`checks.SUITES`, each with the suite parameter that `--cases`, `--depth` and
+`--len` set; a given flag the suite does not take is an input error.  Every
+count, length, depth, horizon, constant and index flag takes an integer ≥ 0;
+only `--seed` may be negative.
 
 Exit codes: 0 success, 1 check failure; each package error class declares
 its own code and label in `errors` (2 input error, 3 precondition error), and
@@ -29,28 +32,12 @@ an unreadable or unwritable file is an input error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Sequence
 
 from .checks import run_suite
 from .errors import CantorsimError
-from .runs import add_run_command, build, natural
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cantorsim")
-    top = parser.add_subparsers(dest="command", required=True)
-    add_run_command(top)
-
-    check = top.add_parser("check", help="run a brute-force oracle suite")
-    check.add_argument("suite")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--cases", type=natural, default=None)
-    check.add_argument("--depth", type=natural, default=None)
-    check.add_argument("--len", type=natural, default=None, dest="length")
-    check.add_argument("--out", default=None)
-    return parser
+from .runs import build, parser
 
 
 def _read(path: str) -> str:
@@ -68,8 +55,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser().parse_args(argv)
     try:
         if args.command == "run":
             _emit(build(args, _read).lines, args.out)

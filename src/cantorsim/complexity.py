@@ -98,7 +98,9 @@ class PrefixMachine:
     def parse(
         cls, text: str, c_tilde: int = 0, source: str = "<machine>"
     ) -> "PrefixMachine":
-        """One program per line: code<TAB>output<TAB>halt_stage; '#' comments."""
+        """One program per line: code<TAB>output<TAB>halt_stage; '#' comments.
+        A negative halt stage names its line; a duplicate or prefix code
+        names the source."""
         programs: list[Program] = []
         for lineno, fields in records(text):
             if len(fields) != 3:
@@ -114,8 +116,13 @@ class PrefixMachine:
                 halt = int(halt_s)
             except (DomainError, ValueError) as exc:
                 raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
+            if halt < 0:
+                raise ParseError(f"negative halt stage for code {code}", source=source, line=lineno)
             programs.append(Program(code, output, halt))
-        return cls(tuple(programs), c_tilde=c_tilde)
+        try:
+            return cls(tuple(programs), c_tilde=c_tilde)
+        except PrefixFreeViolation as exc:
+            raise PrefixFreeViolation(exc.message, source=source) from None
 
     @classmethod
     def load(cls, path: str, c_tilde: int = 0) -> "PrefixMachine":

@@ -163,9 +163,7 @@ def covering_antichains(odd: bool) -> Iterator[Antichain]:
     optimal covering of itself, so this enumerates exactly the coverings of
     that parity."""
     for total in itertools.count(0):
-        for a in _families_with_total_bits(total):
-            if len(a) % 2 == (1 if odd else 0):
-                yield a
+        yield from _parity_families(total, odd)
 
 
 @lru_cache(maxsize=None)

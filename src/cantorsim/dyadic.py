@@ -291,16 +291,13 @@ class Antichain:
         return s in self.members
 
     def covers(self, s: BitString) -> bool:
-        """Membership in the represented filter-closed set: s extends a member."""
+        """Membership in the represented filter-closed set: s extends a member.
+        The members of a reduced antichain are the minimal strings whose cones
+        lie inside the union, so this also says whether the whole cone [s]
+        lies under the member cones."""
         bits = s.bits
         member_bits = self._member_bits  # type: ignore[attr-defined]
         return any(bits[:i] in member_bits for i in range(len(bits) + 1))
-
-    def covers_cone(self, s: BitString) -> bool:
-        """Whether the whole cone [s] lies under the member cones.  The members
-        of a reduced antichain are the minimal strings whose cones lie inside
-        the union, so [s] does exactly when s extends a member."""
-        return self.covers(s)
 
     def total_bits(self) -> int:
         return sum(len(m) for m in self.members)

@@ -26,6 +26,7 @@ class ParseError(CantorsimError):
     """Malformed input text; carries the source name and line number."""
 
     def __init__(self, message: str, *, source: str = "<input>", line: int | None = None):
+        self.message = message
         self.source = source
         self.line = line
         where = source if line is None else f"{source}:{line}"

@@ -1,10 +1,14 @@
-"""The `run` constructions, each declared once.
+"""The `run` constructions, each declared once, and the `cantorsim` grammar.
 
 Every entry of RUNS pairs a construction's CLI flags with one builder.  A
 builder takes the parsed flags and a `read(path) -> str` callable, replays
 the construction, and returns a Replay: the library result, the stdout
 lines, and the construction's safety check.  The CLI reads from disk; the
 scenario library reads the fixture texts, so both run the same code.
+
+`parser()` declares the whole command line, `run` from RUNS and `check`,
+once; it is built on its first call, not at import, and at most once per
+process.  `cli.main` and `replay` both parse with it.
 
 The safety verifiers live next to their builders; `checks` exports them.
 They read K_t and Ω_s from the linear scans in `oracles`, never from the
@@ -38,7 +42,7 @@ from .oracles import brute_k_approx, brute_omega_approx, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
-__all__ = ["RUNS", "Replay", "Run", "add_run_command", "build", "natural", "replay"]
+__all__ = ["RUNS", "Replay", "Run", "build", "natural", "parser", "replay"]
 
 Read = Callable[[str], str]
 
@@ -92,18 +96,6 @@ _LEN = {"type": natural, "required": True, "dest": "length"}
 _SWITCH = {"action": "store_true"}
 
 
-def add_run_command(commands: argparse._SubParsersAction) -> None:
-    """Add `run`, with one subcommand per construction, to the top-level
-    subcommands."""
-    run = commands.add_parser("run", help="replay one construction over input files")
-    constructions = run.add_subparsers(dest="construction", required=True)
-    for name, spec in RUNS.items():
-        sub = constructions.add_parser(name)
-        sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        for attr, options in spec.flags.items():
-            sub.add_argument("--" + attr.replace("_", "-"), **options)
-
-
 def build(args: argparse.Namespace, read: Read) -> Replay:
     """Replay the construction that parsed `run` flags name, reading every
     input text through read."""
@@ -111,15 +103,32 @@ def build(args: argparse.Namespace, read: Read) -> Replay:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cantorsim")
-    add_run_command(parser.add_subparsers(dest="command", required=True))
-    return parser
+def parser() -> argparse.ArgumentParser:
+    """The whole `cantorsim` command line: `run`, with one subcommand per
+    RUNS entry in registration order, and `check`.  Built on the first call
+    and then shared by every parse in the process."""
+    top = argparse.ArgumentParser(prog="cantorsim")
+    commands = top.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", help="replay one construction over input files")
+    constructions = run.add_subparsers(dest="construction", required=True)
+    for name, spec in RUNS.items():
+        sub = constructions.add_parser(name)
+        sub.add_argument("--out", default=None, help="output path (default: stdout)")
+        for attr, options in spec.flags.items():
+            sub.add_argument("--" + attr.replace("_", "-"), **options)
+    check = commands.add_parser("check", help="run a brute-force oracle suite")
+    check.add_argument("suite")
+    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--cases", type=natural, default=None)
+    check.add_argument("--depth", type=natural, default=None)
+    check.add_argument("--len", type=natural, default=None, dest="length")
+    check.add_argument("--out", default=None)
+    return top
 
 
 def replay(argv: Sequence[str], read: Read) -> Replay:
     """Parse a `run` command line, such as a scenario's argv, and build it."""
-    return build(_parser().parse_args(argv), read)
+    return build(parser().parse_args(argv), read)
 
 
 def _script(read: Read, path: str, horizon: int) -> EnumerationScript:
@@ -158,6 +167,14 @@ def _runs_of(trace: StageTrace, state: str) -> list[tuple[int, int]]:
     return runs
 
 
+def _stage_mass(v: object, machine: PrefixMachine, t: int) -> bool:
+    """Whether v is a prefix followed by Ω at stage t, as the oracle's scan
+    reads it."""
+    return (
+        isinstance(v, TailValue) and v.omega_stage == t and v.omega == brute_omega_approx(machine, t)
+    )
+
+
 def verify_splice(
     trace: StageTrace, r: LeftCEApprox, machine: PrefixMachine, c: int
 ) -> list[str]:
@@ -173,8 +190,7 @@ def verify_splice(
             if rec.value.real() != r.value(t):
                 errs.append(f"stage {t}: tracking value differs from the input")
         elif rec.state == "spliced":
-            v = rec.value
-            if not isinstance(v, TailValue) or v.omega != brute_omega_approx(machine, t):
+            if not _stage_mass(rec.value, machine, t):
                 errs.append(f"stage {t}: spliced tail is not the stage mass")
         else:
             errs.append(f"stage {t}: unknown state {rec.state}")
@@ -219,6 +235,8 @@ def verify_hatm(
     for rec in trace.records:
         t = rec.stage
         boundary = approx_string(brute_omega_approx(machine, t), k)
+        if isinstance(rec.value, TailValue) and not _stage_mass(rec.value, machine, t):
+            errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
         if rec.state == "parked":
             if boundary.bits != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
@@ -293,6 +311,8 @@ def verify_regret(
             errs.append(f"slot {i}: trace not monotone")
         for rec in slot.trace.records:
             t = rec.stage
+            if isinstance(rec.value, TailValue) and not _stage_mass(rec.value, machine, t):
+                errs.append(f"slot {i} stage {t}: {rec.state} tail is not the stage mass")
             if rec.state == "unbound":
                 if rec.value.real() != ZERO:
                     errs.append(f"slot {i} stage {t}: unbound value not 0")

@@ -74,8 +74,8 @@ class TestTree:
         assert str(info.value) == "exit 01 extends exit 0"
 
     def test_full(self):
-        assert len(Tree.full(3).nodes) == 15
-        assert Tree.full(40) == Tree(40)  # no exits; no node is built
+        assert len(Tree(3).nodes) == 15
+        assert not Tree(40).exits  # no node is built
 
 
 def seeded_node_sets():
@@ -125,7 +125,7 @@ class TestExitsMatchTheNodeSets:
 
 class TestPathsAndDeadEnds:
     def test_paths_examples(self):
-        full = Tree.full(2)
+        full = Tree(2)
         assert [p.bits for p in paths_at_depth(full, 2)] == ["00", "01", "10", "11"]
         single = Tree.closure_of(bs("00"), 2)
         assert [p.bits for p in paths_at_depth(single, 2)] == ["00"]
@@ -134,10 +134,10 @@ class TestPathsAndDeadEnds:
 
     def test_paths_range_error(self):
         with pytest.raises(RangeError):
-            paths_at_depth(Tree.full(2), 3)
+            paths_at_depth(Tree(2), 3)
 
     def test_dead_ends_examples(self):
-        assert dead_ends(Tree.full(2)) == ()
+        assert dead_ends(Tree(2)) == ()
         t = Tree(2, frozenset(bs("01", "10", "11")))  # nodes ε, 0, 1, 00
         assert [d.bits for d in dead_ends(t)] == ["1"]
         root_only = Tree(1, frozenset(bs("0", "1")))
@@ -163,18 +163,18 @@ class TestDiagonalize:
 
     def test_no_dead_ends_is_a_precondition_error(self):
         with pytest.raises(PreconditionError):
-            graft_points([Tree.full(3)], 3)
+            graft_points([Tree(3)], 3)
 
     def test_error_names_the_failing_tree(self):
         base = Tree.closure_of(bs("000", "1", "01"), 3)
-        bad = Tree.full(3)  # no dead ends anywhere, so nothing reachable
+        bad = Tree(3)  # no dead ends anywhere, so nothing reachable
         with pytest.raises(PreconditionError) as info:
             graft_points([base, bad], 3)
         assert "tree 1" in str(info.value)
 
     def test_mismatched_depth_rejected(self):
         with pytest.raises(InputError):
-            graft_points([Tree.full(3), Tree.full(2)], 3)
+            graft_points([Tree(3), Tree(2)], 3)
 
     def test_guarantees_on_example(self):
         base = Tree.closure_of(bs("000", "1", "01"), 3)
@@ -236,7 +236,7 @@ class TestMeasureCapped:
         depth = 4
         open_leaves = expansion_at_depth(final, depth)
         closed = tree_of_complement(final, depth)
-        leftover = {p.bits for p in paths_at_depth(Tree.full(depth), depth)} - set(open_leaves)
+        leftover = {p.bits for p in paths_at_depth(Tree(depth), depth)} - set(open_leaves)
         assert leftover == {p.bits for p in paths_at_depth(closed, depth)}
 
 
@@ -285,6 +285,6 @@ class TestHaltingOracle:
             return any(s.bits.startswith(b) and len(s) >= budgets[b] for b in budgets)
 
         tree = tree_from_halting_oracle(oracle, 0, 5)
-        for s in paths_at_depth(Tree.full(5), 5):
+        for s in paths_at_depth(Tree(5), 5):
             on_tree = all(BitString(s.bits[:i]) in tree.nodes for i in range(6))
             assert on_tree == (not oracle(s, 0))

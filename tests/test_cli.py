@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from cantorsim import runs
 from cantorsim.checks import SUITES, build_scenario, check_coverings
 from cantorsim.cli import main
 from cantorsim.dyadic import Antichain, BitString
@@ -14,17 +17,24 @@ from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from conftest import resolve_argv
 
 
-def run_module(argv, cwd, **env) -> subprocess.CompletedProcess:
-    """`python -m cantorsim` with the argv in a fresh interpreter, run in
-    the directory with the extra environment variables."""
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def run_python(args, cwd, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the args and the package's source on its
+    path, run in the directory with the extra environment variables."""
     env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")]
-        + env.get("PYTHONPATH", "").split(os.pathsep)
+        [os.path.join(ROOT, "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
     )
     return subprocess.run(
-        [sys.executable, "-m", "cantorsim", *argv], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
+
+
+def run_module(argv, cwd, **env) -> subprocess.CompletedProcess:
+    """`python -m cantorsim` with the argv in a fresh interpreter."""
+    return run_python(["-m", "cantorsim", *argv], cwd, **env)
 
 
 @pytest.fixture()
@@ -69,6 +79,22 @@ class TestErrors:
         code, out, err = run(["run", "beta", "--script", str(bad), "--horizon", "3"])
         assert code == 2
         assert err == f"input error: {bad}:1: stage and index must be ≥ 0\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\t0\t1\n0\t1\t2\n", "{path}: duplicate code 0"),
+            ("0\t0\t1\n01\t1\t2\n", "{path}: code 0 is a prefix of code 01"),
+            ("# codes\n0\t0\t1\n10\t1\t-2\n", "{path}:3: negative halt stage for code 10"),
+        ],
+        ids=["duplicate", "prefix", "negative-halt-stage"],
+    )
+    def test_machine_errors_name_the_file(self, run, fixture_dir, text, message):
+        bad = fixture_dir / "bad_machine.tsv"
+        bad.write_text(text)
+        code, out, err = run(["run", "omega", "--machine", str(bad), "--horizon", "3"])
+        assert (code, out) == (2, "")
+        assert err == "input error: " + message.format(path=bad) + "\n"
 
     def test_unknown_suite(self, run):
         code, out, err = run(["check", "nosuch"])
@@ -354,6 +380,53 @@ class TestEntryPoint:
         proc = run_module(["run", "oddones", "--count", "2"], fixture_dir)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["0\t1", "1\t01"]
+
+    def test_console_script_is_main(self, capsys):
+        with open(os.path.join(ROOT, "pyproject.toml"), "r", encoding="utf-8") as fh:
+            text = fh.read()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        target = re.search(r'^cantorsim\s*=\s*"([\w.]+):(\w+)"', scripts.group(1), re.M)
+        module, attr = target.groups()
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is main
+        assert entry(["run", "oddones", "--count", "2"]) == 0
+        assert capsys.readouterr().out == "0\t1\n1\t01\n"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert runs.parser() is runs.parser()
+
+    def test_importing_the_cli_builds_no_parser(self, tmp_path):
+        probe = "import cantorsim.cli, cantorsim.runs as r; print(r.parser.cache_info().currsize)"
+        proc = run_python(["-c", probe], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_a_reused_parser_leaks_no_state(self, fixture_dir, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # one usage-line width in and out of process
+        base, other = fixture_dir / "t_base.txt", fixture_dir / "t_other.txt"
+        base.write_text("-\n0\n1\n00\n01\n000\n")  # the closure of {000, 1, 01}
+        other.write_text("-\n0\n1\n10\n")  # the closure of {0, 10}
+        two = ["run", "diagonalize", "--tree", str(base), "--tree", str(other), "--depth", "3"]
+        one = ["run", "diagonalize", "--tree", str(base), "--depth", "3"]
+        rejected = ["run", "diagonalize", "--tree", str(other), "--depth", "-1"]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def alone(argv):
+            proc = run_module(argv, fixture_dir)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        calls = [two, one, rejected, two]
+        got = [in_process(argv) for argv in calls]
+        assert got == [alone(argv) for argv in calls]
+        assert got[0] != got[1] and got[2][0] == 2
 
 
 class TestRepoFixtures:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -15,9 +16,10 @@ from cantorsim.checks import (
     make_merge_case,
     verify_hatm,
     verify_merge,
+    verify_regret,
     verify_splice,
 )
-from cantorsim.complexity import PrefixMachine, Program
+from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
     PlainValue,
     StageTrace,
@@ -47,6 +49,27 @@ def dy(text: str) -> Dyadic:
 
 def scenario(name):
     return next(sc for sc in SCENARIOS if sc.name == name)
+
+
+def scenario_inputs(name):
+    """A scenario's replayed result, its machine, its script and a reader of
+    its other flags."""
+    sc = scenario(name)
+
+    def flag(option):
+        return sc.argv[sc.argv.index(option) + 1]
+
+    machine = fixture_machine(flag("--machine"))
+    script = fixture_script(flag("--script"), int(flag("--horizon")))
+    return build_scenario(sc).result, machine, script, flag
+
+
+def previous_mass_at_horizon(trace, machine):
+    """The trace with its last record's tail read one stage early."""
+    *head, last = trace.records
+    t = last.stage
+    tail = TailValue(last.value.prefix, t - 1, omega_approx(machine, t - 1))
+    return StageTrace(tuple(head) + (TraceRecord(t, last.state, tail, last.note),))
 
 
 class TestScenarioLibrary:
@@ -168,6 +191,38 @@ class TestVerifiersReadTheScans:
         machine.__dict__["_omega_steps"] = (stages, [ZERO] * len(omegas))
         errs = verify_splice(splice_random(r, machine, c, 12), r, machine, c)
         assert "stage 5: spliced tail is not the stage mass" in errs
+
+    def test_a_spliced_tail_of_the_previous_stage_is_caught(self):
+        trace, machine, script, flag = scenario_inputs("splice-permanent")
+        r, c = real_from_ce_set(script, 0), int(flag("--c"))
+        assert verify_splice(trace, r, machine, c) == []
+        tampered = previous_mass_at_horizon(trace, machine)
+        assert verify_splice(tampered, r, machine, c) == [
+            "stage 12: spliced tail is not the stage mass"
+        ]
+
+    @pytest.mark.parametrize(
+        "name, mirror, state",
+        [("hatm-violation", False, "undesirable"), ("hatm-mirror-parked", True, "parked")],
+    )
+    def test_a_hatm_tail_of_the_previous_stage_is_caught(self, name, mirror, state):
+        trace, machine, script, flag = scenario_inputs(name)
+        m, k = real_from_ce_set(script, 0), int(flag("--k"))
+        assert verify_hatm(trace, m, machine, k, mirror) == []
+        tampered = previous_mass_at_horizon(trace, machine)
+        assert verify_hatm(tampered, m, machine, k, mirror) == [
+            f"stage {trace.horizon}: {state} tail is not the stage mass"
+        ]
+
+    def test_a_regretted_tail_of_the_previous_stage_is_caught(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        c = int(flag("--c"))
+        assert verify_regret(slots, script, machine, c) == []
+        (slot,) = slots
+        tampered = [dataclasses.replace(slot, trace=previous_mass_at_horizon(slot.trace, machine))]
+        assert verify_regret(tampered, script, machine, c) == [
+            "slot 0 stage 12: regretted tail is not the stage mass"
+        ]
 
 
 class TestRegretEdges:

@@ -82,7 +82,7 @@ class TestStarConstruction:
                     )
                     assert is_acceptable(generating)
                 for member in prev:
-                    assert snap.family.covers_cone(member)
+                    assert snap.family.covers(member)
                 prev = snap.family
             if snaps and snaps[-1].good_stages:
                 last_good = snaps[-1].good_stages[-1]
