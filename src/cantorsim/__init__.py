@@ -44,7 +44,6 @@ from .coverings import (
     covered_up_to,
     covering_antichains,
     even_covering_family,
-    good_stage,
     odd_covering_family,
     star_construction,
 )
@@ -68,7 +67,6 @@ from .streams import (
     LeftCEApprox,
     ScriptEvent,
     lower_cut,
-    parity_projection,
     real_from_ce_set,
     stage_set,
     truncate_pad,

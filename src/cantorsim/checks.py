@@ -30,6 +30,7 @@ from .complexity import (
     PrefixMachine,
     Program,
     compute_padding,
+    intersect_randomness,
     k_approx,
     least_failing_length,
     omega_approx,
@@ -63,13 +64,13 @@ from .oracles import (
     brute_halted_complexities,
     brute_k_approx,
     brute_least_failing_length,
+    brute_nodes,
     brute_odd_ones,
     brute_omega_approx,
     brute_optimal_covering,
     expansion_at_depth,
     greedy_expansion,
     inclusion_odd_ones_extensions,
-    islice_covering_family,
     padding_holds,
     rightmost_path,
     set_difference_deltas,
@@ -275,14 +276,6 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
 # scenario building and the merge verifier
 
 
-def fixture_machine(name: str) -> PrefixMachine:
-    return PrefixMachine.parse(FIXTURE_FILES[name], source=name)
-
-
-def fixture_script(name: str, horizon: int | None = None) -> EnumerationScript:
-    return EnumerationScript.parse(FIXTURE_FILES[name], horizon=horizon, source=name)
-
-
 def build_scenario(sc: Scenario) -> Replay:
     """Replay a scenario's command line over the fixture texts, through the
     same builders the CLI runs."""
@@ -420,31 +413,21 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
     return rep
 
 
-def check_coverings(
-    depth: int = 3,
-    max_size: int = 3,
-    random_sets: int = 300,
-    filter_sets: int = 100,
-    listings: int = 40,
-    family_count: int = 100,
-    seed: int = 0,
-    covering_impl: Callable[[Iterable[BitString]], Antichain] | None = None,
-) -> CheckReport:
+def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> CheckReport:
     rep = CheckReport("coverings")
-    impl = covering_impl or optimal_covering
     pool = list(strings_up_to(depth))
-    for size in range(max_size + 1):
+    for size in range(4):
         for combo in itertools.combinations(pool, size):
             rep.cases += 1
-            if impl(combo) != brute_optimal_covering(combo):
+            if optimal_covering(combo) != brute_optimal_covering(combo):
                 rep.fail(f"covering of {{{','.join(str(s) for s in combo)}}}")
     rng = random.Random(seed)
     for _ in range(random_sets):
         rep.cases += 1
         sset = random_string_set(rng, 5, 6)
-        if impl(sset) != brute_optimal_covering(sset):
+        if optimal_covering(sset) != brute_optimal_covering(sset):
             rep.fail(f"covering of {sorted(s.bits for s in sset)}")
-    for _ in range(filter_sets):
+    for _ in range(100):
         rep.cases += 1
         y = random_string_set(rng, 4, 6)
         closure = sibling_merge_closure(y, 8)
@@ -460,7 +443,7 @@ def check_coverings(
         rep.fail("{0,1} should not be acceptable")
     if not is_acceptable((BitString("00"), BitString("10"))):
         rep.fail("{00,10} should be acceptable")
-    for _ in range(listings):
+    for _ in range(40):
         listing = random_listing(rng)
         snaps = star_construction(listing, horizon=max(len(listing), 1))
         prev = Antichain(())
@@ -487,7 +470,7 @@ def check_coverings(
     count = 0
     seen: set[Antichain] = set()
     for a in covering_antichains(odd=True):
-        if a.total_bits() > 10 or count >= family_count:
+        if a.total_bits() > 10 or count >= 100:
             break
         count += 1
         rep.cases += 1
@@ -499,17 +482,19 @@ def check_coverings(
             rep.fail(f"family repeats {a.render()}")
         seen.add(a)
     exhaustive = [a for total in range(7) for a in brute_covering_families(total)]
+    searched = {odd: [a for a in exhaustive if len(a) % 2 == odd] for odd in (False, True)}
     for odd in (False, True):
         rep.cases += 1
         listed = itertools.takewhile(lambda a: a.total_bits() <= 6, covering_antichains(odd))
-        if list(listed) != [a for a in exhaustive if len(a) % 2 == odd]:
+        if list(listed) != searched[odd]:
             rep.fail(f"{'odd' if odd else 'even'} family up to 6 bits differs from the search")
-    lookups = [(i, odd) for i in range(family_count) for odd in (False, True)]
+    # the search lists 135 odd and 161 even families, so it holds every index below 100
+    lookups = [(i, odd) for i in range(100) for odd in (False, True)]
     rng.shuffle(lookups)
     for i, odd in lookups:
         rep.cases += 1
         got = (odd_covering_family if odd else even_covering_family)(i)
-        if got != islice_covering_family(i, odd):
+        if got != searched[odd][i]:
             rep.fail(f"{'odd' if odd else 'even'} covering family {i} is {got.render()}")
     return rep
 
@@ -574,6 +559,20 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             via_paths = Dyadic(len(paths_at_depth(tree, tree_depth)), tree_depth)
             if direct != via_paths:
                 rep.fail(f"machine {mi}: tree paths disagree with the complement measure")
+            # P ∩ R_c for a tree P from its own generator, so the draws above
+            # stay as they are; the expected nodes come from the scans alone
+            draw = random.Random(mi)
+            drawn = tree_of_complement(random_string_set(draw, tree_depth, 3, 1), tree_depth)
+            halted = brute_halted_complexities(machine, t)
+            expected = frozenset(
+                s
+                for s in brute_nodes(drawn)
+                if all(halted.get(s.bits[:n], INFINITE) >= n - c for n in range(len(s) + 1))
+            )
+            if intersect_randomness(drawn, machine, c, t).nodes != expected:
+                rep.fail(f"machine {mi}: intersection with the class differs from the scan")
+            if intersect_randomness(tree, machine, c, t) != tree:
+                rep.fail(f"machine {mi}: the class tree is not its own intersection")
     for target in range(31):
         rep.cases += 1
         p = compute_padding(target, 0)

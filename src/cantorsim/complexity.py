@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .classes import Tree, tree_of_complement
 from .dyadic import ZERO, BitString, Dyadic
-from .errors import DomainError, KraftViolation, ParseError, PrefixFreeViolation, records
+from .errors import DomainError, ParseError, PrefixFreeViolation, records
 
 INFINITE: float = math.inf
 
@@ -75,12 +75,10 @@ class PrefixMachine:
         for p in self.programs:
             if p.halt_stage < 0:
                 raise DomainError(f"negative halt stage for code {p.code}")
+        # prefix-free codes satisfy Kraft's inequality, so the sum stays ≤ 1
         mass = ZERO
-        try:
-            for p in self.programs:
-                mass = mass + Dyadic.pow2(len(p.code))
-        except DomainError:
-            raise KraftViolation("code lengths overrun unit mass")
+        for p in self.programs:
+            mass = mass + Dyadic.pow2(len(p.code))
         object.__setattr__(self, "_mass", mass)
 
     @property
@@ -128,11 +126,6 @@ class PrefixMachine:
     def load(cls, path: str, c_tilde: int = 0) -> "PrefixMachine":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read(), c_tilde=c_tilde, source=path)
-
-    def render(self) -> str:
-        return "\n".join(
-            f"{p.code.display()}\t{p.output.display()}\t{p.halt_stage}" for p in self.programs
-        )
 
     @cached_property
     def _omega_steps(self) -> tuple[list[int], list[Dyadic]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .dyadic import Antichain, BitString, all_strings, optimal_covering
 from .errors import DomainError, ParseError, RangeError, records
@@ -21,7 +21,6 @@ __all__ = [
     "covered_up_to",
     "covering_antichains",
     "even_covering_family",
-    "good_stage",
     "load_listing",
     "odd_covering_family",
     "parse_listing",
@@ -58,14 +57,9 @@ class StarSnapshot:
     good_stages: tuple[int, ...]
 
 
-def good_stage(consumed: Iterable[BitString], sigma: BitString) -> bool:
-    """sigma is longer than every member of the current covering and
-    extends none of them."""
-    cov = optimal_covering(consumed)
-    return _good(cov, sigma)
-
-
 def _good(cov: Antichain, sigma: BitString) -> bool:
+    """A good stage: sigma is longer than every member of the covering of
+    the consumed listing and extends none of them."""
     return all(len(sigma) > len(t) for t in cov) and not any(
         t.is_prefix_of(sigma) for t in cov
     )
@@ -151,12 +145,6 @@ def _cone_antichains(depth: int, total: int) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _families_with_total_bits(total: int) -> tuple[Antichain, ...]:
-    keys = sorted(tuple(sorted((len(b), b) for b in a)) for a in _cone_antichains(0, total))
-    return tuple(Antichain(tuple(BitString(b) for _, b in key)) for key in keys)
-
-
 def covering_antichains(odd: bool) -> Iterator[Antichain]:
     """All reduced antichains of the requested parity, ordered by total
     bit-length and then by member keys; every reduced antichain is the
@@ -169,8 +157,13 @@ def covering_antichains(odd: bool) -> Iterator[Antichain]:
 @lru_cache(maxsize=None)
 def _parity_families(total: int, odd: bool) -> tuple[Antichain, ...]:
     """The families with the given total bit-length and cardinality parity,
-    in canonical order."""
-    return tuple(a for a in _families_with_total_bits(total) if len(a) % 2 == odd)
+    in canonical order: sorted by their members' (length, bits) keys."""
+    keys = sorted(
+        tuple(sorted((len(b), b) for b in a))
+        for a in _cone_antichains(0, total)
+        if len(a) % 2 == odd
+    )
+    return tuple(Antichain(tuple(BitString(b) for _, b in key)) for key in keys)
 
 
 def _covering_family(i: int, odd: bool) -> Antichain:

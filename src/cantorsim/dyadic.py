@@ -66,12 +66,6 @@ class BitString:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __iter__(self) -> Iterator[int]:
-        return (int(b) for b in self.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return int(self.bits[i])
-
     def __str__(self) -> str:
         return self.bits or "ε"
 
@@ -102,9 +96,6 @@ class BitString:
 
     def is_prefix_of(self, other: "BitString") -> bool:
         return other.bits.startswith(self.bits)
-
-    def extends(self, other: "BitString") -> bool:
-        return other.is_prefix_of(self)
 
     def comparable(self, other: "BitString") -> bool:
         return self.is_prefix_of(other) or other.is_prefix_of(self)
@@ -283,12 +274,6 @@ class Antichain:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
-    def __contains__(self, s: BitString) -> bool:
-        return s in self.members
 
     def covers(self, s: BitString) -> bool:
         """Membership in the represented filter-closed set: s extends a member.

@@ -3,8 +3,8 @@ every text input format.
 
 Each error class declares the label and exit code the CLI reports it with:
 
-- 2, "input error": ParseError (with PrefixFreeViolation and KraftViolation),
-  DomainError, RangeError and InputError;
+- 2, "input error": ParseError (with PrefixFreeViolation), DomainError,
+  RangeError and InputError;
 - 3, "precondition error": PreconditionError, CapacityError and
   ContractViolationError.
 """
@@ -47,10 +47,6 @@ def records(text: str, sep: str | None = "\t") -> Iterator[tuple[int, list[str]]
 
 class PrefixFreeViolation(ParseError):
     """A machine code duplicates or is a prefix of another code."""
-
-
-class KraftViolation(ParseError):
-    """Machine code lengths overrun the unit halting-mass budget."""
 
 
 class DomainError(CantorsimError):

@@ -8,13 +8,11 @@ these.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterable, Iterator
 
 from .classes import Tree
 from .complexity import PrefixMachine
-from .coverings import covering_antichains
 from .dyadic import (
     ZERO,
     Antichain,
@@ -39,8 +37,6 @@ __all__ = [
     "expansion_at_depth",
     "greedy_expansion",
     "inclusion_odd_ones_extensions",
-    "islice_covering_family",
-    "longest_even_prefix",
     "node_set_dead_ends",
     "node_set_paths",
     "padding_holds",
@@ -167,14 +163,6 @@ def inclusion_odd_ones_extensions(
     return lambda content: (c for c in cuts if content <= c)
 
 
-def islice_covering_family(i: int, odd: bool) -> Antichain:
-    """The i-th covering of the parity, found by running the canonical
-    enumeration from index 0."""
-    if i < 0:
-        raise DomainError("index must be ≥ 0")
-    return next(itertools.islice(covering_antichains(odd), i, None))
-
-
 def brute_k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
     """K_t(sigma) by a scan of every program: the shortest code that outputs
     sigma and has halted by stage t, or +inf."""
@@ -230,16 +218,6 @@ def greedy_expansion(q: Dyadic) -> BitString:
             bits.append("0")
         i += 1
     return BitString("".join(bits))
-
-
-def longest_even_prefix(s: BitString) -> BitString:
-    """Scan every prefix and keep the longest with an even number of 1s."""
-    best = BitString("")
-    for i in range(len(s.bits) + 1):
-        p = BitString(s.bits[:i])
-        if p.ones() % 2 == 0:
-            best = p
-    return best
 
 
 def padding_holds(p: int, target: int) -> bool:

@@ -37,7 +37,7 @@ from .constructions import (
 )
 from .coverings import even_covering_family, odd_covering_family, parse_listing, star_construction
 from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
-from .errors import DomainError, ParseError, records
+from .errors import DomainError, InputError, ParseError, records
 from .oracles import brute_k_approx, brute_omega_approx, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
@@ -127,8 +127,12 @@ def parser() -> argparse.ArgumentParser:
 
 
 def replay(argv: Sequence[str], read: Read) -> Replay:
-    """Parse a `run` command line, such as a scenario's argv, and build it."""
-    return build(parser().parse_args(argv), read)
+    """Parse a `run` command line, such as a scenario's argv, and build it;
+    any other command line is an input error."""
+    args = parser().parse_args(argv)
+    if args.command != "run":
+        raise InputError(f"replay takes a run command line, not {args.command}")
+    return build(args, read)
 
 
 def _script(read: Read, path: str, horizon: int) -> EnumerationScript:

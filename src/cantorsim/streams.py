@@ -24,7 +24,6 @@ __all__ = [
     "ScriptEvent",
     "approx_string",
     "lower_cut",
-    "parity_projection",
     "real_from_ce_set",
     "stage_set",
     "truncate_pad",
@@ -254,13 +253,3 @@ def approx_string(x: Dyadic, n: int) -> BitString:
         return BitString("1" * n)
     return truncate_pad(string_of_rational(x), n)
 
-
-def parity_projection(s: BitString) -> BitString:
-    """The longest prefix carrying an even number of 1s."""
-    best = 0
-    ones = 0
-    for i, bit in enumerate(s.bits, 1):
-        ones += bit == "1"
-        if ones % 2 == 0:
-            best = i
-    return s.take(best)

@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
-from cantorsim import runs
+from cantorsim import checks, runs
 from cantorsim.checks import SUITES, build_scenario, check_coverings
 from cantorsim.cli import main
-from cantorsim.dyadic import Antichain, BitString
+from cantorsim.dyadic import Antichain, BitString, optimal_covering
+from cantorsim.errors import InputError
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from conftest import resolve_argv
 
@@ -339,9 +340,7 @@ class TestCheckCommand:
         assert code == 0
         assert out.startswith("ok\tdyadic")
 
-    def test_injected_mutant_is_caught(self):
-        from cantorsim.dyadic import optimal_covering
-
+    def test_injected_mutant_is_caught(self, monkeypatch):
         def broken(strings):
             cov = list(optimal_covering(strings).members)
             if cov:
@@ -350,24 +349,17 @@ class TestCheckCommand:
                 return Antichain(tuple(cov[1:]) + (BitString(cov[0].bits + "0"),))
             return Antichain(tuple(cov))
 
-        report = check_coverings(
-            depth=2,
-            max_size=2,
-            random_sets=50,
-            filter_sets=0,
-            listings=0,
-            family_count=0,
-            covering_impl=broken,
-        )
+        monkeypatch.setattr(checks, "optimal_covering", broken)
+        report = check_coverings(depth=2, random_sets=50)
         assert not report.ok
         assert any("covering" in line for line in report.lines())
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_every_flag_sets_a_parameter_of_its_suite(self, name):
         suite = SUITES[name]
-        params = inspect.signature(suite.run).parameters
+        params = set(inspect.signature(suite.run).parameters) - {"seed"}
         assert set(suite.params) <= {"cases", "depth", "len"}
-        assert all(param in params for param in suite.params.values())
+        assert set(suite.params.values()) == params
 
     def test_check_reports_are_deterministic(self, run):
         code1, out1, _ = run(["check", "coverings", "--depth", "2", "--cases", "30"])
@@ -396,6 +388,10 @@ class TestEntryPoint:
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert runs.parser() is runs.parser()
+
+    def test_replay_rejects_a_check_command_line(self):
+        with pytest.raises(InputError, match="run command line"):
+            runs.replay(["check", "dyadic"], FIXTURE_FILES.__getitem__)
 
     def test_importing_the_cli_builds_no_parser(self, tmp_path):
         probe = "import cantorsim.cli, cantorsim.runs as r; print(r.parser.cache_info().currsize)"

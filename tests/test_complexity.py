@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 from hypothesis import strategies as st
 
 from cantorsim.checks import random_machine
@@ -28,7 +28,7 @@ from cantorsim.dyadic import (
     rational_of_string,
     strings_up_to,
 )
-from cantorsim.errors import KraftViolation, ParseError, PrefixFreeViolation
+from cantorsim.errors import ParseError, PrefixFreeViolation
 from cantorsim.oracles import (
     brute_halted_complexities,
     brute_k_approx,
@@ -52,11 +52,16 @@ class TestMachineValidation:
         with pytest.raises(PrefixFreeViolation):
             PrefixMachine((prog("0", "0", 1), prog("01", "1", 2)))
 
-    def test_kraft_error_is_its_own_kind(self):
-        # prefix-free binary tables always satisfy the mass budget, so this
-        # class only guards internal misuse; it must stay distinguishable
-        assert issubclass(KraftViolation, ParseError)
-        assert not issubclass(KraftViolation, PrefixFreeViolation)
+    @seed(20)
+    @given(st.lists(st.text(alphabet="01", max_size=4), max_size=8))
+    def test_accepted_code_sets_satisfy_kraft(self, codes):
+        # Kraft's inequality holds for every prefix-free code set, so the
+        # mass sum needs no overrun check of its own
+        try:
+            machine = PrefixMachine(tuple(prog(c, "0", 0) for c in codes))
+        except PrefixFreeViolation:
+            return
+        assert machine.kraft_sum <= ONE
 
     def test_parse_names_bad_line(self):
         with pytest.raises(ParseError) as info:
@@ -76,6 +81,7 @@ class TestMachineValidation:
     def test_full_mass_allowed_but_not_strict(self):
         machine = PrefixMachine((prog("0", "0", 1), prog("1", "1", 1)))
         assert machine.kraft_sum == ONE and not machine.strict_kraft
+        assert PrefixMachine.parse("0\t0\t1\n1\t1\t1\n") == machine
 
 
 class TestKApprox:

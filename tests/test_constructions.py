@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from cantorsim.checks import (
     SCENARIOS,
     build_scenario,
-    fixture_machine,
-    fixture_script,
     make_merge_case,
     verify_hatm,
     verify_merge,
@@ -40,11 +38,20 @@ from cantorsim.errors import (
     PreconditionError,
 )
 from cantorsim.oracles import brute_odd_ones, rightmost_path
+from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 
 def dy(text: str) -> Dyadic:
     return Dyadic.parse(text)
+
+
+def fixture_machine(name: str) -> PrefixMachine:
+    return PrefixMachine.parse(FIXTURE_FILES[name], source=name)
+
+
+def fixture_script(name: str, horizon: int | None = None) -> EnumerationScript:
+    return EnumerationScript.parse(FIXTURE_FILES[name], horizon=horizon, source=name)
 
 
 def scenario(name):

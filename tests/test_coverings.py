@@ -1,18 +1,16 @@
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 
 import pytest
 
 from cantorsim.checks import build_scenario, random_listing, random_string_set
 from cantorsim.coverings import (
-    _families_with_total_bits,
     _parity_families,
     covered_up_to,
     covering_antichains,
     even_covering_family,
-    good_stage,
     odd_covering_family,
     parse_listing,
     star_construction,
@@ -42,14 +40,23 @@ def scenario(name):
     return next(sc for sc in SCENARIOS if sc.name == name)
 
 
+@functools.lru_cache(maxsize=None)
+def searched_families(total: int) -> tuple[Antichain, ...]:
+    return brute_covering_families(total)
+
+
+def last_stage_is_good(consumed: list[BitString], sigma: BitString) -> bool:
+    return star_construction([*consumed, sigma], horizon=len(consumed))[-1].good
+
+
 class TestGoodStage:
     def test_examples(self):
-        assert good_stage([], BitString("0"))
-        assert not good_stage(bs("00"), BitString("0"))
-        assert good_stage(bs("00"), BitString("010"))
+        assert last_stage_is_good([], BitString("0"))
+        assert not last_stage_is_good(bs("00"), BitString("0"))
+        assert last_stage_is_good(bs("00"), BitString("010"))
 
     def test_extension_disqualifies(self):
-        assert not good_stage(bs("00"), BitString("001"))
+        assert not last_stage_is_good(bs("00"), BitString("001"))
 
 
 class TestStarConstruction:
@@ -136,8 +143,9 @@ class TestCoveringFamilies:
             seen.add(a)
 
     def test_indexed_families_match_the_enumeration_in_any_order(self):
-        reference = {odd: list(itertools.islice(covering_antichains(odd), 2000)) for odd in (0, 1)}
-        lookups = [(i, odd) for i in range(2000) for odd in (0, 1)]
+        searched = [a for total in range(8) for a in searched_families(total)]
+        reference = {odd: [a for a in searched if len(a) % 2 == odd] for odd in (0, 1)}
+        lookups = [(i, odd) for odd in (0, 1) for i in range(len(reference[odd]))]
         random.Random(47).shuffle(lookups)
         _parity_families.cache_clear()
         for i, odd in lookups:
@@ -151,7 +159,9 @@ class TestCoveringFamilies:
 
     def test_families_match_the_exhaustive_search(self):
         for total in range(8):
-            assert _families_with_total_bits(total) == brute_covering_families(total)
+            both = _parity_families(total, False) + _parity_families(total, True)
+            listed = sorted(both, key=lambda a: tuple(s.lenlex_key for s in a))
+            assert tuple(listed) == searched_families(total)
 
     def test_covered_up_to_matches_the_sibling_merge_fixpoint(self):
         rng = random.Random(37)

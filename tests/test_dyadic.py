@@ -50,7 +50,6 @@ class TestBitString:
         a, b = BitString("10"), BitString("1011")
         assert a.is_prefix_of(b) and not b.is_prefix_of(a)
         assert EMPTY.is_prefix_of(a)
-        assert b.extends(a)
 
 
 class TestDyadic:

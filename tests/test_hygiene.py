@@ -2,7 +2,9 @@
 
 Every module-level import must be used by the module's code or named in its
 ``__all__``, and imports sit at module level only.  ``__init__`` is exempt
-from the first rule: its imports are the package's re-exports.  The
+from the first rule: its imports are the package's re-exports.  Each
+re-export is named in the code of a module other than ``__init__`` and
+``oracles``, so nothing is exported that only the tests reach.  The
 package's modules import one another without a cycle.
 """
 
@@ -48,6 +50,28 @@ def unused_imports(path: pathlib.Path) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in _bound_names(node)
         if name not in used
+    ]
+
+
+def unreferenced_reexports(package: pathlib.Path) -> list[str]:
+    """The names ``__init__`` imports that no module other than ``__init__``
+    and ``oracles`` names in its code (a name or an attribute; strings such
+    as ``__all__`` entries do not count)."""
+    named: set[str] = set()
+    for path in package.glob("*.py"):
+        if path.stem not in ("__init__", "oracles"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    init = _tree(package / "__init__.py")
+    return [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (alias.asname or alias.name) not in named
     ]
 
 
@@ -127,6 +151,17 @@ def test_imports_sit_at_module_level(path):
 def test_allowed_local_imports_still_exist():
     found = {f[:2] for path in MODULES for f in local_imports(path)}
     assert set(LOCAL_IMPORTS_ALLOWED) <= found
+
+
+def test_every_reexport_is_reached_by_the_package():
+    assert unreferenced_reexports(PACKAGE) == []
+
+
+def test_an_unreferenced_reexport_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .m import f, g\n", encoding="utf-8")
+    (tmp_path / "m.py").write_text("def f():\n    pass\n\n\ndef g():\n    f()\n", encoding="utf-8")
+    (tmp_path / "oracles.py").write_text("from .m import g\n\ng()\n", encoding="utf-8")
+    assert unreferenced_reexports(tmp_path) == ["g"]
 
 
 def test_package_imports_are_acyclic():

@@ -13,19 +13,14 @@ from cantorsim.dyadic import (
     ZERO,
     BitString,
     Dyadic,
-    Order,
-    lex_compare_padded,
-    rational_of_string,
-    string_of_rational,
     strings_up_to,
 )
 from cantorsim.errors import InputError, ParseError, RangeError
-from cantorsim.oracles import brute_lower_cut, longest_even_prefix
+from cantorsim.oracles import brute_lower_cut
 from cantorsim.streams import (
     EnumerationScript,
     LeftCEApprox,
     lower_cut,
-    parity_projection,
     real_from_ce_set,
     stage_set,
     truncate_pad,
@@ -217,33 +212,3 @@ class TestTruncatePad:
     def test_length_is_exact(self, s, n):
         assert len(truncate_pad(s, n)) == n
 
-
-class TestParityProjection:
-    def test_examples(self):
-        assert parity_projection(BitString("1100")) == BitString("1100")
-        assert parity_projection(BitString("1011")) == BitString("101")
-        assert parity_projection(BitString("1")) == EMPTY
-
-    @given(st.text(alphabet="01", max_size=12).map(BitString))
-    def test_matches_the_prefix_scan_oracle(self, s):
-        assert parity_projection(s) == longest_even_prefix(s)
-
-    @given(st.text(alphabet="01", max_size=12).map(BitString))
-    def test_fixpoint_on_even_strings(self, s):
-        if s.ones() % 2 == 0:
-            assert parity_projection(s) == s
-
-    @given(st.text(alphabet="01", max_size=12).map(BitString))
-    def test_projection_is_a_prefix(self, s):
-        p = parity_projection(s)
-        assert p.is_prefix_of(s)
-        assert rational_of_string(p) <= rational_of_string(s)
-
-    def test_pointwise_projection_is_not_monotone(self):
-        # A monotone step 3/8 -> 1/2 sends the projection from 011 down to ε,
-        # so the projected stage values regress.  The family construction that
-        # uses this projection therefore needs its stateful pairing
-        # discipline; the pointwise map alone does not preserve monotonicity.
-        lo = parity_projection(string_of_rational(dy("3/2^3")))
-        hi = parity_projection(string_of_rational(dy("1/2^1")))
-        assert lex_compare_padded(lo, hi) is Order.GT
