@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classes import (
@@ -299,6 +300,14 @@ def _merge_tag(i: int) -> BitString:
     return BitString("1" * 6 + format(i, "010b"))
 
 
+@lru_cache(maxsize=None)
+def _merge_injective_side() -> tuple[frozenset[BitString], tuple[frozenset[BitString], ...]]:
+    """The 1,024 tags and the listing of the first 400 tags as singletons,
+    the same for every merge case; built on the first case, not at import."""
+    tags = [_merge_tag(i) for i in range(1024)]
+    return frozenset(tags), tuple(frozenset((t,)) for t in tags[:400])
+
+
 def make_merge_case(
     rng: random.Random, max_indices: int = 16, horizon: int = 100
 ) -> MergeCase:
@@ -322,9 +331,7 @@ def make_merge_case(
         for stage, item in zip(stages, items):
             events.append((stage, j, item))
     script = EnumerationScript.from_events(events, horizon)
-    tags = frozenset(_merge_tag(i) for i in range(1024))
-
-    l1 = [frozenset((_merge_tag(i),)) for i in range(400)]
+    tags, l1 = _merge_injective_side()
 
     def extensions(content: frozenset[BitString]) -> Iterator[frozenset[BitString]]:
         return (content | {_merge_tag(i)} for i in itertools.count(500))
@@ -389,10 +396,10 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
     rep.cases += 1
     if by_lex != by_val:
         rep.fail("order transport broken at length 9")
-    for a in strings_up_to(5):
-        for b in strings_up_to(5):
+    valued = [(s, rational_of_string(s)) for s in strings_up_to(5)]
+    for a, va in valued:
+        for b, vb in valued:
             rep.cases += 1
-            va, vb = rational_of_string(a), rational_of_string(b)
             want = Order.LT if va < vb else Order.GT if va > vb else Order.EQ
             if lex_compare_padded(a, b) is not want:
                 rep.fail(f"lex_compare_padded({a}, {b})")
@@ -427,12 +434,13 @@ def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> Ch
         sset = random_string_set(rng, 5, 6)
         if optimal_covering(sset) != brute_optimal_covering(sset):
             rep.fail(f"covering of {sorted(s.bits for s in sset)}")
+    words = list(strings_up_to(8))
     for _ in range(100):
         rep.cases += 1
         y = random_string_set(rng, 4, 6)
         closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
-        for t in strings_up_to(8):
+        for t in words:
             if anti.covers(t) != (t in closure):
                 rep.fail(f"filter closure of {sorted(s.bits for s in y)} differs at {t}")
                 break
@@ -672,7 +680,17 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
             if any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], diag_depth)):
                 rep.fail(f"suite {si}: tree {n} still meets its graft cone")
     all_paths = {p.bits for p in paths_at_depth(Tree(6), 6)}
-    leftovers: dict[frozenset[BitString], set[str]] = {}  # the oracle's, per final set
+    # per set of script strings, all of length ≤ 6: its measure, read off the
+    # oracle's depth-6 expansion, and whether the complement tree's paths are
+    # the words the expansion leaves out
+    measures: dict[frozenset[BitString], Fraction] = {}
+    complement_ok: dict[frozenset[BitString], bool] = {}
+
+    def measure(strings: frozenset[BitString]) -> Fraction:
+        if strings not in measures:
+            measures[strings] = Dyadic(len(expansion_at_depth(strings, 6)), 6).as_fraction()
+        return measures[strings]
+
     for ci in range(capped_scripts):
         script = random_string_script(rng, max_len=6)
         for n in range(1, 9):
@@ -681,24 +699,26 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
             replays = measure_capped_enumeration(script, n, script.horizon)
             for e, replay in replays.items():
                 for snap in replay.stages:
-                    if prefix_set_measure(snap).as_fraction() > cap:
+                    if measure(snap) > cap:
                         rep.fail(f"script {ci}: cap {n} broken for index {e}")
                         break
-                full = {
+                full = frozenset(
                     item
                     for item in stage_set(script, e, script.horizon)
                     if isinstance(item, BitString)
-                }
-                if prefix_set_measure(full).as_fraction() <= cap and replay.final() != full:
+                )
+                if measure(full) <= cap and replay.final() != full:
                     rep.fail(f"script {ci}: unconstrained index {e} was modified")
                 if n == 1 and replay.final():
                     rep.fail(f"script {ci}: cap 1 admitted a string for index {e}")
                 final = replay.final()
-                if final not in leftovers:
-                    leftovers[final] = all_paths - expansion_at_depth(final, 6)
-                complement = tree_of_complement(final, 6)
-                if leftovers[final] != {p.bits for p in paths_at_depth(complement, 6)}:
+                if final not in complement_ok:
+                    leftover = all_paths - expansion_at_depth(final, 6)
+                    paths = paths_at_depth(tree_of_complement(final, 6), 6)
+                    complement_ok[final] = leftover == {p.bits for p in paths}
+                if not complement_ok[final]:
                     rep.fail(f"script {ci}: complement view broken for index {e}")
+    words = list(strings_up_to(7))
     for oi in range(20):
         rep.cases += 1
         halted = optimal_covering(random_string_set(rng, 5, 4, 1))
@@ -710,10 +730,9 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
             )
 
         tree = tree_from_halting_oracle(oracle, 0, 7)
-        for s in strings_up_to(7):
-            on_tree = all(
-                BitString(s.bits[:i]) in tree.nodes for i in range(len(s.bits) + 1)
-            )
+        nodes = {n.bits for n in tree.nodes}
+        for s in words:
+            on_tree = all(s.bits[:i] in nodes for i in range(len(s.bits) + 1))
             if on_tree != (not oracle(s, 0)):
                 rep.fail(f"oracle case {oi}: membership mismatch at {s}")
                 break
@@ -721,17 +740,29 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
 
 
 class Suite(NamedTuple):
-    """A `check` suite: its function, and the parameter of that function
-    that each `check` flag it takes sets, by flag name."""
+    """A `check` suite: its function, the parameter of that function that
+    each `check` flag it takes sets, by flag name, and the largest value of
+    each flag whose work grows exponentially with it."""
 
     run: Callable[..., CheckReport]
     params: dict[str, str]
+    caps: dict[str, int] = {}
 
 
+# The caps, each run in about 3 s on a 2-core host (Python 3.11):
+# - dyadic --len 18: every word of length ≤ len is round-tripped, 2^(len+1);
+# - coverings --depth 5: every set of at most 3 of the 2^(depth+1) − 1 words of
+#   length ≤ depth is covered, about 2^(3·depth+2)/3 sets;
+# - complexity --depth 15: the oracle lists each of three trees' nodes of
+#   length ≤ depth, 2^(depth+1) words per tree.
 SUITES: dict[str, Suite] = {
-    "dyadic": Suite(check_dyadic, {"cases": "sets", "len": "max_len"}),
-    "coverings": Suite(check_coverings, {"cases": "random_sets", "depth": "depth"}),
-    "complexity": Suite(check_complexity, {"cases": "machines", "depth": "tree_depth"}),
+    "dyadic": Suite(check_dyadic, {"cases": "sets", "len": "max_len"}, {"len": 18}),
+    "coverings": Suite(
+        check_coverings, {"cases": "random_sets", "depth": "depth"}, {"depth": 5}
+    ),
+    "complexity": Suite(
+        check_complexity, {"cases": "machines", "depth": "tree_depth"}, {"depth": 15}
+    ),
     "constructions": Suite(check_constructions, {"cases": "merge_cases"}),
     "classes": Suite(check_classes, {"cases": "capped_scripts", "depth": "diag_depth"}),
 }
@@ -740,7 +771,8 @@ SUITES: dict[str, Suite] = {
 def run_suite(name: str, seed: int = 0, **flags: int | None) -> CheckReport:
     """Run the named suite with the seed.  Each flag given (`cases`, `depth`
     or `len`; None is not given) sets the suite parameter SUITES names for
-    it; a flag the suite does not take is an input error."""
+    it; a flag the suite does not take, or a value over the flag's cap, is an
+    input error raised before any work."""
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite = SUITES[name]
@@ -750,5 +782,10 @@ def run_suite(name: str, seed: int = 0, **flags: int | None) -> CheckReport:
             continue
         if flag not in suite.params:
             raise InputError(f"suite {name} takes no --{flag}")
+        if value > suite.caps.get(flag, value):
+            raise InputError(
+                f"suite {name} takes --{flag} at most {suite.caps[flag]}, got {value}"
+                " (its work grows exponentially with the value)"
+            )
         kwargs[suite.params[flag]] = value
     return suite.run(seed=seed, **kwargs)

@@ -21,7 +21,10 @@ The grammar, `run` and `check` with every flag, is declared once, in
 rest of the process.  The `run` constructions, their flags and their
 builders are declared in `runs.RUNS`.  The `check` suites are declared in
 `checks.SUITES`, each with the suite parameter that `--cases`, `--depth` and
-`--len` set; a given flag the suite does not take is an input error.  Every
+`--len` set; a given flag the suite does not take is an input error.  The
+flags whose work grows exponentially have a cap there, `check dyadic --len`
+18, `check coverings --depth` 5 and `check complexity --depth` 15, and a
+larger value is an input error before any work.  Every
 count, length, depth, horizon, constant and index flag takes an integer ≥ 0;
 only `--seed` may be negative.
 

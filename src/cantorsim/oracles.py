@@ -4,25 +4,25 @@ Everything here recomputes a result by exhaustive expansion or fixpoint
 iteration, deliberately avoiding the code paths it is used to check.  The
 check suites and the test suite compare the fast implementations against
 these.
+
+Inside, an oracle works on plain words (`str`) and integers, and sweeps the
+words itself; it wraps its result in the value types (`BitString`, `Dyadic`,
+`Antichain`) only at its return.  From the package it imports only those value
+types, `Tree`, `PrefixMachine` and `errors`, so no enumeration, expansion or
+conversion routine of the fast code is on an oracle's path.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .classes import Tree
 from .complexity import PrefixMachine
-from .dyadic import (
-    ZERO,
-    Antichain,
-    BitString,
-    Dyadic,
-    rational_of_string,
-    strings_up_to,
-)
+from .dyadic import ZERO, Antichain, BitString, Dyadic
 from .errors import DomainError
-from .streams import approx_string
 
 __all__ = [
     "brute_covering_families",
@@ -35,6 +35,7 @@ __all__ = [
     "brute_omega_approx",
     "brute_optimal_covering",
     "expansion_at_depth",
+    "expansion_prefix",
     "greedy_expansion",
     "inclusion_odd_ones_extensions",
     "node_set_dead_ends",
@@ -46,63 +47,71 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _words(n: int) -> tuple[str, ...]:
+    """Every word of length n, lexicographically: v in binary, zero-filled.
+    Built once per length and process."""
+    if n == 0:
+        return ("",)
+    spec = f"0{n}b"
+    return tuple(format(v, spec) for v in range(1 << n))
+
+
+def _words_up_to(n: int) -> Iterator[str]:
+    """Every word of length ≤ n, length-lexicographically."""
+    for k in range(n + 1):
+        yield from _words(k)
+
+
+def _expansion_at_depth(bits: set[str], depth: int) -> list[str]:
+    if any(len(b) > depth for b in bits):
+        raise DomainError("expansion depth must reach every member")
+    members = tuple(bits)
+    return [w for w in _words(depth) if w.startswith(members)]
+
+
 def expansion_at_depth(strings: Iterable[BitString], depth: int) -> frozenset[str]:
     """All length-depth words extending some member; exact picture of the
     covered class once depth reaches every member length."""
-    bits = {s.bits for s in strings}
-    if any(len(b) > depth for b in bits):
-        raise DomainError("expansion depth must reach every member")
-    out = set()
-    for t in strings_up_to(depth):
-        if len(t.bits) == depth and any(t.bits[:i] in bits for i in range(depth + 1)):
-            out.add(t.bits)
-    return frozenset(out)
+    return frozenset(_expansion_at_depth({s.bits for s in strings}, depth))
+
+
+def _optimal_covering(bits: set[str]) -> list[str]:
+    """The words whose whole depth-expansion cone is covered and whose parent's
+    is not, length-lexicographically, by counting leaves under each word."""
+    if not bits:
+        return []
+    depth = max(len(b) for b in bits)
+    leaves = _expansion_at_depth(bits, depth)
+    counts = Counter(leaf[:i] for leaf in leaves for i in range(depth + 1))
+    covered = {b for b, n in counts.items() if n == 1 << (depth - len(b))}
+    return sorted((b for b in covered if not b or b[:-1] not in covered), key=lambda b: (len(b), b))
 
 
 def brute_optimal_covering(strings: Iterable[BitString]) -> Antichain:
     """Minimal covered nodes found by counting depth-expansion leaves under
     each candidate."""
-    bits = {s.bits for s in strings}
-    if not bits:
-        return Antichain(())
-    depth = max(len(b) for b in bits)
-    leaves = expansion_at_depth([BitString(b) for b in bits], depth)
-
-    counts: dict[str, int] = {}
-    for leaf in leaves:
-        for i in range(depth + 1):
-            counts[leaf[:i]] = counts.get(leaf[:i], 0) + 1
-
-    def covered(b: str) -> bool:
-        return counts.get(b, 0) == 1 << (depth - len(b))
-
-    out = []
-    for t in strings_up_to(depth):
-        if covered(t.bits) and (not t.bits or not covered(t.bits[:-1])):
-            out.append(t)
-    return Antichain(tuple(out))
+    return Antichain(tuple(BitString(b) for b in _optimal_covering({s.bits for s in strings})))
 
 
 def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset[BitString]:
     """Fixpoint of extension and sibling-merge rules inside words of length
-    ≤ depth; exact membership picture when depth reaches every member."""
+    ≤ depth; exact membership picture when depth reaches every member.  Each
+    word is examined once, when it joins: its children join it, and so does
+    its parent once its sibling is in."""
     bits = {s.bits for s in strings}
     if any(len(b) > depth for b in bits):
         raise DomainError("closure depth must reach every member")
-    changed = True
-    while changed:
-        changed = False
-        for b in list(bits):
-            if len(b) < depth:
-                for child in (b + "0", b + "1"):
-                    if child not in bits:
-                        bits.add(child)
-                        changed = True
-            if b and b[:-1] not in bits:
-                sib = b[:-1] + ("1" if b[-1] == "0" else "0")
-                if sib in bits:
-                    bits.add(b[:-1])
-                    changed = True
+    work = list(bits)
+    while work:
+        b = work.pop()
+        new = [b + "0", b + "1"] if len(b) < depth else []
+        if b and b[:-1] + ("1" if b[-1] == "0" else "0") in bits:
+            new.append(b[:-1])
+        for w in new:
+            if w not in bits:
+                bits.add(w)
+                work.append(w)
     return frozenset(BitString(b) for b in bits)
 
 
@@ -112,44 +121,60 @@ def brute_covering_families(total: int) -> tuple[Antichain, ...]:
     the sets that brute_optimal_covering maps to themselves are kept.
     Ordered by the members' sorted (length, bits) keys; ε is a candidate, so
     total 0 gives () and (ε)."""
-    pool = list(strings_up_to(total))
-    found: list[tuple[BitString, ...]] = []
+    pool = list(_words_up_to(total))
+    found: list[tuple[str, ...]] = []
 
-    def extend(start: int, chosen: tuple[BitString, ...], left: int) -> None:
-        if left == 0 and brute_optimal_covering(chosen).members == chosen:
+    def extend(start: int, chosen: tuple[str, ...], left: int) -> None:
+        # chosen is length-lexicographic, as the covering's members are
+        if left == 0 and tuple(_optimal_covering(set(chosen))) == chosen:
             found.append(chosen)
         for k in range(start, len(pool)):
             if len(pool[k]) > left:
                 break
-            if not any(c.is_prefix_of(pool[k]) for c in chosen):
+            if not pool[k].startswith(chosen):
                 extend(k + 1, chosen + (pool[k],), left - len(pool[k]))
 
     extend(0, (), total)
-    found.sort(key=lambda a: tuple(s.lenlex_key for s in a))
-    return tuple(Antichain(a) for a in found)
+    found.sort(key=lambda a: tuple((len(b), b) for b in a))
+    return tuple(Antichain(tuple(BitString(b) for b in a)) for a in found)
+
+
+def _odd_ones(max_len: int) -> list[str]:
+    return [w for w in _words_up_to(max_len) if w.endswith("1") and w.count("1") % 2 == 1]
 
 
 def brute_odd_ones(max_len: int) -> list[BitString]:
     """The strings of length ≤ max_len that end in 1 and carry an odd number
     of 1s, in length-lexicographic order."""
-    return [t for t in strings_up_to(max_len) if t.bits.endswith("1") and t.ones() % 2 == 1]
+    return [BitString(w) for w in _odd_ones(max_len)]
+
+
+def _lower_cut(num: int, exp: int, max_len: int) -> list[str]:
+    """The words of length ≤ max_len whose value v/2^n lies below num/2^exp,
+    by the integer comparison v·2^exp < num·2^n, length-lexicographically."""
+    return [
+        format(v, f"0{n}b") if n else ""
+        for n in range(max_len + 1)
+        for v in range(1 << n)
+        if v << exp < num << n
+    ]
 
 
 def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """The cut computed on the rational side: value comparison only."""
-    return frozenset(t for t in strings_up_to(max_len) if rational_of_string(t) < x)
+    return frozenset(BitString(w) for w in _lower_cut(x.num, x.exp, max_len))
 
 
 def set_difference_deltas(values: Iterable[Dyadic], length: int) -> list[tuple[int, BitString]]:
     """(stage, string) for every string the truncated lower cut gains at each
     stage: the whole cut of each stage value, minus the cut of the stage
-    before, sorted length-lexicographically."""
+    before, length-lexicographically."""
     out: list[tuple[int, BitString]] = []
-    seen: frozenset[BitString] = frozenset()
+    seen: set[str] = set()
     for s, x in enumerate(values):
-        cut = brute_lower_cut(x, length)
-        out.extend((s, t) for t in sorted(cut - seen, key=lambda b: b.lenlex_key))
-        seen = cut
+        cut = _lower_cut(x.num, x.exp, length)
+        out.extend((s, BitString(w)) for w in cut if w not in seen)
+        seen = set(cut)
     return out
 
 
@@ -159,18 +184,22 @@ def inclusion_odd_ones_extensions(
     """The odd-ones extensions by set inclusion: every odd-ones cut is built
     as a set, and the ones that contain the content are taken in listing
     order."""
-    cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
+    cuts = [brute_lower_cut(Dyadic(int(w, 2), len(w)), length) for w in _odd_ones(length)]
     return lambda content: (c for c in cuts if content <= c)
+
+
+def _k_scan(machine: PrefixMachine, word: str, t: int) -> float:
+    best = math.inf
+    for p in machine.programs:
+        if p.halt_stage <= t and p.output.bits == word and len(p.code) < best:
+            best = len(p.code)
+    return best
 
 
 def brute_k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
     """K_t(sigma) by a scan of every program: the shortest code that outputs
     sigma and has halted by stage t, or +inf."""
-    best = math.inf
-    for p in machine.programs:
-        if p.halt_stage <= t and p.output == sigma and len(p.code) < best:
-            best = len(p.code)
-    return best
+    return _k_scan(machine, sigma.bits, t)
 
 
 def brute_omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
@@ -193,11 +222,25 @@ def brute_halted_complexities(machine: PrefixMachine, t: int) -> dict[str, int]:
     return table
 
 
+def _expansion(x: Dyadic, n: int) -> str:
+    """The first n bits of x's binary expansion: ⌊x·2^n⌋ in n binary digits,
+    where x = 1 expands as all ones."""
+    if n == 0:
+        return ""
+    return format(min((x.num << n) >> x.exp, (1 << n) - 1), f"0{n}b")
+
+
+def expansion_prefix(x: Dyadic, n: int) -> BitString:
+    """The first n bits of x's binary expansion, x = 1 expanding as all ones,
+    from the integer ⌊x·2^n⌋."""
+    return BitString(_expansion(x, n))
+
+
 def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
     """The least n ≤ t whose length-n expansion of x has K_t < n − c, or None;
     each length is expanded afresh and scanned over every program."""
     for n in range(t + 1):
-        if brute_k_approx(machine, approx_string(x, n), t) < n - c:
+        if _k_scan(machine, _expansion(x, n), t) < n - c:
             return n
     return None
 
@@ -227,40 +270,42 @@ def padding_holds(p: int, target: int) -> bool:
     return p - 2 * (p.bit_length() - 1) >= target
 
 
+def _nodes(tree: Tree) -> list[str]:
+    exits = tuple(e.bits for e in tree.exits)
+    return [w for w in _words_up_to(tree.depth) if not w.startswith(exits)]
+
+
 def brute_nodes(tree: Tree) -> frozenset[BitString]:
     """Every string of length ≤ depth with no exit as a prefix."""
-    return frozenset(
-        s for s in strings_up_to(tree.depth) if not any(e.is_prefix_of(s) for e in tree.exits)
-    )
+    return frozenset(BitString(w) for w in _nodes(tree))
 
 
 def node_set_paths(nodes: frozenset[BitString], d: int) -> tuple[BitString, ...]:
     """The length-d members of a prefix-closed node set, length-lexicographically."""
-    return tuple(sorted((n for n in nodes if len(n) == d), key=lambda n: n.lenlex_key))
+    return tuple(sorted((n for n in nodes if len(n.bits) == d), key=lambda n: n.bits))
 
 
 def node_set_dead_ends(nodes: frozenset[BitString], depth: int) -> tuple[BitString, ...]:
     """Members strictly below the depth bound with neither child a member,
     length-lexicographically."""
+    bits = {n.bits for n in nodes}
     out = [
         n
         for n in nodes
-        if len(n) < depth
-        and BitString(n.bits + "0") not in nodes
-        and BitString(n.bits + "1") not in nodes
+        if len(n.bits) < depth and n.bits + "0" not in bits and n.bits + "1" not in bits
     ]
-    return tuple(sorted(out, key=lambda n: n.lenlex_key))
+    return tuple(sorted(out, key=lambda n: (len(n.bits), n.bits)))
 
 
 def rightmost_path(tree: Tree, depth: int) -> BitString | None:
     """Depth-first search preferring the 1-child: the lexicographically
     greatest length-depth node, or None when the tree dies out early."""
-    nodes = brute_nodes(tree)
-    reach: set[str] = {n.bits for n in nodes if len(n.bits) == depth}
+    nodes = _nodes(tree)
+    reach: set[str] = {n for n in nodes if len(n) == depth}
     for d in range(depth - 1, -1, -1):
         for n in nodes:
-            if len(n.bits) == d and (n.bits + "0" in reach or n.bits + "1" in reach):
-                reach.add(n.bits)
+            if len(n) == d and (n + "0" in reach or n + "1" in reach):
+                reach.add(n)
 
     if "" not in reach:
         return None

@@ -12,7 +12,8 @@ process.  `cli.main` and `replay` both parse with it.
 
 The safety verifiers live next to their builders; `checks` exports them.
 They read K_t and Ω_s from the linear scans in `oracles`, never from the
-machine's stage index that the constructions use.
+machine's stage index that the constructions use, and the k-bit expansions
+from `oracles.expansion_prefix`, never from the constructions' own.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .constructions import (
 from .coverings import even_covering_family, odd_covering_family, parse_listing, star_construction
 from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
 from .errors import DomainError, InputError, ParseError, records
-from .oracles import brute_k_approx, brute_omega_approx, padding_holds
+from .oracles import brute_k_approx, brute_omega_approx, expansion_prefix, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
-from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
+from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 __all__ = ["RUNS", "Replay", "Run", "build", "natural", "parser", "replay"]
 
@@ -238,7 +239,7 @@ def verify_hatm(
     want = Order.GT if mirror else Order.LT
     for rec in trace.records:
         t = rec.stage
-        boundary = approx_string(brute_omega_approx(machine, t), k)
+        boundary = expansion_prefix(brute_omega_approx(machine, t), k)
         if isinstance(rec.value, TailValue) and not _stage_mass(rec.value, machine, t):
             errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
         if rec.state == "parked":
@@ -248,7 +249,7 @@ def verify_hatm(
             if not isinstance(v, TailValue) or v.prefix.bits != ("1" if mirror else "0"):
                 errs.append(f"stage {t}: parked value malformed")
         elif rec.state == "tracking":
-            cur = approx_string(m.value(t), k)
+            cur = expansion_prefix(m.value(t), k)
             if lex_compare_padded(cur, boundary) is not want:
                 errs.append(f"stage {t}: tracking on the wrong side of the boundary")
             if rec.value.real() != m.value(t):
@@ -272,7 +273,7 @@ def verify_hatm(
             if start == 0 or trace.records[start - 1].state != "tracking":
                 continue
             v = trace.records[start].value
-            if not isinstance(v, TailValue) or v.prefix != approx_string(m.value(start - 1), k):
+            if not isinstance(v, TailValue) or v.prefix != expansion_prefix(m.value(start - 1), k):
                 errs.append(f"stage {start}: fix prefix is not the previous input prefix")
     return errs
 
@@ -326,7 +327,8 @@ def verify_regret(
             elif rec.state == "regretted":
                 assert slot.padding is not None
                 v = rec.value
-                expected = approx_string(m.value(t), slot.witness_length).bits + "0" * slot.padding
+                expected = expansion_prefix(m.value(t), slot.witness_length).bits
+                expected += "0" * slot.padding
                 if not isinstance(v, TailValue) or v.prefix.bits != expected:
                     errs.append(f"slot {i} stage {t}: regretted prefix malformed")
             else:

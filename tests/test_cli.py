@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -113,6 +114,21 @@ class TestErrors:
         code, out, err = run(argv)
         assert (code, out) == (2, "")
         assert err == f"input error: suite {argv[1]} takes no {flag}\n"
+
+    @pytest.mark.parametrize(
+        "suite, flag, cap",
+        [("dyadic", "--len", 18), ("coverings", "--depth", 5), ("complexity", "--depth", 15)],
+    )
+    def test_check_rejects_an_exponential_bound_over_its_cap(self, run, suite, flag, cap):
+        for value in (cap + 1, 10**6):
+            start = time.perf_counter()
+            code, out, err = run(["check", suite, flag, str(value)])
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == (
+                f"input error: suite {suite} takes {flag} at most {cap}, got {value}"
+                " (its work grows exponentially with the value)\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, flag, value",
@@ -360,6 +376,14 @@ class TestCheckCommand:
         params = set(inspect.signature(suite.run).parameters) - {"seed"}
         assert set(suite.params) <= {"cases", "depth", "len"}
         assert set(suite.params.values()) == params
+        assert set(suite.caps) <= set(suite.params)
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_cap_admits_the_default(self, name):
+        suite = SUITES[name]
+        defaults = inspect.signature(suite.run).parameters
+        for flag, cap in suite.caps.items():
+            assert defaults[suite.params[flag]].default <= cap
 
     def test_check_reports_are_deterministic(self, run):
         code1, out1, _ = run(["check", "coverings", "--depth", "2", "--cases", "30"])

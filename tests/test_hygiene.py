@@ -5,7 +5,9 @@ Every module-level import must be used by the module's code or named in its
 from the first rule: its imports are the package's re-exports.  Each
 re-export is named in the code of a module other than ``__init__`` and
 ``oracles``, so nothing is exported that only the tests reach.  The
-package's modules import one another without a cycle.
+package's modules import one another without a cycle.  The oracles import
+from the package only value types and ``errors``, so no fast routine is on
+an oracle's path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 # (module, function) -> why the import cannot move to module level
 LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {}
+
+# module -> the value types oracles.py may import from it; any name of errors
+ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
+    "dyadic": {"Antichain", "BitString", "Dyadic", "EMPTY", "ONE", "ZERO"},
+    "classes": {"Tree"},
+    "complexity": {"PrefixMachine"},
+}
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -90,28 +99,44 @@ def local_imports(path: pathlib.Path) -> list[tuple[str, str, int]]:
     return out
 
 
+def package_imports(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(package module, name) of every import from the package, at module
+    level or nested; a module imported whole is named with the name "*"."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.extend((node.module.partition(".")[0], a.name) for a in node.names)
+            else:
+                out.extend((a.name, "*") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] == PACKAGE.name:
+                if len(parts) > 1:
+                    out.extend((parts[1], a.name) for a in node.names)
+                else:
+                    out.extend((a.name, "*") for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE.name:
+                    out.append((parts[1] if len(parts) > 1 else "__init__", "*"))
+    return out
+
+
+def oracle_imports_beyond_value_types(path: pathlib.Path) -> list[str]:
+    """The package imports of the file that are neither a value type that
+    ORACLE_IMPORTS_ALLOWED lists nor a name of ``errors``."""
+    return [
+        f"{module}.{name}"
+        for module, name in package_imports(path)
+        if module != "errors" and name not in ORACLE_IMPORTS_ALLOWED.get(module, ())
+    ]
+
+
 def import_graph() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at module level or nested."""
-    graph: dict[str, set[str]] = {}
-    for path in MODULES:
-        deps: set[str] = set()
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module:
-                    deps.add(node.module.partition(".")[0])
-                else:
-                    deps.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                parts = (node.module or "").split(".")
-                if parts[0] == PACKAGE.name:
-                    deps.update(parts[1:2] or [alias.name for alias in node.names])
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[0] == PACKAGE.name and len(parts) > 1:
-                        deps.add(parts[1])
-        graph[path.stem] = deps
-    return graph
+    return {path.stem: {module for module, _ in package_imports(path)} for path in MODULES}
 
 
 def import_cycles(graph: dict[str, set[str]]) -> list[str]:
@@ -166,3 +191,22 @@ def test_an_unreferenced_reexport_is_found(tmp_path):
 
 def test_package_imports_are_acyclic():
     assert import_cycles(import_graph()) == []
+
+
+def test_oracles_import_only_value_types_and_errors():
+    assert oracle_imports_beyond_value_types(PACKAGE / "oracles.py") == []
+
+
+def test_an_oracle_import_of_a_fast_routine_is_found(tmp_path):
+    planted = tmp_path / "oracles.py"
+    planted.write_text(
+        "from .dyadic import BitString, strings_up_to\n"
+        "from .errors import DomainError\n"
+        "from . import streams\n"
+        "import cantorsim.coverings\n\n\n"
+        "def f():\n    from cantorsim.streams import approx_string\n",
+        encoding="utf-8",
+    )
+    assert oracle_imports_beyond_value_types(planted) == [
+        "dyadic.strings_up_to", "streams.*", "coverings.*", "streams.approx_string"
+    ]

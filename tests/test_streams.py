@@ -16,10 +16,11 @@ from cantorsim.dyadic import (
     strings_up_to,
 )
 from cantorsim.errors import InputError, ParseError, RangeError
-from cantorsim.oracles import brute_lower_cut
+from cantorsim.oracles import brute_lower_cut, expansion_prefix
 from cantorsim.streams import (
     EnumerationScript,
     LeftCEApprox,
+    approx_string,
     lower_cut,
     real_from_ce_set,
     stage_set,
@@ -212,3 +213,20 @@ class TestTruncatePad:
     def test_length_is_exact(self, s, n):
         assert len(truncate_pad(s, n)) == n
 
+
+
+class TestApproxString:
+    def test_examples(self):
+        assert approx_string(dy("3/2^3"), 5) == BitString("01100")
+        assert approx_string(dy("3/2^3"), 2) == BitString("01")
+        assert approx_string(ZERO, 3) == BitString("000")
+        assert approx_string(ONE, 3) == BitString("111")
+        assert approx_string(ONE, 0) == EMPTY
+
+    def test_matches_the_integer_expansion(self):
+        # every dyadic of denominator ≤ 2^6, 1 included, at every length ≤ 9
+        for exp in range(7):
+            for num in range((1 << exp) + 1):
+                x = Dyadic(num, exp)
+                for n in range(10):
+                    assert approx_string(x, n) == expansion_prefix(x, n), (x, n)
