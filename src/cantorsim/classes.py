@@ -17,7 +17,6 @@ for a genuine leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -207,7 +206,6 @@ def measure_capped_enumeration(
         raise DomainError("the cap parameter n must be ≥ 1")
     if horizon < 0:
         raise RangeError("horizon must be ≥ 0")
-    cap = Fraction(n - 1, n)
     indices = script.indices()
     admitted: dict[int, set[BitString]] = {e: set() for e in indices}
     frozen_at: dict[int, int | None] = {e: None for e in indices}
@@ -227,7 +225,9 @@ def measure_capped_enumeration(
                 logs[e].append((s, ev.item, False))
                 continue
             trial = admitted[e] | {ev.item}
-            if prefix_set_measure(trial).as_fraction() <= cap:
+            measure = prefix_set_measure(trial)
+            # num/2^exp ≤ (n−1)/n, cross-multiplied
+            if measure.num * n <= (n - 1) << measure.exp:
                 admitted[e].add(ev.item)
                 logs[e].append((s, ev.item, True))
             else:

@@ -6,6 +6,10 @@ nonincreasing complexity approximation K_t, the nondecreasing halting-mass
 approximation Ω_s, the randomness-constant predicate, and the depth-bounded
 class of strings all of whose prefixes satisfy a constant.
 
+The Kraft sum Σ 2^-|code| and the Ω steps are integer sums: each code adds
+2^(E−|code|) over the longest code length E, and one dyadic num/2^E is built
+per result.
+
 Every stage query reads a per-machine index, built on first use and cached on
 the machine, so parsing a machine does no extra work.  The index holds the
 sorted distinct halt stages with Ω at each of them as exact prefix sums, and,
@@ -23,6 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .classes import Tree, tree_of_complement
 from .dyadic import ZERO, BitString, Dyadic
@@ -44,8 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
+    """One program of a machine table.  A named tuple, so it equals the
+    plain tuple (code, output, halt_stage)."""
+
     code: BitString
     output: BitString
     halt_stage: int
@@ -76,10 +83,8 @@ class PrefixMachine:
             if p.halt_stage < 0:
                 raise DomainError(f"negative halt stage for code {p.code}")
         # prefix-free codes satisfy Kraft's inequality, so the sum stays ≤ 1
-        mass = ZERO
-        for p in self.programs:
-            mass = mass + Dyadic.pow2(len(p.code))
-        object.__setattr__(self, "_mass", mass)
+        top = max((len(b) for b in codes), default=0)
+        object.__setattr__(self, "_mass", Dyadic(sum(1 << (top - len(b)) for b in codes), top))
 
     @property
     def kraft_sum(self) -> Dyadic:
@@ -130,15 +135,16 @@ class PrefixMachine:
     @cached_property
     def _omega_steps(self) -> tuple[list[int], list[Dyadic]]:
         """The sorted distinct halt stages, and Ω at each of them."""
-        mass: dict[int, Dyadic] = {}
+        top = max((len(p.code) for p in self.programs), default=0)
+        mass: dict[int, int] = {}
         for p in self.programs:
-            mass[p.halt_stage] = mass.get(p.halt_stage, ZERO) + Dyadic.pow2(len(p.code))
+            mass[p.halt_stage] = mass.get(p.halt_stage, 0) + (1 << (top - len(p.code)))
         stages = sorted(mass)
         omegas: list[Dyadic] = []
-        total = ZERO
+        total = 0
         for s in stages:
-            total = total + mass[s]
-            omegas.append(total)
+            total += mass[s]
+            omegas.append(Dyadic(total, top))
         return stages, omegas
 
     @cached_property

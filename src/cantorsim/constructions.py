@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .complexity import (
     PrefixMachine,
@@ -79,8 +79,10 @@ class TailValue:
 TraceValue = Union[PlainValue, TailValue]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One stage of a trace.  A named tuple, so it equals the plain tuple
+    (stage, state, value, note)."""
+
     stage: int
     state: str
     value: TraceValue

@@ -6,12 +6,18 @@ rationals kept in lowest terms inside [0, 1], and reduced antichains that
 canonically represent unions of cones.  All arithmetic is integer-exact;
 there is no floating point anywhere because the constructions compare reals
 for strict order, where rounding is fatal.
+
+The three types share one contract.  Each is a `__slots__` class whose
+constructor validates its arguments and raises `DomainError` on a bad one;
+an instance is immutable (assigning or deleting an attribute raises
+`AttributeError`); and it equals only an instance of its own type, with a
+hash that agrees with that equality, so a `BitString` never equals its
+`str` and a `Dyadic` never equals a tuple.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -45,15 +51,43 @@ class Order(enum.IntEnum):
     GT = 1
 
 
-@dataclass(frozen=True)
-class BitString:
+class _Value:
+    """Base of the value types: slots only, and no assignment after the
+    constructor has validated and stored the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BitString(_Value):
     """A finite word over {0, 1}; the empty word is written ε."""
 
-    bits: str = ""
+    __slots__ = ("bits",)
+    bits: str
 
-    def __post_init__(self) -> None:
-        if self.bits.strip("01"):
-            raise DomainError(f"not a 0/1 word: {self.bits!r}")
+    def __init__(self, bits: str = "") -> None:
+        if bits.strip("01"):
+            raise DomainError(f"not a 0/1 word: {bits!r}")
+        _set_bits(self, bits)
+
+    def __repr__(self) -> str:
+        return f"BitString(bits={self.bits!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+    def __reduce__(self) -> tuple:
+        return BitString, (self.bits,)
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
@@ -108,6 +142,8 @@ class BitString:
         return self.bits + "0" * (n - len(self.bits))
 
 
+_set_bits = BitString.bits.__set__  # type: ignore[attr-defined]
+
 EMPTY = BitString("")
 
 
@@ -136,30 +172,44 @@ def lex_compare_padded(a: BitString, b: BitString) -> Order:
     return Order.LT if x < y else Order.GT
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(_Value):
     """num / 2**exp in lowest terms, always within [0, 1].
 
     Canonical form: num is odd or zero, and zero carries exponent zero, so
     structural equality coincides with numeric equality.
     """
 
-    num: int = 0
-    exp: int = 0
+    __slots__ = ("num", "exp")
+    num: int
+    exp: int
 
-    def __post_init__(self) -> None:
-        num, exp = self.num, self.exp
+    def __init__(self, num: int = 0, exp: int = 0) -> None:
         if num < 0 or exp < 0:
             raise DomainError(f"negative dyadic parts: {num}/2^{exp}")
-        while num > 0 and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        if num > (1 << exp):
-            raise DomainError(f"dyadic exceeds 1: {self.num}/2^{self.exp}")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        if num:
+            # strip the common factors of 2: num's trailing zeroes, at most exp of them
+            shift = min((num & -num).bit_length() - 1, exp)
+            n, e = num >> shift, exp - shift
+            if n > (1 << e):
+                raise DomainError(f"dyadic exceeds 1: {num}/2^{exp}")
+        else:
+            n = e = 0
+        _set_num(self, n)
+        _set_exp(self, e)
+
+    def __repr__(self) -> str:
+        return f"Dyadic(num={self.num!r}, exp={self.exp!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.exp == other.exp  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.exp))
+
+    def __reduce__(self) -> tuple:
+        return Dyadic, (self.num, self.exp)
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
@@ -188,16 +238,16 @@ class Dyadic:
         return Order.LT if lhs < rhs else Order.GT
 
     def __lt__(self, other: "Dyadic") -> bool:
-        return self.compare(other) is Order.LT
+        return self.num << other.exp < other.num << self.exp
 
     def __le__(self, other: "Dyadic") -> bool:
-        return self.compare(other) is not Order.GT
+        return self.num << other.exp <= other.num << self.exp
 
     def __gt__(self, other: "Dyadic") -> bool:
-        return self.compare(other) is Order.GT
+        return self.num << other.exp > other.num << self.exp
 
     def __ge__(self, other: "Dyadic") -> bool:
-        return self.compare(other) is not Order.LT
+        return self.num << other.exp >= other.num << self.exp
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         exp = max(self.exp, other.exp)
@@ -226,6 +276,9 @@ class Dyadic:
         return cls(1, k)
 
 
+_set_num = Dyadic.num.__set__  # type: ignore[attr-defined]
+_set_exp = Dyadic.exp.__set__  # type: ignore[attr-defined]
+
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
@@ -246,8 +299,7 @@ def string_of_rational(q: Dyadic) -> BitString:
     return BitString(format(q.num, "b").zfill(q.exp))
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(_Value):
     """A reduced antichain: the minimal representative of a filter-closed set.
 
     No member is a prefix of another, and no two members are siblings, so
@@ -255,19 +307,35 @@ class Antichain:
     versa.  Members are kept in length-lexicographic order.
     """
 
-    members: tuple[BitString, ...] = ()
+    __slots__ = ("members", "_words")
+    members: tuple[BitString, ...]
 
-    def __post_init__(self) -> None:
-        members = tuple(sorted(set(self.members), key=lambda s: s.lenlex_key))
-        object.__setattr__(self, "members", members)
-        seen = frozenset(m.bits for m in members)
-        for m in members:
-            for i in range(len(m.bits)):
-                if m.bits[:i] in seen:
-                    raise DomainError(f"antichain violation: {m.bits[:i]} ⪯ {m}")
-            if m.bits and m.bits[-1] == "1" and m.bits[:-1] + "0" in seen:
-                raise DomainError(f"not reduced: both children of {m.bits[:-1] or 'ε'} present")
-        object.__setattr__(self, "_member_bits", seen)
+    def __init__(self, members: Iterable[BitString] = ()) -> None:
+        members = tuple(sorted(set(members), key=lambda s: s.lenlex_key))
+        words = tuple(m.bits for m in members)
+        seen = frozenset(words)
+        for b in words:
+            for i in range(len(b)):
+                if b[:i] in seen:
+                    raise DomainError(f"antichain violation: {b[:i]} ⪯ {b}")
+            if b and b[-1] == "1" and b[:-1] + "0" in seen:
+                raise DomainError(f"not reduced: both children of {b[:-1] or 'ε'} present")
+        _set_members(self, members)
+        _set_words(self, words)
+
+    def __repr__(self) -> str:
+        return f"Antichain(members={self.members!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.members == other.members  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.members)
+
+    def __reduce__(self) -> tuple:
+        return Antichain, (self.members,)
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self.members)
@@ -280,9 +348,7 @@ class Antichain:
         The members of a reduced antichain are the minimal strings whose cones
         lie inside the union, so this also says whether the whole cone [s]
         lies under the member cones."""
-        bits = s.bits
-        member_bits = self._member_bits  # type: ignore[attr-defined]
-        return any(bits[:i] in member_bits for i in range(len(bits) + 1))
+        return s.bits.startswith(self._words)
 
     def total_bits(self) -> int:
         return sum(len(m) for m in self.members)
@@ -291,6 +357,10 @@ class Antichain:
         if not self.members:
             return "-"
         return ",".join(str(m) for m in self.members)
+
+
+_set_members = Antichain.members.__set__  # type: ignore[attr-defined]
+_set_words = Antichain._words.__set__  # type: ignore[attr-defined]
 
 
 def _minimal_bits(strings: Iterable[BitString]) -> set[str]:

@@ -10,7 +10,7 @@ downstream constructions can tell "no element yet" from the real 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .dyadic import ONE, ZERO, BitString, Dyadic, all_strings, string_of_rational
 from .errors import InputError, ParseError, RangeError, records
@@ -31,8 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScriptEvent:
+class ScriptEvent(NamedTuple):
+    """One enumeration event.  A named tuple, so it equals the plain tuple
+    (stage, index, item)."""
+
     stage: int
     index: int
     item: Item

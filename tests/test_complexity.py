@@ -84,6 +84,32 @@ class TestMachineValidation:
         assert PrefixMachine.parse("0\t0\t1\n1\t1\t1\n") == machine
 
 
+class TestIntegerMassSums:
+    """The Kraft sum and the Ω steps are summed as integers over the longest
+    code length; these pin them against exact values and the program scan."""
+
+    def test_complete_mixed_length_code(self):
+        machine = PrefixMachine((prog("0", "0", 2), prog("10", "1", 0), prog("11", "", 1)))
+        assert machine.kraft_sum == ONE and not machine.strict_kraft
+        assert [omega_approx(machine, s) for s in range(4)] == [
+            Dyadic(1, 2), Dyadic(1, 1), ONE, ONE
+        ]
+
+    def test_empty_machine(self):
+        machine = PrefixMachine(())
+        assert machine.kraft_sum == ZERO and machine.strict_kraft
+        assert omega_approx(machine, 0) == ZERO
+
+    def test_random_mixed_length_machines_match_the_scan(self):
+        rng = random.Random(13)
+        for i in range(60):
+            machine = random_machine(rng, max_code_len=1 + i % 9, strict=i % 2 == 0)
+            assert machine.kraft_sum == prefix_set_measure(p.code for p in machine.programs)
+            for s in range(machine.max_halt_stage() + 2):
+                assert omega_approx(machine, s) == brute_omega_approx(machine, s)
+            assert omega_approx(machine, machine.max_halt_stage()) == machine.kraft_sum
+
+
 class TestKApprox:
     def test_not_yet_halted(self):
         m = PrefixMachine((prog("00", "101", 5),))

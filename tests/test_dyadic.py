@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -219,3 +222,93 @@ class TestAntichain:
         covered = expansion_at_depth(a.members, 6)
         for s in strings_up_to(5):
             assert a.covers(s) == (expansion_at_depth([s], 6) <= covered)
+
+
+class TestValueContract:
+    """The contract of the three value types: equal values built in different
+    ways are equal and hash equal, an instance equals only an instance of its
+    own type, fields cannot be assigned, and the reprs name every field."""
+
+    def test_equal_values_built_differently(self):
+        pairs = [
+            (Dyadic(2, 2), Dyadic(1, 1)),
+            (Dyadic(0, 5), ZERO),
+            (Dyadic(1 << 6, 6), ONE),
+            (Dyadic.parse("4/2^3"), Dyadic(num=1, exp=1)),
+            (BitString.parse("-"), EMPTY),
+            (BitString.parse(" 01 "), BitString("0").cat(BitString("1"))),
+            (Antichain(bs("11", "0")), Antichain(bs("0", "11", "0"))),
+            (Antichain(), optimal_covering([])),
+        ]
+        for a, b in pairs:
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_unequal_values(self):
+        assert Dyadic(1, 1) != Dyadic(1, 2)
+        assert BitString("0") != BitString("00")
+        assert Antichain(bs("0")) != Antichain(bs("1"))
+
+    def test_equal_only_within_its_own_type(self):
+        assert BitString("01") != "01" and "01" != BitString("01")
+        assert EMPTY != ""
+        assert Dyadic(1, 1) != (1, 1) and (1, 1) != Dyadic(1, 1)
+        assert ZERO != 0 and ONE != 1
+        assert Antichain(bs("0")) != (BitString("0"),)
+        assert BitString("1") != Antichain(bs("1"))
+
+    def test_assignment_raises(self):
+        values = [(BitString("01"), "bits"), (Dyadic(1, 1), "num"), (Dyadic(1, 1), "exp"),
+                  (Antichain(bs("0")), "members")]
+        for value, name in values:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1  # type: ignore[union-attr]
+
+    def test_reprs(self):
+        assert repr(BitString("01")) == "BitString(bits='01')"
+        assert repr(EMPTY) == "BitString(bits='')"
+        assert repr(Dyadic(2, 2)) == "Dyadic(num=1, exp=1)"
+        assert repr(ZERO) == "Dyadic(num=0, exp=0)"
+        assert repr(Antichain(bs("01", "1"))) == (
+            "Antichain(members=(BitString(bits='1'), BitString(bits='01')))"
+        )
+
+    def test_constructors_validate(self):
+        cases = [
+            (lambda: Dyadic(4, 1), "dyadic exceeds 1: 4/2^1"),  # more factors of 2 than exp
+            (lambda: Dyadic(2, 0), "dyadic exceeds 1: 2/2^0"),
+            (lambda: Dyadic(9, 3), "dyadic exceeds 1: 9/2^3"),
+            (lambda: Dyadic(1, -2), "negative dyadic parts: 1/2^-2"),
+            (lambda: BitString("012"), "not a 0/1 word: '012'"),
+            (lambda: Antichain(bs("1", "10")), "antichain violation: 1 ⪯ 10"),
+            (lambda: Antichain(bs("00", "01")), "not reduced: both children of 0 present"),
+        ]
+        for build, message in cases:
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_keyword_construction_and_defaults(self):
+        assert BitString() == EMPTY and BitString(bits="1") == BitString("1")
+        assert Dyadic() == ZERO and Dyadic(num=3, exp=2) == Dyadic(3, 2)
+        assert Antichain() == Antichain(members=()) and len(Antichain()) == 0
+
+    def test_pickle_round_trip(self):
+        for value in (BitString("0110"), Dyadic(3, 4), Antichain(bs("0", "11"))):
+            assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_dyadic_normalisation_and_order_match_fractions(self):
+        values = [(Dyadic(num, exp), Fraction(num, 1 << exp))
+                  for exp in range(9) for num in range((1 << exp) + 1)]
+        for q, f in values:
+            # lowest terms, with zero as 0/2^0
+            assert (q.num, 1 << q.exp) == (f.numerator, f.denominator)
+        distinct = {q: f for q, f in values}
+        for q, f in distinct.items():
+            for r, g in distinct.items():
+                assert (q < r, q <= r, q > r, q >= r, q == r) == (f < g, f <= g, f > g, f >= g, f == g)
