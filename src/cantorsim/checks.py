@@ -147,17 +147,13 @@ def random_string_set(
 
 
 def random_machine(
-    rng: random.Random,
-    max_programs: int = 20,
-    max_code_len: int = 8,
-    max_out_len: int = 12,
-    max_halt: int = 12,
-    strict: bool = True,
+    rng: random.Random, max_code_len: int = 8, max_out_len: int = 12, strict: bool = True
 ) -> PrefixMachine:
+    """Up to 20 programs with prefix-free codes and halt stages ≤ 12."""
     programs: list[Program] = []
     codes: list[str] = []
     mass = Fraction(0)
-    target = rng.randint(1, max_programs)
+    target = rng.randint(1, 20)
     tries = 0
     while len(programs) < target and tries < 300:
         tries += 1
@@ -173,46 +169,32 @@ def random_machine(
         codes.append(code)
         mass += add
         programs.append(
-            Program(BitString(code), random_bitstring(rng, max_out_len), rng.randint(0, max_halt))
+            Program(BitString(code), random_bitstring(rng, max_out_len), rng.randint(0, 12))
         )
     return PrefixMachine(tuple(programs))
 
 
-def random_string_script(
-    rng: random.Random,
-    max_indices: int = 4,
-    max_events: int = 20,
-    max_len: int = 6,
-    horizon: int = 20,
-) -> EnumerationScript:
-    count_indices = rng.randint(1, max_indices)
-    events = []
-    for _ in range(rng.randint(0, max_events)):
-        events.append(
-            (rng.randint(0, horizon), rng.randrange(count_indices), random_bitstring(rng, max_len, 1))
-        )
-    return EnumerationScript.from_events(events, horizon)
+def random_string_script(rng: random.Random) -> EnumerationScript:
+    """Up to 20 events over at most 4 indices, each a nonempty string of
+    length ≤ 6 at a stage ≤ 20, the horizon."""
+    count_indices = rng.randint(1, 4)
+    events = [
+        (rng.randint(0, 20), rng.randrange(count_indices), random_bitstring(rng, 6, 1))
+        for _ in range(rng.randint(0, 20))
+    ]
+    return EnumerationScript.from_events(events, 20)
 
 
-def random_dyadic_script(
-    rng: random.Random,
-    max_indices: int = 3,
-    max_events: int = 12,
-    max_exp: int = 8,
-    horizon: int = 20,
-) -> EnumerationScript:
-    count_indices = rng.randint(1, max_indices)
+def random_dyadic_script(rng: random.Random) -> EnumerationScript:
+    """Up to 12 events over at most 3 indices, each a dyadic of denominator
+    at most 2^8 at a stage ≤ 20, the horizon."""
+    count_indices = rng.randint(1, 3)
     events = []
-    for _ in range(rng.randint(0, max_events)):
-        exp = rng.randint(0, max_exp)
-        events.append(
-            (
-                rng.randint(0, horizon),
-                rng.randrange(count_indices),
-                Dyadic(rng.randint(0, 1 << exp), exp),
-            )
-        )
-    return EnumerationScript.from_events(events, horizon)
+    for _ in range(rng.randint(0, 12)):
+        exp = rng.randint(0, 8)
+        stage, index = rng.randint(0, 20), rng.randrange(count_indices)
+        events.append((stage, index, Dyadic(rng.randint(0, 1 << exp), exp)))
+    return EnumerationScript.from_events(events, 20)
 
 
 def random_dyadic_trace(rng: random.Random) -> list[Dyadic]:
@@ -308,13 +290,12 @@ def _merge_injective_side() -> tuple[frozenset[BitString], tuple[frozenset[BitSt
     return frozenset(tags), tuple(frozenset((t,)) for t in tags[:400])
 
 
-def make_merge_case(
-    rng: random.Random, max_indices: int = 16, horizon: int = 100
-) -> MergeCase:
-    """A scripted merge input: settled string sets over '0'-opening items,
-    plus a tag-based injective side that trivially has extensions of every
-    finite subset.  Half the cases force a converging duplicate pair."""
-    count = rng.randint(2, max_indices)
+def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
+    """A scripted merge input: settled string sets of 2 to 16 indices over
+    '0'-opening items, plus a tag-based injective side that trivially has
+    extensions of every finite subset.  Half the cases force a converging
+    duplicate pair."""
+    count = rng.randint(2, 16)
     pool = [BitString("0" + format(v, "04b")) for v in range(16)]
     settled: list[list[BitString]] = []
     for _ in range(count):
@@ -692,7 +673,7 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         return measures[strings]
 
     for ci in range(capped_scripts):
-        script = random_string_script(rng, max_len=6)
+        script = random_string_script(rng)
         for n in range(1, 9):
             rep.cases += 1
             cap = Fraction(n - 1, n)

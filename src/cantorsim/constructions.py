@@ -4,6 +4,12 @@ Each construction replays a deterministic state machine over scripted
 inputs and emits one record per stage.  Trace values are either plain
 dyadics or a bit-string prefix carrying the machine's halting-mass tail,
 rendered as ``prefix*Ω@stage``.
+
+Splice and regret wait for the same event: an approximation failing the
+randomness constant at its least witness length n, and later that length-n
+prefix satisfying it again.  `_failing_runs` is the one detector of these
+runs that both read.  `hat_m_construction` keeps its own loop, because its
+switch is a comparison with the Ω_s boundary, not a failure of the constant.
 """
 
 from __future__ import annotations
@@ -122,6 +128,29 @@ def _require_strict_mass(machine: PrefixMachine) -> None:
         )
 
 
+def _failing_runs(
+    r: LeftCEApprox, machine: PrefixMachine, c: int, horizon: int, start: int = 0
+) -> list[tuple[int, int, int | None]]:
+    """(trigger stage, witness length n, release stage or None) of each run in
+    which r fails the constant, monitored from the start stage: the least
+    failing length n ≤ t of a nonempty r's stage-t expansion opens a run, and
+    the first later stage whose length-n expansion satisfies the constant
+    releases it and monitors r again."""
+    runs: list[tuple[int, int, int | None]] = []
+    trigger, n = start, None
+    for t in range(start, horizon + 1):
+        if n is not None:
+            if not satisfies_constant(machine, approx_string(r.value(t), n), c, t):
+                continue
+            runs.append((trigger, n, t))
+            n = None
+        if not r.empty_at(t):
+            trigger, n = t, least_failing_length(machine, approx_string(r.value(t), t), c, t)
+    if n is not None:
+        runs.append((trigger, n, None))
+    return runs
+
+
 def splice_random(
     r: LeftCEApprox, machine: PrefixMachine, c: int, horizon: int
 ) -> StageTrace:
@@ -139,30 +168,20 @@ def splice_random(
         raise InputError("approximation shorter than the requested horizon")
     _require_strict_mass(machine)
 
-    records: list[TraceRecord] = []
-    spliced: tuple[int, BitString] | None = None  # (witness length, witness string)
-    for t in range(horizon + 1):
-        note = ""
-        if spliced is not None:
-            n, _witness = spliced
-            if satisfies_constant(machine, approx_string(r.value(t), n), c, t):
-                spliced = None
-                note = "recover"
-        if spliced is None:
-            if r.empty_at(t):
-                records.append(TraceRecord(t, "empty", PlainValue(ZERO), note))
-                continue
-            w = approx_string(r.value(t), t)
-            n = least_failing_length(machine, w, c, t)
-            if n is not None:
-                spliced = (n, w.take(n))
-                note = f"{note} trigger n={n}".strip()
-            records.append(TraceRecord(t, "tracking", PlainValue(r.value(t)), note))
-        else:
-            n, witness = spliced
-            records.append(
-                TraceRecord(t, "spliced", TailValue(witness, t, omega_approx(machine, t)))
-            )
+    records = [
+        TraceRecord(t, "empty", PlainValue(ZERO))
+        if r.empty_at(t)
+        else TraceRecord(t, "tracking", PlainValue(r.value(t)))
+        for t in range(horizon + 1)
+    ]
+    for trigger, n, release in _failing_runs(r, machine, c, horizon):
+        note = f"{records[trigger].note} trigger n={n}".strip()  # "recover" of the run before
+        records[trigger] = records[trigger]._replace(note=note)
+        witness = approx_string(r.value(trigger), n)
+        for s in range(trigger + 1, horizon + 1 if release is None else release):
+            records[s] = TraceRecord(s, "spliced", TailValue(witness, s, omega_approx(machine, s)))
+        if release is not None:
+            records[release] = records[release]._replace(note="recover")
     return StageTrace(tuple(records))
 
 
@@ -252,71 +271,30 @@ def regret_construction(
     if family.horizon < horizon:
         raise InputError("family script shorter than the requested horizon")
     approxes = {e: real_from_ce_set(family, e) for e in family.indices()}
-
-    class _Slot:
-        __slots__ = ("e", "n", "bound_at", "regretted_at", "padding", "records")
-
-        def __init__(self, e: int, n: int, bound_at: int) -> None:
-            self.e = e
-            self.n = n
-            self.bound_at = bound_at
-            self.regretted_at: int | None = None
-            self.padding: int | None = None
-            self.records: list[TraceRecord] = [
-                TraceRecord(s, "unbound", PlainValue(ZERO)) for s in range(bound_at)
-            ]
-
-    slots: list[_Slot] = []
-    bound: dict[int, int] = {}
-
-    for t in range(horizon + 1):
-        for sid in list(bound.values()):
-            slot = slots[sid]
-            cur = approx_string(approxes[slot.e].value(t), slot.n)
-            if satisfies_constant(machine, cur, c, t):
-                slot.regretted_at = t
-                slot.padding = compute_padding(slot.n, c + machine.c_tilde)
-                del bound[slot.e]
-        for e in sorted(approxes):
-            if e > t or e in bound:
-                continue
-            m = approxes[e]
-            if m.empty_at(t):
-                continue
-            n = least_failing_length(machine, approx_string(m.value(t), t), c, t)
-            if n is not None:
-                if max_slots is not None and len(slots) >= max_slots:
-                    raise CapacityError(
-                        f"all {max_slots} slots in use at stage {t} (horizon too small)"
-                    )
-                slots.append(_Slot(e, n, t))
-                bound[e] = len(slots) - 1
-        for slot in slots:
-            if t < slot.bound_at:
-                continue
-            m = approxes[slot.e]
-            if slot.regretted_at is None or t < slot.regretted_at:
-                note = "bound" if t == slot.bound_at else ""
-                slot.records.append(TraceRecord(t, "tracking", PlainValue(m.value(t)), note))
-            else:
-                assert slot.padding is not None
-                prefix = approx_string(m.value(t), slot.n).cat(BitString("0" * slot.padding))
-                note = "regret" if t == slot.regretted_at else ""
-                slot.records.append(
-                    TraceRecord(t, "regretted", TailValue(prefix, t, omega_approx(machine, t)), note)
-                )
-
-    return [
-        RegretSlot(
-            trace=StageTrace(tuple(slot.records)),
-            source_index=slot.e,
-            witness_length=slot.n,
-            bound_stage=slot.bound_at,
-            regret_stage=slot.regretted_at,
-            padding=slot.padding,
+    runs = sorted(
+        (trigger, e, n, release)
+        for e, m in approxes.items()
+        for trigger, n, release in _failing_runs(m, machine, c, horizon, start=e)
+    )
+    if max_slots is not None and len(runs) > max_slots:
+        raise CapacityError(
+            f"all {max_slots} slots in use at stage {runs[max_slots][0]} (horizon too small)"
         )
-        for slot in slots
-    ]
+    slots = []
+    for bound, e, n, regret in runs:
+        m = approxes[e]
+        padding = None if regret is None else compute_padding(n, c + machine.c_tilde)
+        records = [TraceRecord(t, "unbound", PlainValue(ZERO)) for t in range(bound)]
+        for t in range(bound, horizon + 1):
+            if regret is None or t < regret:
+                note = "bound" if t == bound else ""
+                records.append(TraceRecord(t, "tracking", PlainValue(m.value(t)), note))
+            else:
+                prefix = approx_string(m.value(t), n).cat(BitString("0" * padding))
+                value = TailValue(prefix, t, omega_approx(machine, t))
+                records.append(TraceRecord(t, "regretted", value, "regret" if t == regret else ""))
+        slots.append(RegretSlot(StageTrace(tuple(records)), e, n, bound, regret, padding))
+    return slots
 
 
 def odd_ones_real_enumeration(i: int) -> BitString:
@@ -445,10 +423,6 @@ def beta_max(family: Sequence[LeftCEApprox], horizon: int) -> StageTrace:
             raise InputError("family member shorter than the requested horizon")
     records = []
     for s in range(horizon + 1):
-        vals = [a.value(s) for e, a in enumerate(family) if e <= s]
-        best = vals[0]
-        for v in vals[1:]:
-            if v > best:
-                best = v
+        best = max(a.value(s) for e, a in enumerate(family) if e <= s)
         records.append(TraceRecord(s, "max", PlainValue(best)))
     return StageTrace(tuple(records))

@@ -230,13 +230,6 @@ class Dyadic(_Value):
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def compare(self, other: "Dyadic") -> Order:
-        lhs = self.num << other.exp
-        rhs = other.num << self.exp
-        if lhs == rhs:
-            return Order.EQ
-        return Order.LT if lhs < rhs else Order.GT
-
     def __lt__(self, other: "Dyadic") -> bool:
         return self.num << other.exp < other.num << self.exp
 

@@ -246,20 +246,19 @@ def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int
 
 
 def greedy_expansion(q: Dyadic) -> BitString:
-    """Digit-by-digit greedy binary expansion of q < 1."""
+    """Digit-by-digit greedy binary expansion of q < 1, over q's exp digits:
+    in lowest terms its last 1 is digit exp."""
     if q >= Dyadic(1, 0):
         raise DomainError("q must lie in [0, 1)")
     bits = []
     rest = q
-    i = 1
-    while rest != ZERO:
+    for i in range(1, q.exp + 1):
         step = Dyadic.pow2(i)
         if step <= rest:
             bits.append("1")
             rest = rest - step
         else:
             bits.append("0")
-        i += 1
     return BitString("".join(bits))
 
 

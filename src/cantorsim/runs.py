@@ -11,14 +11,16 @@ once; it is built on its first call, not at import, and at most once per
 process.  `cli.main` and `replay` both parse with it.
 
 The safety verifiers live next to their builders; `checks` exports them.
-They read K_t and Ω_s from the linear scans in `oracles`, never from the
-machine's stage index that the constructions use, and the k-bit expansions
-from `oracles.expansion_prefix`, never from the constructions' own.
+They read K_t, Ω_s and least failing lengths from the linear scans in
+`oracles`, never from the machine's stage index that the constructions use,
+and the k-bit expansions from `oracles.expansion_prefix`, never from the
+constructions' own.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -39,7 +41,8 @@ from .constructions import (
 from .coverings import even_covering_family, odd_covering_family, parse_listing, star_construction
 from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
 from .errors import DomainError, InputError, ParseError, records
-from .oracles import brute_k_approx, brute_omega_approx, expansion_prefix, padding_holds
+from .oracles import brute_k_approx, brute_least_failing_length, brute_omega_approx
+from .oracles import expansion_prefix, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
@@ -160,15 +163,10 @@ def _splice(a: argparse.Namespace, read: Read) -> Replay:
 def _runs_of(trace: StageTrace, state: str) -> list[tuple[int, int]]:
     """(first, last) stage of every maximal run of records in the state."""
     runs = []
-    start = None
-    for rec in trace.records:
-        if rec.state == state and start is None:
-            start = rec.stage
-        elif rec.state != state and start is not None:
-            runs.append((start, rec.stage - 1))
-            start = None
-    if start is not None:
-        runs.append((start, trace.horizon))
+    for ours, group in itertools.groupby(trace.records, key=lambda rec: rec.state == state):
+        if ours:
+            stages = [rec.stage for rec in group]
+            runs.append((stages[0], stages[-1]))
     return runs
 
 
@@ -178,6 +176,21 @@ def _stage_mass(v: object, machine: PrefixMachine, t: int) -> bool:
     return (
         isinstance(v, TailValue) and v.omega_stage == t and v.omega == brute_omega_approx(machine, t)
     )
+
+
+def _run_errors(
+    m: LeftCEApprox, machine: PrefixMachine, c: int, trigger: int, n: int, release: int | None
+) -> list[str]:
+    """What the scans find wrong with a run of m failing the constant: n must
+    be the least failing length at the trigger stage, and the length-n
+    expansion must satisfy the constant at the release stage."""
+    errs = []
+    if n != brute_least_failing_length(machine, m.value(trigger), c, trigger):
+        errs.append(f"stage {trigger}: witness length {n} is not the least failing length")
+    if release is not None:
+        if brute_k_approx(machine, expansion_prefix(m.value(release), n), release) < n - c:
+            errs.append(f"stage {release}: released while the length-{n} prefix fails")
+    return errs
 
 
 def verify_splice(
@@ -205,8 +218,10 @@ def verify_splice(
             continue
         witness = trace.records[start].value.prefix  # type: ignore[union-attr]
         switch = start - 1
-        if brute_k_approx(machine, witness, switch) >= len(witness) - c:
-            errs.append(f"witness {witness} did not fail the constant at stage {switch}")
+        if witness != expansion_prefix(r.value(switch), len(witness)):
+            errs.append(f"stage {switch}: witness {witness} is not the input's expansion")
+        release = end + 1 if end < trace.horizon else None
+        errs.extend(_run_errors(r, machine, c, switch, len(witness), release))
         for s in range(start, end + 1):
             if trace.records[s].value.prefix != witness:  # type: ignore[union-attr]
                 errs.append(f"stage {s}: witness changed mid-run")
@@ -333,6 +348,8 @@ def verify_regret(
                     errs.append(f"slot {i} stage {t}: regretted prefix malformed")
             else:
                 errs.append(f"slot {i} stage {t}: unknown state {rec.state}")
+        run = _run_errors(m, machine, c, slot.bound_stage, slot.witness_length, slot.regret_stage)
+        errs.extend(f"slot {i} {e}" for e in run)
         if slot.regret_stage is not None:
             p = slot.padding or 0
             target = slot.witness_length + c + machine.c_tilde

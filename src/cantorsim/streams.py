@@ -178,10 +178,6 @@ class LeftCEApprox:
         return self.first_stage is None or stage < self.first_stage
 
     @classmethod
-    def constant(cls, v: Dyadic, horizon: int, first_stage: int | None = 0) -> "LeftCEApprox":
-        return cls(tuple([v] * (horizon + 1)), first_stage)
-
-    @classmethod
     def from_pairs(
         cls, pairs: Iterable[tuple[int, Dyadic]], horizon: int
     ) -> "LeftCEApprox":

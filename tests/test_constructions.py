@@ -37,13 +37,24 @@ from cantorsim.errors import (
     InputError,
     PreconditionError,
 )
-from cantorsim.oracles import brute_odd_ones, rightmost_path
+from cantorsim.oracles import (
+    brute_k_approx,
+    brute_least_failing_length,
+    brute_odd_ones,
+    expansion_prefix,
+    rightmost_path,
+)
 from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 
 def dy(text: str) -> Dyadic:
     return Dyadic.parse(text)
+
+
+def constant(v: Dyadic, horizon: int) -> LeftCEApprox:
+    """v at every stage up to the horizon, nonempty from stage 0."""
+    return LeftCEApprox((v,) * (horizon + 1), first_stage=0)
 
 
 def fixture_machine(name: str) -> PrefixMachine:
@@ -138,15 +149,28 @@ class TestSpliceEdges:
         machine = PrefixMachine(
             (Program(BitString("0"), BitString("0"), 0), Program(BitString("1"), BitString("1"), 0))
         )
-        r = LeftCEApprox.constant(ZERO, 5)
+        r = constant(ZERO, 5)
         with pytest.raises(PreconditionError):
             splice_random(r, machine, 0, 5)
 
     def test_requires_enough_stages(self):
         machine = PrefixMachine(())
-        r = LeftCEApprox.constant(ZERO, 3)
+        r = constant(ZERO, 3)
         with pytest.raises(InputError):
             splice_random(r, machine, 0, 10)
+
+    def test_the_witness_stays_the_trigger_stage_prefix(self):
+        # 000 fails at stage 3; at stage 4 the input moves to 001, which fails
+        # at the same length, so the run goes on with the witness 000
+        machine = PrefixMachine(
+            (Program(BitString("0"), BitString("000"), 0), Program(BitString("10"), BitString("001"), 0))
+        )
+        r = LeftCEApprox((dy("1/2^4"),) * 4 + (dy("3/2^4"),) * 2, first_stage=0)
+        trace = splice_random(r, machine, 0, 5)
+        assert [rec.state for rec in trace.records] == ["tracking"] * 4 + ["spliced"] * 2
+        assert trace.records[3].note == "trigger n=3"
+        assert {rec.value.prefix for rec in trace.records[4:]} == {BitString("000")}
+        assert verify_splice(trace, r, machine, 0) == []
 
     def test_trace_validates_stage_numbering(self):
         with pytest.raises(InputError):
@@ -156,7 +180,7 @@ class TestSpliceEdges:
 class TestHatmEdges:
     def test_boundary_length_zero_parks_forever(self):
         machine = PrefixMachine((Program(BitString("10"), BitString("1"), 1),))
-        m = LeftCEApprox.constant(dy("1/2^1"), 4)
+        m = constant(dy("1/2^1"), 4)
         trace = hat_m_construction(m, machine, 0, 4)
         assert all(r.state == "parked" for r in trace.records)
 
@@ -232,6 +256,132 @@ class TestVerifiersReadTheScans:
         ]
 
 
+    def test_a_splice_witness_off_the_expansion_is_caught(self):
+        trace, machine, script, flag = scenario_inputs("splice-permanent")
+        r, c = real_from_ce_set(script, 0), int(flag("--c"))
+        tampered = StageTrace(
+            tuple(
+                rec._replace(value=dataclasses.replace(rec.value, prefix=BitString("0001")))
+                if rec.state == "spliced"
+                else rec
+                for rec in trace.records
+            )
+        )
+        assert verify_splice(tampered, r, machine, c) == [
+            "stage 4: witness 0001 is not the input's expansion"
+        ]
+
+    def test_a_splice_released_while_failing_is_caught(self):
+        trace, machine, script, flag = scenario_inputs("splice-permanent")
+        r, c = real_from_ce_set(script, 0), int(flag("--c"))
+        records = list(trace.records)
+        records[8] = TraceRecord(8, "tracking", PlainValue(r.value(8)))
+        errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
+        assert "stage 8: released while the length-4 prefix fails" in errs
+
+    def test_a_regret_witness_length_off_by_one_is_caught(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        c = int(flag("--c"))
+        (slot,) = slots
+        tampered = [dataclasses.replace(slot, witness_length=slot.witness_length + 1)]
+        errs = verify_regret(tampered, script, machine, c)
+        assert "slot 0 stage 4: witness length 5 is not the least failing length" in errs
+
+    def test_a_regret_released_while_failing_is_caught(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        c = int(flag("--c"))
+        (slot,) = slots
+        tampered = [dataclasses.replace(slot, regret_stage=slot.regret_stage - 1)]
+        assert verify_regret(tampered, script, machine, c) == [
+            "slot 0 stage 5: released while the length-4 prefix fails"
+        ]
+
+
+def random_detector_input(rng):
+    """A strict machine of 1–4 prefix-free codes of length ≤ 4, outputs of
+    length ≤ 3 (half of them read off a script value) and halt stages ≤ 6; a
+    script of values k/16 on ≤ 3 indices up to a horizon ≤ 10, rising with
+    the stage so that members move off their witnesses; c in {0, 1}."""
+    horizon = rng.randint(0, 10)
+    count = rng.randint(0, 10)
+    stages = sorted(rng.randint(0, horizon) for _ in range(count))
+    values = sorted(rng.randint(0, 16) for _ in range(count))
+    events = [(s, rng.randrange(3), k) for s, k in zip(stages, values)]
+    words = [format(min(k, 15), "04b") for _, _, k in events] or ["0000"]
+    programs, mass = [], 0
+    for _ in range(rng.randint(1, 4)):
+        code = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+        if mass + (16 >> len(code)) < 16 and not any(
+            code.startswith(p.code.bits) or p.code.bits.startswith(code) for p in programs
+        ):
+            mass += 16 >> len(code)
+            word = rng.choice(words) if rng.random() < 0.5 else format(rng.randrange(8), "03b")
+            output = BitString(word[: rng.randint(1, 3)])
+            programs.append(Program(BitString(code), output, rng.randint(0, 6)))
+    script = EnumerationScript.from_events([(s, e, Dyadic(k, 4)) for s, e, k in events], horizon)
+    return PrefixMachine(tuple(programs)), script, rng.randint(0, 1)
+
+
+def scanned_runs(m, machine, c, horizon, start=0):
+    """(trigger stage, witness length, release stage or None) of each run in
+    which m fails the constant, monitored from the start stage, recomputed
+    from the scans alone."""
+    runs, opened = [], None
+    for t in range(start, horizon + 1):
+        if opened is not None:
+            trigger, n = opened
+            if brute_k_approx(machine, expansion_prefix(m.value(t), n), t) < n - c:
+                continue
+            runs.append((trigger, n, t))
+            opened = None
+        if not m.empty_at(t):
+            n = brute_least_failing_length(machine, m.value(t), c, t)
+            opened = None if n is None else (t, n)
+    if opened is not None:
+        runs.append((*opened, None))
+    return runs
+
+
+def runs_in_notes(trace):
+    """(trigger stage, witness length, release stage or None) read off the
+    `trigger n=…` and `recover` notes of a splice trace."""
+    runs = []
+    for rec in trace.records:
+        if rec.note.startswith("recover"):
+            runs[-1] = (*runs[-1][:2], rec.stage)
+        if "trigger n=" in rec.note:
+            runs.append((rec.stage, int(rec.note.rpartition("=")[2]), None))
+    return runs
+
+
+def test_splice_and_regret_runs_match_the_scans():
+    rng = random.Random(1)
+    triggers = releases = 0
+    for _ in range(300):
+        machine, script, c = random_detector_input(rng)
+        h = script.horizon
+        everyone = []
+        for e in script.indices():
+            m = real_from_ce_set(script, e)
+            runs = scanned_runs(m, machine, c, h)
+            trace = splice_random(m, machine, c, h)
+            assert runs_in_notes(trace) == runs
+            witnesses = {
+                s: expansion_prefix(m.value(t), n)
+                for t, n, release in runs
+                for s in range(t + 1, h + 1 if release is None else release)
+            }
+            spliced = {rec.stage: rec.value.prefix for rec in trace.records if rec.state == "spliced"}
+            assert spliced == witnesses
+            everyone.extend((t, e, n, rel) for t, n, rel in scanned_runs(m, machine, c, h, start=e))
+            triggers += len(runs)
+            releases += sum(release is not None for _, _, release in runs)
+        slots = regret_construction(script, machine, c, h)
+        fields = [(s.bound_stage, s.source_index, s.witness_length, s.regret_stage) for s in slots]
+        assert fields == sorted(everyone)
+    assert triggers and releases  # the draws reach both ends of a run
+
+
 class TestRegretEdges:
     def test_capacity_error(self):
         argv = scenario("regret-permanent").argv
@@ -260,7 +410,7 @@ class TestRegretEdges:
 
 class TestBeta:
     def test_single_member_is_identity(self):
-        member = LeftCEApprox.constant(dy("1/2^2"), 5)
+        member = constant(dy("1/2^2"), 5)
         trace = beta_max([member], 5)
         assert [r.value.real() for r in trace.records] == [dy("1/2^2")] * 6
 
@@ -272,8 +422,8 @@ class TestBeta:
         assert trace.is_monotone()
 
     def test_index_window_grows_with_the_stage(self):
-        early = LeftCEApprox.constant(dy("1/2^3"), 4)
-        late = LeftCEApprox.constant(dy("1/2^1"), 4)
+        early = constant(dy("1/2^3"), 4)
+        late = constant(dy("1/2^1"), 4)
         trace = beta_max([early, late], 4)
         assert trace.value_at(0) == dy("1/2^3")  # index 1 not yet eligible
         assert trace.value_at(1) == dy("1/2^1")

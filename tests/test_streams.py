@@ -149,7 +149,7 @@ class TestLeftCEApprox:
             LeftCEApprox((dy("1/2^1"), dy("1/2^2")))
 
     def test_constant(self):
-        r = LeftCEApprox.constant(dy("1/2^3"), 4)
+        r = LeftCEApprox((dy("1/2^3"),) * 5, first_stage=0)
         assert r.horizon == 4 and not r.empty_at(0)
 
 
