@@ -41,7 +41,6 @@ from .constructions import (
 )
 from .coverings import (
     StarSnapshot,
-    covered_up_to,
     covering_antichains,
     even_covering_family,
     odd_covering_family,
@@ -55,6 +54,7 @@ from .dyadic import (
     BitString,
     Dyadic,
     Order,
+    covered_up_to,
     is_acceptable,
     lex_compare_padded,
     optimal_covering,

@@ -32,6 +32,8 @@ __all__ = [
     "Order",
     "ZERO",
     "all_strings",
+    "covered_deltas",
+    "covered_up_to",
     "is_acceptable",
     "lex_compare_padded",
     "minimal_strings",
@@ -304,16 +306,17 @@ class Antichain(_Value):
     members: tuple[BitString, ...]
 
     def __init__(self, members: Iterable[BitString] = ()) -> None:
-        members = tuple(sorted(set(members), key=lambda s: s.lenlex_key))
-        words = tuple(m.bits for m in members)
-        seen = frozenset(words)
-        for b in words:
-            for i in range(len(b)):
-                if b[:i] in seen:
-                    raise DomainError(f"antichain violation: {b[:i]} ⪯ {b}")
-            if b and b[-1] == "1" and b[:-1] + "0" in seen:
+        by_word = {m.bits: m for m in members}
+        order = sorted(by_word)
+        order.sort(key=len)  # stable: length-lexicographic
+        words = tuple(order)
+        for k, b in enumerate(words):
+            if k and b.startswith(words[:k]):  # of the earlier words, only a shorter one can match
+                prefix = next(w for w in words[:k] if b.startswith(w))
+                raise DomainError(f"antichain violation: {prefix} ⪯ {b}")
+            if b[-1:] == "1" and b[:-1] + "0" in by_word:
                 raise DomainError(f"not reduced: both children of {b[:-1] or 'ε'} present")
-        _set_members(self, members)
+        _set_members(self, tuple(map(by_word.__getitem__, words)))
         _set_words(self, words)
 
     def __repr__(self) -> str:
@@ -354,6 +357,47 @@ class Antichain(_Value):
 
 _set_members = Antichain.members.__set__  # type: ignore[attr-defined]
 _set_words = Antichain._words.__set__  # type: ignore[attr-defined]
+
+
+def _spans(antichain: Antichain, n: int) -> list[tuple[int, int]]:
+    """The n-bit values that the members cover, as sorted disjoint intervals:
+    a member of value v and length l ≤ n covers [v·2^(n−l), (v+1)·2^(n−l))."""
+    return sorted(
+        (v << n - len(m), v + 1 << n - len(m))
+        for m in antichain.members
+        if len(m) <= n
+        for v in (int("0" + m.bits, 2),)
+    )
+
+
+def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[BitString]:
+    """The strings of length ≤ the bound that new covers and old does not, in
+    length-lexicographic order: at each length, new's intervals minus old's."""
+    for n in range(length + 1):
+        holes = _spans(old, n)
+        for lo, hi in _spans(new, n):
+            for a, b in holes:
+                if a >= hi:
+                    break
+                if b > lo:
+                    yield from all_strings(n, lo, a)
+                    lo = b
+            yield from all_strings(n, lo, hi)
+
+
+def covered_up_to(antichain: Antichain, depth: int) -> frozenset[BitString]:
+    """Members of the represented filter-closed set up to the given length.
+
+    A member m with binary value v covers, at each length n from |m| to the
+    depth, exactly the n-bit values in [v·2^(n−|m|), (v+1)·2^(n−|m|)).
+    """
+    out: set[BitString] = set()
+    for m in antichain.members:
+        v = int("0" + m.bits, 2)
+        for n in range(len(m), depth + 1):
+            shift = n - len(m)
+            out.update(all_strings(n, v << shift, (v + 1) << shift))
+    return frozenset(out)
 
 
 def _minimal_bits(strings: Iterable[BitString]) -> set[str]:

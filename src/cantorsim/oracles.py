@@ -44,6 +44,8 @@ __all__ = [
     "rightmost_path",
     "set_difference_deltas",
     "sibling_merge_closure",
+    "split_covering_families",
+    "split_covering_family",
 ]
 
 
@@ -137,6 +139,62 @@ def brute_covering_families(total: int) -> tuple[Antichain, ...]:
     extend(0, (), total)
     found.sort(key=lambda a: tuple((len(b), b) for b in a))
     return tuple(Antichain(tuple(BitString(b) for b in a)) for a in found)
+
+
+@lru_cache(maxsize=None)
+def _cone_antichains(depth: int, total: int) -> tuple[tuple[str, ...], ...]:
+    """Reduced antichains of suffixes below a node at the given depth whose
+    members' absolute bit-lengths sum to exactly the total.
+
+    The empty antichain has total 0 and the node itself (suffix ε) has total
+    depth; at depth 0 and total 0 both are kept.  A total above the depth
+    is split t0 + t1 between the two children, which sit one level deeper;
+    the pair ε, ε is left out because siblings would merge into the node.
+    Members come out unsorted.
+    """
+    out: list[tuple[str, ...]] = []
+    if total == 0:
+        out.append(())
+    if total == depth:
+        out.append(("",))
+    if total > depth:
+        for t0 in range(total + 1):
+            for a0 in _cone_antichains(depth + 1, t0):
+                for a1 in _cone_antichains(depth + 1, total - t0):
+                    if not a0 == a1 == ("",):
+                        out.append(tuple("0" + x for x in a0) + tuple("1" + x for x in a1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _parity_families(total: int, odd: bool) -> tuple[tuple[str, ...], ...]:
+    """Every family of the total and parity, built whole by the split
+    recursion, then sorted by the members' (length, bits) keys."""
+    keys = sorted(
+        tuple(sorted((len(b), b) for b in a))
+        for a in _cone_antichains(0, total)
+        if len(a) % 2 == odd
+    )
+    return tuple(tuple(b for _, b in key) for key in keys)
+
+
+def split_covering_families(total: int, odd: bool) -> tuple[Antichain, ...]:
+    """The covering families of the total and parity in canonical order, from
+    the whole listing of the split recursion."""
+    return tuple(Antichain(tuple(BitString(b) for b in a)) for a in _parity_families(total, odd))
+
+
+def split_covering_family(i: int, odd: bool) -> Antichain:
+    """The i-th covering family of the parity in canonical order: each
+    total's whole listing is built, and its count subtracted, until i falls
+    inside one."""
+    if i < 0:
+        raise DomainError("index must be ≥ 0")
+    total = 0
+    while i >= len(families := _parity_families(total, odd)):
+        i -= len(families)
+        total += 1
+    return Antichain(tuple(BitString(b) for b in families[i]))
 
 
 def _odd_ones(max_len: int) -> list[str]:

@@ -25,7 +25,10 @@ set of strings only where the merge consumes it:
   v·2^(L−|t|) < c.  So a set lies in every cut whose integer reaches one
   threshold, and the odd-ones extensions compare one integer per cut.
 - A covered set is fixed by its reduced antichain, so a star snapshot whose
-  family did not change adds nothing.
+  family did not change adds nothing.  At length n a member of value v and
+  length l covers the n-bit values [v·2^(n−l), (v+1)·2^(n−l)), so what a
+  snapshot gains is, per length, its intervals minus the last family's
+  (`dyadic.covered_deltas`).
 """
 
 from __future__ import annotations
@@ -41,14 +44,17 @@ from .constructions import (
     hat_m_construction,
     odd_ones_real_enumeration,
 )
-from .coverings import (
+from .coverings import covering_antichains, star_construction
+from .dyadic import (
+    Antichain,
+    BitString,
+    Dyadic,
+    all_strings,
+    covered_deltas,
     covered_up_to,
-    covering_antichains,
-    even_covering_family,
-    odd_covering_family,
-    star_construction,
+    optimal_covering,
+    rational_of_string,
 )
-from .dyadic import Antichain, BitString, Dyadic, all_strings, optimal_covering, rational_of_string
 from .streams import EnumerationScript, lower_cut, real_from_ce_set, words_below
 
 __all__ = [
@@ -180,8 +186,7 @@ def odd_covering_extensions(length: int) -> Callable[[SetValue], Iterator[SetVal
 
     def extensions(content: SetValue) -> Iterator[SetValue]:
         if not content:
-            for i in itertools.count():
-                a = odd_covering_family(i)
+            for a in covering_antichains(odd=True):
                 if any(len(m) > length for m in a.members):
                     return
                 yield covered_up_to(a, length)
@@ -223,28 +228,18 @@ def merge_covering_classes(
     events: list[tuple[int, int, BitString]] = []
     for j, listing in enumerate(listings):
         family = Antichain(())
-        seen: frozenset[BitString] = frozenset()
         for snap in star_construction(listing, horizon):
-            if snap.family == family:
-                continue
-            family = snap.family
-            cur = covered_up_to(family, length)
-            for item in sorted(cur - seen, key=lambda b: b.lenlex_key):
-                events.append((snap.stage, j, item))
-            seen = cur
+            if snap.family != family:
+                events.extend((snap.stage, j, t) for t in covered_deltas(family, snap.family, length))
+                family = snap.family
     if with_acceptable_stream:
         base = len(listings)
         # index 0 is the empty antichain, whose class has no string events
-        i = 1
-        stage = 0
-        while stage <= horizon:
-            a = even_covering_family(i)
-            i += 1
+        evens = itertools.islice(covering_antichains(odd=False), 1, horizon + 2)
+        for stage, a in enumerate(evens):
             if a.total_bits() > length:
                 break
-            for item in sorted(covered_up_to(a, length), key=lambda b: b.lenlex_key):
-                events.append((stage, base + stage, item))
-            stage += 1
+            events.extend((stage, base + stage, t) for t in covered_deltas(Antichain(()), a, length))
     l2 = EnumerationScript.from_events(events, horizon)
     return friedberg_merge(
         odd_covering_listing(length), l2, odd_covering_extensions(length), horizon

@@ -279,6 +279,29 @@ class TestVerifiersReadTheScans:
         errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
         assert "stage 8: released while the length-4 prefix fails" in errs
 
+    def test_a_run_released_at_once_is_checked_by_its_note(self):
+        # 01 fails at stage 2 and the input moves to 11 at stage 3, so the run
+        # leaves no spliced record: only its notes say where it was
+        machine = PrefixMachine((Program(BitString("0"), BitString("01"), 1),))
+        r = LeftCEApprox((dy("7/2^4"),) * 3 + (dy("3/2^2"),) * 2, first_stage=0)
+        trace = splice_random(r, machine, 0, 4)
+        assert [rec.note for rec in trace.records] == ["", "", "trigger n=2", "recover", ""]
+        assert {rec.state for rec in trace.records} == {"tracking"}
+        assert verify_splice(trace, r, machine, 0) == []
+        records = list(trace.records)
+        records[2] = records[2]._replace(note="trigger n=3")
+        assert verify_splice(StageTrace(tuple(records)), r, machine, 0) == [
+            "stage 2: witness length 3 is not the least failing length"
+        ]
+
+    def test_a_regret_padding_off_the_least_is_caught(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        c = int(flag("--c"))
+        (slot,) = slots
+        for p, want in [(slot.padding - 1, "misses the target"), (slot.padding + 1, "not minimal")]:
+            errs = verify_regret([dataclasses.replace(slot, padding=p)], script, machine, c)
+            assert any(e.startswith(f"slot 0: padding {p} {want}") for e in errs), errs
+
     def test_a_regret_witness_length_off_by_one_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
 
 from cantorsim.checks import build_scenario, random_listing, random_string_set
 from cantorsim.coverings import (
-    _parity_families,
     covered_up_to,
     covering_antichains,
     even_covering_family,
@@ -18,6 +18,7 @@ from cantorsim.coverings import (
 from cantorsim.dyadic import (
     Antichain,
     BitString,
+    covered_deltas,
     is_acceptable,
     optimal_covering,
 )
@@ -26,6 +27,8 @@ from cantorsim.oracles import (
     brute_covering_families,
     brute_optimal_covering,
     sibling_merge_closure,
+    split_covering_families,
+    split_covering_family,
 )
 from cantorsim.recipes import merge_covering_classes
 from cantorsim.scenarios import SCENARIOS
@@ -143,25 +146,57 @@ class TestCoveringFamilies:
             seen.add(a)
 
     def test_indexed_families_match_the_enumeration_in_any_order(self):
-        searched = [a for total in range(8) for a in searched_families(total)]
+        searched = [a for total in range(9) for a in searched_families(total)]
         reference = {odd: [a for a in searched if len(a) % 2 == odd] for odd in (0, 1)}
         lookups = [(i, odd) for odd in (0, 1) for i in range(len(reference[odd]))]
         random.Random(47).shuffle(lookups)
-        _parity_families.cache_clear()
         for i, odd in lookups:
             family = odd_covering_family if odd else even_covering_family
             assert family(i) == reference[odd][i], (i, odd)
 
     def test_negative_index_is_a_domain_error(self):
-        for family in (odd_covering_family, even_covering_family):
+        for family in (odd_covering_family, even_covering_family, lambda i: split_covering_family(i, True)):
             with pytest.raises(DomainError):
                 family(-1)
 
     def test_families_match_the_exhaustive_search(self):
-        for total in range(8):
-            both = _parity_families(total, False) + _parity_families(total, True)
-            listed = sorted(both, key=lambda a: tuple(s.lenlex_key for s in a))
-            assert tuple(listed) == searched_families(total)
+        listed = {odd: covering_antichains(bool(odd)) for odd in (0, 1)}
+        for total in range(9):
+            want = {odd: [a for a in searched_families(total) if len(a) % 2 == odd] for odd in (0, 1)}
+            for odd in (0, 1):
+                got = list(itertools.islice(listed[odd], len(want[odd])))
+                assert got == want[odd], (total, odd)
+                assert split_covering_families(total, bool(odd)) == tuple(want[odd])
+        assert next(listed[0]).total_bits() == next(listed[1]).total_bits() == 9
+
+    def test_listing_and_unranking_match_the_split_reference(self):
+        # the split recursion builds each total whole: 26,128 families up to total 11
+        rng = random.Random(53)
+        for odd in (False, True):
+            reference = [a for total in range(12) for a in split_covering_families(total, odd)]
+            assert list(itertools.islice(covering_antichains(odd), len(reference))) == reference
+            for i in rng.sample(range(len(reference)), 150):
+                assert (odd_covering_family if odd else even_covering_family)(i) == reference[i]
+                assert split_covering_family(i, odd) == reference[i]
+
+    @pytest.mark.parametrize(
+        "odd, pinned",
+        [
+            # 88319 is the first odd family of five members
+            (True, {88318: "1,011111,0111101", 88319: "00,10,010,110,0110", 99999: "01,0001,11010000"}),
+            (False, {100000: "01,001010101111"}),
+        ],
+        ids=["odd", "even"],
+    )
+    def test_families_far_into_the_listing(self, odd, pinned):
+        listed = itertools.islice(enumerate(covering_antichains(odd)), max(pinned) + 1)
+        at = {i: a for i, a in listed if i in pinned}
+        for i, want in pinned.items():
+            a = (odd_covering_family if odd else even_covering_family)(i)
+            assert a.render() == want
+            assert brute_optimal_covering(a.members) == a
+            assert len(a) % 2 == odd
+            assert at[i] == a, i
 
     def test_covered_up_to_matches_the_sibling_merge_fixpoint(self):
         rng = random.Random(37)
@@ -174,6 +209,15 @@ class TestCoveringFamilies:
         a = Antichain(tuple(bs("0")))
         covered = covered_up_to(a, 2)
         assert covered == frozenset(bs("0", "00", "01"))
+
+    def test_covered_deltas_are_the_set_difference_in_order(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            old, new = (brute_optimal_covering(random_string_set(rng, 5, 6)) for _ in range(2))
+            depth = rng.randint(0, 7)
+            gained = sibling_merge_closure(new, 7) - sibling_merge_closure(old, 7)
+            want = sorted((t for t in gained if len(t) <= depth), key=lambda b: b.lenlex_key)
+            assert list(covered_deltas(old, new, depth)) == want
 
 
 class TestListingFormat:
