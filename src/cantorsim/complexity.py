@@ -15,25 +15,45 @@ the machine, so parsing a machine does no extra work.  The index holds the
 sorted distinct halt stages with Ω at each of them as exact prefix sums, and,
 per output string, the stages at which its shortest halted code length drops
 with the running minimum.  Ω_s and K_t(σ) are then one bisect each, and
-`least_failing_length` walks the prefixes of one expansion against it.  The
-linear scans `brute_k_approx`, `brute_omega_approx`,
+`least_failing_length` walks the prefixes of one expansion against it.  It
+stops at the longest output's length: no longer string is output by any
+program, so its K_t is infinite at every stage and it satisfies every
+constant.  The linear scans `brute_k_approx`, `brute_omega_approx`,
 `brute_halted_complexities` and `brute_least_failing_length` in `oracles` are
 the reference these are checked against.
+
+Parsing reads a plain table in one pass: every line is empty, a '#' comment
+or three bare fields (a 0/1 code, a 0/1 or '-' output, ASCII digits).  One
+regular-expression scan finds and checks the rows, and the words are built
+through `dyadic.trusted_bitstring`, as the scan has already checked them.  A
+table with any other line (padded fields, ε, '+3', non-ASCII digits, CRLF
+line ends, ...) is read again from the start by the line reader
+`errors.records`, which gives every ParseError its message and line number.
+
+The prefix check sorts the codes.  If a code a is a prefix of another code c,
+it is a prefix of its sorted successor b: a < b ≤ c, and a first difference
+between a and b would put b after c.  So comparing sorted neighbours finds
+whether any code repeats or extends another, and only on a hit does the loop
+in table order run, to name the first offending pair in table order.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .classes import Tree, tree_of_complement
-from .dyadic import ZERO, BitString, Dyadic
+from .dyadic import ZERO, BitString, Dyadic, trusted_bitstring
 from .errors import DomainError, ParseError, PrefixFreeViolation, records
 
 INFINITE: float = math.inf
+
+_PLAIN_ROW = re.compile(r"^([01]*)\t([01]*|-)\t([0-9]+)$", re.MULTILINE)
 
 __all__ = [
     "INFINITE",
@@ -69,21 +89,16 @@ class PrefixMachine:
     def __post_init__(self) -> None:
         if self.c_tilde < 0:
             raise DomainError("machine constants must be ≥ 0")
-        codes = [p.code.bits for p in self.programs]
-        seen: set[str] = set()
-        for b in codes:
-            if b in seen:
-                raise PrefixFreeViolation(f"duplicate code {b or 'ε'}")
-            seen.add(b)
-        for b in codes:
-            for i in range(len(b)):
-                if b[:i] in seen:
-                    raise PrefixFreeViolation(f"code {b[:i] or 'ε'} is a prefix of code {b}")
+        codes = self._words[0]
+        ordered = sorted(codes)
+        # a code that another code extends or repeats is a prefix of its sorted successor
+        if any(map(str.startswith, ordered[1:], ordered)):
+            _name_prefix_violation(codes)
         for p in self.programs:
             if p.halt_stage < 0:
                 raise DomainError(f"negative halt stage for code {p.code}")
         # prefix-free codes satisfy Kraft's inequality, so the sum stays ≤ 1
-        top = max((len(b) for b in codes), default=0)
+        top = max(map(len, codes), default=0)
         object.__setattr__(self, "_mass", Dyadic(sum(1 << (top - len(b)) for b in codes), top))
 
     @property
@@ -104,26 +119,11 @@ class PrefixMachine:
         """One program per line: code<TAB>output<TAB>halt_stage; '#' comments.
         A negative halt stage names its line; a duplicate or prefix code
         names the source."""
-        programs: list[Program] = []
-        for lineno, fields in records(text):
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}",
-                    source=source,
-                    line=lineno,
-                )
-            code_s, out_s, halt_s = fields
-            try:
-                code = BitString.parse(code_s)
-                output = BitString.parse(out_s)
-                halt = int(halt_s)
-            except (DomainError, ValueError) as exc:
-                raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
-            if halt < 0:
-                raise ParseError(f"negative halt stage for code {code}", source=source, line=lineno)
-            programs.append(Program(code, output, halt))
+        programs = _plain_programs(text)
+        if programs is None:
+            programs = _programs(text, source)
         try:
-            return cls(tuple(programs), c_tilde=c_tilde)
+            return cls(programs, c_tilde=c_tilde)
         except PrefixFreeViolation as exc:
             raise PrefixFreeViolation(exc.message, source=source) from None
 
@@ -133,12 +133,24 @@ class PrefixMachine:
             return cls.parse(fh.read(), c_tilde=c_tilde, source=path)
 
     @cached_property
+    def _words(self) -> tuple[list[str], list[str], tuple[int, ...]]:
+        """The codes and outputs as plain words, and the halt stages, in
+        table order."""
+        if not self.programs:
+            return [], [], ()
+        codes, outputs, halts = zip(*self.programs)
+        bits = attrgetter("bits")
+        return list(map(bits, codes)), list(map(bits, outputs)), halts
+
+    @cached_property
     def _omega_steps(self) -> tuple[list[int], list[Dyadic]]:
         """The sorted distinct halt stages, and Ω at each of them."""
-        top = max((len(p.code) for p in self.programs), default=0)
+        codes, _, halts = self._words
+        lengths = list(map(len, codes))
+        top = max(lengths, default=0)
         mass: dict[int, int] = {}
-        for p in self.programs:
-            mass[p.halt_stage] = mass.get(p.halt_stage, 0) + (1 << (top - len(p.code)))
+        for n, s in zip(lengths, halts):
+            mass[s] = mass.get(s, 0) + (1 << (top - n))
         stages = sorted(mass)
         omegas: list[Dyadic] = []
         total = 0
@@ -151,13 +163,19 @@ class PrefixMachine:
     def _k_steps(self) -> dict[str, tuple[list[int], list[int]]]:
         """Per output bits: the stages at which its shortest halted code
         length drops, strictly increasing, and that length from each on."""
+        codes, outputs, halts = self._words
         steps: dict[str, tuple[list[int], list[int]]] = {}
-        for p in sorted(self.programs, key=lambda p: (p.halt_stage, len(p.code))):
-            at, lengths = steps.setdefault(p.output.bits, ([], []))
-            if not lengths or len(p.code) < lengths[-1]:
-                at.append(p.halt_stage)
-                lengths.append(len(p.code))
+        for s, n, out in sorted(zip(halts, map(len, codes), outputs), key=itemgetter(0, 1)):
+            at, lengths = steps.setdefault(out, ([], []))
+            if not lengths or n < lengths[-1]:
+                at.append(s)
+                lengths.append(n)
         return steps
+
+    @cached_property
+    def _longest_output(self) -> int:
+        """No longer string is ever output, so none has a finite K_t."""
+        return max(map(len, self._k_steps), default=0)
 
     def halted_complexities(self, t: int) -> dict[str, int]:
         """Stage-t complexity of every output that has a halted program."""
@@ -167,6 +185,63 @@ class PrefixMachine:
             if i:
                 table[bits] = lengths[i - 1]
         return table
+
+
+def _plain_programs(text: str) -> tuple[Program, ...] | None:
+    """The programs of a plain table, or None for any other table.
+
+    A plain row is a whole line of three bare fields: a 0/1 code, a 0/1 or
+    '-' output and ASCII digits.  A row holds no line break, so each match
+    is one line of `str.splitlines`, neither empty nor a '#' comment.  When
+    the rows are as many as those lines, every such line is a row and the
+    rest are what the line reader skips, so both readers give the same
+    programs."""
+    rows = _PLAIN_ROW.findall(text)
+    if len(rows) != sum(1 for line in text.splitlines() if line and line[0] != "#"):
+        return None
+    return tuple(
+        Program(trusted_bitstring(code), trusted_bitstring("" if out == "-" else out), int(halt))
+        for code, out, halt in rows
+    )
+
+
+def _programs(text: str, source: str) -> tuple[Program, ...]:
+    """The programs of any table, read through `errors.records`; the first
+    bad line raises a ParseError naming it."""
+    programs: list[Program] = []
+    for lineno, fields in records(text):
+        if len(fields) != 3:
+            raise ParseError(
+                f"expected 3 tab-separated fields, got {len(fields)}",
+                source=source,
+                line=lineno,
+            )
+        code_s, out_s, halt_s = fields
+        try:
+            code = BitString.parse(code_s)
+            output = BitString.parse(out_s)
+            halt = int(halt_s)
+        except (DomainError, ValueError) as exc:
+            raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
+        if halt < 0:
+            raise ParseError(f"negative halt stage for code {code}", source=source, line=lineno)
+        programs.append(Program(code, output, halt))
+    return tuple(programs)
+
+
+def _name_prefix_violation(codes: list[str]) -> None:
+    """Raise for the first duplicate code in table order, else for the first
+    code in table order with a proper prefix among the codes, naming its
+    shortest one."""
+    seen: set[str] = set()
+    for b in codes:
+        if b in seen:
+            raise PrefixFreeViolation(f"duplicate code {b or 'ε'}")
+        seen.add(b)
+    for b in codes:
+        for i in range(len(b)):
+            if b[:i] in seen:
+                raise PrefixFreeViolation(f"code {b[:i] or 'ε'} is a prefix of code {b}")
 
 
 def _k_at(steps: tuple[list[int], list[int]] | None, t: int) -> float:
@@ -193,17 +268,19 @@ def omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
 
 def satisfies_constant(machine: PrefixMachine, sigma: BitString, c: int, t: int) -> bool:
     """K_t(sigma) ≥ |sigma| − c; the +inf sentinel satisfies every bound."""
-    return k_approx(machine, sigma, t) >= len(sigma) - c
+    return k_approx(machine, sigma, t) >= len(sigma.bits) - c
 
 
 def least_failing_length(machine: PrefixMachine, w: BitString, c: int, t: int) -> int | None:
     """The least n ≤ |w| whose length-n prefix of w fails the constant at
     stage t (K_t < n − c), or None when every prefix satisfies it.  Passing
-    the length-t expansion of a real scans every n ≤ t."""
+    the length-t expansion of a real scans every n ≤ min(t, longest
+    output)."""
     steps = machine._k_steps
     bits = w.bits
-    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
-    for n in range(max(c + 1, 0), len(bits) + 1):
+    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail, and no
+    # prefix longer than every output has halted
+    for n in range(max(c + 1, 0), min(len(bits), machine._longest_output) + 1):
         if _k_at(steps.get(bits[:n]), t) < n - c:
             return n
     return None

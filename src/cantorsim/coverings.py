@@ -27,7 +27,14 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .dyadic import Antichain, BitString, covered_up_to, optimal_covering
+from .dyadic import (
+    Antichain,
+    BitString,
+    covered_up_to,
+    optimal_covering,
+    trusted_antichain,
+    trusted_bitstring,
+)
 from .errors import DomainError, ParseError, RangeError, records
 
 __all__ = [
@@ -174,14 +181,15 @@ def _extend(members: tuple, words: tuple, level: int, v: int, total: int, odd: i
 
 
 def _word(level: int, u: int) -> BitString:
-    return BitString(format(u, f"0{level}b") if level else "")
+    return trusted_bitstring(format(u, f"0{level}b") if level else "")
 
 
 def covering_antichains(odd: bool) -> Iterator[Antichain]:
     """All reduced antichains of the parity in canonical order: as each is its
-    own optimal covering, exactly the coverings of that parity."""
+    own optimal covering, exactly the coverings of that parity.  Members come
+    in key order, which is length-lexicographic, so none is re-checked."""
     for total in itertools.count():
-        yield from map(Antichain, _extend((), (), 0, 0, total, odd))
+        yield from map(trusted_antichain, _extend((), (), 0, 0, total, odd))
 
 
 def _covering_family(i: int, odd: int) -> Antichain:
@@ -199,7 +207,7 @@ def _covering_family(i: int, odd: int) -> Antichain:
         l = (m + 1).bit_length() - 1
         members += ((l, m + 1 - (1 << l)),)
         total, odd, lo = total - l, odd ^ 1, m + 1
-    return Antichain(_word(l, u) for l, u in members)
+    return trusted_antichain(tuple(_word(l, u) for l, u in members))
 
 
 def odd_covering_family(i: int) -> Antichain:

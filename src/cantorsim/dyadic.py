@@ -12,7 +12,10 @@ constructor validates its arguments and raises `DomainError` on a bad one;
 an instance is immutable (assigning or deleting an attribute raises
 `AttributeError`); and it equals only an instance of its own type, with a
 hash that agrees with that equality, so a `BitString` never equals its
-`str` and a `Dyadic` never equals a tuple.
+`str` and a `Dyadic` never equals a tuple.  Inside the package,
+`trusted_bitstring` and `trusted_antichain` build the same values without
+the checks, for callers that hold words or members already known to be
+valid; they are not exported.
 """
 
 from __future__ import annotations
@@ -145,6 +148,15 @@ class BitString(_Value):
 
 
 _set_bits = BitString.bits.__set__  # type: ignore[attr-defined]
+
+
+def trusted_bitstring(bits: str) -> BitString:
+    """The BitString of a word the caller has already checked to be 0/1:
+    the constructor's result, without its check."""
+    b = object.__new__(BitString)
+    _set_bits(b, bits)
+    return b
+
 
 EMPTY = BitString("")
 
@@ -357,6 +369,16 @@ class Antichain(_Value):
 
 _set_members = Antichain.members.__set__  # type: ignore[attr-defined]
 _set_words = Antichain._words.__set__  # type: ignore[attr-defined]
+
+
+def trusted_antichain(members: tuple[BitString, ...]) -> Antichain:
+    """The Antichain of members the caller already holds as a reduced
+    antichain in length-lexicographic order: the constructor's result,
+    without its sort and checks."""
+    a = object.__new__(Antichain)
+    _set_members(a, members)
+    _set_words(a, tuple(m.bits for m in members))
+    return a
 
 
 def _spans(antichain: Antichain, n: int) -> list[tuple[int, int]]:

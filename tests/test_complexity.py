@@ -12,6 +12,8 @@ from cantorsim.complexity import (
     INFINITE,
     PrefixMachine,
     Program,
+    _plain_programs,
+    _programs,
     compute_padding,
     k_approx,
     least_failing_length,
@@ -82,6 +84,111 @@ class TestMachineValidation:
         machine = PrefixMachine((prog("0", "0", 1), prog("1", "1", 1)))
         assert machine.kraft_sum == ONE and not machine.strict_kraft
         assert PrefixMachine.parse("0\t0\t1\n1\t1\t1\n") == machine
+
+
+# (text, programs as (code, output, halt) or (error type, message)): what the
+# line reader gives, which the one-pass reader must give too
+PARSE_TABLE = [
+    ("\t0000\t3\n", [("", "0000", 3)]),
+    ("01\t-\t2\n", [("01", "", 2)]),
+    ("01\tε\t2\n", [("01", "", 2)]),
+    ("ε\t1\t2\n", [("", "1", 2)]),
+    (" 01 \t 1 \t 3 \n10\t0\t 4\n", [("01", "1", 3), ("10", "0", 4)]),
+    ("0\t1\t2\r\n10\t0\t3\r\n", [("0", "1", 2), ("10", "0", 3)]),
+    ("# header\n\n0\t1\t2\n   \n  # indented\n10\t\t5\n", [("0", "1", 2), ("10", "", 5)]),
+    # str.splitlines breaks lines at \r, \x1c and \u2028 as well, inside a comment too
+    ("0\t1\t2\n#\r10\t0\t3\n", [("0", "1", 2), ("10", "0", 3)]),
+    ("0\t1\t2\r10\t0\t3", [("0", "1", 2), ("10", "0", 3)]),
+    ("0\t1\t2\x1c10\t-\t3\u202811\t1\t4\n", [("0", "1", 2), ("10", "", 3), ("11", "1", 4)]),
+    ("0\t1\t2\n\x0c\n10\t0\t3\n", [("0", "1", 2), ("10", "0", 3)]),
+    ("0\t1\t+3\n", [("0", "1", 3)]),
+    ("0\t1\t²\n", (ParseError, "m.tsv:1: bad program line: invalid literal for int() with base 10: '²'")),
+    ("0\t1\t٣\n", [("0", "1", 3)]),
+    ("0\t1\t1_0\n", [("0", "1", 10)]),
+    ("0\t1\t-1\n", (ParseError, "m.tsv:1: negative halt stage for code 0")),
+    ("0\t1\t\n", (ParseError, "m.tsv:1: bad program line: invalid literal for int() with base 10: ''")),
+    ("0\t1\t2\n1\t0\n", (ParseError, "m.tsv:2: expected 3 tab-separated fields, got 2")),
+    ("0\t1\t2\t3\n", (ParseError, "m.tsv:1: expected 3 tab-separated fields, got 4")),
+    ("0\t1\t2\n012\t1\t3\n", (ParseError, "m.tsv:2: bad program line: not a 0/1 word: '012'")),
+    ("0\t1x\t2\n", (ParseError, "m.tsv:1: bad program line: not a 0/1 word: '1x'")),
+    ("01\t1\t2\n1\t0\t1\n01\t0\t3\n", (PrefixFreeViolation, "m.tsv: duplicate code 01")),
+    # sorted neighbours meet 0 and 01 first; the table order meets 11 and 1101 first
+    ("11\t0\t1\n0\t1\t2\n1101\t1\t3\n01\t0\t4\n",
+     (PrefixFreeViolation, "m.tsv: code 11 is a prefix of code 1101")),
+    ("0\t1\t2\n01\t0\t1\n", (PrefixFreeViolation, "m.tsv: code 0 is a prefix of code 01")),
+    ("\t1\t2\n0\t1\t1\n", (PrefixFreeViolation, "m.tsv: code ε is a prefix of code 0")),
+    ("", []),
+]
+
+# line ends and comments that the one-pass reader takes, and ones it leaves
+# to the line reader: str.splitlines also breaks at \r, \x1c and \u2028
+BREAKS = ["\n", "\n# note\n", "\n\n"]
+ODD_BREAKS = ["\r\n", "\r", "\x1c", "\u2028", "\n#\r0\t1\t2\n", "\t\n", "\n  \n"]
+ODD_LINES = [
+    " 1\t0\t3", "ε\t1\t2", "1\tε\t2", "0\t1x\t2", "0\t1\t+1", "0\t1\t-1", "0\t1\t 3",
+    "0\t1\t٣", "0\t1\t", "0\t1\t1_0", "0\t1", "0\t1\t2\t3", "  # note",
+]
+
+
+class TestParsePaths:
+    """Plain tables take the one-pass reader, and any other line sends the
+    whole text to the line reader; both give the same programs and errors."""
+
+    @pytest.mark.parametrize("text, want", PARSE_TABLE, ids=[str(i) for i in range(len(PARSE_TABLE))])
+    def test_pinned_programs_and_messages(self, text, want):
+        if isinstance(want, list):
+            machine = PrefixMachine.parse(text, source="m.tsv")
+            assert machine.programs == tuple(prog(*row) for row in want)
+        else:
+            kind, message = want
+            with pytest.raises(kind) as info:
+                PrefixMachine.parse(text, source="m.tsv")
+            assert type(info.value) is kind and str(info.value) == message
+
+    def test_constructor_names_the_table_order_pair(self):
+        programs = tuple(prog(c, "0", 1) for c in ("11", "0", "1101", "01"))
+        with pytest.raises(PrefixFreeViolation) as info:
+            PrefixMachine(programs)
+        assert info.value.message == "code 11 is a prefix of code 1101"
+
+    @seed(21)
+    @given(st.lists(st.text(alphabet="01", max_size=5), max_size=10))
+    def test_prefix_check_matches_the_pairwise_test(self, codes):
+        pairwise = any(i != j and b.startswith(a) for i, a in enumerate(codes) for j, b in enumerate(codes))
+        try:
+            PrefixMachine(tuple(prog(c, "0", 0) for c in codes))
+        except PrefixFreeViolation:
+            assert pairwise
+        else:
+            assert not pairwise
+
+    @seed(22)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "0", "1", "01", "110"]),
+                st.sampled_from(["", "-", "0", "10"]),
+                st.sampled_from(["0", "7", "12"]),
+            ),
+            max_size=6,
+        ),
+        st.lists(st.sampled_from(BREAKS + ODD_BREAKS), min_size=7, max_size=7),
+        st.one_of(st.none(), st.tuples(st.integers(0, 6), st.sampled_from(ODD_LINES))),
+    )
+    def test_one_pass_reader_agrees_with_the_line_reader(self, rows, breaks, odd):
+        lines = ["\t".join(row) for row in rows]
+        if odd is not None:
+            lines.insert(odd[0], odd[1])
+        text = "".join(line + sep for line, sep in zip(lines, breaks))
+        plain = _plain_programs(text)
+        try:
+            full = _programs(text, "m")
+        except ParseError:
+            assert plain is None
+        else:
+            assert plain is None or plain == full
+        if odd is None and all(sep in BREAKS for sep in breaks):
+            assert plain is not None
 
 
 class TestIntegerMassSums:
@@ -273,6 +380,28 @@ class TestIndexMatchesTheScans:
                 for x in reals:
                     fast = least_failing_length(machine, approx_string(x, t), c, t)
                     assert fast == brute_least_failing_length(machine, x, c, t)
+
+    @pytest.mark.parametrize("i", range(12))
+    def test_scans_far_past_the_longest_output(self, i):
+        # outputs of at most 5 bits, halting from stage 100 on, so every
+        # expansion scanned is at least 100 bits long
+        machine = random_machine(random.Random(100 + i), max_code_len=5, max_out_len=5)
+        machine = PrefixMachine(tuple(p._replace(halt_stage=100 + p.halt_stage) for p in machine.programs))
+        reals = {rational_of_string(p.output) for p in machine.programs} | {ZERO, ONE, Dyadic(5, 4)}
+        for t in range(100, machine.max_halt_stage() + 3):
+            for c in range(4):
+                for x in reals:
+                    fast = least_failing_length(machine, approx_string(x, t), c, t)
+                    assert fast == brute_least_failing_length(machine, x, c, t), (t, c, x)
+
+    def test_least_failing_prefix_at_the_longest_output(self):
+        # the scan stops at the longest output's length, and must include it
+        m = PrefixMachine((prog("0", "10110", 0), prog("10", "1", 0)))
+        w = BitString("10110" + "0" * 95)
+        assert least_failing_length(m, w, 0, 0) == 5 == brute_least_failing_length(m, Dyadic(11, 4), 0, 100)
+        assert least_failing_length(m, w, 3, 0) == 5
+        assert least_failing_length(m, w, 4, 0) is None
+        assert least_failing_length(m, w.take(4), 0, 0) is None
 
     def test_least_failing_length_examples(self):
         m = PrefixMachine((prog("0", "0000", 3), prog("10", "000", 1)))

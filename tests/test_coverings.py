@@ -138,6 +138,18 @@ class TestCoveringFamilies:
             assert brute_optimal_covering(a.members) == a
         assert count > 50
 
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_trusted_families_equal_the_validating_constructor(self, odd):
+        # the generator and the unranking skip Antichain's sort and checks;
+        # rebuilding each family through it must give the same value
+        indexed = odd_covering_family if odd else even_covering_family
+        for i, a in enumerate(itertools.islice(covering_antichains(odd), 3000)):
+            public = Antichain(reversed(a.members))
+            assert a == public and a.members == public.members, i
+            assert a._words == public._words, i  # what covers() reads
+            if i % 10 == 0:
+                assert indexed(i) == public, i
+
     def test_injective_window(self):
         seen = set()
         for i in range(200):
