@@ -69,7 +69,6 @@ from .streams import (
     lower_cut,
     real_from_ce_set,
     stage_set,
-    truncate_pad,
 )
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ oracles at configurable desk-scale bounds and reports counterexamples
 verbatim.  The test suite reuses the same generators and verifiers at the
 acceptance bounds.  Reports carry no timing, so repeated runs print
 byte-identical output.
+
+The verifiers and `MergeCase` live in `verify`; this module re-exports them
+unchanged because `cantorbench/gate.py` and the tests import them from here.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .classes import (
     Tree,
@@ -78,9 +81,10 @@ from .oracles import (
     sibling_merge_closure,
 )
 from .recipes import cut_deltas, odd_ones_extensions
-from .runs import Replay, replay, verify_hatm, verify_regret, verify_splice
+from .runs import Replay, replay
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
 from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_set
+from .verify import MergeCase, verify_beta, verify_hatm, verify_merge, verify_regret, verify_splice
 
 __all__ = [
     "CheckReport",
@@ -256,26 +260,13 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
 
 
 # ---------------------------------------------------------------------------
-# scenario building and the merge verifier
+# scenario building and merge cases
 
 
 def build_scenario(sc: Scenario) -> Replay:
     """Replay a scenario's command line over the fixture texts, through the
     same builders the CLI runs."""
     return replay(sc.argv, FIXTURE_FILES.__getitem__)
-
-
-@dataclass(frozen=True)
-class MergeCase:
-    """A merge input: the scripted side, the listing ``l1``, the extensions
-    of a content (``picker``), the tags that mark the injective side's sets,
-    and the horizon."""
-
-    script: EnumerationScript
-    l1: Sequence[frozenset[BitString]]
-    picker: Callable[[frozenset[BitString]], Iterable[frozenset[BitString]]]
-    tags: frozenset[BitString]
-    horizon: int
 
 
 def _merge_tag(i: int) -> BitString:
@@ -318,24 +309,6 @@ def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
         return (content | {_merge_tag(i)} for i in itertools.count(500))
 
     return MergeCase(script, l1, extensions, tags, horizon)
-
-
-def verify_merge(out: EnumerationScript, case: MergeCase) -> list[str]:
-    errs = []
-    outputs = [stage_set(out, i, case.horizon) for i in out.indices()]
-    if len(set(outputs)) != len(outputs):
-        errs.append("settled output sets repeat")
-    l2_settled = {
-        stage_set(case.script, j, case.horizon) for j in case.script.indices()
-    }
-    for value in l2_settled:
-        if value not in outputs:
-            errs.append(f"scripted set of size {len(value)} omitted")
-    for value in outputs:
-        tagged = any(item in case.tags for item in value)
-        if not tagged and value not in l2_settled:
-            errs.append("output set neither scripted nor from the injective side")
-    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +590,8 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
         family = [real_from_ce_set(script, e) for e in script.indices()]
         if not family:
             continue
-        trace = beta_max(family, script.horizon)
-        if not trace.is_monotone():
-            rep.fail("beta trace not monotone on a random family")
-        best = ZERO
-        for member in family:
-            if member.value(script.horizon) > best:
-                best = member.value(script.horizon)
-        if trace.value_at(script.horizon) != best:
-            rep.fail("beta horizon value is not the family maximum")
+        for e in verify_beta(beta_max(family, script.horizon), family):
+            rep.fail(f"random family: {e}")
     for _ in range(40):
         rep.cases += 1
         values = random_dyadic_trace(rng)

@@ -25,7 +25,7 @@ from .complexity import (
     omega_approx,
     satisfies_constant,
 )
-from .dyadic import ZERO, BitString, Dyadic, Order, lex_compare_padded
+from .dyadic import ZERO, BitString, Dyadic
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -208,7 +208,6 @@ def hat_m_construction(
 
     parked_bit = BitString("1" if mirror else "0")
     degenerate = ("1" if mirror else "0") * k
-    want = Order.GT if mirror else Order.LT
 
     records: list[TraceRecord] = []
     parked = True
@@ -224,7 +223,8 @@ def hat_m_construction(
                 continue
             parked = False
         cur = approx_string(m.value(s), k)
-        if lex_compare_padded(cur, boundary) is want:
+        # both words are k bits long, so the string order is the order of the values
+        if (cur.bits > boundary.bits) if mirror else (cur.bits < boundary.bits):
             fix = None
             records.append(TraceRecord(s, "tracking", PlainValue(m.value(s))))
         else:

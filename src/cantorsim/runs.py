@@ -10,11 +10,8 @@ scenario library reads the fixture texts, so both run the same code.
 once; it is built on its first call, not at import, and at most once per
 process.  `cli.main` and `replay` both parse with it.
 
-The safety verifiers live next to their builders; `checks` exports them.
-They read K_t, Ω_s and least failing lengths from the linear scans in
-`oracles`, never from the machine's stage index that the constructions use,
-and the k-bit expansions from `oracles.expansion_prefix`, never from the
-constructions' own.
+The safety checks are the verifiers in `verify`, which read the scans of
+`oracles` and no construction; a builder only binds its inputs to one.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ from typing import Callable, NamedTuple, Sequence
 from .classes import Tree, diagonalize, graft_points, measure_capped_enumeration
 from .complexity import PrefixMachine, omega_approx
 from .constructions import (
-    RegretSlot,
-    StageTrace,
-    TailValue,
     beta_max,
     friedberg_merge,
     hat_m_construction,
@@ -39,12 +33,11 @@ from .constructions import (
     splice_random,
 )
 from .coverings import covering_antichains, parse_listing, star_construction
-from .dyadic import ZERO, BitString, Order, lex_compare_padded, prefix_set_measure
+from .dyadic import BitString, prefix_set_measure
 from .errors import DomainError, InputError, ParseError, records
-from .oracles import brute_k_approx, brute_least_failing_length, brute_omega_approx
-from .oracles import expansion_prefix, padding_holds
 from .recipes import merge_boundary_reals, merge_covering_classes
-from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
+from .streams import EnumerationScript, real_from_ce_set
+from .verify import verify_beta, verify_hatm, verify_regret, verify_splice
 
 __all__ = ["RUNS", "Replay", "Run", "build", "natural", "parser", "replay"]
 
@@ -160,82 +153,6 @@ def _splice(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(trace, trace.render_lines(), lambda: verify_splice(trace, r, machine, a.c))
 
 
-def _runs_of(trace: StageTrace, state: str) -> list[tuple[int, int]]:
-    """(first, last) stage of every maximal run of records in the state."""
-    runs = []
-    for ours, group in itertools.groupby(trace.records, key=lambda rec: rec.state == state):
-        if ours:
-            stages = [rec.stage for rec in group]
-            runs.append((stages[0], stages[-1]))
-    return runs
-
-
-def _stage_mass(v: object, machine: PrefixMachine, t: int) -> bool:
-    """Whether v is a prefix followed by Ω at stage t, as the oracle's scan
-    reads it."""
-    return (
-        isinstance(v, TailValue) and v.omega_stage == t and v.omega == brute_omega_approx(machine, t)
-    )
-
-
-def _run_errors(
-    m: LeftCEApprox, machine: PrefixMachine, c: int, trigger: int, n: int, release: int | None
-) -> list[str]:
-    """What the scans find wrong with a run of m failing the constant: n must
-    be the least failing length at the trigger stage, and the length-n
-    expansion must satisfy the constant at the release stage."""
-    errs = []
-    if n != brute_least_failing_length(machine, m.value(trigger), c, trigger):
-        errs.append(f"stage {trigger}: witness length {n} is not the least failing length")
-    if release is not None:
-        if brute_k_approx(machine, expansion_prefix(m.value(release), n), release) < n - c:
-            errs.append(f"stage {release}: released while the length-{n} prefix fails")
-    return errs
-
-
-def verify_splice(
-    trace: StageTrace, r: LeftCEApprox, machine: PrefixMachine, c: int
-) -> list[str]:
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
-    for rec in trace.records:
-        t = rec.stage
-        if rec.state == "empty":
-            if not r.empty_at(t) or rec.value.real() != ZERO:
-                errs.append(f"stage {t}: bad empty record")
-        elif rec.state == "tracking":
-            if rec.value.real() != r.value(t):
-                errs.append(f"stage {t}: tracking value differs from the input")
-        elif rec.state == "spliced":
-            if not _stage_mass(rec.value, machine, t):
-                errs.append(f"stage {t}: spliced tail is not the stage mass")
-        else:
-            errs.append(f"stage {t}: unknown state {rec.state}")
-    inside: set[int] = set()  # the stages of the runs that the notes open
-    for head in trace.records:
-        if "trigger n=" not in head.note:
-            continue
-        trigger, n = head.stage, int(head.note.rpartition("n=")[2])
-        release = next(
-            (rec.stage for rec in trace.records[trigger + 1 :] if rec.state != "spliced"), None
-        )
-        run = range(trigger + 1, trace.horizon + 1 if release is None else release)
-        inside.update(run)
-        if run:
-            witness = trace.records[run[0]].value.prefix  # type: ignore[union-attr]
-            if witness != expansion_prefix(r.value(trigger), n):
-                errs.append(f"stage {trigger}: witness {witness} is not the input's expansion")
-            for s in run:
-                if trace.records[s].value.prefix != witness:  # type: ignore[union-attr]
-                    errs.append(f"stage {s}: witness changed mid-run")
-        errs.extend(_run_errors(r, machine, c, trigger, n, release))
-    for rec in trace.records:
-        if rec.state == "spliced" and rec.stage not in inside:
-            errs.append(f"stage {rec.stage}: spliced outside a run")
-    return errs
-
-
 @_run("hatm", script=_PATH, machine=_PATH, k=_NATURAL, horizon=_NATURAL, index=_NATURAL_0,
       mirror=_SWITCH)
 def _hatm(a: argparse.Namespace, read: Read) -> Replay:
@@ -246,59 +163,6 @@ def _hatm(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(
         trace, trace.render_lines(), lambda: verify_hatm(trace, m, machine, a.k, a.mirror)
     )
-
-
-def verify_hatm(
-    trace: StageTrace,
-    m: LeftCEApprox,
-    machine: PrefixMachine,
-    k: int,
-    mirror: bool,
-) -> list[str]:
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
-    degenerate = ("1" if mirror else "0") * k
-    want = Order.GT if mirror else Order.LT
-    for rec in trace.records:
-        t = rec.stage
-        boundary = expansion_prefix(brute_omega_approx(machine, t), k)
-        if isinstance(rec.value, TailValue) and not _stage_mass(rec.value, machine, t):
-            errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
-        if rec.state == "parked":
-            if boundary.bits != degenerate:
-                errs.append(f"stage {t}: parked although the boundary prefix moved")
-            v = rec.value
-            if not isinstance(v, TailValue) or v.prefix.bits != ("1" if mirror else "0"):
-                errs.append(f"stage {t}: parked value malformed")
-        elif rec.state == "tracking":
-            cur = expansion_prefix(m.value(t), k)
-            if lex_compare_padded(cur, boundary) is not want:
-                errs.append(f"stage {t}: tracking on the wrong side of the boundary")
-            if rec.value.real() != m.value(t):
-                errs.append(f"stage {t}: tracking value differs from the input")
-        elif rec.state == "undesirable":
-            v = rec.value
-            if not isinstance(v, TailValue) or len(v.prefix) != k:
-                errs.append(f"stage {t}: fix prefix has wrong length")
-            elif not mirror and lex_compare_padded(v.prefix, boundary) is not Order.LT:
-                errs.append(f"stage {t}: fix prefix not strictly below the boundary")
-        else:
-            errs.append(f"stage {t}: unknown state {rec.state}")
-    if mirror:
-        # The fix prefix cannot be required to lie strictly above the boundary:
-        # Ω_s only rises, and so does its k-prefix, so a prefix above the
-        # boundary can fall below it later, and the violation that starts an
-        # undesirable run is often exactly that.  What holds is that the fix is
-        # the input's k-prefix at the stage before the run; when that stage was
-        # tracking, the check above placed it strictly above that boundary.
-        for start, _ in _runs_of(trace, "undesirable"):
-            if start == 0 or trace.records[start - 1].state != "tracking":
-                continue
-            v = trace.records[start].value
-            if not isinstance(v, TailValue) or v.prefix != expansion_prefix(m.value(start - 1), k):
-                errs.append(f"stage {start}: fix prefix is not the previous input prefix")
-    return errs
 
 
 @_run(
@@ -325,59 +189,12 @@ def _regret(a: argparse.Namespace, read: Read) -> Replay:
     return Replay(slots, lines, lambda: verify_regret(slots, script, machine, a.c))
 
 
-def verify_regret(
-    slots: Sequence[RegretSlot],
-    family: EnumerationScript,
-    machine: PrefixMachine,
-    c: int,
-) -> list[str]:
-    errs = []
-    approxes = {e: real_from_ce_set(family, e) for e in family.indices()}
-    for i, slot in enumerate(slots):
-        m = approxes[slot.source_index]
-        if not slot.trace.is_monotone():
-            errs.append(f"slot {i}: trace not monotone")
-        for rec in slot.trace.records:
-            t = rec.stage
-            if isinstance(rec.value, TailValue) and not _stage_mass(rec.value, machine, t):
-                errs.append(f"slot {i} stage {t}: {rec.state} tail is not the stage mass")
-            if rec.state == "unbound":
-                if rec.value.real() != ZERO:
-                    errs.append(f"slot {i} stage {t}: unbound value not 0")
-            elif rec.state == "tracking":
-                if rec.value.real() != m.value(t):
-                    errs.append(f"slot {i} stage {t}: tracking value differs from the member")
-            elif rec.state == "regretted":
-                assert slot.padding is not None
-                v = rec.value
-                expected = expansion_prefix(m.value(t), slot.witness_length).bits
-                expected += "0" * slot.padding
-                if not isinstance(v, TailValue) or v.prefix.bits != expected:
-                    errs.append(f"slot {i} stage {t}: regretted prefix malformed")
-            else:
-                errs.append(f"slot {i} stage {t}: unknown state {rec.state}")
-        run = _run_errors(m, machine, c, slot.bound_stage, slot.witness_length, slot.regret_stage)
-        errs.extend(f"slot {i} {e}" for e in run)
-        if slot.regret_stage is not None:
-            p = slot.padding or 0
-            target = slot.witness_length + c + machine.c_tilde
-            if not padding_holds(p, target):
-                errs.append(f"slot {i}: padding {p} misses the target {target}")
-            if any(padding_holds(q, target) for q in range(1, p)):
-                errs.append(f"slot {i}: padding {p} not minimal for target {target}")
-    return errs
-
-
 @_run("beta", script=_PATH, horizon=_NATURAL)
 def _beta(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     family = [real_from_ce_set(script, e) for e in script.indices()]
     trace = beta_max(family, a.horizon)
-    return Replay(
-        trace,
-        trace.render_lines(),
-        lambda: [] if trace.is_monotone() else ["beta trace not monotone"],
-    )
+    return Replay(trace, trace.render_lines(), lambda: verify_beta(trace, family))
 
 
 @_run("star", listing=_PATH, horizon=_NATURAL)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .dyadic import ONE, ZERO, BitString, Dyadic, all_strings, string_of_rational
+from .dyadic import ZERO, BitString, Dyadic, all_strings, trusted_bitstring
 from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[BitString, Dyadic]
@@ -26,7 +26,6 @@ __all__ = [
     "lower_cut",
     "real_from_ce_set",
     "stage_set",
-    "truncate_pad",
     "words_below",
 ]
 
@@ -236,18 +235,10 @@ def lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     )
 
 
-def truncate_pad(s: BitString, n: int) -> BitString:
-    """s cut to length n, or extended with zeroes up to length n."""
+def approx_string(x: Dyadic, n: int) -> BitString:
+    """First n expansion bits of x: ⌊x·2ⁿ⌋ in n binary digits, capped at
+    2ⁿ − 1 so that x = 1 expands as all ones (ε for n = 0)."""
     if n < 0:
         raise InputError("target length must be ≥ 0")
-    if len(s) >= n:
-        return s.take(n)
-    return BitString(s.padded(n))
-
-
-def approx_string(x: Dyadic, n: int) -> BitString:
-    """First n expansion bits of x (x = 1 expands as all-ones)."""
-    if x == ONE:
-        return BitString("1" * n)
-    return truncate_pad(string_of_rational(x), n)
-
+    v = min((x.num << n) >> x.exp, (1 << n) - 1)
+    return trusted_bitstring(format(v, f"0{n}b") if n else "")

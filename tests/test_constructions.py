@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantorsim import runs
 from cantorsim.checks import (
     SCENARIOS,
     build_scenario,
@@ -464,6 +465,32 @@ class TestBeta:
     def test_empty_family_rejected(self):
         with pytest.raises(InputError):
             beta_max([], 3)
+
+    @staticmethod
+    def tampered_tree_check(monkeypatch, value_at):
+        """The beta-tree scenario's check, built with a trace whose stage-s
+        value is value_at(s, the replayed value)."""
+        built = runs.beta_max
+
+        def tampered(family, horizon):
+            return StageTrace(
+                tuple(
+                    r._replace(value=PlainValue(value_at(r.stage, r.value.real())))
+                    for r in built(family, horizon).records
+                )
+            )
+
+        monkeypatch.setattr(runs, "beta_max", tampered)
+        return build_scenario(scenario("beta-tree")).check()
+
+    def test_a_trace_lowered_at_one_stage_is_caught(self, monkeypatch):
+        errs = self.tampered_tree_check(monkeypatch, lambda s, v: dy("1/2^2") if s == 4 else v)
+        assert errs == ["beta trace not monotone"]
+
+    def test_a_horizon_value_below_the_family_maximum_is_caught(self, monkeypatch):
+        # monotone, but it never rises past 1/4 although a member reaches 3/4
+        errs = self.tampered_tree_check(monkeypatch, lambda s, v: min(v, dy("1/2^2")))
+        assert errs == ["beta horizon value is not the family maximum"]
 
 
 class TestOddOnes:

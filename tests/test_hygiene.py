@@ -7,7 +7,9 @@ re-export is named in the code of a module other than ``__init__`` and
 ``oracles``, so nothing is exported that only the tests reach.  The
 package's modules import one another without a cycle.  The oracles import
 from the package only value types and ``errors``, so no fast routine is on
-an oracle's path.
+an oracle's path.  The verifiers import only an allow-list: those, the
+record types, the script replay that reads a builder's input, and
+``oracles``; and only ``checks`` and ``verify`` import ``oracles``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
     "dyadic": {"Antichain", "BitString", "Dyadic", "EMPTY", "ONE", "ZERO"},
     "classes": {"Tree"},
     "complexity": {"PrefixMachine"},
+}
+
+# module -> what verify.py may import beyond ORACLE_IMPORTS_ALLOWED: the record
+# types, and the script replay, which reads the input a builder read
+VERIFY_IMPORTS_ALLOWED: dict[str, set[str]] = {
+    **ORACLE_IMPORTS_ALLOWED,
+    "constructions": {"RegretSlot", "StageTrace", "TailValue", "TraceRecord"},
+    "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set", "stage_set"},
 }
 
 
@@ -124,14 +134,24 @@ def package_imports(path: pathlib.Path) -> list[tuple[str, str]]:
     return out
 
 
-def oracle_imports_beyond_value_types(path: pathlib.Path) -> list[str]:
-    """The package imports of the file that are neither a value type that
-    ORACLE_IMPORTS_ALLOWED lists nor a name of ``errors``."""
+def imports_beyond(
+    path: pathlib.Path, allowed: dict[str, set[str]], whole: tuple[str, ...] = ("errors",)
+) -> list[str]:
+    """The package imports of the file that are neither a name that allowed
+    lists for its module nor any name of a module in whole."""
     return [
         f"{module}.{name}"
         for module, name in package_imports(path)
-        if module != "errors" and name not in ORACLE_IMPORTS_ALLOWED.get(module, ())
+        if module not in whole and name not in allowed.get(module, ())
     ]
+
+
+def oracle_imports_beyond_value_types(path: pathlib.Path) -> list[str]:
+    return imports_beyond(path, ORACLE_IMPORTS_ALLOWED)
+
+
+def verify_imports_beyond_allow_list(path: pathlib.Path) -> list[str]:
+    return imports_beyond(path, VERIFY_IMPORTS_ALLOWED, whole=("errors", "oracles"))
 
 
 def import_graph() -> dict[str, set[str]]:
@@ -209,4 +229,30 @@ def test_an_oracle_import_of_a_fast_routine_is_found(tmp_path):
     )
     assert oracle_imports_beyond_value_types(planted) == [
         "dyadic.strings_up_to", "streams.*", "coverings.*", "streams.approx_string"
+    ]
+
+
+def test_verify_imports_only_its_allow_list():
+    assert verify_imports_beyond_allow_list(PACKAGE / "verify.py") == []
+
+
+def test_a_verifier_import_of_a_construction_is_found(tmp_path):
+    planted = tmp_path / "verify.py"
+    planted.write_text(
+        "from .constructions import StageTrace, splice_random\n"
+        "from .complexity import PrefixMachine, least_failing_length\n"
+        "from .oracles import brute_k_approx\n"
+        "from .streams import real_from_ce_set\n\n\n"
+        "def f():\n    from cantorsim.recipes import cut_deltas\n",
+        encoding="utf-8",
+    )
+    assert verify_imports_beyond_allow_list(planted) == [
+        "constructions.splice_random", "complexity.least_failing_length", "recipes.cut_deltas"
+    ]
+
+
+def test_only_the_checks_and_the_verifiers_import_the_oracles():
+    graph = import_graph()
+    assert sorted(module for module, deps in graph.items() if "oracles" in deps) == [
+        "checks", "verify"
     ]

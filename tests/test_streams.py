@@ -24,7 +24,6 @@ from cantorsim.streams import (
     lower_cut,
     real_from_ce_set,
     stage_set,
-    truncate_pad,
     words_below,
 )
 
@@ -203,18 +202,6 @@ class TestLowerCut:
         assert lower_cut(lo, 5) <= lower_cut(hi, 5)
 
 
-class TestTruncatePad:
-    def test_examples(self):
-        assert truncate_pad(BitString("101"), 5) == BitString("10100")
-        assert truncate_pad(BitString("10111"), 3) == BitString("101")
-        assert truncate_pad(EMPTY, 2) == BitString("00")
-
-    @given(st.text(alphabet="01", max_size=10).map(BitString), st.integers(0, 12))
-    def test_length_is_exact(self, s, n):
-        assert len(truncate_pad(s, n)) == n
-
-
-
 class TestApproxString:
     def test_examples(self):
         assert approx_string(dy("3/2^3"), 5) == BitString("01100")
@@ -230,3 +217,17 @@ class TestApproxString:
                 x = Dyadic(num, exp)
                 for n in range(10):
                     assert approx_string(x, n) == expansion_prefix(x, n), (x, n)
+
+    def test_matches_the_integer_expansion_up_to_length_100(self):
+        # the ends and 20 random values of denominators up to 2^100, at every length ≤ 100
+        rng = random.Random(7)
+        for exp in (7, 15, 50, 99, 100):
+            nums = {0, 1, (1 << exp) - 1, 1 << exp} | {rng.randrange(1 << exp) for _ in range(20)}
+            for num in sorted(nums):
+                x = Dyadic(num, exp)
+                for n in range(101):
+                    assert approx_string(x, n) == expansion_prefix(x, n), (x, n)
+
+    def test_a_negative_length_is_an_input_error(self):
+        with pytest.raises(InputError):
+            approx_string(ONE, -1)
