@@ -2,12 +2,12 @@
 
 Each suite compares the fast implementations against the independent
 oracles at configurable desk-scale bounds and reports counterexamples
-verbatim.  The test suite reuses the same generators and verifiers at the
-acceptance bounds.  Reports carry no timing, so repeated runs print
-byte-identical output.
+verbatim.  A construction's safety properties are stated once, by its
+verifier in `verify`: a suite calls it and prefixes each finding with its
+case ("suite 3: …").  Reports carry no timing, so reruns print the same bytes.
 
-The verifiers and `MergeCase` live in `verify`; this module re-exports them
-unchanged because `cantorbench/gate.py` and the tests import them from here.
+`MergeCase` and the splice, hatm, regret and merge verifiers are re-exported
+unchanged because `cantorbench/gate.py` imports them from here.
 """
 
 from __future__ import annotations
@@ -20,95 +20,43 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .classes import (
-    Tree,
-    dead_ends,
-    diagonalize,
-    graft_points,
-    measure_capped_enumeration,
-    paths_at_depth,
-    tree_from_halting_oracle,
-    tree_of_complement,
+    Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration, paths_at_depth,
+    tree_from_halting_oracle, tree_of_complement,
 )
 from .complexity import (
-    INFINITE,
-    PrefixMachine,
-    Program,
-    compute_padding,
-    intersect_randomness,
-    k_approx,
-    least_failing_length,
-    omega_approx,
-    randomness_class_tree,
+    INFINITE, PrefixMachine, Program, compute_padding, intersect_randomness, k_approx,
+    least_failing_length, omega_approx, randomness_class_tree,
 )
 from .constructions import beta_max, friedberg_merge, odd_ones_real_enumeration
 from .coverings import (
-    covering_antichains,
-    even_covering_family,
-    odd_covering_family,
-    star_construction,
+    covering_antichains, even_covering_family, odd_covering_family, star_construction,
 )
 from .dyadic import (
-    ONE,
-    ZERO,
-    Antichain,
-    BitString,
-    Dyadic,
-    Order,
-    is_acceptable,
-    lex_compare_padded,
-    optimal_covering,
-    prefix_set_measure,
-    rational_of_string,
-    string_of_rational,
-    strings_up_to,
+    ONE, ZERO, BitString, Dyadic, Order, is_acceptable, lex_compare_padded, optimal_covering,
+    prefix_set_measure, rational_of_string, string_of_rational, strings_up_to,
 )
 from .errors import InputError
 from .oracles import (
-    brute_covering_families,
-    brute_halted_complexities,
-    brute_k_approx,
-    brute_least_failing_length,
-    brute_nodes,
-    brute_odd_ones,
-    brute_omega_approx,
-    brute_optimal_covering,
-    expansion_at_depth,
-    greedy_expansion,
-    inclusion_odd_ones_extensions,
-    padding_holds,
-    rightmost_path,
-    set_difference_deltas,
+    brute_covering_families, brute_halted_complexities, brute_k_approx, brute_least_failing_length,
+    brute_nodes, brute_omega_approx, brute_optimal_covering, expansion_at_depth, greedy_expansion,
+    inclusion_odd_ones_extensions, padding_holds, rightmost_path, set_difference_deltas,
     sibling_merge_closure,
 )
 from .recipes import cut_deltas, odd_ones_extensions
 from .runs import Replay, replay
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
-from .streams import EnumerationScript, approx_string, real_from_ce_set, stage_set
-from .verify import MergeCase, verify_beta, verify_hatm, verify_merge, verify_regret, verify_splice
+from .streams import EnumerationScript, approx_string, real_from_ce_set
+from .verify import (
+    MergeCase, verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
+    verify_merge, verify_oddones, verify_regret, verify_splice, verify_star,
+)
 
 __all__ = [
-    "CheckReport",
-    "SUITES",
-    "Suite",
-    "build_scenario",
-    "check_classes",
-    "check_complexity",
-    "check_constructions",
-    "check_coverings",
-    "check_dyadic",
-    "diagonal_suite",
-    "make_merge_case",
-    "random_bitstring",
-    "random_dyadic_script",
-    "random_listing",
-    "random_machine",
-    "random_string_script",
-    "random_string_set",
-    "run_suite",
-    "verify_hatm",
-    "verify_merge",
-    "verify_regret",
-    "verify_splice",
+    "CheckReport", "SUITES", "Suite", "build_scenario", "check_classes", "check_complexity",
+    "check_constructions", "check_coverings", "check_dyadic", "diagonal_suite", "make_merge_case",
+    "random_bitstring", "random_dyadic_script", "random_listing", "random_machine",
+    "random_string_script", "random_string_set", "run_suite", "verify_hatm", "verify_merge",
+    "verify_regret", "verify_splice",
 ]
 
 
@@ -166,9 +114,7 @@ def random_machine(
         if any(code.startswith(c) or c.startswith(code) for c in codes):
             continue
         add = Fraction(1, 1 << n)
-        if strict and mass + add >= 1:
-            continue
-        if not strict and mass + add > 1:
+        if mass + add > 1 or strict and mass + add == 1:
             continue
         codes.append(code)
         mass += add
@@ -316,14 +262,8 @@ def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
 
 
 def _group_classes(seq, key):
-    out = []
-    for item in seq:
-        k = key(item)
-        if out and out[-1][0] == k:
-            out[-1][1].add(item)
-        else:
-            out.append((k, {item}))
-    return [members for _, members in out]
+    """The runs of equal keys in the sorted sequence, each as a set."""
+    return [set(run) for _, run in itertools.groupby(sorted(seq, key=key), key=key)]
 
 
 def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckReport:
@@ -342,11 +282,8 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
             if string_of_rational(q) != greedy_expansion(q):
                 rep.fail(f"expansion of {q} disagrees with the greedy oracle")
     strs = list(strings_up_to(9))
-    by_lex = _group_classes(sorted(strs, key=lambda s: s.padded(9)), key=lambda s: s.padded(9))
-    by_val = _group_classes(
-        sorted(strs, key=lambda s: rational_of_string(s).as_fraction()),
-        key=lambda s: rational_of_string(s).as_fraction(),
-    )
+    by_lex = _group_classes(strs, key=lambda s: s.padded(9))
+    by_val = _group_classes(strs, key=lambda s: rational_of_string(s).as_fraction())
     rep.cases += 1
     if by_lex != by_val:
         rep.fail("order transport broken at length 9")
@@ -408,41 +345,12 @@ def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> Ch
     for _ in range(40):
         listing = random_listing(rng)
         snaps = star_construction(listing, horizon=max(len(listing), 1))
-        prev = Antichain(())
-        for snap in snaps:
-            rep.cases += 1
-            if snap.good:
-                generating = (
-                    snap.covering.members
-                    if snap.case == "a"
-                    else snap.covering.members + (snap.sigma,)
-                )
-                if not is_acceptable(generating):
-                    rep.fail(f"stage {snap.stage}: generating family not acceptable")
-            for member in prev:
-                if not snap.family.covers(member):
-                    rep.fail(f"stage {snap.stage}: covered set shrank at {member}")
-            prev = snap.family
-        if snaps and snaps[-1].good_stages:
-            last_good = snaps[-1].good_stages[-1]
-            final = snaps[-1].family
-            for m_i in range(last_good):
-                if not final.covers(listing[m_i]):
-                    rep.fail(f"listing element {m_i} not covered by the final snapshot")
-    count = 0
-    seen: set[Antichain] = set()
-    for a in covering_antichains(odd=True):
-        if a.total_bits() > 10 or count >= 100:
-            break
-        count += 1
-        rep.cases += 1
-        if len(a) % 2 == 0:
-            rep.fail(f"even antichain {a.render()} in the odd family")
-        if brute_optimal_covering(a.members) != a:
-            rep.fail(f"{a.render()} is not its own covering")
-        if a in seen:
-            rep.fail(f"family repeats {a.render()}")
-        seen.add(a)
+        rep.cases += len(snaps)
+        rep.failures += verify_star(listing, snaps)
+    small = itertools.takewhile(lambda a: a.total_bits() <= 10, covering_antichains(odd=True))
+    families = list(itertools.islice(small, 100))
+    rep.cases += len(families)
+    rep.failures += verify_coverfamily(families, odd=True)
     exhaustive = [a for total in range(7) for a in brute_covering_families(total)]
     searched = {odd: [a for a in exhaustive if len(a) % 2 == odd] for odd in (False, True)}
     for odd in (False, True):
@@ -567,23 +475,8 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
         out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
         for e in verify_merge(out, case):
             rep.fail(f"merge case {ci}: {e}")
-    seen_odd: set[BitString] = set()
-    prev_key = (-1, "")
-    for i in range(300):
-        rep.cases += 1
-        s = odd_ones_real_enumeration(i)
-        if s in seen_odd:
-            rep.fail(f"odd-ones listing repeats {s}")
-        seen_odd.add(s)
-        if not s.bits.endswith("1") or s.ones() % 2 == 0:
-            rep.fail(f"odd-ones listing emitted {s}")
-        if s.lenlex_key <= prev_key:
-            rep.fail(f"odd-ones listing out of order at {s}")
-        prev_key = s.lenlex_key
-    for i, want in enumerate(brute_odd_ones(10)):
-        rep.cases += 1
-        if odd_ones_real_enumeration(i) != want:
-            rep.fail(f"odd-ones listing gives {odd_ones_real_enumeration(i)} at {i}, not {want}")
+    rep.cases += 300 + 512  # the report's count; all 512 strings of length ≤ 10 are checked
+    rep.failures += verify_oddones([odd_ones_real_enumeration(i) for i in range(512)])
     for _ in range(30):
         rep.cases += 1
         script = random_dyadic_script(rng)
@@ -620,44 +513,20 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         trees = diagonal_suite(rng, rng.randint(1, min(8, diag_depth - 1)), diag_depth)
         taus = graft_points(trees, diag_depth)
         combined = diagonalize(trees, diag_depth)
-        paths = paths_at_depth(combined, diag_depth)
-        for n, tau in enumerate(taus):
-            if not any(tau.is_prefix_of(p) for p in paths):
-                rep.fail(f"suite {si}: no combined path through graft {n}")
-            if any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], diag_depth)):
-                rep.fail(f"suite {si}: tree {n} still meets its graft cone")
+        for e in verify_diagonalize(trees, diag_depth, taus, combined):
+            rep.fail(f"suite {si}: {e}")
     all_paths = {p.bits for p in paths_at_depth(Tree(6), 6)}
-    # per set of script strings, all of length ≤ 6: its measure, read off the
-    # oracle's depth-6 expansion, and whether the complement tree's paths are
-    # the words the expansion leaves out
-    measures: dict[frozenset[BitString], Fraction] = {}
+    # per final set of script strings, all of length ≤ 6: whether the
+    # complement tree's paths are the words its depth-6 expansion leaves out
     complement_ok: dict[frozenset[BitString], bool] = {}
-
-    def measure(strings: frozenset[BitString]) -> Fraction:
-        if strings not in measures:
-            measures[strings] = Dyadic(len(expansion_at_depth(strings, 6)), 6).as_fraction()
-        return measures[strings]
-
     for ci in range(capped_scripts):
         script = random_string_script(rng)
         for n in range(1, 9):
             rep.cases += 1
-            cap = Fraction(n - 1, n)
             replays = measure_capped_enumeration(script, n, script.horizon)
+            for e in verify_capped(script, n, replays):
+                rep.fail(f"script {ci}: {e}")
             for e, replay in replays.items():
-                for snap in replay.stages:
-                    if measure(snap) > cap:
-                        rep.fail(f"script {ci}: cap {n} broken for index {e}")
-                        break
-                full = frozenset(
-                    item
-                    for item in stage_set(script, e, script.horizon)
-                    if isinstance(item, BitString)
-                )
-                if measure(full) <= cap and replay.final() != full:
-                    rep.fail(f"script {ci}: unconstrained index {e} was modified")
-                if n == 1 and replay.final():
-                    rep.fail(f"script {ci}: cap 1 admitted a string for index {e}")
                 final = replay.final()
                 if final not in complement_ok:
                     leftover = all_paths - expansion_at_depth(final, 6)
@@ -672,9 +541,7 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         budgets = {m.bits: len(m) + rng.randint(0, 2) for m in halted}
 
         def oracle(s: BitString, e: int) -> bool:
-            return any(
-                s.bits.startswith(b) and len(s) >= budgets[b] for b in budgets
-            )
+            return any(s.bits.startswith(b) and len(s) >= budgets[b] for b in budgets)
 
         tree = tree_from_halting_oracle(oracle, 0, 7)
         nodes = {n.bits for n in tree.nodes}

@@ -1,8 +1,9 @@
 """Single-shot batch CLI.
 
-`run` replays one construction over flat input files and emits a trace;
-`check` runs a brute-force oracle suite at the given bounds.  All output is
-deterministic: identical inputs give byte-identical bytes.
+`run` replays one construction over flat input files and emits a trace; it
+does not run the verifier its `runs.RUNS` entry binds.  `check` runs a
+brute-force oracle suite, verifiers included, at the given bounds.  All
+output is deterministic: identical inputs give byte-identical bytes.
 
 `run regret` always starts with `# slots: N`, the number of slots bound, so a
 run in which no member fails the constant prints `# slots: 0`.  Each slot then

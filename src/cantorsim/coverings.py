@@ -75,7 +75,6 @@ class StarSnapshot:
     case: str  # 'a', 'b', or '-' when the stage is skipped
     covering: Antichain  # of the listing before sigma
     family: Antichain
-    good_stages: tuple[int, ...]
 
 
 def star_construction(listing: Sequence[BitString], horizon: int) -> list[StarSnapshot]:
@@ -87,15 +86,13 @@ def star_construction(listing: Sequence[BitString], horizon: int) -> list[StarSn
         raise RangeError("horizon must be ≥ 0")
     snaps: list[StarSnapshot] = []
     cov = family = Antichain(())
-    goods: list[int] = []
     for n, sigma in enumerate(listing[: horizon + 1]):
         grown = optimal_covering(cov.members + (sigma,))
         good = all(len(sigma) > len(t) for t in cov) and not cov.covers(sigma)
         case = "-"
         if good:
-            goods.append(n)
             case, family = ("a", cov) if len(cov) % 2 == 0 else ("b", grown)
-        snaps.append(StarSnapshot(n, sigma, good, case, cov, family, tuple(goods)))
+        snaps.append(StarSnapshot(n, sigma, good, case, cov, family))
         cov = grown
     return snaps
 

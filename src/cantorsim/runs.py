@@ -12,6 +12,10 @@ process.  `cli.main` and `replay` both parse with it.
 
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.
+Three entries bind none yet, so their check finds nothing: a Friedberg check
+of a merge needs its scripted side and a mark on the injective side's sets,
+but the recipes friedberg-reals and friedberg-classes build their scripted
+side internally, and the sets of a `merge` input carry no such mark.
 """
 
 from __future__ import annotations
@@ -25,11 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 from .classes import Tree, diagonalize, graft_points, measure_capped_enumeration
 from .complexity import PrefixMachine, omega_approx
 from .constructions import (
-    beta_max,
-    friedberg_merge,
-    hat_m_construction,
-    odd_ones_real_enumeration,
-    regret_construction,
+    beta_max, friedberg_merge, hat_m_construction, odd_ones_real_enumeration, regret_construction,
     splice_random,
 )
 from .coverings import covering_antichains, parse_listing, star_construction
@@ -37,7 +37,10 @@ from .dyadic import BitString, prefix_set_measure
 from .errors import DomainError, InputError, ParseError, records
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, real_from_ce_set
-from .verify import verify_beta, verify_hatm, verify_regret, verify_splice
+from .verify import (
+    verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
+    verify_oddones, verify_omega, verify_regret, verify_splice, verify_star,
+)
 
 __all__ = ["RUNS", "Replay", "Run", "build", "natural", "parser", "replay"]
 
@@ -199,16 +202,19 @@ def _beta(a: argparse.Namespace, read: Read) -> Replay:
 
 @_run("star", listing=_PATH, horizon=_NATURAL)
 def _star(a: argparse.Namespace, read: Read) -> Replay:
-    snaps = star_construction(parse_listing(read(a.listing), source=a.listing), a.horizon)
+    listing = parse_listing(read(a.listing), source=a.listing)
+    snaps = star_construction(listing, a.horizon)
     return Replay(
         snaps,
         [f"{s.stage}\t{'yes' if s.good else 'no'}\t{s.case}\t{s.family.render()}" for s in snaps],
+        lambda: verify_star(listing, snaps),
     )
 
 
 @_run("capped", script=_PATH, cap_n=_NATURAL, horizon=_NATURAL)
 def _capped(a: argparse.Namespace, read: Read) -> Replay:
-    replays = measure_capped_enumeration(_script(read, a.script, a.horizon), a.cap_n, a.horizon)
+    script = _script(read, a.script, a.horizon)
+    replays = measure_capped_enumeration(script, a.cap_n, a.horizon)
     lines = [f"# indices: {len(replays)}"]
     for e in sorted(replays):
         capped = replays[e]
@@ -220,7 +226,7 @@ def _capped(a: argparse.Namespace, read: Read) -> Replay:
             f"# index {e}: measure {prefix_set_measure(capped.final()).render()}"
             f" frozen {frozen}"
         )
-    return Replay(replays, lines)
+    return Replay(replays, lines, lambda: verify_capped(script, a.cap_n, replays))
 
 
 @_run(
@@ -234,7 +240,7 @@ def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     combined = diagonalize(trees, a.depth)
     lines = [f"# tau_{n} = {tau.display()}" for n, tau in enumerate(taus)]
     lines.extend(combined.render().splitlines())
-    return Replay(combined, lines)
+    return Replay(combined, lines, lambda: verify_diagonalize(trees, a.depth, taus, combined))
 
 
 @_run(
@@ -291,16 +297,19 @@ def _friedberg_classes(a: argparse.Namespace, read: Read) -> Replay:
 def _omega(a: argparse.Namespace, read: Read) -> Replay:
     machine = _machine(read, a.machine)
     values = [omega_approx(machine, s) for s in range(a.horizon + 1)]
-    return Replay(values, [f"{s}\t{v.render()}" for s, v in enumerate(values)])
+    lines = [f"{s}\t{v.render()}" for s, v in enumerate(values)]
+    return Replay(values, lines, lambda: verify_omega(machine, values))
 
 
 @_run("oddones", count=_NATURAL)
 def _oddones(a: argparse.Namespace, read: Read) -> Replay:
     strings = [odd_ones_real_enumeration(i) for i in range(a.count)]
-    return Replay(strings, [f"{i}\t{s}" for i, s in enumerate(strings)])
+    lines = [f"{i}\t{s}" for i, s in enumerate(strings)]
+    return Replay(strings, lines, lambda: verify_oddones(strings))
 
 
 @_run("coverfamily", count=_NATURAL, parity={"choices": ("odd", "even"), "default": "odd"})
 def _coverfamily(a: argparse.Namespace, read: Read) -> Replay:
     families = list(itertools.islice(covering_antichains(a.parity == "odd"), a.count))
-    return Replay(families, [f"{i}\t{f.render()}" for i, f in enumerate(families)])
+    lines = [f"{i}\t{f.render()}" for i, f in enumerate(families)]
+    return Replay(families, lines, lambda: verify_coverfamily(families, a.parity == "odd"))

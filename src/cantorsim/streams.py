@@ -121,9 +121,6 @@ class EnumerationScript:
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted({ev.index for ev in self.events}))
 
-    def events_for(self, index: int) -> tuple[ScriptEvent, ...]:
-        return tuple(ev for ev in self.events if ev.index == index)
-
     def render(self) -> str:
         lines = []
         for ev in self.events:
@@ -176,37 +173,23 @@ class LeftCEApprox:
     def empty_at(self, stage: int) -> bool:
         return self.first_stage is None or stage < self.first_stage
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, Dyadic]], horizon: int
-    ) -> "LeftCEApprox":
-        """Running maximum of the values filed so far, stage by stage."""
-        by_stage: dict[int, list[Dyadic]] = {}
-        first: int | None = None
-        for stage, v in pairs:
-            if stage < 0 or stage > horizon:
-                raise RangeError(f"stage {stage} outside [0, {horizon}]")
-            by_stage.setdefault(stage, []).append(v)
-            first = stage if first is None else min(first, stage)
-        out: list[Dyadic] = []
-        cur = ZERO
-        for s in range(horizon + 1):
-            for v in by_stage.get(s, ()):
-                if v > cur:
-                    cur = v
-            out.append(cur)
-        return cls(tuple(out), first)
-
 
 def real_from_ce_set(script: EnumerationScript, index: int) -> LeftCEApprox:
     """Stage value = greatest element filed under the index so far; the
-    placeholder 0 flagged empty before anything arrives."""
-    pairs: list[tuple[int, Dyadic]] = []
-    for ev in script.events_for(index):
+    placeholder 0 flagged empty before anything arrives.  One pass over the
+    stage-sorted events."""
+    values: list[Dyadic] = []
+    cur, first = ZERO, None
+    for ev in script.events:
+        if ev.index != index:
+            continue
         if not isinstance(ev.item, Dyadic):
             raise InputError(f"index {index} carries a non-dyadic item at stage {ev.stage}")
-        pairs.append((ev.stage, ev.item))
-    return LeftCEApprox.from_pairs(pairs, script.horizon)
+        values += [cur] * (ev.stage - len(values))
+        first = ev.stage if first is None else first
+        cur = max(cur, ev.item)
+    values += [cur] * (script.horizon + 1 - len(values))
+    return LeftCEApprox(tuple(values), first)
 
 
 def words_below(num: int, exp: int, n: int) -> int:

@@ -1,8 +1,13 @@
 """The safety verifiers of the `run` constructions and of the merge.
 
 Each returns the violations it finds in a result, none for a safe run.  K_t,
-Ω_s, least failing lengths and k-bit expansions come from the scans in
-`oracles`, never from the machine's stage index or the constructions' own.
+Ω_s, least failing lengths, k-bit expansions, coverings and measures come
+from the scans in `oracles`, never from the machine's stage index or the
+constructions' own.  The `run` entry X binds `verify_X` as its check, for X
+in splice, hatm, regret, beta, star, capped, diagonalize, omega, oddones and
+coverfamily; `verify_merge` checks the merge cases of `check constructions`,
+and the merge entry and the two recipes bind none yet (see `runs`).  The
+`check` suites and the tests call these verifiers rather than restate them.
 
 A hygiene test holds the imports from the package to the value and record
 types, `PrefixMachine`, `oracles`, `errors` and the script replay
@@ -13,17 +18,23 @@ replay reads the same input the builder read and is not what is verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
 from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
-from .dyadic import ZERO, BitString
-from .oracles import brute_k_approx, brute_least_failing_length, brute_omega_approx
-from .oracles import expansion_prefix, padding_holds
+from .coverings import StarSnapshot
+from .dyadic import ZERO, Antichain, BitString, Dyadic
+from .oracles import brute_k_approx, brute_least_failing_length, brute_odd_ones, brute_omega_approx
+from .oracles import brute_optimal_covering, expansion_at_depth, expansion_prefix, padding_holds
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 
 __all__ = [
-    "MergeCase", "verify_beta", "verify_hatm", "verify_merge", "verify_regret", "verify_splice"
+    "MergeCase", "verify_beta", "verify_capped", "verify_coverfamily", "verify_diagonalize",
+    "verify_hatm", "verify_merge", "verify_oddones", "verify_omega", "verify_regret",
+    "verify_splice", "verify_star",
 ]
 
 
@@ -86,23 +97,19 @@ def verify_splice(
             (rec.stage for rec in trace.records[trigger + 1 :] if rec.state != "spliced"), None
         )
         run = range(trigger + 1, trace.horizon + 1 if release is None else release)
-        if run:
-            witness = trace.records[run[0]].value.prefix  # type: ignore[union-attr]
+        # a spliced value that is not a tail was reported with its record
+        tails = [(s, v.prefix) for s in run if isinstance(v := trace.records[s].value, TailValue)]
+        if tails:
+            witness = tails[0][1]
             if witness != expansion_prefix(r.value(trigger), n):
                 errs.append(f"stage {trigger}: witness {witness} is not the input's expansion")
-            for s in run:
-                if trace.records[s].value.prefix != witness:  # type: ignore[union-attr]
-                    errs.append(f"stage {s}: witness changed mid-run")
+            errs.extend(f"stage {s}: witness changed mid-run" for s, p in tails if p != witness)
         errs.extend(_run_errors(r, machine, c, trigger, n, release))
     return errs
 
 
 def verify_hatm(
-    trace: StageTrace,
-    m: LeftCEApprox,
-    machine: PrefixMachine,
-    k: int,
-    mirror: bool,
+    trace: StageTrace, m: LeftCEApprox, machine: PrefixMachine, k: int, mirror: bool
 ) -> list[str]:
     """The boundary, the expansion and a fix are k-bit words, compared as such."""
     errs = []
@@ -140,10 +147,7 @@ def verify_hatm(
 
 
 def verify_regret(
-    slots: Sequence[RegretSlot],
-    family: EnumerationScript,
-    machine: PrefixMachine,
-    c: int,
+    slots: Sequence[RegretSlot], family: EnumerationScript, machine: PrefixMachine, c: int
 ) -> list[str]:
     errs = []
     for i, slot in enumerate(slots):
@@ -157,10 +161,9 @@ def verify_regret(
             if rec.state == "unbound" and v.real() != ZERO:
                 found.append(f"stage {t}: unbound value not 0")
             elif rec.state == "regretted":
-                assert slot.padding is not None
-                expected = expansion_prefix(m.value(t), slot.witness_length).bits
-                expected += "0" * slot.padding
-                if not isinstance(v, TailValue) or v.prefix.bits != expected:
+                witness = expansion_prefix(m.value(t), slot.witness_length).bits
+                padded = None if slot.padding is None else witness + "0" * slot.padding
+                if not isinstance(v, TailValue) or v.prefix.bits != padded:
                     found.append(f"stage {t}: regretted prefix malformed")
         run = _run_errors(m, machine, c, slot.bound_stage, slot.witness_length, slot.regret_stage)
         errs.extend(f"slot {i} {e}" for e in found + run)
@@ -180,6 +183,143 @@ def verify_beta(trace: StageTrace, family: Sequence[LeftCEApprox]) -> list[str]:
     best = max(member.value(trace.horizon) for member in family)
     if trace.value_at(trace.horizon) != best:
         errs.append("beta horizon value is not the family maximum")
+    return errs
+
+
+def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> list[str]:
+    """Every family is an even covering, so none collides with the odd side:
+    a good stage's family is the covering of its generating family (the
+    covering before sigma, with sigma adjoined in case b), and that covering
+    is even; any other stage keeps the family.  The covered set never shrinks,
+    and the last family covers the listing before the last good stage."""
+    errs = []
+    prev = Antichain(())
+    for snap in snaps:
+        t, family = snap.stage, snap.family
+        if snap.good:
+            generating = snap.covering.members + (() if snap.case == "a" else (snap.sigma,))
+            covering = brute_optimal_covering(generating)
+            if len(covering) % 2:
+                errs.append(f"stage {t}: generating family not acceptable")
+            if family != covering:
+                errs.append(f"stage {t}: family is not its generating family's covering")
+        elif family != prev:
+            errs.append(f"stage {t}: family changed at a stage that is not good")
+        if family is not prev:
+            errs += [f"stage {t}: covered set shrank at {m}" for m in prev if not family.covers(m)]
+        prev = family
+    last_good = max((snap.stage for snap in snaps if snap.good), default=0)
+    for i in range(last_good):
+        if not prev.covers(listing[i]):
+            errs.append(f"listing element {i} not covered by the final snapshot")
+    return errs
+
+
+@lru_cache(maxsize=1 << 12)
+def _measure(strings: frozenset[BitString]) -> Fraction:
+    """The measure of the strings' cones, from the oracle's expansion."""
+    depth = max((len(s) for s in strings), default=0)
+    return Fraction(len(expansion_at_depth(strings, depth)), 1 << depth)
+
+
+def verify_capped(
+    script: EnumerationScript, n: int, replays: Mapping[int, CappedReplay]
+) -> list[str]:
+    """Each index's admitted set has measure ≤ 1 − 1/n at every stage, so
+    what it leaves is a Π⁰₁ class of measure ≥ 1/n; an index whose whole set
+    fits is admitted whole; and a frozen index admits nothing after the stage
+    it froze."""
+    errs = []
+    cap = Fraction(n - 1, n)
+    for e, replay in replays.items():
+        if any(_measure(admitted) > cap for admitted in set(replay.stages)):
+            errs.append(f"cap {n} broken for index {e}")
+        full = stage_set(script, e, script.horizon)  # a capped replay refuses any other item
+        if _measure(full) <= cap and replay.final() != full:
+            errs.append(f"unconstrained index {e} was modified")
+        if n == 1 and replay.final():
+            errs.append(f"cap 1 admitted a string for index {e}")
+        t = replay.frozen_at
+        if t is not None and (
+            any(admitted for s, _, admitted in replay.log if s > t)
+            or any(later != replay.stages[t] for later in replay.stages[t:])
+        ):
+            errs.append(f"frozen index {e} admitted more after stage {t}")
+    return errs
+
+
+def _meets(tree: Tree, tau: BitString, depth: int) -> bool:
+    """Whether a depth-D node extends tau: no exit is a prefix of tau, and the
+    exits extending it, with disjoint cones, leave part of its cone uncovered."""
+    t, cut = tau.bits, 0
+    for x in tree.exits:
+        if t.startswith(x.bits):
+            return False
+        if x.bits.startswith(t) and len(x) <= depth:
+            cut += 1 << depth - len(x)
+    return len(t) <= depth and cut < 1 << depth - len(t)
+
+
+def verify_diagonalize(
+    trees: Sequence[Tree], depth: int, taus: Sequence[BitString], combined: Tree
+) -> list[str]:
+    """The result contains the base tree and meets every graft cone [τ_n] in
+    a depth-D path, while tree n misses it: judged from the trees' exits."""
+    errs = []
+    base = {x.bits for x in trees[0].exits}
+    if not all(any(x.bits[:i] in base for i in range(len(x) + 1)) for x in combined.exits):
+        errs.append("result does not contain the base tree")
+    for n, tau in enumerate(taus):
+        if not _meets(combined, tau, depth):
+            errs.append(f"no combined path through graft {n}")
+        if _meets(trees[n], tau, depth):
+            errs.append(f"tree {n} still meets its graft cone")
+    return errs
+
+
+def verify_omega(machine: PrefixMachine, values: Sequence[Dyadic]) -> list[str]:
+    """The value listed for each stage s is Ω_s by the scan."""
+    errs = []
+    for s, value in enumerate(values):
+        if value != (mass := brute_omega_approx(machine, s)):
+            errs.append(f"stage {s}: omega {value.render()} is not the halted mass {mass.render()}")
+    return errs
+
+
+def verify_oddones(strings: Sequence[BitString]) -> list[str]:
+    """The listing is length-lexicographically increasing, so injective, each
+    string ends in 1 with an odd number of 1s, and the i-th string is the
+    i-th of the filtered listing."""
+    errs = []
+    prev_key = (-1, "")
+    for s in strings:
+        if s.lenlex_key == prev_key:
+            errs.append(f"odd-ones listing repeats {s}")
+        if not s.bits.endswith("1") or s.ones() % 2 == 0:
+            errs.append(f"odd-ones listing emitted {s}")
+        if s.lenlex_key <= prev_key:
+            errs.append(f"odd-ones listing out of order at {s}")
+        prev_key = s.lenlex_key
+    wanted = brute_odd_ones((len(strings) - 1).bit_length() + 1)  # 2^(L−1) strings of length ≤ L
+    for i, (s, want) in enumerate(zip(strings, wanted)):
+        if s != want:
+            errs.append(f"odd-ones listing gives {s} at {i}, not {want}")
+    return errs
+
+
+def verify_coverfamily(families: Sequence[Antichain], odd: bool) -> list[str]:
+    """Each family has the parity, is its own covering by the scan, and is new."""
+    errs = []
+    parity, other = ("odd", "even") if odd else ("even", "odd")
+    seen: set[Antichain] = set()
+    for a in families:
+        if len(a) % 2 != odd:
+            errs.append(f"{other} antichain {a.render()} in the {parity} family")
+        if brute_optimal_covering(a.members) != a:
+            errs.append(f"{a.render()} is not its own covering")
+        if a in seen:
+            errs.append(f"family repeats {a.render()}")
+        seen.add(a)
     return errs
 
 

@@ -1,49 +1,26 @@
 from __future__ import annotations
 
+import dataclasses
 import random
-from fractions import Fraction
 
 import pytest
 
 from cantorsim.checks import (
-    diagonal_suite,
-    random_bitstring,
-    random_machine,
-    random_string_script,
-    random_string_set,
+    diagonal_suite, random_bitstring, random_machine, random_string_script, random_string_set,
 )
 from cantorsim.classes import (
-    Tree,
-    dead_ends,
-    diagonalize,
-    graft_points,
-    measure_capped_enumeration,
-    paths_at_depth,
-    tree_from_halting_oracle,
-    tree_of_complement,
+    Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration, paths_at_depth,
+    tree_from_halting_oracle, tree_of_complement,
 )
 from cantorsim.complexity import (
-    PrefixMachine,
-    Program,
-    intersect_randomness,
-    randomness_class_tree,
-    satisfies_constant,
+    PrefixMachine, Program, intersect_randomness, randomness_class_tree, satisfies_constant,
 )
-from cantorsim.dyadic import EMPTY, BitString, prefix_set_measure, strings_up_to
-from cantorsim.errors import (
-    DomainError,
-    InputError,
-    ParseError,
-    PreconditionError,
-    RangeError,
-)
-from cantorsim.oracles import (
-    brute_nodes,
-    expansion_at_depth,
-    node_set_dead_ends,
-    node_set_paths,
-)
-from cantorsim.streams import EnumerationScript, stage_set
+from cantorsim.dyadic import EMPTY, BitString, strings_up_to
+from cantorsim.errors import DomainError, InputError, ParseError, PreconditionError, RangeError
+from cantorsim.oracles import brute_nodes, expansion_at_depth, node_set_dead_ends, node_set_paths
+from cantorsim.scenarios import FIXTURE_FILES
+from cantorsim.streams import EnumerationScript
+from cantorsim.verify import verify_capped, verify_diagonalize
 
 
 def bs(*words: str) -> list[BitString]:
@@ -147,12 +124,8 @@ class TestPathsAndDeadEnds:
 class TestDiagonalize:
     def test_single_tree_graft(self):
         base = Tree.closure_of(bs("000", "1"), 3)
-        taus = graft_points([base], 3)
-        assert taus == (BitString("1"),)
-        combined = diagonalize([base], 3)
-        paths = paths_at_depth(combined, 3)
-        assert any(t.bits.startswith("1") for t in paths)
-        assert not any(t.bits.startswith("1") for t in paths_at_depth(base, 3))
+        assert graft_points([base], 3) == (BitString("1"),)
+        assert verify_diagonalize([base], 3, (BitString("1"),), diagonalize([base], 3)) == []
 
     def test_identical_trees_graft_at_their_own_dead_ends(self):
         base = Tree.closure_of(bs("0000", "001", "01", "10"), 4)
@@ -177,17 +150,35 @@ class TestDiagonalize:
             graft_points([Tree(3), Tree(2)], 3)
 
     def test_guarantees_on_example(self):
-        base = Tree.closure_of(bs("000", "1", "01"), 3)
-        other = Tree.closure_of(bs("0", "10"), 3)
-        trees = [base, other]
-        taus = graft_points(trees, 3)
-        combined = diagonalize(trees, 3)
-        for n, tau in enumerate(taus):
-            assert any(tau.is_prefix_of(p) for p in paths_at_depth(combined, 3))
-            assert not any(tau.is_prefix_of(p) for p in paths_at_depth(trees[n], 3))
+        trees = [Tree.closure_of(bs("000", "1", "01"), 3), Tree.closure_of(bs("0", "10"), 3)]
+        taus, combined = graft_points(trees, 3), diagonalize(trees, 3)
+        assert verify_diagonalize(trees, 3, taus, combined) == []
+        # a result that is not the graft, or graft targets one bit short, is caught
+        assert verify_diagonalize(trees, 3, taus, trees[1]) == [
+            "result does not contain the base tree", "no combined path through graft 0",
+            "no combined path through graft 1",
+        ]
+        short = tuple(tau.parent() for tau in taus)
+        assert verify_diagonalize(trees, 3, short, combined) == ["tree 0 still meets its graft cone"]
+
+
+CAPPED_TAMPERS = [
+    # (cap parameter, tamper, findings) on the capped-pair replay
+    (2, lambda c: dataclasses.replace(c, stages=c.stages[:5] + (c.stages[5] | set(bs("1")),)),
+     ["cap 2 broken for index 0", "frozen index 0 admitted more after stage 3"]),
+    (1, lambda c: c, ["cap 1 broken for index 0", "cap 1 admitted a string for index 0"]),
+    (2, lambda c: dataclasses.replace(c, log=c.log + ((4, BitString("11"), True),)),
+     ["frozen index 0 admitted more after stage 3"]),
+]
 
 
 class TestMeasureCapped:
+    @pytest.mark.parametrize("n, tamper, findings", CAPPED_TAMPERS)
+    def test_a_tampered_replay_is_caught(self, n, tamper, findings):
+        script = EnumerationScript.parse(FIXTURE_FILES["s_capped.tsv"], horizon=5)
+        (capped,) = measure_capped_enumeration(script, 2, 5).values()
+        assert verify_capped(script, n, {0: tamper(capped)}) == findings
+
     def test_cap_one_refuses_everything(self):
         script = EnumerationScript.from_events([(0, 0, BitString("0"))], horizon=2)
         replays = measure_capped_enumeration(script, 1, 2)
@@ -208,11 +199,8 @@ class TestMeasureCapped:
         for _ in range(50):
             script = random_string_script(rng)
             for n in range(1, 9):
-                for replay in measure_capped_enumeration(script, n, script.horizon).values():
-                    cap = Fraction(n - 1, n)
-                    assert all(
-                        prefix_set_measure(s).as_fraction() <= cap for s in replay.stages
-                    )
+                replays = measure_capped_enumeration(script, n, script.horizon)
+                assert verify_capped(script, n, replays) == []
 
     def test_unbinding_cap_passes_everything_through(self):
         script = EnumerationScript.from_events(
@@ -221,6 +209,8 @@ class TestMeasureCapped:
         replays = measure_capped_enumeration(script, 2, 2)
         assert replays[0].final() == frozenset(bs("000", "001"))
         assert replays[0].frozen_at is None
+        emptied = dataclasses.replace(replays[0], stages=(frozenset(),) * 3)
+        assert verify_capped(script, 2, {0: emptied}) == ["unconstrained index 0 was modified"]
 
     def test_zero_cap_parameter_rejected(self):
         script = EnumerationScript.from_events([], horizon=1)

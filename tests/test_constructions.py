@@ -10,43 +10,22 @@ from hypothesis import strategies as st
 
 from cantorsim import runs
 from cantorsim.checks import (
-    SCENARIOS,
-    build_scenario,
-    make_merge_case,
-    verify_hatm,
-    verify_merge,
-    verify_regret,
+    SCENARIOS, build_scenario, make_merge_case, verify_hatm, verify_merge, verify_regret,
     verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
-    PlainValue,
-    StageTrace,
-    TailValue,
-    TraceRecord,
-    beta_max,
-    friedberg_merge,
-    hat_m_construction,
-    odd_ones_real_enumeration,
-    regret_construction,
-    splice_random,
+    PlainValue, StageTrace, TailValue, TraceRecord, beta_max, friedberg_merge, hat_m_construction,
+    odd_ones_real_enumeration, regret_construction, splice_random,
 )
 from cantorsim.dyadic import ZERO, BitString, Dyadic
-from cantorsim.errors import (
-    CapacityError,
-    ContractViolationError,
-    InputError,
-    PreconditionError,
-)
+from cantorsim.errors import CapacityError, ContractViolationError, InputError, PreconditionError
 from cantorsim.oracles import (
-    brute_k_approx,
-    brute_least_failing_length,
-    brute_odd_ones,
-    expansion_prefix,
-    rightmost_path,
+    brute_k_approx, brute_least_failing_length, brute_odd_ones, expansion_prefix, rightmost_path,
 )
 from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set
+from cantorsim.verify import verify_oddones, verify_omega
 
 
 def dy(text: str) -> Dyadic:
@@ -311,6 +290,28 @@ class TestVerifiersReadTheScans:
         errs = verify_regret(tampered, script, machine, c)
         assert "slot 0 stage 4: witness length 5 is not the least failing length" in errs
 
+    def test_a_spliced_plain_value_is_reported_not_raised(self):
+        trace, machine, script, flag = scenario_inputs("splice-permanent")
+        records = list(trace.records)
+        records[5] = records[5]._replace(value=PlainValue(ZERO))
+        r, c = real_from_ce_set(script, 0), int(flag("--c"))
+        errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
+        assert errs == ["trace not monotone", "stage 5: spliced tail is not the stage mass"]
+
+    def test_a_regret_without_padding_is_reported_not_raised(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        tampered = [dataclasses.replace(slots[0], padding=None)]
+        errs = verify_regret(tampered, script, machine, int(flag("--c")))
+        assert "slot 0 stage 12: regretted prefix malformed" in errs
+
+    def test_a_wrong_omega_is_caught(self):
+        argv = ["run", "omega", "--machine", "m_splice.tsv", "--horizon", "9"]
+        values = list(runs.replay(argv, FIXTURE_FILES.__getitem__).result)
+        values[3] = Dyadic(1, 0)
+        assert verify_omega(fixture_machine("m_splice.tsv"), values) == [
+            "stage 3: omega 1/2^0 is not the halted mass 1/2^1"
+        ]
+
     def test_a_regret_released_while_failing_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
@@ -510,13 +511,18 @@ class TestOddOnes:
         assert [odd_ones_real_enumeration(i) for i in range(1 << 11)] == want
 
     def test_properties_over_a_window(self):
-        prev = (-1, "")
-        for i in range(1000):
-            s = odd_ones_real_enumeration(i)
-            assert s.bits.endswith("1")
-            assert s.ones() % 2 == 1
-            assert s.lenlex_key > prev
-            prev = s.lenlex_key
+        assert verify_oddones([odd_ones_real_enumeration(i) for i in range(1000)]) == []
+
+    @pytest.mark.parametrize("tamper, findings", [
+        (lambda s: s[:3] + s[2:5], ["repeats 001", "out of order at 001", "gives 001 at 3, not 111",
+                                    "gives 111 at 4, not 0001", "gives 0001 at 5, not 0111"]),
+        (lambda s: [BitString("11"), *s[1:]], ["emitted 11", "out of order at 01",
+                                                "gives 11 at 0, not 1"]),
+        (lambda s: s[:3] + s[4:], ["gives 0001 at 3, not 111", "gives 0111 at 4, not 0001"]),
+    ], ids=["repeat", "even-weight", "skip"])
+    def test_a_tampered_listing_is_caught(self, tamper, findings):
+        strings = runs.replay(["run", "oddones", "--count", "6"], FIXTURE_FILES.__getitem__).result
+        assert verify_oddones(tamper(strings)) == [f"odd-ones listing {f}" for f in findings]
 
 
 def listed_l1(values):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -8,31 +9,21 @@ import pytest
 
 from cantorsim.checks import build_scenario, random_listing, random_string_set
 from cantorsim.coverings import (
-    covered_up_to,
-    covering_antichains,
-    even_covering_family,
-    odd_covering_family,
-    parse_listing,
+    covered_up_to, covering_antichains, even_covering_family, odd_covering_family, parse_listing,
     star_construction,
 )
 from cantorsim.dyadic import (
-    Antichain,
-    BitString,
-    covered_deltas,
-    is_acceptable,
-    optimal_covering,
+    Antichain, BitString, covered_deltas, optimal_covering, trusted_antichain,
 )
 from cantorsim.errors import DomainError, ParseError
 from cantorsim.oracles import (
-    brute_covering_families,
-    brute_optimal_covering,
-    sibling_merge_closure,
-    split_covering_families,
-    split_covering_family,
+    brute_covering_families, brute_optimal_covering, sibling_merge_closure,
+    split_covering_families, split_covering_family,
 )
 from cantorsim.recipes import merge_covering_classes
 from cantorsim.scenarios import SCENARIOS
 from cantorsim.streams import stage_set
+from cantorsim.verify import verify_coverfamily, verify_star
 
 
 def bs(*words: str) -> list[BitString]:
@@ -81,24 +72,7 @@ class TestStarConstruction:
         rng = random.Random(23)
         for _ in range(60):
             listing = random_listing(rng)
-            snaps = star_construction(listing, max(len(listing), 1))
-            prev = Antichain(())
-            for snap in snaps:
-                if snap.good:
-                    generating = (
-                        snap.covering.members
-                        if snap.case == "a"
-                        else snap.covering.members + (snap.sigma,)
-                    )
-                    assert is_acceptable(generating)
-                for member in prev:
-                    assert snap.family.covers(member)
-                prev = snap.family
-            if snaps and snaps[-1].good_stages:
-                last_good = snaps[-1].good_stages[-1]
-                final = snaps[-1].family
-                for i in range(last_good):
-                    assert final.covers(listing[i])
+            assert verify_star(listing, star_construction(listing, max(len(listing), 1))) == []
 
     def test_covering_is_that_of_the_listing_before_sigma(self):
         rng = random.Random(31)
@@ -113,9 +87,29 @@ class TestStarConstruction:
         for _ in range(20):
             listing = random_listing(rng, kind="path")
             snaps = star_construction(listing, len(listing))
-            if len(snaps[-1].good_stages) >= 3:
+            if sum(snap.good for snap in snaps) >= 3:
                 seen += 1
         assert seen >= 10
+
+
+STAR_TAMPERS = [
+    # (stage, replaced fields, findings) on the star-cases snapshots
+    (1, {"case": "a"}, ["stage 1: generating family not acceptable",
+                        "stage 1: family is not its generating family's covering"]),
+    (1, {"family": Antichain(bs("00"))}, ["stage 1: family is not its generating family's covering"]),
+    (1, {"family": Antichain(bs("010"))}, ["stage 1: family is not its generating family's covering",
+                                           "listing element 0 not covered by the final snapshot"]),
+    (1, {"good": False, "case": "-"}, ["stage 1: family changed at a stage that is not good"]),
+    (0, {"family": Antichain(bs("1"))}, ["stage 0: family is not its generating family's covering",
+                                         "stage 1: covered set shrank at 1"]),
+]
+
+
+@pytest.mark.parametrize("stage, fields, findings", STAR_TAMPERS)
+def test_a_tampered_star_snapshot_is_caught(stage, fields, findings):
+    snaps = list(build_scenario(scenario("star-cases")).result)
+    snaps[stage] = dataclasses.replace(snaps[stage], **fields)
+    assert verify_star(tuple(bs("00", "010")), snaps) == findings
 
 
 class TestCoveringFamilies:
@@ -129,14 +123,9 @@ class TestCoveringFamilies:
         assert len(even_covering_family(1)) == 2
 
     def test_outputs_are_their_own_coverings(self):
-        count = 0
-        for a in covering_antichains(odd=True):
-            if a.total_bits() > 10:
-                break
-            count += 1
-            assert len(a) % 2 == 1
-            assert brute_optimal_covering(a.members) == a
-        assert count > 50
+        families = list(itertools.takewhile(lambda a: a.total_bits() <= 10, covering_antichains(True)))
+        assert verify_coverfamily(families, odd=True) == []
+        assert len(families) > 50
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     def test_trusted_families_equal_the_validating_constructor(self, odd):
@@ -151,11 +140,15 @@ class TestCoveringFamilies:
                 assert indexed(i) == public, i
 
     def test_injective_window(self):
-        seen = set()
-        for i in range(200):
-            a = odd_covering_family(i)
-            assert a not in seen
-            seen.add(a)
+        assert verify_coverfamily([odd_covering_family(i) for i in range(200)], odd=True) == []
+
+    def test_a_tampered_listing_is_caught(self):
+        families = list(itertools.islice(covering_antichains(True), 4))
+        siblings = trusted_antichain(tuple(bs("0", "1")))  # unreduced: its covering is ε
+        assert verify_coverfamily([*families, siblings, families[1]], odd=True) == [
+            "even antichain 0,1 in the odd family", "0,1 is not its own covering", "family repeats 0"
+        ]
+        assert verify_coverfamily(families[:1], odd=False) == ["odd antichain ε in the even family"]
 
     def test_indexed_families_match_the_enumeration_in_any_order(self):
         searched = [a for total in range(9) for a in searched_families(total)]
@@ -206,8 +199,7 @@ class TestCoveringFamilies:
         for i, want in pinned.items():
             a = (odd_covering_family if odd else even_covering_family)(i)
             assert a.render() == want
-            assert brute_optimal_covering(a.members) == a
-            assert len(a) % 2 == odd
+            assert verify_coverfamily([a], odd) == []
             assert at[i] == a, i
 
     def test_covered_up_to_matches_the_sibling_merge_fixpoint(self):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorsim import runs
 from cantorsim.checks import SUITES
 from cantorsim.cli import main
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS, write_fixtures
@@ -112,6 +113,14 @@ def test_stdout_matches_the_golden(name, tmp_path):
     assert code == EXIT_CODES.get(name, 0)
     assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+CHECKED_RUNS = [n for n, argv in COMMANDS.items() if argv[0] == "run" and n not in EXIT_CODES]
+
+
+@pytest.mark.parametrize("name", CHECKED_RUNS)
+def test_each_run_passes_its_check(name):
+    assert runs.replay(COMMANDS[name], {**FIXTURE_FILES, **INPUTS}.__getitem__).check() == []
 
 
 if __name__ == "__main__":

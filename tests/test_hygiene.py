@@ -36,7 +36,9 @@ ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
 # types, and the script replay, which reads the input a builder read
 VERIFY_IMPORTS_ALLOWED: dict[str, set[str]] = {
     **ORACLE_IMPORTS_ALLOWED,
+    "classes": {"CappedReplay", "Tree"},
     "constructions": {"RegretSlot", "StageTrace", "TailValue", "TraceRecord"},
+    "coverings": {"StarSnapshot"},
     "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set", "stage_set"},
 }
 
