@@ -475,7 +475,7 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
         out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
         for e in verify_merge(out, case):
             rep.fail(f"merge case {ci}: {e}")
-    rep.cases += 300 + 512  # the report's count; all 512 strings of length ≤ 10 are checked
+    rep.cases += 512  # the strings of length ≤ 10
     rep.failures += verify_oddones([odd_ones_real_enumeration(i) for i in range(512)])
     for _ in range(30):
         rep.cases += 1

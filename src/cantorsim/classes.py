@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .dyadic import EMPTY, BitString, all_strings, minimal_strings, prefix_set_measure, strings_up_to
+from .dyadic import EMPTY, Antichain, BitString, all_strings, grow_covering, minimal_strings
+from .dyadic import strings_up_to
 from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError, records
 from .streams import EnumerationScript
 
@@ -183,61 +184,48 @@ def diagonalize(trees: Sequence[Tree], depth: int) -> Tree:
 
 @dataclass(frozen=True)
 class CappedReplay:
-    """Replay record of one index under the measure cap.
+    """Replay record of one index under the measure cap: its log, one (stage,
+    item, admitted) entry per event of the index up to the horizon."""
 
-    stages[s] is the admitted set after stage s; log holds one
-    (stage, item, admitted) entry per processed event.
-    """
-
-    stages: tuple[frozenset[BitString], ...]
-    frozen_at: int | None
     log: tuple[tuple[int, BitString, bool], ...]
 
+    @property
+    def frozen_at(self) -> int | None:
+        """The stage of the first refusal, or None if nothing was refused."""
+        return next((s for s, _, admitted in self.log if not admitted), None)
+
     def final(self) -> frozenset[BitString]:
-        return self.stages[-1]
+        return frozenset(item for _, item, admitted in self.log if admitted)
 
 
 def measure_capped_enumeration(
     script: EnumerationScript, n: int, horizon: int
 ) -> dict[int, CappedReplay]:
-    """Replay each index admitting a string only while the covered measure
-    stays ≤ 1 − 1/n; the first refusal freezes the index for good."""
+    """Replay the events up to the horizon once, admitting a string only while
+    the covered measure stays ≤ 1 − 1/n; the first refusal freezes the index
+    for good.  An unfrozen index's admitted set is held as its optimal covering."""
     if n < 1:
         raise DomainError("the cap parameter n must be ≥ 1")
     if horizon < 0:
         raise RangeError("horizon must be ≥ 0")
-    indices = script.indices()
-    admitted: dict[int, set[BitString]] = {e: set() for e in indices}
-    frozen_at: dict[int, int | None] = {e: None for e in indices}
-    logs: dict[int, list[tuple[int, BitString, bool]]] = {e: [] for e in indices}
-    snaps: dict[int, list[frozenset[BitString]]] = {e: [] for e in indices}
-
-    pos = 0
-    events = script.events
-    for s in range(horizon + 1):
-        while pos < len(events) and events[pos].stage == s:
-            ev = events[pos]
-            pos += 1
-            if not isinstance(ev.item, BitString):
-                raise InputError(f"index {ev.index} carries a non-string item at stage {s}")
-            e = ev.index
-            if frozen_at[e] is not None:
-                logs[e].append((s, ev.item, False))
-                continue
-            trial = admitted[e] | {ev.item}
-            measure = prefix_set_measure(trial)
-            # num/2^exp ≤ (n−1)/n, cross-multiplied
-            if measure.num * n <= (n - 1) << measure.exp:
-                admitted[e].add(ev.item)
-                logs[e].append((s, ev.item, True))
+    logs: dict[int, list[tuple[int, BitString, bool]]] = {e: [] for e in script.indices()}
+    coverings = dict.fromkeys(logs, Antichain())  # the unfrozen indices only
+    for s, e, item in script.events:
+        if s > horizon:
+            break
+        if not isinstance(item, BitString):
+            raise InputError(f"index {e} carries a non-string item at stage {s}")
+        admitted = False
+        if e in coverings:
+            grown = grow_covering(coverings[e], item)
+            # the members' cones are disjoint: measure num/2^exp ≤ (n−1)/n, cross-multiplied
+            exp = max(map(len, grown))
+            if n * sum(1 << exp - len(m) for m in grown) <= (n - 1) << exp:
+                coverings[e], admitted = grown, True
             else:
-                frozen_at[e] = s
-                logs[e].append((s, ev.item, False))
-        for e in indices:
-            snaps[e].append(frozenset(admitted[e]))
-    return {
-        e: CappedReplay(tuple(snaps[e]), frozen_at[e], tuple(logs[e])) for e in indices
-    }
+                del coverings[e]
+        logs[e].append((s, item, admitted))
+    return {e: CappedReplay(tuple(log)) for e, log in logs.items()}
 
 
 def tree_of_complement(strings: Iterable[BitString], depth: int) -> Tree:

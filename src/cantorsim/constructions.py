@@ -87,7 +87,8 @@ TraceValue = Union[PlainValue, TailValue]
 
 class TraceRecord(NamedTuple):
     """One stage of a trace.  A named tuple, so it equals the plain tuple
-    (stage, state, value, note)."""
+    (stage, state, value, note).  Only splice writes notes: `trigger n=…`
+    where a run starts and `recover` where it ends, which its verifier reads."""
 
     stage: int
     state: str
@@ -228,11 +229,9 @@ def hat_m_construction(
             fix = None
             records.append(TraceRecord(s, "tracking", PlainValue(m.value(s))))
         else:
-            note = ""
             if fix is None:
                 fix = prev_prefix if prev_prefix is not None else approx_string(m.value(0), k)
-                note = "violation"
-            records.append(TraceRecord(s, "undesirable", TailValue(fix, s, omega_s), note))
+            records.append(TraceRecord(s, "undesirable", TailValue(fix, s, omega_s)))
         prev_prefix = cur
     return StageTrace(tuple(records))
 
@@ -287,12 +286,11 @@ def regret_construction(
         records = [TraceRecord(t, "unbound", PlainValue(ZERO)) for t in range(bound)]
         for t in range(bound, horizon + 1):
             if regret is None or t < regret:
-                note = "bound" if t == bound else ""
-                records.append(TraceRecord(t, "tracking", PlainValue(m.value(t)), note))
+                records.append(TraceRecord(t, "tracking", PlainValue(m.value(t))))
             else:
                 prefix = approx_string(m.value(t), n).cat(BitString("0" * padding))
                 value = TailValue(prefix, t, omega_approx(machine, t))
-                records.append(TraceRecord(t, "regretted", value, "regret" if t == regret else ""))
+                records.append(TraceRecord(t, "regretted", value))
         slots.append(RegretSlot(StageTrace(tuple(records)), e, n, bound, regret, padding))
     return slots
 

@@ -31,7 +31,7 @@ from .dyadic import (
     Antichain,
     BitString,
     covered_up_to,
-    optimal_covering,
+    grow_covering,
     trusted_antichain,
     trusted_bitstring,
 )
@@ -87,7 +87,7 @@ def star_construction(listing: Sequence[BitString], horizon: int) -> list[StarSn
     snaps: list[StarSnapshot] = []
     cov = family = Antichain(())
     for n, sigma in enumerate(listing[: horizon + 1]):
-        grown = optimal_covering(cov.members + (sigma,))
+        grown = grow_covering(cov, sigma)
         good = all(len(sigma) > len(t) for t in cov) and not cov.covers(sigma)
         case = "-"
         if good:

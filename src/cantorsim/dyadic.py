@@ -37,6 +37,7 @@ __all__ = [
     "all_strings",
     "covered_deltas",
     "covered_up_to",
+    "grow_covering",
     "is_acceptable",
     "lex_compare_padded",
     "minimal_strings",
@@ -466,6 +467,23 @@ def optimal_covering(strings: Iterable[BitString]) -> Antichain:
                 nodes.add(b[:-1])
                 work.append(b[:-1])
     return Antichain(tuple(BitString(b) for b in nodes))
+
+
+def grow_covering(antichain: Antichain, s: BitString) -> Antichain:
+    """The optimal covering of a reduced antichain's members and s, grown in
+    one step: the antichain itself when it covers s; otherwise s takes the
+    place of the members extending it and, while its sibling is a member,
+    merges with it into their parent.  No member is a prefix of s, so none
+    extends the parent but the sibling."""
+    if antichain.covers(s):
+        return antichain
+    w = s.bits
+    kept = {m.bits: m for m in antichain.members if not m.bits.startswith(w)}
+    while w and (sibling := w[:-1] + ("1" if w[-1] == "0" else "0")) in kept:
+        del kept[sibling]
+        w = w[:-1]
+    kept[w] = s if w == s.bits else trusted_bitstring(w)
+    return trusted_antichain(tuple(sorted(kept.values(), key=lambda m: (len(m.bits), m.bits))))
 
 
 def is_acceptable(strings: Iterable[BitString]) -> bool:

@@ -193,6 +193,8 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
     is even; any other stage keeps the family.  The covered set never shrinks,
     and the last family covers the listing before the last good stage."""
     errs = []
+    if [(snap.stage, snap.sigma) for snap in snaps] != list(enumerate(listing[: len(snaps)])):
+        errs.append("snapshots do not follow the listing")
     prev = Antichain(())
     for snap in snaps:
         t, family = snap.stage, snap.family
@@ -209,8 +211,8 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
             errs += [f"stage {t}: covered set shrank at {m}" for m in prev if not family.covers(m)]
         prev = family
     last_good = max((snap.stage for snap in snaps if snap.good), default=0)
-    for i in range(last_good):
-        if not prev.covers(listing[i]):
+    for i, sigma in enumerate(listing[:last_good]):
+        if not prev.covers(sigma):
             errs.append(f"listing element {i} not covered by the final snapshot")
     return errs
 
@@ -225,27 +227,34 @@ def _measure(strings: frozenset[BitString]) -> Fraction:
 def verify_capped(
     script: EnumerationScript, n: int, replays: Mapping[int, CappedReplay]
 ) -> list[str]:
-    """Each index's admitted set has measure ≤ 1 − 1/n at every stage, so
-    what it leaves is a Π⁰₁ class of measure ≥ 1/n; an index whose whole set
-    fits is admitted whole; and a frozen index admits nothing after the stage
-    it froze."""
+    """Every logged decision, re-derived from the oracle measure: the logs
+    list the script's events in order, and an item is admitted exactly when
+    its index refused nothing before and the admitted set with the item has
+    measure ≤ 1 − 1/n.  So each index leaves a Π⁰₁ class of measure ≥ 1/n,
+    and an index whose whole set fits is admitted whole."""
+    events = {e: [(s, item) for s, i, item in script.events if i == e] for e in script.indices()}
+    if {e: [(s, item) for s, item, _ in r.log] for e, r in replays.items()} != events:
+        return ["the logs are not the script's events"]
     errs = []
     cap = Fraction(n - 1, n)
     for e, replay in replays.items():
-        if any(_measure(admitted) > cap for admitted in set(replay.stages)):
-            errs.append(f"cap {n} broken for index {e}")
-        full = stage_set(script, e, script.horizon)  # a capped replay refuses any other item
-        if _measure(full) <= cap and replay.final() != full:
-            errs.append(f"unconstrained index {e} was modified")
-        if n == 1 and replay.final():
-            errs.append(f"cap 1 admitted a string for index {e}")
-        t = replay.frozen_at
-        if t is not None and (
-            any(admitted for s, _, admitted in replay.log if s > t)
-            or any(later != replay.stages[t] for later in replay.stages[t:])
-        ):
-            errs.append(f"frozen index {e} admitted more after stage {t}")
-    return errs
+        unconstrained = _measure(frozenset(item for _, item in events[e])) <= cap
+        admitted, frozen = frozenset(), None
+        for s, item, took in replay.log:
+            fits = frozen is None and _measure(admitted | {item}) <= cap
+            if took and frozen is not None:
+                errs.append(f"frozen index {e} admitted more after stage {frozen}")
+            elif took and not fits:
+                errs.append(f"cap {n} broken for index {e}" if n > 1
+                            else f"cap 1 admitted a string for index {e}")
+            elif fits and not took:
+                errs.append(f"unconstrained index {e} was modified" if unconstrained
+                            else f"stage {s}: index {e} refused {item.display()} within cap {n}")
+            if took:
+                admitted |= {item}
+            elif frozen is None:
+                frozen = s
+    return list(dict.fromkeys(errs))  # each finding once
 
 
 def _meets(tree: Tree, tau: BitString, depth: int) -> bool:
@@ -265,14 +274,14 @@ def verify_diagonalize(
 ) -> list[str]:
     """The result contains the base tree and meets every graft cone [τ_n] in
     a depth-D path, while tree n misses it: judged from the trees' exits."""
-    errs = []
+    errs = [] if len(taus) == len(trees) else [f"{len(taus)} graft targets for {len(trees)} trees"]
     base = {x.bits for x in trees[0].exits}
     if not all(any(x.bits[:i] in base for i in range(len(x) + 1)) for x in combined.exits):
         errs.append("result does not contain the base tree")
-    for n, tau in enumerate(taus):
+    for n, (tree, tau) in enumerate(zip(trees, taus)):
         if not _meets(combined, tau, depth):
             errs.append(f"no combined path through graft {n}")
-        if _meets(trees[n], tau, depth):
+        if _meets(tree, tau, depth):
             errs.append(f"tree {n} still meets its graft cone")
     return errs
 

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
 from cantorsim.checks import (
-    diagonal_suite, random_bitstring, random_machine, random_string_script, random_string_set,
+    build_scenario, diagonal_suite, random_bitstring, random_machine, random_string_script,
+    random_string_set,
 )
 from cantorsim.classes import (
-    Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration, paths_at_depth,
-    tree_from_halting_oracle, tree_of_complement,
+    CappedReplay, Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration,
+    paths_at_depth, tree_from_halting_oracle, tree_of_complement,
 )
 from cantorsim.complexity import (
     PrefixMachine, Program, intersect_randomness, randomness_class_tree, satisfies_constant,
@@ -18,7 +18,7 @@ from cantorsim.complexity import (
 from cantorsim.dyadic import EMPTY, BitString, strings_up_to
 from cantorsim.errors import DomainError, InputError, ParseError, PreconditionError, RangeError
 from cantorsim.oracles import brute_nodes, expansion_at_depth, node_set_dead_ends, node_set_paths
-from cantorsim.scenarios import FIXTURE_FILES
+from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from cantorsim.streams import EnumerationScript
 from cantorsim.verify import verify_capped, verify_diagonalize
 
@@ -161,14 +161,29 @@ class TestDiagonalize:
         short = tuple(tau.parent() for tau in taus)
         assert verify_diagonalize(trees, 3, short, combined) == ["tree 0 still meets its graft cone"]
 
+    def test_more_graft_targets_than_trees_are_reported(self):
+        trees = [Tree.closure_of(bs("000", "1", "01"), 3), Tree.closure_of(bs("0", "10"), 3)]
+        extra = graft_points(trees, 3) + (BitString("0"),)
+        assert verify_diagonalize(trees, 3, extra, diagonalize(trees, 3)) == [
+            "3 graft targets for 2 trees"
+        ]
+
+
+def relog(*verdicts: bool):
+    """A tamper giving the capped-pair log the verdicts, one per entry."""
+    return lambda c: CappedReplay(tuple((s, item, v) for (s, item, _), v in zip(c.log, verdicts)))
+
 
 CAPPED_TAMPERS = [
-    # (cap parameter, tamper, findings) on the capped-pair replay
-    (2, lambda c: dataclasses.replace(c, stages=c.stages[:5] + (c.stages[5] | set(bs("1")),)),
-     ["cap 2 broken for index 0", "frozen index 0 admitted more after stage 3"]),
-    (1, lambda c: c, ["cap 1 broken for index 0", "cap 1 admitted a string for index 0"]),
-    (2, lambda c: dataclasses.replace(c, log=c.log + ((4, BitString("11"), True),)),
-     ["frozen index 0 admitted more after stage 3"]),
+    # (cap parameter, tamper, findings) on the capped-pair replay, which
+    # admits 00 and 01 and refuses 1
+    (2, relog(True, True, True), ["cap 2 broken for index 0"]),
+    (1, lambda c: c, ["cap 1 admitted a string for index 0"]),
+    (2, relog(True, False, True),
+     ["stage 2: index 0 refused 01 within cap 2", "frozen index 0 admitted more after stage 2"]),
+    (2, lambda c: CappedReplay(c.log + ((4, BitString("11"), True),)),
+     ["the logs are not the script's events"]),
+    (2, lambda c: CappedReplay(c.log[::-1]), ["the logs are not the script's events"]),
 ]
 
 
@@ -178,6 +193,24 @@ class TestMeasureCapped:
         script = EnumerationScript.parse(FIXTURE_FILES["s_capped.tsv"], horizon=5)
         (capped,) = measure_capped_enumeration(script, 2, 5).values()
         assert verify_capped(script, n, {0: tamper(capped)}) == findings
+
+    def test_a_replay_missing_an_index_is_caught(self):
+        script = EnumerationScript.parse(FIXTURE_FILES["s_capped.tsv"], horizon=5)
+        assert verify_capped(script, 2, {}) == ["the logs are not the script's events"]
+
+    def test_the_scenario_check_catches_an_early_refusal(self):
+        # a cap test of < for ≤ refuses 01, whose cones fill exactly 1/2
+        replay = build_scenario(next(sc for sc in SCENARIOS if sc.name == "capped-pair"))
+        assert replay.check() == []
+        replay.result[0] = relog(True, False, False)(replay.result[0])
+        assert replay.check() == ["stage 2: index 0 refused 01 within cap 2"]
+
+    def test_the_log_follows_the_events_not_the_horizon(self):
+        def log(horizon):
+            script = EnumerationScript.parse(FIXTURE_FILES["s_capped.tsv"], horizon=horizon)
+            return measure_capped_enumeration(script, 2, horizon)[0].log
+
+        assert log(10**5) == log(5)
 
     def test_cap_one_refuses_everything(self):
         script = EnumerationScript.from_events([(0, 0, BitString("0"))], horizon=2)
@@ -194,6 +227,14 @@ class TestMeasureCapped:
         assert replays[0].final() == frozenset(bs("00", "01"))
         assert replays[0].frozen_at == 3
 
+    def test_a_frozen_index_refuses_even_a_covered_item(self):
+        script = EnumerationScript.from_events(
+            [(1, 0, BitString("00")), (2, 0, BitString("1")), (3, 0, BitString("000"))], horizon=3
+        )
+        (capped,) = measure_capped_enumeration(script, 2, 3).values()
+        assert [admitted for _, _, admitted in capped.log] == [True, False, False]
+        assert capped.frozen_at == 2
+
     def test_respects_cap_at_every_stage(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -209,7 +250,7 @@ class TestMeasureCapped:
         replays = measure_capped_enumeration(script, 2, 2)
         assert replays[0].final() == frozenset(bs("000", "001"))
         assert replays[0].frozen_at is None
-        emptied = dataclasses.replace(replays[0], stages=(frozenset(),) * 3)
+        emptied = CappedReplay(tuple((s, item, False) for s, item, _ in replays[0].log))
         assert verify_capped(script, 2, {0: emptied}) == ["unconstrained index 0 was modified"]
 
     def test_zero_cap_parameter_rejected(self):

@@ -112,6 +112,12 @@ def test_a_tampered_star_snapshot_is_caught(stage, fields, findings):
     assert verify_star(tuple(bs("00", "010")), snaps) == findings
 
 
+def test_snapshots_past_the_listing_are_reported():
+    snaps = star_construction(bs("00", "010"), 10)
+    assert verify_star((), snaps) == ["snapshots do not follow the listing"]
+    assert verify_star(bs("00", "011"), snaps) == ["snapshots do not follow the listing"]
+
+
 class TestCoveringFamilies:
     def test_odd_family_examples(self):
         assert odd_covering_family(0).members == (BitString(""),)

@@ -15,6 +15,7 @@ from cantorsim.dyadic import (
     BitString,
     Dyadic,
     Order,
+    grow_covering,
     is_acceptable,
     lex_compare_padded,
     optimal_covering,
@@ -163,6 +164,17 @@ class TestOptimalCovering:
     @given(small_sets)
     def test_agrees_with_brute_force(self, sset):
         assert optimal_covering(sset) == brute_optimal_covering(sset)
+
+    @given(small_sets, st.text(alphabet="01", max_size=4).map(BitString))
+    def test_growing_by_one_string_agrees_with_brute_force(self, sset, s):
+        grown = grow_covering(optimal_covering(sset), s)
+        assert grown == brute_optimal_covering([*sset, s])
+        assert grown.members == Antichain(grown.members).members  # reduced, in length-lex order
+
+    def test_growing_merges_up_the_sibling_chain(self):
+        assert grow_covering(Antichain(bs("1", "01", "001")), BitString("000")).members == (EMPTY,)
+        assert grow_covering(Antichain(bs("0")), BitString("01")) == Antichain(bs("0"))
+        assert grow_covering(Antichain(bs("10", "110")), BitString("1")) == Antichain(bs("1"))
 
     @given(small_sets)
     def test_minimality_and_soundness(self, sset):
