@@ -54,7 +54,6 @@ from .dyadic import (
     BitString,
     Dyadic,
     Order,
-    covered_up_to,
     is_acceptable,
     lex_compare_padded,
     optimal_covering,
@@ -66,7 +65,6 @@ from .streams import (
     EnumerationScript,
     LeftCEApprox,
     ScriptEvent,
-    lower_cut,
     real_from_ce_set,
     stage_set,
 )

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .complexity import (
     PrefixMachine,
@@ -36,6 +37,7 @@ from .errors import (
 from .streams import (
     EnumerationScript,
     LeftCEApprox,
+    ScriptEvent,
     approx_string,
     real_from_ce_set,
 )
@@ -315,6 +317,7 @@ def odd_ones_real_enumeration(i: int) -> BitString:
 
 
 SetValue = frozenset[BitString]
+W = TypeVar("W")  # a word: a BitString, or an integer key
 
 
 def friedberg_merge(
@@ -341,28 +344,46 @@ def friedberg_merge(
     tracked sets settle by the horizon, the settled output sets are exactly
     the used listing members plus the scripted sets, with no repeats.
     """
+    rows = merge_rows(listing, l2.events, extensions, horizon, BitString, attrgetter("lenlex_key"))
+    return EnumerationScript(tuple(map(ScriptEvent._make, rows)), horizon)
+
+
+def merge_rows(
+    listing: Iterable[frozenset[W]],
+    events: Sequence[tuple[int, int, object]],
+    extensions: Callable[[frozenset[W]], Iterable[frozenset[W]]],
+    horizon: int,
+    word: type[W],
+    order: Callable[[W], object] | None,
+) -> list[tuple[int, int, W]]:
+    """`friedberg_merge`'s stage loop over stage-sorted (stage, index, item)
+    events whose items are of the type `word`; returns the output rows
+    (stage, slot, item) in emission order, which is stage order, each set's
+    new items sorted by `order` (their own order when None).  The merge runs
+    it on BitString sets in length-lexicographic order, and the recipes on
+    integer keys (`dyadic.word_key`), whose own order is that one."""
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
-    indices = l2.indices()
-    current: dict[int, set[BitString]] = {j: set() for j in indices}
+    indices = sorted({index for _, index, _ in events})
+    current: dict[int, set[W]] = {j: set() for j in indices}
     active: dict[int, int] = {}  # index -> slot id
     slots = 0
-    out_events: list[tuple[int, int, BitString]] = []
-    used: set[SetValue] = set()
-    listed: set[SetValue] = set()
+    out_events: list[tuple[int, int, W]] = []
+    used: set[frozenset[W]] = set()
+    listed: set[frozenset[W]] = set()
     listing = iter(listing)
 
-    def emit(slot: int, stage: int, items: Iterable[BitString]) -> None:
-        for item in sorted(items, key=lambda b: b.lenlex_key):
+    def emit(slot: int, stage: int, items: Iterable[W]) -> None:
+        for item in sorted(items, key=order):
             out_events.append((stage, slot, item))
 
-    def new_slot(stage: int, content: Iterable[BitString]) -> int:
+    def new_slot(stage: int, content: Iterable[W]) -> int:
         nonlocal slots
         emit(slots, stage, content)
         slots += 1
         return slots - 1
 
-    def pick_fresh(content: SetValue, stage: int) -> SetValue:
+    def pick_fresh(content: frozenset[W], stage: int) -> frozenset[W]:
         for value in itertools.islice(extensions(content), len(used) + horizon + 2):
             if not content <= value:
                 raise ContractViolationError(
@@ -375,18 +396,17 @@ def friedberg_merge(
         )
 
     pos = 0
-    events = l2.events
     for s in range(horizon + 1):
         # 1. deliver this stage's items, to the follower's slot too
-        while pos < len(events) and events[pos].stage == s:
-            ev = events[pos]
+        while pos < len(events) and events[pos][0] == s:
+            _, index, item = events[pos]
             pos += 1
-            if not isinstance(ev.item, BitString):
-                raise InputError(f"index {ev.index} carries a non-string item at stage {s}")
-            if ev.item not in current[ev.index]:
-                current[ev.index].add(ev.item)
-                if ev.index in active:
-                    emit(active[ev.index], s, (ev.item,))
+            if not isinstance(item, word):
+                raise InputError(f"index {index} carries a non-string item at stage {s}")
+            if item not in current[index]:
+                current[index].add(item)
+                if index in active:
+                    emit(active[index], s, (item,))
         # 2. spawn followers for indices whose set matches no active follower
         for j in indices:
             if j not in active and all(current[j] != current[j2] for j2 in active):
@@ -408,7 +428,7 @@ def friedberg_merge(
                 used.add(value)
                 new_slot(s, value)
                 break
-    return EnumerationScript.from_events(out_events, horizon)
+    return out_events
 
 
 def beta_max(family: Sequence[LeftCEApprox], horizon: int) -> StageTrace:

@@ -15,7 +15,10 @@ hash that agrees with that equality, so a `BitString` never equals its
 `str` and a `Dyadic` never equals a tuple.  Inside the package,
 `trusted_bitstring` and `trusted_antichain` build the same values without
 the checks, for callers that hold words or members already known to be
-valid; they are not exported.
+valid; they are not exported.  Nor are `word_key` and `key_word`, which map
+a word to the integer key int("1" + word, 2) and back: keys order as the
+words do length-lexicographically, so the recipes hash, sort and slice sets
+of words as sets and ranges of integers (`covered_deltas` yields keys).
 """
 
 from __future__ import annotations
@@ -160,6 +163,21 @@ def trusted_bitstring(bits: str) -> BitString:
 
 
 EMPTY = BitString("")
+
+
+def word_key(word: BitString) -> int:
+    """The integer key of a word: its bits read in binary after a leading 1,
+    so ε has key 1 and the n-bit word of value v has key 2ⁿ + v.  Keys of
+    shorter words are shorter integers, and at one length the key order is
+    the value order, so keys order exactly as the words length-
+    lexicographically, and the n-bit values [lo, hi) are the key range
+    [2ⁿ + lo, 2ⁿ + hi)."""
+    return int("1" + word.bits, 2)
+
+
+def key_word(key: int) -> BitString:
+    """The word of an integer key: its binary digits after the leading 1."""
+    return trusted_bitstring(format(key, "b")[1:])
 
 
 def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[BitString]:
@@ -383,19 +401,21 @@ def trusted_antichain(members: tuple[BitString, ...]) -> Antichain:
 
 
 def _spans(antichain: Antichain, n: int) -> list[tuple[int, int]]:
-    """The n-bit values that the members cover, as sorted disjoint intervals:
-    a member of value v and length l ≤ n covers [v·2^(n−l), (v+1)·2^(n−l))."""
+    """The keys of the n-bit words that the members cover, as sorted disjoint
+    intervals: a member of key k and length l ≤ n covers the key range
+    [k·2^(n−l), (k+1)·2^(n−l)), its extensions of length n."""
     return sorted(
-        (v << n - len(m), v + 1 << n - len(m))
+        (k << n - len(m), k + 1 << n - len(m))
         for m in antichain.members
         if len(m) <= n
-        for v in (int("0" + m.bits, 2),)
+        for k in (word_key(m),)
     )
 
 
-def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[BitString]:
-    """The strings of length ≤ the bound that new covers and old does not, in
-    length-lexicographic order: at each length, new's intervals minus old's."""
+def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[int]:
+    """The keys of the strings of length ≤ the bound that new covers and old
+    does not, in increasing order: at each length, new's intervals minus
+    old's."""
     for n in range(length + 1):
         holes = _spans(old, n)
         for lo, hi in _spans(new, n):
@@ -403,9 +423,9 @@ def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[BitS
                 if a >= hi:
                     break
                 if b > lo:
-                    yield from all_strings(n, lo, a)
+                    yield from range(lo, a)
                     lo = b
-            yield from all_strings(n, lo, hi)
+            yield from range(lo, hi)
 
 
 def covered_up_to(antichain: Antichain, depth: int) -> frozenset[BitString]:

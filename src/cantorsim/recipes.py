@@ -13,8 +13,21 @@ and, for a diverted follower's content, the members that contain it, in
 order (`odd_ones_extensions`, `odd_covering_extensions`).  The merge reads
 each only as far as it needs.
 
+Inside the recipes and the merge, a word w is its integer key
+int("1" + w, 2) (`dyadic.word_key`): ε is 1 and the n-bit word of value v
+is 2ⁿ + v.  A longer word has a longer key, and at one length the keys
+order as the values, so keys order exactly as the words do length-
+lexicographically, and the merge sorts them by their own order.  The
+length-n values [lo, hi) are the key range [2ⁿ + lo, 2ⁿ + hi), so every set
+below is a union of ranges; the word of key k is format(k, "b")[1:],
+printed `-` for ε (`dyadic.key_word`).  So the sets are sets of integers
+that hash and sort in C, and no object is built per word.  The recipes
+return the merge's rows, (stage, slot, key) in emission order, which `runs`
+prints as script lines; `friedberg_merge` gives library callers the same
+loop's rows as an EnumerationScript of BitStrings.
+
 The recipes compute with the arithmetic that fixes each set, and build a
-set of strings only where the merge consumes it:
+set only where the merge consumes it:
 
 - The lower cut of x truncated at length L is fixed by one integer,
   c = ⌈x·2^L⌉ (`streams.words_below`).  Its length-n members are the n-bit
@@ -35,15 +48,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexity import PrefixMachine
-from .constructions import (
-    SetValue,
-    friedberg_merge,
-    hat_m_construction,
-    odd_ones_real_enumeration,
-)
+from .constructions import hat_m_construction, merge_rows, odd_ones_real_enumeration
 from .coverings import covering_antichains, star_construction
 from .dyadic import (
     Antichain,
@@ -51,11 +60,11 @@ from .dyadic import (
     Dyadic,
     all_strings,
     covered_deltas,
-    covered_up_to,
+    key_word,
     optimal_covering,
     rational_of_string,
 )
-from .streams import EnumerationScript, lower_cut, real_from_ce_set, words_below
+from .streams import EnumerationScript, real_from_ce_set, words_below
 
 __all__ = [
     "cut_deltas",
@@ -67,11 +76,15 @@ __all__ = [
     "odd_ones_listing",
 ]
 
+Keys = frozenset[int]  # a set of words, by their keys
+Row = tuple[int, int, int]  # (stage, slot, key) of one output item
+_NONE = Antichain(())
 
-def cut_deltas(values: Iterable[Dyadic], length: int) -> Iterator[tuple[int, BitString]]:
-    """(stage, string) for every string that the truncated lower cut of the
+
+def cut_deltas(values: Iterable[Dyadic], length: int) -> Iterator[tuple[int, int]]:
+    """(stage, key) for every string that the truncated lower cut of the
     stage-s value gains over the cut of the stage before (stage −1 has the
-    empty cut), in length-lexicographic order within a stage.
+    empty cut), in increasing key order within a stage.
 
     With c' and c the cut integers of the two stages, the gain at length n
     is the n-bit values in [⌈c'/2^(L−n)⌉, ⌈c/2^(L−n)⌉).  When the value drops
@@ -83,58 +96,68 @@ def cut_deltas(values: Iterable[Dyadic], length: int) -> Iterator[tuple[int, Bit
         c = words_below(x.num, x.exp, length)
         if c > prev:
             for n in range(length + 1):
-                for t in all_strings(n, words_below(prev, length, n), words_below(c, length, n)):
-                    yield s, t
+                base = 1 << n
+                for k in range(base + words_below(prev, length, n), base + words_below(c, length, n)):
+                    yield s, k
         prev = c
 
 
+def _cut_keys(c: int, length: int) -> Keys:
+    """The truncated lower cut of cut integer c: per length n, the keys of
+    the n-bit values below ⌈c/2^(L−n)⌉."""
+    return frozenset(itertools.chain.from_iterable(
+        range(1 << n, (1 << n) + words_below(c, length, n)) for n in range(length + 1)
+    ))
+
+
 @lru_cache(maxsize=None)
-def _odd_ones_table(length: int) -> tuple[tuple[int, Dyadic], ...]:
-    """(c, x) of each odd-ones real x whose string fits the bound, in listing
-    order, with c = ⌈x·2^L⌉ its cut integer."""
+def _odd_ones_table(length: int) -> tuple[int, ...]:
+    """The cut integer c = ⌈x·2^L⌉ of each odd-ones real x whose string fits
+    the bound, in listing order."""
     out = []
     for i in itertools.count():
         s = odd_ones_real_enumeration(i)
         if len(s) > length:
             return tuple(out)
         x = rational_of_string(s)
-        out.append((words_below(x.num, x.exp, length), x))
+        out.append(words_below(x.num, x.exp, length))
 
 
 @lru_cache(maxsize=None)
-def _odd_ones_cut(length: int, i: int) -> SetValue:
-    """The i-th odd-ones cut as a set of strings, built on first use."""
-    return lower_cut(_odd_ones_table(length)[i][1], length)
+def _odd_ones_cut(length: int, i: int) -> Keys:
+    """The i-th odd-ones cut, built on first use."""
+    return _cut_keys(_odd_ones_table(length)[i], length)
 
 
-def odd_ones_listing(length: int) -> Iterator[SetValue]:
+def odd_ones_listing(length: int) -> Iterator[Keys]:
     """The truncated lower cuts of the odd-ones reals whose strings fit the
     bound, in listing order."""
     for i in range(len(_odd_ones_table(length))):
         yield _odd_ones_cut(length, i)
 
 
-def _least_cut_containing(content: SetValue, length: int) -> int:
+def _least_cut_containing(content: Keys, length: int) -> int:
     """The least cut integer whose truncated cut contains the content: the
-    largest v·2^(L−|t|) + 1 over its members t of value v.  No cut contains
-    a member longer than L, so that asks for more than the largest cut
-    integer, 2^L."""
+    largest v·2^(L−n) + 1 over its members of length n and value v, that is
+    of key k = 2ⁿ + v, k·2^(L−n) − 2^L + 1.  No cut contains a member longer
+    than L, so that asks for more than the largest cut integer, 2^L."""
     least = 0
-    for t in content:
-        if len(t) > length:
+    for k in content:
+        shift = length + 1 - k.bit_length()
+        if shift < 0:
             return (1 << length) + 1
-        least = max(least, (int("0" + t.bits, 2) << (length - len(t))) + 1)
+        least = max(least, (k << shift) - (1 << length) + 1)
     return least
 
 
-def odd_ones_extensions(length: int) -> Callable[[SetValue], Iterator[SetValue]]:
+def odd_ones_extensions(length: int) -> Callable[[Keys], Iterator[Keys]]:
     """The odd-ones cuts, in listing order, that contain the content: the
     cuts whose integer reaches the content's threshold."""
     table = _odd_ones_table(length)
 
-    def extensions(content: SetValue) -> Iterator[SetValue]:
+    def extensions(content: Keys) -> Iterator[Keys]:
         least = _least_cut_containing(content, length)
-        for i, (c, _) in enumerate(table):
+        for i, c in enumerate(table):
             if c >= least:
                 yield _odd_ones_cut(length, i)
 
@@ -148,30 +171,38 @@ def merge_boundary_reals(
     length: int,
     horizon: int,
     mirror: bool = False,
-) -> EnumerationScript:
+) -> list[Row]:
     """Run the boundary construction on every scripted member, present the
     traces as growing lower-cut sets, and merge them with the odd-ones
-    listing."""
-    events: list[tuple[int, int, BitString]] = []
+    listing; the merge's rows."""
+    events: list[Row] = []
     for j, e in enumerate(script.indices()):
         m = real_from_ce_set(script, e)
         trace = hat_m_construction(m, machine, k, horizon, mirror=mirror)
         values = (trace.value_at(s) for s in range(horizon + 1))
-        events.extend((s, j, t) for s, t in cut_deltas(values, length))
-    l2 = EnumerationScript.from_events(events, horizon)
-    return friedberg_merge(odd_ones_listing(length), l2, odd_ones_extensions(length), horizon)
+        events.extend((s, j, key) for s, key in cut_deltas(values, length))
+    events.sort(key=itemgetter(0))  # stable: index order kept within a stage
+    return merge_rows(
+        odd_ones_listing(length), events, odd_ones_extensions(length), horizon, int, None
+    )
 
 
-def odd_covering_listing(length: int) -> Iterator[SetValue]:
+def _covered(antichain: Antichain, length: int) -> Keys:
+    """The keys of the strings of length ≤ the bound that the antichain
+    covers."""
+    return frozenset(covered_deltas(_NONE, antichain, length))
+
+
+def odd_covering_listing(length: int) -> Iterator[Keys]:
     """The covered sets of the odd coverings within the bound, in canonical
     order, each built when the merge reads it."""
     within = itertools.takewhile(
         lambda a: a.total_bits() <= length, covering_antichains(odd=True)
     )
-    return (covered_up_to(a, length) for a in within)
+    return (_covered(a, length) for a in within)
 
 
-def odd_covering_extensions(length: int) -> Callable[[SetValue], Iterator[SetValue]]:
+def odd_covering_extensions(length: int) -> Callable[[Keys], Iterator[Keys]]:
     """Construct odd coverings extending the content directly.
 
     The empty content takes the odd coverings in canonical order while their
@@ -184,17 +215,17 @@ def odd_covering_extensions(length: int) -> Callable[[SetValue], Iterator[SetVal
     genuinely exhaust the truncated family.
     """
 
-    def extensions(content: SetValue) -> Iterator[SetValue]:
+    def extensions(content: Keys) -> Iterator[Keys]:
         if not content:
             for a in covering_antichains(odd=True):
                 if any(len(m) > length for m in a.members):
                     return
-                yield covered_up_to(a, length)
-        if any(len(t) > length for t in content):
+                yield _covered(a, length)
+        if max(content) >> length + 1:  # a member longer than the bound
             return
-        base = optimal_covering(content)
+        base = optimal_covering(map(key_word, content))
         if base.members == (BitString(""),):
-            yield covered_up_to(base, length)
+            yield _covered(base, length)
             return
         floor = max(len(m) for m in base.members)
         fresh = [
@@ -205,13 +236,13 @@ def odd_covering_extensions(length: int) -> Callable[[SetValue], Iterator[SetVal
         ]
         if len(base) % 2 == 0:
             for delta in fresh:
-                yield covered_up_to(Antichain(base.members + (delta,)), length)
+                yield _covered(Antichain(base.members + (delta,)), length)
             return
-        yield covered_up_to(base, length)
+        yield _covered(base, length)
         for i, a in enumerate(fresh):
             for b in fresh[i + 1 :]:
                 if not a.comparable(b) and a.bits[:-1] != b.bits[:-1]:
-                    yield covered_up_to(Antichain(base.members + (a, b)), length)
+                    yield _covered(Antichain(base.members + (a, b)), length)
 
     return extensions
 
@@ -221,16 +252,16 @@ def merge_covering_classes(
     length: int,
     horizon: int,
     with_acceptable_stream: bool = True,
-) -> EnumerationScript:
+) -> list[Row]:
     """Star-construct each listing, present the snapshots as growing
     covered-string sets, optionally interleave one even-covering class per
-    stage, and merge with the odd-covering listing."""
-    events: list[tuple[int, int, BitString]] = []
+    stage, and merge with the odd-covering listing; the merge's rows."""
+    events: list[Row] = []
     for j, listing in enumerate(listings):
-        family = Antichain(())
+        family = _NONE
         for snap in star_construction(listing, horizon):
             if snap.family != family:
-                events.extend((snap.stage, j, t) for t in covered_deltas(family, snap.family, length))
+                events.extend((snap.stage, j, k) for k in covered_deltas(family, snap.family, length))
                 family = snap.family
     if with_acceptable_stream:
         base = len(listings)
@@ -239,8 +270,8 @@ def merge_covering_classes(
         for stage, a in enumerate(evens):
             if a.total_bits() > length:
                 break
-            events.extend((stage, base + stage, t) for t in covered_deltas(Antichain(()), a, length))
-    l2 = EnumerationScript.from_events(events, horizon)
-    return friedberg_merge(
-        odd_covering_listing(length), l2, odd_covering_extensions(length), horizon
+            events.extend((stage, base + stage, k) for k in covered_deltas(_NONE, a, length))
+    events.sort(key=itemgetter(0))  # stable: index order kept within a stage
+    return merge_rows(
+        odd_covering_listing(length), events, odd_covering_extensions(length), horizon, int, None
     )

@@ -10,6 +10,12 @@ scenario library reads the fixture texts, so both run the same code.
 once; it is built on its first call, not at import, and at most once per
 process.  `cli.main` and `replay` both parse with it.
 
+`Replay.result` is the construction's library value: a trace, the slots,
+the snapshots, the replays, a tree, a script, or a list of values.  For
+friedberg-reals and friedberg-classes it is the merge's output rows,
+(stage, slot, key) in emission order with each output word as its integer
+key (`dyadic.word_key`); the lines print them without building a script.
+
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.
 Three entries bind none yet, so their check finds nothing: a Friedberg check
@@ -147,6 +153,14 @@ def _script_lines(script: EnumerationScript) -> list[str]:
     return script.render().splitlines()
 
 
+def _row_lines(rows: list[tuple[int, int, int]]) -> list[str]:
+    """The script lines of a recipe's merge rows (stage, slot, key): the lines
+    the rows' EnumerationScript renders, each word written once from its key
+    (`dyadic.word_key`), `-` for ε."""
+    words = {k: format(k, "b")[1:] or "-" for k in {row[2] for row in rows}}
+    return [f"{s}\t{j}\tstr\t{words[k]}" for s, j, k in rows]
+
+
 @_run("splice", script=_PATH, machine=_PATH, c=_NATURAL, horizon=_NATURAL, index=_NATURAL_0)
 def _splice(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
@@ -271,8 +285,8 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
 def _friedberg_reals(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     machine = _machine(read, a.machine)
-    out = merge_boundary_reals(script, machine, a.k, a.length, a.horizon, mirror=a.mirror)
-    return Replay(out, _script_lines(out))
+    rows = merge_boundary_reals(script, machine, a.k, a.length, a.horizon, mirror=a.mirror)
+    return Replay(rows, _row_lines(rows))
 
 
 @_run(
@@ -284,13 +298,13 @@ def _friedberg_reals(a: argparse.Namespace, read: Read) -> Replay:
 )
 def _friedberg_classes(a: argparse.Namespace, read: Read) -> Replay:
     listings = [parse_listing(read(path), source=path) for path in a.listing]
-    out = merge_covering_classes(
+    rows = merge_covering_classes(
         listings,
         a.length,
         a.horizon,
         with_acceptable_stream=not a.no_acceptable_stream,
     )
-    return Replay(out, _script_lines(out))
+    return Replay(rows, _row_lines(rows))
 
 
 @_run("omega", machine=_PATH, horizon=_NATURAL)

@@ -28,7 +28,7 @@ from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, BitString, Dyadic
 from .oracles import brute_k_approx, brute_least_failing_length, brute_odd_ones, brute_omega_approx
-from .oracles import brute_optimal_covering, expansion_at_depth, expansion_prefix, padding_holds
+from .oracles import brute_optimal_covering, expansion_prefix, padding_holds
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 
 __all__ = [
@@ -187,30 +187,43 @@ def verify_beta(trace: StageTrace, family: Sequence[LeftCEApprox]) -> list[str]:
 
 
 def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> list[str]:
-    """Every family is an even covering, so none collides with the odd side:
-    a good stage's family is the covering of its generating family (the
-    covering before sigma, with sigma adjoined in case b), and that covering
-    is even; any other stage keeps the family.  The covered set never shrinks,
-    and the last family covers the listing before the last good stage."""
+    """Every family is an even covering, so none collides with the odd side.
+    Each stage is re-derived from the listing: its covering is the scan's
+    covering of the listing before sigma, the stage is good when sigma is
+    longer than every member and extends none, and its case is a when that
+    covering is even, else b.  A good stage's family is the covering of its
+    generating family (the covering, with sigma adjoined in case b), and that
+    covering is even; any other stage keeps the family.  The covered set
+    never shrinks, and the last family covers the listing before the last
+    good stage."""
     errs = []
     if [(snap.stage, snap.sigma) for snap in snaps] != list(enumerate(listing[: len(snaps)])):
         errs.append("snapshots do not follow the listing")
-    prev = Antichain(())
+    prev = covering = Antichain(())
+    last_good = 0
     for snap in snaps:
-        t, family = snap.stage, snap.family
-        if snap.good:
-            generating = snap.covering.members + (() if snap.case == "a" else (snap.sigma,))
-            covering = brute_optimal_covering(generating)
-            if len(covering) % 2:
+        t, sigma, family = snap.stage, snap.sigma, snap.family
+        good = all(len(sigma) > len(m) for m in covering) and not covering.covers(sigma)
+        case = ("b" if len(covering) % 2 else "a") if good else "-"
+        grown = covering if covering.covers(sigma) else brute_optimal_covering((*covering, sigma))
+        if snap.covering != covering:
+            errs.append(f"stage {t}: covering is not that of the listing before sigma")
+        if snap.good != good:
+            errs.append(f"stage {t}: good is {snap.good}, but the listing makes it {good}")
+        if snap.case != case:
+            errs.append(f"stage {t}: case {snap.case}, but the listing makes it {case}")
+        if good:
+            last_good = t
+            generating = covering if case == "a" else grown
+            if len(generating) % 2:
                 errs.append(f"stage {t}: generating family not acceptable")
-            if family != covering:
+            if family != generating:
                 errs.append(f"stage {t}: family is not its generating family's covering")
         elif family != prev:
             errs.append(f"stage {t}: family changed at a stage that is not good")
         if family is not prev:
             errs += [f"stage {t}: covered set shrank at {m}" for m in prev if not family.covers(m)]
-        prev = family
-    last_good = max((snap.stage for snap in snaps if snap.good), default=0)
+        prev, covering = family, grown
     for i, sigma in enumerate(listing[:last_good]):
         if not prev.covers(sigma):
             errs.append(f"listing element {i} not covered by the final snapshot")
@@ -219,9 +232,15 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
 
 @lru_cache(maxsize=1 << 12)
 def _measure(strings: frozenset[BitString]) -> Fraction:
-    """The measure of the strings' cones, from the oracle's expansion."""
-    depth = max((len(s) for s in strings), default=0)
-    return Fraction(len(expansion_at_depth(strings, depth)), 1 << depth)
+    """The measure of the strings' cones: in lexicographic order a word comes
+    after its prefixes, so keeping each word that extends no word kept before
+    it keeps exactly the minimal words, whose cones are disjoint and cover the
+    union; their measures 2^−|w| add."""
+    kept: list[str] = []
+    for w in sorted(s.bits for s in strings):
+        if not w.startswith(tuple(kept)):
+            kept.append(w)
+    return sum((Fraction(1, 1 << len(w)) for w in kept), Fraction(0))
 
 
 def verify_capped(

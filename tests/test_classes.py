@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantorsim.checks import (
     build_scenario, diagonal_suite, random_bitstring, random_machine, random_string_script,
@@ -20,7 +24,7 @@ from cantorsim.errors import DomainError, InputError, ParseError, PreconditionEr
 from cantorsim.oracles import brute_nodes, expansion_at_depth, node_set_dead_ends, node_set_paths
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from cantorsim.streams import EnumerationScript
-from cantorsim.verify import verify_capped, verify_diagonalize
+from cantorsim.verify import _measure, verify_capped, verify_diagonalize
 
 
 def bs(*words: str) -> list[BitString]:
@@ -252,6 +256,22 @@ class TestMeasureCapped:
         assert replays[0].frozen_at is None
         emptied = CappedReplay(tuple((s, item, False) for s, item, _ in replays[0].log))
         assert verify_capped(script, 2, {0: emptied}) == ["unconstrained index 0 was modified"]
+
+    @given(st.frozensets(st.text(alphabet="01", max_size=10).map(BitString), max_size=12))
+    def test_the_measure_is_the_expansion_count(self, strings):
+        depth = max((len(s) for s in strings), default=0)
+        assert _measure(strings) == Fraction(len(expansion_at_depth(strings, depth)), 1 << depth)
+
+    def test_a_40_bit_item_is_measured_at_once(self):
+        # the measure sorts and sums the words; listing the 2^40 words of the
+        # longest length would never finish
+        long = BitString("01" * 20)
+        script = EnumerationScript.from_events([(0, 0, BitString("1")), (1, 0, long)], horizon=1)
+        replays = measure_capped_enumeration(script, 4, 1)
+        start = time.perf_counter()
+        assert verify_capped(script, 4, replays) == []
+        assert _measure(frozenset({BitString("1"), long})) == Fraction(1, 2) + Fraction(1, 1 << 40)
+        assert time.perf_counter() - start < 1
 
     def test_zero_cap_parameter_rejected(self):
         script = EnumerationScript.from_events([], horizon=1)

@@ -13,7 +13,7 @@ from cantorsim.coverings import (
     star_construction,
 )
 from cantorsim.dyadic import (
-    Antichain, BitString, covered_deltas, optimal_covering, trusted_antichain,
+    Antichain, BitString, covered_deltas, key_word, optimal_covering, trusted_antichain,
 )
 from cantorsim.errors import DomainError, ParseError
 from cantorsim.oracles import (
@@ -22,7 +22,7 @@ from cantorsim.oracles import (
 )
 from cantorsim.recipes import merge_covering_classes
 from cantorsim.scenarios import SCENARIOS
-from cantorsim.streams import stage_set
+from cantorsim.streams import EnumerationScript, stage_set
 from cantorsim.verify import verify_coverfamily, verify_star
 
 
@@ -94,14 +94,23 @@ class TestStarConstruction:
 
 STAR_TAMPERS = [
     # (stage, replaced fields, findings) on the star-cases snapshots
-    (1, {"case": "a"}, ["stage 1: generating family not acceptable",
-                        "stage 1: family is not its generating family's covering"]),
+    (1, {"case": "a"}, ["stage 1: case a, but the listing makes it b"]),
     (1, {"family": Antichain(bs("00"))}, ["stage 1: family is not its generating family's covering"]),
     (1, {"family": Antichain(bs("010"))}, ["stage 1: family is not its generating family's covering",
                                            "listing element 0 not covered by the final snapshot"]),
-    (1, {"good": False, "case": "-"}, ["stage 1: family changed at a stage that is not good"]),
+    (1, {"good": False, "case": "-"}, ["stage 1: good is False, but the listing makes it True",
+                                       "stage 1: case -, but the listing makes it b"]),
     (0, {"family": Antichain(bs("1"))}, ["stage 0: family is not its generating family's covering",
                                          "stage 1: covered set shrank at 1"]),
+    # a snapshot whose covering, case and family agree with one another but
+    # not with the listing: the covering is derived from the listing
+    (1, {"covering": Antichain(bs("00", "11")), "case": "a", "family": Antichain(bs("00", "11"))},
+     ["stage 1: covering is not that of the listing before sigma",
+      "stage 1: case a, but the listing makes it b",
+      "stage 1: family is not its generating family's covering"]),
+    (1, {"covering": Antichain(bs("0"))}, ["stage 1: covering is not that of the listing before sigma"]),
+    (0, {"good": False, "case": "-"}, ["stage 0: good is False, but the listing makes it True",
+                                       "stage 0: case -, but the listing makes it a"]),
 ]
 
 
@@ -227,7 +236,7 @@ class TestCoveringFamilies:
             depth = rng.randint(0, 7)
             gained = sibling_merge_closure(new, 7) - sibling_merge_closure(old, 7)
             want = sorted((t for t in gained if len(t) <= depth), key=lambda b: b.lenlex_key)
-            assert list(covered_deltas(old, new, depth)) == want
+            assert list(map(key_word, covered_deltas(old, new, depth))) == want
 
 
 class TestListingFormat:
@@ -257,7 +266,8 @@ class TestComposition:
             tuple(random_listing(random.Random(31), kind="path"))[:10],
         ]
         length, horizon = 5, 12
-        out = merge_covering_classes(listings, length, horizon, with_acceptable_stream=True)
+        rows = merge_covering_classes(listings, length, horizon, with_acceptable_stream=True)
+        out = EnumerationScript.from_events(((s, j, key_word(k)) for s, j, k in rows), horizon)
         sets = [stage_set(out, i, horizon) for i in out.indices()]
         assert len(set(sets)) == len(sets)
         # star-settled values all appear

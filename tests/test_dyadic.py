@@ -15,14 +15,17 @@ from cantorsim.dyadic import (
     BitString,
     Dyadic,
     Order,
+    all_strings,
     grow_covering,
     is_acceptable,
+    key_word,
     lex_compare_padded,
     optimal_covering,
     prefix_set_measure,
     rational_of_string,
     string_of_rational,
     strings_up_to,
+    word_key,
 )
 from cantorsim.errors import DomainError
 from cantorsim.oracles import (
@@ -84,6 +87,25 @@ class TestDyadic:
     def test_order_matches_fractions(self, a, b):
         x, y = Dyadic(a, 8), Dyadic(b, 8)
         assert (x < y) == (x.as_fraction() < y.as_fraction())
+
+
+class TestWordKeys:
+    @given(bitstrings, bitstrings)
+    def test_keys_order_as_the_words_length_lexicographically(self, a, b):
+        assert (word_key(a) < word_key(b)) == (a.lenlex_key < b.lenlex_key)
+        assert (word_key(a) == word_key(b)) == (a == b)
+
+    @given(bitstrings)
+    def test_keys_round_trip_to_words(self, s):
+        assert key_word(word_key(s)) == s
+        assert format(word_key(s), "b")[1:] == s.bits
+
+    @given(st.integers(0, 10), st.data())
+    def test_a_key_range_is_the_words_of_a_value_range(self, n, data):
+        hi = data.draw(st.integers(0, 1 << n))
+        lo = data.draw(st.integers(0, hi))
+        keys = range((1 << n) + lo, (1 << n) + hi)
+        assert list(map(key_word, keys)) == list(all_strings(n, lo, hi))
 
 
 class TestStringRationalBridge:

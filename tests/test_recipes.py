@@ -3,7 +3,9 @@
 The recipes carry one integer per truncated lower cut, emit each stage's
 new strings from intervals, and find odd-ones extensions by comparing
 integers.  The references build every cut as a set of strings on the
-rational side and take set differences and set inclusions.
+rational side and take set differences and set inclusions.  The recipes
+hold each word as its integer key; every comparison here goes through the
+one conversion, `dyadic.word_key` and `dyadic.key_word`.
 """
 
 from __future__ import annotations
@@ -13,11 +15,14 @@ import random
 
 import pytest
 
-from cantorsim.checks import random_dyadic_trace, random_string_set
+from cantorsim.checks import (
+    random_dyadic_script, random_dyadic_trace, random_listing, random_machine, random_string_set,
+)
 from cantorsim.complexity import PrefixMachine
 from cantorsim.constructions import friedberg_merge, hat_m_construction
 from cantorsim.coverings import (
     covered_up_to,
+    covering_antichains,
     odd_covering_family,
     parse_listing,
     star_construction,
@@ -28,9 +33,12 @@ from cantorsim.dyadic import (
     Antichain,
     BitString,
     Dyadic,
+    key_word,
     optimal_covering,
     rational_of_string,
+    word_key,
 )
+from cantorsim.errors import CantorsimError
 from cantorsim.oracles import (
     brute_lower_cut,
     brute_odd_ones,
@@ -40,15 +48,28 @@ from cantorsim.oracles import (
 from cantorsim import recipes
 from cantorsim.recipes import (
     cut_deltas,
-    merge_boundary_reals,
-    merge_covering_classes,
     odd_covering_extensions,
     odd_covering_listing,
     odd_ones_extensions,
     odd_ones_listing,
 )
+from cantorsim.runs import replay
 from cantorsim.streams import EnumerationScript, real_from_ce_set
 from test_golden import INPUTS
+
+
+def words(keys):
+    """The set of words of a set of keys."""
+    return frozenset(map(key_word, keys))
+
+
+def keyed(extensions):
+    """An extensions callable on keys, called and read on words."""
+    return lambda content: map(words, extensions(frozenset(map(word_key, content))))
+
+
+def word_deltas(values, length):
+    return [(s, key_word(k)) for s, k in cut_deltas(values, length)]
 
 
 class TestCutDeltas:
@@ -59,7 +80,7 @@ class TestCutDeltas:
             values = random_dyadic_trace(rng)
             length = rng.randint(0, 7)
             drops += any(b < a for a, b in zip(values, values[1:]))
-            assert list(cut_deltas(values, length)) == set_difference_deltas(values, length)
+            assert word_deltas(values, length) == set_difference_deltas(values, length)
         assert drops > 100
 
     def test_smallest_non_monotone_boundary_trace(self):
@@ -71,12 +92,12 @@ class TestCutDeltas:
         values = [trace.value_at(s) for s in range(4)]
         assert values == [Dyadic(1, 3)] + [Dyadic(1, 4)] * 3
         for length in range(8):
-            assert list(cut_deltas(values, length)) == set_difference_deltas(values, length)
+            assert word_deltas(values, length) == set_difference_deltas(values, length)
         assert {s for s, _ in cut_deltas(values, 4)} == {0}
 
     def test_a_drop_then_a_rise_is_measured_from_the_smaller_cut(self):
         values = [Dyadic(3, 2), Dyadic(1, 2), Dyadic(1, 1)]
-        got = [(s, t.display()) for s, t in cut_deltas(values, 2)]
+        got = [(s, t.display()) for s, t in word_deltas(values, 2)]
         assert got == [
             (0, "-"), (0, "0"), (0, "1"), (0, "00"), (0, "01"), (0, "10"),
             (2, "01"),
@@ -84,7 +105,7 @@ class TestCutDeltas:
 
     def test_zero_and_one(self):
         assert list(cut_deltas([ZERO, ZERO], 3)) == []
-        assert [t for _, t in cut_deltas([ZERO, ONE], 3)] == sorted(
+        assert [t for _, t in word_deltas([ZERO, ONE], 3)] == sorted(
             brute_lower_cut(ONE, 3), key=lambda b: b.lenlex_key
         )
 
@@ -97,7 +118,7 @@ class TestOddOnesPicker:
     @pytest.mark.parametrize("length", range(8))
     def test_matches_the_inclusion_picker(self, length):
         rng = random.Random(43 + length)
-        fast, reference = odd_ones_extensions(length), inclusion_odd_ones_extensions(length)
+        fast, reference = keyed(odd_ones_extensions(length)), inclusion_odd_ones_extensions(length)
         contents = [
             frozenset(),
             frozenset({BitString("")}),
@@ -109,23 +130,23 @@ class TestOddOnesPicker:
 
     def test_a_member_longer_than_the_bound_has_no_extension(self):
         content = frozenset({BitString("0"), BitString("0000")})
-        assert first(odd_ones_extensions(3), content) == []
+        assert first(keyed(odd_ones_extensions(3)), content) == []
 
     def test_listing_is_the_cuts_of_the_odd_ones_reals(self):
         want = [brute_lower_cut(rational_of_string(s), 5) for s in brute_odd_ones(5)]
-        assert list(odd_ones_listing(5)) == want
+        assert list(map(words, odd_ones_listing(5))) == want
 
     def test_a_cut_is_built_only_when_asked(self, monkeypatch):
         built = []
 
-        def counting_cut(x, max_len):
-            built.append(x)
-            return brute_lower_cut(x, max_len)
+        def counting_cut(c, max_len):
+            built.append(c)
+            return frozenset(map(word_key, brute_lower_cut(Dyadic(c, max_len), max_len)))
 
-        monkeypatch.setattr(recipes, "lower_cut", counting_cut)
+        monkeypatch.setattr(recipes, "_cut_keys", counting_cut)
         recipes._odd_ones_cut.cache_clear()
         listing = odd_ones_listing(9)
-        extensions = odd_ones_extensions(9)(frozenset({BitString("1")}))
+        extensions = odd_ones_extensions(9)(frozenset({word_key(BitString("1"))}))
         assert built == []
         next(listing)
         assert len(built) == 1
@@ -146,7 +167,7 @@ class TestOddCoveringExtensions:
         contents = [frozenset(), frozenset({BitString("")})]
         contents += [random_string_set(rng, length, 4, 1) for _ in range(30)]
         for content in contents:
-            values = first(odd_covering_extensions(length), content, 40)
+            values = first(keyed(odd_covering_extensions(length)), content, 40)
             assert len(set(values)) == len(values)
             for value in values:
                 assert content <= value
@@ -168,17 +189,74 @@ class TestOddCoveringExtensions:
     )
     def test_first_values(self, length, content, want):
         content = frozenset(BitString.parse(t) for t in content.split())
-        got = first(odd_covering_extensions(length), content, 6)
+        got = first(keyed(odd_covering_extensions(length)), content, 6)
         assert got == [covered_up_to(antichain(a), length) for a in want.split("|")]
 
     def test_siblings_are_not_adjoined_to_an_odd_covering(self):
         # {00, 01} would merge into 0 and leave the even covering {0, 1}
-        values = first(odd_covering_extensions(2), frozenset({BitString("1")}), 10)
+        values = first(keyed(odd_covering_extensions(2)), frozenset({BitString("1")}), 10)
         assert values == [covered_up_to(antichain("1"), 2)]
 
     def test_a_member_longer_than_the_bound_has_no_extension(self):
         content = frozenset({BitString("0000"), BitString("0001")})
-        assert first(odd_covering_extensions(3), content) == []
+        assert first(keyed(odd_covering_extensions(3)), content) == []
+
+
+def outcome(produce):
+    """The lines produced, or the package error raised, as (type, message)."""
+    try:
+        return produce()
+    except CantorsimError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def machine_text(machine):
+    return "".join(f"{p.code.display()}\t{p.output.display()}\t{p.halt_stage}\n"
+                   for p in machine.programs)
+
+
+def boundary_reference(script, machine, k, length, horizon, mirror):
+    """The boundary merge through sets of strings: each trace's cuts by set
+    difference, the odd-ones cuts and their inclusions from the oracles, and
+    `friedberg_merge`'s script of BitStrings, rendered."""
+    events = []
+    for j, e in enumerate(script.indices()):
+        trace = hat_m_construction(real_from_ce_set(script, e), machine, k, horizon, mirror=mirror)
+        values = [trace.value_at(s) for s in range(horizon + 1)]
+        events.extend((s, j, t) for s, t in set_difference_deltas(values, length))
+    cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
+    want = friedberg_merge(cuts, EnumerationScript.from_events(events, horizon),
+                           inclusion_odd_ones_extensions(length), horizon)
+    return want.render().splitlines()
+
+
+def covering_reference(listings, length, horizon, stream):
+    """The covering merge through sets of strings: each snapshot's covered
+    set minus the last one's, the acceptable stream's covered sets, and
+    `friedberg_merge` over the odd-covering sets read as words, rendered."""
+    events = []
+    for j, listing in enumerate(listings):
+        seen = frozenset()
+        for snap in star_construction(listing, horizon):
+            cur = covered_up_to(snap.family, length)
+            gained = sorted(cur - seen, key=lambda b: b.lenlex_key)
+            events.extend((snap.stage, j, t) for t in gained)
+            seen = cur
+    if stream:
+        evens = itertools.islice(covering_antichains(odd=False), 1, horizon + 2)
+        for stage, a in enumerate(evens):
+            if a.total_bits() > length:
+                break
+            covered = sorted(covered_up_to(a, length), key=lambda b: b.lenlex_key)
+            events.extend((stage, len(listings) + stage, t) for t in covered)
+    l2 = EnumerationScript.from_events(events, horizon)
+    want = friedberg_merge(map(words, odd_covering_listing(length)), l2,
+                           keyed(odd_covering_extensions(length)), horizon)
+    return want.render().splitlines()
+
+
+def listing_text(listing):
+    return "".join(t.display() + "\n" for t in listing)
 
 
 class TestRecipes:
@@ -187,38 +265,55 @@ class TestRecipes:
         length, horizon = 6, 30
         script = EnumerationScript.parse(INPUTS["script.tsv"], horizon=horizon)
         machine = PrefixMachine.parse(INPUTS["machine.tsv"])
+        argv = ["run", "friedberg-reals", "--script", "script.tsv", "--machine", "machine.tsv",
+                "--k", "3", "--len", str(length), "--horizon", str(horizon)]
         for mirror in (False, True):
-            events = []
-            for j, e in enumerate(script.indices()):
-                trace = hat_m_construction(real_from_ce_set(script, e), machine, 3, horizon,
-                                           mirror=mirror)
-                values = [trace.value_at(s) for s in range(horizon + 1)]
-                events.extend((s, j, t) for s, t in set_difference_deltas(values, length))
-            cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
-            want = friedberg_merge(cuts, EnumerationScript.from_events(events, horizon),
-                                   inclusion_odd_ones_extensions(length), horizon)
-            got = merge_boundary_reals(script, machine, 3, length, horizon, mirror=mirror)
+            want = boundary_reference(script, machine, 3, length, horizon, mirror)
+            got = replay(argv + ["--mirror"] * mirror, INPUTS.__getitem__).lines
             assert got == want
 
     def test_covering_merge_matches_the_set_pipeline(self):
         # At stage 3 the star family goes from {00, 011} to {0, 1111}: the
         # same total bit-length, and a larger covered set.
-        listings = [parse_listing("00\n011\n0\n1111\n10100\n01011\n11\n"),
-                    parse_listing("1\n00\n011\n0100\n")]
+        texts = {"a.txt": "00\n011\n0\n1111\n10100\n01011\n11\n", "b.txt": "1\n00\n011\n0100\n"}
+        listings = [parse_listing(texts["a.txt"]), parse_listing(texts["b.txt"])]
         length, horizon = 5, 10
-        events = []
-        for j, listing in enumerate(listings):
-            seen = frozenset()
-            for snap in star_construction(listing, horizon):
-                cur = covered_up_to(snap.family, length)
-                gained = sorted(cur - seen, key=lambda b: b.lenlex_key)
-                events.extend((snap.stage, j, t) for t in gained)
-                seen = cur
-        l2 = EnumerationScript.from_events(events, horizon)
-        want = friedberg_merge(odd_covering_listing(length), l2, odd_covering_extensions(length),
-                               horizon)
-        got = merge_covering_classes(listings, length, horizon, with_acceptable_stream=False)
-        assert got == want
+        want = covering_reference(listings, length, horizon, stream=False)
+        argv = ["run", "friedberg-classes", "--listing", "a.txt", "--listing", "b.txt",
+                "--len", str(length), "--horizon", str(horizon), "--no-acceptable-stream"]
+        assert replay(argv, texts.__getitem__).lines == want
+
+    def test_boundary_merge_on_random_scripts(self):
+        rng = random.Random(53)
+        merged = 0
+        for _ in range(40):
+            script = random_dyadic_script(rng)
+            machine = random_machine(rng, max_code_len=5, max_out_len=6)
+            k, length, mirror = rng.randint(0, 4), rng.randint(0, 6), rng.random() < 0.5
+            texts = {"s.tsv": script.render() + "\n", "m.tsv": machine_text(machine)}
+            argv = ["run", "friedberg-reals", "--script", "s.tsv", "--machine", "m.tsv",
+                    "--k", str(k), "--len", str(length), "--horizon", "20"] + ["--mirror"] * mirror
+            got = outcome(lambda: replay(argv, texts.__getitem__).lines)
+            want = outcome(lambda: boundary_reference(script, machine, k, length, 20, mirror))
+            assert got == want
+            merged += isinstance(got, list) and len(got) > 0
+        assert merged >= 30
+
+    def test_covering_merge_on_random_listings(self):
+        rng = random.Random(59)
+        merged = 0
+        for _ in range(40):
+            listings = [random_listing(rng) for _ in range(rng.randint(1, 2))]
+            length, horizon, stream = rng.randint(2, 6), rng.randint(0, 15), rng.random() < 0.5
+            texts = {f"l{i}.txt": listing_text(listing) for i, listing in enumerate(listings)}
+            argv = ["run", "friedberg-classes", *(a for f in texts for a in ("--listing", f)),
+                    "--len", str(length), "--horizon", str(horizon)]
+            argv += [] if stream else ["--no-acceptable-stream"]
+            got = outcome(lambda: replay(argv, texts.__getitem__).lines)
+            want = outcome(lambda: covering_reference(listings, length, horizon, stream))
+            assert got == want
+            merged += isinstance(got, list) and len(got) > 0
+        assert merged >= 30
 
     def test_covering_listing_is_the_covered_sets_within_the_bound(self):
         want = []
@@ -226,4 +321,4 @@ class TestRecipes:
         while odd_covering_family(i).total_bits() <= 4:
             want.append(covered_up_to(odd_covering_family(i), 4))
             i += 1
-        assert list(odd_covering_listing(4)) == want
+        assert list(map(words, odd_covering_listing(4))) == want
