@@ -23,17 +23,18 @@ below is a union of ranges; the word of key k is format(k, "b")[1:],
 printed `-` for ε (`dyadic.key_word`).  So the sets are sets of integers
 that hash and sort in C, and no object is built per word.  The recipes
 return the merge's rows, (stage, slot, key) in emission order, which `runs`
-prints as script lines; `friedberg_merge` gives library callers the same
-loop's rows as an EnumerationScript of BitStrings.
+prints as script lines (`streams.key_row_lines`); `friedberg_merge` gives
+library callers the same loop's rows as an EnumerationScript of BitStrings.
 
 The recipes compute with the arithmetic that fixes each set, and build a
 set only where the merge consumes it:
 
 - The lower cut of x truncated at length L is fixed by one integer,
-  c = ⌈x·2^L⌉ (`streams.words_below`).  Its length-n members are the n-bit
-  values below ⌈c/2^(L−n)⌉, so two cuts at the same L nest exactly when
-  their integers are ordered, and what a cut gains over a smaller one is,
-  per length, the values between the two bounds.
+  c = ⌈x·2^L⌉ (`streams.words_below`), and `streams.cut_keys` builds it
+  from c; `streams.lower_cut` is its BitString view.  Its length-n members
+  are the n-bit values below ⌈c/2^(L−n)⌉, so two cuts at the same L nest
+  exactly when their integers are ordered, and what a cut gains over a
+  smaller one is, per length, the values between the two bounds.
 - A string t of value v lies in the cut c exactly when |t| ≤ L and
   v·2^(L−|t|) < c.  So a set lies in every cut whose integer reaches one
   threshold, and the odd-ones extensions compare one integer per cut.
@@ -64,7 +65,7 @@ from .dyadic import (
     optimal_covering,
     rational_of_string,
 )
-from .streams import EnumerationScript, real_from_ce_set, words_below
+from .streams import EnumerationScript, cut_keys, real_from_ce_set, words_below
 
 __all__ = [
     "cut_deltas",
@@ -102,14 +103,6 @@ def cut_deltas(values: Iterable[Dyadic], length: int) -> Iterator[tuple[int, int
         prev = c
 
 
-def _cut_keys(c: int, length: int) -> Keys:
-    """The truncated lower cut of cut integer c: per length n, the keys of
-    the n-bit values below ⌈c/2^(L−n)⌉."""
-    return frozenset(itertools.chain.from_iterable(
-        range(1 << n, (1 << n) + words_below(c, length, n)) for n in range(length + 1)
-    ))
-
-
 @lru_cache(maxsize=None)
 def _odd_ones_table(length: int) -> tuple[int, ...]:
     """The cut integer c = ⌈x·2^L⌉ of each odd-ones real x whose string fits
@@ -126,7 +119,7 @@ def _odd_ones_table(length: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _odd_ones_cut(length: int, i: int) -> Keys:
     """The i-th odd-ones cut, built on first use."""
-    return _cut_keys(_odd_ones_table(length)[i], length)
+    return cut_keys(_odd_ones_table(length)[i], length)
 
 
 def odd_ones_listing(length: int) -> Iterator[Keys]:

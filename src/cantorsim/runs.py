@@ -14,7 +14,8 @@ process.  `cli.main` and `replay` both parse with it.
 the snapshots, the replays, a tree, a script, or a list of values.  For
 friedberg-reals and friedberg-classes it is the merge's output rows,
 (stage, slot, key) in emission order with each output word as its integer
-key (`dyadic.word_key`); the lines print them without building a script.
+key (`dyadic.word_key`); `streams.key_row_lines` prints them as the lines
+of their script without building it.
 
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.
@@ -42,7 +43,7 @@ from .coverings import covering_antichains, parse_listing, star_construction
 from .dyadic import BitString, prefix_set_measure
 from .errors import DomainError, InputError, ParseError, records
 from .recipes import merge_boundary_reals, merge_covering_classes
-from .streams import EnumerationScript, real_from_ce_set
+from .streams import EnumerationScript, key_row_lines, real_from_ce_set
 from .verify import (
     verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
     verify_oddones, verify_omega, verify_regret, verify_splice, verify_star,
@@ -151,14 +152,6 @@ def _machine(read: Read, path: str, c_tilde: int = 0) -> PrefixMachine:
 
 def _script_lines(script: EnumerationScript) -> list[str]:
     return script.render().splitlines()
-
-
-def _row_lines(rows: list[tuple[int, int, int]]) -> list[str]:
-    """The script lines of a recipe's merge rows (stage, slot, key): the lines
-    the rows' EnumerationScript renders, each word written once from its key
-    (`dyadic.word_key`), `-` for ε."""
-    words = {k: format(k, "b")[1:] or "-" for k in {row[2] for row in rows}}
-    return [f"{s}\t{j}\tstr\t{words[k]}" for s, j, k in rows]
 
 
 @_run("splice", script=_PATH, machine=_PATH, c=_NATURAL, horizon=_NATURAL, index=_NATURAL_0)
@@ -286,7 +279,7 @@ def _friedberg_reals(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     machine = _machine(read, a.machine)
     rows = merge_boundary_reals(script, machine, a.k, a.length, a.horizon, mirror=a.mirror)
-    return Replay(rows, _row_lines(rows))
+    return Replay(rows, key_row_lines(rows))
 
 
 @_run(
@@ -304,7 +297,7 @@ def _friedberg_classes(a: argparse.Namespace, read: Read) -> Replay:
         a.horizon,
         with_acceptable_stream=not a.no_acceptable_stream,
     )
-    return Replay(rows, _row_lines(rows))
+    return Replay(rows, key_row_lines(rows))
 
 
 @_run("omega", machine=_PATH, horizon=_NATURAL)

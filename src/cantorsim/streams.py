@@ -9,10 +9,11 @@ downstream constructions can tell "no element yet" from the real 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from .dyadic import ZERO, BitString, Dyadic, all_strings, trusted_bitstring
+from .dyadic import ZERO, BitString, Dyadic, key_word, trusted_bitstring
 from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[BitString, Dyadic]
@@ -132,6 +133,15 @@ class EnumerationScript:
         return "\n".join(lines)
 
 
+def key_row_lines(rows: Sequence[tuple[int, int, int]]) -> list[str]:
+    """The lines `EnumerationScript.render` writes for the script of the rows
+    (stage, index, key), each key a word's integer key (`dyadic.word_key`).
+    Each distinct key is decoded once, so a word repeated across rows builds
+    one BitString and the rows need no script."""
+    words = {k: key_word(k).display() for k in {row[2] for row in rows}}
+    return [f"{s}\t{j}\tstr\t{words[k]}" for s, j, k in rows]
+
+
 def stage_set(script: EnumerationScript, index: int, stage: int) -> frozenset[Item]:
     """The replayed stage-s set of the given index; monotone in the stage."""
     if stage < 0 or stage > script.horizon:
@@ -205,17 +215,21 @@ def words_below(num: int, exp: int, n: int) -> int:
     return -(-(num << n) >> exp)
 
 
+def cut_keys(c: int, max_len: int) -> frozenset[int]:
+    """The keys (`dyadic.word_key`) of the lower cut truncated at max_len
+    whose cut integer is c = ⌈x·2^max_len⌉ (`words_below`): its length-n
+    members are the n-bit values below ⌈c/2^(max_len−n)⌉, whose keys are
+    the range [2ⁿ, 2ⁿ + ⌈c/2^(max_len−n)⌉)."""
+    return frozenset(itertools.chain.from_iterable(
+        range(1 << n, (1 << n) + words_below(c, max_len, n)) for n in range(max_len + 1)
+    ))
+
+
 def lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
     """All τ with |τ| ≤ max_len whose zero-padded extension lies strictly
-    below x.  The cut is fixed by the one integer c = ⌈x·2^max_len⌉ of
-    words_below: its length-n members are the n-bit values below
-    ⌈c/2^(max_len−n)⌉, so x = 1 takes every word and x = 0 none."""
-    c = words_below(x.num, x.exp, max_len)
-    return frozenset(
-        t
-        for n in range(max_len + 1)
-        for t in all_strings(n, 0, words_below(c, max_len, n))
-    )
+    below x: the words of `cut_keys` at x's cut integer, so x = 1 takes
+    every word and x = 0 none."""
+    return frozenset(map(key_word, cut_keys(words_below(x.num, x.exp, max_len), max_len)))
 
 
 def approx_string(x: Dyadic, n: int) -> BitString:

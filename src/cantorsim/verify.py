@@ -192,10 +192,12 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
     covering of the listing before sigma, the stage is good when sigma is
     longer than every member and extends none, and its case is a when that
     covering is even, else b.  A good stage's family is the covering of its
-    generating family (the covering, with sigma adjoined in case b), and that
-    covering is even; any other stage keeps the family.  The covered set
-    never shrinks, and the last family covers the listing before the last
-    good stage."""
+    generating family (the covering, with sigma adjoined in case b); any
+    other stage keeps the family.  So a family that passes is even: case a's
+    is the even covering, and case b adjoins to an odd covering a sigma
+    longer than every member, which merges with none of them.  The covered
+    set never shrinks, and the last family covers the listing before the
+    last good stage."""
     errs = []
     if [(snap.stage, snap.sigma) for snap in snaps] != list(enumerate(listing[: len(snaps)])):
         errs.append("snapshots do not follow the listing")
@@ -215,8 +217,6 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
         if good:
             last_good = t
             generating = covering if case == "a" else grown
-            if len(generating) % 2:
-                errs.append(f"stage {t}: generating family not acceptable")
             if family != generating:
                 errs.append(f"stage {t}: family is not its generating family's covering")
         elif family != prev:

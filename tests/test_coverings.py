@@ -121,6 +121,15 @@ def test_a_tampered_star_snapshot_is_caught(stage, fields, findings):
     assert verify_star(tuple(bs("00", "010")), snaps) == findings
 
 
+def test_a_family_changed_at_a_stage_that_is_not_good_is_caught():
+    snaps = list(build_scenario(scenario("star-skip")).result)
+    assert snaps[1].good is False
+    snaps[1] = dataclasses.replace(snaps[1], family=Antichain(bs("00", "11")))
+    assert verify_star(tuple(bs("00", "01")), snaps) == [
+        "stage 1: family changed at a stage that is not good"
+    ]
+
+
 def test_snapshots_past_the_listing_are_reported():
     snaps = star_construction(bs("00", "010"), 10)
     assert verify_star((), snaps) == ["snapshots do not follow the listing"]

@@ -143,7 +143,7 @@ class TestOddOnesPicker:
             built.append(c)
             return frozenset(map(word_key, brute_lower_cut(Dyadic(c, max_len), max_len)))
 
-        monkeypatch.setattr(recipes, "_cut_keys", counting_cut)
+        monkeypatch.setattr(recipes, "cut_keys", counting_cut)
         recipes._odd_ones_cut.cache_clear()
         listing = odd_ones_listing(9)
         extensions = odd_ones_extensions(9)(frozenset({word_key(BitString("1"))}))

@@ -14,6 +14,7 @@ from cantorsim.dyadic import (
     BitString,
     Dyadic,
     strings_up_to,
+    word_key,
 )
 from cantorsim.errors import InputError, ParseError, RangeError
 from cantorsim.oracles import brute_lower_cut, expansion_prefix
@@ -21,6 +22,7 @@ from cantorsim.streams import (
     EnumerationScript,
     LeftCEApprox,
     approx_string,
+    key_row_lines,
     lower_cut,
     real_from_ce_set,
     stage_set,
@@ -84,6 +86,13 @@ class TestScriptParsing:
         text = "1\t0\tdyadic\t1/2^2\n2\t1\tstr\t01"
         script = EnumerationScript.parse(text)
         assert EnumerationScript.parse(script.render()) == script
+
+    def test_key_rows_print_as_their_script_renders(self):
+        words = [BitString.parse(w) for w in ("-", "0", "1", "0", "0110", "-")]
+        rows = [(s // 2, 5 - s, word_key(w)) for s, w in enumerate(words)]
+        script = EnumerationScript.from_events([(s, j, w) for (s, j, _), w in zip(rows, words)])
+        assert key_row_lines(rows) == script.render().splitlines()
+        assert key_row_lines([]) == []
 
 
 class TestStageSet:
