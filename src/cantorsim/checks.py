@@ -46,7 +46,7 @@ from .oracles import (
 from .recipes import cut_deltas, odd_ones_extensions
 from .runs import Replay, replay
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
-from .streams import EnumerationScript, approx_string, real_from_ce_set
+from .streams import EnumerationScript, real_from_ce_set
 from .verify import (
     MergeCase, verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
     verify_merge, verify_oddones, verify_regret, verify_splice, verify_star,
@@ -119,9 +119,7 @@ def random_machine(
             continue
         codes.append(code)
         mass += add
-        programs.append(
-            Program(BitString(code), random_bitstring(rng, max_out_len), rng.randint(0, 12))
-        )
+        programs.append(Program(code, random_bitstring(rng, max_out_len).bits, rng.randint(0, 12)))
     return PrefixMachine(tuple(programs))
 
 
@@ -376,7 +374,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
     for mi in range(machines):
         machine = random_machine(rng)
         stages = sorted({p.halt_stage for p in machine.programs} | {0})
-        outputs = sorted({p.output for p in machine.programs}, key=lambda s: s.lenlex_key)
+        outputs = sorted({BitString(p.output) for p in machine.programs}, key=lambda s: s.lenlex_key)
         prev_k = {o: INFINITE for o in outputs}
         prev_omega = ZERO
         for t in stages:
@@ -405,8 +403,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             # one output's real per stage keeps the scan oracle cheap
             o, c = outputs[t % len(outputs)], t % 3
             x = rational_of_string(o)
-            fast = least_failing_length(machine, approx_string(x, t), c, t)
-            if fast != brute_least_failing_length(machine, x, c, t):
+            if least_failing_length(machine, x, c, t) != brute_least_failing_length(machine, x, c, t):
                 rep.fail(f"machine {mi}: least failing length of {o} differs at c={c}, t={t}")
         for c in range(5):
             for t in stages:
@@ -510,6 +507,8 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
 
 
 def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0) -> CheckReport:
+    if diag_depth < 2:  # a diagonal suite draws at least one tree, below its depth
+        raise InputError(f"suite classes takes --depth at least 2, got {diag_depth}")
     rep = CheckReport("classes")
     rng = random.Random(seed)
     for si in range(15):

@@ -13,22 +13,23 @@ per result.
 Every stage query reads a per-machine index, built on first use and cached on
 the machine, so parsing a machine does no extra work.  The index holds the
 sorted distinct halt stages with Ω at each of them as exact prefix sums, and,
-per output string, the stages at which its shortest halted code length drops
+per output word, the stages at which its shortest halted code length drops
 with the running minimum.  Ω_s and K_t(σ) are then one bisect each, and
 `least_failing_length` walks the prefixes of one expansion against it.  It
-stops at the longest output's length: no longer string is output by any
-program, so its K_t is infinite at every stage and it satisfies every
-constant.  The linear scans `brute_k_approx`, `brute_omega_approx`,
-`brute_halted_complexities` and `brute_least_failing_length` in `oracles` are
-the reference these are checked against.
+expands the real only to the longest output's length: no longer string is
+output by any program, so its K_t is infinite at every stage and it
+satisfies every constant.  The linear scans `brute_k_approx`,
+`brute_omega_approx`, `brute_halted_complexities` and
+`brute_least_failing_length` in `oracles` are the reference these are
+checked against.
 
 Parsing reads a plain table in one pass: every line is empty, a '#' comment
 or three bare fields (a 0/1 code, a 0/1 or '-' output, ASCII digits).  One
-regular-expression scan finds and checks the rows, and the words are built
-through `dyadic.trusted_bitstring`, as the scan has already checked them.  A
-table with any other line (padded fields, ε, '+3', non-ASCII digits, CRLF
-line ends, ...) is read again from the start by the line reader
-`errors.records`, which gives every ParseError its message and line number.
+regular-expression scan finds and checks the rows, whose fields are the
+programs' words.  A table with any other line (padded fields, ε, '+3',
+non-ASCII digits, CRLF line ends, ...) is read again from the start by the
+line reader `errors.records`, which gives every ParseError its message and
+line number.
 
 The prefix check sorts the codes.  If a code a is a prefix of another code c,
 it is a prefix of its sorted successor b: a < b ≤ c, and a first difference
@@ -44,12 +45,13 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .classes import Tree, tree_of_complement
-from .dyadic import ZERO, BitString, Dyadic, trusted_bitstring
+from .dyadic import ZERO, BitString, Dyadic
 from .errors import DomainError, ParseError, PrefixFreeViolation, records
+from .streams import approx_string
 
 INFINITE: float = math.inf
 
@@ -70,11 +72,12 @@ __all__ = [
 
 
 class Program(NamedTuple):
-    """One program of a machine table.  A named tuple, so it equals the
-    plain tuple (code, output, halt_stage)."""
+    """One program of a machine table: a 0/1 code, its 0/1 output and its
+    halt stage.  A named tuple of plain words, so it equals the plain tuple
+    (code, output, halt_stage); the machine checks that the words are 0/1."""
 
-    code: BitString
-    output: BitString
+    code: str
+    output: str
     halt_stage: int
 
 
@@ -89,14 +92,17 @@ class PrefixMachine:
     def __post_init__(self) -> None:
         if self.c_tilde < 0:
             raise DomainError("machine constants must be ≥ 0")
-        codes = self._words[0]
+        codes, outputs, halts = self._words
+        if "".join(codes + outputs).strip("01"):
+            bad = next(w for w in codes + outputs if w.strip("01"))
+            raise DomainError(f"not a 0/1 word: {bad!r}")
         ordered = sorted(codes)
         # a code that another code extends or repeats is a prefix of its sorted successor
         if any(map(str.startswith, ordered[1:], ordered)):
             _name_prefix_violation(codes)
-        for p in self.programs:
-            if p.halt_stage < 0:
-                raise DomainError(f"negative halt stage for code {p.code}")
+        for code, s in zip(codes, halts):
+            if s < 0:
+                raise DomainError(f"negative halt stage for code {code or 'ε'}")
         # prefix-free codes satisfy Kraft's inequality, so the sum stays ≤ 1
         top = max(map(len, codes), default=0)
         object.__setattr__(self, "_mass", Dyadic(sum(1 << (top - len(b)) for b in codes), top))
@@ -133,14 +139,10 @@ class PrefixMachine:
             return cls.parse(fh.read(), c_tilde=c_tilde, source=path)
 
     @cached_property
-    def _words(self) -> tuple[list[str], list[str], tuple[int, ...]]:
-        """The codes and outputs as plain words, and the halt stages, in
-        table order."""
-        if not self.programs:
-            return [], [], ()
-        codes, outputs, halts = zip(*self.programs)
-        bits = attrgetter("bits")
-        return list(map(bits, codes)), list(map(bits, outputs)), halts
+    def _words(self) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
+        """The table's columns: codes, outputs and halt stages, in table
+        order."""
+        return tuple(zip(*self.programs)) or ((), (), ())  # type: ignore[return-value]
 
     @cached_property
     def _omega_steps(self) -> tuple[list[int], list[Dyadic]]:
@@ -161,7 +163,7 @@ class PrefixMachine:
 
     @cached_property
     def _k_steps(self) -> dict[str, tuple[list[int], list[int]]]:
-        """Per output bits: the stages at which its shortest halted code
+        """Per output word: the stages at which its shortest halted code
         length drops, strictly increasing, and that length from each on."""
         codes, outputs, halts = self._words
         steps: dict[str, tuple[list[int], list[int]]] = {}
@@ -199,10 +201,7 @@ def _plain_programs(text: str) -> tuple[Program, ...] | None:
     rows = _PLAIN_ROW.findall(text)
     if len(rows) != sum(1 for line in text.splitlines() if line and line[0] != "#"):
         return None
-    return tuple(
-        Program(trusted_bitstring(code), trusted_bitstring("" if out == "-" else out), int(halt))
-        for code, out, halt in rows
-    )
+    return tuple(Program(code, "" if out == "-" else out, int(halt)) for code, out, halt in rows)
 
 
 def _programs(text: str, source: str) -> tuple[Program, ...]:
@@ -218,18 +217,18 @@ def _programs(text: str, source: str) -> tuple[Program, ...]:
             )
         code_s, out_s, halt_s = fields
         try:
-            code = BitString.parse(code_s)
-            output = BitString.parse(out_s)
+            code = BitString.parse(code_s).bits
+            output = BitString.parse(out_s).bits
             halt = int(halt_s)
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
         if halt < 0:
-            raise ParseError(f"negative halt stage for code {code}", source=source, line=lineno)
+            raise ParseError(f"negative halt stage for code {code or 'ε'}", source=source, line=lineno)
         programs.append(Program(code, output, halt))
     return tuple(programs)
 
 
-def _name_prefix_violation(codes: list[str]) -> None:
+def _name_prefix_violation(codes: tuple[str, ...]) -> None:
     """Raise for the first duplicate code in table order, else for the first
     code in table order with a proper prefix among the codes, naming its
     shortest one."""
@@ -271,16 +270,16 @@ def satisfies_constant(machine: PrefixMachine, sigma: BitString, c: int, t: int)
     return k_approx(machine, sigma, t) >= len(sigma.bits) - c
 
 
-def least_failing_length(machine: PrefixMachine, w: BitString, c: int, t: int) -> int | None:
-    """The least n ≤ |w| whose length-n prefix of w fails the constant at
-    stage t (K_t < n − c), or None when every prefix satisfies it.  Passing
-    the length-t expansion of a real scans every n ≤ min(t, longest
-    output)."""
+def least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
+    """The least n ≤ t whose length-n expansion of x fails the constant at
+    stage t (K_t < n − c), or None.  No string longer than the longest
+    output has halted, so only the first m = min(t, longest output) bits
+    are expanded: the first m bits of ⌊x·2^t⌋ are ⌊x·2^m⌋, and at x = 1
+    the cap gives all ones at both lengths."""
     steps = machine._k_steps
-    bits = w.bits
-    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail, and no
-    # prefix longer than every output has halted
-    for n in range(max(c + 1, 0), min(len(bits), machine._longest_output) + 1):
+    bits = approx_string(x, min(t, machine._longest_output)).bits
+    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
+    for n in range(max(c + 1, 0), len(bits) + 1):
         if _k_at(steps.get(bits[:n]), t) < n - c:
             return n
     return None

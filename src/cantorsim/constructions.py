@@ -148,7 +148,7 @@ def _failing_runs(
             runs.append((trigger, n, t))
             n = None
         if not r.empty_at(t):
-            trigger, n = t, least_failing_length(machine, approx_string(r.value(t), t), c, t)
+            trigger, n = t, least_failing_length(machine, r.value(t), c, t)
     if n is not None:
         runs.append((trigger, n, None))
     return runs
@@ -406,7 +406,7 @@ def merge_rows(
             if item not in current[index]:
                 current[index].add(item)
                 if index in active:
-                    emit(active[index], s, (item,))
+                    out_events.append((s, active[index], item))
         # 2. spawn followers for indices whose set matches no active follower
         for j in indices:
             if j not in active and all(current[j] != current[j2] for j2 in active):

@@ -249,7 +249,7 @@ def inclusion_odd_ones_extensions(
 def _k_scan(machine: PrefixMachine, word: str, t: int) -> float:
     best = math.inf
     for p in machine.programs:
-        if p.halt_stage <= t and p.output.bits == word and len(p.code) < best:
+        if p.halt_stage <= t and p.output == word and len(p.code) < best:
             best = len(p.code)
     return best
 
@@ -274,9 +274,9 @@ def brute_halted_complexities(machine: PrefixMachine, t: int) -> dict[str, int]:
     table: dict[str, int] = {}
     for p in machine.programs:
         if p.halt_stage <= t:
-            prev = table.get(p.output.bits)
+            prev = table.get(p.output)
             if prev is None or len(p.code) < prev:
-                table[p.output.bits] = len(p.code)
+                table[p.output] = len(p.code)
     return table
 
 

@@ -299,7 +299,7 @@ class TestIntersectRandomness:
 
     def test_both_prunings_apply(self):
         tree = Tree.closure_of(bs("000", "010", "011"), 3)  # prunes cone [1]
-        machine = PrefixMachine((Program(EMPTY, BitString("00"), 0),))  # prunes 00
+        machine = PrefixMachine((Program("", "00", 0),))  # prunes 00
         q = intersect_randomness(tree, machine, 1, 3)
         assert BitString("000") not in q.nodes
         assert BitString("010") in q.nodes
@@ -307,7 +307,7 @@ class TestIntersectRandomness:
 
     def test_subset_of_both(self):
         tree = Tree.closure_of(bs("00", "11"), 2)
-        machine = PrefixMachine((Program(BitString("0"), BitString("11"), 0),))
+        machine = PrefixMachine((Program("0", "11", 0),))
         q = intersect_randomness(tree, machine, 0, 2)
         assert q.nodes <= tree.nodes
 

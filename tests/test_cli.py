@@ -130,6 +130,12 @@ class TestErrors:
                 " (its work grows exponentially with the value)\n"
             )
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_check_classes_rejects_a_depth_under_its_floor(self, fixture_dir, depth):
+        proc = run_module(["check", "classes", "--depth", str(depth)], fixture_dir)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"input error: suite classes takes --depth at least 2, got {depth}\n"
+
     @pytest.mark.parametrize(
         "argv, flag, value",
         [

@@ -30,7 +30,7 @@ from cantorsim.dyadic import (
     rational_of_string,
     strings_up_to,
 )
-from cantorsim.errors import ParseError, PrefixFreeViolation
+from cantorsim.errors import DomainError, ParseError, PrefixFreeViolation
 from cantorsim.oracles import (
     brute_halted_complexities,
     brute_k_approx,
@@ -38,21 +38,16 @@ from cantorsim.oracles import (
     brute_omega_approx,
     padding_holds,
 )
-from cantorsim.streams import approx_string
-
-
-def prog(code: str, out: str, halt: int) -> Program:
-    return Program(BitString.parse(code), BitString.parse(out), halt)
 
 
 class TestMachineValidation:
     def test_duplicate_code_rejected(self):
         with pytest.raises(PrefixFreeViolation):
-            PrefixMachine((prog("01", "0", 1), prog("01", "1", 2)))
+            PrefixMachine((Program("01", "0", 1), Program("01", "1", 2)))
 
     def test_prefix_code_rejected(self):
         with pytest.raises(PrefixFreeViolation):
-            PrefixMachine((prog("0", "0", 1), prog("01", "1", 2)))
+            PrefixMachine((Program("0", "0", 1), Program("01", "1", 2)))
 
     @seed(20)
     @given(st.lists(st.text(alphabet="01", max_size=4), max_size=8))
@@ -60,7 +55,7 @@ class TestMachineValidation:
         # Kraft's inequality holds for every prefix-free code set, so the
         # mass sum needs no overrun check of its own
         try:
-            machine = PrefixMachine(tuple(prog(c, "0", 0) for c in codes))
+            machine = PrefixMachine(tuple(Program(c, "0", 0) for c in codes))
         except PrefixFreeViolation:
             return
         assert machine.kraft_sum <= ONE
@@ -78,16 +73,27 @@ class TestMachineValidation:
     def test_leading_tab_is_an_empty_code(self):
         # fields are split before stripping, so the empty first field survives
         machine = PrefixMachine.parse("\t0000\t3\n")
-        assert machine.programs == (prog("", "0000", 3),)
+        assert machine.programs == (Program("", "0000", 3),)
 
     def test_full_mass_allowed_but_not_strict(self):
-        machine = PrefixMachine((prog("0", "0", 1), prog("1", "1", 1)))
+        machine = PrefixMachine((Program("0", "0", 1), Program("1", "1", 1)))
         assert machine.kraft_sum == ONE and not machine.strict_kraft
         assert PrefixMachine.parse("0\t0\t1\n1\t1\t1\n") == machine
 
+    @pytest.mark.parametrize("program, message", [
+        (Program("012", "1", 0), "not a 0/1 word: '012'"),
+        (Program("0", "1x", 0), "not a 0/1 word: '1x'"),
+        (Program("", "1", -1), "negative halt stage for code ε"),
+    ])
+    def test_constructor_checks_the_words(self, program, message):
+        with pytest.raises(DomainError) as info:
+            PrefixMachine((program,))
+        assert type(info.value) is DomainError and str(info.value) == message
+
 
 # (text, programs as (code, output, halt) or (error type, message)): what the
-# line reader gives, which the one-pass reader must give too
+# line reader gives, which the one-pass reader must give too; rows are plain
+# words, as a BitString never equals a str
 PARSE_TABLE = [
     ("\t0000\t3\n", [("", "0000", 3)]),
     ("01\t-\t2\n", [("01", "", 2)]),
@@ -118,6 +124,7 @@ PARSE_TABLE = [
     ("0\t1\t2\n01\t0\t1\n", (PrefixFreeViolation, "m.tsv: code 0 is a prefix of code 01")),
     ("\t1\t2\n0\t1\t1\n", (PrefixFreeViolation, "m.tsv: code ε is a prefix of code 0")),
     ("", []),
+    ("\t-\t1\n", [("", "", 1)]),
 ]
 
 # line ends and comments that the one-pass reader takes, and ones it leaves
@@ -138,7 +145,7 @@ class TestParsePaths:
     def test_pinned_programs_and_messages(self, text, want):
         if isinstance(want, list):
             machine = PrefixMachine.parse(text, source="m.tsv")
-            assert machine.programs == tuple(prog(*row) for row in want)
+            assert machine.programs == tuple(want)
         else:
             kind, message = want
             with pytest.raises(kind) as info:
@@ -146,7 +153,7 @@ class TestParsePaths:
             assert type(info.value) is kind and str(info.value) == message
 
     def test_constructor_names_the_table_order_pair(self):
-        programs = tuple(prog(c, "0", 1) for c in ("11", "0", "1101", "01"))
+        programs = tuple(Program(c, "0", 1) for c in ("11", "0", "1101", "01"))
         with pytest.raises(PrefixFreeViolation) as info:
             PrefixMachine(programs)
         assert info.value.message == "code 11 is a prefix of code 1101"
@@ -156,7 +163,7 @@ class TestParsePaths:
     def test_prefix_check_matches_the_pairwise_test(self, codes):
         pairwise = any(i != j and b.startswith(a) for i, a in enumerate(codes) for j, b in enumerate(codes))
         try:
-            PrefixMachine(tuple(prog(c, "0", 0) for c in codes))
+            PrefixMachine(tuple(Program(c, "0", 0) for c in codes))
         except PrefixFreeViolation:
             assert pairwise
         else:
@@ -196,7 +203,7 @@ class TestIntegerMassSums:
     code length; these pin them against exact values and the program scan."""
 
     def test_complete_mixed_length_code(self):
-        machine = PrefixMachine((prog("0", "0", 2), prog("10", "1", 0), prog("11", "", 1)))
+        machine = PrefixMachine((Program("0", "0", 2), Program("10", "1", 0), Program("11", "", 1)))
         assert machine.kraft_sum == ONE and not machine.strict_kraft
         assert [omega_approx(machine, s) for s in range(4)] == [
             Dyadic(1, 2), Dyadic(1, 1), ONE, ONE
@@ -211,7 +218,7 @@ class TestIntegerMassSums:
         rng = random.Random(13)
         for i in range(60):
             machine = random_machine(rng, max_code_len=1 + i % 9, strict=i % 2 == 0)
-            assert machine.kraft_sum == prefix_set_measure(p.code for p in machine.programs)
+            assert machine.kraft_sum == prefix_set_measure(BitString(p.code) for p in machine.programs)
             for s in range(machine.max_halt_stage() + 2):
                 assert omega_approx(machine, s) == brute_omega_approx(machine, s)
             assert omega_approx(machine, machine.max_halt_stage()) == machine.kraft_sum
@@ -219,12 +226,12 @@ class TestIntegerMassSums:
 
 class TestKApprox:
     def test_not_yet_halted(self):
-        m = PrefixMachine((prog("00", "101", 5),))
+        m = PrefixMachine((Program("00", "101", 5),))
         assert k_approx(m, BitString("101"), 4) == INFINITE
         assert k_approx(m, BitString("101"), 5) == 2
 
     def test_min_rule(self):
-        m = PrefixMachine((prog("010", "1", 1), prog("00", "1", 7)))
+        m = PrefixMachine((Program("010", "1", 1), Program("00", "1", 7)))
         assert k_approx(m, BitString("1"), 3) == 3
         assert k_approx(m, BitString("1"), 8) == 2
 
@@ -232,7 +239,7 @@ class TestKApprox:
         rng = random.Random(3)
         for _ in range(30):
             machine = random_machine(rng)
-            outputs = {p.output for p in machine.programs}
+            outputs = {BitString(p.output) for p in machine.programs}
             for o in outputs:
                 values = [k_approx(machine, o, t) for t in range(13)]
                 assert all(a >= b for a, b in zip(values, values[1:]))
@@ -240,10 +247,10 @@ class TestKApprox:
 
 class TestOmega:
     def test_examples(self):
-        m = PrefixMachine((prog("01", "1", 3),))
+        m = PrefixMachine((Program("01", "1", 3),))
         assert omega_approx(m, 2) == ZERO
         assert omega_approx(m, 3) == Dyadic(1, 2)
-        m2 = PrefixMachine((prog("0", "1", 1), prog("100", "0", 2)))
+        m2 = PrefixMachine((Program("0", "1", 1), Program("100", "0", 2)))
         assert omega_approx(m2, 2) == Dyadic(5, 3)
 
     def test_monotone_and_below_one(self):
@@ -257,9 +264,9 @@ class TestOmega:
 
 class TestSatisfiesConstant:
     def test_examples(self):
-        m = PrefixMachine((prog("000", "111", 0),))
+        m = PrefixMachine((Program("000", "111", 0),))
         assert satisfies_constant(m, BitString("111"), 0, 5)  # K = 3 = |s|
-        m2 = PrefixMachine((prog("000", "10110", 0),))
+        m2 = PrefixMachine((Program("000", "10110", 0),))
         assert not satisfies_constant(m2, BitString("10110"), 1, 0)  # 3 < 4
         assert satisfies_constant(m2, BitString("10110"), 2, 0)  # 3 >= 3
 
@@ -270,12 +277,12 @@ class TestSatisfiesConstant:
 
 class TestRandomnessClassTree:
     def test_full_before_any_halt(self):
-        m = PrefixMachine((prog("0", "00", 9),))
+        m = PrefixMachine((Program("0", "00", 9),))
         tree = randomness_class_tree(m, 0, 3, 3)
         assert len(tree.nodes) == 15
 
     def test_prunes_compressible_cone(self):
-        m = PrefixMachine((prog("", "00", 0),))  # K(00) = 0
+        m = PrefixMachine((Program("", "00", 0),))  # K(00) = 0
         tree = randomness_class_tree(m, 1, 0, 3)
         assert BitString("00") not in tree.nodes
         assert BitString("000") not in tree.nodes
@@ -283,12 +290,12 @@ class TestRandomnessClassTree:
         assert len(tree.nodes) == 15 - 3
 
     def test_unreachable_bound_keeps_everything(self):
-        m = PrefixMachine((prog("0", "00", 0), prog("10", "1", 0)))
+        m = PrefixMachine((Program("0", "00", 0), Program("10", "1", 0)))
         tree = randomness_class_tree(m, 6, 12, 3)
         assert len(tree.nodes) == 15
 
     def test_shrinks_as_stages_pass(self):
-        m = PrefixMachine((prog("0", "0011", 4),))
+        m = PrefixMachine((Program("0", "0011", 4),))
         early = randomness_class_tree(m, 1, 3, 4)
         late = randomness_class_tree(m, 1, 4, 4)
         assert late.nodes <= early.nodes
@@ -330,9 +337,9 @@ def _differential_machines() -> list[PrefixMachine]:
     machines = [
         PrefixMachine(()),
         # the longer code for 01 halts first, the shorter one later
-        PrefixMachine((prog("0", "01", 6), prog("110", "01", 2), prog("10", "1", 4))),
+        PrefixMachine((Program("0", "01", 6), Program("110", "01", 2), Program("10", "1", 4))),
         # the shorter code halts first, so the longer one never lowers K
-        PrefixMachine((prog("0", "01", 2), prog("110", "01", 6), prog("111", "0", 3))),
+        PrefixMachine((Program("0", "01", 2), Program("110", "01", 6), Program("111", "0", 3))),
     ]
     rng = random.Random(17)
     for _ in range(40):
@@ -361,7 +368,7 @@ class TestIndexMatchesTheScans:
 
     @pytest.mark.parametrize("machine", MACHINES, ids=[f"m{i}" for i in range(len(MACHINES))])
     def test_k_omega_and_halted_complexities(self, machine):
-        outputs = {p.output for p in machine.programs}
+        outputs = {BitString(p.output) for p in machine.programs}
         probes = outputs | set(strings_up_to(3)) | {BitString("0" * 10)}  # mostly never output
         for t in range(machine.max_halt_stage() + 3):
             assert omega_approx(machine, t) == brute_omega_approx(machine, t)
@@ -373,45 +380,48 @@ class TestIndexMatchesTheScans:
 
     @pytest.mark.parametrize("machine", MACHINES, ids=[f"m{i}" for i in range(len(MACHINES))])
     def test_least_failing_length(self, machine):
-        reals = {rational_of_string(p.output) for p in machine.programs}
+        # past the longest output, up to three times it, the scan expands
+        # fewer bits than the oracle's t
+        longest = max((len(p.output) for p in machine.programs), default=0)
+        reals = {rational_of_string(BitString(p.output)) for p in machine.programs}
         reals |= {ZERO, ONE, Dyadic(5, 4), Dyadic(1, 1)}
-        for t in range(machine.max_halt_stage() + 3):
+        for t in range(max(machine.max_halt_stage() + 3, 3 * longest + 2)):
             for c in range(4):
                 for x in reals:
-                    fast = least_failing_length(machine, approx_string(x, t), c, t)
-                    assert fast == brute_least_failing_length(machine, x, c, t)
+                    assert least_failing_length(machine, x, c, t) == brute_least_failing_length(machine, x, c, t)
 
     @pytest.mark.parametrize("i", range(12))
     def test_scans_far_past_the_longest_output(self, i):
         # outputs of at most 5 bits, halting from stage 100 on, so every
-        # expansion scanned is at least 100 bits long
+        # stage scanned is far past the longest output
         machine = random_machine(random.Random(100 + i), max_code_len=5, max_out_len=5)
         machine = PrefixMachine(tuple(p._replace(halt_stage=100 + p.halt_stage) for p in machine.programs))
-        reals = {rational_of_string(p.output) for p in machine.programs} | {ZERO, ONE, Dyadic(5, 4)}
+        reals = {rational_of_string(BitString(p.output)) for p in machine.programs} | {ZERO, ONE, Dyadic(5, 4)}
         for t in range(100, machine.max_halt_stage() + 3):
             for c in range(4):
                 for x in reals:
-                    fast = least_failing_length(machine, approx_string(x, t), c, t)
+                    fast = least_failing_length(machine, x, c, t)
                     assert fast == brute_least_failing_length(machine, x, c, t), (t, c, x)
 
     def test_least_failing_prefix_at_the_longest_output(self):
         # the scan stops at the longest output's length, and must include it
-        m = PrefixMachine((prog("0", "10110", 0), prog("10", "1", 0)))
-        w = BitString("10110" + "0" * 95)
-        assert least_failing_length(m, w, 0, 0) == 5 == brute_least_failing_length(m, Dyadic(11, 4), 0, 100)
-        assert least_failing_length(m, w, 3, 0) == 5
-        assert least_failing_length(m, w, 4, 0) is None
-        assert least_failing_length(m, w.take(4), 0, 0) is None
+        m = PrefixMachine((Program("0", "10110", 0), Program("10", "1", 0)))
+        x = Dyadic(11, 4)  # 1011 followed by zeroes
+        assert least_failing_length(m, x, 0, 100) == 5 == brute_least_failing_length(m, x, 0, 100)
+        assert least_failing_length(m, x, 3, 5) == 5
+        assert least_failing_length(m, x, 4, 100) is None
+        assert least_failing_length(m, x, 0, 4) is None  # no length past the stage is scanned
 
     def test_least_failing_length_examples(self):
-        m = PrefixMachine((prog("0", "0000", 3), prog("10", "000", 1)))
-        w = BitString("00001")
-        assert least_failing_length(m, w, 0, 0) is None  # nothing halted yet
-        assert least_failing_length(m, w, 0, 1) == 3  # K(000) = 2 < 3
-        assert least_failing_length(m, w, 1, 1) is None  # 2 < 3 - 1 fails
-        assert least_failing_length(m, w, 1, 3) == 4  # K(0000) = 1 < 4 - 1
-        assert least_failing_length(m, w, 3, 5) is None
-        assert least_failing_length(m, BitString("001"), 0, 5) is None  # no output is a prefix
+        m = PrefixMachine((Program("0", "0000", 3), Program("10", "000", 1)))
+        x = Dyadic(1, 5)  # 00001
+        assert least_failing_length(m, x, 0, 0) is None  # nothing halted yet
+        assert least_failing_length(m, x, 0, 2) is None  # K(000) = 2, but 3 > t
+        assert least_failing_length(m, x, 0, 3) == 3  # K(000) = 2 < 3
+        assert least_failing_length(m, x, 1, 3) is None  # 2 < 3 - 1 fails, and 4 > t
+        assert least_failing_length(m, x, 1, 4) == 4  # K(0000) = 1 < 4 - 1
+        assert least_failing_length(m, x, 3, 5) is None
+        assert least_failing_length(m, Dyadic(1, 3), 0, 5) is None  # no output is a prefix of 001
 
 
 class TestPadding:

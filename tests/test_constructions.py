@@ -126,9 +126,7 @@ class TestScenarioLibrary:
 
 class TestSpliceEdges:
     def test_requires_strict_mass(self):
-        machine = PrefixMachine(
-            (Program(BitString("0"), BitString("0"), 0), Program(BitString("1"), BitString("1"), 0))
-        )
+        machine = PrefixMachine((Program("0", "0", 0), Program("1", "1", 0)))
         r = constant(ZERO, 5)
         with pytest.raises(PreconditionError):
             splice_random(r, machine, 0, 5)
@@ -142,9 +140,7 @@ class TestSpliceEdges:
     def test_the_witness_stays_the_trigger_stage_prefix(self):
         # 000 fails at stage 3; at stage 4 the input moves to 001, which fails
         # at the same length, so the run goes on with the witness 000
-        machine = PrefixMachine(
-            (Program(BitString("0"), BitString("000"), 0), Program(BitString("10"), BitString("001"), 0))
-        )
+        machine = PrefixMachine((Program("0", "000", 0), Program("10", "001", 0)))
         r = LeftCEApprox((dy("1/2^4"),) * 4 + (dy("3/2^4"),) * 2, first_stage=0)
         trace = splice_random(r, machine, 0, 5)
         assert [rec.state for rec in trace.records] == ["tracking"] * 4 + ["spliced"] * 2
@@ -159,7 +155,7 @@ class TestSpliceEdges:
 
 class TestHatmEdges:
     def test_boundary_length_zero_parks_forever(self):
-        machine = PrefixMachine((Program(BitString("10"), BitString("1"), 1),))
+        machine = PrefixMachine((Program("10", "1", 1),))
         m = constant(dy("1/2^1"), 4)
         trace = hat_m_construction(m, machine, 0, 4)
         assert all(r.state == "parked" for r in trace.records)
@@ -167,9 +163,7 @@ class TestHatmEdges:
     def test_mirror_fix_is_the_last_desirable_prefix(self):
         # Ω jumps to 3/4 at stage 1, so the boundary 11 overtakes the input's
         # prefix: the fix 10 lies below the new boundary, above the old one 00
-        machine = PrefixMachine(
-            (Program(BitString("0"), BitString("0"), 1), Program(BitString("10"), BitString("1"), 1))
-        )
+        machine = PrefixMachine((Program("0", "0", 1), Program("10", "1", 1)))
         m = LeftCEApprox((dy("1/2^1"), dy("3/2^2"), dy("3/2^2")))
         trace = hat_m_construction(m, machine, 2, 2, mirror=True)
         assert [r.state for r in trace.records] == ["tracking", "undesirable", "undesirable"]
@@ -262,7 +256,7 @@ class TestVerifiersReadTheScans:
     def test_a_run_released_at_once_is_checked_by_its_note(self):
         # 01 fails at stage 2 and the input moves to 11 at stage 3, so the run
         # leaves no spliced record: only its notes say where it was
-        machine = PrefixMachine((Program(BitString("0"), BitString("01"), 1),))
+        machine = PrefixMachine((Program("0", "01", 1),))
         r = LeftCEApprox((dy("7/2^4"),) * 3 + (dy("3/2^2"),) * 2, first_stage=0)
         trace = splice_random(r, machine, 0, 4)
         assert [rec.note for rec in trace.records] == ["", "", "trigger n=2", "recover", ""]
@@ -337,12 +331,11 @@ def random_detector_input(rng):
     for _ in range(rng.randint(1, 4)):
         code = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
         if mass + (16 >> len(code)) < 16 and not any(
-            code.startswith(p.code.bits) or p.code.bits.startswith(code) for p in programs
+            code.startswith(p.code) or p.code.startswith(code) for p in programs
         ):
             mass += 16 >> len(code)
             word = rng.choice(words) if rng.random() < 0.5 else format(rng.randrange(8), "03b")
-            output = BitString(word[: rng.randint(1, 3)])
-            programs.append(Program(BitString(code), output, rng.randint(0, 6)))
+            programs.append(Program(code, word[: rng.randint(1, 3)], rng.randint(0, 6)))
     script = EnumerationScript.from_events([(s, e, Dyadic(k, 4)) for s, e, k in events], horizon)
     return PrefixMachine(tuple(programs)), script, rng.randint(0, 1)
 
@@ -417,12 +410,7 @@ class TestRegretEdges:
 
     def test_rebinding_uses_a_fresh_slot(self):
         # member fails at length 4, recovers, then fails again at length 5
-        machine = PrefixMachine(
-            (
-                Program(BitString("0"), BitString("0000"), 3),
-                Program(BitString("10"), BitString("00100"), 8),
-            )
-        )
+        machine = PrefixMachine((Program("0", "0000", 3), Program("10", "00100", 8)))
         events = [(1, 0, dy("1/2^5")), (6, 0, dy("9/2^6"))]
         family = EnumerationScript.from_events(events, horizon=14)
         slots = regret_construction(family, machine, 1, 14)

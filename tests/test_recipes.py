@@ -211,7 +211,7 @@ def outcome(produce):
 
 
 def machine_text(machine):
-    return "".join(f"{p.code.display()}\t{p.output.display()}\t{p.halt_stage}\n"
+    return "".join(f"{p.code or '-'}\t{p.output or '-'}\t{p.halt_stage}\n"
                    for p in machine.programs)
 
 
