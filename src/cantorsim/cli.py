@@ -24,10 +24,11 @@ builders are declared in `runs.RUNS`.  The `check` suites are declared in
 `checks.SUITES`, each with the suite parameter that `--cases`, `--depth` and
 `--len` set; a given flag the suite does not take is an input error.  The
 flags whose work grows exponentially have a cap there, `check dyadic --len`
-18, `check coverings --depth` 5 and `check complexity --depth` 15, and a
-larger value is an input error before any work, as is a `check classes
---depth` under its minimum 2, the least at which a diagonal suite can draw a
-tree count.  Every count, length, depth, horizon, constant and index flag
+18, `check coverings --depth` 5 and `check complexity --depth` 15, and so does
+`check classes --depth`, 250, whose work grows about as its square.  A larger
+value is an input error before any work, as is a `check classes --depth`
+under its minimum 2, the least at which a diagonal suite can draw a tree
+count.  Every count, length, depth, horizon, constant and index flag
 takes an integer ≥ 0; only `--seed` may be negative.
 
 Exit codes: 0 success, 1 check failure; each package error class declares

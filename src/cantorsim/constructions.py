@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, itemgetter, xor
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .complexity import (
@@ -336,48 +337,69 @@ def friedberg_merge(
 
     Each script index j is followed by a slot, and an active follower's slot
     always holds exactly current[j], the set j shows so far: the slot is
-    copied from it at spawn, and each delivery adds the item to both.  So a
-    follower exists only while no other active follower shows the same set.
+    copied from it at spawn, and each delivery adds the new items to both.  So
+    a follower exists only while no other active follower shows the same set.
     Converging followers lose the larger index, whose slot is permanently
     diverted to an unused extension of its set, and the index respawns on a
     new slot once its set again matches no active follower.  On inputs whose
     tracked sets settle by the horizon, the settled output sets are exactly
-    the used listing members plus the scripted sets, with no repeats.
+    the used listing members plus the scripted sets, with no repeats.  The
+    script's consecutive events of one (stage, index) enter `merge_rows` as
+    one block, and each row block leaves as one event per item.
     """
-    rows = merge_rows(listing, l2.events, extensions, horizon, BitString, attrgetter("lenlex_key"))
-    return EnumerationScript(tuple(map(ScriptEvent._make, rows)), horizon)
+    groups = itertools.groupby(l2.events, key=itemgetter(0, 1))
+    blocks = [(s, j, tuple(ev.item for ev in group)) for (s, j), group in groups]
+    rows = merge_rows(listing, blocks, extensions, horizon, BitString, attrgetter("lenlex_key"))
+    events = (ScriptEvent(s, j, item) for s, j, items in rows for item in items)
+    return EnumerationScript(tuple(events), horizon)
 
 
 def merge_rows(
     listing: Iterable[frozenset[W]],
-    events: Sequence[tuple[int, int, object]],
+    events: Sequence[tuple[int, int, tuple[W, ...]]],
     extensions: Callable[[frozenset[W]], Iterable[frozenset[W]]],
     horizon: int,
     word: type[W],
     order: Callable[[W], object] | None,
-) -> list[tuple[int, int, W]]:
-    """`friedberg_merge`'s stage loop over stage-sorted (stage, index, item)
-    events whose items are of the type `word`; returns the output rows
-    (stage, slot, item) in emission order, which is stage order, each set's
-    new items sorted by `order` (their own order when None).  The merge runs
-    it on BitString sets in length-lexicographic order, and the recipes on
-    integer keys (`dyadic.word_key`), whose own order is that one."""
+) -> list[tuple[int, int, tuple[W, ...]]]:
+    """`friedberg_merge`'s stage loop over stage-sorted blocks (stage, index,
+    items), each a nonempty tuple of items of the type `word`; returns the row
+    blocks (stage, slot, items), none empty, in emission order, which is stage
+    order.  A delivery's row holds the items its index lacked, in block order
+    without repeats; a spawned or diverted set's row is sorted by `order`
+    (their own order when None).  The merge runs it on BitString sets in
+    length-lexicographic order, and the recipes on integer keys
+    (`dyadic.word_key`), whose own order is that one.
+
+    Each index carries the signature (size, XOR of item hashes) of its set,
+    kept on every delivery, and `groups` maps a signature to the active
+    followers that carry it.  Two sets are equal only if their signatures
+    are, so steps 2 and 3 look for a twin of j only in j's group, where each
+    candidate is still compared with ==.  Step 2 scans the indices without a
+    follower, and step 3 only the groups of the followers delivered to in
+    step 1: the active sets are distinct after stage s − 1, and step 2 spawns
+    only sets distinct from them, so every converging pair holds such a
+    follower and lies in its group.  So both steps take the decisions of a
+    scan over every index and every active follower, and as no decision
+    depends on the order within a group, the rows do not depend on the hash
+    seed."""
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
-    indices = sorted({index for _, index, _ in events})
-    current: dict[int, set[W]] = {j: set() for j in indices}
+    current: dict[int, set[W]] = {index: set() for _, index, _ in events}
+    signature: dict[int, tuple[int, int]] = dict.fromkeys(current, (0, 0))
+    groups: dict[tuple[int, int], list[int]] = {}
     active: dict[int, int] = {}  # index -> slot id
     slots = 0
-    out_events: list[tuple[int, int, W]] = []
+    rows: list[tuple[int, int, tuple[W, ...]]] = []
     used: set[frozenset[W]] = set()
     listed: set[frozenset[W]] = set()
     listing = iter(listing)
 
-    def emit(slot: int, stage: int, items: Iterable[W]) -> None:
-        for item in sorted(items, key=order):
-            out_events.append((stage, slot, item))
+    def emit(slot: int, stage: int, items: set[W] | frozenset[W]) -> None:
+        if items:
+            rows.append((stage, slot, tuple(sorted(items, key=order))))
 
-    def new_slot(stage: int, content: Iterable[W]) -> int:
+    def new_slot(stage: int, content: set[W] | frozenset[W]) -> int:
         nonlocal slots
         emit(slots, stage, content)
         slots += 1
@@ -397,23 +419,34 @@ def merge_rows(
 
     pos = 0
     for s in range(horizon + 1):
-        # 1. deliver this stage's items, to the follower's slot too
+        # 1. deliver this stage's blocks, to the follower's slot too
+        touched: set[tuple[int, int]] = set()  # signatures of the followers delivered to
         while pos < len(events) and events[pos][0] == s:
-            _, index, item = events[pos]
+            _, index, items = events[pos]
             pos += 1
-            if not isinstance(item, word):
+            if not all(map(isinstance, items, itertools.repeat(word))):
                 raise InputError(f"index {index} carries a non-string item at stage {s}")
-            if item not in current[index]:
-                current[index].add(item)
-                if index in active:
-                    out_events.append((s, active[index], item))
+            have, size = current[index], len(current[index])
+            new = items if have.isdisjoint(items) else tuple(x for x in items if x not in have)
+            have.update(new)
+            if len(have) - size < len(new):  # the block repeats an item
+                new = tuple(dict.fromkeys(new))
+            old = signature[index]
+            signature[index] = (len(have), reduce(xor, map(hash, new), old[1]))
+            if index in active and new:
+                groups[old].remove(index)
+                groups.setdefault(signature[index], []).append(index)
+                touched.add(signature[index])
+                rows.append((s, active[index], new))
         # 2. spawn followers for indices whose set matches no active follower
-        for j in indices:
-            if j not in active and all(current[j] != current[j2] for j2 in active):
+        for j in sorted(current.keys() - active.keys()):
+            if all(current[j] != current[j2] for j2 in groups.get(signature[j], ())):
                 active[j] = new_slot(s, current[j])
+                groups.setdefault(signature[j], []).append(j)
         # 3. divert the larger index of any converging follower pair
-        for j in indices:
-            if j in active and any(j2 < j and current[j2] == current[j] for j2 in active):
+        for j in sorted({j for sig in touched for j in groups[sig]}):
+            if any(j2 < j and current[j2] == current[j] for j2 in groups[signature[j]]):
+                groups[signature[j]].remove(j)
                 sid = active.pop(j)
                 content = frozenset(current[j])
                 value = pick_fresh(content, s)
@@ -428,7 +461,7 @@ def merge_rows(
                 used.add(value)
                 new_slot(s, value)
                 break
-    return out_events
+    return rows
 
 
 def beta_max(family: Sequence[LeftCEApprox], horizon: int) -> StageTrace:

@@ -14,15 +14,16 @@ conversion routine of the fast code is on an oracle's path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classes import Tree
 from .complexity import PrefixMachine
 from .dyadic import ZERO, Antichain, BitString, Dyadic
-from .errors import DomainError
+from .errors import ContractViolationError, DomainError, InputError
 
 __all__ = [
     "brute_covering_families",
@@ -30,6 +31,7 @@ __all__ = [
     "brute_k_approx",
     "brute_least_failing_length",
     "brute_lower_cut",
+    "brute_merge_rows",
     "brute_nodes",
     "brute_odd_ones",
     "brute_omega_approx",
@@ -244,6 +246,85 @@ def inclusion_odd_ones_extensions(
     order."""
     cuts = [brute_lower_cut(Dyadic(int(w, 2), len(w)), length) for w in _odd_ones(length)]
     return lambda content: (c for c in cuts if content <= c)
+
+
+def brute_merge_rows(
+    listing: Iterable[frozenset[str]],
+    events: Sequence[tuple[int, int, str]],
+    extensions: Callable[[frozenset[str]], Iterable[frozenset[str]]],
+    horizon: int,
+) -> list[tuple[int, int, str]]:
+    """The Friedberg merge's stage loop one item at a time, over plain words:
+    the output rows (stage, slot, word) of the stage-sorted events (stage,
+    index, word).  Each stage delivers its events one by one; spawns, in
+    index order, a follower for every index whose set equals no active
+    follower's, compared with each of them; diverts, in index order, every
+    follower that a smaller active follower equals, again compared with each
+    of them; and lists the next unused listing member.  A spawned or diverted
+    set is emitted length-lexicographically.  The errors carry the messages
+    of `constructions.merge_rows`, with which it shares no code."""
+    if horizon < 0:
+        raise InputError("horizon must be ≥ 0")
+    indices = sorted({index for _, index, _ in events})
+    current: dict[int, set[str]] = {j: set() for j in indices}
+    active: dict[int, int] = {}  # index -> slot
+    slots = 0
+    rows: list[tuple[int, int, str]] = []
+    used: set[frozenset[str]] = set()
+    listed: set[frozenset[str]] = set()
+    listing = iter(listing)
+
+    def emit(slot: int, stage: int, words: Iterable[str]) -> None:
+        rows.extend((stage, slot, w) for w in sorted(words, key=lambda w: (len(w), w)))
+
+    def new_slot(stage: int, content: Iterable[str]) -> int:
+        nonlocal slots
+        emit(slots, stage, content)
+        slots += 1
+        return slots - 1
+
+    def pick_fresh(content: frozenset[str], stage: int) -> frozenset[str]:
+        for value in itertools.islice(extensions(content), len(used) + horizon + 2):
+            if not content <= value:
+                raise ContractViolationError(
+                    f"extension at stage {stage} does not contain the slot content"
+                )
+            if value not in used:
+                return value
+        raise ContractViolationError(
+            f"no unused extension of a {len(content)}-string set at stage {stage}"
+        )
+
+    pos = 0
+    for s in range(horizon + 1):
+        while pos < len(events) and events[pos][0] == s:
+            _, index, item = events[pos]
+            pos += 1
+            if not isinstance(item, str):
+                raise InputError(f"index {index} carries a non-string item at stage {s}")
+            if item not in current[index]:
+                current[index].add(item)
+                if index in active:
+                    rows.append((s, active[index], item))
+        for j in indices:
+            if j not in active and all(current[j] != current[j2] for j2 in active):
+                active[j] = new_slot(s, current[j])
+        for j in indices:
+            if j in active and any(j2 < j and current[j2] == current[j] for j2 in active):
+                slot = active.pop(j)
+                content = frozenset(current[j])
+                value = pick_fresh(content, s)
+                used.add(value)
+                emit(slot, s, value - content)
+        for value in listing:
+            if value in listed:
+                raise ContractViolationError("listing generator repeated a member")
+            listed.add(value)
+            if value not in used:
+                used.add(value)
+                new_slot(s, value)
+                break
+    return rows
 
 
 def _k_scan(machine: PrefixMachine, word: str, t: int) -> float:

@@ -21,10 +21,12 @@ lexicographically, and the merge sorts them by their own order.  The
 length-n values [lo, hi) are the key range [2ⁿ + lo, 2ⁿ + hi), so every set
 below is a union of ranges; the word of key k is format(k, "b")[1:],
 printed `-` for ε (`dyadic.key_word`).  So the sets are sets of integers
-that hash and sort in C, and no object is built per word.  The recipes
-return the merge's rows, (stage, slot, key) in emission order, which `runs`
-prints as script lines (`streams.key_row_lines`); `friedberg_merge` gives
-library callers the same loop's rows as an EnumerationScript of BitStrings.
+that hash and sort in C, and no object is built per word.  The scripted side
+enters the merge as blocks (stage, index, keys), one per index and stage at
+which its set grows, and the recipes return the merge's row blocks, (stage,
+slot, keys) in emission order, which `runs` prints as script lines
+(`streams.key_row_lines`).  `friedberg_merge` gives library callers the same
+loop's rows as an EnumerationScript of BitStrings.
 
 The recipes compute with the arithmetic that fixes each set, and build a
 set only where the merge consumes it:
@@ -78,7 +80,7 @@ __all__ = [
 ]
 
 Keys = frozenset[int]  # a set of words, by their keys
-Row = tuple[int, int, int]  # (stage, slot, key) of one output item
+Row = tuple[int, int, tuple[int, ...]]  # (stage, slot or index, keys): one block
 _NONE = Antichain(())
 
 
@@ -173,7 +175,8 @@ def merge_boundary_reals(
         m = real_from_ce_set(script, e)
         trace = hat_m_construction(m, machine, k, horizon, mirror=mirror)
         values = (trace.value_at(s) for s in range(horizon + 1))
-        events.extend((s, j, key) for s, key in cut_deltas(values, length))
+        for s, block in itertools.groupby(cut_deltas(values, length), key=itemgetter(0)):
+            events.append((s, j, tuple(key for _, key in block)))
     events.sort(key=itemgetter(0))  # stable: index order kept within a stage
     return merge_rows(
         odd_ones_listing(length), events, odd_ones_extensions(length), horizon, int, None
@@ -254,7 +257,7 @@ def merge_covering_classes(
         family = _NONE
         for snap in star_construction(listing, horizon):
             if snap.family != family:
-                events.extend((snap.stage, j, k) for k in covered_deltas(family, snap.family, length))
+                events.append((snap.stage, j, tuple(covered_deltas(family, snap.family, length))))
                 family = snap.family
     if with_acceptable_stream:
         base = len(listings)
@@ -263,8 +266,9 @@ def merge_covering_classes(
         for stage, a in enumerate(evens):
             if a.total_bits() > length:
                 break
-            events.extend((stage, base + stage, k) for k in covered_deltas(_NONE, a, length))
-    events.sort(key=itemgetter(0))  # stable: index order kept within a stage
+            events.append((stage, base + stage, tuple(covered_deltas(_NONE, a, length))))
+    # no empty block; stable: index order kept within a stage
+    events = sorted(filter(itemgetter(2), events), key=itemgetter(0))
     return merge_rows(
         odd_covering_listing(length), events, odd_covering_extensions(length), horizon, int, None
     )

@@ -12,10 +12,10 @@ process.  `cli.main` and `replay` both parse with it.
 
 `Replay.result` is the construction's library value: a trace, the slots,
 the snapshots, the replays, a tree, a script, or a list of values.  For
-friedberg-reals and friedberg-classes it is the merge's output rows,
-(stage, slot, key) in emission order with each output word as its integer
-key (`dyadic.word_key`); `streams.key_row_lines` prints them as the lines
-of their script without building it.
+friedberg-reals and friedberg-classes it is the merge's row blocks,
+(stage, slot, keys) in emission order with each output word as its integer
+key (`dyadic.word_key`); `streams.key_row_lines` prints them, one line per
+key, as the lines of their script without building it.
 
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.

@@ -133,13 +133,16 @@ class EnumerationScript:
         return "\n".join(lines)
 
 
-def key_row_lines(rows: Sequence[tuple[int, int, int]]) -> list[str]:
-    """The lines `EnumerationScript.render` writes for the script of the rows
-    (stage, index, key), each key a word's integer key (`dyadic.word_key`).
-    Each distinct key is decoded once, so a word repeated across rows builds
-    one BitString and the rows need no script."""
-    words = {k: key_word(k).display() for k in {row[2] for row in rows}}
-    return [f"{s}\t{j}\tstr\t{words[k]}" for s, j, k in rows]
+def key_row_lines(rows: Sequence[tuple[int, int, Sequence[int]]]) -> list[str]:
+    """The lines `EnumerationScript.render` writes for the script of the row
+    blocks (stage, index, keys), one event per key `dyadic.word_key` of a
+    word.  Each distinct key is decoded once, to one BitString, and each
+    block's line head is built once, so the rows need no script."""
+    words = {k: key_word(k).display() for k in {k for row in rows for k in row[2]}}
+    lines: list[str] = []
+    for s, j, block in rows:
+        lines += map(f"{s}\t{j}\tstr\t".__add__, map(words.__getitem__, block))
+    return lines
 
 
 def stage_set(script: EnumerationScript, index: int, stage: int) -> frozenset[Item]:

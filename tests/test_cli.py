@@ -130,6 +130,17 @@ class TestErrors:
                 " (its work grows exponentially with the value)\n"
             )
 
+    @pytest.mark.parametrize("value", [251, 10**6])
+    def test_check_classes_rejects_a_depth_over_its_cap(self, run, value):
+        start = time.perf_counter()
+        code, out, err = run(["check", "classes", "--depth", str(value)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"input error: suite classes takes --depth at most 250, got {value}"
+            " (its work grows polynomially with the value)\n"
+        )
+
     @pytest.mark.parametrize("depth", [0, 1])
     def test_check_classes_rejects_a_depth_under_its_floor(self, fixture_dir, depth):
         proc = run_module(["check", "classes", "--depth", str(depth)], fixture_dir)

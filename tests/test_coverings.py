@@ -276,7 +276,8 @@ class TestComposition:
         ]
         length, horizon = 5, 12
         rows = merge_covering_classes(listings, length, horizon, with_acceptable_stream=True)
-        out = EnumerationScript.from_events(((s, j, key_word(k)) for s, j, k in rows), horizon)
+        events = ((s, j, key_word(k)) for s, j, keys in rows for k in keys)
+        out = EnumerationScript.from_events(events, horizon)
         sets = [stage_set(out, i, horizon) for i in out.indices()]
         assert len(set(sets)) == len(sets)
         # star-settled values all appear

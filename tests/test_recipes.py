@@ -3,15 +3,18 @@
 The recipes carry one integer per truncated lower cut, emit each stage's
 new strings from intervals, and find odd-ones extensions by comparing
 integers.  The references build every cut as a set of strings on the
-rational side and take set differences and set inclusions.  The recipes
-hold each word as its integer key; every comparison here goes through the
-one conversion, `dyadic.word_key` and `dyadic.key_word`.
+rational side and take set differences and set inclusions, and merge plain
+words through the item-at-a-time loop `oracles.brute_merge_rows`, which
+`constructions.merge_rows` must match on the same blocks.  The recipes hold
+each word as its integer key; every comparison here goes through the one
+conversion, `dyadic.word_key` and `dyadic.key_word`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -19,7 +22,7 @@ from cantorsim.checks import (
     random_dyadic_script, random_dyadic_trace, random_listing, random_machine, random_string_set,
 )
 from cantorsim.complexity import PrefixMachine
-from cantorsim.constructions import friedberg_merge, hat_m_construction
+from cantorsim.constructions import hat_m_construction, merge_rows
 from cantorsim.coverings import (
     covered_up_to,
     covering_antichains,
@@ -41,6 +44,7 @@ from cantorsim.dyadic import (
 from cantorsim.errors import CantorsimError
 from cantorsim.oracles import (
     brute_lower_cut,
+    brute_merge_rows,
     brute_odd_ones,
     inclusion_odd_ones_extensions,
     set_difference_deltas,
@@ -54,6 +58,7 @@ from cantorsim.recipes import (
     odd_ones_listing,
 )
 from cantorsim.runs import replay
+from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, real_from_ce_set
 from test_golden import INPUTS
 
@@ -215,32 +220,44 @@ def machine_text(machine):
                    for p in machine.programs)
 
 
-def boundary_reference(script, machine, k, length, horizon, mirror):
-    """The boundary merge through sets of strings: each trace's cuts by set
-    difference, the odd-ones cuts and their inclusions from the oracles, and
-    `friedberg_merge`'s script of BitStrings, rendered."""
+def plain(strings):
+    """A set of BitStrings as a set of plain words."""
+    return frozenset(t.bits for t in strings)
+
+
+def on_plain_words(extensions):
+    """An extensions callable on sets of BitStrings, called and read on sets
+    of plain words."""
+    return lambda content: map(plain, extensions(frozenset(map(BitString, content))))
+
+
+def boundary_inputs(script, machine, k, length, horizon, mirror):
+    """The boundary merge's input through sets of strings: each trace's cuts
+    by set difference, and the odd-ones cuts and their inclusions from the
+    oracles; (listing factory, stage-sorted events, extensions) in plain
+    words."""
     events = []
     for j, e in enumerate(script.indices()):
         trace = hat_m_construction(real_from_ce_set(script, e), machine, k, horizon, mirror=mirror)
         values = [trace.value_at(s) for s in range(horizon + 1)]
-        events.extend((s, j, t) for s, t in set_difference_deltas(values, length))
-    cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
-    want = friedberg_merge(cuts, EnumerationScript.from_events(events, horizon),
-                           inclusion_odd_ones_extensions(length), horizon)
-    return want.render().splitlines()
+        events.extend((s, j, t.bits) for s, t in set_difference_deltas(values, length))
+    events.sort(key=itemgetter(0))  # stable: index order kept within a stage
+    cuts = [plain(brute_lower_cut(rational_of_string(s), length)) for s in brute_odd_ones(length)]
+    return (lambda: cuts), events, on_plain_words(inclusion_odd_ones_extensions(length))
 
 
-def covering_reference(listings, length, horizon, stream):
-    """The covering merge through sets of strings: each snapshot's covered
-    set minus the last one's, the acceptable stream's covered sets, and
-    `friedberg_merge` over the odd-covering sets read as words, rendered."""
+def covering_inputs(listings, length, horizon, stream):
+    """The covering merge's input through sets of strings: each snapshot's
+    covered set minus the last one's, the acceptable stream's covered sets,
+    and the odd-covering sets read as words; (listing factory, stage-sorted
+    events, extensions) in plain words."""
     events = []
     for j, listing in enumerate(listings):
         seen = frozenset()
         for snap in star_construction(listing, horizon):
             cur = covered_up_to(snap.family, length)
             gained = sorted(cur - seen, key=lambda b: b.lenlex_key)
-            events.extend((snap.stage, j, t) for t in gained)
+            events.extend((snap.stage, j, t.bits) for t in gained)
             seen = cur
     if stream:
         evens = itertools.islice(covering_antichains(odd=False), 1, horizon + 2)
@@ -248,11 +265,64 @@ def covering_reference(listings, length, horizon, stream):
             if a.total_bits() > length:
                 break
             covered = sorted(covered_up_to(a, length), key=lambda b: b.lenlex_key)
-            events.extend((stage, len(listings) + stage, t) for t in covered)
-    l2 = EnumerationScript.from_events(events, horizon)
-    want = friedberg_merge(map(words, odd_covering_listing(length)), l2,
-                           keyed(odd_covering_extensions(length)), horizon)
-    return want.render().splitlines()
+            events.extend((stage, len(listings) + stage, t.bits) for t in covered)
+    events.sort(key=itemgetter(0))  # stable: index order kept within a stage
+    return (
+        lambda: map(plain, map(words, odd_covering_listing(length))),
+        events,
+        on_plain_words(keyed(odd_covering_extensions(length))),
+    )
+
+
+def script_lines(rows):
+    """The script lines of output rows (stage, slot, word)."""
+    return [f"{s}\t{j}\tstr\t{w or '-'}" for s, j, w in rows]
+
+
+def lenlex(word):
+    return len(word), word
+
+
+def as_blocks(events):
+    """Stage-sorted events (stage, index, word) as blocks (stage, index,
+    words), one per run of consecutive events of one (stage, index)."""
+    return [
+        (s, j, tuple(w for _, _, w in run))
+        for (s, j), run in itertools.groupby(events, key=itemgetter(0, 1))
+    ]
+
+
+def same_merge(listing, events, extensions, horizon):
+    """`brute_merge_rows` on the events, having asserted that `merge_rows` on
+    the events' blocks gives its rows once flattened, none empty, or raises
+    the package error it raises."""
+
+    def blocked():
+        rows = merge_rows(listing(), as_blocks(events), extensions, horizon, str, lenlex)
+        assert all(items for _, _, items in rows)
+        return [(s, j, w) for s, j, items in rows for w in items]
+
+    try:
+        want = brute_merge_rows(listing(), events, extensions, horizon)
+    except CantorsimError as exc:
+        assert outcome(blocked) == (type(exc).__name__, str(exc))
+        raise
+    assert outcome(blocked) == want
+    return want
+
+
+def boundary_reference(script, machine, k, length, horizon, mirror):
+    """The boundary merge's lines through `oracles.brute_merge_rows`, which
+    `merge_rows` matches on the same input."""
+    listing, events, extensions = boundary_inputs(script, machine, k, length, horizon, mirror)
+    return script_lines(same_merge(listing, events, extensions, horizon))
+
+
+def covering_reference(listings, length, horizon, stream):
+    """The covering merge's lines through `oracles.brute_merge_rows`, which
+    `merge_rows` matches on the same input."""
+    listing, events, extensions = covering_inputs(listings, length, horizon, stream)
+    return script_lines(same_merge(listing, events, extensions, horizon))
 
 
 def listing_text(listing):
@@ -322,3 +392,55 @@ class TestRecipes:
             want.append(covered_up_to(odd_covering_family(i), 4))
             i += 1
         assert list(map(words, odd_covering_listing(4))) == want
+
+
+def tagged(*tags):
+    """A listing of one-tag sets, and extensions adding one tag at a time."""
+    return (lambda: [frozenset({t}) for t in tags]), lambda content: (content | {t} for t in tags)
+
+
+class TestMergeLoops:
+    """`constructions.merge_rows`, on blocks with a signature index, against
+    the item-at-a-time, all-pairs loop `oracles.brute_merge_rows`; the
+    references above compare the two on every recipe input as well."""
+
+    def test_on_the_fixture_listings_at_horizon_480(self):
+        listings = [parse_listing(FIXTURE_FILES[f]) for f in ("l_star.txt", "l_star_skip.txt")]
+        rows = same_merge(*covering_inputs(listings, 7, 480, stream=True), 480)
+        assert len(rows) == 47742
+        assert script_lines(rows[-1:]) == ["431\t735\tstr\t1111111"]
+
+    def test_a_repeated_item_inside_a_block_is_delivered_once(self):
+        listing, extensions = tagged()
+        events = [(0, 0, "1"), (1, 0, "01"), (1, 0, "00"), (1, 0, "01")]
+        rows = same_merge(listing, events, extensions, 2)
+        assert rows == [(0, 0, "1"), (1, 0, "01"), (1, 0, "00")]
+
+    def test_an_item_the_index_holds_is_not_delivered_again(self):
+        listing, extensions = tagged()
+        events = [(0, 0, "1"), (0, 0, "0"), (2, 0, "1"), (2, 0, "11"), (2, 0, "0")]
+        rows = same_merge(listing, events, extensions, 3)
+        assert rows == [(0, 0, "0"), (0, 0, "1"), (2, 0, "11")]
+
+    def test_an_index_whose_first_block_arrives_late(self):
+        # both indices show the empty set at stage 0: index 0 follows it on
+        # slot 0, which has no row until index 0's first block at stage 3,
+        # and index 1 waits until its own first block makes its set new
+        listing, extensions = tagged("111")
+        events = [(2, 1, "1"), (3, 0, "0"), (3, 0, "1")]
+        rows = same_merge(listing, events, extensions, 4)
+        assert rows == [(0, 1, "111"), (2, 2, "1"), (3, 0, "0"), (3, 0, "1")]
+
+    def test_three_indices_converge_on_one_set_at_one_stage(self):
+        listing, extensions = tagged("110", "111", "1100", "1101")
+        events = [
+            (0, 0, "00"), (0, 1, "01"), (0, 2, "10"),
+            (2, 0, "01"), (2, 0, "10"), (2, 1, "00"), (2, 1, "10"), (2, 2, "00"), (2, 2, "01"),
+        ]
+        rows = same_merge(listing, events, extensions, 3)
+        # slots 1 and 2 are diverted, in index order, each to the first unused
+        # extension; slot 5 is the listing's
+        assert [row for row in rows if row[0] == 2] == [
+            (2, 0, "01"), (2, 0, "10"), (2, 1, "00"), (2, 1, "10"), (2, 2, "00"), (2, 2, "01"),
+            (2, 1, "110"), (2, 2, "111"), (2, 5, "1100"),
+        ]

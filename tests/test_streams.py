@@ -88,9 +88,11 @@ class TestScriptParsing:
         assert EnumerationScript.parse(script.render()) == script
 
     def test_key_rows_print_as_their_script_renders(self):
-        words = [BitString.parse(w) for w in ("-", "0", "1", "0", "0110", "-")]
-        rows = [(s // 2, 5 - s, word_key(w)) for s, w in enumerate(words)]
-        script = EnumerationScript.from_events([(s, j, w) for (s, j, _), w in zip(rows, words)])
+        # row blocks (stage, index, keys); a word repeats within and across blocks
+        blocks = [(0, 5, "- 0"), (1, 3, "1"), (1, 4, "0 0110 0"), (2, 0, "-")]
+        words = [(s, j, [BitString.parse(w) for w in ws.split()]) for s, j, ws in blocks]
+        rows = [(s, j, tuple(map(word_key, ws))) for s, j, ws in words]
+        script = EnumerationScript.from_events((s, j, w) for s, j, ws in words for w in ws)
         assert key_row_lines(rows) == script.render().splitlines()
         assert key_row_lines([]) == []
 
