@@ -66,7 +66,6 @@ from .streams import (
     LeftCEApprox,
     ScriptEvent,
     real_from_ce_set,
-    stage_set,
 )
 
 __version__ = "0.1.0"

@@ -331,7 +331,7 @@ def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> Ch
         closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
         for t in words:
-            if anti.covers(t) != (t in closure):
+            if anti.covers(t) != (t.bits in closure):
                 rep.fail(f"filter closure of {sorted(s.bits for s in y)} differs at {t}")
                 break
     rep.cases += 3
@@ -567,15 +567,17 @@ class Suite(NamedTuple):
     growth: str = "exponentially"
 
 
-# The caps, each run in about 3 s on a 2-core host (Python 3.11):
-# - dyadic --len 18: every word of length ≤ len is round-tripped, 2^(len+1);
-# - coverings --depth 5: every set of at most 3 of the 2^(depth+1) − 1 words of
-#   length ≤ depth is covered, about 2^(3·depth+2)/3 sets;
-# - complexity --depth 15: the oracle lists each of three trees' nodes of
-#   length ≤ depth, 2^(depth+1) words per tree;
-# - classes --depth 250: the diagonal cases build and graft trees with a
-#   depth-long spine; the time grows about as the square of the depth
-#   (0.44 s at 100, 1.6 s at 200, 3.6 s at 300).
+# The caps, each run in at most 2 s on a 2-core host (Python 3.11.7, in-process,
+# where every suite at its defaults takes 0.03–0.08 s):
+# - dyadic --len 18 (0.9 s): every word of length ≤ len is round-tripped,
+#   2^(len+1);
+# - coverings --depth 5 (1.3 s): every set of at most 3 of the 2^(depth+1) − 1
+#   words of length ≤ depth is covered, about 2^(3·depth+2)/3 sets;
+# - complexity --depth 15 (1.0 s): the oracle lists each of three trees' nodes
+#   of length ≤ depth, 2^(depth+1) words per tree;
+# - classes --depth 250 (2.0 s): the diagonal cases build and graft trees with
+#   a depth-long spine; the time grows about as the square of the depth
+#   (0.32 s at 100, 1.2 s at 200, 2.8 s at 300).
 SUITES: dict[str, Suite] = {
     "dyadic": Suite(check_dyadic, {"cases": "sets", "len": "max_len"}, {"len": 18}),
     "coverings": Suite(

@@ -244,10 +244,10 @@ def tree_from_halting_oracle(
     under a halted parent witnesses a monotonicity violation and is reported
     as an input error.
     """
-    halted: set[BitString] = set()
+    halted: dict[str, BitString] = {}
     for s in strings_up_to(depth):
         if oracle(s, e):
-            halted.add(s)
-        elif s.bits and s.parent() in halted:
+            halted[s.bits] = s
+        elif s.bits and s.bits[:-1] in halted:
             raise InputError(f"oracle not monotone at {s}")
-    return tree_of_complement(halted, depth)
+    return tree_of_complement(halted.values(), depth)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -180,12 +181,32 @@ def key_word(key: int) -> BitString:
     return trusted_bitstring(format(key, "b")[1:])
 
 
+# the longest words kept whole by _cached_words: the default check suites ask
+# for no longer ones, and 2^11 − 1 words in all stay small
+_CACHED_WORD_LENGTH = 10
+
+
+@lru_cache(maxsize=_CACHED_WORD_LENGTH + 1)
+def _cached_words(length: int) -> tuple[BitString, ...]:
+    """Every word of a length ≤ _CACHED_WORD_LENGTH, lexicographically, built
+    once per process; `format` writes only 0/1, so the words need no check."""
+    if not length:
+        return (EMPTY,)
+    spec = f"0{length}b"
+    return tuple(trusted_bitstring(format(v, spec)) for v in range(1 << length))
+
+
 def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[BitString]:
     """The words of the given length whose binary value v satisfies
     lo ≤ v < hi (every word when hi is None), in lexicographic order: each
-    is v written in binary and zero-filled to the length, ε for length 0."""
+    is v written in binary and zero-filled to the length, ε for length 0.
+    A short length with a range inside [0, 2^length] is a slice of its
+    cached words."""
     if hi is None:
         hi = 1 << length
+    if length <= _CACHED_WORD_LENGTH and 0 <= lo and hi <= 1 << length:
+        yield from _cached_words(length)[lo:hi]
+        return
     for v in range(lo, hi):
         yield BitString(format(v, "b").zfill(length) if length else "")
 

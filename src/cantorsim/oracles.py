@@ -7,9 +7,11 @@ these.
 
 Inside, an oracle works on plain words (`str`) and integers, and sweeps the
 words itself; it wraps its result in the value types (`BitString`, `Dyadic`,
-`Antichain`) only at its return.  From the package it imports only those value
-types, `Tree`, `PrefixMachine` and `errors`, so no enumeration, expansion or
-conversion routine of the fast code is on an oracle's path.
+`Antichain`) only at its return.  `sibling_merge_closure` returns its up to
+2^(depth+1) − 1 words plain, and its callers test membership by `.bits`.
+From the package it imports only those value types, `Tree`, `PrefixMachine`
+and `errors`, so no enumeration, expansion or conversion routine of the fast
+code is on an oracle's path.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def brute_optimal_covering(strings: Iterable[BitString]) -> Antichain:
     return Antichain(tuple(BitString(b) for b in _optimal_covering({s.bits for s in strings})))
 
 
-def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset[BitString]:
+def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset[str]:
     """Fixpoint of extension and sibling-merge rules inside words of length
-    ≤ depth; exact membership picture when depth reaches every member.  Each
-    word is examined once, when it joins: its children join it, and so does
-    its parent once its sibling is in."""
+    ≤ depth, as plain words; exact membership picture when depth reaches
+    every member.  Each word is examined once, when it joins: its children
+    join it, and so does its parent once its sibling is in."""
     bits = {s.bits for s in strings}
     if any(len(b) > depth for b in bits):
         raise DomainError("closure depth must reach every member")
@@ -116,7 +118,7 @@ def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset
             if w not in bits:
                 bits.add(w)
                 work.append(w)
-    return frozenset(BitString(b) for b in bits)
+    return frozenset(bits)
 
 
 def brute_covering_families(total: int) -> tuple[Antichain, ...]:

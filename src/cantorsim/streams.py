@@ -136,9 +136,10 @@ class EnumerationScript:
 def key_row_lines(rows: Sequence[tuple[int, int, Sequence[int]]]) -> list[str]:
     """The lines `EnumerationScript.render` writes for the script of the row
     blocks (stage, index, keys), one event per key `dyadic.word_key` of a
-    word.  Each distinct key is decoded once, to one BitString, and each
-    block's line head is built once, so the rows need no script."""
-    words = {k: key_word(k).display() for k in {k for row in rows for k in row[2]}}
+    word.  Each distinct key is decoded once, to its binary digits after the
+    leading 1 ('-' for ε, as `BitString.display` writes it), and each block's
+    line head is built once, so the rows need no script."""
+    words = {k: format(k, "b")[1:] or "-" for k in {k for row in rows for k in row[2]}}
     lines: list[str] = []
     for s, j, block in rows:
         lines += map(f"{s}\t{j}\tstr\t".__add__, map(words.__getitem__, block))

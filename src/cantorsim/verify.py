@@ -11,8 +11,9 @@ and the merge entry and the two recipes bind none yet (see `runs`).  The
 
 A hygiene test holds the imports from the package to the value and record
 types, `PrefixMachine`, `oracles`, `errors` and the script replay
-(`EnumerationScript`, `LeftCEApprox`, `real_from_ce_set`, `stage_set`): the
-replay reads the same input the builder read and is not what is verified.
+(`EnumerationScript`, `LeftCEApprox`, `real_from_ce_set`): the replay reads
+the same input the builder read and is not what is verified.  The merge's
+settled sets are read in one pass over each script's events.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .complexity import PrefixMachine
 from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, BitString, Dyadic
+from .errors import RangeError
 from .oracles import brute_k_approx, brute_least_failing_length, brute_odd_ones, brute_omega_approx
 from .oracles import brute_optimal_covering, expansion_prefix, padding_holds
-from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
+from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 __all__ = [
     "MergeCase", "verify_beta", "verify_capped", "verify_coverfamily", "verify_diagonalize",
@@ -364,18 +366,31 @@ class MergeCase:
     horizon: int
 
 
+def _settled_sets(script: EnumerationScript, stage: int) -> list[frozenset]:
+    """The replayed stage-s set of every index, by increasing index, read in
+    one pass over the events; an index whose events all come later has the
+    empty set."""
+    if script.events and not 0 <= stage <= script.horizon:
+        raise RangeError(f"stage {stage} outside [0, {script.horizon}]")
+    sets: dict[int, set] = {}
+    for ev in script.events:
+        items = sets.setdefault(ev.index, set())
+        if ev.stage <= stage:
+            items.add(ev.item)
+    return [frozenset(sets[i]) for i in sorted(sets)]
+
+
 def verify_merge(out: EnumerationScript, case: MergeCase) -> list[str]:
     """The Friedberg property of the settled output: no set repeats, every
     scripted set appears, and every other one is from the injective side."""
     errs = []
-    outputs = [stage_set(out, i, case.horizon) for i in out.indices()]
-    if len(set(outputs)) != len(outputs):
+    outputs = _settled_sets(out, case.horizon)
+    output_set = set(outputs)
+    if len(output_set) != len(outputs):
         errs.append("settled output sets repeat")
-    l2_settled = {
-        stage_set(case.script, j, case.horizon) for j in case.script.indices()
-    }
+    l2_settled = set(_settled_sets(case.script, case.horizon))
     for value in l2_settled:
-        if value not in outputs:
+        if value not in output_set:
             errs.append(f"scripted set of size {len(value)} omitted")
     for value in outputs:
         tagged = any(item in case.tags for item in value)

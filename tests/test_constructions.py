@@ -19,12 +19,14 @@ from cantorsim.constructions import (
     odd_ones_real_enumeration, regret_construction, splice_random,
 )
 from cantorsim.dyadic import ZERO, BitString, Dyadic
-from cantorsim.errors import CapacityError, ContractViolationError, InputError, PreconditionError
+from cantorsim.errors import (
+    CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
+)
 from cantorsim.oracles import (
     brute_k_approx, brute_least_failing_length, brute_odd_ones, expansion_prefix, rightmost_path,
 )
 from cantorsim.scenarios import FIXTURE_FILES
-from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set
+from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 from cantorsim.verify import verify_oddones, verify_omega
 
 
@@ -519,8 +521,6 @@ def listed_l1(values):
 
 
 def settled(script: EnumerationScript):
-    from cantorsim.streams import stage_set
-
     return [stage_set(script, i, script.horizon) for i in script.indices()]
 
 
@@ -655,3 +655,74 @@ class TestFriedbergMerge:
             case = make_merge_case(rng, horizon=60)
             out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
             assert verify_merge(out, case) == []
+
+
+def stage_set_merge_findings(out: EnumerationScript, case) -> list[str]:
+    """verify_merge restated on one `stage_set` scan of the events per index:
+    the reference for the verifier's one pass over each script."""
+    errs = []
+    outputs = [stage_set(out, i, case.horizon) for i in out.indices()]
+    if len(set(outputs)) != len(outputs):
+        errs.append("settled output sets repeat")
+    l2_settled = {stage_set(case.script, j, case.horizon) for j in case.script.indices()}
+    for value in l2_settled:
+        if value not in outputs:
+            errs.append(f"scripted set of size {len(value)} omitted")
+    for value in outputs:
+        tagged = any(item in case.tags for item in value)
+        if not tagged and value not in l2_settled:
+            errs.append("output set neither scripted nor from the injective side")
+    return errs
+
+
+def merged_check_cases():
+    """The 25 merge cases of `check constructions` at its default seed, with
+    the merge's output for each."""
+    rng = random.Random(0)
+    for _ in range(25):
+        case = make_merge_case(rng, horizon=100)
+        yield case, friedberg_merge(case.l1, case.script, case.picker, case.horizon)
+
+
+def copy_index(out: EnumerationScript, src: int, dst: int) -> EnumerationScript:
+    """The output with index dst's events replaced by a copy of index src's."""
+    kept = [ev for ev in out.events if ev.index != dst]
+    copied = [(ev.stage, dst, ev.item) for ev in out.events if ev.index == src]
+    return EnumerationScript.from_events(sorted(kept + copied, key=lambda ev: ev[0]), out.horizon)
+
+
+def replace_index(out: EnumerationScript, dst: int, item: BitString) -> EnumerationScript:
+    """The output with index dst's events replaced by one event of the item
+    at stage 0."""
+    kept = [ev for ev in out.events if ev.index != dst]
+    return EnumerationScript.from_events([(0, dst, item)] + kept, out.horizon)
+
+
+class TestVerifyMerge:
+    def test_findings_match_the_stage_set_scans_on_the_check_cases(self):
+        for case, out in merged_check_cases():
+            first, last = out.indices()[0], out.indices()[-1]
+            tampered = [copy_index(out, first, last), replace_index(out, last, BitString("0"))]
+            # at half the horizon, indices whose events all come later settle on ∅
+            for at in (case, dataclasses.replace(case, horizon=case.horizon // 2)):
+                for candidate in [out, *tampered]:
+                    assert verify_merge(candidate, at) == stage_set_merge_findings(candidate, at)
+            assert verify_merge(out, case) == []
+
+    def test_a_copied_settled_set_is_a_repeat(self):
+        for case, out in merged_check_cases():
+            tampered = copy_index(out, out.indices()[0], out.indices()[-1])
+            assert "settled output sets repeat" in verify_merge(tampered, case)
+
+    def test_an_untagged_unscripted_set_is_found(self):
+        case, out = next(merged_check_cases())
+        tampered = replace_index(out, out.indices()[-1], BitString("0"))
+        assert "output set neither scripted nor from the injective side" in verify_merge(
+            tampered, case
+        )
+
+    def test_a_horizon_past_the_output_is_a_range_error(self):
+        case, out = next(merged_check_cases())
+        late = dataclasses.replace(case, horizon=out.horizon + 1)
+        with pytest.raises(RangeError, match=f"stage {out.horizon + 1} outside"):
+            verify_merge(out, late)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import inspect
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantorsim import dyadic
 from cantorsim.dyadic import (
     EMPTY,
     ONE,
@@ -106,6 +109,38 @@ class TestWordKeys:
         lo = data.draw(st.integers(0, hi))
         keys = range((1 << n) + lo, (1 << n) + hi)
         assert list(map(key_word, keys)) == list(all_strings(n, lo, hi))
+
+
+class TestWordCache:
+    BOUND = dyadic._CACHED_WORD_LENGTH
+
+    @staticmethod
+    def binary(n: int, lo: int, hi: int) -> list[BitString]:
+        return [BitString(format(v, "b").zfill(n) if n else "") for v in range(lo, hi)]
+
+    def test_slices_are_the_binary_values_up_to_past_the_bound(self):
+        rng = random.Random(29)
+        for n in range(self.BOUND + 3):
+            assert list(all_strings(n)) == self.binary(n, 0, 1 << n)
+            slices = [(0, 0), (1 << n, 1 << n), (1 << n, 0)]
+            slices += [(rng.randint(0, 1 << n), rng.randint(0, 1 << n)) for _ in range(30)]
+            assert any(lo >= hi for lo, hi in slices)
+            for lo, hi in slices:
+                assert list(all_strings(n, lo, hi)) == self.binary(n, lo, hi), (n, lo, hi)
+        want = [w for n in range(self.BOUND + 3) for w in self.binary(n, 0, 1 << n)]
+        assert list(strings_up_to(self.BOUND + 2)) == want
+
+    def test_longer_lengths_never_reach_the_cache(self):
+        before = dyadic._cached_words.cache_info()
+        list(all_strings(self.BOUND + 1))
+        list(all_strings(self.BOUND + 2, 5, 9))
+        after = dyadic._cached_words.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert after.maxsize == self.BOUND + 1
+
+    def test_the_listings_stay_generator_functions(self):
+        assert inspect.isgeneratorfunction(all_strings)
+        assert inspect.isgeneratorfunction(strings_up_to)
 
 
 class TestStringRationalBridge:
@@ -221,7 +256,7 @@ class TestFilterClosure:
         closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
         for t in strings_up_to(8):
-            assert anti.covers(t) == (t in closure)
+            assert anti.covers(t) == (t.bits in closure)
 
 
 class TestAcceptable:

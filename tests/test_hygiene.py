@@ -39,7 +39,7 @@ VERIFY_IMPORTS_ALLOWED: dict[str, set[str]] = {
     "classes": {"CappedReplay", "Tree"},
     "constructions": {"RegretSlot", "StageTrace", "TailValue", "TraceRecord"},
     "coverings": {"StarSnapshot"},
-    "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set", "stage_set"},
+    "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set"},
 }
 
 
