@@ -18,18 +18,24 @@ event and a footer `# index e: measure … frozen …`, where frozen is the stag
 of the first refusal or `never`.
 
 The grammar, `run` and `check` with every flag, is declared once, in
-`runs.parser()`, which builds it on the first parse and reuses it for the
-rest of the process.  The `run` constructions, their flags and their
-builders are declared in `runs.RUNS`.  The `check` suites are declared in
-`checks.SUITES`, each with the suite parameter that `--cases`, `--depth` and
-`--len` set; a given flag the suite does not take is an input error.  The
-flags whose work grows exponentially have a cap there, `check dyadic --len`
-18, `check coverings --depth` 5 and `check complexity --depth` 15, and so does
-`check classes --depth`, 250, whose work grows about as its square.  A larger
-value is an input error before any work, as is a `check classes --depth`
-under its minimum 2, the least at which a diagonal suite can draw a tree
-count.  Every count, length, depth, horizon, constant and index flag
-takes an integer ≥ 0; only `--seed` may be negative.
+`runs`: the `run` constructions, their flags and their builders in
+`runs.RUNS`, `check`'s flags in `runs.CHECK_FLAGS`.  `runs.parse_command`
+reads a plain command line, `run NAME` or `check SUITE` then declared flags
+spelled out in full with plainly spelled values, straight from these
+declarations; `runs.parser()` builds argparse's parser from them only for
+help and for a command line the plain reader declines, once per process,
+so every usage, help and error message is argparse's.
+
+The `check` suites are declared in `checks.SUITES`, each with the suite
+parameter that `--cases`, `--depth` and `--len` set; a given flag the suite
+does not take is an input error.  The flags whose work grows exponentially
+have a cap there, `check dyadic --len` 18, `check coverings --depth` 5 and
+`check complexity --depth` 15, and so does `check classes --depth`, 250,
+whose work grows about as its square.  A larger value is an input error
+before any work, as is a `check classes --depth` under its minimum 2, the
+least at which a diagonal suite can draw a tree count.  Every count, length,
+depth, horizon, constant and index flag takes an integer ≥ 0; only `--seed`
+may be negative.
 
 Exit codes: 0 success, 1 check failure; each package error class declares
 its own code and label in `errors` (2 input error, 3 precondition error), and
@@ -43,7 +49,7 @@ from typing import Sequence
 
 from .checks import run_suite
 from .errors import CantorsimError
-from .runs import build, parser
+from .runs import build, parse_command
 
 
 def _read(path: str) -> str:
@@ -61,7 +67,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = parser().parse_args(argv)
+    args = parse_command(argv)
     try:
         if args.command == "run":
             _emit(build(args, _read).lines, args.out)

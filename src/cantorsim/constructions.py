@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import attrgetter, itemgetter, xor
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .complexity import (
@@ -371,7 +370,7 @@ def merge_rows(
     length-lexicographic order, and the recipes on integer keys
     (`dyadic.word_key`), whose own order is that one.
 
-    Each index carries the signature (size, XOR of item hashes) of its set,
+    Each index carries the signature (size, sum of item hashes) of its set,
     kept on every delivery, and `groups` maps a signature to the active
     followers that carry it.  Two sets are equal only if their signatures
     are, so steps 2 and 3 look for a twin of j only in j's group, where each
@@ -432,7 +431,7 @@ def merge_rows(
             if len(have) - size < len(new):  # the block repeats an item
                 new = tuple(dict.fromkeys(new))
             old = signature[index]
-            signature[index] = (len(have), reduce(xor, map(hash, new), old[1]))
+            signature[index] = (len(have), old[1] + sum(map(hash, new)))
             if index in active and new:
                 groups[old].remove(index)
                 groups.setdefault(signature[index], []).append(index)

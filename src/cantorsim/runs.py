@@ -6,9 +6,14 @@ the construction, and returns a Replay: the library result, the stdout
 lines, and the construction's safety check.  The CLI reads from disk; the
 scenario library reads the fixture texts, so both run the same code.
 
-`parser()` declares the whole command line, `run` from RUNS and `check`,
-once; it is built on its first call, not at import, and at most once per
-process.  `cli.main` and `replay` both parse with it.
+The grammar is declared once: `run`'s flags in RUNS, `check`'s in
+CHECK_FLAGS.  `parse_command`, which `cli.main` and `replay` both call,
+reads a plain command line (`run NAME` or `check SUITE`, then declared
+flags spelled out in full, each value plainly spelled) straight from these
+declarations.  `parser()` builds argparse's parser from the same
+declarations, only for help and for a command line the plain reader
+declines; it is built on its first call, not at import, and at most once
+per process, so every usage, help and error byte comes from argparse.
 
 `Replay.result` is the construction's library value: a trace, the slots,
 the snapshots, the replays, a tree, a script, or a list of values.  For
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -49,7 +55,9 @@ from .verify import (
     verify_oddones, verify_omega, verify_regret, verify_splice, verify_star,
 )
 
-__all__ = ["RUNS", "Replay", "Run", "build", "natural", "parser", "replay"]
+__all__ = [
+    "CHECK_FLAGS", "RUNS", "Replay", "Run", "build", "natural", "parse_command", "parser", "replay",
+]
 
 Read = Callable[[str], str]
 
@@ -101,12 +109,27 @@ _NATURAL = {"type": natural, "required": True}
 _NATURAL_0 = {"type": natural, "default": 0}
 _LEN = {"type": natural, "required": True, "dest": "length"}
 _SWITCH = {"action": "store_true"}
+_OUT = {"default": None, "help": "output path (default: stdout)"}  # run's and check's --out
+
+CHECK_FLAGS: dict[str, dict] = {
+    "seed": {"type": int, "default": 0},
+    "cases": {"type": natural, "default": None},
+    "depth": {"type": natural, "default": None},
+    "len": {"type": natural, "default": None, "dest": "length"},
+    "out": _OUT,
+}
 
 
 def build(args: argparse.Namespace, read: Read) -> Replay:
     """Replay the construction that parsed `run` flags name, reading every
     input text through read."""
     return RUNS[args.construction].build(args, read)
+
+
+def _option_strings(flags: dict[str, dict]) -> dict[str, str]:
+    """Each flag's name by its option string: `--` and the name with `-`
+    for `_`."""
+    return {"--" + attr.replace("_", "-"): attr for attr in flags}
 
 
 @lru_cache(maxsize=None)
@@ -120,23 +143,85 @@ def parser() -> argparse.ArgumentParser:
     constructions = run.add_subparsers(dest="construction", required=True)
     for name, spec in RUNS.items():
         sub = constructions.add_parser(name)
-        sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        for attr, options in spec.flags.items():
-            sub.add_argument("--" + attr.replace("_", "-"), **options)
+        flags = {"out": _OUT, **spec.flags}
+        for option, attr in _option_strings(flags).items():
+            sub.add_argument(option, **flags[attr])
     check = commands.add_parser("check", help="run a brute-force oracle suite")
     check.add_argument("suite")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--cases", type=natural, default=None)
-    check.add_argument("--depth", type=natural, default=None)
-    check.add_argument("--len", type=natural, default=None, dest="length")
-    check.add_argument("--out", default=None)
+    for option, attr in _option_strings(CHECK_FLAGS).items():
+        check.add_argument(option, **CHECK_FLAGS[attr])
     return top
+
+
+def _plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain command line, read from the
+    declarations; None for any other.  Plain: `run NAME` with NAME in RUNS,
+    or `check SUITE` with SUITE not starting with `-`, then declared option
+    strings in full, a switch alone and any other flag with one value not
+    starting with `-`; an integer value in ASCII digits, a choice among its
+    choices, no flag but an `append` one twice, and every required flag."""
+    if len(argv) < 2:
+        return None
+    command, name = argv[0], argv[1]
+    if command == "run" and name in RUNS:
+        flags, names = {"out": _OUT, **RUNS[name].flags}, {"construction": name}
+    elif command == "check" and not name.startswith("-"):
+        flags, names = CHECK_FLAGS, {"suite": name}
+    else:
+        return None
+    attrs = _option_strings(flags)
+    given: dict[str, object] = {}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token not in attrs:
+            return None
+        attr = attrs[token]
+        options = flags[attr]
+        dest, action, kind = options.get("dest", attr), options.get("action"), options.get("type")
+        if action == "store_true":
+            value = True
+        else:
+            value = next(tokens, "-")  # a missing value is declined as one starting with -
+            if value.startswith("-"):
+                return None
+            if kind is int or kind is natural:
+                if not (value.isascii() and value.isdigit()):
+                    return None
+                value = int(value)
+            elif kind is not None:  # a type no flag declares yet: argparse reads it
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+        if action == "append":
+            given.setdefault(dest, []).append(value)
+        elif dest in given:
+            return None
+        else:
+            given[dest] = value
+    for attr, options in flags.items():  # argparse's default for a flag not given
+        dest = options.get("dest", attr)
+        if dest in given:
+            continue
+        if options.get("required"):
+            return None
+        switch = options.get("action") == "store_true"
+        given[dest] = options.get("default", False if switch else None)
+    return argparse.Namespace(command=command, **names, **given)
+
+
+def parse_command(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse a `cantorsim` command line (None: `sys.argv[1:]`): a plain one
+    straight from the declarations, any other with `parser()`, which prints
+    argparse's help or error and exits as argparse does."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain(argv)
+    return parser().parse_args(argv) if args is None else args
 
 
 def replay(argv: Sequence[str], read: Read) -> Replay:
     """Parse a `run` command line, such as a scenario's argv, and build it;
     any other command line is an input error."""
-    args = parser().parse_args(argv)
+    args = parse_command(argv)
     if args.command != "run":
         raise InputError(f"replay takes a run command line, not {args.command}")
     return build(args, read)

@@ -242,7 +242,8 @@ def _measure(strings: frozenset[BitString]) -> Fraction:
     for w in sorted(s.bits for s in strings):
         if not w.startswith(tuple(kept)):
             kept.append(w)
-    return sum((Fraction(1, 1 << len(w)) for w in kept), Fraction(0))
+    top = max(map(len, kept), default=0)  # one common denominator 2^top for every cone
+    return Fraction(sum(1 << top - len(w) for w in kept), 1 << top)
 
 
 def verify_capped(
@@ -253,7 +254,9 @@ def verify_capped(
     its index refused nothing before and the admitted set with the item has
     measure ≤ 1 − 1/n.  So each index leaves a Π⁰₁ class of measure ≥ 1/n,
     and an index whose whole set fits is admitted whole."""
-    events = {e: [(s, item) for s, i, item in script.events if i == e] for e in script.indices()}
+    events: dict[int, list[tuple[int, BitString]]] = {e: [] for e in script.indices()}
+    for s, i, item in script.events:
+        events[i].append((s, item))
     if {e: [(s, item) for s, item, _ in r.log] for e, r in replays.items()} != events:
         return ["the logs are not the script's events"]
     errs = []

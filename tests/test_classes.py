@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantorsim import checks
 from cantorsim.checks import (
     build_scenario, diagonal_suite, random_bitstring, random_machine, random_string_script,
     random_string_set,
@@ -191,7 +192,74 @@ CAPPED_TAMPERS = [
 ]
 
 
+def _scan_measure(strings: frozenset[BitString]) -> Fraction:
+    """The measure as `verify._measure` took it before it summed over one
+    common denominator: one Fraction per kept word."""
+    kept: list[str] = []
+    for w in sorted(s.bits for s in strings):
+        if not w.startswith(tuple(kept)):
+            kept.append(w)
+    return sum((Fraction(1, 1 << len(w)) for w in kept), Fraction(0))
+
+
+def _scan_verify_capped(script, n, replays) -> list[str]:
+    """`verify_capped` as it was before it grouped the events in one pass:
+    one scan of all events per index."""
+    events = {e: [(s, item) for s, i, item in script.events if i == e] for e in script.indices()}
+    if {e: [(s, item) for s, item, _ in r.log] for e, r in replays.items()} != events:
+        return ["the logs are not the script's events"]
+    errs = []
+    cap = Fraction(n - 1, n)
+    for e, replay in replays.items():
+        unconstrained = _scan_measure(frozenset(item for _, item in events[e])) <= cap
+        admitted, frozen = frozenset(), None
+        for s, item, took in replay.log:
+            fits = frozen is None and _scan_measure(admitted | {item}) <= cap
+            if took and frozen is not None:
+                errs.append(f"frozen index {e} admitted more after stage {frozen}")
+            elif took and not fits:
+                errs.append(f"cap {n} broken for index {e}" if n > 1
+                            else f"cap 1 admitted a string for index {e}")
+            elif fits and not took:
+                errs.append(f"unconstrained index {e} was modified" if unconstrained
+                            else f"stage {s}: index {e} refused {item.display()} within cap {n}")
+            if took:
+                admitted |= {item}
+            elif frozen is None:
+                frozen = s
+    return list(dict.fromkeys(errs))
+
+
+def _first_admit_refused(replays):
+    """The replays with the first admitted item of the least index that has
+    one refused instead."""
+    for e in sorted(replays):
+        log = replays[e].log
+        for k, (s, item, took) in enumerate(log):
+            if took:
+                return {**replays, e: CappedReplay(log[:k] + ((s, item, False),) + log[k + 1:])}
+    return replays
+
+
 class TestMeasureCapped:
+    def test_the_one_pass_verifier_agrees_with_the_scan_on_the_suite(self, monkeypatch):
+        calls = []
+
+        def record(script, n, replays):
+            calls.append((script, n, replays))
+            return verify_capped(script, n, replays)
+
+        monkeypatch.setattr(checks, "verify_capped", record)
+        assert checks.check_classes(seed=0).ok
+        assert len(calls) == 400 and {n for _, n, _ in calls} == set(range(1, 9))
+        for script, n, replays in calls:
+            assert verify_capped(script, n, replays) == []
+            assert _scan_verify_capped(script, n, replays) == []
+            tampered = _first_admit_refused(replays)
+            findings = verify_capped(script, n, tampered)
+            assert findings == _scan_verify_capped(script, n, tampered)
+            assert bool(findings) == (tampered is not replays)  # every flip is caught
+
     @pytest.mark.parametrize("n, tamper, findings", CAPPED_TAMPERS)
     def test_a_tampered_replay_is_caught(self, n, tamper, findings):
         script = EnumerationScript.parse(FIXTURE_FILES["s_capped.tsv"], horizon=5)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import re
 import subprocess
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cantorsim import checks, runs
 from cantorsim.checks import SUITES, build_scenario, check_coverings
@@ -439,6 +443,32 @@ class TestParserReuse:
         proc = run_python(["-c", probe], tmp_path)
         assert (proc.returncode, proc.stdout) == (0, "0\n")
 
+    def test_a_plain_command_line_builds_no_parser(self, tmp_path):
+        probe = (
+            "import sys, cantorsim.runs as r; from cantorsim.cli import main\n"
+            "codes = [main(['run', 'oddones', '--count', '2']),\n"
+            "         main(['check', 'dyadic', '--cases', '5'])]\n"
+            "print(codes, r.parser.cache_info().currsize, file=sys.stderr)"
+        )
+        proc = run_python(["-c", probe], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "[0, 0] 0\n")
+        assert proc.stdout == "0\t1\n1\t01\nok\tdyadic\t5510 cases\n"
+
+    def test_a_declined_command_line_builds_the_parser_once(self, tmp_path):
+        probe = (
+            "import sys, cantorsim.runs as r; from cantorsim.cli import main\n"
+            "try:\n"
+            "    main(['run', 'oddones', '--count', '-1'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, r.parser.cache_info().currsize)"
+        )
+        proc = run_python(["-c", probe], tmp_path, COLUMNS="80")
+        assert (proc.returncode, proc.stdout) == (0, "2 1\n")
+        assert proc.stderr == (
+            "usage: cantorsim run oddones [-h] [--out OUT] --count COUNT\n"
+            "cantorsim run oddones: error: argument --count: must be ≥ 0, got -1\n"
+        )
+
     def test_a_reused_parser_leaks_no_state(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # one usage-line width in and out of process
         base, other = fixture_dir / "t_base.txt", fixture_dir / "t_other.txt"
@@ -464,6 +494,129 @@ class TestParserReuse:
         got = [in_process(argv) for argv in calls]
         assert got == [alone(argv) for argv in calls]
         assert got[0] != got[1] and got[2][0] == 2
+
+
+def _outcome(parse, argv):
+    """What a parse gives: its namespace or exit code, and its stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_VALUES = ["0", "3", "12", "007", "-1", "-3", "٥", "²", "+5", "1_000", "abc", "", "-", "--",
+           "-x", "odd", "even", "a.tsv"]
+_STRAYS = ["extra", "-h", "--help", "--", "-x", "--nosuch"]
+
+
+@st.composite
+def command_lines(draw):
+    """`run NAME` or `check SUITE`, then declared flags in any order, some
+    left out, repeated, abbreviated or `=`-joined, with valid or odd values,
+    and stray tokens anywhere; each odd part in about one draw in six."""
+
+    def odd():
+        return draw(st.integers(0, 5)) == 0
+
+    command = draw(st.sampled_from(["run", "check"]))
+    if command == "run":
+        name = draw(st.sampled_from(["nosuch", "-h"] if odd() else list(runs.RUNS)))
+        flags = {"out": {}, **runs.RUNS[name].flags} if name in runs.RUNS else {"out": {}}
+    else:
+        name = draw(st.sampled_from(["", "-h", "--seed"] if odd() else list(SUITES)))
+        flags = runs.CHECK_FLAGS
+    argv = [command, name]
+    chosen = [attr for attr in draw(st.permutations(list(flags))) if not odd()]
+    for attr in chosen + ([draw(st.sampled_from(list(flags)))] if odd() else []):
+        options = flags[attr]
+        option = "--" + attr.replace("_", "-")
+        if odd():
+            value = draw(st.sampled_from(_VALUES))
+        elif "type" in options:
+            value = str(draw(st.integers(0, 20)))
+        else:
+            value = draw(st.sampled_from(options.get("choices", ["a.tsv", "b.txt"])))
+        spelling = draw(st.sampled_from(["abbreviated", "joined", "bare"])) if odd() else "full"
+        if spelling == "abbreviated":
+            option = option[: draw(st.integers(2, len(option)))]
+        if spelling == "joined":
+            argv.append(f"{option}={value}")
+        elif spelling == "bare" or options.get("action") == "store_true":
+            argv.append(option)
+        else:
+            argv += [option, value]
+    if odd():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAYS)))
+    return argv
+
+
+def _commands():
+    """Each command's first two tokens and declared flags: every RUNS entry
+    and `check`."""
+    yield from ((["run", name], {"out": {}, **spec.flags}) for name, spec in runs.RUNS.items())
+    yield ["check", "dyadic"], runs.CHECK_FLAGS
+
+
+def _valid(options: dict) -> str:
+    return "3" if "type" in options else options.get("choices", ["a.tsv"])[-1]
+
+
+def single_edits():
+    """Each command with every declared flag given a valid value, and each
+    line one edit away: a flag with a pool value, `=`-joined, abbreviated,
+    bare, repeated or left out, or a stray token at the front, the middle or
+    the end."""
+    for head, flags in _commands():
+        parts = {
+            attr: ["--" + attr.replace("_", "-")]
+            + ([] if options.get("action") == "store_true" else [_valid(options)])
+            for attr, options in flags.items()
+        }
+        yield head + [t for part in parts.values() for t in part]
+        for attr, part in parts.items():
+            option, rest = part[0], [t for a, p in parts.items() if a != attr for t in p]
+            edits = [[option, value] for value in _VALUES]
+            edits += [[option + "=" + _valid(flags[attr])], [option], part + part, []]
+            edits += [[option[:n]] + part[1:] for n in range(2, len(option))]
+            yield from (head + edit + rest for edit in edits)
+        tail = [t for part in parts.values() for t in part]
+        for stray in _STRAYS:
+            for at in {0, 1, 2, len(tail) // 2 + 2, len(tail) + 2}:
+                yield (head + tail)[:at] + [stray] + (head + tail)[at:]
+
+
+class TestPlainReader:
+    def test_every_single_edit_agrees_with_argparse(self):
+        lines = list(single_edits())
+        plain = 0
+        for argv in lines:
+            expected = _outcome(runs.parser().parse_args, argv)
+            assert _outcome(runs.parse_command, argv) == expected, argv
+            if runs._plain(argv) is not None:
+                plain += 1
+                assert (runs._plain(argv), "", "") == expected, argv
+        assert plain > len(runs.RUNS)
+
+    @seed(24)
+    @settings(max_examples=600)
+    @given(command_lines())
+    def test_the_plain_reader_agrees_with_argparse(self, argv):
+        expected = _outcome(runs.parser().parse_args, argv)
+        plain = runs._plain(argv)
+        assert plain is None or (plain, "", "") == expected
+        assert _outcome(runs.parse_command, argv) == expected
+
+    def test_every_golden_and_scenario_is_plain(self):
+        from test_golden import COMMANDS, EXIT_CODES
+
+        argvs = [argv for name, argv in COMMANDS.items() if name not in EXIT_CODES]
+        for argv in argvs + [list(sc.argv) for sc in SCENARIOS]:
+            plain = runs._plain(argv)
+            assert plain is not None and plain == runs.parser().parse_args(argv), argv
 
 
 class TestRepoFixtures:
