@@ -6,30 +6,41 @@ nonincreasing complexity approximation K_t, the nondecreasing halting-mass
 approximation Ω_s, the randomness-constant predicate, and the depth-bounded
 class of strings all of whose prefixes satisfy a constant.
 
-The Kraft sum Σ 2^-|code| and the Ω steps are integer sums: each code adds
-2^(E−|code|) over the longest code length E, and one dyadic num/2^E is built
-per result.
+The Ω steps are integer sums: each code adds 2^(E−|code|) over the longest
+code length E, and one dyadic num/2^E is built per distinct halt stage.  The
+Kraft sum Σ 2^-|code| is the last of them, Ω once every program has halted.
 
 Every stage query reads a per-machine index, built on first use and cached on
 the machine, so parsing a machine does no extra work.  The index holds the
 sorted distinct halt stages with Ω at each of them as exact prefix sums, and,
 per output word, the stages at which its shortest halted code length drops
-with the running minimum.  Ω_s and K_t(σ) are then one bisect each, and
-`least_failing_length` walks the prefixes of one expansion against it.  It
-expands the real only to the longest output's length: no longer string is
-output by any program, so its K_t is infinite at every stage and it
-satisfies every constant.  The linear scans `brute_k_approx`,
-`brute_omega_approx`, `brute_halted_complexities` and
-`brute_least_failing_length` in `oracles` are the reference these are
-checked against.
+with the running minimum, from one sort of the (stage, length, output)
+tuples.  Ω_s and K_t(σ) are then one bisect each.  `failing_stages` reads
+the index for one real x: the length-n prefix of x's expansion does not
+depend on the stage and K_t never increases, so each length fails the
+constant from one first stage on.  It looks up only the output lengths, and
+so expands x only to the longest output: no longer string is output by any
+program, so its K_t is infinite at every stage and it satisfies every
+constant.  `least_failing_length` is its first length failing by stage t,
+and the splice and regret runs read it once per value of the real.  The
+linear scans `brute_k_approx`, `brute_omega_approx`,
+`brute_halted_complexities`, `brute_least_failing_length` and
+`brute_failing_runs` in `oracles` are the reference these are checked
+against.
 
 Parsing reads a plain table in one pass: every line is empty, a '#' comment
 or three bare fields (a 0/1 code, a 0/1 or '-' output, ASCII digits).  One
-regular-expression scan finds and checks the rows, whose fields are the
-programs' words.  A table with any other line (padded fields, ε, '+3',
-non-ASCII digits, CRLF line ends, ...) is read again from the start by the
-line reader `errors.records`, which gives every ParseError its message and
-line number.
+regular-expression scan finds and checks the rows, and `map`/`zip` over its
+columns build the programs, with no Python code run per row (a table with
+comments has its lines read once more, to count them).  A table with
+any other line (padded fields, ε, '+3', non-ASCII digits, CRLF line ends,
+...) is read again from the start by the line reader `errors.records`, which
+gives every ParseError its message and line number.
+
+The constructor checks every word in one joined string: it is ASCII, and
+deleting the 0s and 1s from its bytes leaves nothing.  Only on a failure are
+the words scanned one by one, to name the first bad one.  A negative halt
+stage is found by `min` in the same way.
 
 The prefix check sorts the codes.  If a code a is a prefix of another code c,
 it is a prefix of its sorted successor b: a < b ≤ c, and a first difference
@@ -45,8 +56,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 from .classes import Tree, tree_of_complement
 from .dyadic import ZERO, BitString, Dyadic
@@ -55,7 +66,7 @@ from .streams import approx_string
 
 INFINITE: float = math.inf
 
-_PLAIN_ROW = re.compile(r"^([01]*)\t([01]*|-)\t([0-9]+)$", re.MULTILINE)
+_PLAIN_ROW = re.compile(r"^([01]*)\t(?:([01]*)|-)\t([0-9]+)$", re.MULTILINE)
 
 __all__ = [
     "INFINITE",
@@ -93,23 +104,23 @@ class PrefixMachine:
         if self.c_tilde < 0:
             raise DomainError("machine constants must be ≥ 0")
         codes, outputs, halts = self._words
-        if "".join(codes + outputs).strip("01"):
-            bad = next(w for w in codes + outputs if w.strip("01"))
+        if not _is_word("".join(codes + outputs)):
+            bad = next(w for w in codes + outputs if not _is_word(w))
             raise DomainError(f"not a 0/1 word: {bad!r}")
         ordered = sorted(codes)
         # a code that another code extends or repeats is a prefix of its sorted successor
         if any(map(str.startswith, ordered[1:], ordered)):
             _name_prefix_violation(codes)
-        for code, s in zip(codes, halts):
-            if s < 0:
-                raise DomainError(f"negative halt stage for code {code or 'ε'}")
-        # prefix-free codes satisfy Kraft's inequality, so the sum stays ≤ 1
-        top = max(map(len, codes), default=0)
-        object.__setattr__(self, "_mass", Dyadic(sum(1 << (top - len(b)) for b in codes), top))
+        if min(halts, default=0) < 0:
+            code = next(b for b, s in zip(codes, halts) if s < 0)
+            raise DomainError(f"negative halt stage for code {code or 'ε'}")
 
     @property
     def kraft_sum(self) -> Dyadic:
-        return self._mass  # type: ignore[attr-defined]
+        """Σ 2^-|code|: Ω once every program has halted, the last Ω step.
+        Prefix-free codes satisfy Kraft's inequality, so it is at most 1."""
+        omegas = self._omega_steps[1]
+        return omegas[-1] if omegas else ZERO
 
     @property
     def strict_kraft(self) -> bool:
@@ -167,17 +178,20 @@ class PrefixMachine:
         length drops, strictly increasing, and that length from each on."""
         codes, outputs, halts = self._words
         steps: dict[str, tuple[list[int], list[int]]] = {}
-        for s, n, out in sorted(zip(halts, map(len, codes), outputs), key=itemgetter(0, 1)):
-            at, lengths = steps.setdefault(out, ([], []))
-            if not lengths or n < lengths[-1]:
-                at.append(s)
-                lengths.append(n)
+        for s, n, out in sorted(zip(halts, map(len, codes), outputs)):
+            step = steps.get(out)
+            if step is None:
+                steps[out] = ([s], [n])
+            elif n < step[1][-1]:
+                step[0].append(s)
+                step[1].append(n)
         return steps
 
     @cached_property
-    def _longest_output(self) -> int:
-        """No longer string is ever output, so none has a finite K_t."""
-        return max(map(len, self._k_steps), default=0)
+    def _output_lengths(self) -> list[int]:
+        """The distinct output lengths, ascending: no string of another
+        length is ever output, so none has a finite K_t."""
+        return sorted(set(map(len, self._k_steps)))
 
     def halted_complexities(self, t: int) -> dict[str, int]:
         """Stage-t complexity of every output that has a halted program."""
@@ -193,15 +207,23 @@ def _plain_programs(text: str) -> tuple[Program, ...] | None:
     """The programs of a plain table, or None for any other table.
 
     A plain row is a whole line of three bare fields: a 0/1 code, a 0/1 or
-    '-' output and ASCII digits.  A row holds no line break, so each match
-    is one line of `str.splitlines`, neither empty nor a '#' comment.  When
-    the rows are as many as those lines, every such line is a row and the
-    rest are what the line reader skips, so both readers give the same
-    programs."""
+    '-' output and ASCII digits; a '-' output takes no group, which
+    `findall` gives as ''.  A row holds no line break, so each match is one
+    line of `str.splitlines`, neither empty nor a '#' comment.  When the
+    rows are as many as those lines, every such line is a row and the rest
+    are what the line reader skips, so both readers give the same
+    programs.  Only a text with a '#' in it has its lines read one by one,
+    to count the comments."""
     rows = _PLAIN_ROW.findall(text)
-    if len(rows) != sum(1 for line in text.splitlines() if line and line[0] != "#"):
+    lines = text.splitlines()
+    comments = sum(1 for line in lines if line[:1] == "#") if "#" in text else 0
+    if len(rows) != len(lines) - lines.count("") - comments:
         return None
-    return tuple(Program(code, "" if out == "-" else out, int(halt)) for code, out, halt in rows)
+    if not rows:
+        return ()
+    codes, outputs, halts = zip(*rows)
+    # a Program is a tuple, so tuple.__new__ builds each row with no Python call of its own
+    return tuple(map(tuple.__new__, repeat(Program), zip(codes, outputs, map(int, halts))))
 
 
 def _programs(text: str, source: str) -> tuple[Program, ...]:
@@ -226,6 +248,13 @@ def _programs(text: str, source: str) -> tuple[Program, ...]:
             raise ParseError(f"negative halt stage for code {code or 'ε'}", source=source, line=lineno)
         programs.append(Program(code, output, halt))
     return tuple(programs)
+
+
+def _is_word(s: str) -> bool:
+    """Whether s is a 0/1 word.  An ASCII string encodes to the same bytes,
+    and deleting the 0s and 1s from them leaves nothing; any other string,
+    a lone surrogate included, is not ASCII and is never encoded."""
+    return s.isascii() and not s.encode().translate(None, b"01")
 
 
 def _name_prefix_violation(codes: tuple[str, ...]) -> None:
@@ -270,17 +299,38 @@ def satisfies_constant(machine: PrefixMachine, sigma: BitString, c: int, t: int)
     return k_approx(machine, sigma, t) >= len(sigma.bits) - c
 
 
+def failing_stages(machine: PrefixMachine, x: Dyadic, c: int) -> Iterator[tuple[int, int]]:
+    """(n, s_n) for each length n whose length-n expansion of x fails the
+    constant at some stage (K_t < n − c), with s_n ≥ n the first stage at
+    which it does, in increasing n.
+
+    The length-n expansion of x does not depend on the stage and K_t never
+    increases, so the length fails at stage t exactly when t ≥ s_n: s_n is
+    the larger of n and the first stage of the `_k_steps` drop below n − c.
+    Only output lengths are looked up, and x is expanded only to the longest
+    of them: the first n bits of ⌊x·2^m⌋ are ⌊x·2^n⌋, and at x = 1 the cap
+    gives all ones at both lengths."""
+    lengths = machine._output_lengths
+    if not lengths:
+        return
+    steps = machine._k_steps
+    bits = approx_string(x, lengths[-1]).bits
+    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
+    for n in lengths[bisect_right(lengths, c):]:
+        step = steps.get(bits[:n])
+        if step is not None:
+            for s, k in zip(*step):
+                if k < n - c:
+                    yield n, max(n, s)
+                    break
+
+
 def least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
     """The least n ≤ t whose length-n expansion of x fails the constant at
-    stage t (K_t < n − c), or None.  No string longer than the longest
-    output has halted, so only the first m = min(t, longest output) bits
-    are expanded: the first m bits of ⌊x·2^t⌋ are ⌊x·2^m⌋, and at x = 1
-    the cap gives all ones at both lengths."""
-    steps = machine._k_steps
-    bits = approx_string(x, min(t, machine._longest_output)).bits
-    # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
-    for n in range(max(c + 1, 0), len(bits) + 1):
-        if _k_at(steps.get(bits[:n]), t) < n - c:
+    stage t (K_t < n − c), or None: the first length of `failing_stages`
+    whose first failing stage is at most t."""
+    for n, s in failing_stages(machine, x, c):
+        if s <= t:
             return n
     return None
 

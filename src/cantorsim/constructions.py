@@ -8,8 +8,13 @@ rendered as ``prefix*Ω@stage``.
 Splice and regret wait for the same event: an approximation failing the
 randomness constant at its least witness length n, and later that length-n
 prefix satisfying it again.  `_failing_runs` is the one detector of these
-runs that both read.  `hat_m_construction` keeps its own loop, because its
-switch is a comparison with the Ω_s boundary, not a failure of the constant.
+runs that both read.  It works per value of the approximation, not per
+stage: while the value stays the same, each length of its expansion fails
+from one first stage on (`complexity.failing_stages`), so a run opens at a
+computed stage and can close only where the value changes.  Its cost
+follows the value changes and the output lengths, not the horizon.
+`hat_m_construction` keeps its own loop, because its switch is a comparison
+with the Ω_s boundary, not a failure of the constant.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
 from .complexity import (
     PrefixMachine,
     compute_padding,
-    least_failing_length,
+    failing_stages,
     omega_approx,
     satisfies_constant,
 )
@@ -138,17 +143,40 @@ def _failing_runs(
     which r fails the constant, monitored from the start stage: the least
     failing length n ≤ t of a nonempty r's stage-t expansion opens a run, and
     the first later stage whose length-n expansion satisfies the constant
-    releases it and monitors r again."""
+    releases it and monitors r again.
+
+    The work is per interval of stages on which r keeps one value x, not per
+    stage.  The n-prefix of x's expansion does not depend on the stage and
+    K_t never increases, so each length n has one first failing stage s_n ≥ n
+    (`complexity.failing_stages`) and fails at every stage from s_n on.
+    Monitored from the first stage a of an interval that ends before stage
+    b, r first fails at T = max(a, min s_n), and the least n with s_n ≤ T is
+    the witness; the run opens if T < b.  While the value stays x the
+    witness prefix keeps failing, so a run can close only at the first stage
+    of a later interval, when the new value's length-n expansion satisfies
+    the constant there; monitoring starts again at that same stage.
+    `oracles.brute_failing_runs` is the stage-by-stage loop, kept as the
+    reference."""
     runs: list[tuple[int, int, int | None]] = []
-    trigger, n = start, None
-    for t in range(start, horizon + 1):
+    if r.first_stage is None:
+        return runs
+    # the first stage of each interval on which r keeps one value, and that value
+    starts: list[int] = []
+    values: list[Dyadic] = []
+    a = max(start, r.first_stage)
+    for x, group in itertools.groupby(r.values[a : horizon + 1]):
+        starts.append(a)
+        values.append(x)
+        a += len(list(group))
+    trigger, n = 0, None
+    for a, end, x in zip(starts, starts[1:] + [horizon + 1], values):
         if n is not None:
-            if not satisfies_constant(machine, approx_string(r.value(t), n), c, t):
+            if not satisfies_constant(machine, approx_string(x, n), c, a):
                 continue
-            runs.append((trigger, n, t))
-            n = None
-        if not r.empty_at(t):
-            trigger, n = t, least_failing_length(machine, r.value(t), c, t)
+            runs.append((trigger, n, a))
+        fails = dict(failing_stages(machine, x, c))
+        trigger = max(a, min(fails.values(), default=end))
+        n = next((m for m, s in fails.items() if s <= trigger < end), None)
     if n is not None:
         runs.append((trigger, n, None))
     return runs

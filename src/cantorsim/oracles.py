@@ -29,6 +29,7 @@ from .errors import ContractViolationError, DomainError, InputError
 
 __all__ = [
     "brute_covering_families",
+    "brute_failing_runs",
     "brute_halted_complexities",
     "brute_k_approx",
     "brute_least_failing_length",
@@ -384,6 +385,36 @@ def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int
         if _k_scan(machine, _expansion(x, n), t) < n - c:
             return n
     return None
+
+
+def brute_failing_runs(
+    values: Sequence[Dyadic],
+    first_stage: int | None,
+    machine: PrefixMachine,
+    c: int,
+    horizon: int,
+    start: int = 0,
+) -> list[tuple[int, int, int | None]]:
+    """(trigger stage, witness length n, release stage or None) of each run in
+    which the real with these stage values, empty before first_stage (always
+    when it is None), fails the constant, stage by stage from the start stage:
+    at each nonempty stage with no open run, the least failing length opens
+    one, and the first later stage whose length-n expansion has K_t ≥ n − c
+    releases it and looks for a new run at that same stage."""
+    runs: list[tuple[int, int, int | None]] = []
+    trigger, n = start, None
+    for t in range(start, horizon + 1):
+        x = values[t]
+        if n is not None:
+            if _k_scan(machine, _expansion(x, n), t) < n - c:
+                continue
+            runs.append((trigger, n, t))
+            n = None
+        if first_stage is not None and t >= first_stage:
+            trigger, n = t, brute_least_failing_length(machine, x, c, t)
+    if n is not None:
+        runs.append((trigger, n, None))
+    return runs
 
 
 def greedy_expansion(q: Dyadic) -> BitString:

@@ -91,6 +91,23 @@ class TestMachineValidation:
         assert type(info.value) is DomainError and str(info.value) == message
 
 
+    @pytest.mark.parametrize("bad", [
+        "0\udc80", "\udc80", "2", "0 1", "01\n", "1\t", "-", "ε", "٠", "０", "1\x00", "0é", "\U0001d7ce",
+    ])
+    def test_any_other_character_is_not_a_word(self, bad):
+        # a lone surrogate has no UTF-8 encoding, so the check must not encode it
+        for program in (Program(bad, "1", 0), Program("0", bad, 0), Program("1", "0" + bad, 0)):
+            word = program.code if program.code == bad else program.output
+            with pytest.raises(DomainError) as info:
+                PrefixMachine((Program("11", "0", 0), program))
+            assert type(info.value) is DomainError and str(info.value) == f"not a 0/1 word: {word!r}"
+
+    def test_the_first_bad_word_is_named_codes_first(self):
+        with pytest.raises(DomainError) as info:
+            PrefixMachine((Program("0", "1x", 0), Program("1\udc80", "0", 0), Program("2", "1", 0)))
+        assert str(info.value) == "not a 0/1 word: '1\\udc80'"
+
+
 # (text, programs as (code, output, halt) or (error type, message)): what the
 # line reader gives, which the one-pass reader must give too; rows are plain
 # words, as a BitString never equals a str
@@ -223,6 +240,24 @@ class TestIntegerMassSums:
                 assert omega_approx(machine, s) == brute_omega_approx(machine, s)
             assert omega_approx(machine, machine.max_halt_stage()) == machine.kraft_sum
 
+
+    def test_a_seeded_800_row_table_matches_the_scans(self):
+        # prefix-free: three short codes open with 0, and the others with 1
+        # followed by distinct 11-bit heads and up to 3 more bits; 300
+        # outputs of up to 12 bits, so most outputs have several programs
+        rng = random.Random(25)
+        codes = ["00", "010", "011"] + [
+            "1" + format(v, "011b") + "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+            for v in rng.sample(range(1 << 11), 797)
+        ]
+        words = ["".join(rng.choice("01") for _ in range(rng.randint(0, 12))) for _ in range(300)]
+        rows = [(code, rng.choice(words), rng.randint(0, 100)) for code in codes]
+        machine = PrefixMachine.parse("".join(f"{c}\t{o or '-'}\t{h}\n" for c, o, h in rows))
+        assert machine.programs == tuple(rows)
+        assert machine.kraft_sum == brute_omega_approx(machine, 100)
+        for t in range(102):
+            assert omega_approx(machine, t) == brute_omega_approx(machine, t), t
+            assert machine.halted_complexities(t) == brute_halted_complexities(machine, t), t
 
 class TestKApprox:
     def test_not_yet_halted(self):

@@ -15,15 +15,16 @@ from cantorsim.checks import (
 )
 from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
-    PlainValue, StageTrace, TailValue, TraceRecord, beta_max, friedberg_merge, hat_m_construction,
-    odd_ones_real_enumeration, regret_construction, splice_random,
+    PlainValue, StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, friedberg_merge,
+    hat_m_construction, odd_ones_real_enumeration, regret_construction, splice_random,
 )
-from cantorsim.dyadic import ZERO, BitString, Dyadic
+from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
 from cantorsim.oracles import (
-    brute_k_approx, brute_least_failing_length, brute_odd_ones, expansion_prefix, rightmost_path,
+    brute_failing_runs, brute_k_approx, brute_least_failing_length, brute_odd_ones, expansion_prefix,
+    rightmost_path,
 )
 from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
@@ -342,26 +343,6 @@ def random_detector_input(rng):
     return PrefixMachine(tuple(programs)), script, rng.randint(0, 1)
 
 
-def scanned_runs(m, machine, c, horizon, start=0):
-    """(trigger stage, witness length, release stage or None) of each run in
-    which m fails the constant, monitored from the start stage, recomputed
-    from the scans alone."""
-    runs, opened = [], None
-    for t in range(start, horizon + 1):
-        if opened is not None:
-            trigger, n = opened
-            if brute_k_approx(machine, expansion_prefix(m.value(t), n), t) < n - c:
-                continue
-            runs.append((trigger, n, t))
-            opened = None
-        if not m.empty_at(t):
-            n = brute_least_failing_length(machine, m.value(t), c, t)
-            opened = None if n is None else (t, n)
-    if opened is not None:
-        runs.append((*opened, None))
-    return runs
-
-
 def runs_in_notes(trace):
     """(trigger stage, witness length, release stage or None) read off the
     `trigger n=…` and `recover` notes of a splice trace."""
@@ -383,7 +364,7 @@ def test_splice_and_regret_runs_match_the_scans():
         everyone = []
         for e in script.indices():
             m = real_from_ce_set(script, e)
-            runs = scanned_runs(m, machine, c, h)
+            runs = brute_failing_runs(m.values, m.first_stage, machine, c, h)
             trace = splice_random(m, machine, c, h)
             assert runs_in_notes(trace) == runs
             witnesses = {
@@ -393,13 +374,55 @@ def test_splice_and_regret_runs_match_the_scans():
             }
             spliced = {rec.stage: rec.value.prefix for rec in trace.records if rec.state == "spliced"}
             assert spliced == witnesses
-            everyone.extend((t, e, n, rel) for t, n, rel in scanned_runs(m, machine, c, h, start=e))
+            everyone.extend((t, e, n, rel) for t, n, rel in brute_failing_runs(m.values, m.first_stage, machine, c, h, start=e))
             triggers += len(runs)
             releases += sum(release is not None for _, _, release in runs)
         slots = regret_construction(script, machine, c, h)
         fields = [(s.bound_stage, s.source_index, s.witness_length, s.regret_stage) for s in slots]
         assert fields == sorted(everyone)
     assert triggers and releases  # the draws reach both ends of a run
+
+
+# prefix-free codes of three lengths, of mass 15/16
+DETECTOR_CODES = ("00", "010", "011", "10", "110", "1110")
+
+
+def random_failing_run_input(rng, i):
+    """A real, a machine, c, a horizon ≤ 16 and a start stage for
+    `_failing_runs`.  The programs take 1–6 of DETECTOR_CODES and output one
+    of three words of 2–7 bits, halting by stage 9, so a word's K_t drops
+    while its value is current.  The real takes 1–4 values, each a word's
+    value or a random k/128, rising at random stages.  c cycles through
+    0, 1 and 2; every fourth case monitors from a start stage > 0, and every
+    tenth real is empty at every stage; the others are empty before their
+    first value, so many are empty at stage 0."""
+    words = ["".join(rng.choice("01") for _ in range(rng.randint(2, 7))) for _ in range(3)]
+    machine = PrefixMachine(tuple(
+        Program(code, rng.choice(words), rng.randint(0, 9))
+        for code in rng.sample(DETECTOR_CODES, rng.randint(1, len(DETECTOR_CODES)))
+    ))
+    horizon = rng.randint(0, 16)
+    pool = [rational_of_string(BitString(w)) for w in words] + [Dyadic(rng.randrange(129), 7)]
+    changes = sorted(rng.sample(range(horizon + 1), min(rng.randint(1, 4), horizon + 1)))
+    rises = dict(zip(changes, sorted(rng.choices(pool, k=len(changes)))))
+    values = itertools.accumulate((rises.get(t, ZERO) for t in range(horizon + 1)), max)
+    first = None if i % 10 == 9 else changes[0]
+    start = rng.randint(1, horizon + 1) if i % 4 == 1 else 0
+    return LeftCEApprox(tuple(values), first), machine, i % 3, horizon, start
+
+
+def test_failing_runs_match_the_stage_loop():
+    # the interval scan against the stage-by-stage oracle, which reads only
+    # the program scans
+    rng = random.Random(25)
+    opened = released = 0
+    for i in range(3000):
+        r, machine, c, horizon, start = random_failing_run_input(rng, i)
+        runs = brute_failing_runs(r.values, r.first_stage, machine, c, horizon, start)
+        assert _failing_runs(r, machine, c, horizon, start) == runs, i
+        opened += bool(runs)
+        released += any(release is not None for _, _, release in runs)
+    assert opened >= 500 and released >= 120  # the draws open and close runs
 
 
 class TestRegretEdges:
