@@ -84,23 +84,25 @@ class TestMachineValidation:
         (Program("012", "1", 0), "not a 0/1 word: '012'"),
         (Program("0", "1x", 0), "not a 0/1 word: '1x'"),
         (Program("", "1", -1), "negative halt stage for code ε"),
+        # a lone surrogate has no UTF-8 encoding, so the word check must not encode it
+        (Program("0\udc80", "1", 0), "not a 0/1 word: '0\\udc80'"),
+        (Program("0", "\udc80", 0), "not a 0/1 word: '\\udc80'"),
+        (Program("0 1", "1", 0), "not a 0/1 word: '0 1'"),
+        (Program("1\t", "1", 0), "not a 0/1 word: '1\\t'"),
+        (Program("0", "01\n", 0), "not a 0/1 word: '01\\n'"),
+        (Program("1\x00", "1", 0), "not a 0/1 word: '1\\x00'"),
+        (Program("0", "-", 0), "not a 0/1 word: '-'"),
+        (Program("ε", "1", 0), "not a 0/1 word: 'ε'"),
+        (Program("0", "٠", 0), "not a 0/1 word: '٠'"),
+        (Program("０", "1", 0), "not a 0/1 word: '０'"),
+        (Program("0é", "1", 0), "not a 0/1 word: '0é'"),
+        (Program("0", "\U0001d7ce", 0), "not a 0/1 word: '𝟎'"),
     ])
     def test_constructor_checks_the_words(self, program, message):
         with pytest.raises(DomainError) as info:
             PrefixMachine((program,))
         assert type(info.value) is DomainError and str(info.value) == message
 
-
-    @pytest.mark.parametrize("bad", [
-        "0\udc80", "\udc80", "2", "0 1", "01\n", "1\t", "-", "ε", "٠", "０", "1\x00", "0é", "\U0001d7ce",
-    ])
-    def test_any_other_character_is_not_a_word(self, bad):
-        # a lone surrogate has no UTF-8 encoding, so the check must not encode it
-        for program in (Program(bad, "1", 0), Program("0", bad, 0), Program("1", "0" + bad, 0)):
-            word = program.code if program.code == bad else program.output
-            with pytest.raises(DomainError) as info:
-                PrefixMachine((Program("11", "0", 0), program))
-            assert type(info.value) is DomainError and str(info.value) == f"not a 0/1 word: {word!r}"
 
     def test_the_first_bad_word_is_named_codes_first(self):
         with pytest.raises(DomainError) as info:

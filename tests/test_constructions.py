@@ -22,10 +22,7 @@ from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
-from cantorsim.oracles import (
-    brute_failing_runs, brute_k_approx, brute_least_failing_length, brute_odd_ones, expansion_prefix,
-    rightmost_path,
-)
+from cantorsim.oracles import brute_failing_runs, brute_odd_ones, expansion_prefix, rightmost_path
 from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 from cantorsim.verify import verify_oddones, verify_omega
@@ -374,7 +371,8 @@ def test_splice_and_regret_runs_match_the_scans():
             }
             spliced = {rec.stage: rec.value.prefix for rec in trace.records if rec.state == "spliced"}
             assert spliced == witnesses
-            everyone.extend((t, e, n, rel) for t, n, rel in brute_failing_runs(m.values, m.first_stage, machine, c, h, start=e))
+            at_e = brute_failing_runs(m.values, m.first_stage, machine, c, h, start=e)
+            everyone.extend((t, e, n, rel) for t, n, rel in at_e)
             triggers += len(runs)
             releases += sum(release is not None for _, _, release in runs)
         slots = regret_construction(script, machine, c, h)
