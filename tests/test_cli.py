@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from cantorsim import checks, runs
 from cantorsim.checks import SUITES, build_scenario, check_coverings
+from cantorsim.classes import Tree
 from cantorsim.cli import main
 from cantorsim.dyadic import Antichain, BitString, optimal_covering
 from cantorsim.errors import InputError
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
+from cantorsim.verify import verify_coverfamily
 from conftest import resolve_argv
 
 
@@ -369,6 +371,51 @@ class TestRunExtras:
         )
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[1] == "1\tyes\tb\t00,010"
+
+
+def _first_line(run, argv) -> str:
+    code, out, err = run(argv)
+    assert code == 0, err
+    return out.splitlines()[0]
+
+
+def _capped_empty_item(run, fixture_dir) -> str:
+    (fixture_dir / "eps.tsv").write_text("0\t0\tstr\t-\n")
+    code, out, err = run(["run", "capped", "--script", str(fixture_dir / "eps.tsv"), "--cap-n", "2",
+                          "--horizon", "0"])
+    assert code == 0, err
+    return out.splitlines()[1]
+
+
+def _merge_dyadic_item(run, fixture_dir) -> str:
+    (fixture_dir / "l1.txt").write_text("1\n")
+    (fixture_dir / "l2.tsv").write_text("0\t0\tstr\t00\n1\t0\tdyadic\t1/2^1\n")
+    code, out, err = run(["run", "merge", "--l2", str(fixture_dir / "l2.tsv"), "--l1-sets",
+                          str(fixture_dir / "l1.txt"), "--horizon", "2"])
+    assert (code, out) == (2, "")
+    return err
+
+
+# Every rendering of the empty word that reaches stdout or an error message:
+# ε in a family, '-' in a tab-separated field and as a tree's root line.
+EMPTY_WORD = {
+    "coverfamily": (lambda run, d: _first_line(run, ["run", "coverfamily", "--count", "2"]),
+                    "0\tε"),
+    "capped-item": (_capped_empty_item, "0\t0\trefuse\t-"),
+    "antichain": (lambda run, d: Antichain([BitString.parse("ε")]).render(), "ε"),
+    "tree-root": (lambda run, d: Tree.parse("-\n0\n").render().splitlines()[0], "-"),
+    "coverfamily-verifier": (lambda run, d: verify_coverfamily([Antichain([BitString.parse("")])],
+                                                               odd=False)[0],
+                             "odd antichain ε in the even family"),
+    "merge-dyadic-item": (_merge_dyadic_item,
+                          "input error: index 0 carries a non-string item at stage 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_WORD))
+def test_the_empty_word_renders_as_before(run, fixture_dir, case):
+    render, expected = EMPTY_WORD[case]
+    assert render(run, fixture_dir) == expected
 
 
 class TestCheckCommand:
