@@ -33,7 +33,6 @@ from .constructions import (
     TailValue,
     TraceRecord,
     beta_max,
-    friedberg_merge,
     hat_m_construction,
     odd_ones_real_enumeration,
     regret_construction,

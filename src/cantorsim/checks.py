@@ -27,14 +27,13 @@ from .complexity import (
     INFINITE, PrefixMachine, Program, compute_padding, intersect_randomness, k_approx,
     least_failing_length, omega_approx, randomness_class_tree,
 )
-from .constructions import beta_max, friedberg_merge, odd_ones_real_enumeration
+from .constructions import beta_max, merge_rows, odd_ones_real_enumeration
 from .coverings import (
     covering_antichains, even_covering_family, odd_covering_family, star_construction,
 )
 from .dyadic import (
-    ONE, ZERO, BitString, Dyadic, Order, is_acceptable, key_word, lex_compare_padded,
-    optimal_covering, prefix_set_measure, rational_of_string, string_of_rational, strings_up_to,
-    word_key,
+    ONE, ZERO, Dyadic, Order, is_acceptable, key_word, lex_compare_padded, optimal_covering,
+    prefix_set_measure, rational_of_string, string_of_rational, strings_up_to, word_key,
 )
 from .errors import InputError
 from .oracles import (
@@ -46,7 +45,7 @@ from .oracles import (
 from .recipes import cut_deltas, odd_ones_extensions
 from .runs import Replay, replay
 from .scenarios import FIXTURE_FILES, SCENARIOS, Scenario
-from .streams import EnumerationScript, real_from_ce_set
+from .streams import EnumerationScript, ScriptEvent, event_blocks, real_from_ce_set
 from .verify import (
     MergeCase, verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
     verify_merge, verify_oddones, verify_regret, verify_splice, verify_star,
@@ -87,14 +86,14 @@ class CheckReport:
 # deterministic input generators
 
 
-def random_bitstring(rng: random.Random, max_len: int, min_len: int = 0) -> BitString:
+def random_bitstring(rng: random.Random, max_len: int, min_len: int = 0) -> str:
     n = rng.randint(min_len, max_len)
-    return BitString("".join(rng.choice("01") for _ in range(n)))
+    return "".join(rng.choice("01") for _ in range(n))
 
 
 def random_string_set(
     rng: random.Random, max_len: int, max_size: int, min_size: int = 0
-) -> frozenset[BitString]:
+) -> frozenset[str]:
     k = rng.randint(min_size, max_size)
     return frozenset(random_bitstring(rng, max_len) for _ in range(k))
 
@@ -119,7 +118,7 @@ def random_machine(
             continue
         codes.append(code)
         mass += add
-        programs.append(Program(code, random_bitstring(rng, max_out_len).bits, rng.randint(0, 12)))
+        programs.append(Program(code, random_bitstring(rng, max_out_len), rng.randint(0, 12)))
     return PrefixMachine(tuple(programs))
 
 
@@ -159,19 +158,17 @@ def random_dyadic_trace(rng: random.Random) -> list[Dyadic]:
     return out
 
 
-def random_listing(rng: random.Random, kind: str | None = None) -> tuple[BitString, ...]:
+def random_listing(rng: random.Random, kind: str | None = None) -> tuple[str, ...]:
     kind = kind or rng.choice(("path", "clopen", "loose"))
     if kind == "path":
         # members of a non-clopen filter-closed set: everything deviating
         # from a fixed path, in length-lexicographic order
         x = "".join(rng.choice("01") for _ in range(8))
         bound = rng.randint(4, 6)
-        return tuple(t for t in strings_up_to(bound) if not x.startswith(t.bits))
+        return tuple(t for t in strings_up_to(bound) if not x.startswith(t))
     if kind == "clopen":
         base = optimal_covering(random_string_set(rng, 4, 4, 1))
-        covered = sorted(
-            (t for t in strings_up_to(5) if base.covers(t)), key=lambda s: s.lenlex_key
-        )
+        covered = sorted((t for t in strings_up_to(5) if base.covers(t)), key=lambda w: (len(w), w))
         if rng.random() < 0.5:
             rng.shuffle(covered)
         return tuple(covered)
@@ -184,9 +181,11 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
     corresponding base dead ends."""
     if depth < n_trees + 1:
         raise InputError("depth too small for the requested suite")
-    spine = BitString("".join(rng.choice("01") for _ in range(depth)))
+    spine = "".join(rng.choice("01") for _ in range(depth))
     extra = rng.randint(0, min(2, depth - 1 - n_trees))
-    sibs = [spine.take(i).sibling() for i in rng.sample(range(1, depth), n_trees + extra)]
+    # the sibling of each drawn prefix of the spine: its last bit flipped
+    cuts = rng.sample(range(1, depth), n_trees + extra)
+    sibs = [spine[: i - 1] + ("1" if spine[i - 1] == "0" else "0") for i in cuts]
     base = Tree.closure_of([spine, *sibs], depth)
     ends = dead_ends(base)
     trees = [base]
@@ -200,7 +199,7 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
         else:
             room = depth - len(sigma) - 1
             suffix = "".join(rng.choice("01") for _ in range(rng.randint(0, max(room, 0))))
-            trees.append(Tree.closure_of([BitString(sigma.bits + suffix)], depth))
+            trees.append(Tree.closure_of([sigma + suffix], depth))
     return trees
 
 
@@ -214,12 +213,13 @@ def build_scenario(sc: Scenario) -> Replay:
     return replay(sc.argv, FIXTURE_FILES.__getitem__)
 
 
-def _merge_tag(i: int) -> BitString:
-    return BitString("1" * 6 + format(i, "010b"))
+def _merge_tag(i: int) -> int:
+    """The key (`dyadic.word_key`) of the i-th tag, six 1s and i in 10 bits."""
+    return word_key("1" * 6 + format(i, "010b"))
 
 
 @lru_cache(maxsize=None)
-def _merge_injective_side() -> tuple[frozenset[BitString], tuple[frozenset[BitString], ...]]:
+def _merge_injective_side() -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """The 1,024 tags and the listing of the first 400 tags as singletons,
     the same for every merge case; built on the first case, not at import."""
     tags = [_merge_tag(i) for i in range(1024)]
@@ -227,13 +227,14 @@ def _merge_injective_side() -> tuple[frozenset[BitString], tuple[frozenset[BitSt
 
 
 def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
-    """A scripted merge input: settled string sets of 2 to 16 indices over
-    '0'-opening items, plus a tag-based injective side that trivially has
-    extensions of every finite subset.  Half the cases force a converging
-    duplicate pair."""
+    """A scripted merge input over words as their keys (`dyadic.word_key`),
+    as `constructions.merge_rows` reads them: settled sets of 2 to 16
+    indices over '0'-opening items, plus a tag-based injective side that
+    trivially has extensions of every finite subset.  Half the cases force a
+    converging duplicate pair."""
     count = rng.randint(2, 16)
-    pool = [BitString("0" + format(v, "04b")) for v in range(16)]
-    settled: list[list[BitString]] = []
+    pool = [word_key("0" + format(v, "04b")) for v in range(16)]
+    settled: list[list[int]] = []
     for _ in range(count):
         size = rng.randint(1, 5)
         settled.append(list(rng.sample(pool, size)))
@@ -250,10 +251,19 @@ def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
     script = EnumerationScript.from_events(events, horizon)
     tags, l1 = _merge_injective_side()
 
-    def extensions(content: frozenset[BitString]) -> Iterator[frozenset[BitString]]:
+    def extensions(content: frozenset[int]) -> Iterator[frozenset[int]]:
         return (content | {_merge_tag(i)} for i in itertools.count(500))
 
     return MergeCase(script, l1, extensions, tags, horizon)
+
+
+def merge_case_output(case: MergeCase) -> EnumerationScript:
+    """The merge's output on a merge case: `merge_rows` on its script's
+    blocks of keys, one event per key of the rows."""
+    rows = merge_rows(case.l1, event_blocks(case.script.events), case.picker, case.horizon)
+    return EnumerationScript(
+        tuple(ScriptEvent(s, j, key) for s, j, keys in rows for key in keys), case.horizon
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +278,12 @@ def _group_classes(seq, key):
 def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckReport:
     rep = CheckReport("dyadic")
     for s in strings_up_to(max_len):
-        if len(s) and s.bits[-1] != "1":
+        if s[-1:] == "0":
             continue
         rep.cases += 1
         back = string_of_rational(rational_of_string(s))
         if back != s:
-            rep.fail(f"round trip {s} -> {back}")
+            rep.fail(f"round trip {s or 'ε'} -> {back or 'ε'}")
     for exp in range(9):
         for num in range(1 << exp):
             rep.cases += 1
@@ -281,7 +291,7 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
             if string_of_rational(q) != greedy_expansion(q):
                 rep.fail(f"expansion of {q} disagrees with the greedy oracle")
     strs = list(strings_up_to(9))
-    by_lex = _group_classes(strs, key=lambda s: s.padded(9))
+    by_lex = _group_classes(strs, key=lambda s: s.ljust(9, "0"))
     by_val = _group_classes(strs, key=lambda s: rational_of_string(s).as_fraction())
     rep.cases += 1
     if by_lex != by_val:
@@ -292,7 +302,7 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
             rep.cases += 1
             want = Order.LT if va < vb else Order.GT if va > vb else Order.EQ
             if lex_compare_padded(a, b) is not want:
-                rep.fail(f"lex_compare_padded({a}, {b})")
+                rep.fail(f"lex_compare_padded({a or 'ε'}, {b or 'ε'})")
     rng = random.Random(seed)
     for _ in range(sets):
         rep.cases += 1
@@ -302,11 +312,11 @@ def check_dyadic(max_len: int = 10, sets: int = 200, seed: int = 0) -> CheckRepo
         for member in optimal_covering(sset):
             total = total + Dyadic.pow2(len(member))
         if mu != total:
-            rep.fail(f"measure additivity on {sorted(s.bits for s in sset)}")
+            rep.fail(f"measure additivity on {sorted(sset)}")
         depth = max((len(s) for s in sset), default=0)
         leaves = expansion_at_depth(sset, depth)
         if mu != Dyadic(len(leaves), depth):
-            rep.fail(f"measure vs expansion on {sorted(s.bits for s in sset)}")
+            rep.fail(f"measure vs expansion on {sorted(sset)}")
     return rep
 
 
@@ -317,13 +327,13 @@ def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> Ch
         for combo in itertools.combinations(pool, size):
             rep.cases += 1
             if optimal_covering(combo) != brute_optimal_covering(combo):
-                rep.fail(f"covering of {{{','.join(str(s) for s in combo)}}}")
+                rep.fail(f"covering of {{{','.join(s or 'ε' for s in combo)}}}")
     rng = random.Random(seed)
     for _ in range(random_sets):
         rep.cases += 1
         sset = random_string_set(rng, 5, 6)
         if optimal_covering(sset) != brute_optimal_covering(sset):
-            rep.fail(f"covering of {sorted(s.bits for s in sset)}")
+            rep.fail(f"covering of {sorted(sset)}")
     words = list(strings_up_to(8))
     for _ in range(100):
         rep.cases += 1
@@ -331,15 +341,15 @@ def check_coverings(depth: int = 3, random_sets: int = 300, seed: int = 0) -> Ch
         closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
         for t in words:
-            if anti.covers(t) != (t.bits in closure):
-                rep.fail(f"filter closure of {sorted(s.bits for s in y)} differs at {t}")
+            if anti.covers(t) != (t in closure):
+                rep.fail(f"filter closure of {sorted(y)} differs at {t or 'ε'}")
                 break
     rep.cases += 3
     if not is_acceptable(()):
         rep.fail("empty set should be acceptable")
-    if is_acceptable((BitString("0"), BitString("1"))):
+    if is_acceptable(("0", "1")):
         rep.fail("{0,1} should not be acceptable")
-    if not is_acceptable((BitString("00"), BitString("10"))):
+    if not is_acceptable(("00", "10")):
         rep.fail("{00,10} should be acceptable")
     for _ in range(40):
         listing = random_listing(rng)
@@ -374,7 +384,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
     for mi in range(machines):
         machine = random_machine(rng)
         stages = sorted({p.halt_stage for p in machine.programs} | {0})
-        outputs = sorted({BitString(p.output) for p in machine.programs}, key=lambda s: s.lenlex_key)
+        outputs = sorted({p.output for p in machine.programs}, key=lambda w: (len(w), w))
         prev_k = {o: INFINITE for o in outputs}
         prev_omega = ZERO
         for t in stages:
@@ -382,7 +392,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             for o in outputs:
                 k = k_approx(machine, o, t)
                 if k > prev_k[o]:
-                    rep.fail(f"machine {mi}: K of {o} increased at stage {t}")
+                    rep.fail(f"machine {mi}: K of {o or 'ε'} increased at stage {t}")
                 prev_k[o] = k
             om = omega_approx(machine, t)
             if om < prev_omega:
@@ -390,7 +400,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             if machine.strict_kraft and not om < ONE:
                 rep.fail(f"machine {mi}: mass reached 1 under a strict budget")
             prev_omega = om
-        never = BitString("0" * 13)  # longer than every random output
+        never = "0" * 13  # longer than every random output
         for t in range(machine.max_halt_stage() + 3):
             rep.cases += 1
             if machine.halted_complexities(t) != brute_halted_complexities(machine, t):
@@ -399,19 +409,17 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
                 rep.fail(f"machine {mi}: mass differs from the scan at stage {t}")
             for o in (*outputs, never):
                 if k_approx(machine, o, t) != brute_k_approx(machine, o, t):
-                    rep.fail(f"machine {mi}: K of {o} differs from the scan at stage {t}")
+                    rep.fail(f"machine {mi}: K of {o or 'ε'} differs from the scan at stage {t}")
             # one output's real per stage keeps the scan oracle cheap
             o, c = outputs[t % len(outputs)], t % 3
             x = rational_of_string(o)
             if least_failing_length(machine, x, c, t) != brute_least_failing_length(machine, x, c, t):
-                rep.fail(f"machine {mi}: least failing length of {o} differs at c={c}, t={t}")
+                rep.fail(f"machine {mi}: least failing length of {o or 'ε'} differs at c={c}, t={t}")
         for c in range(5):
             for t in stages:
                 rep.cases += 1
                 table = machine.halted_complexities(t)
-                failing = [
-                    BitString(b) for b, k in table.items() if k < len(b) - c and len(b) <= 12
-                ]
+                failing = [b for b, k in table.items() if k < len(b) - c and len(b) <= 12]
                 if not prefix_set_measure(failing) <= omega_approx(machine, t).scaled(c):
                     rep.fail(f"machine {mi}: measure bound broken at c={c}, t={t}")
         if mi < 3:
@@ -419,9 +427,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             t = stages[-1]
             tree = randomness_class_tree(machine, c, t, tree_depth)
             table = machine.halted_complexities(t)
-            failing = [
-                BitString(b) for b, k in table.items() if k < len(b) - c and len(b) <= tree_depth
-            ]
+            failing = [b for b, k in table.items() if k < len(b) - c and len(b) <= tree_depth]
             rep.cases += 1
             direct = ONE - prefix_set_measure(failing)
             via_paths = Dyadic(len(paths_at_depth(tree, tree_depth)), tree_depth)
@@ -435,7 +441,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             expected = frozenset(
                 s
                 for s in brute_nodes(drawn)
-                if all(halted.get(s.bits[:n], INFINITE) >= n - c for n in range(len(s) + 1))
+                if all(halted.get(s[:n], INFINITE) >= n - c for n in range(len(s) + 1))
             )
             if intersect_randomness(drawn, machine, c, t).nodes != expected:
                 rep.fail(f"machine {mi}: intersection with the class differs from the scan")
@@ -470,8 +476,7 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
     for ci in range(merge_cases):
         rep.cases += 1
         case = make_merge_case(rng, horizon=100)
-        out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
-        for e in verify_merge(out, case):
+        for e in verify_merge(merge_case_output(case), case):
             rep.fail(f"merge case {ci}: {e}")
     rep.cases += 512  # the strings of length ≤ 10
     rep.failures += verify_oddones([odd_ones_real_enumeration(i) for i in range(512)])
@@ -501,7 +506,7 @@ def check_constructions(merge_cases: int = 25, seed: int = 0) -> CheckReport:
         fast = itertools.islice(keyed(frozenset(map(word_key, content))), count)
         reference = list(itertools.islice(inclusion(content), count))
         if [frozenset(map(key_word, v)) for v in fast] != reference:
-            shown = " ".join(sorted(t.display() for t in content))
+            shown = " ".join(sorted(t or "-" for t in content))
             rep.fail(f"first {count} odd-ones extensions of {{{shown}}} at length {length} differ")
     return rep
 
@@ -518,10 +523,10 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         combined = diagonalize(trees, diag_depth)
         for e in verify_diagonalize(trees, diag_depth, taus, combined):
             rep.fail(f"suite {si}: {e}")
-    all_paths = {p.bits for p in paths_at_depth(Tree(6), 6)}
+    all_paths = set(paths_at_depth(Tree(6), 6))
     # per final set of script strings, all of length ≤ 6: whether the
     # complement tree's paths are the words its depth-6 expansion leaves out
-    complement_ok: dict[frozenset[BitString], bool] = {}
+    complement_ok: dict[frozenset[str], bool] = {}
     for ci in range(capped_scripts):
         script = random_string_script(rng)
         for n in range(1, 9):
@@ -534,24 +539,23 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
                 if final not in complement_ok:
                     leftover = all_paths - expansion_at_depth(final, 6)
                     paths = paths_at_depth(tree_of_complement(final, 6), 6)
-                    complement_ok[final] = leftover == {p.bits for p in paths}
+                    complement_ok[final] = leftover == set(paths)
                 if not complement_ok[final]:
                     rep.fail(f"script {ci}: complement view broken for index {e}")
     words = list(strings_up_to(7))
     for oi in range(20):
         rep.cases += 1
         halted = optimal_covering(random_string_set(rng, 5, 4, 1))
-        budgets = {m.bits: len(m) + rng.randint(0, 2) for m in halted}
+        budgets = {m: len(m) + rng.randint(0, 2) for m in halted}
 
-        def oracle(s: BitString, e: int) -> bool:
-            return any(s.bits.startswith(b) and len(s) >= budgets[b] for b in budgets)
+        def oracle(s: str, e: int) -> bool:
+            return any(s.startswith(b) and len(s) >= budgets[b] for b in budgets)
 
         tree = tree_from_halting_oracle(oracle, 0, 7)
-        nodes = {n.bits for n in tree.nodes}
         for s in words:
-            on_tree = all(s.bits[:i] in nodes for i in range(len(s.bits) + 1))
+            on_tree = all(s[:i] in tree.nodes for i in range(len(s) + 1))
             if on_tree != (not oracle(s, 0)):
-                rep.fail(f"oracle case {oi}: membership mismatch at {s}")
+                rep.fail(f"oracle case {oi}: membership mismatch at {s or 'ε'}")
                 break
     return rep
 

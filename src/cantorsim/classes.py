@@ -48,13 +48,15 @@ class Tree:
     exits: the dead ends are the parents of two sibling exits."""
 
     depth: int
-    exits: frozenset[BitString] = frozenset()
+    exits: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise DomainError("depth must be ≥ 0")
-        bits = {e.bits for e in self.exits}
-        for b in sorted(bits, key=lambda b: (len(b), b)):
+        bits = self.exits
+        for b in sorted(bits, key=_lenlex_key):
+            if b.strip("01"):
+                raise DomainError(f"not a 0/1 word: {b!r}")
             if len(b) > self.depth:
                 raise DomainError(f"exit {b or 'ε'} longer than depth bound {self.depth}")
             for i in range(len(b)):
@@ -62,18 +64,17 @@ class Tree:
                     raise DomainError(f"exit {b} extends exit {b[:i] or 'ε'}")
 
     @classmethod
-    def closure_of(cls, strings: Iterable[BitString], depth: int) -> "Tree":
+    def closure_of(cls, strings: Iterable[str], depth: int) -> "Tree":
         """Prefix closure of the given strings, truncated at the depth bound:
         its exits are the children of its nodes that are not nodes, or ε
         when there is no node."""
         bits: set[str] = set()
         for s in strings:
-            b = s.bits[:depth]
+            b = s[:depth]
             bits.update(b[:i] for i in range(len(b) + 1))
         if not bits:
             return cls(depth, frozenset([EMPTY]))
-        exits = {b + c for b in bits if len(b) < depth for c in "01"} - bits
-        return cls(depth, frozenset(BitString(b) for b in exits))
+        return cls(depth, frozenset({b + c for b in bits if len(b) < depth for c in "01"} - bits))
 
     @classmethod
     def parse(cls, text: str, depth: int | None = None, source: str = "<tree>") -> "Tree":
@@ -83,19 +84,19 @@ class Tree:
         bits: set[str] = set()
         for lineno, (line,) in records(text, sep=None):
             try:
-                bits.add(BitString.parse(line).bits)
+                bits.add(BitString.parse(line))
             except DomainError as exc:
                 raise ParseError(str(exc), source=source, line=lineno)
         if bits:
             bits.add("")
         if depth is None:
             depth = max((len(b) for b in bits), default=0)
-        for b in sorted(bits, key=lambda b: (len(b), b)):
+        for b in sorted(bits, key=_lenlex_key):
             if b and b[:-1] not in bits:
                 raise ParseError(f"not prefix-closed: node {b} lacks {b[:-1] or 'ε'}", source=source)
             if len(b) > depth:
                 raise ParseError(f"node {b} longer than depth bound {depth}", source=source)
-        return cls.closure_of((BitString(b) for b in bits), depth)
+        return cls.closure_of(bits, depth)
 
     @classmethod
     def load(cls, path: str, depth: int | None = None) -> "Tree":
@@ -103,24 +104,27 @@ class Tree:
             return cls.parse(fh.read(), depth=depth, source=path)
 
     @cached_property
-    def nodes(self) -> frozenset[BitString]:
+    def nodes(self) -> frozenset[str]:
         return frozenset(n for d in range(self.depth + 1) for n in paths_at_depth(self, d))
 
     def render(self) -> str:
-        ordered = sorted(self.nodes, key=lambda n: n.lenlex_key)
-        return "\n".join(n.display() for n in ordered)
+        return "\n".join(n or "-" for n in sorted(self.nodes, key=_lenlex_key))
 
 
-def paths_at_depth(tree: Tree, d: int) -> tuple[BitString, ...]:
+def _lenlex_key(word: str) -> tuple[int, str]:
+    return (len(word), word)
+
+
+def paths_at_depth(tree: Tree, d: int) -> tuple[str, ...]:
     """All length-d nodes: the d-bit values outside every interval
     [v·2^(d−|e|), (v+1)·2^(d−|e|)) of an exit e of value v and length ≤ d.
     The exits are an antichain, so these intervals are disjoint."""
     if d < 0 or d > tree.depth:
         raise RangeError(f"depth {d} outside [0, {tree.depth}]")
     spans = sorted(
-        (int(e.bits or "0", 2) << (d - len(e)), 1 << (d - len(e))) for e in tree.exits if len(e) <= d
+        (int(e or "0", 2) << (d - len(e)), 1 << (d - len(e))) for e in tree.exits if len(e) <= d
     )
-    out: list[BitString] = []
+    out: list[str] = []
     lo = 0
     for start, width in spans:
         out.extend(all_strings(d, lo, start))
@@ -129,14 +133,14 @@ def paths_at_depth(tree: Tree, d: int) -> tuple[BitString, ...]:
     return tuple(out)
 
 
-def dead_ends(tree: Tree) -> tuple[BitString, ...]:
+def dead_ends(tree: Tree) -> tuple[str, ...]:
     """Nodes strictly below the depth bound with no child in the tree, the
     parents of two sibling exits, listed length-lexicographically."""
-    ends = [e.parent() for e in tree.exits if e.bits.endswith("0") and e.sibling() in tree.exits]
-    return tuple(sorted(ends, key=lambda n: n.lenlex_key))
+    ends = [e[:-1] for e in tree.exits if e.endswith("0") and e[:-1] + "1" in tree.exits]
+    return tuple(sorted(ends, key=_lenlex_key))
 
 
-def graft_points(trees: Sequence[Tree], depth: int) -> tuple[BitString, ...]:
+def graft_points(trees: Sequence[Tree], depth: int) -> tuple[str, ...]:
     """The grafting targets of the diagonal construction.
 
     σ_n is the n-th dead end of the base tree; the target extending σ_n is
@@ -157,16 +161,16 @@ def graft_points(trees: Sequence[Tree], depth: int) -> tuple[BitString, ...]:
         )
     if not paths_at_depth(base, depth):
         raise PreconditionError("base tree reaches no depth-%d path (n=0)" % depth)
-    taus: list[BitString] = []
+    taus: list[str] = []
     for n, t_n in enumerate(trees):
         sigma = ends0[n]
         ends_n = dead_ends(t_n)
-        candidates = [d for d in ends_n if sigma.is_prefix_of(d)]
-        if any(d.is_prefix_of(sigma) for d in ends_n):
+        candidates = [d for d in ends_n if d.startswith(sigma)]
+        if sigma.startswith(ends_n):
             candidates.append(sigma)
         if not candidates:
-            raise PreconditionError(f"no dead end of tree {n} reachable above {sigma}")
-        taus.append(min(candidates, key=lambda s: s.lenlex_key))
+            raise PreconditionError(f"no dead end of tree {n} reachable above {sigma or 'ε'}")
+        taus.append(min(candidates, key=_lenlex_key))
     return tuple(taus)
 
 
@@ -178,7 +182,7 @@ def diagonalize(trees: Sequence[Tree], depth: int) -> Tree:
     """
     taus = graft_points(trees, depth)
     base = trees[0].nodes
-    copies = [tau.cat(node) for tau in taus for node in base]
+    copies = [tau + node for tau in taus for node in base]
     return Tree.closure_of([*base, *copies], depth)
 
 
@@ -187,14 +191,14 @@ class CappedReplay:
     """Replay record of one index under the measure cap: its log, one (stage,
     item, admitted) entry per event of the index up to the horizon."""
 
-    log: tuple[tuple[int, BitString, bool], ...]
+    log: tuple[tuple[int, str, bool], ...]
 
     @property
     def frozen_at(self) -> int | None:
         """The stage of the first refusal, or None if nothing was refused."""
         return next((s for s, _, admitted in self.log if not admitted), None)
 
-    def final(self) -> frozenset[BitString]:
+    def final(self) -> frozenset[str]:
         return frozenset(item for _, item, admitted in self.log if admitted)
 
 
@@ -208,12 +212,12 @@ def measure_capped_enumeration(
         raise DomainError("the cap parameter n must be ≥ 1")
     if horizon < 0:
         raise RangeError("horizon must be ≥ 0")
-    logs: dict[int, list[tuple[int, BitString, bool]]] = {e: [] for e in script.indices()}
+    logs: dict[int, list[tuple[int, str, bool]]] = {e: [] for e in script.indices()}
     coverings = dict.fromkeys(logs, Antichain())  # the unfrozen indices only
     for s, e, item in script.events:
         if s > horizon:
             break
-        if not isinstance(item, BitString):
+        if not isinstance(item, str):
             raise InputError(f"index {e} carries a non-string item at stage {s}")
         admitted = False
         if e in coverings:
@@ -228,7 +232,7 @@ def measure_capped_enumeration(
     return {e: CappedReplay(tuple(log)) for e, log in logs.items()}
 
 
-def tree_of_complement(strings: Iterable[BitString], depth: int) -> Tree:
+def tree_of_complement(strings: Iterable[str], depth: int) -> Tree:
     """Nodes with no prefix among the given strings: the class left after
     removing the covered cones.  Its exits are the minimal given strings of
     length ≤ depth."""
@@ -236,7 +240,7 @@ def tree_of_complement(strings: Iterable[BitString], depth: int) -> Tree:
 
 
 def tree_from_halting_oracle(
-    oracle: Callable[[BitString, int], bool], e: int, depth: int
+    oracle: Callable[[str, int], bool], e: int, depth: int
 ) -> Tree:
     """Nodes on which the oracle has not yet halted within the length budget.
 
@@ -244,10 +248,10 @@ def tree_from_halting_oracle(
     under a halted parent witnesses a monotonicity violation and is reported
     as an input error.
     """
-    halted: dict[str, BitString] = {}
+    halted: set[str] = set()
     for s in strings_up_to(depth):
         if oracle(s, e):
-            halted[s.bits] = s
-        elif s.bits and s.bits[:-1] in halted:
+            halted.add(s)
+        elif s and s[:-1] in halted:
             raise InputError(f"oracle not monotone at {s}")
-    return tree_of_complement(halted.values(), depth)
+    return tree_of_complement(halted, depth)

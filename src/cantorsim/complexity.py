@@ -239,8 +239,7 @@ def _programs(text: str, source: str) -> tuple[Program, ...]:
             )
         code_s, out_s, halt_s = fields
         try:
-            code = BitString.parse(code_s).bits
-            output = BitString.parse(out_s).bits
+            code, output = str(BitString.parse(code_s)), str(BitString.parse(out_s))
             halt = int(halt_s)
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
@@ -280,10 +279,10 @@ def _k_at(steps: tuple[list[int], list[int]] | None, t: int) -> float:
     return lengths[i - 1] if i else INFINITE
 
 
-def k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
+def k_approx(machine: PrefixMachine, sigma: str, t: int) -> float:
     """Shortest halted code for sigma at stage t; +inf when none has halted.
     Nonincreasing in t."""
-    return _k_at(machine._k_steps.get(sigma.bits), t)
+    return _k_at(machine._k_steps.get(sigma), t)
 
 
 def omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
@@ -294,9 +293,9 @@ def omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
     return omegas[i - 1] if i else ZERO
 
 
-def satisfies_constant(machine: PrefixMachine, sigma: BitString, c: int, t: int) -> bool:
+def satisfies_constant(machine: PrefixMachine, sigma: str, c: int, t: int) -> bool:
     """K_t(sigma) ≥ |sigma| − c; the +inf sentinel satisfies every bound."""
-    return k_approx(machine, sigma, t) >= len(sigma.bits) - c
+    return k_approx(machine, sigma, t) >= len(sigma) - c
 
 
 def failing_stages(machine: PrefixMachine, x: Dyadic, c: int) -> Iterator[tuple[int, int]]:
@@ -314,7 +313,7 @@ def failing_stages(machine: PrefixMachine, x: Dyadic, c: int) -> Iterator[tuple[
     if not lengths:
         return
     steps = machine._k_steps
-    bits = approx_string(x, lengths[-1]).bits
+    bits = approx_string(x, lengths[-1])
     # code lengths are ≥ 0, so no prefix of length n ≤ c can fail
     for n in lengths[bisect_right(lengths, c):]:
         step = steps.get(bits[:n])
@@ -341,7 +340,7 @@ def randomness_class_tree(machine: PrefixMachine, c: int, t: int, depth: int) ->
     minimal halted outputs of length ≤ depth that fail the constant,
     K_t(σ) < |σ| − c."""
     table = machine.halted_complexities(t)
-    return tree_of_complement((BitString(b) for b, k in table.items() if k < len(b) - c), depth)
+    return tree_of_complement((b for b, k in table.items() if k < len(b) - c), depth)
 
 
 def intersect_randomness(tree: Tree, machine: PrefixMachine, c: int, t: int) -> Tree:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .complexity import (
     PrefixMachine,
@@ -31,7 +30,7 @@ from .complexity import (
     omega_approx,
     satisfies_constant,
 )
-from .dyadic import ZERO, BitString, Dyadic
+from .dyadic import ZERO, Dyadic
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -39,13 +38,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .streams import (
-    EnumerationScript,
-    LeftCEApprox,
-    ScriptEvent,
-    approx_string,
-    real_from_ce_set,
-)
+from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
 __all__ = [
     "PlainValue",
@@ -55,7 +48,6 @@ __all__ = [
     "TraceRecord",
     "TraceValue",
     "beta_max",
-    "friedberg_merge",
     "hat_m_construction",
     "odd_ones_real_enumeration",
     "regret_construction",
@@ -78,7 +70,7 @@ class PlainValue:
 class TailValue:
     """prefix followed by the stage-s halting-mass tail."""
 
-    prefix: BitString
+    prefix: str
     omega_stage: int
     omega: Dyadic
 
@@ -86,7 +78,7 @@ class TailValue:
         return self.omega.in_cone(self.prefix)
 
     def render(self) -> str:
-        return f"{self.prefix.display()}*Ω@{self.omega_stage}"
+        return f"{self.prefix or '-'}*Ω@{self.omega_stage}"
 
 
 TraceValue = Union[PlainValue, TailValue]
@@ -237,25 +229,25 @@ def hat_m_construction(
         raise InputError("approximation shorter than the requested horizon")
     _require_strict_mass(machine)
 
-    parked_bit = BitString("1" if mirror else "0")
-    degenerate = ("1" if mirror else "0") * k
+    parked_bit = "1" if mirror else "0"
+    degenerate = parked_bit * k
 
     records: list[TraceRecord] = []
     parked = True
-    fix: BitString | None = None
-    prev_prefix: BitString | None = None
+    fix: str | None = None
+    prev_prefix: str | None = None
     for s in range(horizon + 1):
         omega_s = omega_approx(machine, s)
         boundary = approx_string(omega_s, k)
         if parked:
-            if boundary.bits == degenerate:
+            if boundary == degenerate:
                 records.append(TraceRecord(s, "parked", TailValue(parked_bit, s, omega_s)))
                 prev_prefix = approx_string(m.value(s), k)
                 continue
             parked = False
         cur = approx_string(m.value(s), k)
         # both words are k bits long, so the string order is the order of the values
-        if (cur.bits > boundary.bits) if mirror else (cur.bits < boundary.bits):
+        if (cur > boundary) if mirror else (cur < boundary):
             fix = None
             records.append(TraceRecord(s, "tracking", PlainValue(m.value(s))))
         else:
@@ -292,7 +284,8 @@ def regret_construction(
     member.  If the witness length later satisfies the constant, the slot
     is regretted: from that stage on it carries the current length-n prefix
     extended by a padding block of zeroes and the halting-mass tail, and
-    never rebinds.  The member itself becomes eligible for fresh slots.
+    never rebinds.  The member itself becomes eligible for fresh slots.  A
+    regretted prefix is built once per value of the member, not per stage.
     """
     if c < 0:
         raise DomainError("the constant must be ≥ 0")
@@ -314,18 +307,21 @@ def regret_construction(
         m = approxes[e]
         padding = None if regret is None else compute_padding(n, c + machine.c_tilde)
         records = [TraceRecord(t, "unbound", PlainValue(ZERO)) for t in range(bound)]
+        built = prefix = None  # the value whose regretted prefix is built, and that prefix
         for t in range(bound, horizon + 1):
+            x = m.value(t)
             if regret is None or t < regret:
-                records.append(TraceRecord(t, "tracking", PlainValue(m.value(t))))
+                records.append(TraceRecord(t, "tracking", PlainValue(x)))
             else:
-                prefix = approx_string(m.value(t), n).cat(BitString("0" * padding))
+                if x != built:
+                    built, prefix = x, approx_string(x, n) + "0" * padding
                 value = TailValue(prefix, t, omega_approx(machine, t))
                 records.append(TraceRecord(t, "regretted", value))
         slots.append(RegretSlot(StageTrace(tuple(records)), e, n, bound, regret, padding))
     return slots
 
 
-def odd_ones_real_enumeration(i: int) -> BitString:
+def odd_ones_real_enumeration(i: int) -> str:
     """The i-th string, in length-lexicographic order, ending in 1 with an
     odd number of 1s; its zero-padded extension has odd finitely many 1s.
 
@@ -338,67 +334,47 @@ def odd_ones_real_enumeration(i: int) -> BitString:
     if i < 0:
         raise DomainError("index must be ≥ 0")
     if i == 0:
-        return BitString("1")
+        return "1"
     n = i.bit_length() + 1
     j = i - (1 << (n - 2))
-    return BitString(format(2 * j + j.bit_count() % 2, "b").zfill(n - 1) + "1")
+    return format(2 * j + j.bit_count() % 2, "b").zfill(n - 1) + "1"
 
 
-SetValue = frozenset[BitString]
-W = TypeVar("W")  # a word: a BitString, or an integer key
+Keys = frozenset[int]  # a set of words, by their keys (`dyadic.word_key`)
 
 
-def friedberg_merge(
-    listing: Iterable[SetValue],
-    l2: EnumerationScript,
-    extensions: Callable[[SetValue], Iterable[SetValue]],
+def merge_rows(
+    listing: Iterable[Keys],
+    events: Sequence[tuple[int, int, Sequence[int]]],
+    extensions: Callable[[Keys], Iterable[Keys]],
     horizon: int,
-) -> EnumerationScript:
-    """Merge an injective set listing with a scripted family, repeats removed.
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Merge an injective set listing with a scripted family, repeats
+    removed, over words as integer keys (`dyadic.word_key`), whose own order
+    is the length-lexicographic one.
 
-    The listing is any iterable of distinct sets, read on demand: each stage
-    emits, on a new slot, the next member not yet used.  ``extensions(content)``
-    yields candidate sets in order, each containing the content; a diversion
-    takes the first one not yet used, and at most len(used) + horizon + 2
+    The scripted side arrives as stage-sorted blocks (stage, index, keys),
+    each a nonempty sequence of integer keys; the result is the row blocks
+    (stage, slot, keys), none empty, in emission order, which is stage order.
+    A delivery's row holds the keys its index lacked, in block order without
+    repeats; a spawned or diverted set's row is sorted.  The listing is any
+    iterable of distinct sets, read on demand: each stage emits, on a new
+    slot, the next member not yet used.  ``extensions(content)`` yields
+    candidate sets in order, each containing the content; a diversion takes
+    the first one not yet used, and at most len(used) + horizon + 2
     candidates are read before the merge gives up.
 
     Each script index j is followed by a slot, and an active follower's slot
     always holds exactly current[j], the set j shows so far: the slot is
-    copied from it at spawn, and each delivery adds the new items to both.  So
+    copied from it at spawn, and each delivery adds the new keys to both.  So
     a follower exists only while no other active follower shows the same set.
     Converging followers lose the larger index, whose slot is permanently
     diverted to an unused extension of its set, and the index respawns on a
     new slot once its set again matches no active follower.  On inputs whose
     tracked sets settle by the horizon, the settled output sets are exactly
-    the used listing members plus the scripted sets, with no repeats.  The
-    script's consecutive events of one (stage, index) enter `merge_rows` as
-    one block, and each row block leaves as one event per item.
-    """
-    groups = itertools.groupby(l2.events, key=itemgetter(0, 1))
-    blocks = [(s, j, tuple(ev.item for ev in group)) for (s, j), group in groups]
-    rows = merge_rows(listing, blocks, extensions, horizon, BitString, attrgetter("lenlex_key"))
-    events = (ScriptEvent(s, j, item) for s, j, items in rows for item in items)
-    return EnumerationScript(tuple(events), horizon)
+    the used listing members plus the scripted sets, with no repeats.
 
-
-def merge_rows(
-    listing: Iterable[frozenset[W]],
-    events: Sequence[tuple[int, int, tuple[W, ...]]],
-    extensions: Callable[[frozenset[W]], Iterable[frozenset[W]]],
-    horizon: int,
-    word: type[W],
-    order: Callable[[W], object] | None,
-) -> list[tuple[int, int, tuple[W, ...]]]:
-    """`friedberg_merge`'s stage loop over stage-sorted blocks (stage, index,
-    items), each a nonempty tuple of items of the type `word`; returns the row
-    blocks (stage, slot, items), none empty, in emission order, which is stage
-    order.  A delivery's row holds the items its index lacked, in block order
-    without repeats; a spawned or diverted set's row is sorted by `order`
-    (their own order when None).  The merge runs it on BitString sets in
-    length-lexicographic order, and the recipes on integer keys
-    (`dyadic.word_key`), whose own order is that one.
-
-    Each index carries the signature (size, sum of item hashes) of its set,
+    Each index carries the signature (size, sum of key hashes) of its set,
     kept on every delivery, and `groups` maps a signature to the active
     followers that carry it.  Two sets are equal only if their signatures
     are, so steps 2 and 3 look for a twin of j only in j's group, where each
@@ -409,30 +385,30 @@ def merge_rows(
     follower and lies in its group.  So both steps take the decisions of a
     scan over every index and every active follower, and as no decision
     depends on the order within a group, the rows do not depend on the hash
-    seed."""
+    seed.  `oracles.brute_merge_rows` is the same loop one word at a time."""
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
-    current: dict[int, set[W]] = {index: set() for _, index, _ in events}
+    current: dict[int, set[int]] = {index: set() for _, index, _ in events}
     signature: dict[int, tuple[int, int]] = dict.fromkeys(current, (0, 0))
     groups: dict[tuple[int, int], list[int]] = {}
     active: dict[int, int] = {}  # index -> slot id
     slots = 0
-    rows: list[tuple[int, int, tuple[W, ...]]] = []
-    used: set[frozenset[W]] = set()
-    listed: set[frozenset[W]] = set()
+    rows: list[tuple[int, int, tuple[int, ...]]] = []
+    used: set[Keys] = set()
+    listed: set[Keys] = set()
     listing = iter(listing)
 
-    def emit(slot: int, stage: int, items: set[W] | frozenset[W]) -> None:
+    def emit(slot: int, stage: int, items: set[int] | Keys) -> None:
         if items:
-            rows.append((stage, slot, tuple(sorted(items, key=order))))
+            rows.append((stage, slot, tuple(sorted(items))))
 
-    def new_slot(stage: int, content: set[W] | frozenset[W]) -> int:
+    def new_slot(stage: int, content: set[int] | Keys) -> int:
         nonlocal slots
         emit(slots, stage, content)
         slots += 1
         return slots - 1
 
-    def pick_fresh(content: frozenset[W], stage: int) -> frozenset[W]:
+    def pick_fresh(content: Keys, stage: int) -> Keys:
         for value in itertools.islice(extensions(content), len(used) + horizon + 2):
             if not content <= value:
                 raise ContractViolationError(
@@ -451,10 +427,10 @@ def merge_rows(
         while pos < len(events) and events[pos][0] == s:
             _, index, items = events[pos]
             pos += 1
-            if not all(map(isinstance, items, itertools.repeat(word))):
+            if not all(map(isinstance, items, itertools.repeat(int))):
                 raise InputError(f"index {index} carries a non-string item at stage {s}")
             have, size = current[index], len(current[index])
-            new = items if have.isdisjoint(items) else tuple(x for x in items if x not in have)
+            new = tuple(items) if have.isdisjoint(items) else tuple(x for x in items if x not in have)
             have.update(new)
             if len(have) - size < len(new):  # the block repeats an item
                 new = tuple(dict.fromkeys(new))

@@ -27,14 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .dyadic import (
-    Antichain,
-    BitString,
-    covered_up_to,
-    grow_covering,
-    trusted_antichain,
-    trusted_bitstring,
-)
+from .dyadic import Antichain, BitString, covered_up_to, grow_covering, trusted_antichain
 from .errors import DomainError, ParseError, RangeError, records
 
 __all__ = [
@@ -49,9 +42,9 @@ __all__ = [
 ]
 
 
-def parse_listing(text: str, source: str = "<listing>") -> tuple[BitString, ...]:
+def parse_listing(text: str, source: str = "<listing>") -> tuple[str, ...]:
     """One string per line, in enumeration order; '#' starts a comment."""
-    out: list[BitString] = []
+    out: list[str] = []
     for lineno, (line,) in records(text, sep=None):
         try:
             out.append(BitString.parse(line))
@@ -60,7 +53,7 @@ def parse_listing(text: str, source: str = "<listing>") -> tuple[BitString, ...]
     return tuple(out)
 
 
-def load_listing(path: str) -> tuple[BitString, ...]:
+def load_listing(path: str) -> tuple[str, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_listing(fh.read(), source=path)
 
@@ -70,14 +63,14 @@ class StarSnapshot:
     """State after examining listing element sigma at the given stage."""
 
     stage: int
-    sigma: BitString
+    sigma: str
     good: bool
     case: str  # 'a', 'b', or '-' when the stage is skipped
     covering: Antichain  # of the listing before sigma
     family: Antichain
 
 
-def star_construction(listing: Sequence[BitString], horizon: int) -> list[StarSnapshot]:
+def star_construction(listing: Sequence[str], horizon: int) -> list[StarSnapshot]:
     """Replay the listing.  At a good stage, where sigma is longer than every
     member of the consumed listing's covering and extends none, the family is
     that covering if even, the prefix being acceptable (case a), else the one
@@ -177,8 +170,8 @@ def _extend(members: tuple, words: tuple, level: int, v: int, total: int, odd: i
             yield from _extend(more, words + (_word(lev, u),), lev, u + 1, rest, odd ^ 1)
 
 
-def _word(level: int, u: int) -> BitString:
-    return trusted_bitstring(format(u, f"0{level}b") if level else "")
+def _word(level: int, u: int) -> str:
+    return format(u, f"0{level}b") if level else ""
 
 
 def covering_antichains(odd: bool) -> Iterator[Antichain]:

@@ -1,24 +1,29 @@
 """Exact combinatorics on finite binary strings and dyadic rationals.
 
-Everything downstream builds on three value types: bit strings carrying the
-prefix partial order and the length-lexicographic total order, dyadic
-rationals kept in lowest terms inside [0, 1], and reduced antichains that
-canonically represent unions of cones.  All arithmetic is integer-exact;
-there is no floating point anywhere because the constructions compare reals
-for strict order, where rounding is fatal.
+A finite word over {0, 1} is a plain `str`, everywhere in the package: the
+prefix order is `startswith`, concatenation `+`, a prefix a slice, and the
+length-lexicographic order the key (len(w), w).  ε is the empty string; an
+output or a message shows it as ε, or as '-' in a tab-separated field.
+`BitString` is the same `str` checked at the text boundary: its constructor
+raises `DomainError` on anything but a 0/1 word, and `BitString.parse`
+reads '', 'ε' and '-' as ε.  It equals and hashes as its `str`, and any
+slice or concatenation of it is a plain `str` again.
 
-The three types share one contract.  Each is a `__slots__` class whose
-constructor validates its arguments and raises `DomainError` on a bad one;
-an instance is immutable (assigning or deleting an attribute raises
-`AttributeError`); and it equals only an instance of its own type, with a
-hash that agrees with that equality, so a `BitString` never equals its
-`str` and a `Dyadic` never equals a tuple.  Inside the package,
-`trusted_bitstring` and `trusted_antichain` build the same values without
-the checks, for callers that hold words or members already known to be
-valid; they are not exported.  Nor are `word_key` and `key_word`, which map
-a word to the integer key int("1" + word, 2) and back: keys order as the
-words do length-lexicographically, so the recipes hash, sort and slice sets
-of words as sets and ranges of integers (`covered_deltas` yields keys).
+Two value types build on the words: dyadic rationals kept in lowest terms
+inside [0, 1], and reduced antichains that canonically represent unions of
+cones.  Each is a `__slots__` class whose constructor validates its
+arguments and raises `DomainError` on a bad one; an instance is immutable
+(assigning or deleting an attribute raises `AttributeError`); and it equals
+only an instance of its own type, with a hash that agrees with that
+equality, so a `Dyadic` never equals a tuple.  Inside the package,
+`trusted_antichain` builds an antichain without the checks, for callers that
+hold members already known to be valid; it is not exported.  Nor are
+`word_key` and `key_word`, which map a word to the integer key
+int("1" + word, 2) and back: keys order as the words do
+length-lexicographically, so the recipes hash, sort and slice sets of words
+as sets and ranges of integers (`covered_deltas` returns keys).  All
+arithmetic is integer-exact; there is no floating point anywhere because
+the constructions compare reals for strict order, where rounding is fatal.
 """
 
 from __future__ import annotations
@@ -74,111 +79,51 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class BitString(_Value):
-    """A finite word over {0, 1}; the empty word is written ε."""
+class BitString(str):
+    """A `str` checked to be a finite word over {0, 1}."""
 
-    __slots__ = ("bits",)
-    bits: str
+    __slots__ = ()
 
-    def __init__(self, bits: str = "") -> None:
+    def __new__(cls, bits: str = "") -> "BitString":
         if bits.strip("01"):
             raise DomainError(f"not a 0/1 word: {bits!r}")
-        _set_bits(self, bits)
-
-    def __repr__(self) -> str:
-        return f"BitString(bits={self.bits!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.bits == other.bits  # type: ignore[attr-defined]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __reduce__(self) -> tuple:
-        return BitString, (self.bits,)
+        return super().__new__(cls, bits)
 
     @classmethod
     def parse(cls, text: str) -> "BitString":
         """Accept a 0/1 word; '', 'ε' and '-' all denote the empty word."""
         text = text.strip()
-        if text in ("", "ε", "-"):
-            return cls("")
-        return cls(text)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return self.bits or "ε"
-
-    def display(self) -> str:
-        """Render for tab-separated CLI output; ε shows as '-'."""
-        return self.bits or "-"
+        return cls("" if text in ("ε", "-") else text)
 
     @property
-    def lenlex_key(self) -> tuple[int, str]:
-        return (len(self.bits), self.bits)
-
-    def cat(self, other: "BitString") -> "BitString":
-        return BitString(self.bits + other.bits)
-
-    def take(self, n: int) -> "BitString":
-        return BitString(self.bits[:n])
-
-    def parent(self) -> "BitString":
-        if not self.bits:
-            raise DomainError("ε has no parent")
-        return BitString(self.bits[:-1])
-
-    def sibling(self) -> "BitString":
-        if not self.bits:
-            raise DomainError("ε has no sibling")
-        flipped = "1" if self.bits[-1] == "0" else "0"
-        return BitString(self.bits[:-1] + flipped)
-
-    def is_prefix_of(self, other: "BitString") -> bool:
-        return other.bits.startswith(self.bits)
-
-    def comparable(self, other: "BitString") -> bool:
-        return self.is_prefix_of(other) or other.is_prefix_of(self)
-
-    def ones(self) -> int:
-        return self.bits.count("1")
-
-    def padded(self, n: int) -> str:
-        """Raw bits extended with zeroes up to length n (never truncates)."""
-        return self.bits + "0" * (n - len(self.bits))
+    def bits(self) -> str:
+        """The word as a plain `str`."""
+        return str(self)
 
 
-_set_bits = BitString.bits.__set__  # type: ignore[attr-defined]
+EMPTY = ""
 
 
-def trusted_bitstring(bits: str) -> BitString:
-    """The BitString of a word the caller has already checked to be 0/1:
-    the constructor's result, without its check."""
-    b = object.__new__(BitString)
-    _set_bits(b, bits)
-    return b
+def _lenlex(words: Iterable[str]) -> list[str]:
+    """The words in length-lexicographic order."""
+    out = sorted(words)
+    out.sort(key=len)  # stable: lexicographic within a length
+    return out
 
 
-EMPTY = BitString("")
-
-
-def word_key(word: BitString) -> int:
+def word_key(word: str) -> int:
     """The integer key of a word: its bits read in binary after a leading 1,
     so ε has key 1 and the n-bit word of value v has key 2ⁿ + v.  Keys of
     shorter words are shorter integers, and at one length the key order is
     the value order, so keys order exactly as the words length-
     lexicographically, and the n-bit values [lo, hi) are the key range
     [2ⁿ + lo, 2ⁿ + hi)."""
-    return int("1" + word.bits, 2)
+    return int("1" + word, 2)
 
 
-def key_word(key: int) -> BitString:
+def key_word(key: int) -> str:
     """The word of an integer key: its binary digits after the leading 1."""
-    return trusted_bitstring(format(key, "b")[1:])
+    return format(key, "b")[1:]
 
 
 # the longest words kept whole by _cached_words: the default check suites ask
@@ -187,16 +132,16 @@ _CACHED_WORD_LENGTH = 10
 
 
 @lru_cache(maxsize=_CACHED_WORD_LENGTH + 1)
-def _cached_words(length: int) -> tuple[BitString, ...]:
+def _cached_words(length: int) -> tuple[str, ...]:
     """Every word of a length ≤ _CACHED_WORD_LENGTH, lexicographically, built
-    once per process; `format` writes only 0/1, so the words need no check."""
+    once per process."""
     if not length:
-        return (EMPTY,)
+        return ("",)
     spec = f"0{length}b"
-    return tuple(trusted_bitstring(format(v, spec)) for v in range(1 << length))
+    return tuple(format(v, spec) for v in range(1 << length))
 
 
-def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[BitString]:
+def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[str]:
     """The words of the given length whose binary value v satisfies
     lo ≤ v < hi (every word when hi is None), in lexicographic order: each
     is v written in binary and zero-filled to the length, ε for length 0.
@@ -208,19 +153,19 @@ def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[Bit
         yield from _cached_words(length)[lo:hi]
         return
     for v in range(lo, hi):
-        yield BitString(format(v, "b").zfill(length) if length else "")
+        yield format(v, "b").zfill(length) if length else ""
 
 
-def strings_up_to(length: int) -> Iterator[BitString]:
+def strings_up_to(length: int) -> Iterator[str]:
     """All words of length ≤ the bound, in length-lexicographic order."""
     for n in range(length + 1):
         yield from all_strings(n)
 
 
-def lex_compare_padded(a: BitString, b: BitString) -> Order:
+def lex_compare_padded(a: str, b: str) -> Order:
     """Compare the zero-padded extensions a0^ω and b0^ω lexicographically."""
     n = max(len(a), len(b))
-    x, y = a.padded(n), b.padded(n)
+    x, y = a.ljust(n, "0"), b.ljust(n, "0")
     if x == y:
         return Order.EQ
     return Order.LT if x < y else Order.GT
@@ -314,7 +259,7 @@ class Dyadic(_Value):
             raise DomainError("scale exponent must be ≥ 0")
         return Dyadic(self.num, self.exp + k)
 
-    def in_cone(self, prefix: BitString) -> "Dyadic":
+    def in_cone(self, prefix: str) -> "Dyadic":
         """The value of prefix followed by this real's expansion."""
         return rational_of_string(prefix) + self.scaled(len(prefix))
 
@@ -330,20 +275,20 @@ ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
 
-def rational_of_string(s: BitString) -> Dyadic:
+def rational_of_string(s: str) -> Dyadic:
     """Σ s(i)·2^{-(i+1)}: the value of s followed by zeroes."""
-    if not len(s):
+    if not s:
         return ZERO
-    return Dyadic(int(s.bits, 2), len(s))
+    return Dyadic(int(s, 2), len(s))
 
 
-def string_of_rational(q: Dyadic) -> BitString:
+def string_of_rational(q: Dyadic) -> str:
     """The finite expansion of q ending in 1 (ε for q = 0); requires q < 1."""
     if q == ONE:
         raise DomainError("q must lie in [0, 1)")
     if q.num == 0:
         return EMPTY
-    return BitString(format(q.num, "b").zfill(q.exp))
+    return format(q.num, "b").zfill(q.exp)
 
 
 class Antichain(_Value):
@@ -354,22 +299,21 @@ class Antichain(_Value):
     versa.  Members are kept in length-lexicographic order.
     """
 
-    __slots__ = ("members", "_words")
-    members: tuple[BitString, ...]
+    __slots__ = ("members",)
+    members: tuple[str, ...]
 
-    def __init__(self, members: Iterable[BitString] = ()) -> None:
-        by_word = {m.bits: m for m in members}
-        order = sorted(by_word)
-        order.sort(key=len)  # stable: length-lexicographic
-        words = tuple(order)
+    def __init__(self, members: Iterable[str] = ()) -> None:
+        distinct = set(members)
+        words = tuple(_lenlex(distinct))
         for k, b in enumerate(words):
+            if b.strip("01"):
+                raise DomainError(f"not a 0/1 word: {b!r}")
             if k and b.startswith(words[:k]):  # of the earlier words, only a shorter one can match
                 prefix = next(w for w in words[:k] if b.startswith(w))
-                raise DomainError(f"antichain violation: {prefix} ⪯ {b}")
-            if b[-1:] == "1" and b[:-1] + "0" in by_word:
+                raise DomainError(f"antichain violation: {prefix or 'ε'} ⪯ {b}")
+            if b[-1:] == "1" and b[:-1] + "0" in distinct:
                 raise DomainError(f"not reduced: both children of {b[:-1] or 'ε'} present")
-        _set_members(self, tuple(map(by_word.__getitem__, words)))
-        _set_words(self, words)
+        _set_members(self, words)
 
     def __repr__(self) -> str:
         return f"Antichain(members={self.members!r})"
@@ -385,39 +329,37 @@ class Antichain(_Value):
     def __reduce__(self) -> tuple:
         return Antichain, (self.members,)
 
-    def __iter__(self) -> Iterator[BitString]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def covers(self, s: BitString) -> bool:
+    def covers(self, s: str) -> bool:
         """Membership in the represented filter-closed set: s extends a member.
         The members of a reduced antichain are the minimal strings whose cones
         lie inside the union, so this also says whether the whole cone [s]
         lies under the member cones."""
-        return s.bits.startswith(self._words)
+        return s.startswith(self.members)
 
     def total_bits(self) -> int:
-        return sum(len(m) for m in self.members)
+        return sum(map(len, self.members))
 
     def render(self) -> str:
         if not self.members:
             return "-"
-        return ",".join(str(m) for m in self.members)
+        return ",".join(m or "ε" for m in self.members)
 
 
 _set_members = Antichain.members.__set__  # type: ignore[attr-defined]
-_set_words = Antichain._words.__set__  # type: ignore[attr-defined]
 
 
-def trusted_antichain(members: tuple[BitString, ...]) -> Antichain:
+def trusted_antichain(members: tuple[str, ...]) -> Antichain:
     """The Antichain of members the caller already holds as a reduced
     antichain in length-lexicographic order: the constructor's result,
     without its sort and checks."""
     a = object.__new__(Antichain)
     _set_members(a, members)
-    _set_words(a, tuple(m.bits for m in members))
     return a
 
 
@@ -433,10 +375,11 @@ def _spans(antichain: Antichain, n: int) -> list[tuple[int, int]]:
     )
 
 
-def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[int]:
+def covered_deltas(old: Antichain, new: Antichain, length: int) -> list[int]:
     """The keys of the strings of length ≤ the bound that new covers and old
     does not, in increasing order: at each length, new's intervals minus
-    old's."""
+    old's, each remaining interval added as one range."""
+    out: list[int] = []
     for n in range(length + 1):
         holes = _spans(old, n)
         for lo, hi in _spans(new, n):
@@ -444,33 +387,25 @@ def covered_deltas(old: Antichain, new: Antichain, length: int) -> Iterator[int]
                 if a >= hi:
                     break
                 if b > lo:
-                    yield from range(lo, a)
+                    out += range(lo, a)
                     lo = b
-            yield from range(lo, hi)
+            out += range(lo, hi)
+    return out
 
 
-def covered_up_to(antichain: Antichain, depth: int) -> frozenset[BitString]:
-    """Members of the represented filter-closed set up to the given length.
-
-    A member m with binary value v covers, at each length n from |m| to the
-    depth, exactly the n-bit values in [v·2^(n−|m|), (v+1)·2^(n−|m|)).
-    """
-    out: set[BitString] = set()
-    for m in antichain.members:
-        v = int("0" + m.bits, 2)
-        for n in range(len(m), depth + 1):
-            shift = n - len(m)
-            out.update(all_strings(n, v << shift, (v + 1) << shift))
-    return frozenset(out)
+def covered_up_to(antichain: Antichain, depth: int) -> frozenset[str]:
+    """Members of the represented filter-closed set up to the given length:
+    the words of the keys that the antichain covers over the empty one."""
+    return frozenset(map(key_word, covered_deltas(Antichain(), antichain, depth)))
 
 
-def _minimal_bits(strings: Iterable[BitString]) -> set[str]:
-    """The bits of the members with no proper prefix among the members."""
-    bits = {s.bits for s in strings}
+def _minimal_bits(strings: Iterable[str]) -> set[str]:
+    """The members with no proper prefix among the members."""
+    bits = set(strings)
     return {b for b in bits if not any(b[:i] in bits for i in range(len(b)))}
 
 
-def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
+def prefix_set_measure(strings: Iterable[str]) -> Dyadic:
     """Exact fair-coin measure of the union of cones [σ], σ in the set.
 
     Strings extending another member are dropped first so the remaining
@@ -484,12 +419,12 @@ def prefix_set_measure(strings: Iterable[BitString]) -> Dyadic:
     return Dyadic(num, exp)
 
 
-def minimal_strings(strings: Iterable[BitString]) -> frozenset[BitString]:
+def minimal_strings(strings: Iterable[str]) -> frozenset[str]:
     """The members with no proper prefix among the members."""
-    return frozenset(BitString(b) for b in _minimal_bits(strings))
+    return frozenset(_minimal_bits(strings))
 
 
-def optimal_covering(strings: Iterable[BitString]) -> Antichain:
+def optimal_covering(strings: Iterable[str]) -> Antichain:
     """The minimal strings whose cones are contained in the union of cones.
 
     Members that extend another member add nothing and are dropped; the rest
@@ -507,10 +442,10 @@ def optimal_covering(strings: Iterable[BitString]) -> Antichain:
                 nodes -= {b, sibling}
                 nodes.add(b[:-1])
                 work.append(b[:-1])
-    return Antichain(tuple(BitString(b) for b in nodes))
+    return Antichain(nodes)
 
 
-def grow_covering(antichain: Antichain, s: BitString) -> Antichain:
+def grow_covering(antichain: Antichain, s: str) -> Antichain:
     """The optimal covering of a reduced antichain's members and s, grown in
     one step: the antichain itself when it covers s; otherwise s takes the
     place of the members extending it and, while its sibling is a member,
@@ -518,16 +453,15 @@ def grow_covering(antichain: Antichain, s: BitString) -> Antichain:
     extends the parent but the sibling."""
     if antichain.covers(s):
         return antichain
-    w = s.bits
-    kept = {m.bits: m for m in antichain.members if not m.bits.startswith(w)}
-    while w and (sibling := w[:-1] + ("1" if w[-1] == "0" else "0")) in kept:
-        del kept[sibling]
-        w = w[:-1]
-    kept[w] = s if w == s.bits else trusted_bitstring(w)
-    return trusted_antichain(tuple(sorted(kept.values(), key=lambda m: (len(m.bits), m.bits))))
+    kept = {m for m in antichain.members if not m.startswith(s)}
+    while s and (sibling := s[:-1] + ("1" if s[-1] == "0" else "0")) in kept:
+        kept.remove(sibling)
+        s = s[:-1]
+    kept.add(s)
+    return trusted_antichain(tuple(_lenlex(kept)))
 
 
-def is_acceptable(strings: Iterable[BitString]) -> bool:
+def is_acceptable(strings: Iterable[str]) -> bool:
     """Whether the optimal covering has even cardinality (the empty set
     counts: its covering is empty and 0 is even)."""
     return len(optimal_covering(strings)) % 2 == 0

@@ -5,13 +5,11 @@ iteration, deliberately avoiding the code paths it is used to check.  The
 check suites and the test suite compare the fast implementations against
 these.
 
-Inside, an oracle works on plain words (`str`) and integers, and sweeps the
-words itself; it wraps its result in the value types (`BitString`, `Dyadic`,
-`Antichain`) only at its return.  `sibling_merge_closure` returns its up to
-2^(depth+1) − 1 words plain, and its callers test membership by `.bits`.
-From the package it imports only those value types, `Tree`, `PrefixMachine`
-and `errors`, so no enumeration, expansion or conversion routine of the fast
-code is on an oracle's path.
+An oracle works on plain words (`str`) and integers, as the package does,
+and sweeps the words itself; a covering comes back as an `Antichain` and a
+value as a `Dyadic`.  From the package it imports only those value types,
+`Tree`, `PrefixMachine` and `errors`, so no enumeration, expansion or
+conversion routine of the fast code is on an oracle's path.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .classes import Tree
 from .complexity import PrefixMachine
-from .dyadic import ZERO, Antichain, BitString, Dyadic
+from .dyadic import ZERO, Antichain, Dyadic
 from .errors import ContractViolationError, DomainError, InputError
 
 __all__ = [
@@ -77,10 +75,10 @@ def _expansion_at_depth(bits: set[str], depth: int) -> list[str]:
     return [w for w in _words(depth) if w.startswith(members)]
 
 
-def expansion_at_depth(strings: Iterable[BitString], depth: int) -> frozenset[str]:
+def expansion_at_depth(strings: Iterable[str], depth: int) -> frozenset[str]:
     """All length-depth words extending some member; exact picture of the
     covered class once depth reaches every member length."""
-    return frozenset(_expansion_at_depth({s.bits for s in strings}, depth))
+    return frozenset(_expansion_at_depth(set(strings), depth))
 
 
 def _optimal_covering(bits: set[str]) -> list[str]:
@@ -95,18 +93,18 @@ def _optimal_covering(bits: set[str]) -> list[str]:
     return sorted((b for b in covered if not b or b[:-1] not in covered), key=lambda b: (len(b), b))
 
 
-def brute_optimal_covering(strings: Iterable[BitString]) -> Antichain:
+def brute_optimal_covering(strings: Iterable[str]) -> Antichain:
     """Minimal covered nodes found by counting depth-expansion leaves under
     each candidate."""
-    return Antichain(tuple(BitString(b) for b in _optimal_covering({s.bits for s in strings})))
+    return Antichain(_optimal_covering(set(strings)))
 
 
-def sibling_merge_closure(strings: Iterable[BitString], depth: int) -> frozenset[str]:
+def sibling_merge_closure(strings: Iterable[str], depth: int) -> frozenset[str]:
     """Fixpoint of extension and sibling-merge rules inside words of length
-    ≤ depth, as plain words; exact membership picture when depth reaches
-    every member.  Each word is examined once, when it joins: its children
-    join it, and so does its parent once its sibling is in."""
-    bits = {s.bits for s in strings}
+    ≤ depth; exact membership picture when depth reaches every member.  Each
+    word is examined once, when it joins: its children join it, and so does
+    its parent once its sibling is in."""
+    bits = set(strings)
     if any(len(b) > depth for b in bits):
         raise DomainError("closure depth must reach every member")
     work = list(bits)
@@ -143,7 +141,7 @@ def brute_covering_families(total: int) -> tuple[Antichain, ...]:
 
     extend(0, (), total)
     found.sort(key=lambda a: tuple((len(b), b) for b in a))
-    return tuple(Antichain(tuple(BitString(b) for b in a)) for a in found)
+    return tuple(map(Antichain, found))
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +184,7 @@ def _parity_families(total: int, odd: bool) -> tuple[tuple[str, ...], ...]:
 def split_covering_families(total: int, odd: bool) -> tuple[Antichain, ...]:
     """The covering families of the total and parity in canonical order, from
     the whole listing of the split recursion."""
-    return tuple(Antichain(tuple(BitString(b) for b in a)) for a in _parity_families(total, odd))
+    return tuple(map(Antichain, _parity_families(total, odd)))
 
 
 def split_covering_family(i: int, odd: bool) -> Antichain:
@@ -199,17 +197,17 @@ def split_covering_family(i: int, odd: bool) -> Antichain:
     while i >= len(families := _parity_families(total, odd)):
         i -= len(families)
         total += 1
-    return Antichain(tuple(BitString(b) for b in families[i]))
+    return Antichain(families[i])
 
 
 def _odd_ones(max_len: int) -> list[str]:
     return [w for w in _words_up_to(max_len) if w.endswith("1") and w.count("1") % 2 == 1]
 
 
-def brute_odd_ones(max_len: int) -> list[BitString]:
+def brute_odd_ones(max_len: int) -> list[str]:
     """The strings of length ≤ max_len that end in 1 and carry an odd number
     of 1s, in length-lexicographic order."""
-    return [BitString(w) for w in _odd_ones(max_len)]
+    return _odd_ones(max_len)
 
 
 def _lower_cut(num: int, exp: int, max_len: int) -> list[str]:
@@ -223,27 +221,27 @@ def _lower_cut(num: int, exp: int, max_len: int) -> list[str]:
     ]
 
 
-def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
+def brute_lower_cut(x: Dyadic, max_len: int) -> frozenset[str]:
     """The cut computed on the rational side: value comparison only."""
-    return frozenset(BitString(w) for w in _lower_cut(x.num, x.exp, max_len))
+    return frozenset(_lower_cut(x.num, x.exp, max_len))
 
 
-def set_difference_deltas(values: Iterable[Dyadic], length: int) -> list[tuple[int, BitString]]:
+def set_difference_deltas(values: Iterable[Dyadic], length: int) -> list[tuple[int, str]]:
     """(stage, string) for every string the truncated lower cut gains at each
     stage: the whole cut of each stage value, minus the cut of the stage
     before, length-lexicographically."""
-    out: list[tuple[int, BitString]] = []
+    out: list[tuple[int, str]] = []
     seen: set[str] = set()
     for s, x in enumerate(values):
         cut = _lower_cut(x.num, x.exp, length)
-        out.extend((s, BitString(w)) for w in cut if w not in seen)
+        out.extend((s, w) for w in cut if w not in seen)
         seen = set(cut)
     return out
 
 
 def inclusion_odd_ones_extensions(
     length: int,
-) -> Callable[[frozenset[BitString]], Iterator[frozenset[BitString]]]:
+) -> Callable[[frozenset[str]], Iterator[frozenset[str]]]:
     """The odd-ones extensions by set inclusion: every odd-ones cut is built
     as a set, and the ones that contain the content are taken in listing
     order."""
@@ -338,10 +336,10 @@ def _k_scan(machine: PrefixMachine, word: str, t: int) -> float:
     return best
 
 
-def brute_k_approx(machine: PrefixMachine, sigma: BitString, t: int) -> float:
+def brute_k_approx(machine: PrefixMachine, sigma: str, t: int) -> float:
     """K_t(sigma) by a scan of every program: the shortest code that outputs
     sigma and has halted by stage t, or +inf."""
-    return _k_scan(machine, sigma.bits, t)
+    return _k_scan(machine, sigma, t)
 
 
 def brute_omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
@@ -372,10 +370,10 @@ def _expansion(x: Dyadic, n: int) -> str:
     return format(min((x.num << n) >> x.exp, (1 << n) - 1), f"0{n}b")
 
 
-def expansion_prefix(x: Dyadic, n: int) -> BitString:
+def expansion_prefix(x: Dyadic, n: int) -> str:
     """The first n bits of x's binary expansion, x = 1 expanding as all ones,
     from the integer ⌊x·2^n⌋."""
-    return BitString(_expansion(x, n))
+    return _expansion(x, n)
 
 
 def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
@@ -417,7 +415,7 @@ def brute_failing_runs(
     return runs
 
 
-def greedy_expansion(q: Dyadic) -> BitString:
+def greedy_expansion(q: Dyadic) -> str:
     """Digit-by-digit greedy binary expansion of q < 1, over q's exp digits:
     in lowest terms its last 1 is digit exp."""
     if q >= Dyadic(1, 0):
@@ -431,7 +429,7 @@ def greedy_expansion(q: Dyadic) -> BitString:
             rest = rest - step
         else:
             bits.append("0")
-    return BitString("".join(bits))
+    return "".join(bits)
 
 
 def padding_holds(p: int, target: int) -> bool:
@@ -442,33 +440,28 @@ def padding_holds(p: int, target: int) -> bool:
 
 
 def _nodes(tree: Tree) -> list[str]:
-    exits = tuple(e.bits for e in tree.exits)
+    exits = tuple(tree.exits)
     return [w for w in _words_up_to(tree.depth) if not w.startswith(exits)]
 
 
-def brute_nodes(tree: Tree) -> frozenset[BitString]:
+def brute_nodes(tree: Tree) -> frozenset[str]:
     """Every string of length ≤ depth with no exit as a prefix."""
-    return frozenset(BitString(w) for w in _nodes(tree))
+    return frozenset(_nodes(tree))
 
 
-def node_set_paths(nodes: frozenset[BitString], d: int) -> tuple[BitString, ...]:
+def node_set_paths(nodes: frozenset[str], d: int) -> tuple[str, ...]:
     """The length-d members of a prefix-closed node set, length-lexicographically."""
-    return tuple(sorted((n for n in nodes if len(n.bits) == d), key=lambda n: n.bits))
+    return tuple(sorted(n for n in nodes if len(n) == d))
 
 
-def node_set_dead_ends(nodes: frozenset[BitString], depth: int) -> tuple[BitString, ...]:
+def node_set_dead_ends(nodes: frozenset[str], depth: int) -> tuple[str, ...]:
     """Members strictly below the depth bound with neither child a member,
     length-lexicographically."""
-    bits = {n.bits for n in nodes}
-    out = [
-        n
-        for n in nodes
-        if len(n.bits) < depth and n.bits + "0" not in bits and n.bits + "1" not in bits
-    ]
-    return tuple(sorted(out, key=lambda n: (len(n.bits), n.bits)))
+    out = [n for n in nodes if len(n) < depth and n + "0" not in nodes and n + "1" not in nodes]
+    return tuple(sorted(out, key=lambda n: (len(n), n)))
 
 
-def rightmost_path(tree: Tree, depth: int) -> BitString | None:
+def rightmost_path(tree: Tree, depth: int) -> str | None:
     """Depth-first search preferring the 1-child: the lexicographically
     greatest length-depth node, or None when the tree dies out early."""
     nodes = _nodes(tree)
@@ -488,4 +481,4 @@ def rightmost_path(tree: Tree, depth: int) -> BitString | None:
             b += "0"
         else:  # unreachable given the bookkeeping above
             return None
-    return BitString(b)
+    return b

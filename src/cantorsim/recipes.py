@@ -25,15 +25,15 @@ that hash and sort in C, and no object is built per word.  The scripted side
 enters the merge as blocks (stage, index, keys), one per index and stage at
 which its set grows, and the recipes return the merge's row blocks, (stage,
 slot, keys) in emission order, which `runs` prints as script lines
-(`streams.key_row_lines`).  `friedberg_merge` gives library callers the same
-loop's rows as an EnumerationScript of BitStrings.
+(`streams.key_row_lines`).  `run merge` reads its listed sets and script
+into keys and calls the same merge.
 
 The recipes compute with the arithmetic that fixes each set, and build a
 set only where the merge consumes it:
 
 - The lower cut of x truncated at length L is fixed by one integer,
   c = ⌈x·2^L⌉ (`streams.words_below`), and `streams.cut_keys` builds it
-  from c; `streams.lower_cut` is its BitString view.  Its length-n members
+  from c; `streams.lower_cut` is its view as words.  Its length-n members
   are the n-bit values below ⌈c/2^(L−n)⌉, so two cuts at the same L nest
   exactly when their integers are ordered, and what a cut gains over a
   smaller one is, per length, the values between the two bounds.
@@ -59,7 +59,6 @@ from .constructions import hat_m_construction, merge_rows, odd_ones_real_enumera
 from .coverings import covering_antichains, star_construction
 from .dyadic import (
     Antichain,
-    BitString,
     Dyadic,
     all_strings,
     covered_deltas,
@@ -80,7 +79,7 @@ __all__ = [
 ]
 
 Keys = frozenset[int]  # a set of words, by their keys
-Row = tuple[int, int, tuple[int, ...]]  # (stage, slot or index, keys): one block
+Row = tuple[int, int, Sequence[int]]  # (stage, slot or index, keys): one block
 _NONE = Antichain(())
 
 
@@ -178,9 +177,7 @@ def merge_boundary_reals(
         for s, block in itertools.groupby(cut_deltas(values, length), key=itemgetter(0)):
             events.append((s, j, tuple(key for _, key in block)))
     events.sort(key=itemgetter(0))  # stable: index order kept within a stage
-    return merge_rows(
-        odd_ones_listing(length), events, odd_ones_extensions(length), horizon, int, None
-    )
+    return merge_rows(odd_ones_listing(length), events, odd_ones_extensions(length), horizon)
 
 
 def _covered(antichain: Antichain, length: int) -> Keys:
@@ -220,7 +217,7 @@ def odd_covering_extensions(length: int) -> Callable[[Keys], Iterator[Keys]]:
         if max(content) >> length + 1:  # a member longer than the bound
             return
         base = optimal_covering(map(key_word, content))
-        if base.members == (BitString(""),):
+        if base.members == ("",):
             yield _covered(base, length)
             return
         floor = max(len(m) for m in base.members)
@@ -237,14 +234,14 @@ def odd_covering_extensions(length: int) -> Callable[[Keys], Iterator[Keys]]:
         yield _covered(base, length)
         for i, a in enumerate(fresh):
             for b in fresh[i + 1 :]:
-                if not a.comparable(b) and a.bits[:-1] != b.bits[:-1]:
+                if not (a.startswith(b) or b.startswith(a)) and a[:-1] != b[:-1]:
                     yield _covered(Antichain(base.members + (a, b)), length)
 
     return extensions
 
 
 def merge_covering_classes(
-    listings: Sequence[Sequence[BitString]],
+    listings: Sequence[Sequence[str]],
     length: int,
     horizon: int,
     with_acceptable_stream: bool = True,
@@ -257,7 +254,7 @@ def merge_covering_classes(
         family = _NONE
         for snap in star_construction(listing, horizon):
             if snap.family != family:
-                events.append((snap.stage, j, tuple(covered_deltas(family, snap.family, length))))
+                events.append((snap.stage, j, covered_deltas(family, snap.family, length)))
                 family = snap.family
     if with_acceptable_stream:
         base = len(listings)
@@ -266,9 +263,9 @@ def merge_covering_classes(
         for stage, a in enumerate(evens):
             if a.total_bits() > length:
                 break
-            events.append((stage, base + stage, tuple(covered_deltas(_NONE, a, length))))
+            events.append((stage, base + stage, covered_deltas(_NONE, a, length)))
     # no empty block; stable: index order kept within a stage
     events = sorted(filter(itemgetter(2), events), key=itemgetter(0))
     return merge_rows(
-        odd_covering_listing(length), events, odd_covering_extensions(length), horizon, int, None
+        odd_covering_listing(length), events, odd_covering_extensions(length), horizon
     )

@@ -16,11 +16,13 @@ declines; it is built on its first call, not at import, and at most once
 per process, so every usage, help and error byte comes from argparse.
 
 `Replay.result` is the construction's library value: a trace, the slots,
-the snapshots, the replays, a tree, a script, or a list of values.  For
+the snapshots, the replays, a tree, or a list of values.  For merge,
 friedberg-reals and friedberg-classes it is the merge's row blocks,
 (stage, slot, keys) in emission order with each output word as its integer
 key (`dyadic.word_key`); `streams.key_row_lines` prints them, one line per
-key, as the lines of their script without building it.
+key, as the lines of their script without building it.  `merge` reads its
+listed sets and its script's words as keys too, and hands any other script
+item on, so that the merge rejects it at its stage.
 
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.
@@ -42,14 +44,14 @@ from typing import Callable, NamedTuple, Sequence
 from .classes import Tree, diagonalize, graft_points, measure_capped_enumeration
 from .complexity import PrefixMachine, omega_approx
 from .constructions import (
-    beta_max, friedberg_merge, hat_m_construction, odd_ones_real_enumeration, regret_construction,
+    beta_max, hat_m_construction, merge_rows, odd_ones_real_enumeration, regret_construction,
     splice_random,
 )
 from .coverings import covering_antichains, parse_listing, star_construction
-from .dyadic import BitString, prefix_set_measure
+from .dyadic import BitString, prefix_set_measure, word_key
 from .errors import DomainError, InputError, ParseError, records
 from .recipes import merge_boundary_reals, merge_covering_classes
-from .streams import EnumerationScript, key_row_lines, real_from_ce_set
+from .streams import EnumerationScript, event_blocks, key_row_lines, real_from_ce_set
 from .verify import (
     verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
     verify_oddones, verify_omega, verify_regret, verify_splice, verify_star,
@@ -235,10 +237,6 @@ def _machine(read: Read, path: str, c_tilde: int = 0) -> PrefixMachine:
     return PrefixMachine.parse(read(path), c_tilde=c_tilde, source=path)
 
 
-def _script_lines(script: EnumerationScript) -> list[str]:
-    return script.render().splitlines()
-
-
 @_run("splice", script=_PATH, machine=_PATH, c=_NATURAL, horizon=_NATURAL, index=_NATURAL_0)
 def _splice(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
@@ -312,7 +310,7 @@ def _capped(a: argparse.Namespace, read: Read) -> Replay:
         capped = replays[e]
         for stage, item, admitted in capped.log:
             verdict = "admit" if admitted else "refuse"
-            lines.append(f"{stage}\t{e}\t{verdict}\t{item.display()}")
+            lines.append(f"{stage}\t{e}\t{verdict}\t{item or '-'}")
         frozen = "never" if capped.frozen_at is None else str(capped.frozen_at)
         lines.append(
             f"# index {e}: measure {prefix_set_measure(capped.final()).render()}"
@@ -330,7 +328,7 @@ def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     trees = [Tree.parse(read(path), depth=a.depth, source=path) for path in a.tree]
     taus = graft_points(trees, a.depth)
     combined = diagonalize(trees, a.depth)
-    lines = [f"# tau_{n} = {tau.display()}" for n, tau in enumerate(taus)]
+    lines = [f"# tau_{n} = {tau or '-'}" for n, tau in enumerate(taus)]
     lines.extend(combined.render().splitlines())
     return Replay(combined, lines, lambda: verify_diagonalize(trees, a.depth, taus, combined))
 
@@ -346,14 +344,15 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
     listed sets, in file order, are both the merge's listing and, filtered to
     those that contain a diverted follower's content, its extensions."""
     l2 = _script(read, a.l2, a.horizon)
-    sets: list[frozenset[BitString]] = []
+    sets: list[frozenset[int]] = []
     for lineno, (line,) in records(read(a.l1_sets), sep=None):
         try:
-            sets.append(frozenset(BitString.parse(tok) for tok in line.split()))
+            sets.append(frozenset(word_key(BitString.parse(tok)) for tok in line.split()))
         except DomainError as exc:
             raise ParseError(str(exc), source=a.l1_sets, line=lineno)
-    out = friedberg_merge(sets, l2, lambda content: (v for v in sets if content <= v), a.horizon)
-    return Replay(out, _script_lines(out))
+    blocks = event_blocks(l2.events, lambda item: word_key(item) if isinstance(item, str) else item)
+    rows = merge_rows(sets, blocks, lambda content: (v for v in sets if content <= v), a.horizon)
+    return Replay(rows, key_row_lines(rows))
 
 
 @_run(

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .dyadic import ZERO, BitString, Dyadic, key_word, trusted_bitstring
+from .dyadic import ZERO, BitString, Dyadic, key_word
 from .errors import InputError, ParseError, RangeError, records
 
-Item = Union[BitString, Dyadic]
+Item = Union[str, Dyadic]
 
 __all__ = [
     "EnumerationScript",
@@ -125,20 +126,30 @@ class EnumerationScript:
     def render(self) -> str:
         lines = []
         for ev in self.events:
-            if isinstance(ev.item, BitString):
-                kind, payload = "str", ev.item.display()
+            if isinstance(ev.item, str):
+                kind, payload = "str", ev.item or "-"
             else:
                 kind, payload = "dyadic", ev.item.render()
             lines.append(f"{ev.stage}\t{ev.index}\t{kind}\t{payload}")
         return "\n".join(lines)
 
 
+def event_blocks(
+    events: Iterable[ScriptEvent], item: Callable[[Item], object] = lambda x: x
+) -> list[tuple[int, int, tuple]]:
+    """The blocks (stage, index, items) of stage-sorted events: one per run
+    of consecutive events of one stage and index, each item mapped by
+    `item`, as `constructions.merge_rows` reads them."""
+    groups = itertools.groupby(events, key=itemgetter(0, 1))
+    return [(s, j, tuple(item(ev.item) for ev in group)) for (s, j), group in groups]
+
+
 def key_row_lines(rows: Sequence[tuple[int, int, Sequence[int]]]) -> list[str]:
     """The lines `EnumerationScript.render` writes for the script of the row
     blocks (stage, index, keys), one event per key `dyadic.word_key` of a
     word.  Each distinct key is decoded once, to its binary digits after the
-    leading 1 ('-' for ε, as `BitString.display` writes it), and each block's
-    line head is built once, so the rows need no script."""
+    leading 1 ('-' for ε, as `render` writes it), and each block's line head
+    is built once, so the rows need no script."""
     words = {k: format(k, "b")[1:] or "-" for k in {k for row in rows for k in row[2]}}
     lines: list[str] = []
     for s, j, block in rows:
@@ -229,17 +240,17 @@ def cut_keys(c: int, max_len: int) -> frozenset[int]:
     ))
 
 
-def lower_cut(x: Dyadic, max_len: int) -> frozenset[BitString]:
+def lower_cut(x: Dyadic, max_len: int) -> frozenset[str]:
     """All τ with |τ| ≤ max_len whose zero-padded extension lies strictly
     below x: the words of `cut_keys` at x's cut integer, so x = 1 takes
     every word and x = 0 none."""
     return frozenset(map(key_word, cut_keys(words_below(x.num, x.exp, max_len), max_len)))
 
 
-def approx_string(x: Dyadic, n: int) -> BitString:
+def approx_string(x: Dyadic, n: int) -> str:
     """First n expansion bits of x: ⌊x·2ⁿ⌋ in n binary digits, capped at
     2ⁿ − 1 so that x = 1 expands as all ones (ε for n = 0)."""
     if n < 0:
         raise InputError("target length must be ≥ 0")
     v = min((x.num << n) >> x.exp, (1 << n) - 1)
-    return trusted_bitstring(format(v, f"0{n}b") if n else "")
+    return format(v, f"0{n}b") if n else ""

@@ -27,10 +27,10 @@ from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
 from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
 from .coverings import StarSnapshot
-from .dyadic import ZERO, Antichain, BitString, Dyadic
+from .dyadic import ZERO, Antichain, Dyadic
 from .errors import RangeError
-from .oracles import brute_k_approx, brute_least_failing_length, brute_odd_ones, brute_omega_approx
-from .oracles import brute_optimal_covering, expansion_prefix, padding_holds
+from .oracles import brute_failing_runs, brute_k_approx, brute_least_failing_length, brute_odd_ones
+from .oracles import brute_omega_approx, brute_optimal_covering, expansion_prefix, padding_holds
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 __all__ = [
@@ -58,18 +58,27 @@ def _record_errors(
     return errs
 
 
+Run = tuple[int, int, int | None]  # (trigger stage, witness length, release stage or None)
+
+
 def _run_errors(
-    m: LeftCEApprox, machine: PrefixMachine, c: int, trigger: int, n: int, release: int | None
+    m: LeftCEApprox, machine: PrefixMachine, c: int, run: Run, scan: Sequence[Run]
 ) -> list[str]:
     """What the scans find wrong with a run of m failing the constant: n must
-    be the least failing length at the trigger stage, and the length-n
-    expansion must satisfy the constant at the release stage."""
+    be the least failing length at the trigger stage, the length-n expansion
+    must satisfy the constant at the release stage, and the run must be one
+    of the scan's (`oracles.brute_failing_runs`), so it neither opens nor
+    closes later than the first stage at which it could."""
+    trigger, n, release = run
     errs = []
     if n != brute_least_failing_length(machine, m.value(trigger), c, trigger):
         errs.append(f"stage {trigger}: witness length {n} is not the least failing length")
     if release is not None:
         if brute_k_approx(machine, expansion_prefix(m.value(release), n), release) < n - c:
             errs.append(f"stage {release}: released while the length-{n} prefix fails")
+    if not errs and run not in scan:
+        until = "left open" if release is None else f"released at stage {release}"
+        errs.append(f"stage {trigger}: run of length {n} {until} is not a run of the scan")
     return errs
 
 
@@ -91,6 +100,8 @@ def verify_splice(
             if not opened:
                 errs.append(f"stage {t}: spliced outside a run")
         opened = "trigger n=" in rec.note or (opened and rec.state == "spliced")
+    scan = brute_failing_runs(r.values, r.first_stage, machine, c, trace.horizon)
+    triggers = set()
     for head in trace.records:
         if "trigger n=" not in head.note:
             continue
@@ -104,9 +115,14 @@ def verify_splice(
         if tails:
             witness = tails[0][1]
             if witness != expansion_prefix(r.value(trigger), n):
-                errs.append(f"stage {trigger}: witness {witness} is not the input's expansion")
+                errs.append(
+                    f"stage {trigger}: witness {witness or 'ε'} is not the input's expansion"
+                )
             errs.extend(f"stage {s}: witness changed mid-run" for s, p in tails if p != witness)
-        errs.extend(_run_errors(r, machine, c, trigger, n, release))
+        errs.extend(_run_errors(r, machine, c, (trigger, n, release), scan))
+        triggers.add(trigger)
+    errs.extend(f"stage {t}: the scan's run of length {n} is missing"
+                for t, n, _ in scan if t not in triggers)
     return errs
 
 
@@ -120,21 +136,21 @@ def verify_hatm(
     degenerate = ("1" if mirror else "0") * k
     for rec in trace.records:
         t, v = rec.stage, rec.value
-        boundary = expansion_prefix(brute_omega_approx(machine, t), k).bits
+        boundary = expansion_prefix(brute_omega_approx(machine, t), k)
         errs += _record_errors(rec, m, machine, "input", "parked", "tracking", "undesirable")
         if rec.state == "parked":
             if boundary != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
-            if not isinstance(v, TailValue) or v.prefix.bits != ("1" if mirror else "0"):
+            if not isinstance(v, TailValue) or v.prefix != ("1" if mirror else "0"):
                 errs.append(f"stage {t}: parked value malformed")
         elif rec.state == "tracking":
-            cur = expansion_prefix(m.value(t), k).bits
+            cur = expansion_prefix(m.value(t), k)
             if not (cur > boundary if mirror else cur < boundary):
                 errs.append(f"stage {t}: tracking on the wrong side of the boundary")
         elif rec.state == "undesirable":
             if not isinstance(v, TailValue) or len(v.prefix) != k:
                 errs.append(f"stage {t}: fix prefix has wrong length")
-            elif not mirror and v.prefix.bits >= boundary:
+            elif not mirror and v.prefix >= boundary:
                 errs.append(f"stage {t}: fix prefix not strictly below the boundary")
             # The fix prefix cannot be required to lie strictly above the boundary:
             # Ω_s only rises, and so does its k-prefix, so a prefix above the
@@ -151,9 +167,16 @@ def verify_hatm(
 def verify_regret(
     slots: Sequence[RegretSlot], family: EnumerationScript, machine: PrefixMachine, c: int
 ) -> list[str]:
+    """Each slot tracks its member and is regretted as the scans say, and its
+    run is a scan run of its index, monitored from the stage of the index."""
     errs = []
+    scans: dict[int, list[Run]] = {}  # the scan runs of each index
     for i, slot in enumerate(slots):
-        m = real_from_ce_set(family, slot.source_index)
+        e = slot.source_index
+        m = real_from_ce_set(family, e)
+        if e not in scans:
+            horizon = slot.trace.horizon
+            scans[e] = brute_failing_runs(m.values, m.first_stage, machine, c, horizon, start=e)
         if not slot.trace.is_monotone():
             errs.append(f"slot {i}: trace not monotone")
         found = []
@@ -163,12 +186,14 @@ def verify_regret(
             if rec.state == "unbound" and v.real() != ZERO:
                 found.append(f"stage {t}: unbound value not 0")
             elif rec.state == "regretted":
-                witness = expansion_prefix(m.value(t), slot.witness_length).bits
+                witness = expansion_prefix(m.value(t), slot.witness_length)
                 padded = None if slot.padding is None else witness + "0" * slot.padding
-                if not isinstance(v, TailValue) or v.prefix.bits != padded:
+                if not isinstance(v, TailValue) or v.prefix != padded:
                     found.append(f"stage {t}: regretted prefix malformed")
-        run = _run_errors(m, machine, c, slot.bound_stage, slot.witness_length, slot.regret_stage)
-        errs.extend(f"slot {i} {e}" for e in found + run)
+        found += _run_errors(
+            m, machine, c, (slot.bound_stage, slot.witness_length, slot.regret_stage), scans[e]
+        )
+        errs.extend(f"slot {i} {err}" for err in found)
         if slot.regret_stage is not None:
             p = slot.padding or 0
             target = slot.witness_length + c + machine.c_tilde
@@ -188,7 +213,7 @@ def verify_beta(trace: StageTrace, family: Sequence[LeftCEApprox]) -> list[str]:
     return errs
 
 
-def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> list[str]:
+def verify_star(listing: Sequence[str], snaps: Sequence[StarSnapshot]) -> list[str]:
     """Every family is an even covering, so none collides with the odd side.
     Each stage is re-derived from the listing: its covering is the scan's
     covering of the listing before sigma, the stage is good when sigma is
@@ -224,7 +249,9 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
         elif family != prev:
             errs.append(f"stage {t}: family changed at a stage that is not good")
         if family is not prev:
-            errs += [f"stage {t}: covered set shrank at {m}" for m in prev if not family.covers(m)]
+            errs += [
+                f"stage {t}: covered set shrank at {m or 'ε'}" for m in prev if not family.covers(m)
+            ]
         prev, covering = family, grown
     for i, sigma in enumerate(listing[:last_good]):
         if not prev.covers(sigma):
@@ -233,13 +260,13 @@ def verify_star(listing: Sequence[BitString], snaps: Sequence[StarSnapshot]) -> 
 
 
 @lru_cache(maxsize=1 << 12)
-def _measure(strings: frozenset[BitString]) -> Fraction:
+def _measure(strings: frozenset[str]) -> Fraction:
     """The measure of the strings' cones: in lexicographic order a word comes
     after its prefixes, so keeping each word that extends no word kept before
     it keeps exactly the minimal words, whose cones are disjoint and cover the
     union; their measures 2^−|w| add."""
     kept: list[str] = []
-    for w in sorted(s.bits for s in strings):
+    for w in sorted(strings):
         if not w.startswith(tuple(kept)):
             kept.append(w)
     top = max(map(len, kept), default=0)  # one common denominator 2^top for every cone
@@ -254,7 +281,7 @@ def verify_capped(
     its index refused nothing before and the admitted set with the item has
     measure ≤ 1 − 1/n.  So each index leaves a Π⁰₁ class of measure ≥ 1/n,
     and an index whose whole set fits is admitted whole."""
-    events: dict[int, list[tuple[int, BitString]]] = {e: [] for e in script.indices()}
+    events: dict[int, list[tuple[int, str]]] = {e: [] for e in script.indices()}
     for s, i, item in script.events:
         events[i].append((s, item))
     if {e: [(s, item) for s, item, _ in r.log] for e, r in replays.items()} != events:
@@ -273,7 +300,7 @@ def verify_capped(
                             else f"cap 1 admitted a string for index {e}")
             elif fits and not took:
                 errs.append(f"unconstrained index {e} was modified" if unconstrained
-                            else f"stage {s}: index {e} refused {item.display()} within cap {n}")
+                            else f"stage {s}: index {e} refused {item or '-'} within cap {n}")
             if took:
                 admitted |= {item}
             elif frozen is None:
@@ -281,26 +308,26 @@ def verify_capped(
     return list(dict.fromkeys(errs))  # each finding once
 
 
-def _meets(tree: Tree, tau: BitString, depth: int) -> bool:
+def _meets(tree: Tree, tau: str, depth: int) -> bool:
     """Whether a depth-D node extends tau: no exit is a prefix of tau, and the
     exits extending it, with disjoint cones, leave part of its cone uncovered."""
-    t, cut = tau.bits, 0
+    cut = 0
     for x in tree.exits:
-        if t.startswith(x.bits):
+        if tau.startswith(x):
             return False
-        if x.bits.startswith(t) and len(x) <= depth:
+        if x.startswith(tau) and len(x) <= depth:
             cut += 1 << depth - len(x)
-    return len(t) <= depth and cut < 1 << depth - len(t)
+    return len(tau) <= depth and cut < 1 << depth - len(tau)
 
 
 def verify_diagonalize(
-    trees: Sequence[Tree], depth: int, taus: Sequence[BitString], combined: Tree
+    trees: Sequence[Tree], depth: int, taus: Sequence[str], combined: Tree
 ) -> list[str]:
     """The result contains the base tree and meets every graft cone [τ_n] in
     a depth-D path, while tree n misses it: judged from the trees' exits."""
     errs = [] if len(taus) == len(trees) else [f"{len(taus)} graft targets for {len(trees)} trees"]
-    base = {x.bits for x in trees[0].exits}
-    if not all(any(x.bits[:i] in base for i in range(len(x) + 1)) for x in combined.exits):
+    base = trees[0].exits
+    if not all(any(x[:i] in base for i in range(len(x) + 1)) for x in combined.exits):
         errs.append("result does not contain the base tree")
     for n, (tree, tau) in enumerate(zip(trees, taus)):
         if not _meets(combined, tau, depth):
@@ -319,24 +346,25 @@ def verify_omega(machine: PrefixMachine, values: Sequence[Dyadic]) -> list[str]:
     return errs
 
 
-def verify_oddones(strings: Sequence[BitString]) -> list[str]:
+def verify_oddones(strings: Sequence[str]) -> list[str]:
     """The listing is length-lexicographically increasing, so injective, each
     string ends in 1 with an odd number of 1s, and the i-th string is the
     i-th of the filtered listing."""
     errs = []
     prev_key = (-1, "")
     for s in strings:
-        if s.lenlex_key == prev_key:
-            errs.append(f"odd-ones listing repeats {s}")
-        if not s.bits.endswith("1") or s.ones() % 2 == 0:
-            errs.append(f"odd-ones listing emitted {s}")
-        if s.lenlex_key <= prev_key:
-            errs.append(f"odd-ones listing out of order at {s}")
-        prev_key = s.lenlex_key
+        key, shown = (len(s), s), s or "ε"
+        if key == prev_key:
+            errs.append(f"odd-ones listing repeats {shown}")
+        if not s.endswith("1") or s.count("1") % 2 == 0:
+            errs.append(f"odd-ones listing emitted {shown}")
+        if key <= prev_key:
+            errs.append(f"odd-ones listing out of order at {shown}")
+        prev_key = key
     wanted = brute_odd_ones((len(strings) - 1).bit_length() + 1)  # 2^(L−1) strings of length ≤ L
     for i, (s, want) in enumerate(zip(strings, wanted)):
         if s != want:
-            errs.append(f"odd-ones listing gives {s} at {i}, not {want}")
+            errs.append(f"odd-ones listing gives {s or 'ε'} at {i}, not {want}")
     return errs
 
 
@@ -363,9 +391,9 @@ class MergeCase:
     and the horizon."""
 
     script: EnumerationScript
-    l1: Sequence[frozenset[BitString]]
-    picker: Callable[[frozenset[BitString]], Iterable[frozenset[BitString]]]
-    tags: frozenset[BitString]
+    l1: Sequence[frozenset]
+    picker: Callable[[frozenset], Iterable[frozenset]]
+    tags: frozenset
     horizon: int
 
 

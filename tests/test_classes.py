@@ -28,7 +28,7 @@ from cantorsim.streams import EnumerationScript
 from cantorsim.verify import _measure, verify_capped, verify_diagonalize
 
 
-def bs(*words: str) -> list[BitString]:
+def bs(*words: str) -> list[str]:
     return [BitString.parse(w) for w in words]
 
 
@@ -72,8 +72,7 @@ def seeded_node_sets():
     for _ in range(30):
         depth = rng.randint(0, 10)
         words = [random_bitstring(rng, depth + 2) for _ in range(rng.randint(0, 6))]
-        bits = {w.bits[:i] for w in words for i in range(min(len(w), depth) + 1)}
-        out.append((frozenset(BitString(b) for b in bits), depth))
+        out.append((frozenset(w[:i] for w in words for i in range(min(len(w), depth) + 1)), depth))
     return out
 
 
@@ -92,13 +91,13 @@ class TestExitsMatchTheNodeSets:
         rng = random.Random(f"{depth}/{len(nodes)}")
         strings = random_string_set(rng, depth + 2, 6)
         assert tree_of_complement(strings, depth).nodes == {
-            n for n in strings_up_to(depth) if not any(s.is_prefix_of(n) for s in strings)
+            n for n in strings_up_to(depth) if not any(n.startswith(s) for s in strings)
         }
         machine = random_machine(rng, max_out_len=depth + 1)
         c, t = rng.randint(0, 2), rng.randint(0, 12)
         constrained = set()
         for n in strings_up_to(depth):
-            if (not n.bits or n.parent() in constrained) and satisfies_constant(machine, n, c, t):
+            if (not n or n[:-1] in constrained) and satisfies_constant(machine, n, c, t):
                 constrained.add(n)
         tree = Tree.closure_of(nodes, depth)
         assert randomness_class_tree(machine, c, t, depth).nodes == constrained
@@ -108,9 +107,9 @@ class TestExitsMatchTheNodeSets:
 class TestPathsAndDeadEnds:
     def test_paths_examples(self):
         full = Tree(2)
-        assert [p.bits for p in paths_at_depth(full, 2)] == ["00", "01", "10", "11"]
+        assert paths_at_depth(full, 2) == ("00", "01", "10", "11")
         single = Tree.closure_of(bs("00"), 2)
-        assert [p.bits for p in paths_at_depth(single, 2)] == ["00"]
+        assert paths_at_depth(single, 2) == ("00",)
         empty = Tree(2, frozenset([EMPTY]))
         assert paths_at_depth(empty, 2) == ()
 
@@ -121,7 +120,7 @@ class TestPathsAndDeadEnds:
     def test_dead_ends_examples(self):
         assert dead_ends(Tree(2)) == ()
         t = Tree(2, frozenset(bs("01", "10", "11")))  # nodes ε, 0, 1, 00
-        assert [d.bits for d in dead_ends(t)] == ["1"]
+        assert dead_ends(t) == ("1",)
         root_only = Tree(1, frozenset(bs("0", "1")))
         assert dead_ends(root_only) == (EMPTY,)
 
@@ -163,7 +162,7 @@ class TestDiagonalize:
             "result does not contain the base tree", "no combined path through graft 0",
             "no combined path through graft 1",
         ]
-        short = tuple(tau.parent() for tau in taus)
+        short = tuple(tau[:-1] for tau in taus)
         assert verify_diagonalize(trees, 3, short, combined) == ["tree 0 still meets its graft cone"]
 
     def test_more_graft_targets_than_trees_are_reported(self):
@@ -192,11 +191,11 @@ CAPPED_TAMPERS = [
 ]
 
 
-def _scan_measure(strings: frozenset[BitString]) -> Fraction:
+def _scan_measure(strings: frozenset[str]) -> Fraction:
     """The measure as `verify._measure` took it before it summed over one
     common denominator: one Fraction per kept word."""
     kept: list[str] = []
-    for w in sorted(s.bits for s in strings):
+    for w in sorted(strings):
         if not w.startswith(tuple(kept)):
             kept.append(w)
     return sum((Fraction(1, 1 << len(w)) for w in kept), Fraction(0))
@@ -222,7 +221,7 @@ def _scan_verify_capped(script, n, replays) -> list[str]:
                             else f"cap 1 admitted a string for index {e}")
             elif fits and not took:
                 errs.append(f"unconstrained index {e} was modified" if unconstrained
-                            else f"stage {s}: index {e} refused {item.display()} within cap {n}")
+                            else f"stage {s}: index {e} refused {item or '-'} within cap {n}")
             if took:
                 admitted |= {item}
             elif frozen is None:
@@ -355,8 +354,8 @@ class TestMeasureCapped:
         depth = 4
         open_leaves = expansion_at_depth(final, depth)
         closed = tree_of_complement(final, depth)
-        leftover = {p.bits for p in paths_at_depth(Tree(depth), depth)} - set(open_leaves)
-        assert leftover == {p.bits for p in paths_at_depth(closed, depth)}
+        leftover = set(paths_at_depth(Tree(depth), depth)) - set(open_leaves)
+        assert leftover == set(paths_at_depth(closed, depth))
 
 
 class TestIntersectRandomness:
@@ -371,7 +370,7 @@ class TestIntersectRandomness:
         q = intersect_randomness(tree, machine, 1, 3)
         assert BitString("000") not in q.nodes
         assert BitString("010") in q.nodes
-        assert not any(n.bits.startswith("1") for n in q.nodes)
+        assert not any(n.startswith("1") for n in q.nodes)
 
     def test_subset_of_both(self):
         tree = Tree.closure_of(bs("00", "11"), 2)
@@ -386,13 +385,13 @@ class TestHaltingOracle:
         assert len(tree.nodes) == 15
 
     def test_halting_on_a_cone_prunes_it(self):
-        tree = tree_from_halting_oracle(lambda s, e: s.bits.startswith("0"), 0, 3)
-        assert all(not n.bits.startswith("0") for n in tree.nodes)
+        tree = tree_from_halting_oracle(lambda s, e: s.startswith("0"), 0, 3)
+        assert all(not n.startswith("0") for n in tree.nodes)
         assert EMPTY in tree.nodes
 
     def test_non_monotone_oracle_rejected(self):
-        def flaky(s: BitString, e: int) -> bool:
-            return s.bits == "0"  # halts on 0 but not on its extensions
+        def flaky(s: str, e: int) -> bool:
+            return s == "0"  # halts on 0 but not on its extensions
 
         with pytest.raises(InputError):
             tree_from_halting_oracle(flaky, 0, 3)
@@ -400,10 +399,10 @@ class TestHaltingOracle:
     def test_membership_round_trip(self):
         budgets = {"01": 3, "1": 2}
 
-        def oracle(s: BitString, e: int) -> bool:
-            return any(s.bits.startswith(b) and len(s) >= budgets[b] for b in budgets)
+        def oracle(s: str, e: int) -> bool:
+            return any(s.startswith(b) and len(s) >= budgets[b] for b in budgets)
 
         tree = tree_from_halting_oracle(oracle, 0, 5)
         for s in paths_at_depth(Tree(5), 5):
-            on_tree = all(BitString(s.bits[:i]) in tree.nodes for i in range(6))
+            on_tree = all(s[:i] in tree.nodes for i in range(6))
             assert on_tree == (not oracle(s, 0))

@@ -430,7 +430,7 @@ class TestCheckCommand:
             if cov:
                 # report a child instead of the minimal node: still a valid
                 # antichain, but no longer covers the sibling cone
-                return Antichain(tuple(cov[1:]) + (BitString(cov[0].bits + "0"),))
+                return Antichain(tuple(cov[1:]) + (cov[0] + "0",))
             return Antichain(tuple(cov))
 
         monkeypatch.setattr(checks, "optimal_covering", broken)

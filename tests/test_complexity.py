@@ -112,7 +112,7 @@ class TestMachineValidation:
 
 # (text, programs as (code, output, halt) or (error type, message)): what the
 # line reader gives, which the one-pass reader must give too; rows are plain
-# words, as a BitString never equals a str
+# words, `str` and not its checked subclass `BitString`
 PARSE_TABLE = [
     ("\t0000\t3\n", [("", "0000", 3)]),
     ("01\t-\t2\n", [("01", "", 2)]),
@@ -165,6 +165,7 @@ class TestParsePaths:
         if isinstance(want, list):
             machine = PrefixMachine.parse(text, source="m.tsv")
             assert machine.programs == tuple(want)
+            assert all(type(w) is str for p in machine.programs for w in p[:2])
         else:
             kind, message = want
             with pytest.raises(kind) as info:

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 
 from cantorsim import runs
 from cantorsim.checks import (
-    SCENARIOS, build_scenario, make_merge_case, verify_hatm, verify_merge, verify_regret,
-    verify_splice,
+    SCENARIOS, build_scenario, make_merge_case, merge_case_output, verify_hatm, verify_merge,
+    verify_regret, verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
-    PlainValue, StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, friedberg_merge,
-    hat_m_construction, odd_ones_real_enumeration, regret_construction, splice_random,
+    PlainValue, StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, hat_m_construction,
+    merge_rows, odd_ones_real_enumeration, regret_construction, splice_random,
 )
-from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
+from cantorsim.dyadic import ZERO, BitString, Dyadic, key_word, rational_of_string, word_key
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
 from cantorsim.oracles import brute_failing_runs, brute_odd_ones, expansion_prefix, rightmost_path
 from cantorsim.scenarios import FIXTURE_FILES
-from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
+from cantorsim.streams import (
+    EnumerationScript, LeftCEApprox, ScriptEvent, event_blocks, real_from_ce_set, stage_set,
+)
 from cantorsim.verify import verify_oddones, verify_omega
 
 
@@ -118,7 +120,7 @@ class TestScenarioLibrary:
         (slot,) = slots
         assert slot.regret_stage == 6 and slot.padding == 11
         regretted = slot.trace.records[6].value
-        assert regretted.prefix.bits == "0010" + "0" * 11
+        assert regretted.prefix == "0010" + "0" * 11
 
     def test_no_failures_no_slots(self):
         assert build_scenario(scenario("regret-quiet")).result == []
@@ -443,6 +445,17 @@ class TestRegretEdges:
         assert second.regret_stage is None and second.witness_length == 5
         assert second.bound_stage >= first.regret_stage
 
+    def test_a_regretted_prefix_is_built_once_per_value(self):
+        # the regret-recover-padding member, regretted at stage 6, rises again
+        # at stage 20: two values over 195 regretted stages, so two prefixes
+        events = [(1, 0, dy("1/2^5")), (6, 0, dy("1/2^3")), (20, 0, dy("3/2^3"))]
+        family = EnumerationScript.from_events(events, horizon=200)
+        (slot,) = regret_construction(family, fixture_machine("m_splice.tsv"), 1, 200)
+        regretted = [rec.value for rec in slot.trace.records if rec.state == "regretted"]
+        assert slot.regret_stage == 6 and len(regretted) == 195
+        assert len({id(v.prefix) for v in regretted}) == 2
+        assert [v.prefix for v in regretted[13:15]] == ["001" + "0" * 12, "011" + "0" * 12]
+
 
 class TestBeta:
     def test_single_member_is_identity(self):
@@ -541,6 +554,22 @@ def listed_l1(values):
     return frozen, lambda content: (v for v in frozen if content <= v)
 
 
+def keys(strings):
+    return frozenset(map(word_key, strings))
+
+
+def merged(listing, l2, extensions, horizon) -> EnumerationScript:
+    """The merge's output script on a listing, a script and extensions in
+    words, run as `run merge` runs it: `merge_rows` on their keys, with an
+    item that is not a word handed on, and the rows read back as words."""
+    blocks = event_blocks(l2.events, lambda item: word_key(item) if isinstance(item, str) else item)
+    on_keys = lambda content: map(keys, extensions(frozenset(map(key_word, content))))
+    rows = merge_rows(map(keys, listing), blocks, on_keys, horizon)
+    return EnumerationScript(
+        tuple(ScriptEvent(s, j, key_word(k)) for s, j, ks in rows for k in ks), horizon
+    )
+
+
 def settled(script: EnumerationScript):
     return [stage_set(script, i, script.horizon) for i in script.indices()]
 
@@ -549,7 +578,7 @@ class TestFriedbergMerge:
     def test_empty_family_reproduces_the_listing(self):
         gen, picker = listed_l1([["1"], ["11"], ["111"]])
         l2 = EnumerationScript.from_events([], horizon=2)
-        out = friedberg_merge(gen, l2, picker, 2)
+        out = merged(gen, l2, picker, 2)
         assert settled(out) == [
             frozenset({BitString("1")}),
             frozenset({BitString("11")}),
@@ -561,7 +590,7 @@ class TestFriedbergMerge:
         l2 = EnumerationScript.from_events(
             [(0, 0, BitString("00")), (1, 0, BitString("01"))], horizon=3
         )
-        out = friedberg_merge(gen, l2, picker, 3)
+        out = merged(gen, l2, picker, 3)
         sets = settled(out)
         assert frozenset({BitString("00"), BitString("01")}) in sets
         assert len(set(sets)) == len(sets)
@@ -579,7 +608,7 @@ class TestFriedbergMerge:
             ],
             horizon=3,
         )
-        out = friedberg_merge(gen, l2, picker, 3)
+        out = merged(gen, l2, picker, 3)
         sets = settled(out)
         assert len(set(sets)) == len(sets)
         assert sets.count(frozenset({BitString("00"), BitString("01")})) == 1
@@ -600,7 +629,7 @@ class TestFriedbergMerge:
             ],
             horizon=8,
         )
-        out = friedberg_merge(gen, l2, picker, 8)
+        out = merged(gen, l2, picker, 8)
         sets = settled(out)
         assert frozenset({BitString("00")}) in sets
         assert frozenset({BitString("00"), BitString("01")}) in sets
@@ -617,7 +646,7 @@ class TestFriedbergMerge:
             ],
             horizon=9,
         )
-        out = friedberg_merge(gen, l2, picker, 9)
+        out = merged(gen, l2, picker, 9)
         sets = settled(out)
         assert frozenset({BitString("00")}) in sets
         assert frozenset({BitString("00"), BitString("01")}) in sets
@@ -637,13 +666,13 @@ class TestFriedbergMerge:
             horizon=3,
         )
         with pytest.raises(ContractViolationError, match="does not contain the slot content"):
-            friedberg_merge([], l2, bad_extensions, 3)
+            merged([], l2, bad_extensions, 3)
 
     def test_repeating_generator_rejected(self):
         l2 = EnumerationScript.from_events([], horizon=3)
         listing = itertools.repeat(frozenset({BitString("1")}))
         with pytest.raises(ContractViolationError, match="repeated a member"):
-            friedberg_merge(listing, l2, lambda content: iter(()), 3)
+            merged(listing, l2, lambda content: iter(()), 3)
 
     def test_no_unused_extension_is_a_contract_violation(self):
         gen, extensions = listed_l1([["1"], ["01"]])
@@ -652,7 +681,7 @@ class TestFriedbergMerge:
         )
         message = "^no unused extension of a 1-string set at stage 1$"
         with pytest.raises(ContractViolationError, match=message):
-            friedberg_merge(gen, l2, extensions, 2)
+            merged(gen, l2, extensions, 2)
 
     def test_extensions_are_read_at_most_used_plus_horizon_plus_two(self):
         listed = frozenset({BitString("00"), BitString("1")})
@@ -667,15 +696,14 @@ class TestFriedbergMerge:
             [(0, 0, BitString("00")), (1, 1, BitString("00"))], horizon=3
         )
         with pytest.raises(ContractViolationError, match="at stage 1$"):
-            friedberg_merge([listed], l2, extensions, 3)
+            merged([listed], l2, extensions, 3)
         assert len(read) == 1 + 3 + 2
 
     def test_random_contract_cases(self):
         rng = random.Random(17)
         for _ in range(40):
             case = make_merge_case(rng, horizon=60)
-            out = friedberg_merge(case.l1, case.script, case.picker, case.horizon)
-            assert verify_merge(out, case) == []
+            assert verify_merge(merge_case_output(case), case) == []
 
 
 def stage_set_merge_findings(out: EnumerationScript, case) -> list[str]:
@@ -702,7 +730,7 @@ def merged_check_cases():
     rng = random.Random(0)
     for _ in range(25):
         case = make_merge_case(rng, horizon=100)
-        yield case, friedberg_merge(case.l1, case.script, case.picker, case.horizon)
+        yield case, merge_case_output(case)
 
 
 def copy_index(out: EnumerationScript, src: int, dst: int) -> EnumerationScript:
@@ -712,7 +740,7 @@ def copy_index(out: EnumerationScript, src: int, dst: int) -> EnumerationScript:
     return EnumerationScript.from_events(sorted(kept + copied, key=lambda ev: ev[0]), out.horizon)
 
 
-def replace_index(out: EnumerationScript, dst: int, item: BitString) -> EnumerationScript:
+def replace_index(out: EnumerationScript, dst: int, item: int) -> EnumerationScript:
     """The output with index dst's events replaced by one event of the item
     at stage 0."""
     kept = [ev for ev in out.events if ev.index != dst]
@@ -723,7 +751,7 @@ class TestVerifyMerge:
     def test_findings_match_the_stage_set_scans_on_the_check_cases(self):
         for case, out in merged_check_cases():
             first, last = out.indices()[0], out.indices()[-1]
-            tampered = [copy_index(out, first, last), replace_index(out, last, BitString("0"))]
+            tampered = [copy_index(out, first, last), replace_index(out, last, word_key("0"))]
             # at half the horizon, indices whose events all come later settle on ∅
             for at in (case, dataclasses.replace(case, horizon=case.horizon // 2)):
                 for candidate in [out, *tampered]:
@@ -737,7 +765,7 @@ class TestVerifyMerge:
 
     def test_an_untagged_unscripted_set_is_found(self):
         case, out = next(merged_check_cases())
-        tampered = replace_index(out, out.indices()[-1], BitString("0"))
+        tampered = replace_index(out, out.indices()[-1], word_key("0"))
         assert "output set neither scripted nor from the injective side" in verify_merge(
             tampered, case
         )

@@ -38,11 +38,11 @@ from cantorsim.oracles import (
     sibling_merge_closure,
 )
 
-bitstrings = st.text(alphabet="01", max_size=12).map(BitString)
-small_sets = st.frozensets(st.text(alphabet="01", max_size=4).map(BitString), max_size=6)
+bitstrings = st.text(alphabet="01", max_size=12)
+small_sets = st.frozensets(st.text(alphabet="01", max_size=4), max_size=6)
 
 
-def bs(*words: str) -> list[BitString]:
+def bs(*words: str) -> list[str]:
     return [BitString.parse(w) for w in words]
 
 
@@ -58,8 +58,16 @@ class TestBitString:
 
     def test_prefix_order(self):
         a, b = BitString("10"), BitString("1011")
-        assert a.is_prefix_of(b) and not b.is_prefix_of(a)
-        assert EMPTY.is_prefix_of(a)
+        assert b.startswith(a) and not a.startswith(b)
+        assert a.startswith(EMPTY)
+
+    def test_a_checked_word_is_its_str(self):
+        w = BitString("01")
+        assert isinstance(w, str) and w == "01" and "01" == w and hash(w) == hash("01")
+        assert BitString.parse("-") == EMPTY == ""
+        assert repr(w) == "'01'" and f"{w}|{BitString()}" == "01|"
+        # the bits, a slice and a concatenation are plain words again
+        assert all(type(v) is str for v in (w.bits, w[:1], w + "1", w + w))
 
 
 class TestDyadic:
@@ -95,13 +103,13 @@ class TestDyadic:
 class TestWordKeys:
     @given(bitstrings, bitstrings)
     def test_keys_order_as_the_words_length_lexicographically(self, a, b):
-        assert (word_key(a) < word_key(b)) == (a.lenlex_key < b.lenlex_key)
+        assert (word_key(a) < word_key(b)) == ((len(a), a) < (len(b), b))
         assert (word_key(a) == word_key(b)) == (a == b)
 
     @given(bitstrings)
     def test_keys_round_trip_to_words(self, s):
         assert key_word(word_key(s)) == s
-        assert format(word_key(s), "b")[1:] == s.bits
+        assert format(word_key(s), "b")[1:] == s
 
     @given(st.integers(0, 10), st.data())
     def test_a_key_range_is_the_words_of_a_value_range(self, n, data):
@@ -115,8 +123,8 @@ class TestWordCache:
     BOUND = dyadic._CACHED_WORD_LENGTH
 
     @staticmethod
-    def binary(n: int, lo: int, hi: int) -> list[BitString]:
-        return [BitString(format(v, "b").zfill(n) if n else "") for v in range(lo, hi)]
+    def binary(n: int, lo: int, hi: int) -> list[str]:
+        return [format(v, "b").zfill(n) if n else "" for v in range(lo, hi)]
 
     def test_slices_are_the_binary_values_up_to_past_the_bound(self):
         rng = random.Random(29)
@@ -165,13 +173,13 @@ class TestStringRationalBridge:
 
     @given(bitstrings)
     def test_round_trip_on_admissible_strings(self, s):
-        if len(s) and s.bits[-1] != "1":
-            s = BitString(s.bits + "1")
+        if s[-1:] == "0":
+            s += "1"
         assert string_of_rational(rational_of_string(s)) == s
 
     def test_round_trip_exhaustive(self):
         for s in strings_up_to(12):
-            if len(s) and s.bits[-1] != "1":
+            if s[-1:] == "0":
                 continue
             assert string_of_rational(rational_of_string(s)) == s
 
@@ -222,7 +230,7 @@ class TestOptimalCovering:
     def test_agrees_with_brute_force(self, sset):
         assert optimal_covering(sset) == brute_optimal_covering(sset)
 
-    @given(small_sets, st.text(alphabet="01", max_size=4).map(BitString))
+    @given(small_sets, st.text(alphabet="01", max_size=4))
     def test_growing_by_one_string_agrees_with_brute_force(self, sset, s):
         grown = grow_covering(optimal_covering(sset), s)
         assert grown == brute_optimal_covering([*sset, s])
@@ -241,7 +249,7 @@ class TestOptimalCovering:
         assert expansion_at_depth(cov.members, depth) == want
         for member in cov:
             if len(member):
-                parent_cone = expansion_at_depth([member.parent()], depth)
+                parent_cone = expansion_at_depth([member[:-1]], depth)
                 assert not parent_cone <= want
 
 
@@ -256,7 +264,7 @@ class TestFilterClosure:
         closure = sibling_merge_closure(y, 8)
         anti = optimal_covering(y)
         for t in strings_up_to(8):
-            assert anti.covers(t) == (t.bits in closure)
+            assert anti.covers(t) == (t in closure)
 
 
 class TestAcceptable:
@@ -277,7 +285,7 @@ class TestAntichain:
 
     def test_normalizes_order(self):
         a = Antichain(tuple(bs("11", "0")))
-        assert [m.bits for m in a.members] == ["0", "11"]
+        assert a.members == ("0", "11")
 
     def test_cone_containment(self):
         a = Antichain(tuple(bs("0", "11")))
@@ -294,9 +302,10 @@ class TestAntichain:
 
 
 class TestValueContract:
-    """The contract of the three value types: equal values built in different
-    ways are equal and hash equal, an instance equals only an instance of its
-    own type, fields cannot be assigned, and the reprs name every field."""
+    """The contract of the value types: equal values built in different ways
+    are equal and hash equal, a Dyadic or an Antichain equals only an
+    instance of its own type, fields cannot be assigned, and the reprs name
+    every field.  A checked word is a str and equals it."""
 
     def test_equal_values_built_differently(self):
         pairs = [
@@ -305,7 +314,7 @@ class TestValueContract:
             (Dyadic(1 << 6, 6), ONE),
             (Dyadic.parse("4/2^3"), Dyadic(num=1, exp=1)),
             (BitString.parse("-"), EMPTY),
-            (BitString.parse(" 01 "), BitString("0").cat(BitString("1"))),
+            (BitString.parse(" 01 "), BitString("0") + BitString("1")),
             (Antichain(bs("11", "0")), Antichain(bs("0", "11", "0"))),
             (Antichain(), optimal_covering([])),
         ]
@@ -320,12 +329,11 @@ class TestValueContract:
         assert Antichain(bs("0")) != Antichain(bs("1"))
 
     def test_equal_only_within_its_own_type(self):
-        assert BitString("01") != "01" and "01" != BitString("01")
-        assert EMPTY != ""
+        # a word is a str, so a checked word equals its str (TestBitString)
         assert Dyadic(1, 1) != (1, 1) and (1, 1) != Dyadic(1, 1)
         assert ZERO != 0 and ONE != 1
-        assert Antichain(bs("0")) != (BitString("0"),)
-        assert BitString("1") != Antichain(bs("1"))
+        assert Antichain(bs("0")) != ("0",) and ("0",) != Antichain(bs("0"))
+        assert "1" != Antichain(bs("1"))
 
     def test_assignment_raises(self):
         values = [(BitString("01"), "bits"), (Dyadic(1, 1), "num"), (Dyadic(1, 1), "exp"),
@@ -339,13 +347,9 @@ class TestValueContract:
                 value.extra = 1  # type: ignore[union-attr]
 
     def test_reprs(self):
-        assert repr(BitString("01")) == "BitString(bits='01')"
-        assert repr(EMPTY) == "BitString(bits='')"
         assert repr(Dyadic(2, 2)) == "Dyadic(num=1, exp=1)"
         assert repr(ZERO) == "Dyadic(num=0, exp=0)"
-        assert repr(Antichain(bs("01", "1"))) == (
-            "Antichain(members=(BitString(bits='1'), BitString(bits='01')))"
-        )
+        assert repr(Antichain(bs("01", "1"))) == "Antichain(members=('1', '01'))"
 
     def test_constructors_validate(self):
         cases = [
@@ -354,6 +358,7 @@ class TestValueContract:
             (lambda: Dyadic(9, 3), "dyadic exceeds 1: 9/2^3"),
             (lambda: Dyadic(1, -2), "negative dyadic parts: 1/2^-2"),
             (lambda: BitString("012"), "not a 0/1 word: '012'"),
+            (lambda: Antichain(["0", "2"]), "not a 0/1 word: '2'"),
             (lambda: Antichain(bs("1", "10")), "antichain violation: 1 ⪯ 10"),
             (lambda: Antichain(bs("00", "01")), "not reduced: both children of 0 present"),
         ]

@@ -9,7 +9,10 @@ package's modules import one another without a cycle.  The oracles import
 from the package only value types and ``errors``, so no fast routine is on
 an oracle's path.  The verifiers import only an allow-list: those, the
 record types, the script replay that reads a builder's input, and
-``oracles``; and only ``checks`` and ``verify`` import ``oracles``.
+``oracles``; and only ``checks`` and ``verify`` import ``oracles``.  A word
+is a plain ``str`` everywhere: outside ``dyadic``, ``BitString`` is named
+only to call ``BitString.parse`` on text, and no module reads ``.bits`` or
+names the removed ``trusted_bitstring`` or ``lenlex_key``.
 """
 
 from __future__ import annotations
@@ -156,6 +159,35 @@ def verify_imports_beyond_allow_list(path: pathlib.Path) -> list[str]:
     return imports_beyond(path, VERIFY_IMPORTS_ALLOWED, whole=("errors", "oracles"))
 
 
+REMOVED_WORD_NAMES = frozenset({"trusted_bitstring", "lenlex_key"})
+
+
+def second_word_type(path: pathlib.Path) -> list[str]:
+    """Each use of a word type besides `str` in the file, as module:line:
+    an attribute `.bits` read anywhere, a name, attribute or definition of
+    REMOVED_WORD_NAMES, and, outside `dyadic`, the name `BitString` anywhere
+    but as the class of a `BitString.parse(...)` call."""
+    tree = _tree(path)
+    parsed = {
+        id(node.func.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "parse"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in REMOVED_WORD_NAMES | {"bits"}:
+            found.append(f"{path.stem}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in REMOVED_WORD_NAMES:
+            found.append(f"{path.stem}:{node.lineno}: {node.id}")
+        elif isinstance(node, ast.FunctionDef) and node.name in REMOVED_WORD_NAMES:
+            found.append(f"{path.stem}:{node.lineno}: def {node.name}")
+        elif (isinstance(node, ast.Name) and node.id == "BitString" and path.stem != "dyadic"
+              and id(node) not in parsed):
+            found.append(f"{path.stem}:{node.lineno}: BitString")
+    return found
+
+
 def import_graph() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at module level or nested."""
     return {path.stem: {module for module, _ in package_imports(path)} for path in MODULES}
@@ -257,4 +289,26 @@ def test_only_the_checks_and_the_verifiers_import_the_oracles():
     graph = import_graph()
     assert sorted(module for module, deps in graph.items() if "oracles" in deps) == [
         "checks", "verify"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_a_word_is_a_plain_str(path):
+    assert second_word_type(path) == []
+
+
+def test_a_second_word_type_is_found(tmp_path):
+    planted = tmp_path / "m.py"
+    planted.write_text(
+        "from .dyadic import BitString\n\n\n"
+        "def f(text: str, bits: str) -> BitString:\n"
+        "    w = BitString.parse(text)\n"
+        "    return BitString(w.bits + bits), sorted([w], key=lambda v: v.lenlex_key)\n\n\n"
+        "def trusted_bitstring(bits: str) -> str:\n"
+        "    return bits\n",
+        encoding="utf-8",
+    )
+    assert sorted(second_word_type(planted)) == [
+        "m:4: BitString", "m:6: .bits", "m:6: .lenlex_key", "m:6: BitString",
+        "m:9: def trusted_bitstring",
     ]

@@ -5,9 +5,10 @@ new strings from intervals, and find odd-ones extensions by comparing
 integers.  The references build every cut as a set of strings on the
 rational side and take set differences and set inclusions, and merge plain
 words through the item-at-a-time loop `oracles.brute_merge_rows`, which
-`constructions.merge_rows` must match on the same blocks.  The recipes hold
-each word as its integer key; every comparison here goes through the one
-conversion, `dyadic.word_key` and `dyadic.key_word`.
+`constructions.merge_rows` must match on the same blocks as keys.  The
+recipes and the merge hold each word as its integer key; every comparison
+here goes through the one conversion, `dyadic.word_key` and
+`dyadic.key_word`.
 """
 
 from __future__ import annotations
@@ -68,9 +69,19 @@ def words(keys):
     return frozenset(map(key_word, keys))
 
 
+def keys(strings):
+    """The set of keys of a set of words."""
+    return frozenset(map(word_key, strings))
+
+
 def keyed(extensions):
     """An extensions callable on keys, called and read on words."""
-    return lambda content: map(words, extensions(frozenset(map(word_key, content))))
+    return lambda content: map(words, extensions(keys(content)))
+
+
+def on_keys(extensions):
+    """An extensions callable on words, called and read on keys."""
+    return lambda content: map(keys, extensions(words(content)))
 
 
 def word_deltas(values, length):
@@ -102,7 +113,7 @@ class TestCutDeltas:
 
     def test_a_drop_then_a_rise_is_measured_from_the_smaller_cut(self):
         values = [Dyadic(3, 2), Dyadic(1, 2), Dyadic(1, 1)]
-        got = [(s, t.display()) for s, t in word_deltas(values, 2)]
+        got = [(s, t or "-") for s, t in word_deltas(values, 2)]
         assert got == [
             (0, "-"), (0, "0"), (0, "1"), (0, "00"), (0, "01"), (0, "10"),
             (2, "01"),
@@ -111,7 +122,7 @@ class TestCutDeltas:
     def test_zero_and_one(self):
         assert list(cut_deltas([ZERO, ZERO], 3)) == []
         assert [t for _, t in word_deltas([ZERO, ONE], 3)] == sorted(
-            brute_lower_cut(ONE, 3), key=lambda b: b.lenlex_key
+            brute_lower_cut(ONE, 3), key=lenlex
         )
 
 
@@ -220,17 +231,6 @@ def machine_text(machine):
                    for p in machine.programs)
 
 
-def plain(strings):
-    """A set of BitStrings as a set of plain words."""
-    return frozenset(t.bits for t in strings)
-
-
-def on_plain_words(extensions):
-    """An extensions callable on sets of BitStrings, called and read on sets
-    of plain words."""
-    return lambda content: map(plain, extensions(frozenset(map(BitString, content))))
-
-
 def boundary_inputs(script, machine, k, length, horizon, mirror):
     """The boundary merge's input through sets of strings: each trace's cuts
     by set difference, and the odd-ones cuts and their inclusions from the
@@ -240,10 +240,10 @@ def boundary_inputs(script, machine, k, length, horizon, mirror):
     for j, e in enumerate(script.indices()):
         trace = hat_m_construction(real_from_ce_set(script, e), machine, k, horizon, mirror=mirror)
         values = [trace.value_at(s) for s in range(horizon + 1)]
-        events.extend((s, j, t.bits) for s, t in set_difference_deltas(values, length))
+        events.extend((s, j, t) for s, t in set_difference_deltas(values, length))
     events.sort(key=itemgetter(0))  # stable: index order kept within a stage
-    cuts = [plain(brute_lower_cut(rational_of_string(s), length)) for s in brute_odd_ones(length)]
-    return (lambda: cuts), events, on_plain_words(inclusion_odd_ones_extensions(length))
+    cuts = [brute_lower_cut(rational_of_string(s), length) for s in brute_odd_ones(length)]
+    return (lambda: cuts), events, inclusion_odd_ones_extensions(length)
 
 
 def covering_inputs(listings, length, horizon, stream):
@@ -256,21 +256,21 @@ def covering_inputs(listings, length, horizon, stream):
         seen = frozenset()
         for snap in star_construction(listing, horizon):
             cur = covered_up_to(snap.family, length)
-            gained = sorted(cur - seen, key=lambda b: b.lenlex_key)
-            events.extend((snap.stage, j, t.bits) for t in gained)
+            gained = sorted(cur - seen, key=lenlex)
+            events.extend((snap.stage, j, t) for t in gained)
             seen = cur
     if stream:
         evens = itertools.islice(covering_antichains(odd=False), 1, horizon + 2)
         for stage, a in enumerate(evens):
             if a.total_bits() > length:
                 break
-            covered = sorted(covered_up_to(a, length), key=lambda b: b.lenlex_key)
-            events.extend((stage, len(listings) + stage, t.bits) for t in covered)
+            covered = sorted(covered_up_to(a, length), key=lenlex)
+            events.extend((stage, len(listings) + stage, t) for t in covered)
     events.sort(key=itemgetter(0))  # stable: index order kept within a stage
     return (
-        lambda: map(plain, map(words, odd_covering_listing(length))),
+        lambda: map(words, odd_covering_listing(length)),
         events,
-        on_plain_words(keyed(odd_covering_extensions(length))),
+        keyed(odd_covering_extensions(length)),
     )
 
 
@@ -285,22 +285,23 @@ def lenlex(word):
 
 def as_blocks(events):
     """Stage-sorted events (stage, index, word) as blocks (stage, index,
-    words), one per run of consecutive events of one (stage, index)."""
+    keys), one per run of consecutive events of one (stage, index); an item
+    that is not a word is handed on as it is."""
     return [
-        (s, j, tuple(w for _, _, w in run))
+        (s, j, tuple(word_key(w) if isinstance(w, str) else w for _, _, w in run))
         for (s, j), run in itertools.groupby(events, key=itemgetter(0, 1))
     ]
 
 
 def same_merge(listing, events, extensions, horizon):
     """`brute_merge_rows` on the events, having asserted that `merge_rows` on
-    the events' blocks gives its rows once flattened, none empty, or raises
-    the package error it raises."""
+    the events' blocks, as keys, gives its rows once flattened and read as
+    words, none empty, or raises the package error it raises."""
 
     def blocked():
-        rows = merge_rows(listing(), as_blocks(events), extensions, horizon, str, lenlex)
+        rows = merge_rows(map(keys, listing()), as_blocks(events), on_keys(extensions), horizon)
         assert all(items for _, _, items in rows)
-        return [(s, j, w) for s, j, items in rows for w in items]
+        return [(s, j, key_word(k)) for s, j, items in rows for k in items]
 
     try:
         want = brute_merge_rows(listing(), events, extensions, horizon)
@@ -326,7 +327,7 @@ def covering_reference(listings, length, horizon, stream):
 
 
 def listing_text(listing):
-    return "".join(t.display() + "\n" for t in listing)
+    return "".join((t or "-") + "\n" for t in listing)
 
 
 class TestRecipes:
