@@ -97,7 +97,7 @@ class BitString(str):
 
     @property
     def bits(self) -> str:
-        """The word as a plain `str`."""
+        """The word as a plain `str`, as `cantorbench/gate.py` reads it."""
         return str(self)
 
 

@@ -4,7 +4,8 @@ An enumeration script is a finite, replayable log of (stage, index, item)
 events: the stage-s set of index e is exactly the items filed under e at
 stages ≤ s.  Left-c.e. reals are modelled by monotone per-stage dyadic
 values with an explicit "empty" flag before the first evidence arrives, so
-downstream constructions can tell "no element yet" from the real 0.
+downstream constructions can tell "no element yet" from the real 0.  An
+item is a word (a plain `str`, checked at parse time) or a dyadic.
 """
 
 from __future__ import annotations

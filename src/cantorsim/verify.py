@@ -1,9 +1,12 @@
 """The safety verifiers of the `run` constructions and of the merge.
 
 Each returns the violations it finds in a result, none for a safe run.  K_t,
-Ω_s, least failing lengths, k-bit expansions, coverings and measures come
-from the scans in `oracles`, never from the machine's stage index or the
-constructions' own.  The `run` entry X binds `verify_X` as its check, for X
+Ω_s, least failing lengths, failing runs, k-bit expansions, coverings and
+measures come from the scans in `oracles`, never from the machine's stage
+index or the constructions' own.  A splice's runs must be exactly the
+scan's runs of its input, and a regret slot's run one of the scan's runs of
+its index, so a run that opens or closes late is a finding.  The `run`
+entry X binds `verify_X` as its check, for X
 in splice, hatm, regret, beta, star, capped, diagonalize, omega, oddones and
 coverfamily; `verify_merge` checks the merge cases of `check constructions`,
 and the merge entry and the two recipes bind none yet (see `runs`).  The

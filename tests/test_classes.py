@@ -50,6 +50,11 @@ class TestTree:
         with pytest.raises(DomainError):
             Tree(1, frozenset(bs("00")))
 
+    def test_constructor_rejects_a_word_not_over_01(self):
+        with pytest.raises(DomainError) as info:
+            Tree(3, frozenset({"01", "0a"}))
+        assert str(info.value) == "not a 0/1 word: '0a'"
+
     def test_constructor_rejects_nested_exits(self):
         with pytest.raises(DomainError) as info:
             Tree(3, frozenset(bs("01", "0", "011")))

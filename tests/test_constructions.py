@@ -562,8 +562,10 @@ def merged(listing, l2, extensions, horizon) -> EnumerationScript:
     """The merge's output script on a listing, a script and extensions in
     words, run as `run merge` runs it: `merge_rows` on their keys, with an
     item that is not a word handed on, and the rows read back as words."""
+    def on_keys(content):
+        return map(keys, extensions(frozenset(map(key_word, content))))
+
     blocks = event_blocks(l2.events, lambda item: word_key(item) if isinstance(item, str) else item)
-    on_keys = lambda content: map(keys, extensions(frozenset(map(key_word, content))))
     rows = merge_rows(map(keys, listing), blocks, on_keys, horizon)
     return EnumerationScript(
         tuple(ScriptEvent(s, j, key_word(k)) for s, j, ks in rows for k in ks), horizon
