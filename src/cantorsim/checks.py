@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classes import (
     Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration, paths_at_depth,
@@ -32,7 +32,7 @@ from .coverings import (
     covering_antichains, even_covering_family, odd_covering_family, star_construction,
 )
 from .dyadic import (
-    ONE, ZERO, Dyadic, Order, is_acceptable, key_word, lex_compare_padded, optimal_covering,
+    ONE, ZERO, Dyadic, Order, is_acceptable, key_word, lenlex, lex_compare_padded, optimal_covering,
     prefix_set_measure, rational_of_string, string_of_rational, strings_up_to, word_key,
 )
 from .errors import InputError
@@ -168,7 +168,7 @@ def random_listing(rng: random.Random, kind: str | None = None) -> tuple[str, ..
         return tuple(t for t in strings_up_to(bound) if not x.startswith(t))
     if kind == "clopen":
         base = optimal_covering(random_string_set(rng, 4, 4, 1))
-        covered = sorted((t for t in strings_up_to(5) if base.covers(t)), key=lambda w: (len(w), w))
+        covered = lenlex(t for t in strings_up_to(5) if base.covers(t))
         if rng.random() < 0.5:
             rng.shuffle(covered)
         return tuple(covered)
@@ -213,13 +213,13 @@ def build_scenario(sc: Scenario) -> Replay:
     return replay(sc.argv, FIXTURE_FILES.__getitem__)
 
 
-def _merge_tag(i: int) -> int:
-    """The key (`dyadic.word_key`) of the i-th tag, six 1s and i in 10 bits."""
-    return word_key("1" * 6 + format(i, "010b"))
+def _merge_tag(i: int) -> str:
+    """The i-th tag, six 1s and i in 10 bits."""
+    return "1" * 6 + format(i, "010b")
 
 
 @lru_cache(maxsize=None)
-def _merge_injective_side() -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+def _merge_injective_side() -> tuple[frozenset[str], tuple[frozenset[str], ...]]:
     """The 1,024 tags and the listing of the first 400 tags as singletons,
     the same for every merge case; built on the first case, not at import."""
     tags = [_merge_tag(i) for i in range(1024)]
@@ -227,14 +227,13 @@ def _merge_injective_side() -> tuple[frozenset[int], tuple[frozenset[int], ...]]
 
 
 def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
-    """A scripted merge input over words as their keys (`dyadic.word_key`),
-    as `constructions.merge_rows` reads them: settled sets of 2 to 16
-    indices over '0'-opening items, plus a tag-based injective side that
-    trivially has extensions of every finite subset.  Half the cases force a
-    converging duplicate pair."""
+    """A scripted merge input: settled word sets of 2 to 16 indices over
+    '0'-opening items, plus a tag-based injective side that trivially has
+    extensions of every finite subset.  Half the cases force a converging
+    duplicate pair."""
     count = rng.randint(2, 16)
-    pool = [word_key("0" + format(v, "04b")) for v in range(16)]
-    settled: list[list[int]] = []
+    pool = ["0" + format(v, "04b") for v in range(16)]
+    settled: list[list[str]] = []
     for _ in range(count):
         size = rng.randint(1, 5)
         settled.append(list(rng.sample(pool, size)))
@@ -251,18 +250,28 @@ def make_merge_case(rng: random.Random, horizon: int = 100) -> MergeCase:
     script = EnumerationScript.from_events(events, horizon)
     tags, l1 = _merge_injective_side()
 
-    def extensions(content: frozenset[int]) -> Iterator[frozenset[int]]:
+    def extensions(content: frozenset[str]) -> Iterator[frozenset[str]]:
         return (content | {_merge_tag(i)} for i in itertools.count(500))
 
     return MergeCase(script, l1, extensions, tags, horizon)
 
 
+def _keys(words: Iterable[str]) -> frozenset[int]:
+    return frozenset(map(word_key, words))
+
+
 def merge_case_output(case: MergeCase) -> EnumerationScript:
-    """The merge's output on a merge case: `merge_rows` on its script's
-    blocks of keys, one event per key of the rows."""
-    rows = merge_rows(case.l1, event_blocks(case.script.events), case.picker, case.horizon)
+    """The merge's output on a merge case, merged as `run merge` merges:
+    `merge_rows` on the keys (`dyadic.word_key`) of the case's words, and
+    the row blocks read back as words, one event per item."""
+
+    def extensions(content: frozenset[int]) -> Iterator[frozenset[int]]:
+        return map(_keys, case.picker(frozenset(map(key_word, content))))
+
+    blocks = event_blocks(case.script.events)
+    rows = merge_rows(map(_keys, case.l1), blocks, extensions, case.horizon)
     return EnumerationScript(
-        tuple(ScriptEvent(s, j, key) for s, j, keys in rows for key in keys), case.horizon
+        tuple(ScriptEvent(s, j, key_word(k)) for s, j, keys in rows for k in keys), case.horizon
     )
 
 
@@ -384,7 +393,7 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
     for mi in range(machines):
         machine = random_machine(rng)
         stages = sorted({p.halt_stage for p in machine.programs} | {0})
-        outputs = sorted({p.output for p in machine.programs}, key=lambda w: (len(w), w))
+        outputs = lenlex({p.output for p in machine.programs})
         prev_k = {o: INFINITE for o in outputs}
         prev_omega = ZERO
         for t in stages:

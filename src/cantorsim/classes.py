@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import EMPTY, Antichain, BitString, all_strings, grow_covering, minimal_strings
-from .dyadic import strings_up_to
+from .dyadic import lenlex, strings_up_to
 from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError, records
 from .streams import EnumerationScript
 
@@ -54,7 +54,7 @@ class Tree:
         if self.depth < 0:
             raise DomainError("depth must be ≥ 0")
         bits = self.exits
-        for b in sorted(bits, key=_lenlex_key):
+        for b in lenlex(bits):
             if b.strip("01"):
                 raise DomainError(f"not a 0/1 word: {b!r}")
             if len(b) > self.depth:
@@ -91,7 +91,7 @@ class Tree:
             bits.add("")
         if depth is None:
             depth = max((len(b) for b in bits), default=0)
-        for b in sorted(bits, key=_lenlex_key):
+        for b in lenlex(bits):
             if b and b[:-1] not in bits:
                 raise ParseError(f"not prefix-closed: node {b} lacks {b[:-1] or 'ε'}", source=source)
             if len(b) > depth:
@@ -108,11 +108,7 @@ class Tree:
         return frozenset(n for d in range(self.depth + 1) for n in paths_at_depth(self, d))
 
     def render(self) -> str:
-        return "\n".join(n or "-" for n in sorted(self.nodes, key=_lenlex_key))
-
-
-def _lenlex_key(word: str) -> tuple[int, str]:
-    return (len(word), word)
+        return "\n".join(n or "-" for n in lenlex(self.nodes))
 
 
 def paths_at_depth(tree: Tree, d: int) -> tuple[str, ...]:
@@ -137,7 +133,7 @@ def dead_ends(tree: Tree) -> tuple[str, ...]:
     """Nodes strictly below the depth bound with no child in the tree, the
     parents of two sibling exits, listed length-lexicographically."""
     ends = [e[:-1] for e in tree.exits if e.endswith("0") and e[:-1] + "1" in tree.exits]
-    return tuple(sorted(ends, key=_lenlex_key))
+    return tuple(lenlex(ends))
 
 
 def graft_points(trees: Sequence[Tree], depth: int) -> tuple[str, ...]:
@@ -170,7 +166,7 @@ def graft_points(trees: Sequence[Tree], depth: int) -> tuple[str, ...]:
             candidates.append(sigma)
         if not candidates:
             raise PreconditionError(f"no dead end of tree {n} reachable above {sigma or 'ε'}")
-        taus.append(min(candidates, key=_lenlex_key))
+        taus.append(lenlex(candidates)[0])
     return tuple(taus)
 
 

@@ -17,7 +17,8 @@ arguments and raises `DomainError` on a bad one; an instance is immutable
 only an instance of its own type, with a hash that agrees with that
 equality, so a `Dyadic` never equals a tuple.  Inside the package,
 `trusted_antichain` builds an antichain without the checks, for callers that
-hold members already known to be valid; it is not exported.  Nor are
+hold members already known to be valid; it is not exported.  Nor is
+`lenlex`, which lists words in length-lexicographic order, nor are
 `word_key` and `key_word`, which map a word to the integer key
 int("1" + word, 2) and back: keys order as the words do
 length-lexicographically, so the recipes hash, sort and slice sets of words
@@ -104,7 +105,7 @@ class BitString(str):
 EMPTY = ""
 
 
-def _lenlex(words: Iterable[str]) -> list[str]:
+def lenlex(words: Iterable[str]) -> list[str]:
     """The words in length-lexicographic order."""
     out = sorted(words)
     out.sort(key=len)  # stable: lexicographic within a length
@@ -304,7 +305,7 @@ class Antichain(_Value):
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         distinct = set(members)
-        words = tuple(_lenlex(distinct))
+        words = tuple(lenlex(distinct))
         for k, b in enumerate(words):
             if b.strip("01"):
                 raise DomainError(f"not a 0/1 word: {b!r}")
@@ -458,7 +459,7 @@ def grow_covering(antichain: Antichain, s: str) -> Antichain:
         kept.remove(sibling)
         s = s[:-1]
     kept.add(s)
-    return trusted_antichain(tuple(_lenlex(kept)))
+    return trusted_antichain(tuple(lenlex(kept)))
 
 
 def is_acceptable(strings: Iterable[str]) -> bool:

@@ -350,7 +350,7 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
             sets.append(frozenset(word_key(BitString.parse(tok)) for tok in line.split()))
         except DomainError as exc:
             raise ParseError(str(exc), source=a.l1_sets, line=lineno)
-    blocks = event_blocks(l2.events, lambda item: word_key(item) if isinstance(item, str) else item)
+    blocks = event_blocks(l2.events)
     rows = merge_rows(sets, blocks, lambda content: (v for v in sets if content <= v), a.horizon)
     return Replay(rows, key_row_lines(rows))
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from .dyadic import ZERO, BitString, Dyadic, key_word
+from .dyadic import ZERO, BitString, Dyadic, key_word, word_key
 from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[str, Dyadic]
@@ -135,14 +135,17 @@ class EnumerationScript:
         return "\n".join(lines)
 
 
-def event_blocks(
-    events: Iterable[ScriptEvent], item: Callable[[Item], object] = lambda x: x
-) -> list[tuple[int, int, tuple]]:
-    """The blocks (stage, index, items) of stage-sorted events: one per run
-    of consecutive events of one stage and index, each item mapped by
-    `item`, as `constructions.merge_rows` reads them."""
+def event_blocks(events: Iterable[ScriptEvent]) -> list[tuple[int, int, tuple]]:
+    """The blocks (stage, index, items) of stage-sorted events, as
+    `constructions.merge_rows` reads them: one per run of consecutive events
+    of one stage and index, each word as its key (`dyadic.word_key`).  An
+    item that is not a word is handed on, for `merge_rows` to reject at its
+    stage."""
     groups = itertools.groupby(events, key=itemgetter(0, 1))
-    return [(s, j, tuple(item(ev.item) for ev in group)) for (s, j), group in groups]
+    return [
+        (s, j, tuple(word_key(x) if isinstance(x := ev.item, str) else x for ev in group))
+        for (s, j), group in groups
+    ]
 
 
 def key_row_lines(rows: Sequence[tuple[int, int, Sequence[int]]]) -> list[str]:

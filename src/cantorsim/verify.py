@@ -4,8 +4,9 @@ Each returns the violations it finds in a result, none for a safe run.  K_t,
 Ω_s, least failing lengths, failing runs, k-bit expansions, coverings and
 measures come from the scans in `oracles`, never from the machine's stage
 index or the constructions' own.  A splice's runs must be exactly the
-scan's runs of its input, and a regret slot's run one of the scan's runs of
-its index, so a run that opens or closes late is a finding.  The `run`
+scan's runs of its input, and the regret slots' runs of each index exactly
+the scan's runs of that index, so a run that opens or closes late, is
+missing or is held twice is a finding.  The `run`
 entry X binds `verify_X` as its check, for X
 in splice, hatm, regret, beta, star, capped, diagonalize, omega, oddones and
 coverfamily; `verify_merge` checks the merge cases of `check constructions`,
@@ -170,16 +171,27 @@ def verify_hatm(
 def verify_regret(
     slots: Sequence[RegretSlot], family: EnumerationScript, machine: PrefixMachine, c: int
 ) -> list[str]:
-    """Each slot tracks its member and is regretted as the scans say, and its
-    run is a scan run of its index, monitored from the stage of the index."""
+    """Each slot tracks its member and is regretted as the scans say, and the
+    slots' runs of each index of the family are exactly the scan's runs of
+    that index, monitored from the stage of the index: no scan run's trigger
+    is missing and no run is held by two slots.  The horizon is the slots'
+    (the family's when there are none)."""
     errs = []
-    scans: dict[int, list[Run]] = {}  # the scan runs of each index
+    horizon = slots[0].trace.horizon if slots else family.horizon
+    members = {e: real_from_ce_set(family, e)
+               for e in (*family.indices(), *(slot.source_index for slot in slots))}
+    scans = {e: brute_failing_runs(m.values, m.first_stage, machine, c, horizon, start=e)
+             for e, m in members.items()}
+    held: dict[tuple[int, Run], int] = {}  # the first slot holding each run of an index
+    opened = set()  # (index, trigger stage) of each slot
     for i, slot in enumerate(slots):
         e = slot.source_index
-        m = real_from_ce_set(family, e)
-        if e not in scans:
-            horizon = slot.trace.horizon
-            scans[e] = brute_failing_runs(m.values, m.first_stage, machine, c, horizon, start=e)
+        m = members[e]
+        run = (slot.bound_stage, slot.witness_length, slot.regret_stage)
+        if (e, run) in held:
+            errs.append(f"slot {i}: holds the run of slot {held[e, run]}")
+        held.setdefault((e, run), i)
+        opened.add((e, slot.bound_stage))
         if not slot.trace.is_monotone():
             errs.append(f"slot {i}: trace not monotone")
         found = []
@@ -193,9 +205,7 @@ def verify_regret(
                 padded = None if slot.padding is None else witness + "0" * slot.padding
                 if not isinstance(v, TailValue) or v.prefix != padded:
                     found.append(f"stage {t}: regretted prefix malformed")
-        found += _run_errors(
-            m, machine, c, (slot.bound_stage, slot.witness_length, slot.regret_stage), scans[e]
-        )
+        found += _run_errors(m, machine, c, run, scans[e])
         errs.extend(f"slot {i} {err}" for err in found)
         if slot.regret_stage is not None:
             p = slot.padding or 0
@@ -204,6 +214,12 @@ def verify_regret(
                 errs.append(f"slot {i}: padding {p} misses the target {target}")
             if any(padding_holds(q, target) for q in range(1, p)):
                 errs.append(f"slot {i}: padding {p} not minimal for target {target}")
+    for e in family.indices():
+        errs.extend(
+            f"index {e} stage {t}: the scan's run of length {n} is missing"
+            for t, n, _ in scans[e]
+            if (e, t) not in opened
+        )
     return errs
 
 

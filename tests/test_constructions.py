@@ -10,23 +10,21 @@ from hypothesis import strategies as st
 
 from cantorsim import runs
 from cantorsim.checks import (
-    SCENARIOS, build_scenario, make_merge_case, merge_case_output, verify_hatm, verify_merge,
-    verify_regret, verify_splice,
+    SCENARIOS, MergeCase, build_scenario, make_merge_case, merge_case_output, verify_hatm,
+    verify_merge, verify_regret, verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
     PlainValue, StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, hat_m_construction,
-    merge_rows, odd_ones_real_enumeration, regret_construction, splice_random,
+    odd_ones_real_enumeration, regret_construction, splice_random,
 )
-from cantorsim.dyadic import ZERO, BitString, Dyadic, key_word, rational_of_string, word_key
+from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
 from cantorsim.oracles import brute_failing_runs, brute_odd_ones, expansion_prefix, rightmost_path
 from cantorsim.scenarios import FIXTURE_FILES
-from cantorsim.streams import (
-    EnumerationScript, LeftCEApprox, ScriptEvent, event_blocks, real_from_ce_set, stage_set,
-)
+from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 from cantorsim.verify import verify_oddones, verify_omega
 
 
@@ -308,6 +306,15 @@ class TestVerifiersReadTheScans:
             "stage 3: omega 1/2^0 is not the halted mass 1/2^1"
         ]
 
+    def test_regret_slots_must_hold_every_scan_run_once(self):
+        slots, machine, script, flag = scenario_inputs("regret-recover-padding")
+        c = int(flag("--c"))
+        (slot,) = slots
+        assert verify_regret([], script, machine, c) == [
+            "index 0 stage 4: the scan's run of length 4 is missing"
+        ]
+        assert verify_regret([slot, slot], script, machine, c) == ["slot 1: holds the run of slot 0"]
+
     def test_a_regret_released_while_failing_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
@@ -554,22 +561,10 @@ def listed_l1(values):
     return frozen, lambda content: (v for v in frozen if content <= v)
 
 
-def keys(strings):
-    return frozenset(map(word_key, strings))
-
-
 def merged(listing, l2, extensions, horizon) -> EnumerationScript:
     """The merge's output script on a listing, a script and extensions in
-    words, run as `run merge` runs it: `merge_rows` on their keys, with an
-    item that is not a word handed on, and the rows read back as words."""
-    def on_keys(content):
-        return map(keys, extensions(frozenset(map(key_word, content))))
-
-    blocks = event_blocks(l2.events, lambda item: word_key(item) if isinstance(item, str) else item)
-    rows = merge_rows(map(keys, listing), blocks, on_keys, horizon)
-    return EnumerationScript(
-        tuple(ScriptEvent(s, j, key_word(k)) for s, j, ks in rows for k in ks), horizon
-    )
+    words: the merge case's output, with no tags."""
+    return merge_case_output(MergeCase(l2, listing, extensions, frozenset(), horizon))
 
 
 def settled(script: EnumerationScript):
@@ -742,7 +737,7 @@ def copy_index(out: EnumerationScript, src: int, dst: int) -> EnumerationScript:
     return EnumerationScript.from_events(sorted(kept + copied, key=lambda ev: ev[0]), out.horizon)
 
 
-def replace_index(out: EnumerationScript, dst: int, item: int) -> EnumerationScript:
+def replace_index(out: EnumerationScript, dst: int, item: str) -> EnumerationScript:
     """The output with index dst's events replaced by one event of the item
     at stage 0."""
     kept = [ev for ev in out.events if ev.index != dst]
@@ -753,7 +748,7 @@ class TestVerifyMerge:
     def test_findings_match_the_stage_set_scans_on_the_check_cases(self):
         for case, out in merged_check_cases():
             first, last = out.indices()[0], out.indices()[-1]
-            tampered = [copy_index(out, first, last), replace_index(out, last, word_key("0"))]
+            tampered = [copy_index(out, first, last), replace_index(out, last, "0")]
             # at half the horizon, indices whose events all come later settle on ∅
             for at in (case, dataclasses.replace(case, horizon=case.horizon // 2)):
                 for candidate in [out, *tampered]:
@@ -767,7 +762,7 @@ class TestVerifyMerge:
 
     def test_an_untagged_unscripted_set_is_found(self):
         case, out = next(merged_check_cases())
-        tampered = replace_index(out, out.indices()[-1], word_key("0"))
+        tampered = replace_index(out, out.indices()[-1], "0")
         assert "output set neither scripted nor from the injective side" in verify_merge(
             tampered, case
         )

@@ -37,11 +37,26 @@ def late_release(r, machine, c, horizon, start=0):
     ]
 
 
+def dropped_run(r, machine, c, horizon, start=0):
+    """The first run is left out."""
+    return _failing_runs(r, machine, c, horizon, start)[1:]
+
+
+def repeated_run(r, machine, c, horizon, start=0):
+    """The last run is listed twice; a splice still splices it once, so only
+    the regret slots show it."""
+    found = _failing_runs(r, machine, c, horizon, start)
+    return found + found[-1:]
+
+
 # mutant -> the scenarios whose check reports it
 MUTANTS = {
     late_trigger: {"splice-permanent", "splice-recover", "regret-permanent",
                    "regret-recover-padding"},
     late_release: {"splice-recover", "regret-recover-padding"},
+    dropped_run: {"splice-permanent", "splice-recover", "regret-permanent",
+                  "regret-recover-padding"},
+    repeated_run: {"regret-permanent", "regret-recover-padding"},
 }
 
 

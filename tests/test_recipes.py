@@ -60,7 +60,7 @@ from cantorsim.recipes import (
 )
 from cantorsim.runs import replay
 from cantorsim.scenarios import FIXTURE_FILES
-from cantorsim.streams import EnumerationScript, real_from_ce_set
+from cantorsim.streams import EnumerationScript, ScriptEvent, event_blocks, real_from_ce_set
 from test_golden import INPUTS
 
 
@@ -283,23 +283,13 @@ def lenlex(word):
     return len(word), word
 
 
-def as_blocks(events):
-    """Stage-sorted events (stage, index, word) as blocks (stage, index,
-    keys), one per run of consecutive events of one (stage, index); an item
-    that is not a word is handed on as it is."""
-    return [
-        (s, j, tuple(word_key(w) if isinstance(w, str) else w for _, _, w in run))
-        for (s, j), run in itertools.groupby(events, key=itemgetter(0, 1))
-    ]
-
-
 def same_merge(listing, events, extensions, horizon):
     """`brute_merge_rows` on the events, having asserted that `merge_rows` on
     the events' blocks, as keys, gives its rows once flattened and read as
     words, none empty, or raises the package error it raises."""
 
     def blocked():
-        rows = merge_rows(map(keys, listing()), as_blocks(events), on_keys(extensions), horizon)
+        rows = merge_rows(map(keys, listing()), event_blocks(map(ScriptEvent._make, events)), on_keys(extensions), horizon)
         assert all(items for _, _, items in rows)
         return [(s, j, key_word(k)) for s, j, items in rows for k in items]
 
