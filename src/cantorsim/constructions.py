@@ -86,13 +86,11 @@ TraceValue = Union[PlainValue, TailValue]
 
 class TraceRecord(NamedTuple):
     """One stage of a trace.  A named tuple, so it equals the plain tuple
-    (stage, state, value, note).  Only splice writes notes: `trigger n=…`
-    where a run starts and `recover` where it ends, which its verifier reads."""
+    (stage, state, value)."""
 
     stage: int
     state: str
     value: TraceValue
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -198,13 +196,9 @@ def splice_random(
         for t in range(horizon + 1)
     ]
     for trigger, n, release in _failing_runs(r, machine, c, horizon):
-        note = f"{records[trigger].note} trigger n={n}".strip()  # "recover" of the run before
-        records[trigger] = records[trigger]._replace(note=note)
         witness = approx_string(r.value(trigger), n)
         for s in range(trigger + 1, horizon + 1 if release is None else release):
             records[s] = TraceRecord(s, "spliced", TailValue(witness, s, omega_approx(machine, s)))
-        if release is not None:
-            records[release] = records[release]._replace(note="recover")
     return StageTrace(tuple(records))
 
 

@@ -3,15 +3,23 @@
 Each returns the violations it finds in a result, none for a safe run.  K_t,
 Ω_s, least failing lengths, failing runs, k-bit expansions, coverings and
 measures come from the scans in `oracles`, never from the machine's stage
-index or the constructions' own.  A splice's runs must be exactly the
-scan's runs of its input, and the regret slots' runs of each index exactly
-the scan's runs of that index, so a run that opens or closes late, is
-missing or is held twice is a finding.  The `run`
-entry X binds `verify_X` as its check, for X
-in splice, hatm, regret, beta, star, capped, diagonalize, omega, oddones and
-coverfamily; `verify_merge` checks the merge cases of `check constructions`,
-and the merge entry and the two recipes bind none yet (see `runs`).  The
-`check` suites and the tests call these verifiers rather than restate them.
+index or the constructions' own.  Where the scans decide a result, its
+verifier re-derives it and compares: `verify_splice` builds the trace the
+scan of the input's failing runs implies, `verify_regret` the slots, in the
+sorted order of every index's scan runs, and their traces, and
+`verify_star` and `verify_capped` each stage and decision.  A finding names
+its stage or slot and shows both sides, so a run that opens or closes late,
+is missing or is held twice is a finding.  `verify_hatm` keeps property
+checks: its switch rule is not settled, a fix prefix after a parked stage
+is never compared with the boundary, and a trace re-derived by that rule
+would accept the fault that `fix prefix not strictly below the boundary`
+reports.
+
+The `run` entry X binds `verify_X` as its check, for X in splice, hatm,
+regret, beta, star, capped, diagonalize, omega, oddones and coverfamily;
+`verify_merge` checks the merge cases of `check constructions`, and the
+merge entry and the two recipes bind none yet (see `runs`).  The `check`
+suites and the tests call these verifiers rather than restate them.
 
 A hygiene test holds the imports from the package to the value and record
 types, `PrefixMachine`, `oracles`, `errors` and the script replay
@@ -22,6 +30,7 @@ settled sets are read in one pass over each script's events.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,12 +38,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
-from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
+from .constructions import PlainValue, RegretSlot, StageTrace, TailValue, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, Dyadic
 from .errors import RangeError
-from .oracles import brute_failing_runs, brute_k_approx, brute_least_failing_length, brute_odd_ones
-from .oracles import brute_omega_approx, brute_optimal_covering, expansion_prefix, padding_holds
+from .oracles import brute_failing_runs, brute_odd_ones, brute_omega_approx, brute_optimal_covering
+from .oracles import expansion_prefix, padding_holds
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
 
 __all__ = [
@@ -44,90 +53,45 @@ __all__ = [
 ]
 
 
-def _record_errors(
-    rec: TraceRecord, m: LeftCEApprox, machine: PrefixMachine, source: str, *states: str
-) -> list[str]:
-    """What the scans find wrong with one record of a switch construction:
-    its state must be one of the construction's states, every tail the
-    stage's Ω by the scan, and a tracking value m's value at that stage."""
-    t, v = rec.stage, rec.value
-    errs = []
-    if isinstance(v, TailValue):
-        if v.omega_stage != t or v.omega != brute_omega_approx(machine, t):
-            errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
-    if rec.state not in states:
-        errs.append(f"stage {t}: unknown state {rec.state}")
-    elif rec.state == "tracking" and v.real() != m.value(t):
-        errs.append(f"stage {t}: tracking value differs from the {source}")
-    return errs
+def _show(rec: TraceRecord | None) -> str:
+    """A record's state and value, with the mass a tail carries."""
+    if rec is None:
+        return "no record"
+    v = rec.value
+    mass = f" (Ω@{v.omega_stage} = {v.omega.render()})" if isinstance(v, TailValue) else ""
+    return f"{rec.state} {v.render()}{mass}"
 
 
-Run = tuple[int, int, int | None]  # (trigger stage, witness length, release stage or None)
-
-
-def _run_errors(
-    m: LeftCEApprox, machine: PrefixMachine, c: int, run: Run, scan: Sequence[Run]
-) -> list[str]:
-    """What the scans find wrong with a run of m failing the constant: n must
-    be the least failing length at the trigger stage, the length-n expansion
-    must satisfy the constant at the release stage, and the run must be one
-    of the scan's (`oracles.brute_failing_runs`), so it neither opens nor
-    closes later than the first stage at which it could."""
-    trigger, n, release = run
-    errs = []
-    if n != brute_least_failing_length(machine, m.value(trigger), c, trigger):
-        errs.append(f"stage {trigger}: witness length {n} is not the least failing length")
-    if release is not None:
-        if brute_k_approx(machine, expansion_prefix(m.value(release), n), release) < n - c:
-            errs.append(f"stage {release}: released while the length-{n} prefix fails")
-    if not errs and run not in scan:
-        until = "left open" if release is None else f"released at stage {release}"
-        errs.append(f"stage {trigger}: run of length {n} {until} is not a run of the scan")
-    return errs
+def _record_diffs(records: Sequence[TraceRecord], derived: Sequence[TraceRecord]) -> list[str]:
+    """Each stage whose record is not the one the scans derive, with both."""
+    return [
+        f"stage {t}: {_show(got)}, but the scans give {_show(want)}"
+        for t, (got, want) in enumerate(itertools.zip_longest(records, derived))
+        if got != want
+    ]
 
 
 def verify_splice(
     trace: StageTrace, r: LeftCEApprox, machine: PrefixMachine, c: int
 ) -> list[str]:
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
-    opened = False  # whether a trigger note opened a run that reaches this record
-    for rec in trace.records:
-        t = rec.stage
-        errs += _record_errors(rec, r, machine, "input", "empty", "tracking", "spliced")
-        if rec.state == "empty" and (not r.empty_at(t) or rec.value.real() != ZERO):
-            errs.append(f"stage {t}: bad empty record")
-        elif rec.state == "spliced":
-            if not isinstance(rec.value, TailValue):
-                errs.append(f"stage {t}: spliced tail is not the stage mass")
-            if not opened:
-                errs.append(f"stage {t}: spliced outside a run")
-        opened = "trigger n=" in rec.note or (opened and rec.state == "spliced")
+    """The trace the scan of r's failing runs implies, record by record: a
+    stage strictly inside a run is spliced, the input's expansion at the
+    trigger followed by that stage's mass; any other stage is empty or
+    tracks r."""
+    errs = [] if trace.is_monotone() else ["trace not monotone"]
+    derived = [
+        TraceRecord(t, "empty", PlainValue(ZERO))
+        if r.empty_at(t)
+        else TraceRecord(t, "tracking", PlainValue(r.value(t)))
+        for t in range(trace.horizon + 1)
+    ]
     scan = brute_failing_runs(r.values, r.first_stage, machine, c, trace.horizon)
-    triggers = set()
-    for head in trace.records:
-        if "trigger n=" not in head.note:
-            continue
-        trigger, n = head.stage, int(head.note.rpartition("n=")[2])
-        release = next(
-            (rec.stage for rec in trace.records[trigger + 1 :] if rec.state != "spliced"), None
-        )
-        run = range(trigger + 1, trace.horizon + 1 if release is None else release)
-        # a spliced value that is not a tail was reported with its record
-        tails = [(s, v.prefix) for s in run if isinstance(v := trace.records[s].value, TailValue)]
-        if tails:
-            witness = tails[0][1]
-            if witness != expansion_prefix(r.value(trigger), n):
-                errs.append(
-                    f"stage {trigger}: witness {witness or 'ε'} is not the input's expansion"
-                )
-            errs.extend(f"stage {s}: witness changed mid-run" for s, p in tails if p != witness)
-        errs.extend(_run_errors(r, machine, c, (trigger, n, release), scan))
-        triggers.add(trigger)
-    errs.extend(f"stage {t}: the scan's run of length {n} is missing"
-                for t, n, _ in scan if t not in triggers)
-    return errs
+    for trigger, n, release in scan:
+        witness = expansion_prefix(r.value(trigger), n)
+        for s in range(trigger + 1, trace.horizon + 1 if release is None else release):
+            tail = TailValue(witness, s, brute_omega_approx(machine, s))
+            derived[s] = TraceRecord(s, "spliced", tail)
+    return errs + _record_diffs(trace.records, derived)
 
 
 def verify_hatm(
@@ -140,14 +104,18 @@ def verify_hatm(
     degenerate = ("1" if mirror else "0") * k
     for rec in trace.records:
         t, v = rec.stage, rec.value
-        boundary = expansion_prefix(brute_omega_approx(machine, t), k)
-        errs += _record_errors(rec, m, machine, "input", "parked", "tracking", "undesirable")
+        omega = brute_omega_approx(machine, t)
+        boundary = expansion_prefix(omega, k)
+        if isinstance(v, TailValue) and (v.omega_stage != t or v.omega != omega):
+            errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
         if rec.state == "parked":
             if boundary != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
             if not isinstance(v, TailValue) or v.prefix != ("1" if mirror else "0"):
                 errs.append(f"stage {t}: parked value malformed")
         elif rec.state == "tracking":
+            if v.real() != m.value(t):
+                errs.append(f"stage {t}: tracking value differs from the input")
             cur = expansion_prefix(m.value(t), k)
             if not (cur > boundary if mirror else cur < boundary):
                 errs.append(f"stage {t}: tracking on the wrong side of the boundary")
@@ -165,61 +133,68 @@ def verify_hatm(
             if mirror and t > 0 and trace.records[t - 1].state == "tracking":
                 if not isinstance(v, TailValue) or v.prefix != expansion_prefix(m.value(t - 1), k):
                     errs.append(f"stage {t}: fix prefix is not the previous input prefix")
+        else:
+            errs.append(f"stage {t}: unknown state {rec.state}")
     return errs
+
+
+def _show_run(run: tuple[int, int, int, int | None] | None) -> str:
+    """A regret slot's run as `run regret` prints it."""
+    if run is None:
+        return "no slot"
+    bound, e, n, regret = run
+    return f"e={e} n={n} bound@{bound}" + ("" if regret is None else f" regret@{regret}")
 
 
 def verify_regret(
     slots: Sequence[RegretSlot], family: EnumerationScript, machine: PrefixMachine, c: int
 ) -> list[str]:
-    """Each slot tracks its member and is regretted as the scans say, and the
-    slots' runs of each index of the family are exactly the scan's runs of
-    that index, monitored from the stage of the index: no scan run's trigger
-    is missing and no run is held by two slots.  The horizon is the slots'
-    (the family's when there are none)."""
-    errs = []
+    """The slots the scans imply.  Slot i holds the i-th of the sorted scan
+    runs (bound stage, index, witness length, regret stage) of every index
+    of the family, each monitored from the stage of its index, so no run is
+    missing, late or held twice.  A regretted slot's padding is the least p
+    for which `padding_holds`, and each slot's trace is re-derived from its
+    run: unbound is 0, then it tracks its member, and from the regret stage
+    on it holds the member's padded expansion followed by that stage's mass.
+    The horizon is the slots' (the family's when there are none)."""
     horizon = slots[0].trace.horizon if slots else family.horizon
     members = {e: real_from_ce_set(family, e)
                for e in (*family.indices(), *(slot.source_index for slot in slots))}
-    scans = {e: brute_failing_runs(m.values, m.first_stage, machine, c, horizon, start=e)
-             for e, m in members.items()}
-    held: dict[tuple[int, Run], int] = {}  # the first slot holding each run of an index
-    opened = set()  # (index, trigger stage) of each slot
-    for i, slot in enumerate(slots):
-        e = slot.source_index
+    scanned = sorted(
+        (trigger, e, n, release)
+        for e in family.indices()
+        for trigger, n, release in brute_failing_runs(
+            members[e].values, members[e].first_stage, machine, c, horizon, start=e
+        )
+    )
+    held = [(s.bound_stage, s.source_index, s.witness_length, s.regret_stage) for s in slots]
+    errs = [
+        f"slot {i}: {_show_run(got)}, but the scans give {_show_run(want)}"
+        for i, (got, want) in enumerate(itertools.zip_longest(held, scanned))
+        if got != want
+    ]
+    for i, (slot, (bound, e, n, regret)) in enumerate(zip(slots, held)):
         m = members[e]
-        run = (slot.bound_stage, slot.witness_length, slot.regret_stage)
-        if (e, run) in held:
-            errs.append(f"slot {i}: holds the run of slot {held[e, run]}")
-        held.setdefault((e, run), i)
-        opened.add((e, slot.bound_stage))
+        target = n + c + machine.c_tilde
+        padding = None if regret is None else next(
+            p for p in itertools.count(1) if padding_holds(p, target)
+        )
+        if slot.padding != padding:
+            errs.append(f"slot {i}: padding {slot.padding}, but the least for target {target}"
+                        f" is {padding}")
         if not slot.trace.is_monotone():
             errs.append(f"slot {i}: trace not monotone")
-        found = []
-        for rec in slot.trace.records:
-            t, v = rec.stage, rec.value
-            found += _record_errors(rec, m, machine, "member", "unbound", "tracking", "regretted")
-            if rec.state == "unbound" and v.real() != ZERO:
-                found.append(f"stage {t}: unbound value not 0")
-            elif rec.state == "regretted":
-                witness = expansion_prefix(m.value(t), slot.witness_length)
-                padded = None if slot.padding is None else witness + "0" * slot.padding
-                if not isinstance(v, TailValue) or v.prefix != padded:
-                    found.append(f"stage {t}: regretted prefix malformed")
-        found += _run_errors(m, machine, c, run, scans[e])
-        errs.extend(f"slot {i} {err}" for err in found)
-        if slot.regret_stage is not None:
-            p = slot.padding or 0
-            target = slot.witness_length + c + machine.c_tilde
-            if not padding_holds(p, target):
-                errs.append(f"slot {i}: padding {p} misses the target {target}")
-            if any(padding_holds(q, target) for q in range(1, p)):
-                errs.append(f"slot {i}: padding {p} not minimal for target {target}")
-    for e in family.indices():
-        errs.extend(
-            f"index {e} stage {t}: the scan's run of length {n} is missing"
-            for t, n, _ in scans[e]
-            if (e, t) not in opened
-        )
+        derived = []
+        for t in range(horizon + 1):
+            if t < bound:
+                derived.append(TraceRecord(t, "unbound", PlainValue(ZERO)))
+            elif regret is None or t < regret:
+                derived.append(TraceRecord(t, "tracking", PlainValue(m.value(t))))
+            else:
+                prefix = expansion_prefix(m.value(t), n) + "0" * padding
+                value = TailValue(prefix, t, brute_omega_approx(machine, t))
+                derived.append(TraceRecord(t, "regretted", value))
+        errs += [f"slot {i} {err}" for err in _record_diffs(slot.trace.records, derived)]
     return errs
 
 

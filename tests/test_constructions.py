@@ -67,7 +67,7 @@ def previous_mass_at_horizon(trace, machine):
     *head, last = trace.records
     t = last.stage
     tail = TailValue(last.value.prefix, t - 1, omega_approx(machine, t - 1))
-    return StageTrace(tuple(head) + (TraceRecord(t, last.state, tail, last.note),))
+    return StageTrace(tuple(head) + (TraceRecord(t, last.state, tail),))
 
 
 class TestScenarioLibrary:
@@ -92,15 +92,14 @@ class TestScenarioLibrary:
     def test_permanent_splice_shape(self):
         trace = build_scenario(scenario("splice-permanent")).result
         states = [r.state for r in trace.records]
-        assert states[:2] == ["empty", "tracking"]
-        assert states[5:] == ["spliced"] * 8
-        assert trace.records[4].note == "trigger n=4"
-        assert trace.records[5].value.prefix == BitString("0000")
+        assert states == ["empty"] + ["tracking"] * 4 + ["spliced"] * 8
+        # the run opens at stage 4 with the witness length 4
+        assert trace.records[5].value.prefix == expansion_prefix(trace.value_at(4), 4) == "0000"
 
     def test_recovering_splice_returns_to_the_input(self):
         trace = build_scenario(scenario("splice-recover")).result
-        assert trace.records[7].state == "tracking"
-        assert trace.records[7].note == "recover"
+        states = [r.state for r in trace.records]
+        assert states == ["empty"] + ["tracking"] * 4 + ["spliced"] * 2 + ["tracking"] * 6
         assert trace.records[7].value.real() == dy("1/2^3")
 
     def test_degenerate_boundary_parks_forever(self):
@@ -144,8 +143,9 @@ class TestSpliceEdges:
         r = LeftCEApprox((dy("1/2^4"),) * 4 + (dy("3/2^4"),) * 2, first_stage=0)
         trace = splice_random(r, machine, 0, 5)
         assert [rec.state for rec in trace.records] == ["tracking"] * 4 + ["spliced"] * 2
-        assert trace.records[3].note == "trigger n=3"
-        assert {rec.value.prefix for rec in trace.records[4:]} == {BitString("000")}
+        witness = expansion_prefix(r.value(3), 3)
+        assert witness == "000"
+        assert {rec.value.prefix for rec in trace.records[4:]} == {witness}
         assert verify_splice(trace, r, machine, 0) == []
 
     def test_trace_validates_stage_numbering(self):
@@ -195,7 +195,10 @@ class TestVerifiersReadTheScans:
         stages, omegas = machine._omega_steps
         machine.__dict__["_omega_steps"] = (stages, [ZERO] * len(omegas))
         errs = verify_splice(splice_random(r, machine, c, 12), r, machine, c)
-        assert "stage 5: spliced tail is not the stage mass" in errs
+        assert (
+            "stage 5: spliced 0000*Ω@5 (Ω@5 = 0/2^0), but the scans give spliced 0000*Ω@5"
+            " (Ω@5 = 1/2^1)"
+        ) in errs
 
     def test_a_spliced_tail_of_the_previous_stage_is_caught(self):
         trace, machine, script, flag = scenario_inputs("splice-permanent")
@@ -203,7 +206,8 @@ class TestVerifiersReadTheScans:
         assert verify_splice(trace, r, machine, c) == []
         tampered = previous_mass_at_horizon(trace, machine)
         assert verify_splice(tampered, r, machine, c) == [
-            "stage 12: spliced tail is not the stage mass"
+            "stage 12: spliced 0000*Ω@11 (Ω@11 = 3/2^2), but the scans give spliced 0000*Ω@12"
+            " (Ω@12 = 3/2^2)"
         ]
 
     @pytest.mark.parametrize(
@@ -226,7 +230,8 @@ class TestVerifiersReadTheScans:
         (slot,) = slots
         tampered = [dataclasses.replace(slot, trace=previous_mass_at_horizon(slot.trace, machine))]
         assert verify_regret(tampered, script, machine, c) == [
-            "slot 0 stage 12: regretted tail is not the stage mass"
+            f"slot 0 stage 12: regretted {'001' + '0' * 12}*Ω@11 (Ω@11 = 3/2^2), but the scans"
+            f" give regretted {'001' + '0' * 12}*Ω@12 (Ω@12 = 3/2^2)"
         ]
 
 
@@ -242,7 +247,10 @@ class TestVerifiersReadTheScans:
             )
         )
         assert verify_splice(tampered, r, machine, c) == [
-            "stage 4: witness 0001 is not the input's expansion"
+            f"stage {t}: spliced 0001*Ω@{t} (Ω@{t} = {mass}), but the scans give spliced"
+            f" 0000*Ω@{t} (Ω@{t} = {mass})"
+            for t in range(5, 13)
+            for mass in ["1/2^1" if t < 8 else "3/2^2"]
         ]
 
     def test_a_splice_released_while_failing_is_caught(self):
@@ -250,31 +258,36 @@ class TestVerifiersReadTheScans:
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         records = list(trace.records)
         records[8] = TraceRecord(8, "tracking", PlainValue(r.value(8)))
-        errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
-        assert "stage 8: released while the length-4 prefix fails" in errs
+        assert verify_splice(StageTrace(tuple(records)), r, machine, c) == [
+            "stage 8: tracking 1/2^5, but the scans give spliced 0000*Ω@8 (Ω@8 = 3/2^2)"
+        ]
 
     def test_a_run_released_at_once_is_checked_by_its_note(self):
-        # 01 fails at stage 2 and the input moves to 11 at stage 3, so the run
-        # leaves no spliced record: only its notes say where it was
+        # 01 fails at stage 2 and the input moves to 11 at stage 3, which
+        # releases the run: no stage lies strictly inside it, so the trace
+        # tracks the input throughout and traces carry no note of the run
+        # (the differential tests of `_failing_runs` check the run itself)
         machine = PrefixMachine((Program("0", "01", 1),))
         r = LeftCEApprox((dy("7/2^4"),) * 3 + (dy("3/2^2"),) * 2, first_stage=0)
+        assert brute_failing_runs(r.values, r.first_stage, machine, 0, 4) == [(2, 2, 3)]
         trace = splice_random(r, machine, 0, 4)
-        assert [rec.note for rec in trace.records] == ["", "", "trigger n=2", "recover", ""]
+        assert trace.records[2] == (2, "tracking", PlainValue(dy("7/2^4")))
         assert {rec.state for rec in trace.records} == {"tracking"}
         assert verify_splice(trace, r, machine, 0) == []
         records = list(trace.records)
-        records[2] = records[2]._replace(note="trigger n=3")
+        records[3] = TraceRecord(3, "spliced", TailValue("01", 3, omega_approx(machine, 3)))
         assert verify_splice(StageTrace(tuple(records)), r, machine, 0) == [
-            "stage 2: witness length 3 is not the least failing length"
+            "trace not monotone",
+            "stage 3: spliced 01*Ω@3 (Ω@3 = 1/2^1), but the scans give tracking 3/2^2",
         ]
 
     def test_a_regret_padding_off_the_least_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
         (slot,) = slots
-        for p, want in [(slot.padding - 1, "misses the target"), (slot.padding + 1, "not minimal")]:
+        for p in (slot.padding - 1, slot.padding + 1):
             errs = verify_regret([dataclasses.replace(slot, padding=p)], script, machine, c)
-            assert any(e.startswith(f"slot 0: padding {p} {want}") for e in errs), errs
+            assert errs == [f"slot 0: padding {p}, but the least for target 5 is 11"]
 
     def test_a_regret_witness_length_off_by_one_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
@@ -282,7 +295,17 @@ class TestVerifiersReadTheScans:
         (slot,) = slots
         tampered = [dataclasses.replace(slot, witness_length=slot.witness_length + 1)]
         errs = verify_regret(tampered, script, machine, c)
-        assert "slot 0 stage 4: witness length 5 is not the least failing length" in errs
+        assert errs[:2] == [
+            "slot 0: e=0 n=5 bound@4 regret@6, but the scans give e=0 n=4 bound@4 regret@6",
+            "slot 0: padding 11, but the least for target 6 is 12",
+        ]
+        # and each regretted record holds the 5-bit expansion, padded by 12 zeroes
+        assert errs[2:] == [
+            f"slot 0 stage {t}: regretted {'001' + '0' * 12}*Ω@{t} (Ω@{t} = {mass}), but the"
+            f" scans give regretted {'001' + '0' * 14}*Ω@{t} (Ω@{t} = {mass})"
+            for t in range(6, 13)
+            for mass in ["1/2^1" if t < 8 else "3/2^2"]
+        ]
 
     def test_a_spliced_plain_value_is_reported_not_raised(self):
         trace, machine, script, flag = scenario_inputs("splice-permanent")
@@ -290,13 +313,16 @@ class TestVerifiersReadTheScans:
         records[5] = records[5]._replace(value=PlainValue(ZERO))
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
-        assert errs == ["trace not monotone", "stage 5: spliced tail is not the stage mass"]
+        assert errs == [
+            "trace not monotone",
+            "stage 5: spliced 0/2^0, but the scans give spliced 0000*Ω@5 (Ω@5 = 1/2^1)",
+        ]
 
     def test_a_regret_without_padding_is_reported_not_raised(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         tampered = [dataclasses.replace(slots[0], padding=None)]
         errs = verify_regret(tampered, script, machine, int(flag("--c")))
-        assert "slot 0 stage 12: regretted prefix malformed" in errs
+        assert errs == ["slot 0: padding None, but the least for target 5 is 11"]
 
     def test_a_wrong_omega_is_caught(self):
         argv = ["run", "omega", "--machine", "m_splice.tsv", "--horizon", "9"]
@@ -311,9 +337,11 @@ class TestVerifiersReadTheScans:
         c = int(flag("--c"))
         (slot,) = slots
         assert verify_regret([], script, machine, c) == [
-            "index 0 stage 4: the scan's run of length 4 is missing"
+            "slot 0: no slot, but the scans give e=0 n=4 bound@4 regret@6"
         ]
-        assert verify_regret([slot, slot], script, machine, c) == ["slot 1: holds the run of slot 0"]
+        assert verify_regret([slot, slot], script, machine, c) == [
+            "slot 1: e=0 n=4 bound@4 regret@6, but the scans give no slot"
+        ]
 
     def test_a_regret_released_while_failing_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
@@ -321,7 +349,9 @@ class TestVerifiersReadTheScans:
         (slot,) = slots
         tampered = [dataclasses.replace(slot, regret_stage=slot.regret_stage - 1)]
         assert verify_regret(tampered, script, machine, c) == [
-            "slot 0 stage 5: released while the length-4 prefix fails"
+            "slot 0: e=0 n=4 bound@4 regret@5, but the scans give e=0 n=4 bound@4 regret@6",
+            f"slot 0 stage 5: tracking 1/2^5, but the scans give regretted {'0' * 15}*Ω@5"
+            " (Ω@5 = 1/2^1)",
         ]
 
 
@@ -349,16 +379,19 @@ def random_detector_input(rng):
     return PrefixMachine(tuple(programs)), script, rng.randint(0, 1)
 
 
-def runs_in_notes(trace):
-    """(trigger stage, witness length, release stage or None) read off the
-    `trigger n=…` and `recover` notes of a splice trace."""
-    runs = []
+def spliced_blocks(trace):
+    """(trigger stage, witness length, release stage or None) of each block of
+    spliced records in a splice trace: its run opens at the stage before the
+    block and is released at the stage after it, if there is one."""
+    blocks = []
     for rec in trace.records:
-        if rec.note.startswith("recover"):
-            runs[-1] = (*runs[-1][:2], rec.stage)
-        if "trigger n=" in rec.note:
-            runs.append((rec.stage, int(rec.note.rpartition("=")[2]), None))
-    return runs
+        if rec.state != "spliced":
+            continue
+        if blocks and blocks[-1][2] == rec.stage:
+            blocks[-1] = (*blocks[-1][:2], rec.stage + 1)
+        else:
+            blocks.append((rec.stage - 1, len(rec.value.prefix), rec.stage + 1))
+    return [(t, n, None if end > trace.horizon else end) for t, n, end in blocks]
 
 
 def test_splice_and_regret_runs_match_the_scans():
@@ -372,7 +405,11 @@ def test_splice_and_regret_runs_match_the_scans():
             m = real_from_ce_set(script, e)
             runs = brute_failing_runs(m.values, m.first_stage, machine, c, h)
             trace = splice_random(m, machine, c, h)
-            assert runs_in_notes(trace) == runs
+            # a run released at the stage after its trigger, or opened at the
+            # horizon, leaves no spliced record
+            assert spliced_blocks(trace) == [
+                (t, n, rel) for t, n, rel in runs if t + 1 < (h + 1 if rel is None else rel)
+            ]
             witnesses = {
                 s: expansion_prefix(m.value(t), n)
                 for t, n, release in runs

@@ -1,12 +1,14 @@
 """Named mutants of the constructions, kept as tests.
 
-Each mutant wraps one package function in-process, so that a construction
-decides differently, and must be reported both by the construction's
-verifier, through the `check` of its `run` entry, and by the `check` suite
-that replays the scenarios.
+Each mutant wraps one function that `constructions` calls, in-process, so
+that a construction decides differently, and must be reported both by the
+construction's verifier, through the `check` of its `run` entry, and by the
+`check` suite that replays the scenarios.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -15,6 +17,8 @@ from cantorsim.checks import run_suite
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 
 _failing_runs = constructions._failing_runs
+_compute_padding = constructions.compute_padding
+_approx_string = constructions.approx_string
 
 
 def late_trigger(r, machine, c, horizon, start=0):
@@ -49,27 +53,44 @@ def repeated_run(r, machine, c, horizon, start=0):
     return found + found[-1:]
 
 
-# mutant -> the scenarios whose check reports it
+def padding_plus_one(n, k):
+    """One more than the least padding."""
+    return _compute_padding(n, k) + 1
+
+
+def flipped_witness(x, n):
+    """The witness that splice or regret builds has its last bit flipped; the
+    run detector and hat_m still read the true expansion."""
+    word = _approx_string(x, n)
+    if word and sys._getframe(1).f_code.co_name in ("splice_random", "regret_construction"):
+        return word[:-1] + "10"[int(word[-1])]
+    return word
+
+
+# (the function of `constructions` it replaces, mutant) -> the scenarios whose check reports it
 MUTANTS = {
-    late_trigger: {"splice-permanent", "splice-recover", "regret-permanent",
-                   "regret-recover-padding"},
-    late_release: {"splice-recover", "regret-recover-padding"},
-    dropped_run: {"splice-permanent", "splice-recover", "regret-permanent",
-                  "regret-recover-padding"},
-    repeated_run: {"regret-permanent", "regret-recover-padding"},
+    ("_failing_runs", late_trigger): {"splice-permanent", "splice-recover", "regret-permanent",
+                                      "regret-recover-padding"},
+    ("_failing_runs", late_release): {"splice-recover", "regret-recover-padding"},
+    ("_failing_runs", dropped_run): {"splice-permanent", "splice-recover", "regret-permanent",
+                                     "regret-recover-padding"},
+    ("_failing_runs", repeated_run): {"regret-permanent", "regret-recover-padding"},
+    ("compute_padding", padding_plus_one): {"regret-recover-padding"},
+    ("approx_string", flipped_witness): {"splice-permanent", "splice-recover",
+                                         "regret-recover-padding"},
 }
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.__name__)
-def test_the_failing_run_mutants_are_reported(monkeypatch, mutant):
-    monkeypatch.setattr(constructions, "_failing_runs", mutant)
+@pytest.mark.parametrize("replaced, mutant", MUTANTS, ids=[m.__name__ for _, m in MUTANTS])
+def test_the_failing_run_mutants_are_reported(monkeypatch, replaced, mutant):
+    monkeypatch.setattr(constructions, replaced, mutant)
     reported = {
         sc.name
         for sc in SCENARIOS
         if sc.kind in ("splice", "regret")
         and runs.replay(sc.argv, FIXTURE_FILES.__getitem__).check()
     }
-    assert reported == MUTANTS[mutant]
+    assert reported == MUTANTS[replaced, mutant]
     report = run_suite("constructions")
     assert not report.ok
     assert {line.split("\t")[1].partition(":")[0] for line in report.lines()[1:]} == reported
