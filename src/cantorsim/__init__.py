@@ -27,7 +27,6 @@ from .complexity import (
     satisfies_constant,
 )
 from .constructions import (
-    PlainValue,
     RegretSlot,
     StageTrace,
     TailValue,

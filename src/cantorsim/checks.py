@@ -529,7 +529,7 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         rep.cases += 1
         trees = diagonal_suite(rng, rng.randint(1, min(8, diag_depth - 1)), diag_depth)
         taus = graft_points(trees, diag_depth)
-        combined = diagonalize(trees, diag_depth)
+        combined = diagonalize(trees[0], taus)
         for e in verify_diagonalize(trees, diag_depth, taus, combined):
             rep.fail(f"suite {si}: {e}")
     all_paths = set(paths_at_depth(Tree(6), 6))

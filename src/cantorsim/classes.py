@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .dyadic import EMPTY, Antichain, BitString, all_strings, grow_covering, minimal_strings
-from .dyadic import lenlex, strings_up_to
-from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError, records
+from .dyadic import EMPTY, Antichain, all_strings, grow_covering, lenlex, minimal_strings
+from .dyadic import parse_words, strings_up_to
+from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError
 from .streams import EnumerationScript
 
 __all__ = [
@@ -81,12 +81,7 @@ class Tree:
         """One node per line (0/1 word); the ε line for the root is optional
         when any node is listed.  Rejects non-prefix-closed input naming the
         length-lexicographically least offending node."""
-        bits: set[str] = set()
-        for lineno, (line,) in records(text, sep=None):
-            try:
-                bits.add(BitString.parse(line))
-            except DomainError as exc:
-                raise ParseError(str(exc), source=source, line=lineno)
+        bits = set(parse_words(text, source))
         if bits:
             bits.add("")
         if depth is None:
@@ -170,16 +165,15 @@ def graft_points(trees: Sequence[Tree], depth: int) -> tuple[str, ...]:
     return tuple(taus)
 
 
-def diagonalize(trees: Sequence[Tree], depth: int) -> Tree:
-    """Copy the base tree above each graft target, truncated at the bound.
+def diagonalize(base: Tree, taus: Sequence[str]) -> Tree:
+    """Copy the base tree above each graft target τ_n of `graft_points`,
+    truncated at the base's bound.
 
     The result meets every cone [τ_n] in a depth-D path while the n-th tree
     misses it (the target extends one of its dead ends).
     """
-    taus = graft_points(trees, depth)
-    base = trees[0].nodes
-    copies = [tau + node for tau in taus for node in base]
-    return Tree.closure_of([*base, *copies], depth)
+    nodes = base.nodes
+    return Tree.closure_of([*nodes, *(tau + node for tau in taus for node in nodes)], base.depth)
 
 
 @dataclass(frozen=True)

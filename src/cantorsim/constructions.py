@@ -1,9 +1,10 @@
 """Stage-based constructions on left-c.e. approximations.
 
 Each construction replays a deterministic state machine over scripted
-inputs and emits one record per stage.  Trace values are either plain
-dyadics or a bit-string prefix carrying the machine's halting-mass tail,
-rendered as ``prefix*Ω@stage``.
+inputs and emits one record per stage, the record's stage being its index
+in the trace.  A trace value is either a plain `Dyadic` or a bit-string
+prefix carrying the machine's halting-mass tail, rendered at stage s as
+``prefix*Ω@s``.
 
 Splice and regret wait for the same event: an approximation failing the
 randomness constant at its least witness length n, and later that length-n
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .complexity import (
     PrefixMachine,
@@ -41,12 +42,10 @@ from .errors import (
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
 __all__ = [
-    "PlainValue",
     "RegretSlot",
     "StageTrace",
     "TailValue",
     "TraceRecord",
-    "TraceValue",
     "beta_max",
     "hat_m_construction",
     "odd_ones_real_enumeration",
@@ -56,41 +55,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PlainValue:
-    value: Dyadic
-
-    def real(self) -> Dyadic:
-        return self.value
-
-    def render(self) -> str:
-        return self.value.render()
-
-
-@dataclass(frozen=True)
 class TailValue:
-    """prefix followed by the stage-s halting-mass tail."""
+    """prefix followed by Ω_s, the halting-mass tail of the stage s of its
+    record; rendered there as ``prefix*Ω@s``."""
 
     prefix: str
-    omega_stage: int
     omega: Dyadic
 
-    def real(self) -> Dyadic:
-        return self.omega.in_cone(self.prefix)
-
-    def render(self) -> str:
-        return f"{self.prefix or '-'}*Ω@{self.omega_stage}"
-
-
-TraceValue = Union[PlainValue, TailValue]
+    def render(self, stage: int) -> str:
+        return f"{self.prefix or '-'}*Ω@{stage}"
 
 
 class TraceRecord(NamedTuple):
-    """One stage of a trace.  A named tuple, so it equals the plain tuple
-    (stage, state, value)."""
+    """One stage of a trace, at its index in the trace: what the construction
+    decided there.  A named tuple, so it equals the plain tuple (state,
+    value)."""
 
-    stage: int
     state: str
-    value: TraceValue
+    value: Dyadic | TailValue
+
+
+def _real(value: Dyadic | TailValue) -> Dyadic:
+    return value.omega.in_cone(value.prefix) if isinstance(value, TailValue) else value
 
 
 @dataclass(frozen=True)
@@ -99,24 +85,22 @@ class StageTrace:
 
     records: tuple[TraceRecord, ...]
 
-    def __post_init__(self) -> None:
-        for s, rec in enumerate(self.records):
-            if rec.stage != s:
-                raise InputError(f"record {s} carries stage {rec.stage}")
-
     @property
     def horizon(self) -> int:
         return len(self.records) - 1
 
     def value_at(self, stage: int) -> Dyadic:
-        return self.records[stage].value.real()
+        return _real(self.records[stage].value)
 
     def is_monotone(self) -> bool:
-        vals = [r.value.real() for r in self.records]
+        vals = [_real(r.value) for r in self.records]
         return all(a <= b for a, b in zip(vals, vals[1:]))
 
     def render_lines(self) -> list[str]:
-        return [f"{r.stage}\t{r.state}\t{r.value.render()}" for r in self.records]
+        return [
+            f"{s}\t{state}\t{v.render(s) if isinstance(v, TailValue) else v.render()}"
+            for s, (state, v) in enumerate(self.records)
+        ]
 
 
 def _require_strict_mass(machine: PrefixMachine) -> None:
@@ -190,15 +174,13 @@ def splice_random(
     _require_strict_mass(machine)
 
     records = [
-        TraceRecord(t, "empty", PlainValue(ZERO))
-        if r.empty_at(t)
-        else TraceRecord(t, "tracking", PlainValue(r.value(t)))
+        TraceRecord("empty", ZERO) if r.empty_at(t) else TraceRecord("tracking", r.value(t))
         for t in range(horizon + 1)
     ]
     for trigger, n, release in _failing_runs(r, machine, c, horizon):
         witness = approx_string(r.value(trigger), n)
         for s in range(trigger + 1, horizon + 1 if release is None else release):
-            records[s] = TraceRecord(s, "spliced", TailValue(witness, s, omega_approx(machine, s)))
+            records[s] = TraceRecord("spliced", TailValue(witness, omega_approx(machine, s)))
     return StageTrace(tuple(records))
 
 
@@ -235,7 +217,7 @@ def hat_m_construction(
         boundary = approx_string(omega_s, k)
         if parked:
             if boundary == degenerate:
-                records.append(TraceRecord(s, "parked", TailValue(parked_bit, s, omega_s)))
+                records.append(TraceRecord("parked", TailValue(parked_bit, omega_s)))
                 prev_prefix = approx_string(m.value(s), k)
                 continue
             parked = False
@@ -243,11 +225,11 @@ def hat_m_construction(
         # both words are k bits long, so the string order is the order of the values
         if (cur > boundary) if mirror else (cur < boundary):
             fix = None
-            records.append(TraceRecord(s, "tracking", PlainValue(m.value(s))))
+            records.append(TraceRecord("tracking", m.value(s)))
         else:
             if fix is None:
                 fix = prev_prefix if prev_prefix is not None else approx_string(m.value(0), k)
-            records.append(TraceRecord(s, "undesirable", TailValue(fix, s, omega_s)))
+            records.append(TraceRecord("undesirable", TailValue(fix, omega_s)))
         prev_prefix = cur
     return StageTrace(tuple(records))
 
@@ -300,17 +282,17 @@ def regret_construction(
     for bound, e, n, regret in runs:
         m = approxes[e]
         padding = None if regret is None else compute_padding(n, c + machine.c_tilde)
-        records = [TraceRecord(t, "unbound", PlainValue(ZERO)) for t in range(bound)]
+        records = [TraceRecord("unbound", ZERO)] * bound
         built = prefix = None  # the value whose regretted prefix is built, and that prefix
         for t in range(bound, horizon + 1):
             x = m.value(t)
             if regret is None or t < regret:
-                records.append(TraceRecord(t, "tracking", PlainValue(x)))
+                records.append(TraceRecord("tracking", x))
             else:
                 if x != built:
                     built, prefix = x, approx_string(x, n) + "0" * padding
-                value = TailValue(prefix, t, omega_approx(machine, t))
-                records.append(TraceRecord(t, "regretted", value))
+                tail = TailValue(prefix, omega_approx(machine, t))
+                records.append(TraceRecord("regretted", tail))
         slots.append(RegretSlot(StageTrace(tuple(records)), e, n, bound, regret, padding))
     return slots
 
@@ -469,8 +451,6 @@ def beta_max(family: Sequence[LeftCEApprox], horizon: int) -> StageTrace:
     for a in family:
         if a.horizon < horizon:
             raise InputError("family member shorter than the requested horizon")
-    records = []
-    for s in range(horizon + 1):
-        best = max(a.value(s) for e, a in enumerate(family) if e <= s)
-        records.append(TraceRecord(s, "max", PlainValue(best)))
-    return StageTrace(tuple(records))
+    return StageTrace(tuple(
+        TraceRecord("max", max(a.value(s) for a in family[: s + 1])) for s in range(horizon + 1)
+    ))

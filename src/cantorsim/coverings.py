@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .dyadic import Antichain, BitString, covered_up_to, grow_covering, trusted_antichain
-from .errors import DomainError, ParseError, RangeError, records
+from .dyadic import Antichain, covered_up_to, grow_covering, parse_words, trusted_antichain
+from .errors import DomainError, RangeError
 
 __all__ = [
     "StarSnapshot",
@@ -44,13 +44,7 @@ __all__ = [
 
 def parse_listing(text: str, source: str = "<listing>") -> tuple[str, ...]:
     """One string per line, in enumeration order; '#' starts a comment."""
-    out: list[str] = []
-    for lineno, (line,) in records(text, sep=None):
-        try:
-            out.append(BitString.parse(line))
-        except DomainError as exc:
-            raise ParseError(str(exc), source=source, line=lineno)
-    return tuple(out)
+    return tuple(parse_words(text, source))
 
 
 def load_listing(path: str) -> tuple[str, ...]:
@@ -60,14 +54,16 @@ def load_listing(path: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class StarSnapshot:
-    """State after examining listing element sigma at the given stage."""
+    """What the star construction decided at stage s, its index among the
+    snapshots, on examining the listing's element s: the case, 'a', 'b', or
+    '-' when the stage is not good and skipped, and the family after it."""
 
-    stage: int
-    sigma: str
-    good: bool
-    case: str  # 'a', 'b', or '-' when the stage is skipped
-    covering: Antichain  # of the listing before sigma
+    case: str
     family: Antichain
+
+    @property
+    def good(self) -> bool:
+        return self.case != "-"
 
 
 def star_construction(listing: Sequence[str], horizon: int) -> list[StarSnapshot]:
@@ -79,13 +75,12 @@ def star_construction(listing: Sequence[str], horizon: int) -> list[StarSnapshot
         raise RangeError("horizon must be ≥ 0")
     snaps: list[StarSnapshot] = []
     cov = family = Antichain(())
-    for n, sigma in enumerate(listing[: horizon + 1]):
+    for sigma in listing[: horizon + 1]:
         grown = grow_covering(cov, sigma)
-        good = all(len(sigma) > len(t) for t in cov) and not cov.covers(sigma)
         case = "-"
-        if good:
+        if all(len(sigma) > len(t) for t in cov) and not cov.covers(sigma):
             case, family = ("a", cov) if len(cov) % 2 == 0 else ("b", grown)
-        snaps.append(StarSnapshot(n, sigma, good, case, cov, family))
+        snaps.append(StarSnapshot(case, family))
         cov = grown
     return snaps
 

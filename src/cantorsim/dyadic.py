@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, ParseError, records
 
 __all__ = [
     "Antichain",
@@ -100,6 +100,18 @@ class BitString(str):
     def bits(self) -> str:
         """The word as a plain `str`, as `cantorbench/gate.py` reads it."""
         return str(self)
+
+
+def parse_words(text: str, source: str) -> list[str]:
+    """One word per line, in order, read by `errors.records` ('#' starts a
+    comment); a line that is not a word is a parse error naming its line."""
+    words = []
+    for lineno, (line,) in records(text, sep=None):
+        try:
+            words.append(BitString.parse(line))
+        except DomainError as exc:
+            raise ParseError(str(exc), source=source, line=lineno)
+    return words
 
 
 EMPTY = ""

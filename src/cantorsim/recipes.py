@@ -252,9 +252,9 @@ def merge_covering_classes(
     events: list[Row] = []
     for j, listing in enumerate(listings):
         family = _NONE
-        for snap in star_construction(listing, horizon):
+        for stage, snap in enumerate(star_construction(listing, horizon)):
             if snap.family != family:
-                events.append((snap.stage, j, covered_deltas(family, snap.family, length)))
+                events.append((stage, j, covered_deltas(family, snap.family, length)))
                 family = snap.family
     if with_acceptable_stream:
         base = len(listings)

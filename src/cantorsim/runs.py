@@ -16,7 +16,11 @@ declines; it is built on its first call, not at import, and at most once
 per process, so every usage, help and error byte comes from argparse.
 
 `Replay.result` is the construction's library value: a trace, the slots,
-the snapshots, the replays, a tree, or a list of values.  For merge,
+the snapshots, the replays, a tree, or a list of values.  A trace record,
+(state, value), and a star snapshot, (case, family), hold only what the
+construction decided at a stage; the stage is the index, which the printed
+lines number from 0.  `diagonalize` copies the base tree above the graft
+targets that the builder computed once and prints.  For merge,
 friedberg-reals and friedberg-classes it is the merge's row blocks,
 (stage, slot, keys) in emission order with each output word as its integer
 key (`dyadic.word_key`); `streams.key_row_lines` prints them, one line per
@@ -296,7 +300,8 @@ def _star(a: argparse.Namespace, read: Read) -> Replay:
     snaps = star_construction(listing, a.horizon)
     return Replay(
         snaps,
-        [f"{s.stage}\t{'yes' if s.good else 'no'}\t{s.case}\t{s.family.render()}" for s in snaps],
+        [f"{t}\t{'yes' if s.good else 'no'}\t{s.case}\t{s.family.render()}"
+         for t, s in enumerate(snaps)],
         lambda: verify_star(listing, snaps),
     )
 
@@ -327,7 +332,7 @@ def _capped(a: argparse.Namespace, read: Read) -> Replay:
 def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     trees = [Tree.parse(read(path), depth=a.depth, source=path) for path in a.tree]
     taus = graft_points(trees, a.depth)
-    combined = diagonalize(trees, a.depth)
+    combined = diagonalize(trees[0], taus)
     lines = [f"# tau_{n} = {tau or '-'}" for n, tau in enumerate(taus)]
     lines.extend(combined.render().splitlines())
     return Replay(combined, lines, lambda: verify_diagonalize(trees, a.depth, taus, combined))

@@ -6,10 +6,12 @@ measures come from the scans in `oracles`, never from the machine's stage
 index or the constructions' own.  Where the scans decide a result, its
 verifier re-derives it and compares: `verify_splice` builds the trace the
 scan of the input's failing runs implies, `verify_regret` the slots, in the
-sorted order of every index's scan runs, and their traces, and
-`verify_star` and `verify_capped` each stage and decision.  A finding names
-its stage or slot and shows both sides, so a run that opens or closes late,
-is missing or is held twice is a finding.  `verify_hatm` keeps property
+sorted order of every index's scan runs, and their traces,
+`verify_star` and `verify_capped` each stage and decision, and
+`verify_diagonalize` each graft target, from the trees' exits.  A record's
+stage is its index, so no stored stage is compared.  A finding names its
+stage, slot or graft and shows both sides, so a run that opens or closes
+late, is missing or is held twice is a finding.  `verify_hatm` keeps property
 checks: its switch rule is not settled, a fix prefix after a parked stage
 is never compared with the boundary, and a trace re-derived by that rule
 would accept the fault that `fix prefix not strictly below the boundary`
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
-from .constructions import PlainValue, RegretSlot, StageTrace, TailValue, TraceRecord
+from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, Dyadic
 from .errors import RangeError
@@ -53,19 +55,20 @@ __all__ = [
 ]
 
 
-def _show(rec: TraceRecord | None) -> str:
-    """A record's state and value, with the mass a tail carries."""
+def _show(rec: TraceRecord | None, t: int) -> str:
+    """The stage-t record's state and value, with the mass a tail carries."""
     if rec is None:
         return "no record"
-    v = rec.value
-    mass = f" (Ω@{v.omega_stage} = {v.omega.render()})" if isinstance(v, TailValue) else ""
-    return f"{rec.state} {v.render()}{mass}"
+    state, v = rec
+    if isinstance(v, TailValue):
+        return f"{state} {v.render(t)} (Ω@{t} = {v.omega.render()})"
+    return f"{state} {v.render()}"
 
 
 def _record_diffs(records: Sequence[TraceRecord], derived: Sequence[TraceRecord]) -> list[str]:
     """Each stage whose record is not the one the scans derive, with both."""
     return [
-        f"stage {t}: {_show(got)}, but the scans give {_show(want)}"
+        f"stage {t}: {_show(got, t)}, but the scans give {_show(want, t)}"
         for t, (got, want) in enumerate(itertools.zip_longest(records, derived))
         if got != want
     ]
@@ -80,17 +83,14 @@ def verify_splice(
     tracks r."""
     errs = [] if trace.is_monotone() else ["trace not monotone"]
     derived = [
-        TraceRecord(t, "empty", PlainValue(ZERO))
-        if r.empty_at(t)
-        else TraceRecord(t, "tracking", PlainValue(r.value(t)))
+        TraceRecord("empty", ZERO) if r.empty_at(t) else TraceRecord("tracking", r.value(t))
         for t in range(trace.horizon + 1)
     ]
     scan = brute_failing_runs(r.values, r.first_stage, machine, c, trace.horizon)
     for trigger, n, release in scan:
         witness = expansion_prefix(r.value(trigger), n)
         for s in range(trigger + 1, trace.horizon + 1 if release is None else release):
-            tail = TailValue(witness, s, brute_omega_approx(machine, s))
-            derived[s] = TraceRecord(s, "spliced", tail)
+            derived[s] = TraceRecord("spliced", TailValue(witness, brute_omega_approx(machine, s)))
     return errs + _record_diffs(trace.records, derived)
 
 
@@ -98,28 +98,25 @@ def verify_hatm(
     trace: StageTrace, m: LeftCEApprox, machine: PrefixMachine, k: int, mirror: bool
 ) -> list[str]:
     """The boundary, the expansion and a fix are k-bit words, compared as such."""
-    errs = []
-    if not trace.is_monotone():
-        errs.append("trace not monotone")
+    errs = [] if trace.is_monotone() else ["trace not monotone"]
     degenerate = ("1" if mirror else "0") * k
-    for rec in trace.records:
-        t, v = rec.stage, rec.value
+    for t, (state, v) in enumerate(trace.records):
         omega = brute_omega_approx(machine, t)
         boundary = expansion_prefix(omega, k)
-        if isinstance(v, TailValue) and (v.omega_stage != t or v.omega != omega):
-            errs.append(f"stage {t}: {rec.state} tail is not the stage mass")
-        if rec.state == "parked":
+        if isinstance(v, TailValue) and v.omega != omega:
+            errs.append(f"stage {t}: {state} tail is not the stage mass")
+        if state == "parked":
             if boundary != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
             if not isinstance(v, TailValue) or v.prefix != ("1" if mirror else "0"):
                 errs.append(f"stage {t}: parked value malformed")
-        elif rec.state == "tracking":
-            if v.real() != m.value(t):
+        elif state == "tracking":
+            if trace.value_at(t) != m.value(t):
                 errs.append(f"stage {t}: tracking value differs from the input")
             cur = expansion_prefix(m.value(t), k)
             if not (cur > boundary if mirror else cur < boundary):
                 errs.append(f"stage {t}: tracking on the wrong side of the boundary")
-        elif rec.state == "undesirable":
+        elif state == "undesirable":
             if not isinstance(v, TailValue) or len(v.prefix) != k:
                 errs.append(f"stage {t}: fix prefix has wrong length")
             elif not mirror and v.prefix >= boundary:
@@ -134,7 +131,7 @@ def verify_hatm(
                 if not isinstance(v, TailValue) or v.prefix != expansion_prefix(m.value(t - 1), k):
                     errs.append(f"stage {t}: fix prefix is not the previous input prefix")
         else:
-            errs.append(f"stage {t}: unknown state {rec.state}")
+            errs.append(f"stage {t}: unknown state {state}")
     return errs
 
 
@@ -187,13 +184,13 @@ def verify_regret(
         derived = []
         for t in range(horizon + 1):
             if t < bound:
-                derived.append(TraceRecord(t, "unbound", PlainValue(ZERO)))
+                derived.append(TraceRecord("unbound", ZERO))
             elif regret is None or t < regret:
-                derived.append(TraceRecord(t, "tracking", PlainValue(m.value(t))))
+                derived.append(TraceRecord("tracking", m.value(t)))
             else:
                 prefix = expansion_prefix(m.value(t), n) + "0" * padding
-                value = TailValue(prefix, t, brute_omega_approx(machine, t))
-                derived.append(TraceRecord(t, "regretted", value))
+                value = TailValue(prefix, brute_omega_approx(machine, t))
+                derived.append(TraceRecord("regretted", value))
         errs += [f"slot {i} {err}" for err in _record_diffs(slot.trace.records, derived)]
     return errs
 
@@ -209,30 +206,25 @@ def verify_beta(trace: StageTrace, family: Sequence[LeftCEApprox]) -> list[str]:
 
 def verify_star(listing: Sequence[str], snaps: Sequence[StarSnapshot]) -> list[str]:
     """Every family is an even covering, so none collides with the odd side.
-    Each stage is re-derived from the listing: its covering is the scan's
-    covering of the listing before sigma, the stage is good when sigma is
-    longer than every member and extends none, and its case is a when that
-    covering is even, else b.  A good stage's family is the covering of its
-    generating family (the covering, with sigma adjoined in case b); any
-    other stage keeps the family.  So a family that passes is even: case a's
-    is the even covering, and case b adjoins to an odd covering a sigma
-    longer than every member, which merges with none of them.  The covered
-    set never shrinks, and the last family covers the listing before the
-    last good stage."""
-    errs = []
-    if [(snap.stage, snap.sigma) for snap in snaps] != list(enumerate(listing[: len(snaps)])):
-        errs.append("snapshots do not follow the listing")
+    Snapshot t examines listing element t, sigma, so there are no more
+    snapshots than elements, and each is re-derived from the listing: the
+    covering is the scan's covering of the listing before sigma, the stage
+    is good when sigma is longer than every member and extends none, and its
+    case is a when that covering is even, else b.  A good stage's family is
+    the covering of its generating family (the covering, with sigma adjoined
+    in case b); any other stage keeps the family.  So a family that passes is
+    even: case a's is the even covering, and case b adjoins to an odd
+    covering a sigma longer than every member, which merges with none of
+    them.  The covered set never shrinks, and the last family covers the
+    listing before the last good stage."""
+    errs = [] if len(snaps) <= len(listing) else ["snapshots do not follow the listing"]
     prev = covering = Antichain(())
     last_good = 0
-    for snap in snaps:
-        t, sigma, family = snap.stage, snap.sigma, snap.family
+    for t, (sigma, snap) in enumerate(zip(listing, snaps)):
+        family = snap.family
         good = all(len(sigma) > len(m) for m in covering) and not covering.covers(sigma)
         case = ("b" if len(covering) % 2 else "a") if good else "-"
         grown = covering if covering.covers(sigma) else brute_optimal_covering((*covering, sigma))
-        if snap.covering != covering:
-            errs.append(f"stage {t}: covering is not that of the listing before sigma")
-        if snap.good != good:
-            errs.append(f"stage {t}: good is {snap.good}, but the listing makes it {good}")
         if snap.case != case:
             errs.append(f"stage {t}: case {snap.case}, but the listing makes it {case}")
         if good:
@@ -314,16 +306,33 @@ def _meets(tree: Tree, tau: str, depth: int) -> bool:
     return len(tau) <= depth and cut < 1 << depth - len(tau)
 
 
+def _dead_ends(tree: Tree) -> list[str]:
+    """The parents of two sibling exits, length-lexicographically."""
+    ends = {x[:-1] for x in tree.exits if x[-1:] == "1" and x[:-1] + "0" in tree.exits}
+    return sorted(ends, key=lambda w: (len(w), w))
+
+
 def verify_diagonalize(
     trees: Sequence[Tree], depth: int, taus: Sequence[str], combined: Tree
 ) -> list[str]:
-    """The result contains the base tree and meets every graft cone [τ_n] in
-    a depth-D path, while tree n misses it: judged from the trees' exits."""
+    """Each target τ_n is the length-lexicographically least of σ_n, the n-th
+    dead end of the base tree, if it extends a dead end of tree n, and the
+    dead ends of tree n that extend σ_n.  The result contains the base tree
+    and meets every graft cone [τ_n] in a depth-D path, while tree n misses
+    it.  All is judged from the trees' exits."""
     errs = [] if len(taus) == len(trees) else [f"{len(taus)} graft targets for {len(trees)} trees"]
     base = trees[0].exits
     if not all(any(x[:i] in base for i in range(len(x) + 1)) for x in combined.exits):
         errs.append("result does not contain the base tree")
+    sigmas = _dead_ends(trees[0])
     for n, (tree, tau) in enumerate(zip(trees, taus)):
+        sigma = sigmas[n] if n < len(sigmas) else None
+        # in this order a dead end that σ_n extends comes before those extending σ_n
+        want = next((max(d, sigma, key=len) for d in _dead_ends(tree) if sigma is not None
+                     and (d.startswith(sigma) or sigma.startswith(d))), None)
+        if tau != want:
+            shown = "none" if want is None else want or "-"
+            errs.append(f"graft {n}: {tau or '-'}, but the trees give {shown}")
         if not _meets(combined, tau, depth):
             errs.append(f"no combined path through graft {n}")
         if _meets(tree, tau, depth):

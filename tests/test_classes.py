@@ -134,7 +134,7 @@ class TestDiagonalize:
     def test_single_tree_graft(self):
         base = Tree.closure_of(bs("000", "1"), 3)
         assert graft_points([base], 3) == (BitString("1"),)
-        assert verify_diagonalize([base], 3, (BitString("1"),), diagonalize([base], 3)) == []
+        assert verify_diagonalize([base], 3, (BitString("1"),), diagonalize(base, ("1",))) == []
 
     def test_identical_trees_graft_at_their_own_dead_ends(self):
         base = Tree.closure_of(bs("0000", "001", "01", "10"), 4)
@@ -160,7 +160,8 @@ class TestDiagonalize:
 
     def test_guarantees_on_example(self):
         trees = [Tree.closure_of(bs("000", "1", "01"), 3), Tree.closure_of(bs("0", "10"), 3)]
-        taus, combined = graft_points(trees, 3), diagonalize(trees, 3)
+        taus = graft_points(trees, 3)
+        combined = diagonalize(trees[0], taus)
         assert verify_diagonalize(trees, 3, taus, combined) == []
         # a result that is not the graft, or graft targets one bit short, is caught
         assert verify_diagonalize(trees, 3, taus, trees[1]) == [
@@ -168,12 +169,30 @@ class TestDiagonalize:
             "no combined path through graft 1",
         ]
         short = tuple(tau[:-1] for tau in taus)
-        assert verify_diagonalize(trees, 3, short, combined) == ["tree 0 still meets its graft cone"]
+        assert verify_diagonalize(trees, 3, short, combined) == [
+            "graft 0: -, but the trees give 1", "tree 0 still meets its graft cone",
+            "graft 1: 0, but the trees give 01",
+        ]
+
+    def test_the_least_of_two_candidates_is_the_target(self):
+        # σ_1 = 01, and tree 1 has the two dead ends 010 and 011 above it
+        trees = [Tree.closure_of(bs("0000", "01", "1"), 4),
+                 Tree.closure_of(bs("010", "011", "1111"), 4)]
+        assert dead_ends(trees[0]) == ("1", "01")
+        assert dead_ends(trees[1]) == ("010", "011")
+        taus = graft_points(trees, 4)
+        assert taus == ("1", "010")
+        assert verify_diagonalize(trees, 4, taus, diagonalize(trees[0], taus)) == []
+        # the other candidate also passes every check but the re-derived target
+        other = ("1", "011")
+        assert verify_diagonalize(trees, 4, other, diagonalize(trees[0], other)) == [
+            "graft 1: 011, but the trees give 010"
+        ]
 
     def test_more_graft_targets_than_trees_are_reported(self):
         trees = [Tree.closure_of(bs("000", "1", "01"), 3), Tree.closure_of(bs("0", "10"), 3)]
         extra = graft_points(trees, 3) + (BitString("0"),)
-        assert verify_diagonalize(trees, 3, extra, diagonalize(trees, 3)) == [
+        assert verify_diagonalize(trees, 3, extra, diagonalize(trees[0], extra[:2])) == [
             "3 graft targets for 2 trees"
         ]
 

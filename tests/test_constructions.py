@@ -15,7 +15,7 @@ from cantorsim.checks import (
 )
 from cantorsim.complexity import PrefixMachine, Program, omega_approx
 from cantorsim.constructions import (
-    PlainValue, StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, hat_m_construction,
+    StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, hat_m_construction,
     odd_ones_real_enumeration, regret_construction, splice_random,
 )
 from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
@@ -62,12 +62,15 @@ def scenario_inputs(name):
     return build_scenario(sc).result, machine, script, flag
 
 
-def previous_mass_at_horizon(trace, machine):
-    """The trace with its last record's tail read one stage early."""
-    *head, last = trace.records
-    t = last.stage
-    tail = TailValue(last.value.prefix, t - 1, omega_approx(machine, t - 1))
-    return StageTrace(tuple(head) + (TraceRecord(t, last.state, tail),))
+def previous_mass_at_last_rise(trace, machine):
+    """The stage t ≤ the horizon at which the machine's mass last rises, and
+    the trace with its stage-t tail holding the mass of stage t − 1."""
+    t = max(s for s in range(1, trace.horizon + 1)
+            if omega_approx(machine, s) != omega_approx(machine, s - 1))
+    records = list(trace.records)
+    state, tail = records[t]
+    records[t] = TraceRecord(state, TailValue(tail.prefix, omega_approx(machine, t - 1)))
+    return t, StageTrace(tuple(records))
 
 
 class TestScenarioLibrary:
@@ -100,7 +103,7 @@ class TestScenarioLibrary:
         trace = build_scenario(scenario("splice-recover")).result
         states = [r.state for r in trace.records]
         assert states == ["empty"] + ["tracking"] * 4 + ["spliced"] * 2 + ["tracking"] * 6
-        assert trace.records[7].value.real() == dy("1/2^3")
+        assert trace.value_at(7) == dy("1/2^3")
 
     def test_degenerate_boundary_parks_forever(self):
         trace = build_scenario(scenario("hatm-degenerate-boundary")).result
@@ -149,8 +152,11 @@ class TestSpliceEdges:
         assert verify_splice(trace, r, machine, 0) == []
 
     def test_trace_validates_stage_numbering(self):
-        with pytest.raises(InputError):
-            StageTrace((TraceRecord(1, "tracking", PlainValue(ZERO)),))
+        # a record's stage is its index in the trace, numbered from 0
+        tail = TailValue(BitString("01"), dy("1/2^1"))
+        trace = StageTrace((TraceRecord("tracking", ZERO), TraceRecord("spliced", tail)))
+        assert trace.render_lines() == ["0\ttracking\t0/2^0", "1\tspliced\t01*Ω@1"]
+        assert trace.value_at(1) == dy("3/2^3")
 
 
 class TestHatmEdges:
@@ -173,7 +179,7 @@ class TestHatmEdges:
         tampered = StageTrace(
             trace.records[:1]
             + tuple(
-                TraceRecord(r.stage, r.state, TailValue(BitString("11"), r.stage, r.value.omega))
+                TraceRecord(r.state, TailValue(BitString("11"), r.value.omega))
                 for r in trace.records[1:]
             )
         )
@@ -204,10 +210,11 @@ class TestVerifiersReadTheScans:
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         assert verify_splice(trace, r, machine, c) == []
-        tampered = previous_mass_at_horizon(trace, machine)
+        t, tampered = previous_mass_at_last_rise(trace, machine)
+        assert t == 8
         assert verify_splice(tampered, r, machine, c) == [
-            "stage 12: spliced 0000*Ω@11 (Ω@11 = 3/2^2), but the scans give spliced 0000*Ω@12"
-            " (Ω@12 = 3/2^2)"
+            "stage 8: spliced 0000*Ω@8 (Ω@8 = 1/2^1), but the scans give spliced 0000*Ω@8"
+            " (Ω@8 = 3/2^2)"
         ]
 
     @pytest.mark.parametrize(
@@ -218,9 +225,9 @@ class TestVerifiersReadTheScans:
         trace, machine, script, flag = scenario_inputs(name)
         m, k = real_from_ce_set(script, 0), int(flag("--k"))
         assert verify_hatm(trace, m, machine, k, mirror) == []
-        tampered = previous_mass_at_horizon(trace, machine)
+        t, tampered = previous_mass_at_last_rise(trace, machine)
         assert verify_hatm(tampered, m, machine, k, mirror) == [
-            f"stage {trace.horizon}: {state} tail is not the stage mass"
+            f"stage {t}: {state} tail is not the stage mass"
         ]
 
     def test_a_regretted_tail_of_the_previous_stage_is_caught(self):
@@ -228,10 +235,12 @@ class TestVerifiersReadTheScans:
         c = int(flag("--c"))
         assert verify_regret(slots, script, machine, c) == []
         (slot,) = slots
-        tampered = [dataclasses.replace(slot, trace=previous_mass_at_horizon(slot.trace, machine))]
+        t, previous = previous_mass_at_last_rise(slot.trace, machine)
+        assert t == 8
+        tampered = [dataclasses.replace(slot, trace=previous)]
         assert verify_regret(tampered, script, machine, c) == [
-            f"slot 0 stage 12: regretted {'001' + '0' * 12}*Ω@11 (Ω@11 = 3/2^2), but the scans"
-            f" give regretted {'001' + '0' * 12}*Ω@12 (Ω@12 = 3/2^2)"
+            f"slot 0 stage 8: regretted {'001' + '0' * 12}*Ω@8 (Ω@8 = 1/2^1), but the scans"
+            f" give regretted {'001' + '0' * 12}*Ω@8 (Ω@8 = 3/2^2)"
         ]
 
 
@@ -257,7 +266,7 @@ class TestVerifiersReadTheScans:
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         records = list(trace.records)
-        records[8] = TraceRecord(8, "tracking", PlainValue(r.value(8)))
+        records[8] = TraceRecord("tracking", r.value(8))
         assert verify_splice(StageTrace(tuple(records)), r, machine, c) == [
             "stage 8: tracking 1/2^5, but the scans give spliced 0000*Ω@8 (Ω@8 = 3/2^2)"
         ]
@@ -271,11 +280,11 @@ class TestVerifiersReadTheScans:
         r = LeftCEApprox((dy("7/2^4"),) * 3 + (dy("3/2^2"),) * 2, first_stage=0)
         assert brute_failing_runs(r.values, r.first_stage, machine, 0, 4) == [(2, 2, 3)]
         trace = splice_random(r, machine, 0, 4)
-        assert trace.records[2] == (2, "tracking", PlainValue(dy("7/2^4")))
+        assert trace.records[2] == ("tracking", dy("7/2^4"))
         assert {rec.state for rec in trace.records} == {"tracking"}
         assert verify_splice(trace, r, machine, 0) == []
         records = list(trace.records)
-        records[3] = TraceRecord(3, "spliced", TailValue("01", 3, omega_approx(machine, 3)))
+        records[3] = TraceRecord("spliced", TailValue("01", omega_approx(machine, 3)))
         assert verify_splice(StageTrace(tuple(records)), r, machine, 0) == [
             "trace not monotone",
             "stage 3: spliced 01*Ω@3 (Ω@3 = 1/2^1), but the scans give tracking 3/2^2",
@@ -310,7 +319,7 @@ class TestVerifiersReadTheScans:
     def test_a_spliced_plain_value_is_reported_not_raised(self):
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         records = list(trace.records)
-        records[5] = records[5]._replace(value=PlainValue(ZERO))
+        records[5] = records[5]._replace(value=ZERO)
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
         assert errs == [
@@ -384,13 +393,13 @@ def spliced_blocks(trace):
     spliced records in a splice trace: its run opens at the stage before the
     block and is released at the stage after it, if there is one."""
     blocks = []
-    for rec in trace.records:
+    for s, rec in enumerate(trace.records):
         if rec.state != "spliced":
             continue
-        if blocks and blocks[-1][2] == rec.stage:
-            blocks[-1] = (*blocks[-1][:2], rec.stage + 1)
+        if blocks and blocks[-1][2] == s:
+            blocks[-1] = (*blocks[-1][:2], s + 1)
         else:
-            blocks.append((rec.stage - 1, len(rec.value.prefix), rec.stage + 1))
+            blocks.append((s - 1, len(rec.value.prefix), s + 1))
     return [(t, n, None if end > trace.horizon else end) for t, n, end in blocks]
 
 
@@ -415,7 +424,9 @@ def test_splice_and_regret_runs_match_the_scans():
                 for t, n, release in runs
                 for s in range(t + 1, h + 1 if release is None else release)
             }
-            spliced = {rec.stage: rec.value.prefix for rec in trace.records if rec.state == "spliced"}
+            spliced = {
+                s: rec.value.prefix for s, rec in enumerate(trace.records) if rec.state == "spliced"
+            }
             assert spliced == witnesses
             at_e = brute_failing_runs(m.values, m.first_stage, machine, c, h, start=e)
             everyone.extend((t, e, n, rel) for t, n, rel in at_e)
@@ -505,7 +516,7 @@ class TestBeta:
     def test_single_member_is_identity(self):
         member = constant(dy("1/2^2"), 5)
         trace = beta_max([member], 5)
-        assert [r.value.real() for r in trace.records] == [dy("1/2^2")] * 6
+        assert [r.value for r in trace.records] == [dy("1/2^2")] * 6
 
     def test_settles_on_the_maximum(self):
         script = fixture_script("s_beta2.tsv", 6)
@@ -544,8 +555,8 @@ class TestBeta:
         def tampered(family, horizon):
             return StageTrace(
                 tuple(
-                    r._replace(value=PlainValue(value_at(r.stage, r.value.real())))
-                    for r in built(family, horizon).records
+                    r._replace(value=value_at(s, r.value))
+                    for s, r in enumerate(built(family, horizon).records)
                 )
             )
 

@@ -75,11 +75,14 @@ class TestStarConstruction:
             assert verify_star(listing, star_construction(listing, max(len(listing), 1))) == []
 
     def test_covering_is_that_of_the_listing_before_sigma(self):
+        # a good stage t's family is the covering of the listing before sigma
+        # (case a) or of the listing up to sigma (case b)
         rng = random.Random(31)
         for _ in range(60):
             listing = random_listing(rng)
-            for snap in star_construction(listing, len(listing)):
-                assert snap.covering == optimal_covering(listing[: snap.stage])
+            for t, snap in enumerate(star_construction(listing, len(listing))):
+                if snap.good:
+                    assert snap.family == optimal_covering(listing[: t + (snap.case == "b")])
 
     def test_non_clopen_listings_have_many_good_stages(self):
         rng = random.Random(29)
@@ -98,19 +101,19 @@ STAR_TAMPERS = [
     (1, {"family": Antichain(bs("00"))}, ["stage 1: family is not its generating family's covering"]),
     (1, {"family": Antichain(bs("010"))}, ["stage 1: family is not its generating family's covering",
                                            "listing element 0 not covered by the final snapshot"]),
-    (1, {"good": False, "case": "-"}, ["stage 1: good is False, but the listing makes it True",
-                                       "stage 1: case -, but the listing makes it b"]),
+    (1, {"case": "-"}, ["stage 1: case -, but the listing makes it b"]),
     (0, {"family": Antichain(bs("1"))}, ["stage 0: family is not its generating family's covering",
                                          "stage 1: covered set shrank at 1"]),
-    # a snapshot whose covering, case and family agree with one another but
-    # not with the listing: the covering is derived from the listing
-    (1, {"covering": Antichain(bs("00", "11")), "case": "a", "family": Antichain(bs("00", "11"))},
-     ["stage 1: covering is not that of the listing before sigma",
-      "stage 1: case a, but the listing makes it b",
+    # snapshots whose case and family agree with one another but not with the
+    # listing: the case is derived from the covering of the listing before sigma
+    (1, {"case": "a", "family": Antichain(bs("00", "11"))},
+     ["stage 1: case a, but the listing makes it b",
       "stage 1: family is not its generating family's covering"]),
-    (1, {"covering": Antichain(bs("0"))}, ["stage 1: covering is not that of the listing before sigma"]),
-    (0, {"good": False, "case": "-"}, ["stage 0: good is False, but the listing makes it True",
-                                       "stage 0: case -, but the listing makes it a"]),
+    (1, {"case": "-", "family": Antichain(())},
+     ["stage 1: case -, but the listing makes it b",
+      "stage 1: family is not its generating family's covering",
+      "listing element 0 not covered by the final snapshot"]),
+    (0, {"case": "-"}, ["stage 0: case -, but the listing makes it a"]),
 ]
 
 
@@ -133,7 +136,11 @@ def test_a_family_changed_at_a_stage_that_is_not_good_is_caught():
 def test_snapshots_past_the_listing_are_reported():
     snaps = star_construction(bs("00", "010"), 10)
     assert verify_star((), snaps) == ["snapshots do not follow the listing"]
-    assert verify_star(bs("00", "011"), snaps) == ["snapshots do not follow the listing"]
+    # as many snapshots as elements follow the listing; a different element
+    # is re-derived as the stage it makes
+    assert verify_star(bs("00", "011"), snaps) == [
+        "stage 1: family is not its generating family's covering"
+    ]
 
 
 class TestCoveringFamilies:

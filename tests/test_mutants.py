@@ -1,9 +1,10 @@
 """Named mutants of the constructions, kept as tests.
 
-Each mutant wraps one function that `constructions` calls, in-process, so
-that a construction decides differently, and must be reported both by the
-construction's verifier, through the `check` of its `run` entry, and by the
-`check` suite that replays the scenarios.
+Each mutant wraps one function, in-process, where the code under test looks
+it up, so that a construction decides differently.  It must be reported by
+the construction's verifier, through the `check` of its `run` entry, on the
+scenarios its row names, and by the `check` suite its row names; check
+constructions replays the scenarios, so its findings name the same ones.
 """
 
 from __future__ import annotations
@@ -12,13 +13,20 @@ import sys
 
 import pytest
 
-from cantorsim import constructions, runs
+from cantorsim import checks, classes, constructions, coverings, runs
 from cantorsim.checks import run_suite
+from cantorsim.classes import Tree, dead_ends
+from cantorsim.coverings import StarSnapshot
+from cantorsim.dyadic import optimal_covering
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 
 _failing_runs = constructions._failing_runs
 _compute_padding = constructions.compute_padding
 _approx_string = constructions.approx_string
+_star_construction = coverings.star_construction
+_odd_ones = constructions.odd_ones_real_enumeration
+_capped = classes.measure_capped_enumeration
+_graft_points = classes.graft_points
 
 
 def late_trigger(r, machine, c, horizon, start=0):
@@ -67,35 +75,92 @@ def flipped_witness(x, n):
     return word
 
 
-# (the function of `constructions` it replaces, mutant) -> the scenarios whose check reports it
+def star_case_b(listing, horizon):
+    """A case-b stage keeps the odd covering of the listing before sigma
+    instead of adjoining sigma."""
+    return [
+        StarSnapshot("b", optimal_covering(listing[:t])) if snap.case == "b" else snap
+        for t, snap in enumerate(_star_construction(listing, horizon))
+    ]
+
+
+def odd_ones_skip(i):
+    """From index 5 on, the next string of the listing."""
+    return _odd_ones(i + 1 if i >= 5 else i)
+
+
+def cap_plus_one(script, n, horizon):
+    """The measure cap of n + 1 in place of n."""
+    return _capped(script, n + 1, horizon)
+
+
+# (the modules it is patched into, the name it replaces there, mutant) ->
+# (the scenarios whose check reports it, the suite that must fail)
 MUTANTS = {
-    ("_failing_runs", late_trigger): {"splice-permanent", "splice-recover", "regret-permanent",
-                                      "regret-recover-padding"},
-    ("_failing_runs", late_release): {"splice-recover", "regret-recover-padding"},
-    ("_failing_runs", dropped_run): {"splice-permanent", "splice-recover", "regret-permanent",
-                                     "regret-recover-padding"},
-    ("_failing_runs", repeated_run): {"regret-permanent", "regret-recover-padding"},
-    ("compute_padding", padding_plus_one): {"regret-recover-padding"},
-    ("approx_string", flipped_witness): {"splice-permanent", "splice-recover",
-                                         "regret-recover-padding"},
+    ((constructions,), "_failing_runs", late_trigger): (
+        {"splice-permanent", "splice-recover", "regret-permanent", "regret-recover-padding"},
+        "constructions"),
+    ((constructions,), "_failing_runs", late_release): (
+        {"splice-recover", "regret-recover-padding"}, "constructions"),
+    ((constructions,), "_failing_runs", dropped_run): (
+        {"splice-permanent", "splice-recover", "regret-permanent", "regret-recover-padding"},
+        "constructions"),
+    ((constructions,), "_failing_runs", repeated_run): (
+        {"regret-permanent", "regret-recover-padding"}, "constructions"),
+    ((constructions,), "compute_padding", padding_plus_one): (
+        {"regret-recover-padding"}, "constructions"),
+    ((constructions,), "approx_string", flipped_witness): (
+        {"splice-permanent", "splice-recover", "regret-recover-padding"}, "constructions"),
+    ((runs, checks), "star_construction", star_case_b): ({"star-cases"}, "coverings"),
+    ((runs, checks), "odd_ones_real_enumeration", odd_ones_skip): (set(), "constructions"),
+    ((runs, checks), "measure_capped_enumeration", cap_plus_one): (set(), "classes"),
 }
 
 
-@pytest.mark.parametrize("replaced, mutant", MUTANTS, ids=[m.__name__ for _, m in MUTANTS])
-def test_the_failing_run_mutants_are_reported(monkeypatch, replaced, mutant):
-    monkeypatch.setattr(constructions, replaced, mutant)
-    reported = {
-        sc.name
-        for sc in SCENARIOS
-        if sc.kind in ("splice", "regret")
-        and runs.replay(sc.argv, FIXTURE_FILES.__getitem__).check()
-    }
-    assert reported == MUTANTS[replaced, mutant]
-    report = run_suite("constructions")
+def reported_scenarios() -> set[str]:
+    return {sc.name for sc in SCENARIOS if runs.replay(sc.argv, FIXTURE_FILES.__getitem__).check()}
+
+
+@pytest.mark.parametrize("where, replaced, mutant", MUTANTS, ids=[m.__name__ for *_, m in MUTANTS])
+def test_the_failing_run_mutants_are_reported(monkeypatch, where, replaced, mutant):
+    for module in where:
+        monkeypatch.setattr(module, replaced, mutant)
+    reported, suite = MUTANTS[where, replaced, mutant]
+    assert reported_scenarios() == reported
+    report = run_suite(suite)
     assert not report.ok
-    assert {line.split("\t")[1].partition(":")[0] for line in report.lines()[1:]} == reported
+    names = {sc.name for sc in SCENARIOS}
+    named = {finding.partition(":")[0] for finding in report.failures} & names
+    assert named == (reported if suite == "constructions" else set())
 
 
 def test_the_unmutated_runs_pass():
-    assert all(runs.replay(sc.argv, FIXTURE_FILES.__getitem__).check() == [] for sc in SCENARIOS)
-    assert run_suite("constructions").ok
+    assert reported_scenarios() == set()
+    assert all(run_suite(suite).ok for suite in {suite for _, suite in MUTANTS.values()})
+
+
+def graft_last(trees, depth):
+    """Each graft target is the length-lexicographically last candidate, not
+    the least: the last dead end of tree n above σ_n, or σ_n without one."""
+    sigmas = dead_ends(trees[0])
+    return tuple(
+        ([tau] + [d for d in dead_ends(tree) if d.startswith(sigmas[n])])[-1]
+        for n, (tree, tau) in enumerate(zip(trees, _graft_points(trees, depth)))
+    )
+
+
+# σ_1 = 01 is the base tree's second dead end, and tree 1 has the two dead
+# ends 010 and 011 above it; check classes' draws offer one candidate each
+TWO_CANDIDATES = {
+    "base.txt": Tree.closure_of(["0000", "01", "1"], 4).render(),
+    "other.txt": Tree.closure_of(["010", "011", "1111"], 4).render(),
+}
+
+
+def test_graft_last_is_reported_on_two_candidates(monkeypatch):
+    argv = ["run", "diagonalize", "--tree", "base.txt", "--tree", "other.txt", "--depth", "4"]
+    assert runs.replay(argv, TWO_CANDIDATES.__getitem__).check() == []
+    monkeypatch.setattr(runs, "graft_points", graft_last)
+    run = runs.replay(argv, TWO_CANDIDATES.__getitem__)
+    assert run.lines[:2] == ["# tau_0 = 1", "# tau_1 = 011"]
+    assert run.check() == ["graft 1: 011, but the trees give 010"]

@@ -254,10 +254,10 @@ def covering_inputs(listings, length, horizon, stream):
     events = []
     for j, listing in enumerate(listings):
         seen = frozenset()
-        for snap in star_construction(listing, horizon):
+        for stage, snap in enumerate(star_construction(listing, horizon)):
             cur = covered_up_to(snap.family, length)
             gained = sorted(cur - seen, key=lenlex)
-            events.extend((snap.stage, j, t) for t in gained)
+            events.extend((stage, j, t) for t in gained)
             seen = cur
     if stream:
         evens = itertools.islice(covering_antichains(odd=False), 1, horizon + 2)
