@@ -29,7 +29,6 @@ from .complexity import (
 from .constructions import (
     RegretSlot,
     StageTrace,
-    TailValue,
     TraceRecord,
     beta_max,
     hat_m_construction,

@@ -178,7 +178,9 @@ def random_listing(rng: random.Random, kind: str | None = None) -> tuple[str, ..
 def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
     """A base tree with a full-depth spine and enough sibling dead ends,
     plus companion trees whose dead ends sit at, above, or below the
-    corresponding base dead ends."""
+    corresponding base dead end σ_n.  One drawn above σ_n whose word ends
+    in 1 keeps that word's sibling too, so its graft target is the lesser of
+    two candidates."""
     if depth < n_trees + 1:
         raise InputError("depth too small for the requested suite")
     spine = "".join(rng.choice("01") for _ in range(depth))
@@ -199,7 +201,9 @@ def diagonal_suite(rng: random.Random, n_trees: int, depth: int) -> list[Tree]:
         else:
             room = depth - len(sigma) - 1
             suffix = "".join(rng.choice("01") for _ in range(rng.randint(0, max(room, 0))))
-            trees.append(Tree.closure_of([sigma + suffix], depth))
+            w = sigma + suffix
+            # a suffix ending in 1 keeps its sibling ending in 0: two dead ends above σ_n
+            trees.append(Tree.closure_of([w, w[:-1] + "0"] if suffix else [w], depth))
     return trees
 
 

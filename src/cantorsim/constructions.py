@@ -2,9 +2,11 @@
 
 Each construction replays a deterministic state machine over scripted
 inputs and emits one record per stage, the record's stage being its index
-in the trace.  A trace value is either a plain `Dyadic` or a bit-string
-prefix carrying the machine's halting-mass tail, rendered at stage s as
-``prefix*Ω@s``.
+in the trace.  A trace value is either a plain `Dyadic` or a tail: a
+bit-string prefix σ standing for the real σ·Ω_s, where Ω_s is the mass the
+trace's machine has halted by the record's stage s.  The construction picks
+σ and the stage fixes Ω_s, so a tail stores only σ; it renders at stage s as
+``σ*Ω@s``, and one record serves every stage of a run that keeps σ.
 
 Splice and regret wait for the same event: an approximation failing the
 randomness constant at its least witness length n, and later that length-n
@@ -44,7 +46,6 @@ from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_c
 __all__ = [
     "RegretSlot",
     "StageTrace",
-    "TailValue",
     "TraceRecord",
     "beta_max",
     "hat_m_construction",
@@ -54,53 +55,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TailValue:
-    """prefix followed by Ω_s, the halting-mass tail of the stage s of its
-    record; rendered there as ``prefix*Ω@s``."""
-
-    prefix: str
-    omega: Dyadic
-
-    def render(self, stage: int) -> str:
-        return f"{self.prefix or '-'}*Ω@{stage}"
-
-
 class TraceRecord(NamedTuple):
     """One stage of a trace, at its index in the trace: what the construction
-    decided there.  A named tuple, so it equals the plain tuple (state,
-    value)."""
+    decided there, a plain value or a tail prefix.  A named tuple, so it
+    equals the plain tuple (state, value)."""
 
     state: str
-    value: Dyadic | TailValue
+    value: Dyadic | str
 
-
-def _real(value: Dyadic | TailValue) -> Dyadic:
-    return value.omega.in_cone(value.prefix) if isinstance(value, TailValue) else value
+    def render(self, stage: int) -> str:
+        """The value as printed at its stage, a tail σ as ``σ*Ω@s``."""
+        v = self.value
+        return f"{v or '-'}*Ω@{stage}" if isinstance(v, str) else v.render()
 
 
 @dataclass(frozen=True)
 class StageTrace:
-    """One record per stage from 0 up to the horizon."""
+    """One record per stage from 0 up to the horizon, and the machine whose
+    halting mass Ω_s follows the tails (None when there are none)."""
 
     records: tuple[TraceRecord, ...]
+    machine: PrefixMachine | None = None
 
     @property
     def horizon(self) -> int:
         return len(self.records) - 1
 
     def value_at(self, stage: int) -> Dyadic:
-        return _real(self.records[stage].value)
+        v = self.records[stage].value
+        return omega_approx(self.machine, stage).in_cone(v) if isinstance(v, str) else v
 
     def is_monotone(self) -> bool:
-        vals = [_real(r.value) for r in self.records]
+        vals = [self.value_at(s) for s in range(len(self.records))]
         return all(a <= b for a, b in zip(vals, vals[1:]))
 
     def render_lines(self) -> list[str]:
-        return [
-            f"{s}\t{state}\t{v.render(s) if isinstance(v, TailValue) else v.render()}"
-            for s, (state, v) in enumerate(self.records)
-        ]
+        return [f"{s}\t{rec.state}\t{rec.render(s)}" for s, rec in enumerate(self.records)]
 
 
 def _require_strict_mass(machine: PrefixMachine) -> None:
@@ -178,10 +168,10 @@ def splice_random(
         for t in range(horizon + 1)
     ]
     for trigger, n, release in _failing_runs(r, machine, c, horizon):
-        witness = approx_string(r.value(trigger), n)
-        for s in range(trigger + 1, horizon + 1 if release is None else release):
-            records[s] = TraceRecord("spliced", TailValue(witness, omega_approx(machine, s)))
-    return StageTrace(tuple(records))
+        spliced = TraceRecord("spliced", approx_string(r.value(trigger), n))
+        end = horizon + 1 if release is None else release
+        records[trigger + 1 : end] = [spliced] * (end - trigger - 1)
+    return StageTrace(tuple(records), machine)
 
 
 def hat_m_construction(
@@ -205,19 +195,18 @@ def hat_m_construction(
         raise InputError("approximation shorter than the requested horizon")
     _require_strict_mass(machine)
 
-    parked_bit = "1" if mirror else "0"
-    degenerate = parked_bit * k
+    parked_record = TraceRecord("parked", "1" if mirror else "0")
+    degenerate = parked_record.value * k
 
     records: list[TraceRecord] = []
     parked = True
-    fix: str | None = None
+    fix: TraceRecord | None = None  # the undesirable record of the current run
     prev_prefix: str | None = None
     for s in range(horizon + 1):
-        omega_s = omega_approx(machine, s)
-        boundary = approx_string(omega_s, k)
+        boundary = approx_string(omega_approx(machine, s), k)
         if parked:
             if boundary == degenerate:
-                records.append(TraceRecord("parked", TailValue(parked_bit, omega_s)))
+                records.append(parked_record)
                 prev_prefix = approx_string(m.value(s), k)
                 continue
             parked = False
@@ -228,10 +217,11 @@ def hat_m_construction(
             records.append(TraceRecord("tracking", m.value(s)))
         else:
             if fix is None:
-                fix = prev_prefix if prev_prefix is not None else approx_string(m.value(0), k)
-            records.append(TraceRecord("undesirable", TailValue(fix, omega_s)))
+                prefix = prev_prefix if prev_prefix is not None else approx_string(m.value(0), k)
+                fix = TraceRecord("undesirable", prefix)
+            records.append(fix)
         prev_prefix = cur
-    return StageTrace(tuple(records))
+    return StageTrace(tuple(records), machine)
 
 
 @dataclass(frozen=True)
@@ -261,7 +251,7 @@ def regret_construction(
     is regretted: from that stage on it carries the current length-n prefix
     extended by a padding block of zeroes and the halting-mass tail, and
     never rebinds.  The member itself becomes eligible for fresh slots.  A
-    regretted prefix is built once per value of the member, not per stage.
+    regretted record is built once per value of the member, not per stage.
     """
     if c < 0:
         raise DomainError("the constant must be ≥ 0")
@@ -283,17 +273,17 @@ def regret_construction(
         m = approxes[e]
         padding = None if regret is None else compute_padding(n, c + machine.c_tilde)
         records = [TraceRecord("unbound", ZERO)] * bound
-        built = prefix = None  # the value whose regretted prefix is built, and that prefix
+        built = regretted = None  # the value whose regretted record is built, and that record
         for t in range(bound, horizon + 1):
             x = m.value(t)
             if regret is None or t < regret:
                 records.append(TraceRecord("tracking", x))
             else:
                 if x != built:
-                    built, prefix = x, approx_string(x, n) + "0" * padding
-                tail = TailValue(prefix, omega_approx(machine, t))
-                records.append(TraceRecord("regretted", tail))
-        slots.append(RegretSlot(StageTrace(tuple(records)), e, n, bound, regret, padding))
+                    prefix = approx_string(x, n) + "0" * padding
+                    built, regretted = x, TraceRecord("regretted", prefix)
+                records.append(regretted)
+        slots.append(RegretSlot(StageTrace(tuple(records), machine), e, n, bound, regret, padding))
     return slots
 
 

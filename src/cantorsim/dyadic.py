@@ -102,16 +102,18 @@ class BitString(str):
         return str(self)
 
 
-def parse_words(text: str, source: str) -> list[str]:
-    """One word per line, in order, read by `errors.records` ('#' starts a
-    comment); a line that is not a word is a parse error naming its line."""
-    words = []
+def parse_words(text: str, source: str, several: bool = False) -> list:
+    """The word of each line, in order, read by `errors.records` ('#' starts a
+    comment), or with ``several`` the tuple of each line's whitespace-separated
+    words; a line or token that is not a word is a parse error naming its line."""
+    lines = []
     for lineno, (line,) in records(text, sep=None):
         try:
-            words.append(BitString.parse(line))
+            words = tuple(map(BitString.parse, line.split() if several else [line]))
         except DomainError as exc:
             raise ParseError(str(exc), source=source, line=lineno)
-    return words
+        lines.append(words if several else words[0])
+    return lines
 
 
 EMPTY = ""

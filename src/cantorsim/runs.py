@@ -19,7 +19,8 @@ per process, so every usage, help and error byte comes from argparse.
 the snapshots, the replays, a tree, or a list of values.  A trace record,
 (state, value), and a star snapshot, (case, family), hold only what the
 construction decided at a stage; the stage is the index, which the printed
-lines number from 0.  `diagonalize` copies the base tree above the graft
+lines number from 0, and a tail's value is its prefix σ, printed at stage s
+as ``σ*Ω@s``.  `diagonalize` copies the base tree above the graft
 targets that the builder computed once and prints.  For merge,
 friedberg-reals and friedberg-classes it is the merge's row blocks,
 (stage, slot, keys) in emission order with each output word as its integer
@@ -52,8 +53,8 @@ from .constructions import (
     splice_random,
 )
 from .coverings import covering_antichains, parse_listing, star_construction
-from .dyadic import BitString, prefix_set_measure, word_key
-from .errors import DomainError, InputError, ParseError, records
+from .dyadic import parse_words, prefix_set_measure, word_key
+from .errors import InputError
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, event_blocks, key_row_lines, real_from_ce_set
 from .verify import (
@@ -349,12 +350,8 @@ def _merge(a: argparse.Namespace, read: Read) -> Replay:
     listed sets, in file order, are both the merge's listing and, filtered to
     those that contain a diverted follower's content, its extensions."""
     l2 = _script(read, a.l2, a.horizon)
-    sets: list[frozenset[int]] = []
-    for lineno, (line,) in records(read(a.l1_sets), sep=None):
-        try:
-            sets.append(frozenset(word_key(BitString.parse(tok)) for tok in line.split()))
-        except DomainError as exc:
-            raise ParseError(str(exc), source=a.l1_sets, line=lineno)
+    sets = [frozenset(map(word_key, words))
+            for words in parse_words(read(a.l1_sets), a.l1_sets, several=True)]
     blocks = event_blocks(l2.events)
     rows = merge_rows(sets, blocks, lambda content: (v for v in sets if content <= v), a.horizon)
     return Replay(rows, key_row_lines(rows))

@@ -9,13 +9,14 @@ scan of the input's failing runs implies, `verify_regret` the slots, in the
 sorted order of every index's scan runs, and their traces,
 `verify_star` and `verify_capped` each stage and decision, and
 `verify_diagonalize` each graft target, from the trees' exits.  A record's
-stage is its index, so no stored stage is compared.  A finding names its
-stage, slot or graft and shows both sides, so a run that opens or closes
-late, is missing or is held twice is a finding.  `verify_hatm` keeps property
-checks: its switch rule is not settled, a fix prefix after a parked stage
-is never compared with the boundary, and a trace re-derived by that rule
-would accept the fault that `fix prefix not strictly below the boundary`
-reports.
+stage is its index and a tail holds only its prefix, so no stored stage or
+mass is compared; monotonicity reads each tail with the scan's Ω_s.  A
+finding names its stage, slot or graft and shows both sides, so a run that
+opens or closes late, is missing or is held twice is a finding.
+`verify_hatm` keeps property checks: its switch rule is not settled, a fix
+prefix after a parked stage is never compared with the boundary, and a
+trace re-derived by that rule would accept the fault that `fix prefix not
+strictly below the boundary` reports.
 
 The `run` entry X binds `verify_X` as its check, for X in splice, hatm,
 regret, beta, star, capped, diagonalize, omega, oddones and coverfamily;
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
-from .constructions import RegretSlot, StageTrace, TailValue, TraceRecord
+from .constructions import RegretSlot, StageTrace, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, Dyadic
 from .errors import RangeError
@@ -56,13 +57,15 @@ __all__ = [
 
 
 def _show(rec: TraceRecord | None, t: int) -> str:
-    """The stage-t record's state and value, with the mass a tail carries."""
-    if rec is None:
-        return "no record"
-    state, v = rec
-    if isinstance(v, TailValue):
-        return f"{state} {v.render(t)} (Ω@{t} = {v.omega.render()})"
-    return f"{state} {v.render()}"
+    """The stage-t record's state and value, as `run` prints them."""
+    return "no record" if rec is None else f"{rec.state} {rec.render(t)}"
+
+
+def _monotone(trace: StageTrace, machine: PrefixMachine) -> bool:
+    """Whether no value falls, a stage-t tail σ read as σ·Ω_t by the scan."""
+    values = [brute_omega_approx(machine, t).in_cone(v) if isinstance(v, str) else v
+              for t, (_, v) in enumerate(trace.records)]
+    return all(a <= b for a, b in zip(values, values[1:]))
 
 
 def _record_diffs(records: Sequence[TraceRecord], derived: Sequence[TraceRecord]) -> list[str]:
@@ -78,19 +81,18 @@ def verify_splice(
     trace: StageTrace, r: LeftCEApprox, machine: PrefixMachine, c: int
 ) -> list[str]:
     """The trace the scan of r's failing runs implies, record by record: a
-    stage strictly inside a run is spliced, the input's expansion at the
-    trigger followed by that stage's mass; any other stage is empty or
-    tracks r."""
-    errs = [] if trace.is_monotone() else ["trace not monotone"]
+    stage strictly inside a run is spliced, the tail of the input's expansion
+    at the trigger; any other stage is empty or tracks r."""
+    errs = [] if _monotone(trace, machine) else ["trace not monotone"]
     derived = [
         TraceRecord("empty", ZERO) if r.empty_at(t) else TraceRecord("tracking", r.value(t))
         for t in range(trace.horizon + 1)
     ]
     scan = brute_failing_runs(r.values, r.first_stage, machine, c, trace.horizon)
     for trigger, n, release in scan:
-        witness = expansion_prefix(r.value(trigger), n)
+        spliced = TraceRecord("spliced", expansion_prefix(r.value(trigger), n))
         for s in range(trigger + 1, trace.horizon + 1 if release is None else release):
-            derived[s] = TraceRecord("spliced", TailValue(witness, brute_omega_approx(machine, s)))
+            derived[s] = spliced
     return errs + _record_diffs(trace.records, derived)
 
 
@@ -98,28 +100,25 @@ def verify_hatm(
     trace: StageTrace, m: LeftCEApprox, machine: PrefixMachine, k: int, mirror: bool
 ) -> list[str]:
     """The boundary, the expansion and a fix are k-bit words, compared as such."""
-    errs = [] if trace.is_monotone() else ["trace not monotone"]
+    errs = [] if _monotone(trace, machine) else ["trace not monotone"]
     degenerate = ("1" if mirror else "0") * k
     for t, (state, v) in enumerate(trace.records):
-        omega = brute_omega_approx(machine, t)
-        boundary = expansion_prefix(omega, k)
-        if isinstance(v, TailValue) and v.omega != omega:
-            errs.append(f"stage {t}: {state} tail is not the stage mass")
+        boundary = expansion_prefix(brute_omega_approx(machine, t), k)
         if state == "parked":
             if boundary != degenerate:
                 errs.append(f"stage {t}: parked although the boundary prefix moved")
-            if not isinstance(v, TailValue) or v.prefix != ("1" if mirror else "0"):
+            if v != ("1" if mirror else "0"):
                 errs.append(f"stage {t}: parked value malformed")
         elif state == "tracking":
-            if trace.value_at(t) != m.value(t):
+            if v != m.value(t):
                 errs.append(f"stage {t}: tracking value differs from the input")
             cur = expansion_prefix(m.value(t), k)
             if not (cur > boundary if mirror else cur < boundary):
                 errs.append(f"stage {t}: tracking on the wrong side of the boundary")
         elif state == "undesirable":
-            if not isinstance(v, TailValue) or len(v.prefix) != k:
+            if not isinstance(v, str) or len(v) != k:
                 errs.append(f"stage {t}: fix prefix has wrong length")
-            elif not mirror and v.prefix >= boundary:
+            elif not mirror and v >= boundary:
                 errs.append(f"stage {t}: fix prefix not strictly below the boundary")
             # The fix prefix cannot be required to lie strictly above the boundary:
             # Ω_s only rises, and so does its k-prefix, so a prefix above the
@@ -128,7 +127,7 @@ def verify_hatm(
             # the input's k-prefix at the stage before the run; when that stage was
             # tracking, the check above placed it strictly above that boundary.
             if mirror and t > 0 and trace.records[t - 1].state == "tracking":
-                if not isinstance(v, TailValue) or v.prefix != expansion_prefix(m.value(t - 1), k):
+                if v != expansion_prefix(m.value(t - 1), k):
                     errs.append(f"stage {t}: fix prefix is not the previous input prefix")
         else:
             errs.append(f"stage {t}: unknown state {state}")
@@ -152,7 +151,7 @@ def verify_regret(
     missing, late or held twice.  A regretted slot's padding is the least p
     for which `padding_holds`, and each slot's trace is re-derived from its
     run: unbound is 0, then it tracks its member, and from the regret stage
-    on it holds the member's padded expansion followed by that stage's mass.
+    on it holds the tail of the member's padded expansion.
     The horizon is the slots' (the family's when there are none)."""
     horizon = slots[0].trace.horizon if slots else family.horizon
     members = {e: real_from_ce_set(family, e)
@@ -179,7 +178,7 @@ def verify_regret(
         if slot.padding != padding:
             errs.append(f"slot {i}: padding {slot.padding}, but the least for target {target}"
                         f" is {padding}")
-        if not slot.trace.is_monotone():
+        if not _monotone(slot.trace, machine):
             errs.append(f"slot {i}: trace not monotone")
         derived = []
         for t in range(horizon + 1):
@@ -189,8 +188,7 @@ def verify_regret(
                 derived.append(TraceRecord("tracking", m.value(t)))
             else:
                 prefix = expansion_prefix(m.value(t), n) + "0" * padding
-                value = TailValue(prefix, brute_omega_approx(machine, t))
-                derived.append(TraceRecord("regretted", value))
+                derived.append(TraceRecord("regretted", prefix))
         errs += [f"slot {i} {err}" for err in _record_diffs(slot.trace.records, derived)]
     return errs
 

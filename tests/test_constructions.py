@@ -13,16 +13,18 @@ from cantorsim.checks import (
     SCENARIOS, MergeCase, build_scenario, make_merge_case, merge_case_output, verify_hatm,
     verify_merge, verify_regret, verify_splice,
 )
-from cantorsim.complexity import PrefixMachine, Program, omega_approx
+from cantorsim.complexity import PrefixMachine, Program
 from cantorsim.constructions import (
-    StageTrace, TailValue, TraceRecord, _failing_runs, beta_max, hat_m_construction,
+    StageTrace, TraceRecord, _failing_runs, beta_max, hat_m_construction,
     odd_ones_real_enumeration, regret_construction, splice_random,
 )
 from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
-from cantorsim.oracles import brute_failing_runs, brute_odd_ones, expansion_prefix, rightmost_path
+from cantorsim.oracles import (
+    brute_failing_runs, brute_odd_ones, brute_omega_approx, expansion_prefix, rightmost_path,
+)
 from cantorsim.scenarios import FIXTURE_FILES
 from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
 from cantorsim.verify import verify_oddones, verify_omega
@@ -62,15 +64,15 @@ def scenario_inputs(name):
     return build_scenario(sc).result, machine, script, flag
 
 
-def previous_mass_at_last_rise(trace, machine):
+def tail_at_last_rise(trace, machine):
     """The stage t ≤ the horizon at which the machine's mass last rises, and
-    the trace with its stage-t tail holding the mass of stage t − 1."""
+    the record there, whose value must read the scan's Ω_t, not Ω_(t−1)."""
     t = max(s for s in range(1, trace.horizon + 1)
-            if omega_approx(machine, s) != omega_approx(machine, s - 1))
-    records = list(trace.records)
-    state, tail = records[t]
-    records[t] = TraceRecord(state, TailValue(tail.prefix, omega_approx(machine, t - 1)))
-    return t, StageTrace(tuple(records))
+            if brute_omega_approx(machine, s) != brute_omega_approx(machine, s - 1))
+    state, prefix = trace.records[t]
+    now, before = brute_omega_approx(machine, t), brute_omega_approx(machine, t - 1)
+    assert trace.value_at(t) == now.in_cone(prefix) != before.in_cone(prefix)
+    return t, state, prefix
 
 
 class TestScenarioLibrary:
@@ -97,7 +99,7 @@ class TestScenarioLibrary:
         states = [r.state for r in trace.records]
         assert states == ["empty"] + ["tracking"] * 4 + ["spliced"] * 8
         # the run opens at stage 4 with the witness length 4
-        assert trace.records[5].value.prefix == expansion_prefix(trace.value_at(4), 4) == "0000"
+        assert trace.records[5].value == expansion_prefix(trace.value_at(4), 4) == "0000"
 
     def test_recovering_splice_returns_to_the_input(self):
         trace = build_scenario(scenario("splice-recover")).result
@@ -108,7 +110,7 @@ class TestScenarioLibrary:
     def test_degenerate_boundary_parks_forever(self):
         trace = build_scenario(scenario("hatm-degenerate-boundary")).result
         assert all(r.state == "parked" for r in trace.records)
-        assert all(r.value.prefix == BitString("0") for r in trace.records)
+        assert all(r.value == "0" for r in trace.records)
 
     def test_regret_binds_duplicates_separately(self):
         slots = build_scenario(scenario("regret-permanent")).result
@@ -120,7 +122,7 @@ class TestScenarioLibrary:
         (slot,) = slots
         assert slot.regret_stage == 6 and slot.padding == 11
         regretted = slot.trace.records[6].value
-        assert regretted.prefix == "0010" + "0" * 11
+        assert regretted == "0010" + "0" * 11
 
     def test_no_failures_no_slots(self):
         assert build_scenario(scenario("regret-quiet")).result == []
@@ -148,15 +150,23 @@ class TestSpliceEdges:
         assert [rec.state for rec in trace.records] == ["tracking"] * 4 + ["spliced"] * 2
         witness = expansion_prefix(r.value(3), 3)
         assert witness == "000"
-        assert {rec.value.prefix for rec in trace.records[4:]} == {witness}
+        assert {rec.value for rec in trace.records[4:]} == {witness}
         assert verify_splice(trace, r, machine, 0) == []
 
     def test_trace_validates_stage_numbering(self):
-        # a record's stage is its index in the trace, numbered from 0
-        tail = TailValue(BitString("01"), dy("1/2^1"))
-        trace = StageTrace((TraceRecord("tracking", ZERO), TraceRecord("spliced", tail)))
+        # a record's stage is its index in the trace, numbered from 0, and a
+        # tail 01 there reads the machine's mass at that stage, Ω@1 = 1/2
+        machine = PrefixMachine((Program("0", "0", 1),))
+        records = (TraceRecord("tracking", ZERO), TraceRecord("spliced", "01"))
+        trace = StageTrace(records, machine)
         assert trace.render_lines() == ["0\ttracking\t0/2^0", "1\tspliced\t01*Ω@1"]
         assert trace.value_at(1) == dy("3/2^3")
+
+    def test_a_run_holds_one_record(self):
+        # every stage of a splice run holds the same record object
+        trace = build_scenario(scenario("splice-permanent")).result
+        spliced = [rec for rec in trace.records if rec.state == "spliced"]
+        assert len(spliced) == 8 and all(rec is spliced[0] for rec in spliced)
 
 
 class TestHatmEdges:
@@ -173,15 +183,12 @@ class TestHatmEdges:
         m = LeftCEApprox((dy("1/2^1"), dy("3/2^2"), dy("3/2^2")))
         trace = hat_m_construction(m, machine, 2, 2, mirror=True)
         assert [r.state for r in trace.records] == ["tracking", "undesirable", "undesirable"]
-        assert trace.records[1].value.prefix == BitString("10")
+        assert trace.records[1].value == "10"
         assert verify_hatm(trace, m, machine, 2, mirror=True) == []
         # the current prefix 11 instead of the last desirable one
         tampered = StageTrace(
-            trace.records[:1]
-            + tuple(
-                TraceRecord(r.state, TailValue(BitString("11"), r.value.omega))
-                for r in trace.records[1:]
-            )
+            trace.records[:1] + tuple(TraceRecord(r.state, "11") for r in trace.records[1:]),
+            machine,
         )
         assert verify_hatm(tampered, m, machine, 2, mirror=True) == [
             "stage 1: fix prefix is not the previous input prefix"
@@ -190,32 +197,25 @@ class TestHatmEdges:
 
 class TestVerifiersReadTheScans:
     def test_a_corrupt_stage_index_is_caught(self):
-        sc = scenario("splice-permanent")
-        argv = sc.argv
-        machine = fixture_machine(argv[argv.index("--machine") + 1])
-        script = fixture_script(argv[argv.index("--script") + 1], 12)
-        r = real_from_ce_set(script, 0)
-        c = int(argv[argv.index("--c") + 1])
-        assert verify_splice(splice_random(r, machine, c, 12), r, machine, c) == []
-        # the constructions read the cached index; the verifier must not
+        _, machine, script, flag = scenario_inputs("hatm-violation")
+        m, k = real_from_ce_set(script, 0), int(flag("--k"))
+        assert verify_hatm(hat_m_construction(m, machine, k, 10), m, machine, k, False) == []
+        # hat_m reads its boundary from the cached index; the verifier must not
         stages, omegas = machine._omega_steps
         machine.__dict__["_omega_steps"] = (stages, [ZERO] * len(omegas))
-        errs = verify_splice(splice_random(r, machine, c, 12), r, machine, c)
-        assert (
-            "stage 5: spliced 0000*Ω@5 (Ω@5 = 0/2^0), but the scans give spliced 0000*Ω@5"
-            " (Ω@5 = 1/2^1)"
-        ) in errs
+        trace = hat_m_construction(m, machine, k, 10)
+        assert {rec.state for rec in trace.records} == {"parked"}
+        assert verify_hatm(trace, m, machine, k, False) == [
+            f"stage {t}: parked although the boundary prefix moved" for t in range(2, 11)
+        ]
 
     def test_a_spliced_tail_of_the_previous_stage_is_caught(self):
+        # a tail holds no mass: it reads Ω@8 = 3/4 at its stage, not Ω@7 = 1/2
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         assert verify_splice(trace, r, machine, c) == []
-        t, tampered = previous_mass_at_last_rise(trace, machine)
-        assert t == 8
-        assert verify_splice(tampered, r, machine, c) == [
-            "stage 8: spliced 0000*Ω@8 (Ω@8 = 1/2^1), but the scans give spliced 0000*Ω@8"
-            " (Ω@8 = 3/2^2)"
-        ]
+        assert tail_at_last_rise(trace, machine) == (8, "spliced", "0000")
+        assert trace.value_at(8) == dy("3/2^2").in_cone("0000")
 
     @pytest.mark.parametrize(
         "name, mirror, state",
@@ -225,41 +225,28 @@ class TestVerifiersReadTheScans:
         trace, machine, script, flag = scenario_inputs(name)
         m, k = real_from_ce_set(script, 0), int(flag("--k"))
         assert verify_hatm(trace, m, machine, k, mirror) == []
-        t, tampered = previous_mass_at_last_rise(trace, machine)
-        assert verify_hatm(tampered, m, machine, k, mirror) == [
-            f"stage {t}: {state} tail is not the stage mass"
-        ]
+        t, got, prefix = tail_at_last_rise(trace, machine)
+        assert (got, prefix) == (state, "1" if mirror else "00")
 
     def test_a_regretted_tail_of_the_previous_stage_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
         assert verify_regret(slots, script, machine, c) == []
         (slot,) = slots
-        t, previous = previous_mass_at_last_rise(slot.trace, machine)
-        assert t == 8
-        tampered = [dataclasses.replace(slot, trace=previous)]
-        assert verify_regret(tampered, script, machine, c) == [
-            f"slot 0 stage 8: regretted {'001' + '0' * 12}*Ω@8 (Ω@8 = 1/2^1), but the scans"
-            f" give regretted {'001' + '0' * 12}*Ω@8 (Ω@8 = 3/2^2)"
-        ]
+        prefix = "001" + "0" * 12
+        assert tail_at_last_rise(slot.trace, machine) == (8, "regretted", prefix)
+        assert slot.trace.value_at(8) == dy("3/2^2").in_cone(prefix)
 
 
     def test_a_splice_witness_off_the_expansion_is_caught(self):
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
-        tampered = StageTrace(
-            tuple(
-                rec._replace(value=dataclasses.replace(rec.value, prefix=BitString("0001")))
-                if rec.state == "spliced"
-                else rec
-                for rec in trace.records
-            )
-        )
+        tampered = dataclasses.replace(trace, records=tuple(
+            rec._replace(value="0001") if rec.state == "spliced" else rec for rec in trace.records
+        ))
         assert verify_splice(tampered, r, machine, c) == [
-            f"stage {t}: spliced 0001*Ω@{t} (Ω@{t} = {mass}), but the scans give spliced"
-            f" 0000*Ω@{t} (Ω@{t} = {mass})"
+            f"stage {t}: spliced 0001*Ω@{t}, but the scans give spliced 0000*Ω@{t}"
             for t in range(5, 13)
-            for mass in ["1/2^1" if t < 8 else "3/2^2"]
         ]
 
     def test_a_splice_released_while_failing_is_caught(self):
@@ -267,8 +254,8 @@ class TestVerifiersReadTheScans:
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
         records = list(trace.records)
         records[8] = TraceRecord("tracking", r.value(8))
-        assert verify_splice(StageTrace(tuple(records)), r, machine, c) == [
-            "stage 8: tracking 1/2^5, but the scans give spliced 0000*Ω@8 (Ω@8 = 3/2^2)"
+        assert verify_splice(StageTrace(tuple(records), machine), r, machine, c) == [
+            "stage 8: tracking 1/2^5, but the scans give spliced 0000*Ω@8"
         ]
 
     def test_a_run_released_at_once_is_checked_by_its_note(self):
@@ -284,10 +271,10 @@ class TestVerifiersReadTheScans:
         assert {rec.state for rec in trace.records} == {"tracking"}
         assert verify_splice(trace, r, machine, 0) == []
         records = list(trace.records)
-        records[3] = TraceRecord("spliced", TailValue("01", omega_approx(machine, 3)))
-        assert verify_splice(StageTrace(tuple(records)), r, machine, 0) == [
+        records[3] = TraceRecord("spliced", "01")
+        assert verify_splice(StageTrace(tuple(records), machine), r, machine, 0) == [
             "trace not monotone",
-            "stage 3: spliced 01*Ω@3 (Ω@3 = 1/2^1), but the scans give tracking 3/2^2",
+            "stage 3: spliced 01*Ω@3, but the scans give tracking 3/2^2",
         ]
 
     def test_a_regret_padding_off_the_least_is_caught(self):
@@ -310,10 +297,9 @@ class TestVerifiersReadTheScans:
         ]
         # and each regretted record holds the 5-bit expansion, padded by 12 zeroes
         assert errs[2:] == [
-            f"slot 0 stage {t}: regretted {'001' + '0' * 12}*Ω@{t} (Ω@{t} = {mass}), but the"
-            f" scans give regretted {'001' + '0' * 14}*Ω@{t} (Ω@{t} = {mass})"
+            f"slot 0 stage {t}: regretted {'001' + '0' * 12}*Ω@{t}, but the scans give"
+            f" regretted {'001' + '0' * 14}*Ω@{t}"
             for t in range(6, 13)
-            for mass in ["1/2^1" if t < 8 else "3/2^2"]
         ]
 
     def test_a_spliced_plain_value_is_reported_not_raised(self):
@@ -321,10 +307,10 @@ class TestVerifiersReadTheScans:
         records = list(trace.records)
         records[5] = records[5]._replace(value=ZERO)
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
-        errs = verify_splice(StageTrace(tuple(records)), r, machine, c)
+        errs = verify_splice(StageTrace(tuple(records), machine), r, machine, c)
         assert errs == [
             "trace not monotone",
-            "stage 5: spliced 0/2^0, but the scans give spliced 0000*Ω@5 (Ω@5 = 1/2^1)",
+            "stage 5: spliced 0/2^0, but the scans give spliced 0000*Ω@5",
         ]
 
     def test_a_regret_without_padding_is_reported_not_raised(self):
@@ -359,8 +345,7 @@ class TestVerifiersReadTheScans:
         tampered = [dataclasses.replace(slot, regret_stage=slot.regret_stage - 1)]
         assert verify_regret(tampered, script, machine, c) == [
             "slot 0: e=0 n=4 bound@4 regret@5, but the scans give e=0 n=4 bound@4 regret@6",
-            f"slot 0 stage 5: tracking 1/2^5, but the scans give regretted {'0' * 15}*Ω@5"
-            " (Ω@5 = 1/2^1)",
+            f"slot 0 stage 5: tracking 1/2^5, but the scans give regretted {'0' * 15}*Ω@5",
         ]
 
 
@@ -399,7 +384,7 @@ def spliced_blocks(trace):
         if blocks and blocks[-1][2] == s:
             blocks[-1] = (*blocks[-1][:2], s + 1)
         else:
-            blocks.append((s - 1, len(rec.value.prefix), s + 1))
+            blocks.append((s - 1, len(rec.value), s + 1))
     return [(t, n, None if end > trace.horizon else end) for t, n, end in blocks]
 
 
@@ -425,7 +410,7 @@ def test_splice_and_regret_runs_match_the_scans():
                 for s in range(t + 1, h + 1 if release is None else release)
             }
             spliced = {
-                s: rec.value.prefix for s, rec in enumerate(trace.records) if rec.state == "spliced"
+                s: rec.value for s, rec in enumerate(trace.records) if rec.state == "spliced"
             }
             assert spliced == witnesses
             at_e = brute_failing_runs(m.values, m.first_stage, machine, c, h, start=e)
@@ -502,14 +487,14 @@ class TestRegretEdges:
 
     def test_a_regretted_prefix_is_built_once_per_value(self):
         # the regret-recover-padding member, regretted at stage 6, rises again
-        # at stage 20: two values over 195 regretted stages, so two prefixes
+        # at stage 20: two values over 195 regretted stages, so two records
         events = [(1, 0, dy("1/2^5")), (6, 0, dy("1/2^3")), (20, 0, dy("3/2^3"))]
         family = EnumerationScript.from_events(events, horizon=200)
         (slot,) = regret_construction(family, fixture_machine("m_splice.tsv"), 1, 200)
-        regretted = [rec.value for rec in slot.trace.records if rec.state == "regretted"]
+        regretted = [rec for rec in slot.trace.records if rec.state == "regretted"]
         assert slot.regret_stage == 6 and len(regretted) == 195
-        assert len({id(v.prefix) for v in regretted}) == 2
-        assert [v.prefix for v in regretted[13:15]] == ["001" + "0" * 12, "011" + "0" * 12]
+        assert len({id(rec) for rec in regretted}) == 2
+        assert [rec.value for rec in regretted[13:15]] == ["001" + "0" * 12, "011" + "0" * 12]
 
 
 class TestBeta:

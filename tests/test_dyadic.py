@@ -30,7 +30,7 @@ from cantorsim.dyadic import (
     strings_up_to,
     word_key,
 )
-from cantorsim.errors import DomainError
+from cantorsim.errors import DomainError, ParseError
 from cantorsim.oracles import (
     brute_optimal_covering,
     expansion_at_depth,
@@ -68,6 +68,14 @@ class TestBitString:
         assert repr(w) == "'01'" and f"{w}|{BitString()}" == "01|"
         # the bits, a slice and a concatenation are plain words again
         assert all(type(v) is str for v in (w.bits, w[:1], w + "1", w + w))
+
+    def test_one_reader_for_one_or_several_words_a_line(self):
+        text = "# a comment\n01\n\n- 1 ε\n"
+        assert dyadic.parse_words(text, "f", several=True) == [("01",), ("", "1", "")]
+        with pytest.raises(ParseError, match=r"^f:4: not a 0/1 word: '- 1 ε'$"):
+            dyadic.parse_words(text, "f")  # one word a line: two words are an error
+        with pytest.raises(ParseError, match=r"^f:2: not a 0/1 word: '0x'$"):
+            dyadic.parse_words("1\n1 0x\n", "f", several=True)
 
 
 class TestDyadic:

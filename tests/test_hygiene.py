@@ -40,7 +40,7 @@ ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
 VERIFY_IMPORTS_ALLOWED: dict[str, set[str]] = {
     **ORACLE_IMPORTS_ALLOWED,
     "classes": {"CappedReplay", "Tree"},
-    "constructions": {"RegretSlot", "StageTrace", "TailValue", "TraceRecord"},
+    "constructions": {"RegretSlot", "StageTrace", "TraceRecord"},
     "coverings": {"StarSnapshot"},
     "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set"},
 }

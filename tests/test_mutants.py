@@ -94,6 +94,16 @@ def cap_plus_one(script, n, horizon):
     return _capped(script, n + 1, horizon)
 
 
+def graft_last(trees, depth):
+    """Each graft target is the length-lexicographically last candidate, not
+    the least: the last dead end of tree n above σ_n, or σ_n without one."""
+    sigmas = dead_ends(trees[0])
+    return tuple(
+        ([tau] + [d for d in dead_ends(tree) if d.startswith(sigmas[n])])[-1]
+        for n, (tree, tau) in enumerate(zip(trees, _graft_points(trees, depth)))
+    )
+
+
 # (the modules it is patched into, the name it replaces there, mutant) ->
 # (the scenarios whose check reports it, the suite that must fail)
 MUTANTS = {
@@ -114,6 +124,7 @@ MUTANTS = {
     ((runs, checks), "star_construction", star_case_b): ({"star-cases"}, "coverings"),
     ((runs, checks), "odd_ones_real_enumeration", odd_ones_skip): (set(), "constructions"),
     ((runs, checks), "measure_capped_enumeration", cap_plus_one): (set(), "classes"),
+    ((runs, checks), "graft_points", graft_last): (set(), "classes"),
 }
 
 
@@ -139,18 +150,8 @@ def test_the_unmutated_runs_pass():
     assert all(run_suite(suite).ok for suite in {suite for _, suite in MUTANTS.values()})
 
 
-def graft_last(trees, depth):
-    """Each graft target is the length-lexicographically last candidate, not
-    the least: the last dead end of tree n above σ_n, or σ_n without one."""
-    sigmas = dead_ends(trees[0])
-    return tuple(
-        ([tau] + [d for d in dead_ends(tree) if d.startswith(sigmas[n])])[-1]
-        for n, (tree, tau) in enumerate(zip(trees, _graft_points(trees, depth)))
-    )
-
-
 # σ_1 = 01 is the base tree's second dead end, and tree 1 has the two dead
-# ends 010 and 011 above it; check classes' draws offer one candidate each
+# ends 010 and 011 above it
 TWO_CANDIDATES = {
     "base.txt": Tree.closure_of(["0000", "01", "1"], 4).render(),
     "other.txt": Tree.closure_of(["010", "011", "1111"], 4).render(),
