@@ -5,6 +5,11 @@ does not run the verifier its `runs.RUNS` entry binds.  `check` runs a
 brute-force oracle suite, verifiers included, at the given bounds.  All
 output is deterministic: identical inputs give byte-identical bytes.
 
+A `run` loads only the package, `runs` and the modules its constructions
+need.  The check side, `checks` with the `scenarios` it replays and the
+`verify` and `oracles` it calls, is imported by `main` inside its `check`
+branch, so a `run` process never imports it.
+
 `run regret` always starts with `# slots: N`, the number of slots bound, so a
 run in which no member fails the constant prints `# slots: 0`.  Each slot then
 gets a header, `# slot d: e=… n=… bound@…` with ` regret@… p=…` appended once
@@ -47,7 +52,6 @@ from __future__ import annotations
 import sys
 from typing import Sequence
 
-from .checks import run_suite
 from .errors import CantorsimError
 from .runs import build, parse_command
 
@@ -72,6 +76,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             _emit(build(args, _read).lines, args.out)
             return 0
+        from .checks import run_suite
+
         report = run_suite(
             args.suite, seed=args.seed, cases=args.cases, depth=args.depth, len=args.length
         )

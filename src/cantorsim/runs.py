@@ -31,6 +31,9 @@ item on, so that the merge rejects it at its stage.
 
 The safety checks are the verifiers in `verify`, which read the scans of
 `oracles` and no construction; a builder only binds its inputs to one.
+`runs` does not import `verify` at module level: a bound check imports it,
+and with it `oracles`, when it is first called, so a `run`, which calls no
+check, loads neither.
 Three entries bind none yet, so their check finds nothing: a Friedberg check
 of a merge needs its scripted side and a mark on the injective side's sets,
 but the recipes friedberg-reals and friedberg-classes build their scripted
@@ -57,10 +60,6 @@ from .dyadic import parse_words, prefix_set_measure, word_key
 from .errors import InputError
 from .recipes import merge_boundary_reals, merge_covering_classes
 from .streams import EnumerationScript, event_blocks, key_row_lines, real_from_ce_set
-from .verify import (
-    verify_beta, verify_capped, verify_coverfamily, verify_diagonalize, verify_hatm,
-    verify_oddones, verify_omega, verify_regret, verify_splice, verify_star,
-)
 
 __all__ = [
     "CHECK_FLAGS", "RUNS", "Replay", "Run", "build", "natural", "parse_command", "parser", "replay",
@@ -125,6 +124,13 @@ CHECK_FLAGS: dict[str, dict] = {
     "len": {"type": natural, "default": None, "dest": "length"},
     "out": _OUT,
 }
+
+
+def _verify():
+    """The `verify` module, imported on the first check a Replay runs."""
+    from . import verify
+
+    return verify
 
 
 def build(args: argparse.Namespace, read: Read) -> Replay:
@@ -248,7 +254,9 @@ def _splice(a: argparse.Namespace, read: Read) -> Replay:
     machine = _machine(read, a.machine)
     r = real_from_ce_set(script, a.index)
     trace = splice_random(r, machine, a.c, a.horizon)
-    return Replay(trace, trace.render_lines(), lambda: verify_splice(trace, r, machine, a.c))
+    return Replay(
+        trace, trace.render_lines(), lambda: _verify().verify_splice(trace, r, machine, a.c)
+    )
 
 
 @_run("hatm", script=_PATH, machine=_PATH, k=_NATURAL, horizon=_NATURAL, index=_NATURAL_0,
@@ -259,7 +267,9 @@ def _hatm(a: argparse.Namespace, read: Read) -> Replay:
     m = real_from_ce_set(script, a.index)
     trace = hat_m_construction(m, machine, a.k, a.horizon, mirror=a.mirror)
     return Replay(
-        trace, trace.render_lines(), lambda: verify_hatm(trace, m, machine, a.k, a.mirror)
+        trace,
+        trace.render_lines(),
+        lambda: _verify().verify_hatm(trace, m, machine, a.k, a.mirror),
     )
 
 
@@ -284,7 +294,7 @@ def _regret(a: argparse.Namespace, read: Read) -> Replay:
             + (f" regret@{slot.regret_stage} p={slot.padding}" if slot.regret_stage is not None else "")
         )
         lines.extend(slot.trace.render_lines())
-    return Replay(slots, lines, lambda: verify_regret(slots, script, machine, a.c))
+    return Replay(slots, lines, lambda: _verify().verify_regret(slots, script, machine, a.c))
 
 
 @_run("beta", script=_PATH, horizon=_NATURAL)
@@ -292,7 +302,7 @@ def _beta(a: argparse.Namespace, read: Read) -> Replay:
     script = _script(read, a.script, a.horizon)
     family = [real_from_ce_set(script, e) for e in script.indices()]
     trace = beta_max(family, a.horizon)
-    return Replay(trace, trace.render_lines(), lambda: verify_beta(trace, family))
+    return Replay(trace, trace.render_lines(), lambda: _verify().verify_beta(trace, family))
 
 
 @_run("star", listing=_PATH, horizon=_NATURAL)
@@ -303,7 +313,7 @@ def _star(a: argparse.Namespace, read: Read) -> Replay:
         snaps,
         [f"{t}\t{'yes' if s.good else 'no'}\t{s.case}\t{s.family.render()}"
          for t, s in enumerate(snaps)],
-        lambda: verify_star(listing, snaps),
+        lambda: _verify().verify_star(listing, snaps),
     )
 
 
@@ -322,7 +332,7 @@ def _capped(a: argparse.Namespace, read: Read) -> Replay:
             f"# index {e}: measure {prefix_set_measure(capped.final()).render()}"
             f" frozen {frozen}"
         )
-    return Replay(replays, lines, lambda: verify_capped(script, a.cap_n, replays))
+    return Replay(replays, lines, lambda: _verify().verify_capped(script, a.cap_n, replays))
 
 
 @_run(
@@ -336,7 +346,9 @@ def _diagonalize(a: argparse.Namespace, read: Read) -> Replay:
     combined = diagonalize(trees[0], taus)
     lines = [f"# tau_{n} = {tau or '-'}" for n, tau in enumerate(taus)]
     lines.extend(combined.render().splitlines())
-    return Replay(combined, lines, lambda: verify_diagonalize(trees, a.depth, taus, combined))
+    return Replay(
+        combined, lines, lambda: _verify().verify_diagonalize(trees, a.depth, taus, combined)
+    )
 
 
 @_run(
@@ -391,18 +403,20 @@ def _omega(a: argparse.Namespace, read: Read) -> Replay:
     machine = _machine(read, a.machine)
     values = [omega_approx(machine, s) for s in range(a.horizon + 1)]
     lines = [f"{s}\t{v.render()}" for s, v in enumerate(values)]
-    return Replay(values, lines, lambda: verify_omega(machine, values))
+    return Replay(values, lines, lambda: _verify().verify_omega(machine, values))
 
 
 @_run("oddones", count=_NATURAL)
 def _oddones(a: argparse.Namespace, read: Read) -> Replay:
     strings = [odd_ones_real_enumeration(i) for i in range(a.count)]
     lines = [f"{i}\t{s}" for i, s in enumerate(strings)]
-    return Replay(strings, lines, lambda: verify_oddones(strings))
+    return Replay(strings, lines, lambda: _verify().verify_oddones(strings))
 
 
 @_run("coverfamily", count=_NATURAL, parity={"choices": ("odd", "even"), "default": "odd"})
 def _coverfamily(a: argparse.Namespace, read: Read) -> Replay:
     families = list(itertools.islice(covering_antichains(a.parity == "odd"), a.count))
     lines = [f"{i}\t{f.render()}" for i, f in enumerate(families)]
-    return Replay(families, lines, lambda: verify_coverfamily(families, a.parity == "odd"))
+    return Replay(
+        families, lines, lambda: _verify().verify_coverfamily(families, a.parity == "odd")
+    )

@@ -5,7 +5,9 @@ ones, and of every scenario.
 Each `<name>.out` under fixtures/golden/ is the stdout of one command below,
 and `<name>.err` its stderr when that is not empty; the test replays the
 command and compares bytes and the exit code.  The inputs and the scenario
-fixtures are written into the test's own directory.  To rewrite the goldens
+fixtures are written into the test's own directory.  In a fresh interpreter,
+the `run` commands load none of the check side, which `Replay.check()` and
+`check` then load.  To rewrite the goldens
 after a deliberate output change, run this file as a script from the
 repository root.
 """
@@ -14,6 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +30,7 @@ from cantorsim.cli import main
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS, write_fixtures
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _off_path(path: str, bound: int) -> str:
@@ -93,13 +99,18 @@ COMMANDS = {
 EXIT_CODES = {"diagonalize-beta": 3}
 
 
-def replay(name: str, directory: Path) -> tuple[int, str, str]:
-    """Run one golden command with its inputs written into the directory."""
+def _argv(name: str, directory: Path) -> list[str]:
+    """One golden command, its inputs written into the directory."""
     write_fixtures(str(directory))
     for file, text in INPUTS.items():
         (directory / file).write_text(text, encoding="utf-8")
     files = INPUTS.keys() | FIXTURE_FILES.keys()
-    argv = [str(directory / a) if a in files else a for a in COMMANDS[name]]
+    return [str(directory / a) if a in files else a for a in COMMANDS[name]]
+
+
+def replay(name: str, directory: Path) -> tuple[int, str, str]:
+    """Run one golden command with its inputs written into the directory."""
+    argv = _argv(name, directory)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -121,6 +132,51 @@ CHECKED_RUNS = [n for n, argv in COMMANDS.items() if argv[0] == "run" and n not 
 @pytest.mark.parametrize("name", CHECKED_RUNS)
 def test_each_run_passes_its_check(name):
     assert runs.replay(COMMANDS[name], {**FIXTURE_FILES, **INPUTS}.__getitem__).check() == []
+
+
+CHECK_SIDE = ["cantorsim.checks", "cantorsim.oracles", "cantorsim.scenarios", "cantorsim.verify"]
+
+# argv: the run command lines, then one of them to check, as JSON; prints the
+# exit codes and the check-side modules loaded after the runs, after the
+# check and after `check dyadic`
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cantorsim import runs
+from cantorsim.cli import main
+
+def loaded():
+    return sorted(set(json.loads(sys.argv[3])) & sys.modules.keys())
+
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+    after_runs = loaded()
+    found = runs.replay(json.loads(sys.argv[2]), read).check()
+    after_check = loaded()
+    suite = main(["check", "dyadic"])
+print(json.dumps([codes, after_runs, found, after_check, suite, loaded()]))
+"""
+
+
+def test_a_run_loads_no_check_side(tmp_path):
+    names = [n for n, argv in COMMANDS.items() if argv[0] == "run"]
+    argvs = [_argv(n, tmp_path) for n in names]
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
+         json.dumps(_argv("omega-splice", tmp_path)), json.dumps(CHECK_SIDE)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    codes, after_runs, found, after_check, suite, after_suite = json.loads(proc.stdout)
+    assert codes == [EXIT_CODES.get(n, 0) for n in names]
+    assert after_runs == []
+    assert (found, after_check) == ([], ["cantorsim.oracles", "cantorsim.verify"])
+    assert (suite, after_suite) == (0, CHECK_SIDE)
 
 
 if __name__ == "__main__":

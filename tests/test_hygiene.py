@@ -9,8 +9,10 @@ package's modules import one another without a cycle.  The oracles import
 from the package only value types and ``errors``, so no fast routine is on
 an oracle's path.  The verifiers import only an allow-list: those, the
 record types, the script replay that reads a builder's input, and
-``oracles``; and only ``checks`` and ``verify`` import ``oracles``.  A word
-is a plain ``str`` everywhere: outside ``dyadic``, ``BitString`` is named
+``oracles``; and only ``checks`` and ``verify`` import ``oracles``.  What a
+``run`` loads at import, the package, ``cli`` and what they import outside a
+function, holds none of the check side: ``checks``, ``scenarios``, ``verify``
+and ``oracles``.  A word is a plain ``str`` everywhere: outside ``dyadic``, ``BitString`` is named
 only to call ``BitString.parse`` on text, and no module reads ``.bits`` or
 names the removed ``trusted_bitstring`` or ``lenlex_key``.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from typing import Iterable
 
 import pytest
 
@@ -26,7 +29,13 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cantorsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # (module, function) -> why the import cannot move to module level
-LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {}
+LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {
+    ("cli", "main"): "checks loads in the check branch, so a run does not import the check side",
+    ("runs", "_verify"): "verify and its oracles load on a Replay's first check, which no run makes",
+}
+
+# the modules that only `check` and `Replay.check()` need
+CHECK_SIDE = frozenset({"checks", "oracles", "scenarios", "verify"})
 
 # module -> the value types oracles.py may import from it; any name of errors
 ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
@@ -117,8 +126,25 @@ def local_imports(path: pathlib.Path) -> list[tuple[str, str, int]]:
 def package_imports(path: pathlib.Path) -> list[tuple[str, str]]:
     """(package module, name) of every import from the package, at module
     level or nested; a module imported whole is named with the name "*"."""
+    return _package_imports(ast.walk(_tree(path)))
+
+
+def import_time_imports(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(package module, name) of every import from the package that runs
+    when the module is imported: each one outside a function body."""
+
+    def outside_functions(node: ast.AST):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child
+                yield from outside_functions(child)
+
+    return _package_imports(outside_functions(_tree(path)))
+
+
+def _package_imports(nodes: Iterable[ast.AST]) -> list[tuple[str, str]]:
     out = []
-    for node in ast.walk(_tree(path)):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module:
                 out.extend((node.module.partition(".")[0], a.name) for a in node.names)
@@ -193,6 +219,23 @@ def import_graph() -> dict[str, set[str]]:
     return {path.stem: {module for module, _ in package_imports(path)} for path in MODULES}
 
 
+def loaded_at_import(package: pathlib.Path, roots: Iterable[str]) -> set[str]:
+    """The package modules that importing the roots loads: the roots and,
+    transitively, every module they import outside a function."""
+    graph = {
+        path.stem: {module for module, _ in import_time_imports(path)}
+        for path in package.glob("*.py")
+    }
+    loaded: set[str] = set()
+    todo = list(roots)
+    while todo:
+        module = todo.pop()
+        if module not in loaded:
+            loaded.add(module)
+            todo.extend(graph.get(module, ()))
+    return loaded
+
+
 def import_cycles(graph: dict[str, set[str]]) -> list[str]:
     """Each back edge a depth-first search meets, written as its cycle
     a -> b -> a; the graph is acyclic exactly when there is none."""
@@ -245,6 +288,26 @@ def test_an_unreferenced_reexport_is_found(tmp_path):
 
 def test_package_imports_are_acyclic():
     assert import_cycles(import_graph()) == []
+
+
+def test_a_run_loads_no_check_side_at_import():
+    # importing cantorsim.cli runs the package's __init__ first
+    assert loaded_at_import(PACKAGE, ["__init__", "cli"]) & CHECK_SIDE == set()
+
+
+def test_a_check_side_import_at_import_time_is_found(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .runs import build\n\n\ndef main():\n    from .checks import run_suite\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "runs.py").write_text(
+        "from .recipes import merge\n\n\ndef _verify():\n    from . import verify\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "recipes.py").write_text(
+        "class Merge:\n    from .oracles import brute_merge_rows\n", encoding="utf-8"
+    )
+    assert sorted(loaded_at_import(tmp_path, ["cli"])) == ["cli", "oracles", "recipes", "runs"]
 
 
 def test_oracles_import_only_value_types_and_errors():
