@@ -7,9 +7,8 @@ and `<name>.err` its stderr when that is not empty; the test replays the
 command and compares bytes and the exit code.  The inputs and the scenario
 fixtures are written into the test's own directory.  In a fresh interpreter,
 the `run` commands load none of the check side, which `Replay.check()` and
-`check` then load.  To rewrite the goldens
-after a deliberate output change, run this file as a script from the
-repository root.
+`check` then load.  To rewrite the goldens after a deliberate output change,
+run this file as a script from the repository root.
 """
 
 from __future__ import annotations

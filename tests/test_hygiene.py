@@ -12,9 +12,10 @@ record types, the script replay that reads a builder's input, and
 ``oracles``; and only ``checks`` and ``verify`` import ``oracles``.  What a
 ``run`` loads at import, the package, ``cli`` and what they import outside a
 function, holds none of the check side: ``checks``, ``scenarios``, ``verify``
-and ``oracles``.  A word is a plain ``str`` everywhere: outside ``dyadic``, ``BitString`` is named
-only to call ``BitString.parse`` on text, and no module reads ``.bits`` or
-names the removed ``trusted_bitstring`` or ``lenlex_key``.
+and ``oracles``.  A word is a plain ``str`` everywhere: outside ``dyadic``,
+``BitString`` is named only to call ``BitString.parse`` on text, and no
+module reads ``.bits`` or names the removed ``trusted_bitstring`` or
+``lenlex_key``.
 """
 
 from __future__ import annotations
