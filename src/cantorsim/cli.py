@@ -6,9 +6,10 @@ brute-force oracle suite, verifiers included, at the given bounds.  All
 output is deterministic: identical inputs give byte-identical bytes.
 
 A `run` loads only the package, `runs` and the modules its constructions
-need.  The check side, `checks` with the `scenarios` it replays and the
-`verify` and `oracles` it calls, is imported by `main` inside its `check`
-branch, so a `run` process never imports it.
+need.  The check side, `checks` with the `scenarios` it replays, the
+`draws` it takes its seeded inputs from and the `verify` and `oracles` it
+calls, is imported by `main` inside its `check` branch, so a `run` process
+never imports it.
 
 `run regret` always starts with `# slots: N`, the number of slots bound, so a
 run in which no member fails the constant prints `# slots: 0`.  Each slot then
@@ -44,7 +45,8 @@ may be negative.
 
 Exit codes: 0 success, 1 check failure; each package error class declares
 its own code and label in `errors` (2 input error, 3 precondition error), and
-an unreadable or unwritable file is an input error.
+an unreadable or unwritable file, or an input file that is not UTF-8 text, is
+an input error.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ from __future__ import annotations
 import sys
 from typing import Sequence
 
-from .errors import CantorsimError
+from .errors import CantorsimError, ParseError
 from .runs import build, parse_command
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", source=path) from None
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:

@@ -9,16 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantorsim import checks
-from cantorsim.checks import (
-    build_scenario, diagonal_suite, random_bitstring, random_machine, random_string_script,
-    random_string_set,
-)
+from cantorsim.checks import build_scenario
 from cantorsim.classes import (
     CappedReplay, Tree, dead_ends, diagonalize, graft_points, measure_capped_enumeration,
     paths_at_depth, tree_from_halting_oracle, tree_of_complement,
 )
 from cantorsim.complexity import (
     PrefixMachine, Program, intersect_randomness, randomness_class_tree, satisfies_constant,
+)
+from cantorsim.draws import (
+    diagonal_suite, random_bitstring, random_machine, random_string_script, random_string_set,
 )
 from cantorsim.dyadic import EMPTY, BitString, strings_up_to
 from cantorsim.errors import DomainError, InputError, ParseError, PreconditionError, RangeError
@@ -67,7 +67,9 @@ class TestTree:
 
 def seeded_node_sets():
     """Prefix-closed node sets with their depth bounds: the nodes of
-    `diagonal_suite` trees and the prefix closures of random strings."""
+    `diagonal_suite` trees and the prefix closures of random strings.  Each
+    is named by its draw index alone, so a change to what a draw holds
+    renames no test."""
     rng = random.Random(8)
     out = []
     for _ in range(8):
@@ -78,7 +80,7 @@ def seeded_node_sets():
         depth = rng.randint(0, 10)
         words = [random_bitstring(rng, depth + 2) for _ in range(rng.randint(0, 6))]
         out.append((frozenset(w[:i] for w in words for i in range(min(len(w), depth) + 1)), depth))
-    return out
+    return [pytest.param(*draw, id=f"draw{i}") for i, draw in enumerate(out)]
 
 
 class TestExitsMatchTheNodeSets:

@@ -104,6 +104,13 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "input error: " + message.format(path=bad) + "\n"
 
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, run, fixture_dir):
+        bad = fixture_dir / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0\n")
+        code, out, err = run(["run", "star", "--listing", str(bad), "--horizon", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"input error: {bad}: not UTF-8 text (invalid start byte)\n"
+
     def test_unknown_suite(self, run):
         code, out, err = run(["check", "nosuch"])
         assert code == 2
@@ -239,7 +246,8 @@ class TestErrors:
                 "--max-slots", "1",
             ]
         )
-        assert code == 3
+        assert (code, out) == (3, "")
+        assert err == "precondition error: all 1 slots in use at stage 4 (horizon too small)\n"
 
     def test_over_depth_tree_names_the_least_node_under_every_hash_seed(self, fixture_dir):
         argv = ["run", "diagonalize", "--tree", "t_beta.txt", "--depth", "0"]
@@ -278,6 +286,19 @@ class TestRunExtras:
             "# slot 0: e=0 n=4 bound@4",
             "# slot 1: e=1 n=4 bound@4",
         ]
+
+    def test_regret_max_slots_admits_exactly_its_runs(self, run):
+        # regret-permanent binds two runs; one slot fewer is TestErrors' capacity error
+        argv = list(next(s for s in SCENARIOS if s.name == "regret-permanent").argv)
+        code, out, err = run(argv + ["--max-slots", "2"])
+        assert (code, out.splitlines()[0], err) == (0, "# slots: 2", "")
+
+    def test_merge_at_horizon_zero_places_the_stage_zero_items(self, run, fixture_dir):
+        (fixture_dir / "l2_h0.tsv").write_text("0\t0\tstr\t00\n")
+        (fixture_dir / "l1_h0.txt").write_text("1\n")
+        code, out, err = run(["run", "merge", "--l2", str(fixture_dir / "l2_h0.tsv"),
+                              "--l1-sets", str(fixture_dir / "l1_h0.txt"), "--horizon", "0"])
+        assert (code, out, err) == (0, "0\t0\tstr\t00\n0\t1\tstr\t1\n", "")
 
     def test_capped_without_events_reports_zero_indices(self, run):
         code, out, _ = run(

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
-from cantorsim.checks import random_machine
 from cantorsim.classes import paths_at_depth
 from cantorsim.complexity import (
     INFINITE,
@@ -21,6 +20,7 @@ from cantorsim.complexity import (
     randomness_class_tree,
     satisfies_constant,
 )
+from cantorsim.draws import random_machine
 from cantorsim.dyadic import (
     ONE,
     ZERO,

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from cantorsim import runs
 from cantorsim.checks import (
-    SCENARIOS, MergeCase, build_scenario, make_merge_case, merge_case_output, verify_hatm,
-    verify_merge, verify_regret, verify_splice,
+    SCENARIOS, MergeCase, build_scenario, merge_case_output, verify_hatm, verify_merge,
+    verify_regret, verify_splice,
 )
 from cantorsim.complexity import PrefixMachine, Program
 from cantorsim.constructions import (
     StageTrace, TraceRecord, _failing_runs, beta_max, hat_m_construction,
     odd_ones_real_enumeration, regret_construction, splice_random,
 )
+from cantorsim.draws import make_merge_case
 from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,

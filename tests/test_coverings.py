@@ -7,11 +7,12 @@ import random
 
 import pytest
 
-from cantorsim.checks import build_scenario, random_listing, random_string_set
+from cantorsim.checks import build_scenario
 from cantorsim.coverings import (
     covered_up_to, covering_antichains, even_covering_family, odd_covering_family, parse_listing,
     star_construction,
 )
+from cantorsim.draws import random_listing, random_string_set
 from cantorsim.dyadic import (
     Antichain, BitString, covered_deltas, key_word, optimal_covering, trusted_antichain,
 )

@@ -116,13 +116,41 @@ def replay(name: str, directory: Path) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def first_difference(out: str, golden: str) -> str | None:
+    """None when the texts are equal; else their first differing line, with
+    its number, and both line counts.  Lines keep their ends, so a missing
+    final newline differs too.  Where pytest's own diff of two long strings
+    takes minutes, this takes one pass."""
+    if out == golden:
+        return None
+    got, want = out.splitlines(keepends=True), golden.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    shown = [repr(lines[i]) if i < len(lines) else "no line" for lines in (got, want)]
+    return f"line {i + 1}: {shown[0]}, the golden {shown[1]}; {len(got)} lines, the golden {len(want)}"
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_the_golden(name, tmp_path):
     code, out, err = replay(name, tmp_path)
     err_file = GOLDEN_DIR / f"{name}.err"
     assert code == EXIT_CODES.get(name, 0)
     assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
-    assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    difference = first_difference(out, (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8"))
+    if difference:
+        pytest.fail(difference, pytrace=False)
+
+
+def test_a_difference_names_its_first_line_and_both_counts():
+    assert first_difference("0\t1\n1\t01\n", "0\t1\n1\t01\n") is None
+    assert first_difference("0\t1\n1\t00\n2\t001\n", "0\t1\n1\t01\n") == (
+        "line 2: '1\\t00\\n', the golden '1\\t01\\n'; 3 lines, the golden 2"
+    )
+    assert first_difference("0\t1\n1\t01", "0\t1\n1\t01\n") == (
+        "line 2: '1\\t01', the golden '1\\t01\\n'; 2 lines, the golden 2"
+    )
+    assert first_difference("0\t1\n", "0\t1\n1\t01\n") == (
+        "line 2: no line, the golden '1\\t01\\n'; 1 lines, the golden 2"
+    )
 
 
 CHECKED_RUNS = [n for n, argv in COMMANDS.items() if argv[0] == "run" and n not in EXIT_CODES]
@@ -133,7 +161,10 @@ def test_each_run_passes_its_check(name):
     assert runs.replay(COMMANDS[name], {**FIXTURE_FILES, **INPUTS}.__getitem__).check() == []
 
 
-CHECK_SIDE = ["cantorsim.checks", "cantorsim.oracles", "cantorsim.scenarios", "cantorsim.verify"]
+CHECK_SIDE = [
+    "cantorsim.checks", "cantorsim.draws", "cantorsim.oracles", "cantorsim.scenarios",
+    "cantorsim.verify",
+]
 
 # argv: the run command lines, then one of them to check, as JSON; prints the
 # exit codes and the check-side modules loaded after the runs, after the

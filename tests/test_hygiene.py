@@ -1,21 +1,19 @@
 """Import hygiene of the package, checked with the standard library's ast.
 
 Every module-level import must be used by the module's code or named in its
-``__all__``, and imports sit at module level only.  ``__init__`` is exempt
-from the first rule: its imports are the package's re-exports.  Each
-re-export is named in the code of a module other than ``__init__`` and
-``oracles``, so nothing is exported that only the tests reach.  The
-package's modules import one another without a cycle.  The oracles import
-from the package only value types and ``errors``, so no fast routine is on
-an oracle's path.  The verifiers import only an allow-list: those, the
-record types, the script replay that reads a builder's input, and
-``oracles``; and only ``checks`` and ``verify`` import ``oracles``.  What a
-``run`` loads at import, the package, ``cli`` and what they import outside a
-function, holds none of the check side: ``checks``, ``scenarios``, ``verify``
-and ``oracles``.  A word is a plain ``str`` everywhere: outside ``dyadic``,
-``BitString`` is named only to call ``BitString.parse`` on text, and no
-module reads ``.bits`` or names the removed ``trusted_bitstring`` or
-``lenlex_key``.
+``__all__``, and imports sit at module level only.  ``__init__`` imports
+nothing: the package re-exports no name, so each is imported from the module
+that defines it.  The package's modules import one another without a cycle.
+The oracles import from the package only value types and ``errors``, so no
+fast routine is on an oracle's path.  The verifiers import only an
+allow-list: those, the record types, the script replay that reads a
+builder's input, and ``oracles``; and only ``checks`` and ``verify`` import
+``oracles``.  What a ``run`` loads at import, the package, ``cli`` and what
+they import outside a function, holds none of the check side: ``checks``,
+``draws``, ``scenarios``, ``verify`` and ``oracles``.  A word is a plain
+``str`` everywhere: outside ``dyadic``, ``BitString`` is named only to call
+``BitString.parse`` on text, and no module reads ``.bits`` or names the
+removed ``trusted_bitstring`` or ``lenlex_key``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {
 }
 
 # the modules that only `check` and `Replay.check()` need
-CHECK_SIDE = frozenset({"checks", "oracles", "scenarios", "verify"})
+CHECK_SIDE = frozenset({"checks", "draws", "oracles", "scenarios", "verify"})
 
 # module -> the value types oracles.py may import from it; any name of errors
 ORACLE_IMPORTS_ALLOWED: dict[str, set[str]] = {
@@ -84,28 +82,6 @@ def unused_imports(path: pathlib.Path) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in _bound_names(node)
         if name not in used
-    ]
-
-
-def unreferenced_reexports(package: pathlib.Path) -> list[str]:
-    """The names ``__init__`` imports that no module other than ``__init__``
-    and ``oracles`` names in its code (a name or an attribute; strings such
-    as ``__all__`` entries do not count)."""
-    named: set[str] = set()
-    for path in package.glob("*.py"):
-        if path.stem not in ("__init__", "oracles"):
-            for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-    init = _tree(package / "__init__.py")
-    return [
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if (alias.asname or alias.name) not in named
     ]
 
 
@@ -260,7 +236,7 @@ def import_cycles(graph: dict[str, set[str]]) -> list[str]:
     return cycles
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path) == []
 
@@ -276,15 +252,9 @@ def test_allowed_local_imports_still_exist():
     assert set(LOCAL_IMPORTS_ALLOWED) <= found
 
 
-def test_every_reexport_is_reached_by_the_package():
-    assert unreferenced_reexports(PACKAGE) == []
-
-
-def test_an_unreferenced_reexport_is_found(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .m import f, g\n", encoding="utf-8")
-    (tmp_path / "m.py").write_text("def f():\n    pass\n\n\ndef g():\n    f()\n", encoding="utf-8")
-    (tmp_path / "oracles.py").write_text("from .m import g\n\ng()\n", encoding="utf-8")
-    assert unreferenced_reexports(tmp_path) == ["g"]
+def test_the_package_init_imports_nothing():
+    init = _tree(PACKAGE / "__init__.py")
+    assert [n.lineno for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_package_imports_are_acyclic():

@@ -19,9 +19,6 @@ from operator import itemgetter
 
 import pytest
 
-from cantorsim.checks import (
-    random_dyadic_script, random_dyadic_trace, random_listing, random_machine, random_string_set,
-)
 from cantorsim.complexity import PrefixMachine
 from cantorsim.constructions import hat_m_construction, merge_rows
 from cantorsim.coverings import (
@@ -30,6 +27,9 @@ from cantorsim.coverings import (
     odd_covering_family,
     parse_listing,
     star_construction,
+)
+from cantorsim.draws import (
+    random_dyadic_script, random_dyadic_trace, random_listing, random_machine, random_string_set,
 )
 from cantorsim.dyadic import (
     ONE,
