@@ -67,9 +67,7 @@ class TestTree:
 
 def seeded_node_sets():
     """Prefix-closed node sets with their depth bounds: the nodes of
-    `diagonal_suite` trees and the prefix closures of random strings.  Each
-    is named by its draw index alone, so a change to what a draw holds
-    renames no test."""
+    `diagonal_suite` trees and the prefix closures of random strings."""
     rng = random.Random(8)
     out = []
     for _ in range(8):
@@ -80,11 +78,18 @@ def seeded_node_sets():
         depth = rng.randint(0, 10)
         words = [random_bitstring(rng, depth + 2) for _ in range(rng.randint(0, 6))]
         out.append((frozenset(w[:i] for w in words for i in range(min(len(w), depth) + 1)), depth))
-    return [pytest.param(*draw, id=f"draw{i}") for i, draw in enumerate(out)]
+    return out
+
+
+SEEDED_NODE_SETS = seeded_node_sets()
+# Ids that name the draw index alone, so a change to what a draw holds renames
+# no test.  `test_complement_and_randomness_trees` still carries pytest's
+# `nodesI-D` ids (D is the drawn depth); it takes these in a later change.
+DRAW_IDS = [f"draw{i}" for i in range(len(SEEDED_NODE_SETS))]
 
 
 class TestExitsMatchTheNodeSets:
-    @pytest.mark.parametrize("nodes, depth", seeded_node_sets())
+    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS, ids=DRAW_IDS)
     def test_round_trip_paths_and_dead_ends(self, nodes, depth):
         tree = Tree.closure_of(nodes, depth)
         assert tree.nodes == nodes == brute_nodes(tree)
@@ -93,7 +98,7 @@ class TestExitsMatchTheNodeSets:
             assert paths_at_depth(tree, d) == node_set_paths(nodes, d)
         assert dead_ends(tree) == node_set_dead_ends(nodes, depth)
 
-    @pytest.mark.parametrize("nodes, depth", seeded_node_sets())
+    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS)
     def test_complement_and_randomness_trees(self, nodes, depth):
         rng = random.Random(f"{depth}/{len(nodes)}")
         strings = random_string_set(rng, depth + 2, 6)
