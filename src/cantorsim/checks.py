@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classes import (
@@ -60,11 +59,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.cases = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -16,11 +16,10 @@ for a genuine leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dyadic import EMPTY, Antichain, all_strings, grow_covering, lenlex, minimal_strings
+from .dyadic import EMPTY, Antichain, _Value, all_strings, grow_covering, lenlex, minimal_strings
 from .dyadic import parse_words, strings_up_to
 from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError
 from .streams import EnumerationScript
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(_Value):
     """A tree stored as its depth bound and its exits, the minimal strings of
     length ≤ depth that are not nodes; its nodes are the strings of length
     ≤ depth that extend no exit.  The exits form an antichain; `Tree(depth)`
@@ -47,21 +45,22 @@ class Tree:
     dead end's children have only nodes as proper prefixes, so they are
     exits: the dead ends are the parents of two sibling exits."""
 
+    __slots__ = ("depth", "exits", "__dict__")
     depth: int
-    exits: frozenset[str] = frozenset()
+    exits: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
+    def __init__(self, depth: int, exits: frozenset[str] = frozenset()) -> None:
+        if depth < 0:
             raise DomainError("depth must be ≥ 0")
-        bits = self.exits
-        for b in lenlex(bits):
+        for b in lenlex(exits):
             if b.strip("01"):
                 raise DomainError(f"not a 0/1 word: {b!r}")
-            if len(b) > self.depth:
-                raise DomainError(f"exit {b or 'ε'} longer than depth bound {self.depth}")
+            if len(b) > depth:
+                raise DomainError(f"exit {b or 'ε'} longer than depth bound {depth}")
             for i in range(len(b)):
-                if b[:i] in bits:
+                if b[:i] in exits:
                     raise DomainError(f"exit {b} extends exit {b[:i] or 'ε'}")
+        self._store(depth, exits)
 
     @classmethod
     def closure_of(cls, strings: Iterable[str], depth: int) -> "Tree":
@@ -176,8 +175,7 @@ def diagonalize(base: Tree, taus: Sequence[str]) -> Tree:
     return Tree.closure_of([*nodes, *(tau + node for tau in taus for node in nodes)], base.depth)
 
 
-@dataclass(frozen=True)
-class CappedReplay:
+class CappedReplay(NamedTuple):
     """Replay record of one index under the measure cap: its log, one (stage,
     item, admitted) entry per event of the index up to the horizon."""
 

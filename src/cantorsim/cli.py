@@ -6,10 +6,13 @@ brute-force oracle suite, verifiers included, at the given bounds.  All
 output is deterministic: identical inputs give byte-identical bytes.
 
 A `run` loads only the package, `runs` and the modules its constructions
-need.  The check side, `checks` with the `scenarios` it replays, the
-`draws` it takes its seeded inputs from and the `verify` and `oracles` it
-calls, is imported by `main` inside its `check` branch, so a `run` process
-never imports it.
+need, and from the standard library `argparse` (with `gettext`), `bisect`,
+`enum`, `functools`, `itertools`, `math`, `operator`, `re`, `sys` and
+`typing`; not `dataclasses`, since no value type generates its methods at
+import, nor `fractions`, which only the checks read.  The check side,
+`checks` with the `scenarios` it replays, the `draws` it takes its seeded
+inputs from and the `verify` and `oracles` it calls, is imported by `main`
+inside its `check` branch, so a `run` process never imports it.
 
 `run regret` always starts with `# slots: N`, the number of slots bound, so a
 run in which no member fails the constant prints `# slots: 0`.  Each slot then

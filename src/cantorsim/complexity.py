@@ -54,13 +54,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .classes import Tree, tree_of_complement
-from .dyadic import ZERO, BitString, Dyadic
+from .dyadic import ZERO, BitString, Dyadic, _Value
 from .errors import DomainError, ParseError, PrefixFreeViolation, records
 from .streams import approx_string
 
@@ -92,17 +91,18 @@ class Program(NamedTuple):
     halt_stage: int
 
 
-@dataclass(frozen=True)
-class PrefixMachine:
+class PrefixMachine(_Value):
     """A finite prefix-free program table with one configuration constant,
     c_tilde, used by padding computations (default 0)."""
 
-    programs: tuple[Program, ...] = ()
-    c_tilde: int = 0
+    __slots__ = ("programs", "c_tilde", "__dict__")
+    programs: tuple[Program, ...]
+    c_tilde: int
 
-    def __post_init__(self) -> None:
-        if self.c_tilde < 0:
+    def __init__(self, programs: tuple[Program, ...] = (), c_tilde: int = 0) -> None:
+        if c_tilde < 0:
             raise DomainError("machine constants must be ≥ 0")
+        self._store(programs, c_tilde)
         codes, outputs, halts = self._words
         if not _is_word("".join(codes + outputs)):
             bad = next(w for w in codes + outputs if not _is_word(w))

@@ -23,7 +23,6 @@ with the Ω_s boundary, not a failure of the constant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .complexity import (
@@ -69,8 +68,7 @@ class TraceRecord(NamedTuple):
         return f"{v or '-'}*Ω@{stage}" if isinstance(v, str) else v.render()
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(NamedTuple):
     """One record per stage from 0 up to the horizon, and the machine whose
     halting mass Ω_s follows the tails (None when there are none)."""
 
@@ -224,8 +222,7 @@ def hat_m_construction(
     return StageTrace(tuple(records), machine)
 
 
-@dataclass(frozen=True)
-class RegretSlot:
+class RegretSlot(NamedTuple):
     """One output slot of the regret construction, with its binding history."""
 
     trace: StageTrace

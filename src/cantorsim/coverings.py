@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dyadic import Antichain, covered_up_to, grow_covering, parse_words, trusted_antichain
 from .errors import DomainError, RangeError
@@ -52,8 +51,7 @@ def load_listing(path: str) -> tuple[str, ...]:
         return parse_listing(fh.read(), source=path)
 
 
-@dataclass(frozen=True)
-class StarSnapshot:
+class StarSnapshot(NamedTuple):
     """What the star construction decided at stage s, its index among the
     snapshots, on examining the listing's element s: the case, 'a', 'b', or
     '-' when the stage is not good and skipped, and the family after it."""

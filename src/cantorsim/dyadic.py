@@ -30,8 +30,8 @@ the constructions compare reals for strict order, where rounding is fatal.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, ParseError, records
@@ -68,16 +68,47 @@ class Order(enum.IntEnum):
 
 
 class _Value:
-    """Base of the value types: slots only, and no assignment after the
-    constructor has validated and stored the fields."""
+    """Base of the package's validating value types; records of plain fields
+    are `NamedTuple`s.  A subclass names its fields in `__slots__` (with
+    '__dict__' for a `cached_property`), and its `__init__` validates them
+    and stores them with `_store`; no assignment follows.  An instance
+    equals only an instance of its own class with equal fields, hashes as
+    the tuple of its fields (as the one field when there is one), pickles
+    through its constructor and shows its fields in its repr.  These methods
+    are written once, here: a decorator that `exec`s generated methods, as
+    `dataclasses` does, costs about 0.5 ms per class at every import."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._key = attrgetter(*cls._fields)
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return other is self or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class BitString(str):
@@ -211,20 +242,6 @@ class Dyadic(_Value):
         _set_num(self, n)
         _set_exp(self, e)
 
-    def __repr__(self) -> str:
-        return f"Dyadic(num={self.num!r}, exp={self.exp!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.num == other.num and self.exp == other.exp  # type: ignore[attr-defined]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.exp))
-
-    def __reduce__(self) -> tuple:
-        return Dyadic, (self.num, self.exp)
-
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         text = text.strip()
@@ -242,6 +259,8 @@ class Dyadic(_Value):
         return self.render()
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num, 1 << self.exp)
 
     def __lt__(self, other: "Dyadic") -> bool:
@@ -329,20 +348,6 @@ class Antichain(_Value):
             if b[-1:] == "1" and b[:-1] + "0" in distinct:
                 raise DomainError(f"not reduced: both children of {b[:-1] or 'ε'} present")
         _set_members(self, words)
-
-    def __repr__(self) -> str:
-        return f"Antichain(members={self.members!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.members == other.members  # type: ignore[attr-defined]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def __reduce__(self) -> tuple:
-        return Antichain, (self.members,)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.members)

@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,8 +67,7 @@ __all__ = [
 Read = Callable[[str], str]
 
 
-@dataclass(frozen=True)
-class Replay:
+class Replay(NamedTuple):
     """One replayed run: the library result, its stdout lines, and a safety
     check that returns the violations it finds (none for a safe run)."""
 

@@ -10,8 +10,7 @@ the situations the constructions are meant for.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 __all__ = ["FIXTURE_FILES", "SCENARIOS", "Scenario", "write_fixtures"]
 
@@ -46,8 +45,7 @@ FIXTURE_FILES: Mapping[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     argv: tuple[str, ...]  # file names resolved against the fixture directory
     # (fixture, depth) of a tree whose rightmost path the beta trace must reach

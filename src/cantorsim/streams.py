@@ -11,11 +11,10 @@ item is a word (a plain `str`, checked at parse time) or a dyadic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .dyadic import ZERO, BitString, Dyadic, key_word, word_key
+from .dyadic import ZERO, BitString, Dyadic, _Value, key_word, word_key
 from .errors import InputError, ParseError, RangeError, records
 
 Item = Union[str, Dyadic]
@@ -42,28 +41,29 @@ class ScriptEvent(NamedTuple):
     item: Item
 
 
-@dataclass(frozen=True)
-class EnumerationScript:
+class EnumerationScript(_Value):
     """A finite log of enumeration events, sorted by stage (file order kept
     within a stage)."""
 
-    events: tuple[ScriptEvent, ...] = ()
-    horizon: int = 0
+    __slots__ = ("events", "horizon")
+    events: tuple[ScriptEvent, ...]
+    horizon: int
 
-    def __post_init__(self) -> None:
-        if self.horizon < 0:
+    def __init__(self, events: tuple[ScriptEvent, ...] = (), horizon: int = 0) -> None:
+        if horizon < 0:
             raise InputError("horizon must be ≥ 0")
         last = 0
-        for ev in self.events:
+        for ev in events:
             if ev.stage < 0 or ev.index < 0:
                 raise InputError(
                     f"event at stage {ev.stage} for index {ev.index}: stage and index must be ≥ 0"
                 )
             if ev.stage < last:
                 raise InputError("events must be sorted by stage")
-            if ev.stage > self.horizon:
-                raise InputError(f"event at stage {ev.stage} beyond horizon {self.horizon}")
+            if ev.stage > horizon:
+                raise InputError(f"event at stage {ev.stage} beyond horizon {horizon}")
             last = ev.stage
+        self._store(events, horizon)
 
     @classmethod
     def from_events(
@@ -170,25 +170,26 @@ def stage_set(script: EnumerationScript, index: int, stage: int) -> frozenset[It
     )
 
 
-@dataclass(frozen=True)
-class LeftCEApprox:
+class LeftCEApprox(_Value):
     """A monotone stage approximation of a left-c.e. real.
 
     values[s] is the stage-s value; stages before first_stage carry the
     placeholder 0 and are flagged empty.
     """
 
+    __slots__ = ("values", "first_stage")
     values: tuple[Dyadic, ...]
-    first_stage: int | None = None
+    first_stage: int | None
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[Dyadic, ...], first_stage: int | None = None) -> None:
+        if not values:
             raise InputError("approximation needs at least stage 0")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if b < a:
                 raise InputError(f"approximation not monotone: {a} then {b}")
-        if self.first_stage is not None and not (0 <= self.first_stage < len(self.values)):
+        if first_stage is not None and not (0 <= first_stage < len(values)):
             raise InputError("first_stage outside the stage range")
+        self._store(values, first_stage)
 
     @property
     def horizon(self) -> int:

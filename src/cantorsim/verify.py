@@ -34,10 +34,9 @@ settled sets are read in one pass over each script's events.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .classes import CappedReplay, Tree
 from .complexity import PrefixMachine
@@ -385,8 +384,7 @@ def verify_coverfamily(families: Sequence[Antichain], odd: bool) -> list[str]:
     return errs
 
 
-@dataclass(frozen=True)
-class MergeCase:
+class MergeCase(NamedTuple):
     """A merge input: the scripted side, the listing ``l1``, the extensions
     of a content (``picker``), the tags that mark the injective side's sets,
     and the horizon."""

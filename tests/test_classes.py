@@ -83,8 +83,7 @@ def seeded_node_sets():
 
 SEEDED_NODE_SETS = seeded_node_sets()
 # Ids that name the draw index alone, so a change to what a draw holds renames
-# no test.  `test_complement_and_randomness_trees` still carries pytest's
-# `nodesI-D` ids (D is the drawn depth); it takes these in a later change.
+# no test.
 DRAW_IDS = [f"draw{i}" for i in range(len(SEEDED_NODE_SETS))]
 
 
@@ -98,7 +97,7 @@ class TestExitsMatchTheNodeSets:
             assert paths_at_depth(tree, d) == node_set_paths(nodes, d)
         assert dead_ends(tree) == node_set_dead_ends(nodes, depth)
 
-    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS)
+    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS, ids=DRAW_IDS)
     def test_complement_and_randomness_trees(self, nodes, depth):
         rng = random.Random(f"{depth}/{len(nodes)}")
         strings = random_string_set(rng, depth + 2, 6)

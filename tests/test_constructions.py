@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -242,7 +241,7 @@ class TestVerifiersReadTheScans:
     def test_a_splice_witness_off_the_expansion_is_caught(self):
         trace, machine, script, flag = scenario_inputs("splice-permanent")
         r, c = real_from_ce_set(script, 0), int(flag("--c"))
-        tampered = dataclasses.replace(trace, records=tuple(
+        tampered = trace._replace(records=tuple(
             rec._replace(value="0001") if rec.state == "spliced" else rec for rec in trace.records
         ))
         assert verify_splice(tampered, r, machine, c) == [
@@ -283,14 +282,14 @@ class TestVerifiersReadTheScans:
         c = int(flag("--c"))
         (slot,) = slots
         for p in (slot.padding - 1, slot.padding + 1):
-            errs = verify_regret([dataclasses.replace(slot, padding=p)], script, machine, c)
+            errs = verify_regret([slot._replace(padding=p)], script, machine, c)
             assert errs == [f"slot 0: padding {p}, but the least for target 5 is 11"]
 
     def test_a_regret_witness_length_off_by_one_is_caught(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
         (slot,) = slots
-        tampered = [dataclasses.replace(slot, witness_length=slot.witness_length + 1)]
+        tampered = [slot._replace(witness_length=slot.witness_length + 1)]
         errs = verify_regret(tampered, script, machine, c)
         assert errs[:2] == [
             "slot 0: e=0 n=5 bound@4 regret@6, but the scans give e=0 n=4 bound@4 regret@6",
@@ -316,7 +315,7 @@ class TestVerifiersReadTheScans:
 
     def test_a_regret_without_padding_is_reported_not_raised(self):
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
-        tampered = [dataclasses.replace(slots[0], padding=None)]
+        tampered = [slots[0]._replace(padding=None)]
         errs = verify_regret(tampered, script, machine, int(flag("--c")))
         assert errs == ["slot 0: padding None, but the least for target 5 is 11"]
 
@@ -343,7 +342,7 @@ class TestVerifiersReadTheScans:
         slots, machine, script, flag = scenario_inputs("regret-recover-padding")
         c = int(flag("--c"))
         (slot,) = slots
-        tampered = [dataclasses.replace(slot, regret_stage=slot.regret_stage - 1)]
+        tampered = [slot._replace(regret_stage=slot.regret_stage - 1)]
         assert verify_regret(tampered, script, machine, c) == [
             "slot 0: e=0 n=4 bound@4 regret@5, but the scans give e=0 n=4 bound@4 regret@6",
             f"slot 0 stage 5: tracking 1/2^5, but the scans give regretted {'0' * 15}*Ω@5",
@@ -784,7 +783,7 @@ class TestVerifyMerge:
             first, last = out.indices()[0], out.indices()[-1]
             tampered = [copy_index(out, first, last), replace_index(out, last, "0")]
             # at half the horizon, indices whose events all come later settle on ∅
-            for at in (case, dataclasses.replace(case, horizon=case.horizon // 2)):
+            for at in (case, case._replace(horizon=case.horizon // 2)):
                 for candidate in [out, *tampered]:
                     assert verify_merge(candidate, at) == stage_set_merge_findings(candidate, at)
             assert verify_merge(out, case) == []
@@ -803,6 +802,6 @@ class TestVerifyMerge:
 
     def test_a_horizon_past_the_output_is_a_range_error(self):
         case, out = next(merged_check_cases())
-        late = dataclasses.replace(case, horizon=out.horizon + 1)
+        late = case._replace(horizon=out.horizon + 1)
         with pytest.raises(RangeError, match=f"stage {out.horizon + 1} outside"):
             verify_merge(out, late)

@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantorsim import dyadic
+from cantorsim.classes import Tree
+from cantorsim.complexity import PrefixMachine
 from cantorsim.dyadic import (
     EMPTY,
     ONE,
@@ -37,6 +39,7 @@ from cantorsim.oracles import (
     greedy_expansion,
     sibling_merge_closure,
 )
+from cantorsim.streams import EnumerationScript, LeftCEApprox
 
 bitstrings = st.text(alphabet="01", max_size=12)
 small_sets = st.frozensets(st.text(alphabet="01", max_size=4), max_size=6)
@@ -313,7 +316,8 @@ class TestValueContract:
     """The contract of the value types: equal values built in different ways
     are equal and hash equal, a Dyadic or an Antichain equals only an
     instance of its own type, fields cannot be assigned, and the reprs name
-    every field.  A checked word is a str and equals it."""
+    every field.  A checked word is a str and equals it.  The validating
+    types of the other modules share the contract through `dyadic._Value`."""
 
     def test_equal_values_built_differently(self):
         pairs = [
@@ -379,6 +383,23 @@ class TestValueContract:
         assert BitString() == EMPTY and BitString(bits="1") == BitString("1")
         assert Dyadic() == ZERO and Dyadic(num=3, exp=2) == Dyadic(3, 2)
         assert Antichain() == Antichain(members=()) and len(Antichain()) == 0
+
+    def test_the_other_modules_validating_types_share_the_contract(self):
+        machine = PrefixMachine.parse("0\t1\t3\n")
+        tree = Tree(2, frozenset({"11"}))
+        script = EnumerationScript.parse("0\t0\tstr\t1\n")
+        cases = [
+            (machine, (machine.programs, 0)), (tree, (2, frozenset({"11"}))),
+            (script, (script.events, 0)), (LeftCEApprox((ZERO, ONE), 1), ((ZERO, ONE), 1)),
+        ]
+        for value, fields in cases:
+            assert value == pickle.loads(pickle.dumps(value)) and value != fields
+            assert hash(value) == hash(fields)
+            with pytest.raises(AttributeError):
+                setattr(value, "horizon", 0)
+        assert repr(tree) == "Tree(depth=2, exits=frozenset({'11'}))"
+        # a cached_property computes once per instance
+        assert machine._words is machine._words and tree.nodes is tree.nodes
 
     def test_pickle_round_trip(self):
         for value in (BitString("0110"), Dyadic(3, 4), Antichain(bs("0", "11"))):

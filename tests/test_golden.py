@@ -166,16 +166,21 @@ CHECK_SIDE = [
     "cantorsim.verify",
 ]
 
+# standard-library modules a run leaves unloaded: the value types generate no
+# methods, and only the checks read a dyadic as a Fraction
+RUN_FREE_STDLIB = ["dataclasses", "fractions"]
+
 # argv: the run command lines, then one of them to check, as JSON; prints the
-# exit codes and the check-side modules loaded after the runs, after the
-# check and after `check dyadic`
+# exit codes, the check-side modules loaded after the runs, the modules of
+# RUN_FREE_STDLIB loaded after the runs, and the check-side modules loaded
+# after the check and after `check dyadic`
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cantorsim import runs
 from cantorsim.cli import main
 
-def loaded():
-    return sorted(set(json.loads(sys.argv[3])) & sys.modules.keys())
+def loaded(names=json.loads(sys.argv[3])):
+    return sorted(set(names) & sys.modules.keys())
 
 def read(path):
     with open(path, encoding="utf-8") as fh:
@@ -184,10 +189,11 @@ def read(path):
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
     after_runs = loaded()
+    stdlib_after_runs = loaded(json.loads(sys.argv[4]))
     found = runs.replay(json.loads(sys.argv[2]), read).check()
     after_check = loaded()
     suite = main(["check", "dyadic"])
-print(json.dumps([codes, after_runs, found, after_check, suite, loaded()]))
+print(json.dumps([codes, after_runs, stdlib_after_runs, found, after_check, suite, loaded()]))
 """
 
 
@@ -198,13 +204,16 @@ def test_a_run_loads_no_check_side(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
-         json.dumps(_argv("omega-splice", tmp_path)), json.dumps(CHECK_SIDE)],
+         json.dumps(_argv("omega-splice", tmp_path)), json.dumps(CHECK_SIDE),
+         json.dumps(RUN_FREE_STDLIB)],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    codes, after_runs, found, after_check, suite, after_suite = json.loads(proc.stdout)
+    codes, after_runs, stdlib_after_runs, found, after_check, suite, after_suite = json.loads(
+        proc.stdout
+    )
     assert codes == [EXIT_CODES.get(n, 0) for n in names]
-    assert after_runs == []
+    assert (after_runs, stdlib_after_runs) == ([], [])
     assert (found, after_check) == ([], ["cantorsim.oracles", "cantorsim.verify"])
     assert (suite, after_suite) == (0, CHECK_SIDE)
 

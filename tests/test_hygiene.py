@@ -13,7 +13,9 @@ they import outside a function, holds none of the check side: ``checks``,
 ``draws``, ``scenarios``, ``verify`` and ``oracles``.  A word is a plain
 ``str`` everywhere: outside ``dyadic``, ``BitString`` is named only to call
 ``BitString.parse`` on text, and no module reads ``.bits`` or names the
-removed ``trusted_bitstring`` or ``lenlex_key``.
+removed ``trusted_bitstring`` or ``lenlex_key``.  No module imports
+``dataclasses``: the value types are ``NamedTuple``s or ``dyadic._Value``
+subclasses, so importing the package generates no methods.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 LOCAL_IMPORTS_ALLOWED: dict[tuple[str, str], str] = {
     ("cli", "main"): "checks loads in the check branch, so a run does not import the check side",
     ("runs", "_verify"): "verify and its oracles load on a Replay's first check, which no run makes",
+    ("dyadic", "Dyadic"): "as_fraction loads fractions (and decimal) for the checks, which no run calls",
 }
 
 # the modules that only `check` and `Replay.check()` need
@@ -191,6 +194,21 @@ def second_word_type(path: pathlib.Path) -> list[str]:
     return found
 
 
+def dataclasses_imports(path: pathlib.Path) -> list[str]:
+    """Each import of `dataclasses` in the file, at module level or nested,
+    as module:line."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.stem}:{node.lineno}" for n in names if n.partition(".")[0] == "dataclasses"]
+    return found
+
+
 def import_graph() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at module level or nested."""
     return {path.stem: {module for module, _ in package_imports(path)} for path in MODULES}
@@ -346,3 +364,19 @@ def test_a_second_word_type_is_found(tmp_path):
         "m:4: BitString", "m:6: .bits", "m:6: .lenlex_key", "m:6: BitString",
         "m:9: def trusted_bitstring",
     ]
+
+
+def test_no_module_imports_dataclasses():
+    assert [found for path in MODULES for found in dataclasses_imports(path)] == []
+
+
+def test_a_dataclasses_import_is_found(tmp_path):
+    planted = tmp_path / "m.py"
+    planted.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from .dyadic import _Value\n\n\n"
+        "def f():\n    import dataclasses as dc\n",
+        encoding="utf-8",
+    )
+    assert sorted(dataclasses_imports(planted)) == ["m:1", "m:2", "m:7"]
