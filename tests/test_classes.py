@@ -83,7 +83,8 @@ def seeded_node_sets():
 
 SEEDED_NODE_SETS = seeded_node_sets()
 # Ids that name the draw index alone, so a change to what a draw holds renames
-# no test.
+# no test.  `test_complement_and_randomness_trees` keeps pytest's `nodesI-D`
+# ids (D is the drawn depth): giving it these would rename 52 test ids at once.
 DRAW_IDS = [f"draw{i}" for i in range(len(SEEDED_NODE_SETS))]
 
 
@@ -97,7 +98,7 @@ class TestExitsMatchTheNodeSets:
             assert paths_at_depth(tree, d) == node_set_paths(nodes, d)
         assert dead_ends(tree) == node_set_dead_ends(nodes, depth)
 
-    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS, ids=DRAW_IDS)
+    @pytest.mark.parametrize("nodes, depth", SEEDED_NODE_SETS)
     def test_complement_and_randomness_trees(self, nodes, depth):
         rng = random.Random(f"{depth}/{len(nodes)}")
         strings = random_string_set(rng, depth + 2, 6)
