@@ -281,13 +281,15 @@ def check_complexity(machines: int = 20, tree_depth: int = 9, seed: int = 0) -> 
             # stay as they are; the expected nodes come from the scans alone
             draw = random.Random(mi)
             drawn = tree_of_complement(random_string_set(draw, tree_depth, 3, 1), tree_depth)
+            # a node is kept when its parent was kept and its own K_t meets the
+            # constant: in length-lexicographic order the parent comes first, so a
+            # node is kept exactly when each of its prefixes meets the constant
             halted = brute_halted_complexities(machine, t)
-            expected = frozenset(
-                s
-                for s in brute_nodes(drawn)
-                if all(halted.get(s[:n], INFINITE) >= n - c for n in range(len(s) + 1))
-            )
-            if intersect_randomness(drawn, machine, c, t).nodes != expected:
+            kept: set[str] = set()
+            for s in lenlex(brute_nodes(drawn)):
+                if (not s or s[:-1] in kept) and halted.get(s, INFINITE) >= len(s) - c:
+                    kept.add(s)
+            if intersect_randomness(drawn, machine, c, t).nodes != kept:
                 rep.fail(f"machine {mi}: intersection with the class differs from the scan")
             if intersect_randomness(tree, machine, c, t) != tree:
                 rep.fail(f"machine {mi}: the class tree is not its own intersection")
@@ -392,13 +394,15 @@ def check_classes(diag_depth: int = 10, capped_scripts: int = 50, seed: int = 0)
         halted = optimal_covering(random_string_set(rng, 5, 4, 1))
         budgets = {m: len(m) + rng.randint(0, 2) for m in halted}
 
-        def oracle(s: str, e: int) -> bool:
-            return any(s.startswith(b) and len(s) >= budgets[b] for b in budgets)
-
-        tree = tree_from_halting_oracle(oracle, 0, 7)
+        halts = {s: any(s.startswith(b) and len(s) >= budgets[b] for b in budgets) for s in words}
+        tree = tree_from_halting_oracle(lambda s, e: halts[s], 0, 7)
+        # a word is on the tree when its parent is and it is a node itself;
+        # length-lexicographic order decides the parent first
+        on_tree: set[str] = set()
         for s in words:
-            on_tree = all(s[:i] in tree.nodes for i in range(len(s) + 1))
-            if on_tree != (not oracle(s, 0)):
+            if (not s or s[:-1] in on_tree) and s in tree.nodes:
+                on_tree.add(s)
+            if (s in on_tree) == halts[s]:
                 rep.fail(f"oracle case {oi}: membership mismatch at {s or 'ε'}")
                 break
     return rep
@@ -416,16 +420,16 @@ class Suite(NamedTuple):
 
 
 # The caps, each run in at most 2 s on a 2-core host (Python 3.11.7, in-process,
-# where every suite at its defaults takes 0.03–0.08 s):
-# - dyadic --len 18 (0.9 s): every word of length ≤ len is round-tripped,
+# where every suite at its defaults takes 0.03–0.07 s):
+# - dyadic --len 18 (0.6 s): every word of length ≤ len is round-tripped,
 #   2^(len+1);
 # - coverings --depth 5 (1.3 s): every set of at most 3 of the 2^(depth+1) − 1
 #   words of length ≤ depth is covered, about 2^(3·depth+2)/3 sets;
-# - complexity --depth 15 (1.0 s): the oracle lists each of three trees' nodes
+# - complexity --depth 15 (0.3 s): the oracle lists each of three trees' nodes
 #   of length ≤ depth, 2^(depth+1) words per tree;
 # - classes --depth 250 (2.0 s): the diagonal cases build and graft trees with
 #   a depth-long spine; the time grows about as the square of the depth
-#   (0.32 s at 100, 1.2 s at 200, 2.8 s at 300).
+#   (0.29 s at 100, 1.2 s at 200, 2.7 s at 300).
 SUITES: dict[str, Suite] = {
     "dyadic": Suite(check_dyadic, {"cases": "sets", "len": "max_len"}, {"len": 18}),
     "coverings": Suite(

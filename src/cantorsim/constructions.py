@@ -348,7 +348,19 @@ def merge_rows(
     follower and lies in its group.  So both steps take the decisions of a
     scan over every index and every active follower, and as no decision
     depends on the order within a group, the rows do not depend on the hash
-    seed.  `oracles.brute_merge_rows` is the same loop one word at a time."""
+    seed.
+
+    A stage s ≥ 1 that delivers no block runs step 4 alone, because steps
+    1–3 would change nothing there.  Step 1 has nothing to deliver, and step
+    3 reads only the groups step 1 touched.  After step 2 of stage s − 1,
+    every index without a follower shows an active follower's set, or it
+    would have spawned; step 3 then diverts followers only in favour of the
+    least index of their set, which stays active.  So every index without a
+    follower still shows an active follower's set, no set has changed since,
+    and step 2 spawns nothing.  Stage 0 always runs steps 1–3, as its step 2
+    spawns the first followers of the empty sets.  `oracles.brute_merge_rows`
+    is the same loop one word at a time, running every step at every
+    stage."""
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
     current: dict[int, set[int]] = {index: set() for _, index, _ in events}
@@ -385,39 +397,41 @@ def merge_rows(
 
     pos = 0
     for s in range(horizon + 1):
-        # 1. deliver this stage's blocks, to the follower's slot too
-        touched: set[tuple[int, int]] = set()  # signatures of the followers delivered to
-        while pos < len(events) and events[pos][0] == s:
-            _, index, items = events[pos]
-            pos += 1
-            if not all(map(isinstance, items, itertools.repeat(int))):
-                raise InputError(f"index {index} carries a non-string item at stage {s}")
-            have, size = current[index], len(current[index])
-            new = tuple(items) if have.isdisjoint(items) else tuple(x for x in items if x not in have)
-            have.update(new)
-            if len(have) - size < len(new):  # the block repeats an item
-                new = tuple(dict.fromkeys(new))
-            old = signature[index]
-            signature[index] = (len(have), old[1] + sum(map(hash, new)))
-            if index in active and new:
-                groups[old].remove(index)
-                groups.setdefault(signature[index], []).append(index)
-                touched.add(signature[index])
-                rows.append((s, active[index], new))
-        # 2. spawn followers for indices whose set matches no active follower
-        for j in sorted(current.keys() - active.keys()):
-            if all(current[j] != current[j2] for j2 in groups.get(signature[j], ())):
-                active[j] = new_slot(s, current[j])
-                groups.setdefault(signature[j], []).append(j)
-        # 3. divert the larger index of any converging follower pair
-        for j in sorted({j for sig in touched for j in groups[sig]}):
-            if any(j2 < j and current[j2] == current[j] for j2 in groups[signature[j]]):
-                groups[signature[j]].remove(j)
-                sid = active.pop(j)
-                content = frozenset(current[j])
-                value = pick_fresh(content, s)
-                used.add(value)
-                emit(sid, s, value - content)
+        # a later stage that delivers no block changes nothing in steps 1–3
+        if s == 0 or pos < len(events) and events[pos][0] == s:
+            # 1. deliver this stage's blocks, to the follower's slot too
+            touched: set[tuple[int, int]] = set()  # signatures of the followers delivered to
+            while pos < len(events) and events[pos][0] == s:
+                _, index, items = events[pos]
+                pos += 1
+                if not all(map(isinstance, items, itertools.repeat(int))):
+                    raise InputError(f"index {index} carries a non-string item at stage {s}")
+                have, size = current[index], len(current[index])
+                new = tuple(items if have.isdisjoint(items) else (x for x in items if x not in have))
+                have.update(new)
+                if len(have) - size < len(new):  # the block repeats an item
+                    new = tuple(dict.fromkeys(new))
+                old = signature[index]
+                signature[index] = (len(have), old[1] + sum(map(hash, new)))
+                if index in active and new:
+                    groups[old].remove(index)
+                    groups.setdefault(signature[index], []).append(index)
+                    touched.add(signature[index])
+                    rows.append((s, active[index], new))
+            # 2. spawn followers for indices whose set matches no active follower
+            for j in sorted(current.keys() - active.keys()):
+                if all(current[j] != current[j2] for j2 in groups.get(signature[j], ())):
+                    active[j] = new_slot(s, current[j])
+                    groups.setdefault(signature[j], []).append(j)
+            # 3. divert the larger index of any converging follower pair
+            for j in sorted({j for sig in touched for j in groups[sig]}):
+                if any(j2 < j and current[j2] == current[j] for j2 in groups[signature[j]]):
+                    groups[signature[j]].remove(j)
+                    sid = active.pop(j)
+                    content = frozenset(current[j])
+                    value = pick_fresh(content, s)
+                    used.add(value)
+                    emit(sid, s, value - content)
         # 4. emit the next unused listing member
         for value in listing:
             if value in listed:

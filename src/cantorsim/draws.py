@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -37,10 +36,11 @@ def random_string_set(
 def random_machine(
     rng: random.Random, max_code_len: int = 8, max_out_len: int = 12, strict: bool = True
 ) -> PrefixMachine:
-    """Up to 20 programs with prefix-free codes and halt stages ≤ 12."""
+    """Up to 20 programs with prefix-free codes and halt stages ≤ 12.  The
+    codes' Kraft mass is kept in units of 2^−max_code_len, as an integer."""
     programs: list[Program] = []
     codes: list[str] = []
-    mass = Fraction(0)
+    mass, whole = 0, 1 << max_code_len
     target = rng.randint(1, 20)
     tries = 0
     while len(programs) < target and tries < 300:
@@ -49,8 +49,8 @@ def random_machine(
         code = "".join(rng.choice("01") for _ in range(n))
         if any(code.startswith(c) or c.startswith(code) for c in codes):
             continue
-        add = Fraction(1, 1 << n)
-        if mass + add > 1 or strict and mass + add == 1:
+        add = 1 << (max_code_len - n)
+        if mass + add > whole or strict and mass + add == whole:
             continue
         codes.append(code)
         mass += add

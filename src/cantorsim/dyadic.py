@@ -258,7 +258,10 @@ class Dyadic(_Value):
     def __str__(self) -> str:
         return self.render()
 
-    def as_fraction(self) -> Fraction:
+    # the annotation is a string (PEP 563) that imports fractions only when
+    # typing.get_type_hints evaluates it, so a run, which never reads a dyadic
+    # as a Fraction, does not load fractions (and decimal)
+    def as_fraction(self) -> __import__("fractions").Fraction:
         from fractions import Fraction
 
         return Fraction(self.num, 1 << self.exp)

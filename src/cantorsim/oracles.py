@@ -101,23 +101,28 @@ def brute_optimal_covering(strings: Iterable[str]) -> Antichain:
 
 def sibling_merge_closure(strings: Iterable[str], depth: int) -> frozenset[str]:
     """Fixpoint of extension and sibling-merge rules inside words of length
-    ≤ depth; exact membership picture when depth reaches every member.  Each
-    word is examined once, when it joins: its children join it, and so does
-    its parent once its sibling is in."""
+    ≤ depth; exact membership picture when depth reaches every member.
+
+    Two passes over the lengths, one set of words per length.  From the
+    shortest length down, each length's words add their children to the next
+    length, so the set is closed under extension.  From the longest length
+    up, each length's sibling pairs add their parent to the length before;
+    a parent's extensions are its two children's, already in, and a length
+    gains words only from the one after it, so it is complete when its pairs
+    are read.  So the result is closed under both rules, and it holds only
+    what they force."""
     bits = set(strings)
     if any(len(b) > depth for b in bits):
         raise DomainError("closure depth must reach every member")
-    work = list(bits)
-    while work:
-        b = work.pop()
-        new = [b + "0", b + "1"] if len(b) < depth else []
-        if b and b[:-1] + ("1" if b[-1] == "0" else "0") in bits:
-            new.append(b[:-1])
-        for w in new:
-            if w not in bits:
-                bits.add(w)
-                work.append(w)
-    return frozenset(bits)
+    levels: list[set[str]] = [set() for _ in range(depth + 1)]
+    for b in bits:
+        levels[len(b)].add(b)
+    for d in range(depth):
+        levels[d + 1] |= {b + c for b in levels[d] for c in "01"}
+    for d in range(depth, 0, -1):
+        level = levels[d]
+        levels[d - 1] |= {b[:-1] for b in level if b[-1] == "0" and b[:-1] + "1" in level}
+    return frozenset().union(*levels)
 
 
 def brute_covering_families(total: int) -> tuple[Antichain, ...]:

@@ -14,19 +14,22 @@ from cantorsim.checks import (
 )
 from cantorsim.complexity import PrefixMachine, Program
 from cantorsim.constructions import (
-    StageTrace, TraceRecord, _failing_runs, beta_max, hat_m_construction,
+    StageTrace, TraceRecord, _failing_runs, beta_max, hat_m_construction, merge_rows,
     odd_ones_real_enumeration, regret_construction, splice_random,
 )
 from cantorsim.draws import make_merge_case
-from cantorsim.dyadic import ZERO, BitString, Dyadic, rational_of_string
+from cantorsim.dyadic import ZERO, BitString, Dyadic, key_word, rational_of_string, word_key
 from cantorsim.errors import (
     CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
 )
 from cantorsim.oracles import (
-    brute_failing_runs, brute_odd_ones, brute_omega_approx, expansion_prefix, rightmost_path,
+    brute_failing_runs, brute_merge_rows, brute_odd_ones, brute_omega_approx, expansion_prefix,
+    rightmost_path,
 )
 from cantorsim.scenarios import FIXTURE_FILES
-from cantorsim.streams import EnumerationScript, LeftCEApprox, real_from_ce_set, stage_set
+from cantorsim.streams import (
+    EnumerationScript, LeftCEApprox, ScriptEvent, event_blocks, real_from_ce_set, stage_set,
+)
 from cantorsim.verify import verify_oddones, verify_omega
 
 
@@ -805,3 +808,114 @@ class TestVerifyMerge:
         late = case._replace(horizon=out.horizon + 1)
         with pytest.raises(RangeError, match=f"stage {out.horizon + 1} outside"):
             verify_merge(out, late)
+
+
+def merge_tag(i: int) -> str:
+    """The i-th tag word, 1 and then i in eight bits; script words open with 0."""
+    return "1" + format(i, "08b")
+
+
+# one singleton tag per stage, and extensions that add one tag from 100 on
+TAG_LISTING = [frozenset({merge_tag(i)}) for i in range(100)]
+
+
+def tag_extensions(content: frozenset[str]):
+    return (content | {merge_tag(i)} for i in itertools.count(100))
+
+
+def is_extension_tag(word: str) -> bool:
+    return word.startswith("1") and int(word[1:], 2) >= 100
+
+
+def keys(words) -> frozenset[int]:
+    return frozenset(map(word_key, words))
+
+
+def merged_both_ways(events, horizon):
+    """The merge's rows (stage, slot, word): `merge_rows` on the events'
+    blocks as keys, which skips steps 1–3 on a stage with no block, asserted
+    equal to `oracles.brute_merge_rows` on the words, which runs every step
+    at every stage."""
+    events = sorted(events, key=lambda ev: ev[0])
+    rows = merge_rows(
+        map(keys, TAG_LISTING),
+        event_blocks(map(ScriptEvent._make, events)),
+        lambda content: map(keys, tag_extensions(frozenset(map(key_word, content)))),
+        horizon,
+    )
+    fast = [(s, j, key_word(k)) for s, j, block in rows for k in block]
+    assert fast == brute_merge_rows(TAG_LISTING, events, tag_extensions, horizon)
+    return fast
+
+
+def quiet_merge_input(rng: random.Random):
+    """(events, horizon, (u, v, w), delivering stages (a, b, c, d)) of a
+    merge input whose blocks arrive on four stages a < b < c < d, with
+    quiet stretches of at least one stage between them and two after d.
+    u, v and w are 0-opening words:
+    - index 0 has no event at stage 0, where its follower takes ∅, and
+      shows {u, v} from a;
+    - index 1 shows {v} from a and gains u at b, so it is diverted at b;
+      it gains w at c, the first stage after a quiet stretch, and respawns;
+    - index 2 spawns on ∅ at a, shows {u} from c and gains w and v at d,
+      the last delivering stage, so it is diverted there;
+    - indices 3 and 4 draw other words on stages 0, a, b, c and d;
+    - index 5, and one more event of index 0, come past the horizon."""
+    u, v, w, *others = rng.sample(["0" + format(x, "03b") for x in range(8)], 8)
+    a = rng.randint(1, 4)
+    b = a + rng.randint(2, 6)
+    c = b + rng.randint(2, 6)
+    d = c + rng.randint(2, 6)
+    horizon = d + rng.randint(2, 8)
+    events = [
+        (a, 0, u), (a, 0, v), (a, 1, v), (b, 1, u), (c, 1, w), (c, 2, u), (d, 2, w), (d, 2, v),
+        (horizon + 1, 0, others[0]), (horizon + rng.randint(1, 3), 5, others[1]),
+    ]
+    for _ in range(rng.randint(0, 6)):
+        events.append((rng.choice((0, a, b, c, d)), rng.choice((3, 4)), rng.choice(others)))
+    return events, horizon, (u, v, w), (a, b, c, d)
+
+
+class TestMergeQuietStages:
+    """`merge_rows` runs only step 4 on a stage s ≥ 1 that delivers no
+    block; the stage loop of `oracles.brute_merge_rows` runs every step."""
+
+    def test_seeded_inputs_with_quiet_stretches_match_the_stage_loop(self):
+        rng = random.Random(33)
+        for _ in range(60):
+            events, horizon, (u, v, w), (a, b, c, d) = quiet_merge_input(rng)
+            rows = merged_both_ways(events, horizon)
+            # index 1's diversion at b and index 2's at d, each to an extension tag
+            for stage in (b, d):
+                assert any(s == stage and is_extension_tag(x) for s, _, x in rows)
+            # index 1's respawn at c, on a new slot holding its whole set
+            (slot,) = {j for s, j, x in rows if s == c and x == w}
+            assert sorted(x for _, j, x in rows if j == slot) == sorted((u, v, w))
+            # each quiet stage lists the next tag and emits nothing else
+            quiet = set(range(1, horizon + 1)) - {a, b, c, d}
+            assert [x for s, _, x in rows if s in quiet] == [
+                merge_tag(i) for i in range(len(TAG_LISTING)) if i in quiet
+            ]
+
+    def test_seeded_inputs_at_horizon_0_match_the_stage_loop(self):
+        rng = random.Random(34)
+        words = ["0" + format(x, "02b") for x in range(4)]
+        for _ in range(40):
+            events = [
+                (rng.choice((0, 0, 1, 2)), rng.randrange(4), rng.choice(words))
+                for _ in range(rng.randint(0, 8))
+            ]
+            rows = merged_both_ways(events, 0)
+            assert {s for s, _, _ in rows} <= {0}
+            assert rows[-1][2] == merge_tag(0)
+
+    def test_a_diversion_at_the_last_block_is_followed_by_quiet_stages(self):
+        # index 1's follower takes ∅ on slot 1 at stage 0; at stage 1 its set
+        # meets index 0's, so slot 1 is diverted to the first extension tag;
+        # stages 2 to 5 are quiet and each lists the next tag on a new slot
+        rows = merged_both_ways([(0, 0, "00"), (1, 1, "00")], 5)
+        assert rows == [
+            (0, 0, "00"), (0, 2, merge_tag(0)),
+            (1, 1, "00"), (1, 1, merge_tag(100)), (1, 3, merge_tag(1)),
+            (2, 4, merge_tag(2)), (3, 5, merge_tag(3)), (4, 6, merge_tag(4)), (5, 7, merge_tag(5)),
+        ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -264,7 +265,50 @@ class TestOptimalCovering:
                 assert not parent_cone <= want
 
 
+def covered_by_definition(strings: frozenset[str], depth: int) -> frozenset[str]:
+    """The words t of length ≤ depth whose every length-depth extension lies
+    in the depth expansion of the strings."""
+    leaves = expansion_at_depth(strings, depth)
+
+    def words(n: int) -> list[str]:
+        return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+    return frozenset(
+        t
+        for n in range(depth + 1)
+        for t in words(n)
+        if all(t + tail in leaves for tail in words(depth - n))
+    )
+
+
 class TestFilterClosure:
+    def test_the_closure_is_its_definition_on_seeded_sets(self):
+        # each seeded set splits up to three cones into subcones, so sibling
+        # merges chain over several lengths; some sets then lose one member
+        rng = random.Random(35)
+
+        def split(word: str, room: int) -> list[str]:
+            if room == 0 or rng.random() < 0.3:
+                return [word]
+            return split(word + "0", room - 1) + split(word + "1", room - 1)
+
+        cases = [(frozenset(), 0), (frozenset(), 3), (frozenset({""}), 0), (frozenset({""}), 3)]
+        for _ in range(200):
+            strings: set[str] = set()
+            for _ in range(rng.randint(0, 3)):
+                top = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+                strings.update(split(top, rng.randint(0, 3)))
+            if strings and rng.random() < 0.3:
+                strings.discard(rng.choice(sorted(strings)))
+            cases.append((frozenset(strings), max(map(len, strings), default=0) + rng.randint(0, 2)))
+        for strings, depth in cases:
+            assert sibling_merge_closure(strings, depth) == covered_by_definition(strings, depth)
+
+    @pytest.mark.parametrize("strings, depth", [({"0"}, 0), ({"", "0101"}, 3), ({"11"}, -1)])
+    def test_a_member_longer_than_the_depth_is_a_domain_error(self, strings, depth):
+        with pytest.raises(DomainError, match="closure depth must reach every member"):
+            sibling_merge_closure(strings, depth)
+
     def test_examples(self):
         assert optimal_covering(bs("0")).members == tuple(bs("0"))
         assert optimal_covering(bs("00", "01")).members == tuple(bs("0"))

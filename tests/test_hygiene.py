@@ -15,13 +15,21 @@ they import outside a function, holds none of the check side: ``checks``,
 ``BitString.parse`` on text, and no module reads ``.bits`` or names the
 removed ``trusted_bitstring`` or ``lenlex_key``.  No module imports
 ``dataclasses``: the value types are ``NamedTuple``s or ``dyadic._Value``
-subclasses, so importing the package generates no methods.
+subclasses, so importing the package generates no methods.  Every function
+and class of every module, and every method of those classes, has
+annotations that ``typing.get_type_hints`` resolves.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import importlib.util
+import inspect
 import pathlib
+import types
+import typing
 from typing import Iterable
 
 import pytest
@@ -380,3 +388,65 @@ def test_a_dataclasses_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert sorted(dataclasses_imports(planted)) == ["m:1", "m:2", "m:7"]
+
+
+def _functions(member: object) -> list[object]:
+    """The functions a class attribute wraps: itself, or the function of a
+    class or static method, a property or a cached property."""
+    if isinstance(member, (classmethod, staticmethod)):
+        return [member.__func__]
+    if isinstance(member, property):
+        return [f for f in (member.fget, member.fset, member.fdel) if f is not None]
+    if isinstance(member, functools.cached_property):
+        return [member.func]
+    return [member] if inspect.isfunction(member) else []
+
+
+def unresolved_annotations(module: types.ModuleType) -> list[str]:
+    """name: error for each function or class the module defines, and each
+    method of such a class, whose annotations typing.get_type_hints cannot
+    evaluate."""
+    found = []
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            targets = [(name, obj)]
+        elif inspect.isclass(obj):
+            targets = [(name, obj)] + [
+                (f"{name}.{attr}", f)
+                for attr, member in vars(obj).items()
+                for f in _functions(member)
+            ]
+        else:
+            continue
+        for label, target in targets:
+            try:
+                typing.get_type_hints(target)
+            except Exception as exc:  # any failure to evaluate is a finding
+                found.append(f"{label}: {type(exc).__name__}: {exc}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_annotations_resolve(path):
+    assert unresolved_annotations(importlib.import_module(f"{PACKAGE.name}.{path.stem}")) == []
+
+
+def test_an_unresolved_annotation_is_found(tmp_path):
+    planted = tmp_path / "planted_annotations.py"
+    planted.write_text(
+        "from __future__ import annotations\n\n\n"
+        "def f(x: Missing) -> int:\n    return 0\n\n\n"
+        "class C:\n    y: int\n\n    def g(self) -> Absent:\n        pass\n\n"
+        "    @property\n    def h(self) -> Gone:\n        return ''\n",
+        encoding="utf-8",
+    )
+    spec = importlib.util.spec_from_file_location("planted_annotations", planted)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert unresolved_annotations(module) == [
+        "f: NameError: name 'Missing' is not defined",
+        "C.g: NameError: name 'Absent' is not defined",
+        "C.h: NameError: name 'Gone' is not defined",
+    ]

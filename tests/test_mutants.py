@@ -5,6 +5,10 @@ it up, so that a construction decides differently.  It must be reported by
 the construction's verifier, through the `check` of its `run` entry, on the
 scenarios its row names, and by the `check` suite its row names; check
 constructions replays the scenarios, so its findings name the same ones.
+
+The suite mutants wrap a function a `check` suite compares with its own
+expected answer, and pin the report's first lines: they keep the suites'
+sweeps of expected answers exactly as strict.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ _star_construction = coverings.star_construction
 _odd_ones = constructions.odd_ones_real_enumeration
 _capped = classes.measure_capped_enumeration
 _graft_points = classes.graft_points
+_tree_from_halting_oracle = checks.tree_from_halting_oracle
 
 
 def late_trigger(r, machine, c, horizon, start=0):
@@ -165,3 +170,39 @@ def test_graft_last_is_reported_on_two_candidates(monkeypatch):
     run = runs.replay(argv, TWO_CANDIDATES.__getitem__)
     assert run.lines[:2] == ["# tau_0 = 1", "# tau_1 = 011"]
     assert run.check() == ["graft 1: 011, but the trees give 010"]
+
+
+def intersection_is_the_tree(tree, machine, c, t):
+    """The tree itself, as if the class removed none of its nodes."""
+    return tree
+
+
+def longest_exit_dropped(oracle, e, depth):
+    """The oracle's tree without its longest exit, the lexicographically
+    last of that length, so that exit's cone is on the tree."""
+    tree = _tree_from_halting_oracle(oracle, e, depth)
+    return Tree(tree.depth, tree.exits - {max(tree.exits, key=lambda x: (len(x), x))})
+
+
+# (the name it replaces in checks, mutant) -> (suite, the report's first lines)
+SUITE_MUTANTS = {
+    ("intersect_randomness", intersection_is_the_tree): ("complexity", [
+        "FAIL\tcomplexity\t1149 cases",
+        "counterexample\tmachine 0: intersection with the class differs from the scan",
+        "counterexample\tmachine 2: intersection with the class differs from the scan",
+    ]),
+    ("tree_from_halting_oracle", longest_exit_dropped): ("classes", [
+        "FAIL\tclasses\t435 cases",
+        "counterexample\toracle case 0: membership mismatch at 11",
+        "counterexample\toracle case 1: membership mismatch at 110011",
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "replaced, mutant", SUITE_MUTANTS, ids=[m.__name__ for _, m in SUITE_MUTANTS]
+)
+def test_the_suite_mutants_are_reported(monkeypatch, replaced, mutant):
+    monkeypatch.setattr(checks, replaced, mutant)
+    suite, first = SUITE_MUTANTS[replaced, mutant]
+    assert run_suite(suite).lines()[: len(first)] == first
