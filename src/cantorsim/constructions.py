@@ -337,35 +337,32 @@ def merge_rows(
     tracked sets settle by the horizon, the settled output sets are exactly
     the used listing members plus the scripted sets, with no repeats.
 
-    Each index carries the signature (size, sum of key hashes) of its set,
-    kept on every delivery, and `groups` maps a signature to the active
-    followers that carry it.  Two sets are equal only if their signatures
-    are, so steps 2 and 3 look for a twin of j only in j's group, where each
-    candidate is still compared with ==.  Step 2 scans the indices without a
-    follower, and step 3 only the groups of the followers delivered to in
-    step 1: the active sets are distinct after stage s − 1, and step 2 spawns
-    only sets distinct from them, so every converging pair holds such a
-    follower and lies in its group.  So both steps take the decisions of a
-    scan over every index and every active follower, and as no decision
-    depends on the order within a group, the rows do not depend on the hash
-    seed.
+    Each index's set is a frozenset, replaced on each delivery, and `shown`
+    maps a set to the active followers that show it; an entry goes once its
+    list is empty.  So one dict lookup tells whether an active follower shows
+    a set: step 2 spawns a follower for j exactly when current[j] is not in
+    `shown`.  Step 3 reads only the sets step 1 moved a follower to: the
+    active sets are distinct after stage s − 1, and step 2 spawns only sets
+    that no follower shows, so every converging pair holds a follower that
+    step 1 moved.  It diverts, in index order, every follower of such a set
+    but the least.  Every decision reads sorted indices, so the rows do not
+    depend on the hash seed.
 
     A stage s ≥ 1 that delivers no block runs step 4 alone, because steps
     1–3 would change nothing there.  Step 1 has nothing to deliver, and step
-    3 reads only the groups step 1 touched.  After step 2 of stage s − 1,
-    every index without a follower shows an active follower's set, or it
-    would have spawned; step 3 then diverts followers only in favour of the
-    least index of their set, which stays active.  So every index without a
-    follower still shows an active follower's set, no set has changed since,
-    and step 2 spawns nothing.  Stage 0 always runs steps 1–3, as its step 2
-    spawns the first followers of the empty sets.  `oracles.brute_merge_rows`
-    is the same loop one word at a time, running every step at every
-    stage."""
+    3 reads only the sets step 1 moved a follower to.  After step 2 of stage
+    s − 1, every index without a follower shows an active follower's set, or
+    it would have spawned; step 3 then diverts followers only in favour of
+    the least index of their set, which stays active.  So every index without
+    a follower still shows an active follower's set, no set has changed
+    since, and step 2 spawns nothing.  Stage 0 always runs steps 1–3, as its
+    step 2 spawns the first followers of the empty sets.
+    `oracles.brute_merge_rows` is the same loop one word at a time, running
+    every step at every stage."""
     if horizon < 0:
         raise InputError("horizon must be ≥ 0")
-    current: dict[int, set[int]] = {index: set() for _, index, _ in events}
-    signature: dict[int, tuple[int, int]] = dict.fromkeys(current, (0, 0))
-    groups: dict[tuple[int, int], list[int]] = {}
+    current: dict[int, Keys] = {index: frozenset() for _, index, _ in events}
+    shown: dict[Keys, list[int]] = {}  # set -> the active followers showing it
     active: dict[int, int] = {}  # index -> slot id
     slots = 0
     rows: list[tuple[int, int, tuple[int, ...]]] = []
@@ -373,11 +370,11 @@ def merge_rows(
     listed: set[Keys] = set()
     listing = iter(listing)
 
-    def emit(slot: int, stage: int, items: set[int] | Keys) -> None:
+    def emit(slot: int, stage: int, items: Keys) -> None:
         if items:
             rows.append((stage, slot, tuple(sorted(items))))
 
-    def new_slot(stage: int, content: set[int] | Keys) -> int:
+    def new_slot(stage: int, content: Keys) -> int:
         nonlocal slots
         emit(slots, stage, content)
         slots += 1
@@ -400,38 +397,38 @@ def merge_rows(
         # a later stage that delivers no block changes nothing in steps 1–3
         if s == 0 or pos < len(events) and events[pos][0] == s:
             # 1. deliver this stage's blocks, to the follower's slot too
-            touched: set[tuple[int, int]] = set()  # signatures of the followers delivered to
+            moved: set[Keys] = set()  # the sets a follower was moved to
             while pos < len(events) and events[pos][0] == s:
                 _, index, items = events[pos]
                 pos += 1
                 if not all(map(isinstance, items, itertools.repeat(int))):
                     raise InputError(f"index {index} carries a non-string item at stage {s}")
-                have, size = current[index], len(current[index])
+                have = current[index]
                 new = tuple(items if have.isdisjoint(items) else (x for x in items if x not in have))
-                have.update(new)
-                if len(have) - size < len(new):  # the block repeats an item
+                if not new:
+                    continue
+                current[index] = grown = have.union(new)
+                if len(grown) - len(have) < len(new):  # the block repeats an item
                     new = tuple(dict.fromkeys(new))
-                old = signature[index]
-                signature[index] = (len(have), old[1] + sum(map(hash, new)))
-                if index in active and new:
-                    groups[old].remove(index)
-                    groups.setdefault(signature[index], []).append(index)
-                    touched.add(signature[index])
+                if index in active:
+                    shown[have].remove(index)
+                    if not shown[have]:
+                        del shown[have]
+                    shown.setdefault(grown, []).append(index)
+                    moved.add(grown)
                     rows.append((s, active[index], new))
-            # 2. spawn followers for indices whose set matches no active follower
+            # 2. spawn followers for indices whose set no active follower shows
             for j in sorted(current.keys() - active.keys()):
-                if all(current[j] != current[j2] for j2 in groups.get(signature[j], ())):
+                if current[j] not in shown:
                     active[j] = new_slot(s, current[j])
-                    groups.setdefault(signature[j], []).append(j)
-            # 3. divert the larger index of any converging follower pair
-            for j in sorted({j for sig in touched for j in groups[sig]}):
-                if any(j2 < j and current[j2] == current[j] for j2 in groups[signature[j]]):
-                    groups[signature[j]].remove(j)
-                    sid = active.pop(j)
-                    content = frozenset(current[j])
-                    value = pick_fresh(content, s)
-                    used.add(value)
-                    emit(sid, s, value - content)
+                    shown[current[j]] = [j]
+            # 3. divert all but the least follower of each set a follower was moved to
+            for j in sorted(j for value in moved for j in sorted(shown.get(value, ()))[1:]):
+                shown[current[j]].remove(j)
+                sid = active.pop(j)
+                value = pick_fresh(current[j], s)
+                used.add(value)
+                emit(sid, s, value - current[j])
         # 4. emit the next unused listing member
         for value in listing:
             if value in listed:

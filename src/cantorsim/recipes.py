@@ -55,7 +55,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexity import PrefixMachine
-from .constructions import hat_m_construction, merge_rows, odd_ones_real_enumeration
+from .constructions import Keys, hat_m_construction, merge_rows, odd_ones_real_enumeration
 from .coverings import covering_antichains, star_construction
 from .dyadic import (
     Antichain,
@@ -78,7 +78,6 @@ __all__ = [
     "odd_ones_listing",
 ]
 
-Keys = frozenset[int]  # a set of words, by their keys
 Row = tuple[int, int, Sequence[int]]  # (stage, slot or index, keys): one block
 _NONE = Antichain(())
 

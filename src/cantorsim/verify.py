@@ -34,7 +34,6 @@ settled sets are read in one pass over each script's events.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -243,7 +242,7 @@ def verify_star(listing: Sequence[str], snaps: Sequence[StarSnapshot]) -> list[s
 
 
 @lru_cache(maxsize=1 << 12)
-def _measure(strings: frozenset[str]) -> Fraction:
+def _measure(strings: frozenset[str]) -> Dyadic:
     """The measure of the strings' cones: in lexicographic order a word comes
     after its prefixes, so keeping each word that extends no word kept before
     it keeps exactly the minimal words, whose cones are disjoint and cover the
@@ -253,7 +252,7 @@ def _measure(strings: frozenset[str]) -> Fraction:
         if not w.startswith(tuple(kept)):
             kept.append(w)
     top = max(map(len, kept), default=0)  # one common denominator 2^top for every cone
-    return Fraction(sum(1 << top - len(w) for w in kept), 1 << top)
+    return Dyadic(sum(1 << top - len(w) for w in kept), top)
 
 
 def verify_capped(
@@ -270,12 +269,16 @@ def verify_capped(
     if {e: [(s, item) for s, item, _ in r.log] for e, r in replays.items()} != events:
         return ["the logs are not the script's events"]
     errs = []
-    cap = Fraction(n - 1, n)
+
+    def within_cap(strings: frozenset[str]) -> bool:  # measure ≤ (n − 1)/n, in integers
+        measure = _measure(strings)
+        return n * measure.num <= (n - 1) << measure.exp
+
     for e, replay in replays.items():
-        unconstrained = _measure(frozenset(item for _, item in events[e])) <= cap
+        unconstrained = within_cap(frozenset(item for _, item in events[e]))
         admitted, frozen = frozenset(), None
         for s, item, took in replay.log:
-            fits = frozen is None and _measure(admitted | {item}) <= cap
+            fits = frozen is None and within_cap(admitted | {item})
             if took and frozen is not None:
                 errs.append(f"frozen index {e} admitted more after stage {frozen}")
             elif took and not fits:

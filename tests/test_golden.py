@@ -166,14 +166,15 @@ CHECK_SIDE = [
     "cantorsim.verify",
 ]
 
-# standard-library modules a run leaves unloaded: the value types generate no
-# methods, and only the checks read a dyadic as a Fraction
+# standard-library modules that a run and a replay's check leave unloaded: the
+# value types generate no methods, and only the check suites read a dyadic as a
+# Fraction
 RUN_FREE_STDLIB = ["dataclasses", "fractions"]
 
 # argv: the run command lines, then one of them to check, as JSON; prints the
 # exit codes, the check-side modules loaded after the runs, the modules of
-# RUN_FREE_STDLIB loaded after the runs, and the check-side modules loaded
-# after the check and after `check dyadic`
+# RUN_FREE_STDLIB loaded after the runs and after the check, and the
+# check-side modules loaded after the check and after `check dyadic`
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cantorsim import runs
@@ -192,8 +193,11 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     stdlib_after_runs = loaded(json.loads(sys.argv[4]))
     found = runs.replay(json.loads(sys.argv[2]), read).check()
     after_check = loaded()
+    stdlib_after_check = loaded(json.loads(sys.argv[4]))
     suite = main(["check", "dyadic"])
-print(json.dumps([codes, after_runs, stdlib_after_runs, found, after_check, suite, loaded()]))
+print(json.dumps([
+    codes, after_runs, stdlib_after_runs, found, after_check, stdlib_after_check, suite, loaded(),
+]))
 """
 
 
@@ -209,12 +213,12 @@ def test_a_run_loads_no_check_side(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    codes, after_runs, stdlib_after_runs, found, after_check, suite, after_suite = json.loads(
-        proc.stdout
-    )
+    (codes, after_runs, stdlib_after_runs, found, after_check, stdlib_after_check, suite,
+     after_suite) = json.loads(proc.stdout)
     assert codes == [EXIT_CODES.get(n, 0) for n in names]
     assert (after_runs, stdlib_after_runs) == ([], [])
     assert (found, after_check) == ([], ["cantorsim.oracles", "cantorsim.verify"])
+    assert stdlib_after_check == []
     assert (suite, after_suite) == (0, CHECK_SIDE)
 
 

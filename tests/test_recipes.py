@@ -391,9 +391,10 @@ def tagged(*tags):
 
 
 class TestMergeLoops:
-    """`constructions.merge_rows`, on blocks with a signature index, against
-    the item-at-a-time, all-pairs loop `oracles.brute_merge_rows`; the
-    references above compare the two on every recipe input as well."""
+    """`constructions.merge_rows`, on blocks with followers looked up by their
+    sets, against the item-at-a-time, all-pairs loop
+    `oracles.brute_merge_rows`; the references above compare the two on
+    every recipe input as well."""
 
     def test_on_the_fixture_listings_at_horizon_480(self):
         listings = [parse_listing(FIXTURE_FILES[f]) for f in ("l_star.txt", "l_star_skip.txt")]
@@ -434,4 +435,26 @@ class TestMergeLoops:
         assert [row for row in rows if row[0] == 2] == [
             (2, 0, "01"), (2, 0, "10"), (2, 1, "00"), (2, 1, "10"), (2, 2, "00"), (2, 2, "01"),
             (2, 1, "110"), (2, 2, "111"), (2, 5, "1100"),
+        ]
+
+    def test_a_follower_passes_through_a_set_another_index_reaches(self):
+        # index 0 shows {00, 01} while index 1 still shows {01}; index 1 then
+        # reaches {00, 01}, which index 0 has left by the stage's end
+        listing, extensions = tagged("111", "1111")
+        events = [(0, 0, "00"), (0, 1, "01"), (1, 0, "01"), (1, 1, "00"), (1, 0, "10")]
+        rows = same_merge(listing, events, extensions, 2)
+        assert rows == [
+            (0, 0, "00"), (0, 1, "01"), (0, 2, "111"),
+            (1, 0, "01"), (1, 1, "00"), (1, 0, "10"), (1, 3, "1111"),
+        ]
+
+    def test_a_set_a_follower_leaves_within_its_stage(self):
+        # index 0 moves to {00, 01} and on to {00, 01, 10}, so no follower
+        # shows {00, 01} once the stage's blocks are delivered
+        listing, extensions = tagged("111", "1111")
+        events = [(0, 0, "00"), (0, 1, "11"), (1, 0, "01"), (1, 1, "0"), (1, 0, "10")]
+        rows = same_merge(listing, events, extensions, 2)
+        assert rows == [
+            (0, 0, "00"), (0, 1, "11"), (0, 2, "111"),
+            (1, 0, "01"), (1, 1, "0"), (1, 0, "10"), (1, 3, "1111"),
         ]
