@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dyadic import EMPTY, Antichain, _Value, all_strings, grow_covering, lenlex, minimal_strings
 from .dyadic import parse_words, strings_up_to
-from .errors import DomainError, InputError, ParseError, PreconditionError, RangeError
+from .errors import InputError, ParseError, PreconditionError
 from .streams import EnumerationScript
 
 __all__ = [
@@ -51,15 +51,15 @@ class Tree(_Value):
 
     def __init__(self, depth: int, exits: frozenset[str] = frozenset()) -> None:
         if depth < 0:
-            raise DomainError("depth must be ≥ 0")
+            raise InputError("depth must be ≥ 0")
         for b in lenlex(exits):
             if b.strip("01"):
-                raise DomainError(f"not a 0/1 word: {b!r}")
+                raise InputError(f"not a 0/1 word: {b!r}")
             if len(b) > depth:
-                raise DomainError(f"exit {b or 'ε'} longer than depth bound {depth}")
+                raise InputError(f"exit {b or 'ε'} longer than depth bound {depth}")
             for i in range(len(b)):
                 if b[:i] in exits:
-                    raise DomainError(f"exit {b} extends exit {b[:i] or 'ε'}")
+                    raise InputError(f"exit {b} extends exit {b[:i] or 'ε'}")
         self._store(depth, exits)
 
     @classmethod
@@ -110,7 +110,7 @@ def paths_at_depth(tree: Tree, d: int) -> tuple[str, ...]:
     [v·2^(d−|e|), (v+1)·2^(d−|e|)) of an exit e of value v and length ≤ d.
     The exits are an antichain, so these intervals are disjoint."""
     if d < 0 or d > tree.depth:
-        raise RangeError(f"depth {d} outside [0, {tree.depth}]")
+        raise InputError(f"depth {d} outside [0, {tree.depth}]")
     spans = sorted(
         (int(e or "0", 2) << (d - len(e)), 1 << (d - len(e))) for e in tree.exits if len(e) <= d
     )
@@ -197,9 +197,9 @@ def measure_capped_enumeration(
     the covered measure stays ≤ 1 − 1/n; the first refusal freezes the index
     for good.  An unfrozen index's admitted set is held as its optimal covering."""
     if n < 1:
-        raise DomainError("the cap parameter n must be ≥ 1")
+        raise InputError("the cap parameter n must be ≥ 1")
     if horizon < 0:
-        raise RangeError("horizon must be ≥ 0")
+        raise InputError("horizon must be ≥ 0")
     logs: dict[int, list[tuple[int, str, bool]]] = {e: [] for e in script.indices()}
     coverings = dict.fromkeys(logs, Antichain())  # the unfrozen indices only
     for s, e, item in script.events:

@@ -47,8 +47,9 @@ depth, horizon, constant and index flag takes an integer ≥ 0; only `--seed`
 may be negative.
 
 Exit codes: 0 success, 1 check failure; each package error class declares
-its own code and label in `errors` (2 input error, 3 precondition error), and
-an unreadable or unwritable file, or an input file that is not UTF-8 text, is
+its own code and label in `errors`: 2 "input error" for an `InputError` or
+its `ParseError`, 3 "precondition error" for a `PreconditionError`.  An
+unreadable or unwritable file, or an input file that is not UTF-8 text, is
 an input error.
 """
 

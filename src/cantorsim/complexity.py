@@ -60,7 +60,7 @@ from typing import Iterator, NamedTuple
 
 from .classes import Tree, tree_of_complement
 from .dyadic import ZERO, BitString, Dyadic, _Value
-from .errors import DomainError, ParseError, PrefixFreeViolation, records
+from .errors import InputError, ParseError, records
 from .streams import approx_string
 
 INFINITE: float = math.inf
@@ -101,19 +101,19 @@ class PrefixMachine(_Value):
 
     def __init__(self, programs: tuple[Program, ...] = (), c_tilde: int = 0) -> None:
         if c_tilde < 0:
-            raise DomainError("machine constants must be ≥ 0")
+            raise InputError("machine constants must be ≥ 0")
         self._store(programs, c_tilde)
         codes, outputs, halts = self._words
         if not _is_word("".join(codes + outputs)):
             bad = next(w for w in codes + outputs if not _is_word(w))
-            raise DomainError(f"not a 0/1 word: {bad!r}")
+            raise InputError(f"not a 0/1 word: {bad!r}")
         ordered = sorted(codes)
         # a code that another code extends or repeats is a prefix of its sorted successor
         if any(map(str.startswith, ordered[1:], ordered)):
             _name_prefix_violation(codes)
         if min(halts, default=0) < 0:
             code = next(b for b, s in zip(codes, halts) if s < 0)
-            raise DomainError(f"negative halt stage for code {code or 'ε'}")
+            raise InputError(f"negative halt stage for code {code or 'ε'}")
 
     @property
     def kraft_sum(self) -> Dyadic:
@@ -141,8 +141,8 @@ class PrefixMachine(_Value):
             programs = _programs(text, source)
         try:
             return cls(programs, c_tilde=c_tilde)
-        except PrefixFreeViolation as exc:
-            raise PrefixFreeViolation(exc.message, source=source) from None
+        except ParseError as exc:
+            raise ParseError(exc.message, source=source) from None
 
     @classmethod
     def load(cls, path: str, c_tilde: int = 0) -> "PrefixMachine":
@@ -241,7 +241,7 @@ def _programs(text: str, source: str) -> tuple[Program, ...]:
         try:
             code, output = str(BitString.parse(code_s)), str(BitString.parse(out_s))
             halt = int(halt_s)
-        except (DomainError, ValueError) as exc:
+        except (InputError, ValueError) as exc:
             raise ParseError(f"bad program line: {exc}", source=source, line=lineno)
         if halt < 0:
             raise ParseError(f"negative halt stage for code {code or 'ε'}", source=source, line=lineno)
@@ -263,12 +263,12 @@ def _name_prefix_violation(codes: tuple[str, ...]) -> None:
     seen: set[str] = set()
     for b in codes:
         if b in seen:
-            raise PrefixFreeViolation(f"duplicate code {b or 'ε'}")
+            raise ParseError(f"duplicate code {b or 'ε'}")
         seen.add(b)
     for b in codes:
         for i in range(len(b)):
             if b[:i] in seen:
-                raise PrefixFreeViolation(f"code {b[:i] or 'ε'} is a prefix of code {b}")
+                raise ParseError(f"code {b[:i] or 'ε'} is a prefix of code {b}")
 
 
 def _k_at(steps: tuple[list[int], list[int]] | None, t: int) -> float:
@@ -353,7 +353,7 @@ def intersect_randomness(tree: Tree, machine: PrefixMachine, c: int, t: int) -> 
 def compute_padding(n: int, k: int) -> int:
     """Least p ≥ 1 with p − 2·⌊log₂ p⌋ ≥ n + k (⌊log₂ 1⌋ = 0)."""
     if n < 0 or k < 0:
-        raise DomainError("padding arguments must be ≥ 0")
+        raise InputError("padding arguments must be ≥ 0")
     target = n + k
     p = 1
     while p - 2 * (p.bit_length() - 1) < target:

@@ -33,13 +33,7 @@ from .complexity import (
     satisfies_constant,
 )
 from .dyadic import ZERO, Dyadic
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DomainError,
-    InputError,
-    PreconditionError,
-)
+from .errors import InputError, PreconditionError
 from .streams import EnumerationScript, LeftCEApprox, approx_string, real_from_ce_set
 
 __all__ = [
@@ -156,7 +150,7 @@ def splice_random(
     the current stage.
     """
     if c < 0:
-        raise DomainError("the constant must be ≥ 0")
+        raise InputError("the constant must be ≥ 0")
     if r.horizon < horizon:
         raise InputError("approximation shorter than the requested horizon")
     _require_strict_mass(machine)
@@ -188,7 +182,7 @@ def hat_m_construction(
     previous stage's k-prefix followed by the tail, until desirable again.
     """
     if k < 0:
-        raise DomainError("the boundary length must be ≥ 0")
+        raise InputError("the boundary length must be ≥ 0")
     if m.horizon < horizon:
         raise InputError("approximation shorter than the requested horizon")
     _require_strict_mass(machine)
@@ -251,7 +245,7 @@ def regret_construction(
     regretted record is built once per value of the member, not per stage.
     """
     if c < 0:
-        raise DomainError("the constant must be ≥ 0")
+        raise InputError("the constant must be ≥ 0")
     _require_strict_mass(machine)
     if family.horizon < horizon:
         raise InputError("family script shorter than the requested horizon")
@@ -262,7 +256,7 @@ def regret_construction(
         for trigger, n, release in _failing_runs(m, machine, c, horizon, start=e)
     )
     if max_slots is not None and len(runs) > max_slots:
-        raise CapacityError(
+        raise PreconditionError(
             f"all {max_slots} slots in use at stage {runs[max_slots][0]} (horizon too small)"
         )
     slots = []
@@ -295,7 +289,7 @@ def odd_ones_real_enumeration(i: int) -> str:
     2j + popcount(j) mod 2, and it is the j-th such word.
     """
     if i < 0:
-        raise DomainError("index must be ≥ 0")
+        raise InputError("index must be ≥ 0")
     if i == 0:
         return "1"
     n = i.bit_length() + 1
@@ -383,12 +377,12 @@ def merge_rows(
     def pick_fresh(content: Keys, stage: int) -> Keys:
         for value in itertools.islice(extensions(content), len(used) + horizon + 2):
             if not content <= value:
-                raise ContractViolationError(
+                raise PreconditionError(
                     f"extension at stage {stage} does not contain the slot content"
                 )
             if value not in used:
                 return value
-        raise ContractViolationError(
+        raise PreconditionError(
             f"no unused extension of a {len(content)}-string set at stage {stage}"
         )
 
@@ -432,7 +426,7 @@ def merge_rows(
         # 4. emit the next unused listing member
         for value in listing:
             if value in listed:
-                raise ContractViolationError("listing generator repeated a member")
+                raise PreconditionError("listing generator repeated a member")
             listed.add(value)
             if value not in used:
                 used.add(value)

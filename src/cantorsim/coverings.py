@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .dyadic import Antichain, covered_up_to, grow_covering, parse_words, trusted_antichain
-from .errors import DomainError, RangeError
+from .errors import InputError
 
 __all__ = [
     "StarSnapshot",
@@ -70,7 +70,7 @@ def star_construction(listing: Sequence[str], horizon: int) -> list[StarSnapshot
     that covering if even, the prefix being acceptable (case a), else the one
     with sigma adjoined (case b); other stages change nothing."""
     if horizon < 0:
-        raise RangeError("horizon must be ≥ 0")
+        raise InputError("horizon must be ≥ 0")
     snaps: list[StarSnapshot] = []
     cov = family = Antichain(())
     for sigma in listing[: horizon + 1]:
@@ -178,7 +178,7 @@ def covering_antichains(odd: bool) -> Iterator[Antichain]:
 def _covering_family(i: int, odd: int) -> Antichain:
     """The i-th entry of covering_antichains(odd), from the counts alone."""
     if i < 0:
-        raise DomainError("index must be ≥ 0")
+        raise InputError("index must be ≥ 0")
     total = 0
     while i >= (n := _count(0, total, odd)):
         i, total = i - n, total + 1

@@ -5,14 +5,14 @@ prefix order is `startswith`, concatenation `+`, a prefix a slice, and the
 length-lexicographic order the key (len(w), w).  ε is the empty string; an
 output or a message shows it as ε, or as '-' in a tab-separated field.
 `BitString` is the same `str` checked at the text boundary: its constructor
-raises `DomainError` on anything but a 0/1 word, and `BitString.parse`
+raises `InputError` on anything but a 0/1 word, and `BitString.parse`
 reads '', 'ε' and '-' as ε.  It equals and hashes as its `str`, and any
 slice or concatenation of it is a plain `str` again.
 
 Two value types build on the words: dyadic rationals kept in lowest terms
 inside [0, 1], and reduced antichains that canonically represent unions of
 cones.  Each is a `__slots__` class whose constructor validates its
-arguments and raises `DomainError` on a bad one; an instance is immutable
+arguments and raises `InputError` on a bad one; an instance is immutable
 (assigning or deleting an attribute raises `AttributeError`); and it equals
 only an instance of its own type, with a hash that agrees with that
 equality, so a `Dyadic` never equals a tuple.  Inside the package,
@@ -30,11 +30,10 @@ the constructions compare reals for strict order, where rounding is fatal.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .errors import DomainError, ParseError, records
+from .errors import InputError, ParseError, records
 
 __all__ = [
     "Antichain",
@@ -118,7 +117,7 @@ class BitString(str):
 
     def __new__(cls, bits: str = "") -> "BitString":
         if bits.strip("01"):
-            raise DomainError(f"not a 0/1 word: {bits!r}")
+            raise InputError(f"not a 0/1 word: {bits!r}")
         return super().__new__(cls, bits)
 
     @classmethod
@@ -141,7 +140,7 @@ def parse_words(text: str, source: str, several: bool = False) -> list:
     for lineno, (line,) in records(text, sep=None):
         try:
             words = tuple(map(BitString.parse, line.split() if several else [line]))
-        except DomainError as exc:
+        except InputError as exc:
             raise ParseError(str(exc), source=source, line=lineno)
         lines.append(words if several else words[0])
     return lines
@@ -172,32 +171,12 @@ def key_word(key: int) -> str:
     return format(key, "b")[1:]
 
 
-# the longest words kept whole by _cached_words: the default check suites ask
-# for no longer ones, and 2^11 − 1 words in all stay small
-_CACHED_WORD_LENGTH = 10
-
-
-@lru_cache(maxsize=_CACHED_WORD_LENGTH + 1)
-def _cached_words(length: int) -> tuple[str, ...]:
-    """Every word of a length ≤ _CACHED_WORD_LENGTH, lexicographically, built
-    once per process."""
-    if not length:
-        return ("",)
-    spec = f"0{length}b"
-    return tuple(format(v, spec) for v in range(1 << length))
-
-
 def all_strings(length: int, lo: int = 0, hi: int | None = None) -> Iterator[str]:
     """The words of the given length whose binary value v satisfies
     lo ≤ v < hi (every word when hi is None), in lexicographic order: each
-    is v written in binary and zero-filled to the length, ε for length 0.
-    A short length with a range inside [0, 2^length] is a slice of its
-    cached words."""
+    is v written in binary and zero-filled to the length, ε for length 0."""
     if hi is None:
         hi = 1 << length
-    if length <= _CACHED_WORD_LENGTH and 0 <= lo and hi <= 1 << length:
-        yield from _cached_words(length)[lo:hi]
-        return
     for v in range(lo, hi):
         yield format(v, "b").zfill(length) if length else ""
 
@@ -230,13 +209,13 @@ class Dyadic(_Value):
 
     def __init__(self, num: int = 0, exp: int = 0) -> None:
         if num < 0 or exp < 0:
-            raise DomainError(f"negative dyadic parts: {num}/2^{exp}")
+            raise InputError(f"negative dyadic parts: {num}/2^{exp}")
         if num:
             # strip the common factors of 2: num's trailing zeroes, at most exp of them
             shift = min((num & -num).bit_length() - 1, exp)
             n, e = num >> shift, exp - shift
             if n > (1 << e):
-                raise DomainError(f"dyadic exceeds 1: {num}/2^{exp}")
+                raise InputError(f"dyadic exceeds 1: {num}/2^{exp}")
         else:
             n = e = 0
         _set_num(self, n)
@@ -249,7 +228,7 @@ class Dyadic(_Value):
             return cls(int(text), 0)
         left, right = text.split("/", 1)
         if not right.startswith("2^"):
-            raise DomainError(f"expected a/2^b, got {text!r}")
+            raise InputError(f"expected a/2^b, got {text!r}")
         return cls(int(left), int(right[2:]))
 
     def render(self) -> str:
@@ -287,13 +266,13 @@ class Dyadic(_Value):
         exp = max(self.exp, other.exp)
         num = (self.num << (exp - self.exp)) - (other.num << (exp - other.exp))
         if num < 0:
-            raise DomainError("dyadic subtraction went below 0")
+            raise InputError("dyadic subtraction went below 0")
         return Dyadic(num, exp)
 
     def scaled(self, k: int) -> "Dyadic":
         """The value divided by 2**k."""
         if k < 0:
-            raise DomainError("scale exponent must be ≥ 0")
+            raise InputError("scale exponent must be ≥ 0")
         return Dyadic(self.num, self.exp + k)
 
     def in_cone(self, prefix: str) -> "Dyadic":
@@ -322,7 +301,7 @@ def rational_of_string(s: str) -> Dyadic:
 def string_of_rational(q: Dyadic) -> str:
     """The finite expansion of q ending in 1 (ε for q = 0); requires q < 1."""
     if q == ONE:
-        raise DomainError("q must lie in [0, 1)")
+        raise InputError("q must lie in [0, 1)")
     if q.num == 0:
         return EMPTY
     return format(q.num, "b").zfill(q.exp)
@@ -344,12 +323,12 @@ class Antichain(_Value):
         words = tuple(lenlex(distinct))
         for k, b in enumerate(words):
             if b.strip("01"):
-                raise DomainError(f"not a 0/1 word: {b!r}")
+                raise InputError(f"not a 0/1 word: {b!r}")
             if k and b.startswith(words[:k]):  # of the earlier words, only a shorter one can match
                 prefix = next(w for w in words[:k] if b.startswith(w))
-                raise DomainError(f"antichain violation: {prefix or 'ε'} ⪯ {b}")
+                raise InputError(f"antichain violation: {prefix or 'ε'} ⪯ {b}")
             if b[-1:] == "1" and b[:-1] + "0" in distinct:
-                raise DomainError(f"not reduced: both children of {b[:-1] or 'ε'} present")
+                raise InputError(f"not reduced: both children of {b[:-1] or 'ε'} present")
         _set_members(self, words)
 
     def __iter__(self) -> Iterator[str]:

@@ -1,12 +1,16 @@
 """Exception types shared across the package, and the line reader behind
 every text input format.
 
-Each error class declares the label and exit code the CLI reports it with:
+Each class declares the exit code and label the CLI reports it with, and
+each kind of input gets one class:
 
-- 2, "input error": ParseError (with PrefixFreeViolation), DomainError,
-  RangeError and InputError;
-- 3, "precondition error": PreconditionError, CapacityError and
-  ContractViolationError.
+- `InputError` (2, "input error"): a value, stage, depth or request outside
+  what the operation accepts;
+- `ParseError`, an `InputError`: malformed input text, a machine's duplicate
+  or prefix code included, named by its source and, where it has one, line;
+- `PreconditionError` (3, "precondition error"): valid input on which a
+  construction's hypotheses fail, its output slots run out, or a
+  caller-supplied listing breaks its contract.
 """
 
 from __future__ import annotations
@@ -18,12 +22,17 @@ class CantorsimError(Exception):
     """Base class for all package errors.  The CLI prints `label: message`
     to stderr and exits with code."""
 
+    code: int
+    label: str
+
+
+class InputError(CantorsimError):
     code = 2
     label = "input error"
 
 
-class ParseError(CantorsimError):
-    """Malformed input text; carries the source name and line number."""
+class ParseError(InputError):
+    """Carries the source name and line number."""
 
     def __init__(self, message: str, *, source: str = "<input>", line: int | None = None):
         self.message = message
@@ -31,6 +40,11 @@ class ParseError(CantorsimError):
         self.line = line
         where = source if line is None else f"{source}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+class PreconditionError(CantorsimError):
+    code = 3
+    label = "precondition error"
 
 
 def records(text: str, sep: str | None = "\t") -> Iterator[tuple[int, list[str]]]:
@@ -43,40 +57,3 @@ def records(text: str, sep: str | None = "\t") -> Iterator[tuple[int, list[str]]
         if not line or line.startswith("#"):
             continue
         yield lineno, [line] if sep is None else [field.strip() for field in raw.split(sep)]
-
-
-class PrefixFreeViolation(ParseError):
-    """A machine code duplicates or is a prefix of another code."""
-
-
-class DomainError(CantorsimError):
-    """A value lies outside an operation's mathematical domain."""
-
-
-class RangeError(CantorsimError):
-    """A stage or depth request beyond the available horizon."""
-
-
-class InputError(CantorsimError):
-    """Structurally invalid input (non-monotone approximation, bad item kind, ...)."""
-
-
-class PreconditionError(CantorsimError):
-    """A construction's hypotheses do not hold for the given inputs."""
-
-    code = 3
-    label = "precondition error"
-
-
-class CapacityError(CantorsimError):
-    """A construction ran out of output slots before the horizon."""
-
-    code = 3
-    label = "precondition error"
-
-
-class ContractViolationError(CantorsimError):
-    """A caller-supplied listing or extensions iterator failed to honour its contract."""
-
-    code = 3
-    label = "precondition error"

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .classes import Tree
 from .complexity import PrefixMachine
 from .dyadic import ZERO, Antichain, Dyadic
-from .errors import ContractViolationError, DomainError, InputError
+from .errors import InputError, PreconditionError
 
 __all__ = [
     "brute_covering_families",
@@ -70,7 +70,7 @@ def _words_up_to(n: int) -> Iterator[str]:
 
 def _expansion_at_depth(bits: set[str], depth: int) -> list[str]:
     if any(len(b) > depth for b in bits):
-        raise DomainError("expansion depth must reach every member")
+        raise InputError("expansion depth must reach every member")
     members = tuple(bits)
     return [w for w in _words(depth) if w.startswith(members)]
 
@@ -113,7 +113,7 @@ def sibling_merge_closure(strings: Iterable[str], depth: int) -> frozenset[str]:
     what they force."""
     bits = set(strings)
     if any(len(b) > depth for b in bits):
-        raise DomainError("closure depth must reach every member")
+        raise InputError("closure depth must reach every member")
     levels: list[set[str]] = [set() for _ in range(depth + 1)]
     for b in bits:
         levels[len(b)].add(b)
@@ -197,7 +197,7 @@ def split_covering_family(i: int, odd: bool) -> Antichain:
     total's whole listing is built, and its count subtracted, until i falls
     inside one."""
     if i < 0:
-        raise DomainError("index must be ≥ 0")
+        raise InputError("index must be ≥ 0")
     total = 0
     while i >= len(families := _parity_families(total, odd)):
         i -= len(families)
@@ -205,14 +205,10 @@ def split_covering_family(i: int, odd: bool) -> Antichain:
     return Antichain(families[i])
 
 
-def _odd_ones(max_len: int) -> list[str]:
-    return [w for w in _words_up_to(max_len) if w.endswith("1") and w.count("1") % 2 == 1]
-
-
 def brute_odd_ones(max_len: int) -> list[str]:
     """The strings of length ≤ max_len that end in 1 and carry an odd number
     of 1s, in length-lexicographic order."""
-    return _odd_ones(max_len)
+    return [w for w in _words_up_to(max_len) if w.endswith("1") and w.count("1") % 2 == 1]
 
 
 def _lower_cut(num: int, exp: int, max_len: int) -> list[str]:
@@ -250,7 +246,7 @@ def inclusion_odd_ones_extensions(
     """The odd-ones extensions by set inclusion: every odd-ones cut is built
     as a set, and the ones that contain the content are taken in listing
     order."""
-    cuts = [brute_lower_cut(Dyadic(int(w, 2), len(w)), length) for w in _odd_ones(length)]
+    cuts = [brute_lower_cut(Dyadic(int(w, 2), len(w)), length) for w in brute_odd_ones(length)]
     return lambda content: (c for c in cuts if content <= c)
 
 
@@ -292,12 +288,12 @@ def brute_merge_rows(
     def pick_fresh(content: frozenset[str], stage: int) -> frozenset[str]:
         for value in itertools.islice(extensions(content), len(used) + horizon + 2):
             if not content <= value:
-                raise ContractViolationError(
+                raise PreconditionError(
                     f"extension at stage {stage} does not contain the slot content"
                 )
             if value not in used:
                 return value
-        raise ContractViolationError(
+        raise PreconditionError(
             f"no unused extension of a {len(content)}-string set at stage {stage}"
         )
 
@@ -324,7 +320,7 @@ def brute_merge_rows(
                 emit(slot, s, value - content)
         for value in listing:
             if value in listed:
-                raise ContractViolationError("listing generator repeated a member")
+                raise PreconditionError("listing generator repeated a member")
             listed.add(value)
             if value not in used:
                 used.add(value)
@@ -333,18 +329,14 @@ def brute_merge_rows(
     return rows
 
 
-def _k_scan(machine: PrefixMachine, word: str, t: int) -> float:
-    best = math.inf
-    for p in machine.programs:
-        if p.halt_stage <= t and p.output == word and len(p.code) < best:
-            best = len(p.code)
-    return best
-
-
 def brute_k_approx(machine: PrefixMachine, sigma: str, t: int) -> float:
     """K_t(sigma) by a scan of every program: the shortest code that outputs
     sigma and has halted by stage t, or +inf."""
-    return _k_scan(machine, sigma, t)
+    best = math.inf
+    for p in machine.programs:
+        if p.halt_stage <= t and p.output == sigma and len(p.code) < best:
+            best = len(p.code)
+    return best
 
 
 def brute_omega_approx(machine: PrefixMachine, s: int) -> Dyadic:
@@ -367,7 +359,7 @@ def brute_halted_complexities(machine: PrefixMachine, t: int) -> dict[str, int]:
     return table
 
 
-def _expansion(x: Dyadic, n: int) -> str:
+def expansion_prefix(x: Dyadic, n: int) -> str:
     """The first n bits of x's binary expansion: ⌊x·2^n⌋ in n binary digits,
     where x = 1 expands as all ones."""
     if n == 0:
@@ -375,17 +367,11 @@ def _expansion(x: Dyadic, n: int) -> str:
     return format(min((x.num << n) >> x.exp, (1 << n) - 1), f"0{n}b")
 
 
-def expansion_prefix(x: Dyadic, n: int) -> str:
-    """The first n bits of x's binary expansion, x = 1 expanding as all ones,
-    from the integer ⌊x·2^n⌋."""
-    return _expansion(x, n)
-
-
 def brute_least_failing_length(machine: PrefixMachine, x: Dyadic, c: int, t: int) -> int | None:
     """The least n ≤ t whose length-n expansion of x has K_t < n − c, or None;
     each length is expanded afresh and scanned over every program."""
     for n in range(t + 1):
-        if _k_scan(machine, _expansion(x, n), t) < n - c:
+        if brute_k_approx(machine, expansion_prefix(x, n), t) < n - c:
             return n
     return None
 
@@ -409,7 +395,7 @@ def brute_failing_runs(
     for t in range(start, horizon + 1):
         x = values[t]
         if n is not None:
-            if _k_scan(machine, _expansion(x, n), t) < n - c:
+            if brute_k_approx(machine, expansion_prefix(x, n), t) < n - c:
                 continue
             runs.append((trigger, n, t))
             n = None
@@ -424,7 +410,7 @@ def greedy_expansion(q: Dyadic) -> str:
     """Digit-by-digit greedy binary expansion of q < 1, over q's exp digits:
     in lowest terms its last 1 is digit exp."""
     if q >= Dyadic(1, 0):
-        raise DomainError("q must lie in [0, 1)")
+        raise InputError("q must lie in [0, 1)")
     bits = []
     rest = q
     for i in range(1, q.exp + 1):

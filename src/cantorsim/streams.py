@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .dyadic import ZERO, BitString, Dyadic, _Value, key_word, word_key
-from .errors import InputError, ParseError, RangeError, records
+from .errors import InputError, ParseError, records
 
 Item = Union[str, Dyadic]
 
@@ -164,7 +164,7 @@ def key_row_lines(rows: Sequence[tuple[int, int, Sequence[int]]]) -> list[str]:
 def stage_set(script: EnumerationScript, index: int, stage: int) -> frozenset[Item]:
     """The replayed stage-s set of the given index; monotone in the stage."""
     if stage < 0 or stage > script.horizon:
-        raise RangeError(f"stage {stage} outside [0, {script.horizon}]")
+        raise InputError(f"stage {stage} outside [0, {script.horizon}]")
     return frozenset(
         ev.item for ev in script.events if ev.index == index and ev.stage <= stage
     )
@@ -197,7 +197,7 @@ class LeftCEApprox(_Value):
 
     def value(self, stage: int) -> Dyadic:
         if stage < 0 or stage > self.horizon:
-            raise RangeError(f"stage {stage} outside [0, {self.horizon}]")
+            raise InputError(f"stage {stage} outside [0, {self.horizon}]")
         return self.values[stage]
 
     def empty_at(self, stage: int) -> bool:

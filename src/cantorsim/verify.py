@@ -42,7 +42,7 @@ from .complexity import PrefixMachine
 from .constructions import RegretSlot, StageTrace, TraceRecord
 from .coverings import StarSnapshot
 from .dyadic import ZERO, Antichain, Dyadic
-from .errors import RangeError
+from .errors import InputError
 from .oracles import brute_failing_runs, brute_odd_ones, brute_omega_approx, brute_optimal_covering
 from .oracles import expansion_prefix, padding_holds
 from .streams import EnumerationScript, LeftCEApprox, real_from_ce_set
@@ -404,7 +404,7 @@ def _settled_sets(script: EnumerationScript, stage: int) -> list[frozenset]:
     one pass over the events; an index whose events all come later has the
     empty set."""
     if script.events and not 0 <= stage <= script.horizon:
-        raise RangeError(f"stage {stage} outside [0, {script.horizon}]")
+        raise InputError(f"stage {stage} outside [0, {script.horizon}]")
     sets: dict[int, set] = {}
     for ev in script.events:
         items = sets.setdefault(ev.index, set())

@@ -21,7 +21,7 @@ from cantorsim.draws import (
     diagonal_suite, random_bitstring, random_machine, random_string_script, random_string_set,
 )
 from cantorsim.dyadic import EMPTY, BitString, Dyadic, strings_up_to
-from cantorsim.errors import DomainError, InputError, ParseError, PreconditionError, RangeError
+from cantorsim.errors import InputError, ParseError, PreconditionError
 from cantorsim.oracles import brute_nodes, expansion_at_depth, node_set_dead_ends, node_set_paths
 from cantorsim.scenarios import FIXTURE_FILES, SCENARIOS
 from cantorsim.streams import EnumerationScript
@@ -47,16 +47,16 @@ class TestTree:
         assert "00" in str(info.value)
 
     def test_constructor_rejects_over_depth(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="exit 00 longer than depth bound 1"):
             Tree(1, frozenset(bs("00")))
 
     def test_constructor_rejects_a_word_not_over_01(self):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             Tree(3, frozenset({"01", "0a"}))
         assert str(info.value) == "not a 0/1 word: '0a'"
 
     def test_constructor_rejects_nested_exits(self):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             Tree(3, frozenset(bs("01", "0", "011")))
         assert str(info.value) == "exit 01 extends exit 0"
 
@@ -126,7 +126,7 @@ class TestPathsAndDeadEnds:
         assert paths_at_depth(empty, 2) == ()
 
     def test_paths_range_error(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(InputError, match=r"depth 3 outside \[0, 2\]"):
             paths_at_depth(Tree(2), 3)
 
     def test_dead_ends_examples(self):
@@ -373,7 +373,7 @@ class TestMeasureCapped:
 
     def test_zero_cap_parameter_rejected(self):
         script = EnumerationScript.from_events([], horizon=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="the cap parameter n must be ≥ 1"):
             measure_capped_enumeration(script, 0, 1)
 
     def test_complement_view(self):

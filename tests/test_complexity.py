@@ -30,7 +30,7 @@ from cantorsim.dyadic import (
     rational_of_string,
     strings_up_to,
 )
-from cantorsim.errors import DomainError, ParseError, PrefixFreeViolation
+from cantorsim.errors import InputError, ParseError
 from cantorsim.oracles import (
     brute_halted_complexities,
     brute_k_approx,
@@ -42,11 +42,11 @@ from cantorsim.oracles import (
 
 class TestMachineValidation:
     def test_duplicate_code_rejected(self):
-        with pytest.raises(PrefixFreeViolation):
+        with pytest.raises(ParseError, match="duplicate code 01"):
             PrefixMachine((Program("01", "0", 1), Program("01", "1", 2)))
 
     def test_prefix_code_rejected(self):
-        with pytest.raises(PrefixFreeViolation):
+        with pytest.raises(ParseError, match="code 0 is a prefix of code 01"):
             PrefixMachine((Program("0", "0", 1), Program("01", "1", 2)))
 
     @seed(20)
@@ -56,7 +56,7 @@ class TestMachineValidation:
         # mass sum needs no overrun check of its own
         try:
             machine = PrefixMachine(tuple(Program(c, "0", 0) for c in codes))
-        except PrefixFreeViolation:
+        except ParseError:
             return
         assert machine.kraft_sum <= ONE
 
@@ -99,13 +99,13 @@ class TestMachineValidation:
         (Program("0", "\U0001d7ce", 0), "not a 0/1 word: '𝟎'"),
     ])
     def test_constructor_checks_the_words(self, program, message):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             PrefixMachine((program,))
-        assert type(info.value) is DomainError and str(info.value) == message
+        assert type(info.value) is InputError and str(info.value) == message
 
 
     def test_the_first_bad_word_is_named_codes_first(self):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             PrefixMachine((Program("0", "1x", 0), Program("1\udc80", "0", 0), Program("2", "1", 0)))
         assert str(info.value) == "not a 0/1 word: '1\\udc80'"
 
@@ -136,12 +136,12 @@ PARSE_TABLE = [
     ("0\t1\t2\t3\n", (ParseError, "m.tsv:1: expected 3 tab-separated fields, got 4")),
     ("0\t1\t2\n012\t1\t3\n", (ParseError, "m.tsv:2: bad program line: not a 0/1 word: '012'")),
     ("0\t1x\t2\n", (ParseError, "m.tsv:1: bad program line: not a 0/1 word: '1x'")),
-    ("01\t1\t2\n1\t0\t1\n01\t0\t3\n", (PrefixFreeViolation, "m.tsv: duplicate code 01")),
+    ("01\t1\t2\n1\t0\t1\n01\t0\t3\n", (ParseError, "m.tsv: duplicate code 01")),
     # sorted neighbours meet 0 and 01 first; the table order meets 11 and 1101 first
     ("11\t0\t1\n0\t1\t2\n1101\t1\t3\n01\t0\t4\n",
-     (PrefixFreeViolation, "m.tsv: code 11 is a prefix of code 1101")),
-    ("0\t1\t2\n01\t0\t1\n", (PrefixFreeViolation, "m.tsv: code 0 is a prefix of code 01")),
-    ("\t1\t2\n0\t1\t1\n", (PrefixFreeViolation, "m.tsv: code ε is a prefix of code 0")),
+     (ParseError, "m.tsv: code 11 is a prefix of code 1101")),
+    ("0\t1\t2\n01\t0\t1\n", (ParseError, "m.tsv: code 0 is a prefix of code 01")),
+    ("\t1\t2\n0\t1\t1\n", (ParseError, "m.tsv: code ε is a prefix of code 0")),
     ("", []),
     ("\t-\t1\n", [("", "", 1)]),
 ]
@@ -174,7 +174,7 @@ class TestParsePaths:
 
     def test_constructor_names_the_table_order_pair(self):
         programs = tuple(Program(c, "0", 1) for c in ("11", "0", "1101", "01"))
-        with pytest.raises(PrefixFreeViolation) as info:
+        with pytest.raises(ParseError) as info:
             PrefixMachine(programs)
         assert info.value.message == "code 11 is a prefix of code 1101"
 
@@ -184,7 +184,7 @@ class TestParsePaths:
         pairwise = any(i != j and b.startswith(a) for i, a in enumerate(codes) for j, b in enumerate(codes))
         try:
             PrefixMachine(tuple(Program(c, "0", 0) for c in codes))
-        except PrefixFreeViolation:
+        except ParseError:
             assert pairwise
         else:
             assert not pairwise

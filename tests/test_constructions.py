@@ -19,9 +19,7 @@ from cantorsim.constructions import (
 )
 from cantorsim.draws import make_merge_case
 from cantorsim.dyadic import ZERO, BitString, Dyadic, key_word, rational_of_string, word_key
-from cantorsim.errors import (
-    CapacityError, ContractViolationError, InputError, PreconditionError, RangeError,
-)
+from cantorsim.errors import InputError, PreconditionError
 from cantorsim.oracles import (
     brute_failing_runs, brute_merge_rows, brute_odd_ones, brute_omega_approx, expansion_prefix,
     rightmost_path,
@@ -473,7 +471,7 @@ class TestRegretEdges:
         argv = scenario("regret-permanent").argv
         family = fixture_script(argv[argv.index("--script") + 1], 12)
         machine = fixture_machine(argv[argv.index("--machine") + 1])
-        with pytest.raises(CapacityError):
+        with pytest.raises(PreconditionError, match=r"^all 1 slots in use at stage 4 \(horizon too small\)$"):
             regret_construction(family, machine, 1, 12, max_slots=1)
 
     def test_rebinding_uses_a_fresh_slot(self):
@@ -698,13 +696,13 @@ class TestFriedbergMerge:
             ],
             horizon=3,
         )
-        with pytest.raises(ContractViolationError, match="does not contain the slot content"):
+        with pytest.raises(PreconditionError, match="does not contain the slot content"):
             merged([], l2, bad_extensions, 3)
 
     def test_repeating_generator_rejected(self):
         l2 = EnumerationScript.from_events([], horizon=3)
         listing = itertools.repeat(frozenset({BitString("1")}))
-        with pytest.raises(ContractViolationError, match="repeated a member"):
+        with pytest.raises(PreconditionError, match="repeated a member"):
             merged(listing, l2, lambda content: iter(()), 3)
 
     def test_no_unused_extension_is_a_contract_violation(self):
@@ -713,7 +711,7 @@ class TestFriedbergMerge:
             [(0, 0, BitString("00")), (1, 1, BitString("00"))], horizon=2
         )
         message = "^no unused extension of a 1-string set at stage 1$"
-        with pytest.raises(ContractViolationError, match=message):
+        with pytest.raises(PreconditionError, match=message):
             merged(gen, l2, extensions, 2)
 
     def test_extensions_are_read_at_most_used_plus_horizon_plus_two(self):
@@ -728,7 +726,7 @@ class TestFriedbergMerge:
         l2 = EnumerationScript.from_events(
             [(0, 0, BitString("00")), (1, 1, BitString("00"))], horizon=3
         )
-        with pytest.raises(ContractViolationError, match="at stage 1$"):
+        with pytest.raises(PreconditionError, match="at stage 1$"):
             merged([listed], l2, extensions, 3)
         assert len(read) == 1 + 3 + 2
 
@@ -806,7 +804,7 @@ class TestVerifyMerge:
     def test_a_horizon_past_the_output_is_a_range_error(self):
         case, out = next(merged_check_cases())
         late = case._replace(horizon=out.horizon + 1)
-        with pytest.raises(RangeError, match=f"stage {out.horizon + 1} outside"):
+        with pytest.raises(InputError, match=f"stage {out.horizon + 1} outside"):
             verify_merge(out, late)
 
 

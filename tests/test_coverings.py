@@ -15,7 +15,7 @@ from cantorsim.draws import random_listing, random_string_set
 from cantorsim.dyadic import (
     Antichain, BitString, covered_deltas, key_word, optimal_covering, trusted_antichain,
 )
-from cantorsim.errors import DomainError, ParseError
+from cantorsim.errors import InputError, ParseError
 from cantorsim.oracles import (
     brute_covering_families, brute_optimal_covering, sibling_merge_closure,
     split_covering_families, split_covering_family,
@@ -192,7 +192,7 @@ class TestCoveringFamilies:
 
     def test_negative_index_is_a_domain_error(self):
         for family in (odd_covering_family, even_covering_family, lambda i: split_covering_family(i, True)):
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError, match="index must be ≥ 0"):
                 family(-1)
 
     def test_families_match_the_exhaustive_search(self):

@@ -15,9 +15,13 @@ they import outside a function, holds none of the check side: ``checks``,
 ``BitString.parse`` on text, and no module reads ``.bits`` or names the
 removed ``trusted_bitstring`` or ``lenlex_key``.  No module imports
 ``dataclasses``: the value types are ``NamedTuple``s or ``dyadic._Value``
-subclasses, so importing the package generates no methods.  Every function
-and class of every module, and every method of those classes, has
-annotations that ``typing.get_type_hints`` resolves.
+subclasses, so importing the package generates no methods.  ``errors``
+defines one class per exit code, ``InputError`` with its ``ParseError`` and
+``PreconditionError``, under their base ``CantorsimError``, and every
+``raise`` in the package names one of those three or re-raises, but for an
+allow-list of the protocols of argparse and Python.  Every function and
+class of every module, and every method of those classes, has annotations
+that ``typing.get_type_hints`` resolves.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ VERIFY_IMPORTS_ALLOWED: dict[str, set[str]] = {
     "constructions": {"RegretSlot", "StageTrace", "TraceRecord"},
     "coverings": {"StarSnapshot"},
     "streams": {"EnumerationScript", "LeftCEApprox", "real_from_ce_set"},
+}
+
+# the classes a raise in the package names; the errors docstring says which input gets which
+RAISED_ERRORS = frozenset({"InputError", "ParseError", "PreconditionError"})
+
+# (module, outermost function or class, raised class) -> why it raises a class outside RAISED_ERRORS
+OTHER_RAISES_ALLOWED: dict[tuple[str, str, str], str] = {
+    ("runs", "natural", "argparse.ArgumentTypeError"):
+        "argparse's protocol for a flag type, which argparse reports as a usage error",
+    ("dyadic", "_Value", "AttributeError"): "Python's protocol for an immutable attribute",
 }
 
 
@@ -217,6 +231,25 @@ def dataclasses_imports(path: pathlib.Path) -> list[str]:
     return found
 
 
+def other_raises(path: pathlib.Path) -> list[tuple[str, str | None, str, int]]:
+    """(module, outermost enclosing function or class, raised class, line) of
+    every raise in the file that names a class outside RAISED_ERRORS; a bare
+    re-raise names none."""
+    found = []
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                raised = ast.unparse(child.exc.func if isinstance(child.exc, ast.Call) else child.exc)
+                if raised not in RAISED_ERRORS:
+                    found.append((path.stem, scope, raised, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named and scope is None else scope)
+
+    visit(_tree(path), None)
+    return found
+
+
 def import_graph() -> dict[str, set[str]]:
     """Module -> the package modules it imports, at module level or nested."""
     return {path.stem: {module for module, _ in package_imports(path)} for path in MODULES}
@@ -315,7 +348,7 @@ def test_an_oracle_import_of_a_fast_routine_is_found(tmp_path):
     planted = tmp_path / "oracles.py"
     planted.write_text(
         "from .dyadic import BitString, strings_up_to\n"
-        "from .errors import DomainError\n"
+        "from .errors import InputError\n"
         "from . import streams\n"
         "import cantorsim.coverings\n\n\n"
         "def f():\n    from cantorsim.streams import approx_string\n",
@@ -388,6 +421,41 @@ def test_a_dataclasses_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert sorted(dataclasses_imports(planted)) == ["m:1", "m:2", "m:7"]
+
+
+def test_the_errors_module_defines_one_class_per_exit_code():
+    errors = importlib.import_module(f"{PACKAGE.name}.errors")
+    defined = {
+        name: obj for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and obj.__module__ == errors.__name__
+    }
+    assert sorted(defined) == ["CantorsimError", "InputError", "ParseError", "PreconditionError"]
+    assert [(defined[name].code, defined[name].label) for name in sorted(RAISED_ERRORS)] == [
+        (2, "input error"), (2, "input error"), (3, "precondition error")
+    ]
+    assert issubclass(errors.ParseError, errors.InputError)
+
+
+def test_every_raise_names_an_error_class():
+    found = [r for path in MODULES for r in other_raises(path)]
+    assert [r for r in found if r[:3] not in OTHER_RAISES_ALLOWED] == []
+    assert {r[:3] for r in found} == set(OTHER_RAISES_ALLOWED)
+
+
+def test_a_raise_of_another_class_is_found(tmp_path):
+    planted = tmp_path / "m.py"
+    planted.write_text(
+        "from .errors import CantorsimError, InputError, ParseError\n\n\n"
+        "def f(x):\n"
+        "    try:\n        raise ParseError('bad', line=x)\n    except InputError:\n        raise\n"
+        "    if x:\n        raise CantorsimError(x)\n"
+        "    raise ValueError(x) from None\n\n\n"
+        "class C:\n    def g(self):\n        raise KeyError\n",
+        encoding="utf-8",
+    )
+    assert other_raises(planted) == [
+        ("m", "f", "CantorsimError", 10), ("m", "f", "ValueError", 11), ("m", "C", "KeyError", 16),
+    ]
 
 
 def _functions(member: object) -> list[object]:

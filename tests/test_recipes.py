@@ -13,6 +13,7 @@ here goes through the one conversion, `dyadic.word_key` and
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from operator import itemgetter
@@ -401,6 +402,16 @@ class TestMergeLoops:
         rows = same_merge(*covering_inputs(listings, 7, 480, stream=True), 480)
         assert len(rows) == 47742
         assert script_lines(rows[-1:]) == ["431\t735\tstr\t1111111"]
+
+    def test_on_the_fixture_listings_at_length_8_and_horizon_1920(self):
+        # at length 8 the merge delivers up to stage 1087, past length 7's last row at stage 431
+        argv = ["run", "friedberg-classes", "--listing", "l_star.txt", "--listing", "l_star_skip.txt",
+                "--len", "8", "--horizon", "1920"]
+        lines = replay(argv, FIXTURE_FILES.__getitem__).lines
+        assert len(lines) == 230894
+        assert lines[-1] == "1087\t1807\tstr\t11111111"
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        assert digest == "3105def6c7513110532f65d41098a278321a55a1f40018549252ad8762ec3890"
 
     def test_a_repeated_item_inside_a_block_is_delivered_once(self):
         listing, extensions = tagged()

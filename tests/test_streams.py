@@ -16,7 +16,7 @@ from cantorsim.dyadic import (
     strings_up_to,
     word_key,
 )
-from cantorsim.errors import InputError, ParseError, RangeError
+from cantorsim.errors import InputError, ParseError
 from cantorsim.oracles import brute_lower_cut, expansion_prefix
 from cantorsim.streams import (
     EnumerationScript,
@@ -111,7 +111,7 @@ class TestStageSet:
 
     def test_beyond_horizon(self):
         script = EnumerationScript.from_events([(1, 0, dy("1/2^2"))])
-        with pytest.raises(RangeError):
+        with pytest.raises(InputError, match=r"stage 2 outside \[0, 1\]"):
             stage_set(script, 0, 2)
 
 
